@@ -2,7 +2,7 @@
 posets, and machine certification of shellability and closed-ball topology."""
 
 from .complexes import FreeComplex
-from .ek import AdmissiblePair, admissible_pairs, b_set, ek_complex
+from .ek import AdmissiblePair, admissible_pairs, b_set, ek_complex, j_index, modified_complex
 from .ideals import (
     MonomialIdeal,
     borel_closure,
@@ -12,18 +12,10 @@ from .ideals import (
     random_borel_ideal,
     read_ideal,
 )
-from .modified import (
-    AdmissiblePairTilde,
-    admissible_tilde,
-    b_tilde_set,
-    j_index,
-    modified_complex,
-)
 from .monomials import BiMonomial, Monomial, lex_compare
 from .polarization import (
     PolarizationContext,
     b_shift,
-    b_shift_literal,
     bpol_ideal,
     bpol_monomial,
     context_for,

@@ -12,9 +12,8 @@ import random
 import sys
 from pathlib import Path
 
-from .ek import ek_complex
+from .ek import AdmissiblePair, ek_complex, kind_of, modified_complex
 from .ideals import random_borel_ideal, read_ideal
-from .modified import modified_complex
 from .polarization import bpol_ideal, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic, poset_to_dot
 from .shelling import ball_check, is_cw_poset, verify_el_all
@@ -93,7 +92,7 @@ def cmd_resolve(args) -> int:
         if args.export == "json":
             _write_or_print(args, f"{kind}.complex.json", _json_dump(cplx.to_json_dict()))
         elif args.export == "dot":
-            _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(build_gamma(kind, ideal, args.d)))
+            _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(build_gamma(kind, ideal)))
     return 0
 
 
@@ -112,10 +111,7 @@ def cmd_verify(args) -> int:
         except VerificationError as exc:
             checks["structure_error"] = str(exc)
             failed = True
-        if kind == "ek":
-            gens = list(ideal.gens)
-        else:
-            gens = bpol_ideal(ideal)
+        gens = [kind_of(kind).lift(m) for m in ideal.gens]
         strands = strand_exactness(cplx, gens, primes=(2, 3))
         checks["strands"] = {
             "ok": strands.ok,
@@ -123,42 +119,43 @@ def cmd_verify(args) -> int:
             "first_failure": strands.first_failure(),
         }
         failed = failed or not strands.ok
-        poset = build_gamma(kind, ideal, args.d)
-        if args.check in ("el", "cw", "ball", "all"):
-            checks["thin"] = poset.is_thin()
-            failed = failed or not checks["thin"]
-        if args.check in ("el", "all"):
-            reports = verify_el_all(kind, poset.dual(), ideal)
-            bad = [r for r in reports if not r.passed]
-            checks["el"] = {"intervals": len(reports), "failures": len(bad)}
-            failed = failed or bool(bad)
-        if args.check in ("cw", "ball", "all"):
+        poset = build_gamma(kind, ideal)
+        checks["thin"] = poset.is_thin()
+        failed = failed or not checks["thin"]
+        witness = {}
+        if args.check != "el":
             cw = is_cw_poset(poset, kind, ideal)
-            checks["cw"] = cw[0]
+            checks["cw"], witness = cw
             failed = failed or not cw[0]
-            if args.check in ("ball", "all"):
-                verdict = ball_check(
-                    poset, kind, ideal, facet_budget=args.max_facets, cw_result=cw
-                )
-                checks["ball"] = {
-                    "verdict": verdict.verdict,
-                    "cond2": verdict.cond2,
-                    "cond3": verdict.cond3,
-                    "homology_trivial": verdict.homology_trivial,
-                    "detail": verdict.detail,
-                }
-                if args.expect_ball and verdict.verdict != {
-                    "certified": "ball-certified",
-                    "refuted": "refuted",
-                }[args.expect_ball]:
-                    failed = True
+        if args.check in ("el", "all"):
+            # the counts of the EL sweep behind the CW verdict, if it got that far
+            intervals, failures = witness.get("el_intervals"), witness.get("el_failures")
+            if intervals is None:
+                reports = verify_el_all(kind, poset.dual(), ideal)
+                intervals, failures = len(reports), sum(not r.passed for r in reports)
+            checks["el"] = {"intervals": intervals, "failures": failures}
+            failed = failed or failures > 0
+        if args.check in ("ball", "all"):
+            verdict = ball_check(
+                poset, kind, ideal, facet_budget=args.max_facets, cw_result=cw
+            )
+            checks["ball"] = {
+                "verdict": verdict.verdict,
+                "cond2": verdict.cond2,
+                "cond3": verdict.cond3,
+                "homology_trivial": verdict.homology_trivial,
+                "detail": verdict.detail,
+            }
+            if args.expect_ball and verdict.verdict != {
+                "certified": "ball-certified",
+                "refuted": "refuted",
+            }[args.expect_ball]:
+                failed = True
         hom = homology_ranks(frame_complex(cplx, augmented=True))
         checks["reduced_homology_trivial"] = all(b == 0 and not t for b, t in hom)
         bundle["kinds"][kind] = checks
     if args.compare_posets:
-        iso = poset_isomorphic(
-            build_gamma("ek", ideal, args.d), build_gamma("modified", ideal, args.d)
-        )
+        iso = poset_isomorphic(build_gamma("ek", ideal), build_gamma("modified", ideal))
         bundle["posets_isomorphic"] = iso
     print(_json_dump(bundle), end="")
     return 1 if failed else 0
@@ -175,12 +172,10 @@ def cmd_polarize(args) -> int:
     for m in shifted.gens:
         print(f"  {m}")
     if args.diagram or args.export == "diagram":
-        from .modified import AdmissiblePairTilde
-
         blocks = []
         for m in ideal.gens:
-            full = AdmissiblePairTilde(tuple(range(1, m.max_var())), m)
-            blocks.append(f"{m}:\n{stairs_diagram(full.pairs, full.bimonomial())}")
+            full = AdmissiblePair(tuple(range(1, m.max_var())), m, "modified")
+            blocks.append(f"{m}:\n{stairs_diagram(full.indices, full.lift())}")
         _write_or_print(args, "stairs.txt", "\n\n".join(blocks) + "\n")
     return 0
 
@@ -188,7 +183,7 @@ def cmd_polarize(args) -> int:
 def cmd_poset(args) -> int:
     ideal = _load_ideal(args)
     for kind in _kinds(args):
-        poset = build_gamma(kind, ideal, args.d)
+        poset = build_gamma(kind, ideal)
         print(f"{kind}: {len(poset)} elements, {len(poset.covers)} covers")
         if args.export == "dot" or args.export is None:
             _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(poset, name=kind))
@@ -197,8 +192,8 @@ def cmd_poset(args) -> int:
 
 def cmd_compare(args) -> int:
     ideal = _load_ideal(args)
-    g_ek = build_gamma("ek", ideal, args.d)
-    g_mod = build_gamma("modified", ideal, args.d)
+    g_ek = build_gamma("ek", ideal)
+    g_mod = build_gamma("modified", ideal)
     iso = poset_isomorphic(g_ek, g_mod)
     print(f"cell posets isomorphic: {iso}")
     if args.expect:

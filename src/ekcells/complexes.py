@@ -82,11 +82,9 @@ class FreeComplex:
 
 
 def _label_json(label) -> dict:
-    # Classical labels carry a bare index tuple F, modified ones expose the
-    # (i, j) pair form.
-    if hasattr(label, "pairs"):
-        return {"F": [list(p) for p in label.pairs], "m": list(label.m.exps)}
-    return {"F": list(label.F), "m": list(label.m.exps)}
+    # Classical labels name bare indices i, modified ones squares (i, j).
+    F = [list(x) if isinstance(x, tuple) else x for x in label.indices]
+    return {"F": F, "m": list(label.m.exps)}
 
 
 def _coeff_json(coeff):

@@ -20,7 +20,6 @@ __all__ = [
     "bpol_monomial",
     "bpol_ideal",
     "b_shift",
-    "b_shift_literal",
     "g_shift",
     "sigma_monomial",
     "sigma_ideal",
@@ -85,21 +84,6 @@ def b_shift(m: Monomial, s: int) -> Monomial:
         raise ValueError(f"need 1 <= s < max({m}) = {m.max_var()}, got {s}")
     k = min(i for i in m.support() if i > s)
     return m.div_var(k).times_var(s)
-
-
-def b_shift_literal(m: Monomial, s: int) -> Monomial:
-    """Diagnostic variant (m / x_s) * x_k moving a factor upward.
-
-    This reading breaks ideal membership (e.g. m = x1*x2 in
-    (x1^2, x1*x2, x2^3) with s = 1 gives x2^2, which is outside the ideal)
-    and is kept only so tests can demonstrate the contradiction.
-    """
-    if m.is_unit():
-        raise ValueError("cannot shift the unit monomial")
-    if not 1 <= s < m.max_var():
-        raise ValueError(f"need 1 <= s < max({m}) = {m.max_var()}, got {s}")
-    k = min(i for i in m.support() if i > s)
-    return m.div_var(s).times_var(k)
 
 
 def g_shift(ideal: MonomialIdeal, m: Monomial, s: int) -> Monomial:

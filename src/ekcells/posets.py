@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import networkx as nx
 from networkx.algorithms import isomorphism
 
-from . import ek, modified
+from .ek import AdmissiblePair, admissible_layers, b_set, kind_of
 from .ideals import MonomialIdeal
-from .polarization import g_shift
 
 __all__ = [
     "BOTTOM",
@@ -147,9 +146,6 @@ class FinitePoset:
     def lt(self, a, b) -> bool:
         return a != b and self.leq(a, b)
 
-    def comparable(self, a, b) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
     def up_covers(self, x) -> list:
         return [self.elements[j] for j in self._up[self._idx[x]]]
 
@@ -183,10 +179,6 @@ class FinitePoset:
 
     def up_set(self, a) -> tuple:
         mask = self._above[self._idx[a]]
-        return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
-
-    def down_set(self, a) -> tuple:
-        mask = self._below[self._idx[a]]
         return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
 
     def restrict(self, keep) -> "FinitePoset":
@@ -391,51 +383,29 @@ class SimplicialComplexData:
         return tuple(len(layer) for layer in self.faces())
 
 
-def build_gamma(kind: str, ideal: MonomialIdeal, d=None) -> FinitePoset:
+def build_gamma(kind: str, ideal: MonomialIdeal) -> FinitePoset:
     """The basis poset of the chosen resolution, with least element BOTTOM.
 
-    Covers out of a pair are exactly the targets of its differential column:
-    every plain index removal, plus the shifted-generator removals for
-    indices in the relevant B set.
+    Covers out of a pair are read off its label: every plain index removal,
+    plus the shifted-generator removals for indices in its B set.  They are
+    derived here independently of the differential, so that
+    ``check_cover_support`` compares two constructions.
     """
-    if kind == "ek":
-        if not ideal.is_stable():
-            raise ValueError("ideal is not stable")
-        enumerate_q = lambda q: ek.admissible_pairs(ideal, q)
-        bfun = lambda pair: ek.b_set(ideal, pair.F, pair.m)
-        shift = lambda pair, i: ideal.g(pair.m.times_var(i))
-        make = ek.AdmissiblePair
-    elif kind == "modified":
-        if not ideal.is_borel_fixed():
-            raise ValueError("ideal is not Borel fixed")
-        enumerate_q = lambda q: modified.admissible_tilde(ideal, q)
-        bfun = lambda pair: modified.b_tilde_set(ideal, pair.F, pair.m)
-        shift = lambda pair, i: g_shift(ideal, pair.m, i)
-        make = modified.AdmissiblePairTilde
-    else:
-        raise ValueError(f"unknown poset kind {kind!r}")
-
-    layers = []
-    q = 0
-    while True:
-        layer = enumerate_q(q)
-        if not layer:
-            break
-        layers.append(layer)
-        q += 1
-
+    rules = kind_of(kind)
+    layers = admissible_layers(ideal, rules)
     elements = [BOTTOM]
     for layer in layers:
         elements.extend(layer)
     covers = [(BOTTOM, pair) for pair in layers[0]]
-    for q in range(1, len(layers)):
-        for pair in layers[q]:
-            bset = set(bfun(pair))
+    for layer in layers[1:]:
+        for pair in layer:
+            bset = set(b_set(ideal, pair.F, pair.m, rules))
             for i in pair.F:
                 rest = pair.drop(i)
-                covers.append((make(rest, pair.m), pair))
+                covers.append((AdmissiblePair(rest, pair.m, rules), pair))
                 if i in bset:
-                    covers.append((make(rest, shift(pair, i)), pair))
+                    shifted = rules.shift(ideal, pair.m, i)
+                    covers.append((AdmissiblePair(rest, shifted, rules), pair))
     return FinitePoset(elements, covers)
 
 

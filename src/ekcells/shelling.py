@@ -10,8 +10,9 @@ one weakly increasing maximal chain and that chain is strictly lex-least.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .monomials import BiMonomial, Monomial
+from .ek import kind_of
 from .posets import BOTTOM, FinitePoset, SimplicialComplexData
 from .topology import reduced_homology_trivial, ridge_incidences
 
@@ -41,6 +42,7 @@ class ELReport:
     passed: bool
     increasing_chain: object = None
     increasing_label: object = None
+    labels: list = None  # label tuple of each maximal chain, in chain order
 
 
 @dataclass
@@ -63,10 +65,9 @@ def el_label_edge(kind: str, lower, upper, ideal=None) -> int:
     """Label of a cover ``lower <* upper`` of the dual basis poset.
 
     ``kind`` is "ek" or "modified".  With an ideal supplied, the
-    shifted-generator case is verified against the decomposition function.
+    shifted-generator case is verified against the kind's shift rule.
     """
-    if kind not in ("ek", "modified"):
-        raise ValueError(f"unknown kind {kind!r}")
+    rules = kind_of(kind)
     if upper is BOTTOM:
         if lower.F != ():
             raise ValueError(f"{lower!r} is not covered by the least element in the dual")
@@ -77,17 +78,8 @@ def el_label_edge(kind: str, lower, upper, ideal=None) -> int:
     i = removed.pop()
     if upper.m == lower.m:
         return -i
-    if ideal is not None:
-        if kind == "ek":
-            expected = ideal.g(lower.m.times_var(i))
-        else:
-            from .polarization import g_shift
-
-            expected = g_shift(ideal, lower.m, i)
-        if upper.m != expected:
-            raise ValueError(
-                f"cover ({lower!r}, {upper!r}) matches neither labeling case"
-            )
+    if ideal is not None and upper.m != rules.shift(ideal, lower.m, i):
+        raise ValueError(f"cover ({lower!r}, {upper!r}) matches neither labeling case")
     return i
 
 
@@ -100,7 +92,24 @@ def label_chain(kind: str, chain, ideal=None) -> tuple:
 def verify_el_interval(kind: str, dual: FinitePoset, a, b, ideal=None) -> ELReport:
     """EL verification of the interval [a, b] of the dual poset."""
     chains = dual.chains_between(a, b)
-    labels = [label_chain(kind, c, ideal) for c in chains]
+    return _el_report(a, b, chains, [label_chain(kind, c, ideal) for c in chains])
+
+
+def verify_el_all(kind: str, dual: FinitePoset, ideal=None) -> list:
+    """EL reports for every nontrivial interval of the dual poset, each cover
+    labelled once."""
+    label = {(x, y): el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
+    out = []
+    for a in dual.elements:
+        for b in dual.up_set(a):
+            if a != b:
+                chains = dual.chains_between(a, b)
+                labels = [tuple(label[e] for e in zip(c, c[1:])) for c in chains]
+                out.append(_el_report(a, b, chains, labels))
+    return out
+
+
+def _el_report(a, b, chains, labels) -> ELReport:
     increasing = [
         lab for lab in labels if all(x <= y for x, y in zip(lab, lab[1:]))
     ]
@@ -119,47 +128,32 @@ def verify_el_interval(kind: str, dual: FinitePoset, a, b, ideal=None) -> ELRepo
         passed=len(increasing) == 1 and lex_least,
         increasing_chain=chain0,
         increasing_label=label0,
+        labels=labels,
     )
 
 
-def verify_el_all(kind: str, dual: FinitePoset, ideal=None) -> list:
-    """EL reports for every nontrivial interval of the dual poset."""
-    out = []
-    for a in dual.elements:
-        for b in dual.up_set(a):
-            if a != b:
-                out.append(verify_el_interval(kind, dual, a, b, ideal))
-    return out
-
-
 def u_of_chain(kind: str, chain, ideal=None):
-    """The monomial of the positive labels along an increasing chain.
+    """The monomial of the positive labels along an increasing chain: the
+    product of the variables the start attaches to them.
 
-    Classical kind: the product of x_i over positive labels; modified kind:
-    the product of the removed (i, j) variables with positive labels.  The
-    result is checked against lcm(start, end) / start and a mismatch raises.
+    The result is checked against lcm(lift(start), lift(end)) / lift(start)
+    and a mismatch raises.
     """
     if len(chain) < 1 or chain[-1] is BOTTOM:
         raise ValueError("chain must stay below the least dual element")
     labels = label_chain(kind, chain, ideal)
     if any(x > y for x, y in zip(labels, labels[1:])):
         raise ValueError("chain is not increasing")
-    start, end = chain[0], chain[-1]
-    positive = {i for i in labels if i > 0}
-    if kind == "ek":
-        u = Monomial.from_factors(start.m.n, sorted(positive))
-        expected = start.m.lcm(end.m).div(start.m)
-    else:
-        removed = set(start.pairs) - set(end.pairs)
-        u = BiMonomial.from_factors(p for p in removed if p[0] in positive)
-        wm, wm2 = start.bimonomial(), end.bimonomial()
-        expected = wm.lcm(wm2).div(wm)
-    if u != expected:
+    rules, start, end = kind_of(kind), chain[0], chain[-1]
+    lift = rules.lift(start.m)
+    lcm = lift.lcm(rules.lift(end.m))
+    u = prod((rules.variable(start.m, i) for i in labels if i > 0), start=lift)
+    if u != lcm:
         raise RuntimeError(
-            f"positive-label monomial {u} differs from lcm quotient {expected} "
-            f"on chain {chain!r}"
+            f"positive-label monomial {u.div(lift)} differs from lcm quotient "
+            f"{lcm.div(lift)} on chain {chain!r}"
         )
-    return u
+    return u.div(lift)
 
 
 def is_cw_poset(poset: FinitePoset, kind: str, ideal=None):

@@ -8,17 +8,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .ek import ek_complex
+from .ek import AdmissiblePair, ek_complex, modified_complex
 from .ideals import MonomialIdeal, random_borel_ideal
-from .modified import AdmissiblePairTilde, modified_complex
 from .monomials import Monomial
 from .polarization import bpol_ideal, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic
 from .shelling import ball_check, is_cw_poset
 from .topology import euler_characteristic, reduced_homology_trivial
-from .verification import VerificationError, cm_battery, full_battery, _ensure
+from .verification import VerificationError, cm_battery, full_battery
 
 __all__ = ["NAMED_IDEALS", "named_ideal", "run_suite", "CriterionResult"]
+
+
+def _ensure(cond, msg):
+    if not cond:
+        raise VerificationError(msg)
 
 
 def _ideal(n, *gens):
@@ -157,14 +161,14 @@ def criterion_5():
         f"squarefree shift generators are {[str(m) for m in shifted.gens]}",
     )
     m = Monomial.parse(FIG_MONOMIAL, 6)
-    full = AdmissiblePairTilde((1, 2, 3, 4, 5), m)
+    full = AdmissiblePair((1, 2, 3, 4, 5), m, "modified")
     _ensure(
-        full.pairs == ((1, 3), (2, 3), (3, 3), (4, 4), (5, 4)),
-        f"maximal index pairs are {full.pairs}",
+        full.indices == ((1, 3), (2, 3), (3, 3), (4, 4), (5, 4)),
+        f"maximal index pairs are {full.indices}",
     )
-    diagram = stairs_diagram(full.pairs, full.bimonomial())
+    diagram = stairs_diagram(full.indices, full.lift())
     _ensure(diagram == FIG_FULL, f"full stairs diagram differs:\n{diagram}")
-    partial = stairs_diagram(((1, 3), (2, 3), (5, 4)), full.bimonomial())
+    partial = stairs_diagram(((1, 3), (2, 3), (5, 4)), full.lift())
     _ensure(partial == FIG_PARTIAL, f"partial stairs diagram differs:\n{partial}")
     return "polarization, squarefree shift and stairs diagrams match the worked examples"
 

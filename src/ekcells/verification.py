@@ -11,16 +11,11 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from . import shelling
 from .complexes import FreeComplex
-from .ek import AdmissiblePair, ek_complex
+from .ek import AdmissiblePair, admissible_layers, b_set, ek_complex, modified_complex
 from .ideals import MonomialIdeal
-from .modified import (
-    AdmissiblePairTilde,
-    admissible_tilde,
-    b_tilde_set,
-    modified_complex,
-)
-from .monomials import BiMonomial, Monomial
+from .monomials import Monomial
 from .polarization import (
     b_shift,
     bpol_ideal,
@@ -31,7 +26,7 @@ from .polarization import (
     specialize_theta_prime,
 )
 from .posets import BOTTOM, FinitePoset, build_gamma
-from .shelling import ball_check, el_label_edge, is_cw_poset, u_of_chain
+from .shelling import ball_check, is_cw_poset, u_of_chain
 from .topology import euler_characteristic, frame_complex, strand_exactness
 
 __all__ = ["VerificationError", "full_battery", "cm_battery"]
@@ -39,11 +34,6 @@ __all__ = ["VerificationError", "full_battery", "cm_battery"]
 
 class VerificationError(Exception):
     pass
-
-
-def _ensure(cond, msg):
-    if not cond:
-        raise VerificationError(msg)
 
 
 # -- complex-level checks -----------------------------------------------------
@@ -63,16 +53,15 @@ def check_d2(cplx: FreeComplex):
                 key = (col, tgt, c2 * c1)
                 acc[key] = acc.get(key, 0) + s1 * s2
         bad = {k: v for k, v in acc.items() if v}
-        _ensure(not bad, f"d^2 != 0 in {cplx.kind}: surviving terms {bad}")
+        if bad:
+            raise VerificationError(f"d^2 != 0 in {cplx.kind}: surviving terms {bad}")
 
 
 def check_minimality(cplx: FreeComplex):
     for q in range(1, cplx.top + 1):
         for pos, (_, coeff) in cplx.boundary(q).items():
-            _ensure(
-                coeff.degree() >= 1,
-                f"unit coefficient at {pos} in degree {q} of {cplx.kind}",
-            )
+            if coeff.degree() < 1:
+                raise VerificationError(f"unit coefficient at {pos} in degree {q} of {cplx.kind}")
 
 
 def check_multidegrees(cplx: FreeComplex):
@@ -81,11 +70,11 @@ def check_multidegrees(cplx: FreeComplex):
         for (i, j), (_, coeff) in cplx.boundary(q).items():
             src = cplx.mdegs[q][j]
             tgt = cplx.mdegs[q - 1][i]
-            _ensure(
-                tgt * coeff == src,
-                f"multidegree mismatch at ({i},{j}) in degree {q} of {cplx.kind}: "
-                f"{tgt} * {coeff} != {src}",
-            )
+            if tgt * coeff != src:
+                raise VerificationError(
+                    f"multidegree mismatch at ({i},{j}) in degree {q} of {cplx.kind}: "
+                    f"{tgt} * {coeff} != {src}"
+                )
 
 
 def check_pair_counts(ideal: MonomialIdeal, cplx: FreeComplex):
@@ -93,28 +82,26 @@ def check_pair_counts(ideal: MonomialIdeal, cplx: FreeComplex):
     for q in range(cplx.top + 2):
         expected = sum(comb(m.max_var() - 1, q) for m in ideal.gens)
         actual = len(cplx.basis[q]) if q <= cplx.top else 0
-        _ensure(
-            actual == expected,
-            f"|A_{q}| = {actual}, binomial count gives {expected} ({cplx.kind})",
-        )
+        if actual != expected:
+            raise VerificationError(
+                f"|A_{q}| = {actual}, binomial count gives {expected} ({cplx.kind})"
+            )
 
 
 def check_frame_invariance(cplx: FreeComplex, *specialized: FreeComplex):
     base = frame_complex(cplx)
     for other in specialized:
         fr = frame_complex(other)
-        _ensure(
-            fr.ranks == base.ranks and fr.mats == base.mats,
-            f"frame of {other.kind} differs from frame of {cplx.kind}",
-        )
+        if fr.ranks != base.ranks or fr.mats != base.mats:
+            raise VerificationError(f"frame of {other.kind} differs from frame of {cplx.kind}")
 
 
 def check_strands(cplx: FreeComplex, gens, primes=()):
     report = strand_exactness(cplx, gens, primes)
-    _ensure(
-        report.ok,
-        f"strand exactness fails for {cplx.kind}: {report.first_failure()}",
-    )
+    if not report.ok:
+        raise VerificationError(
+            f"strand exactness fails for {cplx.kind}: {report.first_failure()}"
+        )
     return report
 
 
@@ -143,11 +130,10 @@ def check_g_properties(ideal: MonomialIdeal, deg_bound=None):
     for m in ideal.gens:
         for i in range(1, ideal.n + 1):
             gi = ideal.g(m.times_var(i))
-            _ensure(gi >= m, f"g(x{i}*{m}) = {gi} is below {m}")
-            _ensure(
-                (gi == m) == (i >= m.max_var()),
-                f"g(x{i}*{m}) = {m} fixpoint condition fails at i={i}",
-            )
+            if gi < m:
+                raise VerificationError(f"g(x{i}*{m}) = {gi} is below {m}")
+            if (gi == m) != (i >= m.max_var()):
+                raise VerificationError(f"g(x{i}*{m}) = {m} fixpoint condition fails at i={i}")
     small = [m for m in _monomials_up_to(ideal.n, 2)]
     for m in small:
         for nmem in members:
@@ -155,7 +141,8 @@ def check_g_properties(ideal: MonomialIdeal, deg_bound=None):
                 continue
             lhs = ideal.g(m * ideal.g(nmem))
             rhs = ideal.g(m * nmem)
-            _ensure(lhs == rhs, f"g({m}*g({nmem})) = {lhs} != g({m}*{nmem}) = {rhs}")
+            if lhs != rhs:
+                raise VerificationError(f"g({m}*g({nmem})) = {lhs} != g({m}*{nmem}) = {rhs}")
 
 
 # -- poset-level checks ----------------------------------------------------------
@@ -165,7 +152,8 @@ def check_cover_support(poset: FinitePoset, cplx: FreeComplex):
     """The covers into each basis element match its differential column."""
     down = {e: set(poset.down_covers(e)) for e in poset.elements}
     for pair in cplx.basis[0]:
-        _ensure(down[pair] == {BOTTOM}, f"{pair!r} should cover exactly the bottom")
+        if down[pair] != {BOTTOM}:
+            raise VerificationError(f"{pair!r} should cover exactly the bottom")
     for q in range(1, cplx.top + 1):
         layer = cplx.basis[q]
         prev = cplx.basis[q - 1]
@@ -173,64 +161,46 @@ def check_cover_support(poset: FinitePoset, cplx: FreeComplex):
         for (i, j), _ in cplx.boundary(q).items():
             col_targets.setdefault(j, set()).add(prev[i])
         for j, pair in enumerate(layer):
-            _ensure(
-                down[pair] == col_targets.get(j, set()),
-                f"covers of {pair!r} differ from differential support",
-            )
+            if down[pair] != col_targets.get(j, set()):
+                raise VerificationError(f"covers of {pair!r} differ from differential support")
 
 
-def check_thin(poset: FinitePoset, what: str):
-    _ensure(poset.is_thin(), f"{what} is not thin")
-
-
-def _label_map(kind, dual: FinitePoset, ideal):
-    return {
-        (a, b): el_label_edge(kind, a, b, ideal) for a, b in dual.covers
-    }
+def check_thin(poset: FinitePoset, kind: str, ideal: MonomialIdeal):
+    if not poset.is_thin():
+        raise VerificationError(f"{kind} poset of {ideal!r} is not thin")
 
 
 def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
-    """One sweep over all intervals of the dual poset.
+    """The EL sweep over all intervals of the dual poset, with more checks on
+    each interval's report.
 
-    Verifies, per interval: the EL conditions (unique weakly increasing
-    maximal chain, strictly lex-least), injectivity of the labeling on
-    chains, the lcm identity for the positive part of the increasing chain,
-    the minimal-support characterization of the positive labels (classical
-    kind), and realizability of the label swap / rotation rewrites.
+    Verifies, per interval: injectivity of the labeling on chains, the EL
+    conditions (unique weakly increasing maximal chain, strictly lex-least),
+    the lcm identity for the positive part of the increasing chain, the
+    minimal-support characterization of the positive labels (classical kind),
+    and realizability of the label swap / rotation rewrites.  Returns the
+    number of intervals.
     """
-    labels_of = _label_map(kind, dual, ideal)
-    checked = 0
-    for a in dual.elements:
-        for b in dual.up_set(a):
-            if a == b:
-                continue
-            checked += 1
-            chains = dual.chains_between(a, b)
-            labels = [
-                tuple(labels_of[(x, y)] for x, y in zip(c, c[1:])) for c in chains
-            ]
-            labelset = set(labels)
-            _ensure(
-                len(labelset) == len(labels),
-                f"label tuples repeat on [{a!r}, {b!r}]",
+    # Called through the module, so that a wrapper installed on
+    # shelling.verify_el_all (bench/tracer.py) also sees this sweep.
+    reports = shelling.verify_el_all(kind, dual, ideal)
+    for rep in reports:
+        a, b, labels = rep.bottom, rep.top, rep.labels
+        labelset = set(labels)
+        if len(labelset) != len(labels):
+            raise VerificationError(f"label tuples repeat on [{a!r}, {b!r}]")
+        if rep.increasing_chains != 1:
+            raise VerificationError(
+                f"{rep.increasing_chains} increasing maximal chains on [{a!r}, {b!r}]"
             )
-            inc = [lab for lab in labels if all(x <= y for x, y in zip(lab, lab[1:]))]
-            _ensure(
-                len(inc) == 1,
-                f"{len(inc)} increasing maximal chains on [{a!r}, {b!r}]",
-            )
-            lab0 = inc[0]
-            _ensure(
-                all(lab0 < lab for lab in labels if lab != lab0),
-                f"increasing chain not lex-least on [{a!r}, {b!r}]",
-            )
-            chain0 = chains[labels.index(lab0)]
-            if b is not BOTTOM:
-                u_of_chain(kind, chain0, ideal)  # raises on lcm mismatch
-                if kind == "ek":
-                    _check_minimal_support(ideal, a, b, lab0)
-            _check_label_rewrites(kind, labels, labelset, a, b)
-    return checked
+        if not rep.lex_least:
+            raise VerificationError(f"increasing chain not lex-least on [{a!r}, {b!r}]")
+        if b is not BOTTOM:
+            u_of_chain(kind, rep.increasing_chain, ideal)  # raises on lcm mismatch
+            if kind == "ek":
+                _check_minimal_support(ideal, a, b, rep.increasing_label)
+        _check_label_rewrites(kind, labels, labelset, a, b)
+    return len(reports)
 
 
 def _check_minimal_support(ideal, a, b, lab0):
@@ -242,11 +212,11 @@ def _check_minimal_support(ideal, a, b, lab0):
                 hits.append(set(G))
     minimal = [G for G in hits if not any(H < G for H in hits)]
     positive = {x for x in lab0 if x > 0}
-    _ensure(
-        len(minimal) == 1 and minimal[0] == positive,
-        f"minimal shift supports {minimal} vs positive labels {positive} "
-        f"on [{a!r}, {b!r}]",
-    )
+    if len(minimal) != 1 or minimal[0] != positive:
+        raise VerificationError(
+            f"minimal shift supports {minimal} vs positive labels {positive} "
+            f"on [{a!r}, {b!r}]"
+        )
 
 
 def _check_label_rewrites(kind, labels, labelset, a, b):
@@ -256,23 +226,21 @@ def _check_label_rewrites(kind, labels, labelset, a, b):
             prev_l, cur_l = lab[r - 2], lab[r - 1]
             if kind == "modified":
                 swapped = lab[: r - 2] + (cur_l, prev_l) + lab[r:]
-                if cur_l < 0:
-                    _ensure(
-                        swapped in labelset,
-                        f"negative label not commutable in {lab} at {r} on [{a!r}, {b!r}]",
+                if cur_l < 0 and swapped not in labelset:
+                    raise VerificationError(
+                        f"negative label not commutable in {lab} at {r} on [{a!r}, {b!r}]"
                     )
                 if prev_l > 0 and swapped not in labelset:
                     replaced = lab[: r - 2] + (-prev_l,) + lab[r - 1 :]
-                    _ensure(
-                        replaced in labelset,
-                        f"positive label not negatable in {lab} at {r} on [{a!r}, {b!r}]",
-                    )
-            else:
-                if cur_l < 0:
-                    rotated = (cur_l,) + lab[: r - 1] + lab[r:]
-                    _ensure(
-                        rotated in labelset,
-                        f"negative label not rotatable in {lab} at {r} on [{a!r}, {b!r}]",
+                    if replaced not in labelset:
+                        raise VerificationError(
+                            f"positive label not negatable in {lab} at {r} on [{a!r}, {b!r}]"
+                        )
+            elif cur_l < 0:
+                rotated = (cur_l,) + lab[: r - 1] + lab[r:]
+                if rotated not in labelset:
+                    raise VerificationError(
+                        f"negative label not rotatable in {lab} at {r} on [{a!r}, {b!r}]"
                     )
 
 
@@ -286,78 +254,64 @@ def check_shift_instances(ideal: MonomialIdeal):
     for m in ideal.gens:
         for s in range(1, m.max_var()):
             fb = b_shift(m, s)
-            _ensure(fb in ideal, f"exchange b_{s}({m}) = {fb} left the ideal")
+            if fb not in ideal:
+                raise VerificationError(f"exchange b_{s}({m}) = {fb} left the ideal")
             ms = g_shift(ideal, m, s)
-            _ensure(
-                all(ms.deg(l) == fb.deg(l) for l in range(1, s + 1)),
-                f"m_<{s}> = {ms} disagrees with {fb} below slot {s}",
-            )
-            _ensure(ms.max_var() >= s, f"max(m_<{s}>) < {s} for m = {m}")
-            _ensure(ms > m, f"m_<{s}> = {ms} not above m = {m}")
+            if any(ms.deg(l) != fb.deg(l) for l in range(1, s + 1)):
+                raise VerificationError(f"m_<{s}> = {ms} disagrees with {fb} below slot {s}")
+            if ms.max_var() < s:
+                raise VerificationError(f"max(m_<{s}>) < {s} for m = {m}")
+            if not ms > m:
+                raise VerificationError(f"m_<{s}> = {ms} not above m = {m}")
 
-    q = 0
-    while True:
-        layer = admissible_tilde(ideal, q)
-        if not layer:
-            break
+    for layer in admissible_layers(ideal, "modified"):
         for pair in layer:
-            wm = pair.bimonomial()
-            jmap = dict(pair.pairs)
-            bset = set(b_tilde_set(ideal, pair.F, pair.m))
+            wm = pair.lift()
+            bset = set(b_set(ideal, pair.F, pair.m, "modified"))
             for i in pair.F:
                 wms = bpol_monomial(g_shift(ideal, pair.m, i))
-                var = BiMonomial.variable(i, jmap[i])
-                _ensure(
-                    wm.lcm(wms).div(wm) == var,
-                    f"lcm quotient of {pair!r} at {i} is not x[{i},{jmap[i]}]",
-                )
+                var = pair.variable(i)
+                if wm.lcm(wms).div(wm) != var:
+                    raise VerificationError(f"lcm quotient of {pair!r} at {i} is not {var}")
             _check_bset_relations(ideal, pair, bset)
-        q += 1
 
 
 def _check_bset_relations(ideal, pair, bset):
-    from .modified import b_tilde_set
-
     F, m = pair.F, pair.m
     if len(F) < 2:
         return
+
+    def in_b(i, rest, m2):
+        return i in b_set(ideal, rest, m2, "modified")
+
     shift = {i: g_shift(ideal, m, i) for i in F}
     for r in F:
         for s in F:
             if r == s:
                 continue
             rest_s = tuple(k for k in F if k != s)
-            if r in bset:
-                _ensure(
-                    r in b_tilde_set(ideal, rest_s, m),
-                    f"{r} leaves the B set of {pair!r} after dropping {s}",
-                )
+            if r in bset and not in_b(r, rest_s, m):
+                raise VerificationError(f"{r} leaves the B set of {pair!r} after dropping {s}")
             if r in bset and s in bset:
                 sr = g_shift(ideal, shift[s], r) if r < shift[s].max_var() else None
                 rs = g_shift(ideal, shift[r], s) if s < shift[r].max_var() else None
-                _ensure(
-                    sr is not None and rs is not None and sr == rs,
-                    f"iterated shifts differ on {pair!r}: ({s},{r}) -> {sr}, "
-                    f"({r},{s}) -> {rs}",
-                )
-                in_sr = r in b_tilde_set(ideal, rest_s, shift[s])
+                if sr is None or rs is None or sr != rs:
+                    raise VerificationError(
+                        f"iterated shifts differ on {pair!r}: ({s},{r}) -> {sr}, "
+                        f"({r},{s}) -> {rs}"
+                    )
                 rest_r = tuple(k for k in F if k != r)
-                in_rs = s in b_tilde_set(ideal, rest_r, shift[r])
-                _ensure(
-                    in_sr == in_rs,
-                    f"B-membership not symmetric for {r},{s} on {pair!r}",
-                )
+                if in_b(r, rest_s, shift[s]) != in_b(s, rest_r, shift[r]):
+                    raise VerificationError(f"B-membership not symmetric for {r},{s} on {pair!r}")
             if r not in bset and s in bset:
-                in_shifted = r in b_tilde_set(ideal, rest_s, shift[s])
-                in_plain = r in b_tilde_set(ideal, rest_s, m)
-                _ensure(
-                    in_shifted == in_plain,
-                    f"mixed B-membership differs for {r} (after {s}) on {pair!r}",
-                )
-                if in_shifted:
-                    _ensure(
-                        shift[r] == g_shift(ideal, shift[s], r),
-                        f"mixed iterated shift differs for {r},{s} on {pair!r}",
+                in_shifted = in_b(r, rest_s, shift[s])
+                if in_shifted != in_b(r, rest_s, m):
+                    raise VerificationError(
+                        f"mixed B-membership differs for {r} (after {s}) on {pair!r}"
+                    )
+                if in_shifted and shift[r] != g_shift(ideal, shift[s], r):
+                    raise VerificationError(
+                        f"mixed iterated shift differs for {r},{s} on {pair!r}"
                     )
 
 
@@ -380,20 +334,18 @@ def check_cm_generator_exchanges(ideal: MonomialIdeal, h: int):
     with x_{k+1} and a power of x_h (Borel form)."""
     for m in ideal.gens:
         for k in m.support():
-            _ensure(
-                _find_power_completion(ideal, m.div_var(k), h, 1) is not None,
-                f"no power of x{h} completes {m}/x{k} into a generator",
-            )
+            if _find_power_completion(ideal, m.div_var(k), h, 1) is None:
+                raise VerificationError(f"no power of x{h} completes {m}/x{k} into a generator")
     if ideal.is_borel_fixed():
         for m in ideal.gens:
             for k in m.support():
                 if k >= h:
                     continue
                 base = m.div_var(k).times_var(k + 1)
-                _ensure(
-                    base in ideal.gens or _find_power_completion(ideal, base, h, 1) is not None,
-                    f"no power of x{h} completes ({m}/x{k})*x{k + 1} into a generator",
-                )
+                if base not in ideal.gens and _find_power_completion(ideal, base, h, 1) is None:
+                    raise VerificationError(
+                        f"no power of x{h} completes ({m}/x{k})*x{k + 1} into a generator"
+                    )
 
 
 def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FinitePoset, h: int):
@@ -403,18 +355,15 @@ def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FiniteP
     elements (modified)."""
     tops = ideal.top_generators()
     full = tuple(range(1, h))
-    make = AdmissiblePair if kind == "ek" else AdmissiblePairTilde
-    full_pairs = [make(full, m) for m in tops]
+    full_pairs = [AdmissiblePair(full, m, kind) for m in tops]
     intervals = [set(poset.interval_set(BOTTOM, p)) for p in full_pairs]
-    _ensure(
-        set().union(*intervals) == set(poset.elements),
-        f"{kind} poset is not covered by the full-pair intervals",
-    )
+    if set().union(*intervals) != set(poset.elements):
+        raise VerificationError(f"{kind} poset is not covered by the full-pair intervals")
     for jj in range(1, len(tops)):
         inter = set().union(*intervals[:jj]) & intervals[jj]
         m = tops[jj]
         expected_tops = {
-            make(tuple(x for x in full if x != s), m)
+            AdmissiblePair(tuple(x for x in full if x != s), m, kind)
             for s in m.support()
             if s != h
         }
@@ -422,26 +371,31 @@ def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FiniteP
             expected = set()
             for p in expected_tops:
                 expected |= set(poset.interval_set(BOTTOM, p))
-            _ensure(
-                inter == expected,
-                f"intersection with interval {jj} differs from predicted union ({kind})",
-            )
+            if inter != expected:
+                raise VerificationError(
+                    f"intersection with interval {jj} differs from predicted union ({kind})"
+                )
         maximal = {
             x for x in inter if not any(y != x and poset.lt(x, y) for y in inter)
         }
-        _ensure(
-            maximal == expected_tops,
-            f"maximal elements of intersection {jj} are {maximal}, "
-            f"expected {expected_tops} ({kind})",
-        )
+        if maximal != expected_tops:
+            raise VerificationError(
+                f"maximal elements of intersection {jj} are {maximal}, "
+                f"expected {expected_tops} ({kind})"
+            )
 
 
 # -- batteries ---------------------------------------------------------------------
 
 
 def full_battery(ideal: MonomialIdeal, primes=(), strands=True) -> dict:
-    """Everything the randomized suite asserts for one Borel fixed ideal."""
-    _ensure(ideal.is_borel_fixed(), f"{ideal!r} is not Borel fixed")
+    """Everything the randomized suite asserts for one Borel fixed ideal.
+
+    The CW certificate of each cell poset is asserted piece by piece: thin,
+    a least element, and a passing EL sweep of the dual (``check_intervals``).
+    """
+    if not ideal.is_borel_fixed():
+        raise VerificationError(f"{ideal!r} is not Borel fixed")
     cek = ek_complex(ideal)
     cmod = modified_complex(ideal)
     ctheta = specialize_theta(cmod)
@@ -452,10 +406,8 @@ def full_battery(ideal: MonomialIdeal, primes=(), strands=True) -> dict:
         check_multidegrees(c)
     check_pair_counts(ideal, cek)
     check_pair_counts(ideal, cmod)
-    _ensure(
-        cek.ranks == cmod.ranks,
-        f"classical ranks {cek.ranks} != modified ranks {cmod.ranks}",
-    )
+    if cek.ranks != cmod.ranks:
+        raise VerificationError(f"classical ranks {cek.ranks} != modified ranks {cmod.ranks}")
     check_frame_invariance(cmod, ctheta, cthetap)
     if strands:
         check_strands(cek, list(ideal.gens), primes)
@@ -469,40 +421,37 @@ def full_battery(ideal: MonomialIdeal, primes=(), strands=True) -> dict:
     for kind, cplx in (("ek", cek), ("modified", cmod)):
         poset = build_gamma(kind, ideal)
         check_cover_support(poset, cplx)
-        check_thin(poset, f"{kind} poset of {ideal!r}")
-        _ensure(len(poset.minimal_elements()) == 1, f"{kind} poset not bounded below")
+        check_thin(poset, kind, ideal)
+        if len(poset.minimal_elements()) != 1:
+            raise VerificationError(f"{kind} poset not bounded below")
         stats[f"intervals_{kind}"] = check_intervals(kind, poset.dual(), ideal)
-        cw_ok, witness = is_cw_poset(poset, kind, ideal)
-        _ensure(
-            cw_ok and witness.get("el_failures") == 0,
-            f"{kind} poset not certified CW: {witness}",
-        )
     return stats
 
 
 def cm_battery(ideal: MonomialIdeal, facet_budget=64, node_budget=500_000) -> dict:
     """Structure and ball certification for one Cohen-Macaulay Borel ideal."""
     is_cm, h, l_power = ideal.is_cm_stable()
-    _ensure(is_cm, f"{ideal!r} is not Cohen-Macaulay")
+    if not is_cm:
+        raise VerificationError(f"{ideal!r} is not Cohen-Macaulay")
     check_cm_generator_exchanges(ideal, h)
     stats = {"h": h, "l": l_power}
     for kind in ("ek", "modified"):
         poset = build_gamma(kind, ideal)
-        _ensure(poset.is_pure(), f"{kind} poset of CM ideal not pure")
-        _ensure(
-            euler_characteristic(poset) == 1,
-            f"{kind} poset of CM ideal has Euler characteristic != 1",
-        )
+        if not poset.is_pure():
+            raise VerificationError(f"{kind} poset of CM ideal not pure")
+        if euler_characteristic(poset) != 1:
+            raise VerificationError(f"{kind} poset of CM ideal has Euler characteristic != 1")
         check_interval_decomposition(kind, ideal, poset, h)
         cw = is_cw_poset(poset, kind, ideal)
-        _ensure(cw[0], f"{kind} poset not certified CW: {cw[1]}")
+        if not cw[0]:
+            raise VerificationError(f"{kind} poset not certified CW: {cw[1]}")
         verdict = ball_check(
             poset, kind, ideal,
             facet_budget=facet_budget, node_budget=node_budget, cw_result=cw,
         )
-        _ensure(
-            verdict.verdict == "ball-certified",
-            f"{kind} ball check returned {verdict.verdict}: {verdict.detail}",
-        )
+        if verdict.verdict != "ball-certified":
+            raise VerificationError(
+                f"{kind} ball check returned {verdict.verdict}: {verdict.detail}"
+            )
         stats[f"facets_{kind}"] = len(poset.order_complex(drop_bottom=True).facets)
     return stats

@@ -1,6 +1,6 @@
 import pytest
 
-from ekcells import Monomial, MonomialIdeal
+from ekcells import FinitePoset, Monomial, MonomialIdeal
 from ekcells.suite import named_ideal
 
 
@@ -10,6 +10,20 @@ def mono(text, n):
 
 def ideal(n, *gens):
     return MonomialIdeal(n, [Monomial.parse(g, n) for g in gens])
+
+
+@pytest.fixture
+def chains_between_calls(monkeypatch):
+    """Records the (a, b) of every FinitePoset.chains_between call."""
+    calls = []
+    original = FinitePoset.chains_between
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(FinitePoset, "chains_between", counted)
+    return calls
 
 
 @pytest.fixture

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from ekcells import (
-    AdmissiblePairTilde,
+    AdmissiblePair,
     BiMonomial,
-    admissible_tilde,
-    b_tilde_set,
+    admissible_pairs,
+    b_set,
     bpol_monomial,
     ek_complex,
     g_shift,
@@ -36,48 +36,48 @@ class TestJIndex:
 class TestAdmissibleTilde:
     def test_counts_match_classical(self, deg2):
         for q in range(4):
-            assert len(admissible_tilde(deg2, q)) == [6, 8, 3, 0][q]
+            assert len(admissible_pairs(deg2, q, "modified")) == [6, 8, 3, 0][q]
 
     def test_maximal_pair_form(self):
         m = mono("x1^2*x4*x6^2", 6)
-        full = AdmissiblePairTilde((1, 2, 3, 4, 5), m)
-        assert full.pairs == ((1, 3), (2, 3), (3, 3), (4, 4), (5, 4))
+        full = AdmissiblePair((1, 2, 3, 4, 5), m, "modified")
+        assert full.indices == ((1, 3), (2, 3), (3, 3), (4, 4), (5, 4))
 
     def test_pair_never_divides_polarization(self):
         rng = random.Random(41)
         for _ in range(20):
             J = random_borel_ideal(rng)
             for q in range(1, 4):
-                for pair in admissible_tilde(J, q):
-                    wm = pair.bimonomial()
-                    for i, j in pair.pairs:
+                for pair in admissible_pairs(J, q, "modified"):
+                    wm = pair.lift()
+                    for i, j in pair.indices:
                         assert not BiMonomial.variable(i, j).divides(wm)
 
     def test_q0(self, tri_tri):
-        pairs = admissible_tilde(tri_tri, 0)
+        pairs = admissible_pairs(tri_tri, 0, "modified")
         assert len(pairs) == 5
         assert all(p.F == () for p in pairs)
 
     def test_requires_borel(self):
         with pytest.raises(ValueError):
-            admissible_tilde(ideal(3, "x1^2", "x1*x2", "x2^2", "x2*x3"), 0)
+            admissible_pairs(ideal(3, "x1^2", "x1*x2", "x2^2", "x2*x3"), 0, "modified")
 
 
 class TestBTildeSet:
     def test_intro_example(self, intro):
         # m_<1> of x2^3 is g(x1*x2^2) = x1*x2, and the empty pair is admissible
-        assert b_tilde_set(intro, (1,), mono("x2^3", 2)) == (1,)
+        assert b_set(intro, (1,), mono("x2^3", 2), "modified") == (1,)
 
     def test_empty(self, intro):
-        assert b_tilde_set(intro, (), mono("x2^3", 2)) == ()
+        assert b_set(intro, (), mono("x2^3", 2), "modified") == ()
 
     def test_against_brute_force(self):
         rng = random.Random(43)
         for _ in range(15):
             J = random_borel_ideal(rng)
             for q in range(1, 4):
-                for pair in admissible_tilde(J, q):
-                    got = set(b_tilde_set(J, pair.F, pair.m))
+                for pair in admissible_pairs(J, q, "modified"):
+                    got = set(b_set(J, pair.F, pair.m, "modified"))
                     expect = set()
                     for i in pair.F:
                         m2 = g_shift(J, pair.m, i)
@@ -95,18 +95,18 @@ class TestModifiedComplex:
 
     def test_single_term_column(self, intro):
         cplx = modified_complex(intro)
-        pair = AdmissiblePairTilde((1,), mono("x1*x2", 2))
+        pair = AdmissiblePair((1,), mono("x1*x2", 2), "modified")
         col = cplx.basis[1].index(pair)
         entries = {
             cplx.basis[0][row]: (sign, coeff)
             for row, sign, coeff in cplx.column(1, col)
         }
         # -x[1,2] e(0; x11 x22) + x[2,2] e(0; x11 x12)
-        assert entries[AdmissiblePairTilde((), mono("x1*x2", 2))] == (
+        assert entries[AdmissiblePair((), mono("x1*x2", 2), "modified")] == (
             -1,
             BiMonomial.variable(1, 2),
         )
-        assert entries[AdmissiblePairTilde((), mono("x1^2", 2))] == (
+        assert entries[AdmissiblePair((), mono("x1^2", 2), "modified")] == (
             1,
             BiMonomial.variable(2, 2),
         )
@@ -116,9 +116,9 @@ class TestModifiedComplex:
         for _ in range(15):
             J = random_borel_ideal(rng)
             for q in range(1, 4):
-                for pair in admissible_tilde(J, q):
-                    wm = pair.bimonomial()
-                    for i, j in pair.pairs:
+                for pair in admissible_pairs(J, q, "modified"):
+                    wm = pair.lift()
+                    for i, j in pair.indices:
                         wm2 = bpol_monomial(g_shift(J, pair.m, i))
                         assert wm.lcm(wm2).div(wm) == BiMonomial.variable(i, j)
 

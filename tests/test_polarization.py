@@ -7,7 +7,6 @@ from ekcells import (
     BiMonomial,
     Monomial,
     b_shift,
-    b_shift_literal,
     bpol_ideal,
     bpol_monomial,
     context_for,
@@ -78,13 +77,6 @@ class TestBShift:
             for m in J.gens:
                 for s in range(1, m.max_var()):
                     assert b_shift(m, s) in J
-
-    def test_literal_reading_leaves_ideal(self, intro):
-        # the upward exchange contradicts membership: the documented reason
-        # the downward reading is the implemented one
-        bad = b_shift_literal(mono("x1*x2", 2), 1)
-        assert bad == mono("x2^2", 2)
-        assert bad not in intro
 
 
 class TestGShift:
@@ -178,10 +170,10 @@ class TestStairsDiagram:
     def test_column_structure(self):
         # one black square at the bottom of each column for a maximal pair
         m = mono("x1^2*x4*x6^2", 6)
-        from ekcells import AdmissiblePairTilde
+        from ekcells import AdmissiblePair
 
-        full = AdmissiblePairTilde((1, 2, 3, 4, 5), m)
-        grid = stairs_diagram(full.pairs, full.bimonomial()).splitlines()
+        full = AdmissiblePair((1, 2, 3, 4, 5), m, "modified")
+        grid = stairs_diagram(full.indices, full.lift()).splitlines()
         for j in range(5):
             column = [row[j] for row in grid]
             assert column.count("■") == 1

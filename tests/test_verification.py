@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ekcells import ek_complex, modified_complex, random_borel_ideal
+from ekcells import Monomial, ek_complex, modified_complex, random_borel_ideal, shelling
 from ekcells.verification import (
     VerificationError,
     check_cover_support,
@@ -41,6 +41,17 @@ class TestBatteries:
         for _ in range(5):
             full_battery(random_borel_ideal(rng, max_gens=8))
 
+    def test_messages_built_only_on_failure(self, deg2, monkeypatch):
+        calls = []
+        original = Monomial.__str__
+        monkeypatch.setattr(Monomial, "__str__", lambda m: calls.append(m) or original(m))
+        full_battery(deg2)
+        assert calls == []
+
+    def test_one_el_sweep_per_kind(self, deg2, chains_between_calls):
+        stats = full_battery(deg2)
+        assert len(chains_between_calls) == stats["intervals_ek"] + stats["intervals_modified"]
+
 
 class TestMutationDetection:
     """Deliberate corruptions must be caught by the checkers."""
@@ -61,6 +72,14 @@ class TestMutationDetection:
         cplx.diffs[0][pos] = (sign, BiMonomial.unit())
         with pytest.raises(VerificationError, match="unit"):
             check_minimality(cplx)
+
+    def test_repeated_label_detected(self, deg2, monkeypatch):
+        # Shifted removals relabelled as plain ones: the two maximal chains of
+        # [e({1};x1*x2), 0hat] in the classical dual then both read (-1, 0).
+        original = shelling.el_label_edge
+        monkeypatch.setattr(shelling, "el_label_edge", lambda *args: -abs(original(*args)))
+        with pytest.raises(VerificationError, match="label tuples repeat"):
+            full_battery(deg2)
 
     def test_missing_cover_detected(self, intro):
         cplx = modified_complex(intro)
