@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-from networkx.algorithms import isomorphism
-
 from .ek import AdmissiblePair, admissible_layers, b_set, kind_of
 from .ideals import MonomialIdeal
 
@@ -410,8 +407,11 @@ def build_gamma(kind: str, ideal: MonomialIdeal) -> FinitePoset:
 
 
 def poset_isomorphic(p1: FinitePoset, p2: FinitePoset) -> bool:
-    """Exact poset isomorphism via backtracking on the Hasse diagrams, with
-    rank and degree invariants for pruning."""
+    """Exact poset isomorphism: networkx's VF2 ``DiGraphMatcher`` on the Hasse
+    diagrams with ranks as node labels, after size and rank-profile checks."""
+    import networkx as nx  # imported here, its only use, to keep ``import ekcells`` light
+    from networkx.algorithms import isomorphism
+
     if len(p1) != len(p2) or len(p1.covers) != len(p2.covers):
         return False
     r1, r2 = p1.ranks(), p2.ranks()

@@ -1,18 +1,22 @@
-"""Chain-complex linear algebra over the integers and the rationals.
+"""Chain-complex linear algebra over the integers.
 
 Provides the frame (coefficient-free) complex of a free complex, Smith normal
 form homology, simplicial homology of order complexes, the multigraded strand
 exactness oracle certifying that a complex is a resolution, and cell-count
 utilities on graded posets.
 
-All arithmetic is exact: Smith normal form over Z for homology, fraction-free
-Gaussian elimination for ranks over Q, optional re-checks modulo small primes.
+All arithmetic is exact and goes through one kernel, ``invariant_factors``:
+the Smith invariants of a sparse integer matrix, from +-1 pivots first and
+the dense ``smith_diagonal`` on the unit-free rest.  Homology reads Betti
+numbers and torsion off them; ranks over Q and F_p count them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .complexes import FreeComplex
 from .posets import FinitePoset, SimplicialComplexData
@@ -28,6 +32,8 @@ __all__ = [
     "face_counts",
     "euler_characteristic",
     "ridge_incidences",
+    "invariant_factors",
+    "sparse_columns",
     "rank_int",
     "smith_diagonal",
 ]
@@ -56,22 +62,6 @@ class IntegerChainComplex:
                 if len(row) != self.ranks[k + 1]:
                     raise ValueError(f"matrix {k} has a row of length {len(row)}")
 
-    def degrees(self) -> range:
-        return range(self.bottom, self.bottom + len(self.ranks))
-
-    def check_composites(self):
-        """Raise if consecutive boundaries do not compose to zero."""
-        for k in range(len(self.mats) - 1):
-            a, b = self.mats[k], self.mats[k + 1]
-            for i in range(len(a)):
-                for j in range(self.ranks[k + 2]):
-                    s = sum(a[i][t] * b[t][j] for t in range(self.ranks[k + 1]))
-                    if s:
-                        raise ValueError(
-                            f"boundaries out of degrees {self.bottom + k + 2} and "
-                            f"{self.bottom + k + 1} do not compose to zero"
-                        )
-
 
 def frame_complex(cplx: FreeComplex, augmented: bool = False) -> IntegerChainComplex:
     """Replace every coefficient monomial by 1, keeping the signs.
@@ -94,68 +84,71 @@ def frame_complex(cplx: FreeComplex, augmented: bool = False) -> IntegerChainCom
 # -- exact integer linear algebra ---------------------------------------------
 
 
+def sparse_columns(mat, ncols=None) -> list:
+    """The columns of a dense row-major matrix as ``{row: entry}`` dicts."""
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(mat):
+        for j in compress(range(ncols), row):  # the nonzero positions, found in C
+            cols[j][i] = row[j]
+    return cols
+
+
+def invariant_factors(cols) -> list:
+    """The nonzero Smith invariants of a matrix given by sparse columns (left
+    unmodified).
+
+    While a +-1 entry remains, clear its row with column operations, drop its
+    row and column, and count one invariant 1.  Both steps are unimodular over
+    Z; the unit-free block left over goes to the dense ``smith_diagonal``.
+    """
+    cols = {j: dict(col) for j, col in enumerate(cols) if col}
+    in_row = defaultdict(set)  # row -> the live columns with an entry there
+    for j, col in cols.items():
+        for i in col:
+            in_row[i].add(j)
+    ones, before = 0, None
+    while cols and ones != before:  # until a sweep finds no unit entry
+        before = ones
+        for j in list(cols):
+            col = cols.get(j)
+            piv = next((i for i, x in col.items() if x == 1 or x == -1), None) if col else None
+            if piv is None:
+                continue
+            u = col.pop(piv)
+            for k in in_row.pop(piv) - {j}:
+                other = cols[k]
+                c = other.pop(piv) * u  # other[piv] / u, as u is +-1
+                for i, x in col.items():
+                    y = other.get(i, 0) - c * x
+                    if y:
+                        other[i] = y
+                        in_row[i].add(k)
+                    else:
+                        del other[i]
+                        in_row[i].discard(k)
+                if not other:
+                    del cols[k]
+            for i in col:
+                in_row[i].discard(j)
+            del cols[j]
+            ones += 1
+    if not cols:
+        return [1] * ones
+    rows = sorted({i for col in cols.values() for i in col})
+    residual = [[cols[j].get(i, 0) for j in sorted(cols)] for i in rows]
+    return [1] * ones + smith_diagonal(residual)
+
+
 def rank_int(mat) -> int:
-    """Rank over Q of an integer matrix (fraction-free elimination)."""
-    rows = [list(r) for r in mat if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        a = pr[col]
-        for i in range(rank + 1, len(rows)):
-            b = rows[i][col]
-            if b:
-                ri = rows[i]
-                for j in range(col, ncols):
-                    ri[j] = ri[j] * a - pr[j] * b
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q of an integer matrix."""
+    return len(invariant_factors(sparse_columns(mat)))
 
 
 def rank_mod_p(mat, p: int) -> int:
-    rows = [[x % p for x in r] for r in mat]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        pr = rows[rank]
-        for j in range(col, ncols):
-            pr[j] = pr[j] * inv % p
-        for i in range(rank + 1, len(rows)):
-            b = rows[i][col]
-            if b:
-                ri = rows[i]
-                for j in range(col, ncols):
-                    ri[j] = (ri[j] - b * pr[j]) % p
-        rank += 1
-        col += 1
-    return rank
+    """Rank over F_p of an integer matrix."""
+    return sum(1 for d in invariant_factors(sparse_columns(mat)) if d % p)
 
 
 def smith_diagonal(mat) -> list:
@@ -166,18 +159,11 @@ def smith_diagonal(mat) -> list:
     out = []
     top = 0
     while top < m and top < n:
-        # find a nonzero pivot of least absolute value
-        piv = None
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
+        # the first nonzero pivot of least absolute value, in row-major order
+        nonzero = [(abs(a[i][j]), i, j) for i in range(top, m) for j in range(top, n) if a[i][j]]
+        if not nonzero:
             break
-        pi, pj = piv
+        _, pi, pj = min(nonzero)
         a[top], a[pi] = a[pi], a[top]
         for row in a:
             row[top], row[pj] = row[pj], row[top]
@@ -222,8 +208,19 @@ def homology_ranks(cplx: IntegerChainComplex) -> list:
     Entry k describes degree ``bottom + k``.  Raises when the input is not a
     complex.
     """
-    cplx.check_composites()
-    diag = [smith_diagonal(mat) for mat in cplx.mats]
+    cols = [sparse_columns(mat, cplx.ranks[k + 1]) for k, mat in enumerate(cplx.mats)]
+    for k in range(len(cols) - 1):
+        for col in cols[k + 1]:
+            image = {}
+            for t, x in col.items():
+                for i, y in cols[k][t].items():
+                    image[i] = image.get(i, 0) + x * y
+            if any(image.values()):
+                raise ValueError(
+                    f"boundaries out of degrees {cplx.bottom + k + 2} and "
+                    f"{cplx.bottom + k + 1} do not compose to zero"
+                )
+    diag = [invariant_factors(c) for c in cols]
     out = []
     for k, rk in enumerate(cplx.ranks):
         incoming = diag[k] if k < len(cplx.mats) else []
@@ -308,36 +305,32 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     """
     gens = list(gens)
     report = StrandReport(ok=True, strands_checked=0, primes=tuple(primes))
+    by_col = defaultdict(list)  # (q, column) -> its (row, sign) entries in degree q
+    for q in range(1, cplx.top + 1):
+        for (i, j), (sign, _) in cplx.boundary(q).items():
+            by_col[q, j].append((i, sign))
     for b in _lcm_lattice(gens):
         report.strands_checked += 1
         sub = [
             [k for k, md in enumerate(layer) if md.divides(b)] for layer in cplx.mdegs
         ]
         dims = [1] + [len(s) for s in sub]  # degree -1 is the ideal component
-        mats = [[[1] * len(sub[0])]]
+        mats = [[{0: 1} for _ in sub[0]]]
         for q in range(1, cplx.top + 1):
             rows = {k: i for i, k in enumerate(sub[q - 1])}
-            mat = [[0] * len(sub[q]) for _ in sub[q - 1]]
-            for j, col in enumerate(sub[q]):
-                for (i, jj), (sign, _) in cplx.boundary(q).items():
-                    if jj == col and i in rows:
-                        mat[rows[i]][j] = sign
-            mats.append(mat)
-        ranks_q = [rank_int(m) for m in mats]
-        defect = _exactness_defect(dims, ranks_q)
-        if defect is not None:
-            report.ok = False
-            report.failures.append(
-                {"degree": str(b), "field": "Q", "position": defect[0], "defect": defect[1]}
-            )
-            continue
-        for p in primes:
-            ranks_p = [rank_mod_p(m, p) for m in mats]
-            defect = _exactness_defect(dims, ranks_p)
+            mats.append([
+                {rows[i]: sign for i, sign in by_col[q, col] if i in rows}
+                for col in sub[q]
+            ])
+        invariants = [invariant_factors(m) for m in mats]
+        for p in (0,) + report.primes:  # 0 for Q: every invariant is a unit there
+            ranks = [len(inv) if p == 0 else sum(1 for d in inv if d % p) for inv in invariants]
+            defect = _exactness_defect(dims, ranks)
             if defect is not None:
                 report.ok = False
                 report.failures.append(
-                    {"degree": str(b), "field": f"F{p}", "position": defect[0], "defect": defect[1]}
+                    {"degree": str(b), "field": f"F{p}" if p else "Q", "position": defect[0],
+                     "defect": defect[1]}
                 )
                 break
     return report

@@ -196,7 +196,10 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
         if not rep.lex_least:
             raise VerificationError(f"increasing chain not lex-least on [{a!r}, {b!r}]")
         if b is not BOTTOM:
-            u_of_chain(kind, rep.increasing_chain, ideal)  # raises on lcm mismatch
+            try:
+                u_of_chain(kind, rep.increasing_chain, ideal)
+            except RuntimeError as exc:  # the lcm identity fails
+                raise VerificationError(f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
             if kind == "ek":
                 _check_minimal_support(ideal, a, b, rep.increasing_label)
         _check_label_rewrites(kind, labels, labelset, a, b)
@@ -453,5 +456,6 @@ def cm_battery(ideal: MonomialIdeal, facet_budget=64, node_budget=500_000) -> di
             raise VerificationError(
                 f"{kind} ball check returned {verdict.verdict}: {verdict.detail}"
             )
-        stats[f"facets_{kind}"] = len(poset.order_complex(drop_bottom=True).facets)
+        # the shelling order of a certified ball lists each facet once
+        stats[f"facets_{kind}"] = len(verdict.constructible_certificate)
     return stats

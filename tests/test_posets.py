@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +181,20 @@ class TestIsomorphism:
     def test_relabeled_chain(self):
         p = FinitePoset("xyz", [("x", "y"), ("y", "z")])
         assert poset_isomorphic(p, chain_poset(3))
+
+    def test_import_leaves_networkx_unloaded(self):
+        # networkx is imported by poset_isomorphic alone, on first use
+        import ekcells
+
+        src = str(Path(ekcells.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import ekcells; "
+            "print('networkx' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestDotExport:

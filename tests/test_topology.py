@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -19,7 +20,51 @@ from ekcells import (
     simplicial_chain_complex,
     strand_exactness,
 )
-from ekcells.topology import rank_int, rank_mod_p, smith_diagonal
+from ekcells.shelling import ball_check
+from ekcells.topology import (
+    invariant_factors,
+    rank_int,
+    rank_mod_p,
+    smith_diagonal,
+    sparse_columns,
+)
+from conftest import ideal
+
+
+def dense_rank_mod_p(mat, p):
+    """Rank over F_p by row reduction of the dense matrix, as an oracle."""
+    rows = [[x % p for x in r] for r in mat]
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        pr = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            b = rows[i][col]
+            if b:
+                rows[i] = [(x - b * y) % p for x, y in zip(rows[i], pr)]
+        rank += 1
+    return rank
+
+
+def random_matrices(seed, count):
+    """Small integer matrices: mixed entries, unit-free ones, zero rows and
+    columns, and empty shapes."""
+    rng = random.Random(seed)
+    for k in range(count):
+        m, n = rng.randrange(0, 7), rng.randrange(0, 7)
+        pool = [0, 0, 2, -2, 3, 4, -6] if k % 3 == 0 else [0, 0, 0, 1, -1, 2, -3]
+        mat = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        if m and n and k % 4 == 1:
+            zero_row, zero_col = rng.randrange(m), rng.randrange(n)
+            mat[zero_row] = [0] * n
+            for row in mat:
+                row[zero_col] = 0
+        yield mat, n
 
 
 class TestExactLinearAlgebra:
@@ -43,6 +88,26 @@ class TestExactLinearAlgebra:
         assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
         assert smith_diagonal([[0, 0], [0, 0]]) == []
         assert smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
+
+    def test_sparse_kernel_matches_dense_smith(self):
+        shapes = set()
+        for mat, n in random_matrices(2024, 400):
+            cols = sparse_columns(mat, n)
+            assert invariant_factors(cols) == smith_diagonal(mat), mat
+            assert cols == sparse_columns(mat, n)  # the input is left as it was
+            shapes.add((len(mat), n))
+        assert (0, 0) in shapes and any(m and not n for m, n in shapes)
+
+    def test_unit_free_block_keeps_its_invariants(self):
+        assert invariant_factors(sparse_columns([[2, 4], [6, 8]])) == [2, 4]
+        assert invariant_factors(sparse_columns([[2, 3]])) == [1]
+        assert invariant_factors(sparse_columns([[1, 0, 0], [0, 2, 0], [0, 0, 0]])) == [1, 2]
+        assert invariant_factors([]) == [] and invariant_factors([{}, {}]) == []
+
+    def test_ranks_mod_p_match_dense_elimination(self):
+        for mat, n in random_matrices(2025, 300):
+            for p in (2, 3, 5):
+                assert rank_mod_p(mat, p) == dense_rank_mod_p(mat, p), (mat, p)
 
     def test_divisibility_chain(self):
         rng = random.Random(73)
@@ -75,6 +140,30 @@ class TestHomology:
         hom = homology_ranks(simplicial_chain_complex(circle))
         assert hom == [(0, ()), (0, ()), (1, ())]
         assert not reduced_homology_trivial(circle)
+
+    def test_projective_plane_has_two_torsion(self):
+        # the 6-vertex triangulation of RP^2
+        rp2 = SimplicialComplexData(
+            tuple(range(6)),
+            tuple(frozenset(f) for f in (
+                (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+            )),
+        )
+        hom = homology_ranks(simplicial_chain_complex(rp2))
+        assert hom == [(0, ()), (0, ()), (0, (2,)), (0, ())]
+        assert not reduced_homology_trivial(rp2)
+
+    def test_ball_check_on_cube_of_maximal_ideal(self):
+        # (x1..x4)^3, 336 facets per kind: too large for the dense elimination in tier-1
+        gens = [
+            "*".join(f"x{i}" for i in combo)
+            for combo in combinations_with_replacement(range(1, 5), 3)
+        ]
+        J = ideal(4, *gens)
+        for kind in ("ek", "modified"):
+            verdict = ball_check(build_gamma(kind, J), kind, J)
+            assert verdict.verdict == "ball-certified" and verdict.homology_trivial
 
     def test_triangle_is_contractible(self):
         triangle = SimplicialComplexData((0, 1, 2), (frozenset({0, 1, 2}),))

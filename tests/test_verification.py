@@ -14,7 +14,7 @@ from ekcells.verification import (
     cm_battery,
     full_battery,
 )
-from ekcells.posets import build_gamma
+from ekcells.posets import FinitePoset, build_gamma
 from conftest import ideal
 
 
@@ -40,6 +40,17 @@ class TestBatteries:
         rng = random.Random(97)
         for _ in range(5):
             full_battery(random_borel_ideal(rng, max_gens=8))
+
+    def test_cm_battery_builds_one_order_complex_per_kind(self, deg2, monkeypatch):
+        built = []
+        original = FinitePoset.order_complex
+        monkeypatch.setattr(
+            FinitePoset, "order_complex",
+            lambda self, **kw: built.append(original(self, **kw)) or built[-1],
+        )
+        stats = cm_battery(deg2)
+        assert len(built) == 2
+        assert [stats["facets_ek"], stats["facets_modified"]] == [len(d.facets) for d in built]
 
     def test_messages_built_only_on_failure(self, deg2, monkeypatch):
         calls = []
@@ -79,6 +90,17 @@ class TestMutationDetection:
         original = shelling.el_label_edge
         monkeypatch.setattr(shelling, "el_label_edge", lambda *args: -abs(original(*args)))
         with pytest.raises(VerificationError, match="label tuples repeat"):
+            full_battery(deg2)
+
+    def test_lcm_identity_failure_names_the_interval(self, deg2, monkeypatch):
+        # Positive labels 1 and 2 swapped: the increasing chain of
+        # [e({1};x1*x2), e({};x1^2)] then reads x2 where the lcm quotient is x1.
+        original = shelling.el_label_edge
+        swap = {1: 2, 2: 1}
+        monkeypatch.setattr(
+            shelling, "el_label_edge", lambda *args: swap.get(original(*args), original(*args))
+        )
+        with pytest.raises(VerificationError, match=r"lcm identity fails on \[e\(\{1\}"):
             full_battery(deg2)
 
     def test_missing_cover_detected(self, intro):
