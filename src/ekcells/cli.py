@@ -273,10 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value each bound flag accepts
+_FLAG_MINIMUMS = {"max_n": 2, "max_deg": 1, "max_gens": 1, "max_facets": 0}
+
+
+def _check_bounds(args):
+    for name, least in _FLAG_MINIMUMS.items():
+        value = getattr(args, name, least)
+        if value < least:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

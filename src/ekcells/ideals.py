@@ -243,14 +243,18 @@ def borel_closure(seeds) -> MonomialIdeal:
     return MonomialIdeal(n, seen)
 
 
+MAX_DRAWS = 1000  # draws before random_borel_ideal gives up
+
+
 def random_borel_ideal(rng, max_n=4, max_deg=4, max_gens=12, cm=False) -> MonomialIdeal:
     """A random Borel fixed ideal within the given size bounds.
 
     Takes the Borel closure of a few random seed monomials, rejecting results
     with too many generators.  With ``cm=True`` a pure power of x_h is added
-    before closing, which forces the Cohen-Macaulay property.
+    before closing, which forces the Cohen-Macaulay property.  Raises
+    ``ValueError`` when ``MAX_DRAWS`` draws in a row are rejected.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         n = rng.randint(2, max_n)
         seeds = []
         for _ in range(rng.randint(1, 3)):
@@ -267,6 +271,10 @@ def random_borel_ideal(rng, max_n=4, max_deg=4, max_gens=12, cm=False) -> Monomi
         if cm and not ideal.is_cm_stable()[0]:
             continue
         return ideal
+    raise ValueError(
+        f"no {'Cohen-Macaulay ' if cm else ''}Borel ideal with at most {max_gens} "
+        f"generators in {MAX_DRAWS} draws (max_n={max_n}, max_deg={max_deg})"
+    )
 
 
 # -- ideal files --------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .complexes import FreeComplex
+from .monomials import BiMonomial, Monomial
 from .posets import FinitePoset, SimplicialComplexData
 
 __all__ = [
@@ -272,26 +273,79 @@ class StrandReport:
         return self.failures[0] if self.failures else None
 
 
-def _lcm_lattice(gens) -> list:
-    """All joins of nonempty subsets of the generator degrees."""
+class _Packing:
+    """Exponent vectors packed into ints (Monagan-Pearce).
+
+    One field of ``width`` bits per variable, the first variable most
+    significant: the positions of ``Monomial.exps``, or the sorted union of
+    the ``BiMonomial`` variables seen.  Each field is one bit wider than the
+    largest exponent, and that top bit, the guard, is clear in every packed
+    degree; ``guard`` is the mask of all guard bits.
+    """
+
+    def __init__(self, monos):
+        monos = list(monos)
+        if all(isinstance(m, Monomial) for m in monos):
+            self.variables, self.size = None, (monos[0].n if monos else 1)
+        else:
+            self.variables = sorted({v for m in monos for v in m.variables()})
+            self.size = len(self.variables)
+        top = max((e for m in monos for e in self._exps(m)), default=0)
+        self.width = top.bit_length() + 1
+        self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(self.size))
+
+    def _exps(self, mono):
+        if self.variables is None:
+            return mono.exps
+        return tuple(mono.exponent(i, j) for i, j in self.variables)
+
+    def pack(self, mono) -> int:
+        x = 0
+        for e in self._exps(mono):
+            x = (x << self.width) | e
+        return x
+
+    def fields(self, x) -> tuple:
+        w, mask = self.width, (1 << (self.width - 1)) - 1
+        return tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1))
+
+    def unpack(self, x):
+        if self.variables is None:
+            return Monomial(self.fields(x))
+        return BiMonomial(dict(zip(self.variables, self.fields(x))))
+
+    def sort_key(self, x):
+        """The order of the unpacked degrees: ``Monomial.exps`` as tuples, which
+        is the order of their packed ints, or ``BiMonomial.items()``."""
+        if self.variables is None:
+            return x
+        return tuple((v, e) for v, e in zip(self.variables, self.fields(x)) if e)
+
+
+def _lcm_lattice(gens, guard: int, width: int) -> set:
+    """All joins of nonempty subsets of the packed generator degrees.
+
+    The join is the field-wise maximum, taken by SWAR: the guard of a field
+    survives ``(a | guard) - g`` exactly where a's exponent is at least g's,
+    and subtracting that guard shifted to the field's low bit widens it into a
+    mask of the field.
+    """
     lattice = set(gens)
     frontier = list(lattice)
+    shift = width - 1
     while frontier:
         nxt = []
-        for b in frontier:
+        for a in frontier:
+            ag = a | guard
             for g in gens:
-                j = b.lcm(g)
+                ge = (ag - g) & guard
+                keep = ge - (ge >> shift)
+                j = (a & keep) | (g & ~keep)
                 if j not in lattice:
                     lattice.add(j)
                     nxt.append(j)
         frontier = nxt
-    return sorted(lattice, key=_degree_sort_key)
-
-
-def _degree_sort_key(mono):
-    if hasattr(mono, "exps"):
-        return (0, mono.exps)
-    return (1, mono.items())
+    return lattice
 
 
 def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
@@ -302,18 +356,27 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     the differentials (entries become +-1), augments by the one-dimensional
     degree-b component of the ideal, and verifies exactness of the resulting
     complex over Q (and over F_p for each requested prime).
+
+    Generator and basis degrees are packed once into guard-bit integers
+    (``_Packing``), so the lattice closure is a field-wise maximum and the
+    test "md divides b" is one subtract-and-mask: the guards of
+    ``(b | guard) - md`` all survive exactly when no field of md exceeds b's.
+    A lattice element becomes a monomial again only to name a failure.
     """
     gens = list(gens)
     report = StrandReport(ok=True, strands_checked=0, primes=tuple(primes))
+    packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
+    guard = packing.guard
+    layers = [[packing.pack(md) for md in layer] for layer in cplx.mdegs]
     by_col = defaultdict(list)  # (q, column) -> its (row, sign) entries in degree q
     for q in range(1, cplx.top + 1):
         for (i, j), (sign, _) in cplx.boundary(q).items():
             by_col[q, j].append((i, sign))
-    for b in _lcm_lattice(gens):
+    lattice = _lcm_lattice({packing.pack(g) for g in gens}, guard, packing.width)
+    for b in sorted(lattice, key=packing.sort_key):
         report.strands_checked += 1
-        sub = [
-            [k for k, md in enumerate(layer) if md.divides(b)] for layer in cplx.mdegs
-        ]
+        bg = b | guard
+        sub = [[k for k, md in enumerate(layer) if (bg - md) & guard == guard] for layer in layers]
         dims = [1] + [len(s) for s in sub]  # degree -1 is the ideal component
         mats = [[{0: 1} for _ in sub[0]]]
         for q in range(1, cplx.top + 1):
@@ -329,8 +392,8 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
             if defect is not None:
                 report.ok = False
                 report.failures.append(
-                    {"degree": str(b), "field": f"F{p}" if p else "Q", "position": defect[0],
-                     "defect": defect[1]}
+                    {"degree": str(packing.unpack(b)), "field": f"F{p}" if p else "Q",
+                     "position": defect[0], "defect": defect[1]}
                 )
                 break
     return report

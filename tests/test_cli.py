@@ -182,6 +182,24 @@ class TestPosetAndCompare:
         assert main(["poset", "--random-borel", "--seed", "5", "--kind", "modified"]) == 0
 
 
+class TestBoundChecks:
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--max-n", "1", 2), ("--max-deg", "0", 1), ("--max-gens", "0", 1),
+        ("--max-facets", "-1", 0),
+    ])
+    def test_out_of_range_bound_exits_2(self, flag, value, least, capsys):
+        # --max-gens 0 once drew random ideals forever, --max-n 1 and
+        # --max-deg 0 leaked a randrange error, --max-facets -1 was accepted
+        assert main(["verify", "--random-borel", flag, value, "--check", "cw"]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be at least {least}, got {value}" in err
+        assert "randrange" not in err
+
+    def test_least_bounds_accepted(self, capsys):
+        assert main(["verify", "--random-borel", "--max-n", "2", "--max-deg", "1",
+                     "--max-gens", "1", "--max-facets", "0", "--check", "ball"]) == 0
+
+
 class TestPaperSuite:
     def test_reduced_counts(self, capsys):
         code = main(["paper-suite", "--random-count", "5", "--cm-count", "2"])

@@ -130,6 +130,19 @@ class TestBorelClosure:
             J = random_borel_ideal(rng, max_gens=20)
             assert J.is_borel_fixed()
 
+    def test_draws_are_capped(self):
+        class Largest(random.Random):
+            # every draw is (x_n)^max_deg in n = max_n variables: 35 generators
+            def randint(self, a, b):
+                self.calls += 1
+                return b
+
+        rng = Largest()
+        rng.calls = 0
+        with pytest.raises(ValueError, match=r"at most 12 generators in 1000 draws \(max_n=4, max_deg=4\)"):
+            random_borel_ideal(rng)
+        assert rng.calls == 1000 * (2 + 3 * (1 + 4))  # n, seed count, 3 x (degree, 4 factors)
+
     def test_cm_generator(self):
         rng = random.Random(12)
         for _ in range(20):

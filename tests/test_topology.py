@@ -20,8 +20,14 @@ from ekcells import (
     simplicial_chain_complex,
     strand_exactness,
 )
+from ekcells.monomials import BiMonomial
+from ekcells.polarization import sigma_ideal, specialize_theta, specialize_theta_prime
 from ekcells.shelling import ball_check
 from ekcells.topology import (
+    StrandReport,
+    _exactness_defect,
+    _lcm_lattice,
+    _Packing,
     invariant_factors,
     rank_int,
     rank_mod_p,
@@ -65,6 +71,81 @@ def random_matrices(seed, count):
             for row in mat:
                 row[zero_col] = 0
         yield mat, n
+
+
+def reference_lcm_lattice(gens):
+    """The lcm lattice by closure on monomial objects, as an oracle."""
+    lattice = set(gens)
+    frontier = list(lattice)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for g in gens:
+                j = b.lcm(g)
+                if j not in lattice:
+                    lattice.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return lattice
+
+
+def reference_sort_key(mono):
+    if hasattr(mono, "exps"):
+        return (0, mono.exps)
+    return (1, mono.items())
+
+
+def reference_strand_exactness(cplx, gens, primes=()):
+    """The strand oracle on monomial objects: the lattice by ``lcm``, each
+    strand by a ``divides`` scan, dense strand matrices."""
+    report = StrandReport(ok=True, strands_checked=0, primes=tuple(primes))
+    for b in sorted(reference_lcm_lattice(list(gens)), key=reference_sort_key):
+        report.strands_checked += 1
+        sub = [[k for k, md in enumerate(layer) if md.divides(b)] for layer in cplx.mdegs]
+        dims = [1] + [len(s) for s in sub]
+        mats = [[[1] * len(sub[0])]]
+        for q in range(1, cplx.top + 1):
+            rows = {k: i for i, k in enumerate(sub[q - 1])}
+            cols = {k: j for j, k in enumerate(sub[q])}
+            mat = [[0] * len(sub[q]) for _ in sub[q - 1]]
+            for (i, j), (sign, _) in cplx.boundary(q).items():
+                if i in rows and j in cols:
+                    mat[rows[i]][cols[j]] = sign
+            mats.append(mat)
+        for p in (0,) + report.primes:
+            ranks = [rank_int(m) if p == 0 else rank_mod_p(m, p) for m in mats]
+            defect = _exactness_defect(dims, ranks)
+            if defect is not None:
+                report.ok = False
+                report.failures.append({"degree": str(b), "field": f"F{p}" if p else "Q",
+                                        "position": defect[0], "defect": defect[1]})
+                break
+    return report
+
+
+def packed_lattice(cplx, gens):
+    """The packed strand oracle's lcm lattice, unpacked to monomials."""
+    packing = _Packing(list(gens) + [md for layer in cplx.mdegs for md in layer])
+    lattice = _lcm_lattice({packing.pack(g) for g in gens}, packing.guard, packing.width)
+    return {packing.unpack(b) for b in lattice}
+
+
+def battery_complexes(J):
+    """The four complexes ``full_battery`` checks strands on, with their gens."""
+    cmod = modified_complex(J)
+    return [
+        (ek_complex(J), list(J.gens)),
+        (cmod, bpol_ideal(J)),
+        (specialize_theta(cmod), list(J.gens)),
+        (specialize_theta_prime(cmod), list(sigma_ideal(J).gens)),
+    ]
+
+
+def power_ideal(n, d):
+    return ideal(n, *(
+        "*".join(f"x{i}" for i in combo)
+        for combo in combinations_with_replacement(range(1, n + 1), d)
+    ))
 
 
 class TestExactLinearAlgebra:
@@ -156,11 +237,7 @@ class TestHomology:
 
     def test_ball_check_on_cube_of_maximal_ideal(self):
         # (x1..x4)^3, 336 facets per kind: too large for the dense elimination in tier-1
-        gens = [
-            "*".join(f"x{i}" for i in combo)
-            for combo in combinations_with_replacement(range(1, 5), 3)
-        ]
-        J = ideal(4, *gens)
+        J = power_ideal(4, 3)
         for kind in ("ek", "modified"):
             verdict = ball_check(build_gamma(kind, J), kind, J)
             assert verdict.verdict == "ball-certified" and verdict.homology_trivial
@@ -225,6 +302,61 @@ class TestStrands:
         for _ in range(10):
             J = random_borel_ideal(rng, max_gens=8)
             assert strand_exactness(ek_complex(J), list(J.gens)).ok
+
+    def test_packed_oracle_matches_object_oracle(self):
+        # seeded random Borel ideals, all four battery complexes and a copy of
+        # each with one differential sign flipped
+        rng = random.Random(8080)
+        failing = 0
+        for _ in range(10):
+            J = random_borel_ideal(rng, max_gens=8)
+            for cplx, gens in battery_complexes(J):
+                assert packed_lattice(cplx, gens) == reference_lcm_lattice(gens)
+                for corrupt in (False, True):
+                    if corrupt:
+                        if not cplx.diffs:
+                            break
+                        q = rng.randrange(len(cplx.diffs))
+                        pos = rng.choice(sorted(cplx.diffs[q]))
+                        sign, coeff = cplx.diffs[q][pos]
+                        cplx.diffs[q][pos] = (-sign, coeff)
+                    got = strand_exactness(cplx, gens, primes=(2, 3))
+                    want = reference_strand_exactness(cplx, gens, primes=(2, 3))
+                    assert got == want
+                    failing += not got.ok
+        assert failing >= 10, failing
+
+    @pytest.mark.parametrize("d, width", [(7, 4), (8, 5)])
+    def test_field_width_steps_with_the_exponent(self, d, width):
+        # x2^7 fits three bits plus the guard, x2^8 needs four
+        J = power_ideal(2, d)
+        cek = ek_complex(J)
+        assert _Packing(list(J.gens)).width == width
+        for cplx, gens in battery_complexes(J)[:2]:
+            got = strand_exactness(cplx, gens, primes=(2, 3))
+            want = reference_strand_exactness(cplx, gens, primes=(2, 3))
+            assert got.ok and got == want
+            assert packed_lattice(cplx, gens) == reference_lcm_lattice(gens)
+        # lcm(x1^(d-i) x2^i, x1^(d-j) x2^j) = x1^(d-i) x2^j for i <= j
+        assert strand_exactness(cek, list(J.gens)).strands_checked == (d + 1) * (d + 2) // 2
+
+    def test_variable_in_no_generator_never_divides(self, deg2):
+        cplx = modified_complex(deg2)
+        gens = bpol_ideal(deg2)
+        stray = BiMonomial.variable(9, 9)
+        cplx.mdegs[-1][0] = cplx.mdegs[-1][0] * stray
+        packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
+        md = packing.pack(cplx.mdegs[-1][0])
+        G = packing.guard
+        lattice = _lcm_lattice({packing.pack(g) for g in gens}, G, packing.width)
+        assert lattice and all(((b | G) - md) & G != G for b in lattice)
+        got = strand_exactness(cplx, gens, primes=(2, 3))
+        assert not got.ok and got == reference_strand_exactness(cplx, gens, primes=(2, 3))
+
+    def test_strand_counts_on_cube_of_maximal_ideal(self):
+        J = power_ideal(4, 3)
+        assert strand_exactness(ek_complex(J), list(J.gens)).strands_checked == 241
+        assert strand_exactness(modified_complex(J), bpol_ideal(J)).strands_checked == 612
 
     def test_exact_at_degrees_outside_the_lattice(self):
         # the oracle restricts to the lcm lattice; exactness in fact holds at
