@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: resolve, verify, polarize, poset, compare, paper-suite.
-Exit codes: 0 success, 1 check failure, 2 input error.
+Exit codes: 0 success, 1 check failure, 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def _add_common_flags(p, kinds=("ek", "modified", "both")):
     p.add_argument("--kind", choices=kinds, default="both")
     p.add_argument("--d", type=int, default=None, help="column bound override")
     p.add_argument("--max-facets", type=int, default=20,
-                   help="facet budget for exhaustive shelling search")
+                   help="accepted for compatibility; the shelling search is "
+                        "bounded by its node budget alone")
     p.add_argument("--export", choices=("json", "dot", "diagram"), default=None)
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
 
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

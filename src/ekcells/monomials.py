@@ -5,10 +5,17 @@ Variable indices are 1-based throughout.  ``Monomial`` carries the
 lexicographic order with x_1 > x_2 > ... > x_n on its comparison operators;
 ``BiMonomial`` is an unordered sparse exponent map.  Both types are immutable
 and hashable, so they are safe to share freely (including across threads).
+
+Input is validated at the public constructors (``Monomial(exps)``, ``parse``,
+``from_factors``, ``unit``, ``**``).  Products, quotients, lcms, variables and
+variable shifts of valid monomials are already tuples of nonnegative ints, so
+``Monomial`` builds those results straight from their tuples without checking
+them again.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 __all__ = ["Monomial", "BiMonomial", "lex_compare"]
@@ -29,6 +36,14 @@ class Monomial:
             raise ValueError(f"exponents must be nonnegative: {exps}")
         self.exps = exps
 
+    @classmethod
+    def _of(cls, exps: tuple) -> "Monomial":
+        """The monomial with exponent tuple ``exps``, unchecked: only for
+        tuples of exact nonnegative ints made by arithmetic on monomials."""
+        m = object.__new__(cls)
+        m.exps = exps
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -39,7 +54,7 @@ class Monomial:
     def variable(cls, n: int, i: int) -> "Monomial":
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls(tuple(1 if k == i else 0 for k in range(1, n + 1)))
+        return cls._of((0,) * (i - 1) + (1,) + (0,) * (n - i))
 
     @classmethod
     def from_factors(cls, n: int, indices) -> "Monomial":
@@ -124,33 +139,44 @@ class Monomial:
     def _check_ring(self, other: "Monomial"):
         if not isinstance(other, Monomial):
             raise TypeError(f"expected Monomial, got {type(other).__name__}")
-        if self.n != other.n:
+        if len(self.exps) != len(other.exps):
             raise ValueError(f"variable count mismatch: {self.n} != {other.n}")
 
     def divides(self, other: "Monomial") -> bool:
         self._check_ring(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(operator.le, self.exps, other.exps))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_ring(other)
-        return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
+        return Monomial._of(tuple([a if a > b else b
+                                   for a, b in zip(self.exps, other.exps)]))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_ring(other)
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
+        return Monomial._of(tuple(map(operator.add, self.exps, other.exps)))
 
     def div(self, other: "Monomial") -> "Monomial":
         """Exact quotient self / other; raises if other does not divide self."""
         self._check_ring(other)
-        if not other.divides(self):
+        if not all(map(operator.le, other.exps, self.exps)):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self.exps, other.exps))
+        return Monomial._of(tuple(map(operator.sub, self.exps, other.exps)))
 
     def times_var(self, i: int) -> "Monomial":
-        return self * Monomial.variable(self.n, i)
+        return self._shift(i, 1)
 
     def div_var(self, i: int) -> "Monomial":
-        return self.div(Monomial.variable(self.n, i))
+        return self._shift(i, -1)
+
+    def _shift(self, i: int, step: int) -> "Monomial":
+        """self with the exponent of x_i moved by ``step`` (1 or -1)."""
+        exps = list(self.exps)
+        if not 1 <= i <= len(exps):
+            raise ValueError(f"variable index {i} out of range 1..{len(exps)}")
+        exps[i - 1] += step
+        if exps[i - 1] < 0:
+            raise ValueError(f"x{i} does not divide {self}")
+        return Monomial._of(tuple(exps))
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:

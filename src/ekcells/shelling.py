@@ -197,11 +197,14 @@ def find_shelling(
 ) -> ShellingResult:
     """Search for a shelling order of a pure complex.
 
-    Up to ``facet_budget`` facets the search is exhaustive (memoized over
-    facet subsets), so a None result is a proof that no shelling exists.
-    Beyond the budget the same backtracking runs under a node budget and a
-    failure is reported as non-exhaustive.  Candidate order is lexicographic
-    on sorted vertex lists throughout, so results are reproducible.
+    The search backtracks over facet orders, memoized over facet subsets, and
+    visits at most ``node_budget`` nodes.  A None result from a search that
+    finished is a proof that no shelling exists; a search that runs out of
+    nodes returns ``ShellingResult(None, False)``.  ``facet_budget`` does not
+    change the search; it is accepted so that ``ball_check``, ``cm_battery``
+    and ``--max-facets`` keep their signatures.  Candidate order is
+    lexicographic on sorted vertex lists throughout, so results are
+    reproducible.
     """
     if not data.is_pure():
         raise ValueError("shelling search needs a pure complex")
@@ -216,8 +219,6 @@ def find_shelling(
             m |= 1 << v
         masks.append(m)
 
-    exhaustive = r <= facet_budget
-    budget = node_budget if not exhaustive else None
     nodes = 0
     dead = set()
     order = []
@@ -244,7 +245,7 @@ def find_shelling(
         if used_mask in dead:
             return False
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > node_budget:
             raise _Budget
         for idx in range(r):
             if used_mask >> idx & 1:
@@ -264,7 +265,7 @@ def find_shelling(
     except _Budget:
         return ShellingResult(None, False)
     if not found:
-        return ShellingResult(None, exhaustive or nodes <= (budget or 0))
+        return ShellingResult(None, True)
     order.reverse()
     assert verify_shelling_order(data, order)
     return ShellingResult(order, True)

@@ -200,6 +200,17 @@ class TestBoundChecks:
                      "--max-gens", "1", "--max-facets", "0", "--check", "ball"]) == 0
 
 
+class TestInternalError:
+    def test_runtime_error_exits_3_without_traceback(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("strand oracle disagrees (internal inconsistency)")
+
+        monkeypatch.setattr("ekcells.cli.strand_exactness", broken)
+        assert main(["verify", "--named", "deg2", "--check", "cw"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: strand oracle disagrees (internal inconsistency)\n"
+
+
 class TestPaperSuite:
     def test_reduced_counts(self, capsys):
         code = main(["paper-suite", "--random-count", "5", "--cm-count", "2"])

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekcells import BiMonomial, Monomial, lex_compare
 from conftest import mono
@@ -123,3 +125,102 @@ class TestBiMonomial:
     def test_str(self):
         b = BiMonomial({(2, 1): 1, (1, 1): 2})
         assert str(b) == "x[1,1]^2*x[2,1]"
+
+
+# Differential tests of the arithmetic results, which are built from their
+# exponent tuples without the public constructor's checks: each must equal
+# the reference formula put through the validating ``Monomial(...)`` and hold
+# a tuple of exact ints.
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def same_ring(draw, count=2):
+    n = draw(st.integers(min_value=1, max_value=6))
+    # bools coerce to ints at the public constructor
+    exps = st.lists(st.integers(min_value=0, max_value=5) | st.booleans(),
+                    min_size=n, max_size=n)
+    return tuple(Monomial(draw(exps)) for _ in range(count))
+
+
+def assert_exact(m):
+    assert type(m) is Monomial
+    assert type(m.exps) is tuple
+    assert all(type(e) is int for e in m.exps)
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestArithmeticProperties:
+    @PROPERTY
+    @given(same_ring())
+    def test_product_lcm_quotient(self, pair):
+        a, b = pair
+        assert_exact(a)
+        results = [a * b, a.lcm(b), (a * b).div(b)]
+        assert results == [
+            Monomial(x + y for x, y in zip(a.exps, b.exps)),
+            Monomial(max(x, y) for x, y in zip(a.exps, b.exps)),
+            a,
+        ]
+        divides = all(y <= x for x, y in zip(a.exps, b.exps))
+        assert b.divides(a) is divides
+        if divides:
+            results.append(a.div(b))
+            assert a.div(b) == Monomial(x - y for x, y in zip(a.exps, b.exps))
+        else:
+            assert raised(a.div, b) == (ValueError, f"{b} does not divide {a}")
+        for m in results:
+            assert_exact(m)
+
+    @PROPERTY
+    @given(same_ring(count=1), st.integers(min_value=-2, max_value=8))
+    def test_variable_shifts(self, one, i):
+        (a,) = one
+        n = a.n
+        if not 1 <= i <= n:
+            message = f"variable index {i} out of range 1..{n}"
+            for fn in (a.times_var, a.div_var, lambda i: Monomial.variable(n, i)):
+                assert raised(fn, i) == (ValueError, message)
+            return
+        var = Monomial(1 if k == i else 0 for k in range(1, n + 1))
+        results = [Monomial.variable(n, i), a.times_var(i)]
+        assert results == [var, Monomial(x + y for x, y in zip(a.exps, var.exps))]
+        if a.deg(i):
+            results.append(a.div_var(i))
+            assert results[-1] == Monomial(x - y for x, y in zip(a.exps, var.exps))
+        else:
+            assert raised(a.div_var, i) == (ValueError, f"x{i} does not divide {a}")
+        for m in results:
+            assert_exact(m)
+
+    @PROPERTY
+    @given(same_ring(count=1), same_ring(count=1))
+    def test_operand_checks(self, one, other):
+        (a,), (b,) = one, other
+        ops = (a.__mul__, a.lcm, a.div, a.divides, a.__lt__)
+        if a.n != b.n:
+            message = f"variable count mismatch: {a.n} != {b.n}"
+            for op in ops:
+                assert raised(op, b) == (ValueError, message)
+        for op in ops:
+            assert raised(op, b.exps) == (TypeError, "expected Monomial, got tuple")
+
+    @PROPERTY
+    @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=6))
+    def test_public_constructor_validates(self, exps):
+        if min(exps) < 0:
+            message = f"exponents must be nonnegative: {tuple(exps)}"
+            assert raised(Monomial, exps) == (ValueError, message)
+        else:
+            assert_exact(Monomial(exps))
+
+    def test_power_coerces_a_float_exponent(self):
+        m = mono("x1^2*x3", 3) ** 2.0
+        assert m == mono("x1^4*x3^2", 3)
+        assert_exact(m)

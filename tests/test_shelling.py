@@ -161,6 +161,16 @@ class TestFindShelling:
         res = find_shelling(data, facet_budget=1, node_budget=3)
         assert res.order is None and not res.exhaustive
 
+    def test_node_budget_bounds_a_search_within_the_facet_budget(self, tri_tri):
+        # 12 facets, not shellable: the facet budget once lifted the node
+        # budget, so this search ran to the end and read exhaustive
+        data = build_gamma("modified", tri_tri).order_complex(drop_bottom=True)
+        assert len(data.facets) <= 64
+        res = find_shelling(data, facet_budget=64, node_budget=1)
+        assert res.order is None and not res.exhaustive
+        res = find_shelling(data, facet_budget=64)
+        assert res.order is None and res.exhaustive
+
     def test_zero_dimensional(self):
         data = SimplicialComplexData((0, 1), (frozenset({0}), frozenset({1})))
         assert find_shelling(data).order is not None
@@ -210,6 +220,12 @@ class TestBallCheck:
             node_budget=3,
         )
         assert v.verdict == "inconclusive"
+
+    def test_node_budget_failure_is_inconclusive_within_facet_budget(self, tri_tri):
+        v = ball_check(build_gamma("modified", tri_tri), "modified", tri_tri,
+                       facet_budget=64, node_budget=1)
+        assert v.verdict == "inconclusive"
+        assert v.detail == "shelling search exceeded its budget"
 
     def test_random_cm_ideals_certified(self):
         rng = random.Random(89)
