@@ -278,8 +278,9 @@ def random_borel_ideal(rng, max_n=4, max_deg=4, max_gens=12, cm=False) -> Monomi
 
 
 # -- ideal files --------------------------------------------------------------
-# Format: first data line "n <count>", then one monomial per line in either
-# accepted syntax; lines starting with "#" are comments.
+# Format: first data line "<n> <count>" (the number of variables and of
+# generators, e.g. "3 6"), then one monomial per line in either accepted
+# syntax; lines starting with "#" are comments.
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
@@ -290,10 +291,10 @@ def parse_ideal(text: str) -> MonomialIdeal:
     ]
     if not lines:
         raise ValueError("empty ideal file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f'expected header "n <count>", got {lines[0]!r}')
-    n, count = int(head[0]), int(head[1])
+    try:
+        n, count = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f'expected header "<n> <count>", got {lines[0]!r}') from None
     if n < 1 or count < 1:
         raise ValueError(f"invalid header values n={n}, count={count}")
     body = lines[1:]

@@ -178,34 +178,17 @@ class FinitePoset:
         mask = self._above[self._idx[a]]
         return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
 
-    def restrict(self, keep) -> "FinitePoset":
-        """The induced subposet on ``keep``, with covers recomputed."""
-        keep = [e for e in self.elements if e in set(keep)]
-        kidx = [self._idx[e] for e in keep]
-        mask_keep = 0
-        for k in kidx:
-            mask_keep |= 1 << k
-        covers = []
-        for a in kidx:
-            # strict successors of a inside keep
-            succ = (self._above[a] & ~(1 << a)) & mask_keep
-            for b in kidx:
-                if not (succ >> b & 1):
-                    continue
-                implied = False
-                for z in kidx:
-                    if z != a and z != b and (self._above[a] >> z & 1) and (self._above[z] >> b & 1):
-                        implied = True
-                        break
-                if not implied:
-                    covers.append((self.elements[a], self.elements[b]))
-        return FinitePoset(keep, covers)
-
     def without_bottom(self) -> "FinitePoset":
+        """The poset minus its least element.  Removing a least element
+        creates no cover, so the covers are those that avoid it."""
         mins = self.minimal_elements()
         if len(mins) != 1:
             raise ValueError("poset has no unique least element")
-        return self.restrict([e for e in self.elements if e != mins[0]])
+        bottom = mins[0]
+        return FinitePoset(
+            [e for e in self.elements if e != bottom],
+            [(x, y) for x, y in self.covers if x != bottom],
+        )
 
     # -- chains ---------------------------------------------------------------
 

@@ -61,11 +61,11 @@ class BallVerdict:
     detail: str = ""
 
 
-def el_label_edge(kind: str, lower, upper, ideal=None) -> int:
+def el_label_edge(kind: str, lower, upper, ideal) -> int:
     """Label of a cover ``lower <* upper`` of the dual basis poset.
 
-    ``kind`` is "ek" or "modified".  With an ideal supplied, the
-    shifted-generator case is verified against the kind's shift rule.
+    ``kind`` is "ek" or "modified".  The shifted-generator case is verified
+    against the kind's shift rule on ``ideal``.
     """
     rules = kind_of(kind)
     if upper is BOTTOM:
@@ -78,24 +78,24 @@ def el_label_edge(kind: str, lower, upper, ideal=None) -> int:
     i = removed.pop()
     if upper.m == lower.m:
         return -i
-    if ideal is not None and upper.m != rules.shift(ideal, lower.m, i):
+    if upper.m != rules.shift(ideal, lower.m, i):
         raise ValueError(f"cover ({lower!r}, {upper!r}) matches neither labeling case")
     return i
 
 
-def label_chain(kind: str, chain, ideal=None) -> tuple:
+def label_chain(kind: str, chain, ideal) -> tuple:
     return tuple(
         el_label_edge(kind, a, b, ideal) for a, b in zip(chain, chain[1:])
     )
 
 
-def verify_el_interval(kind: str, dual: FinitePoset, a, b, ideal=None) -> ELReport:
+def verify_el_interval(kind: str, dual: FinitePoset, a, b, ideal) -> ELReport:
     """EL verification of the interval [a, b] of the dual poset."""
     chains = dual.chains_between(a, b)
     return _el_report(a, b, chains, [label_chain(kind, c, ideal) for c in chains])
 
 
-def verify_el_all(kind: str, dual: FinitePoset, ideal=None) -> list:
+def verify_el_all(kind: str, dual: FinitePoset, ideal) -> list:
     """EL reports for every nontrivial interval of the dual poset, each cover
     labelled once."""
     label = {(x, y): el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
@@ -132,7 +132,7 @@ def _el_report(a, b, chains, labels) -> ELReport:
     )
 
 
-def u_of_chain(kind: str, chain, ideal=None):
+def u_of_chain(kind: str, chain, ideal):
     """The monomial of the positive labels along an increasing chain: the
     product of the variables the start attaches to them.
 
@@ -156,7 +156,7 @@ def u_of_chain(kind: str, chain, ideal=None):
     return u.div(lift)
 
 
-def is_cw_poset(poset: FinitePoset, kind: str, ideal=None):
+def is_cw_poset(poset: FinitePoset, kind: str, ideal):
     """Certify that a poset is the face poset of a regular CW complex.
 
     Checks: thin, at least two elements, a least element, and shellability of
@@ -192,17 +192,13 @@ def is_cw_poset(poset: FinitePoset, kind: str, ideal=None):
     return True, witness
 
 
-def find_shelling(
-    data: SimplicialComplexData, facet_budget: int = 20, node_budget: int = 500_000
-) -> ShellingResult:
+def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> ShellingResult:
     """Search for a shelling order of a pure complex.
 
     The search backtracks over facet orders, memoized over facet subsets, and
     visits at most ``node_budget`` nodes.  A None result from a search that
     finished is a proof that no shelling exists; a search that runs out of
-    nodes returns ``ShellingResult(None, False)``.  ``facet_budget`` does not
-    change the search; it is accepted so that ``ball_check``, ``cm_battery``
-    and ``--max-facets`` keep their signatures.  Candidate order is
+    nodes returns ``ShellingResult(None, False)``.  Candidate order is
     lexicographic on sorted vertex lists throughout, so results are
     reproducible.
     """
@@ -290,12 +286,7 @@ def verify_shelling_order(data: SimplicialComplexData, order) -> bool:
 
 
 def ball_check(
-    poset: FinitePoset,
-    kind: str,
-    ideal=None,
-    facet_budget: int = 20,
-    node_budget: int = 500_000,
-    cw_result=None,
+    poset: FinitePoset, kind: str, ideal, node_budget: int = 500_000, cw_result=None
 ) -> BallVerdict:
     """Evaluate the closed-ball criteria on the order complex of the poset
     minus its least element.
@@ -304,7 +295,9 @@ def ball_check(
     witness) plus the two ridge-incidence conditions.  Refutation requires a
     definite obstruction: a ridge in more than two top cells, nontrivial
     reduced homology, a non-pure complex, or an exhaustive shelling search
-    that proves unshellability.  Everything else is inconclusive.
+    that proves unshellability.  A shelling search that runs out of its
+    ``node_budget`` is inconclusive, as is everything else.  ``cw_result``
+    reuses an ``is_cw_poset`` result the caller already has.
     """
     if cw_result is None:
         cw_result = is_cw_poset(poset, kind, ideal)
@@ -319,7 +312,7 @@ def ball_check(
                            "poset not certified as CW")
     pure = poset.is_pure()
     if pure:
-        shell = find_shelling(data, facet_budget, node_budget)
+        shell = find_shelling(data, node_budget)
     else:
         shell = ShellingResult(None, True)
 

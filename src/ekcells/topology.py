@@ -232,10 +232,9 @@ def homology_ranks(cplx: IntegerChainComplex) -> list:
     return out
 
 
-def simplicial_chain_complex(
-    data: SimplicialComplexData, augmented: bool = True
-) -> IntegerChainComplex:
-    """The (reduced, when augmented) simplicial chain complex over Z."""
+def simplicial_chain_complex(data: SimplicialComplexData) -> IntegerChainComplex:
+    """The augmented simplicial chain complex over Z, whose homology is the
+    reduced homology (degree -1 holds the empty face)."""
     by_dim = data.faces()
     ranks = [len(layer) for layer in by_dim]
     index = [{face: k for k, face in enumerate(layer)} for layer in by_dim]
@@ -247,9 +246,7 @@ def simplicial_chain_complex(
                 sub = face[:pos] + face[pos + 1 :]
                 mat[index[d - 1][sub]][col] = -1 if pos % 2 else 1
         mats.append(mat)
-    if augmented:
-        return IntegerChainComplex(-1, [1] + ranks, [[[1] * ranks[0]]] + mats)
-    return IntegerChainComplex(0, ranks, mats)
+    return IntegerChainComplex(-1, [1] + ranks, [[[1] * ranks[0]]] + mats)
 
 
 def reduced_homology_trivial(data: SimplicialComplexData) -> bool:

@@ -96,8 +96,8 @@ def check_frame_invariance(cplx: FreeComplex, *specialized: FreeComplex):
             raise VerificationError(f"frame of {other.kind} differs from frame of {cplx.kind}")
 
 
-def check_strands(cplx: FreeComplex, gens, primes=()):
-    report = strand_exactness(cplx, gens, primes)
+def check_strands(cplx: FreeComplex, gens):
+    report = strand_exactness(cplx, gens)
     if not report.ok:
         raise VerificationError(
             f"strand exactness fails for {cplx.kind}: {report.first_failure()}"
@@ -121,9 +121,8 @@ def _monomials_up_to(n, deg):
         yield Monomial(exps)
 
 
-def check_g_properties(ideal: MonomialIdeal, deg_bound=None):
-    if deg_bound is None:
-        deg_bound = ideal.max_deg() + 1
+def check_g_properties(ideal: MonomialIdeal):
+    deg_bound = ideal.max_deg() + 1
     members = [m for m in _monomials_up_to(ideal.n, deg_bound) if m in ideal]
     for m in members:
         ideal.g(m, check=True)  # lex-greatest divisor vs max/min witness
@@ -391,11 +390,12 @@ def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FiniteP
 # -- batteries ---------------------------------------------------------------------
 
 
-def full_battery(ideal: MonomialIdeal, primes=(), strands=True) -> dict:
+def full_battery(ideal: MonomialIdeal) -> dict:
     """Everything the randomized suite asserts for one Borel fixed ideal.
 
-    The CW certificate of each cell poset is asserted piece by piece: thin,
-    a least element, and a passing EL sweep of the dual (``check_intervals``).
+    Strand exactness of the four complexes is certified over Q.  The CW
+    certificate of each cell poset is asserted piece by piece: thin, a least
+    element, and a passing EL sweep of the dual (``check_intervals``).
     """
     if not ideal.is_borel_fixed():
         raise VerificationError(f"{ideal!r} is not Borel fixed")
@@ -412,11 +412,10 @@ def full_battery(ideal: MonomialIdeal, primes=(), strands=True) -> dict:
     if cek.ranks != cmod.ranks:
         raise VerificationError(f"classical ranks {cek.ranks} != modified ranks {cmod.ranks}")
     check_frame_invariance(cmod, ctheta, cthetap)
-    if strands:
-        check_strands(cek, list(ideal.gens), primes)
-        check_strands(cmod, bpol_ideal(ideal), primes)
-        check_strands(ctheta, list(ideal.gens), primes)
-        check_strands(cthetap, list(sigma_ideal(ideal).gens), primes)
+    check_strands(cek, list(ideal.gens))
+    check_strands(cmod, bpol_ideal(ideal))
+    check_strands(ctheta, list(ideal.gens))
+    check_strands(cthetap, list(sigma_ideal(ideal).gens))
     check_g_properties(ideal)
     check_shift_instances(ideal)
 
@@ -431,8 +430,12 @@ def full_battery(ideal: MonomialIdeal, primes=(), strands=True) -> dict:
     return stats
 
 
-def cm_battery(ideal: MonomialIdeal, facet_budget=64, node_budget=500_000) -> dict:
-    """Structure and ball certification for one Cohen-Macaulay Borel ideal."""
+def cm_battery(ideal: MonomialIdeal) -> dict:
+    """Structure and ball certification for one Cohen-Macaulay Borel ideal.
+
+    Each shelling search runs under ``ball_check``'s default node budget; a
+    verdict other than "ball-certified" raises.
+    """
     is_cm, h, l_power = ideal.is_cm_stable()
     if not is_cm:
         raise VerificationError(f"{ideal!r} is not Cohen-Macaulay")
@@ -448,10 +451,7 @@ def cm_battery(ideal: MonomialIdeal, facet_budget=64, node_budget=500_000) -> di
         cw = is_cw_poset(poset, kind, ideal)
         if not cw[0]:
             raise VerificationError(f"{kind} poset not certified CW: {cw[1]}")
-        verdict = ball_check(
-            poset, kind, ideal,
-            facet_budget=facet_budget, node_budget=node_budget, cw_result=cw,
-        )
+        verdict = ball_check(poset, kind, ideal, cw_result=cw)
         if verdict.verdict != "ball-certified":
             raise VerificationError(
                 f"{kind} ball check returned {verdict.verdict}: {verdict.detail}"

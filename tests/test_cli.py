@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from ekcells import FinitePoset, format_ideal
-from ekcells.cli import main
+from ekcells.cli import build_parser, main
 from ekcells.suite import NAMED_IDEALS, named_ideal
 
 # SHA-256 of each file `resolve --kind both --export json|dot` writes for the
@@ -131,6 +132,16 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_expectation_without_ball_check_exits_2(self, capsys):
+        # deg2's ball is certified: with --check cw the unmet expectation
+        # was once ignored and the command exited 0
+        code = main(["verify", "--named", "deg2", "--check", "cw",
+                     "--expect-ball", "refuted"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --expect-ball needs --check ball|all, got --check cw\n"
+
     def test_compare_posets_flag(self, tmp_path, capsys):
         path = tmp_path / "deg4.ideal"
         path.write_text(format_ideal(named_ideal("deg4")), encoding="utf-8")
@@ -185,11 +196,10 @@ class TestPosetAndCompare:
 class TestBoundChecks:
     @pytest.mark.parametrize("flag, value, least", [
         ("--max-n", "1", 2), ("--max-deg", "0", 1), ("--max-gens", "0", 1),
-        ("--max-facets", "-1", 0),
     ])
     def test_out_of_range_bound_exits_2(self, flag, value, least, capsys):
         # --max-gens 0 once drew random ideals forever, --max-n 1 and
-        # --max-deg 0 leaked a randrange error, --max-facets -1 was accepted
+        # --max-deg 0 leaked a randrange error
         assert main(["verify", "--random-borel", flag, value, "--check", "cw"]) == 2
         err = capsys.readouterr().err
         assert f"{flag} must be at least {least}, got {value}" in err
@@ -197,7 +207,53 @@ class TestBoundChecks:
 
     def test_least_bounds_accepted(self, capsys):
         assert main(["verify", "--random-borel", "--max-n", "2", "--max-deg", "1",
-                     "--max-gens", "1", "--max-facets", "0", "--check", "ball"]) == 0
+                     "--max-gens", "1", "--check", "ball"]) == 0
+
+
+class TestIdealFileHeader:
+    @pytest.mark.parametrize("header", ["n 2", "2"])
+    def test_bad_header_names_the_expected_one(self, header, tmp_path, capsys):
+        path = tmp_path / "bad.ideal"
+        path.write_text(f"{header}\nx1\nx2\n", encoding="utf-8")
+        assert main(["resolve", "--ideal", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f'error: expected header "<n> <count>", got {header!r}\n'
+
+
+_INPUT_FLAGS = {"-h", "--help", "--ideal", "--named", "--random-borel", "--seed",
+                "--max-n", "--max-deg", "--max-gens"}
+
+
+class TestOptionSurface:
+    def test_each_subcommand_declares_the_flags_it_reads(self):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            for name, sub in subparsers.choices.items()
+        }
+        assert surface == {
+            "resolve": _INPUT_FLAGS | {"--kind", "--d", "--export", "--out"},
+            "verify": _INPUT_FLAGS | {"--kind", "--check", "--compare-posets", "--expect-ball"},
+            "polarize": _INPUT_FLAGS | {"--d", "--diagram", "--out"},
+            "poset": _INPUT_FLAGS | {"--kind", "--out"},
+            "compare": _INPUT_FLAGS | {"--expect"},
+            "paper-suite": {"-h", "--help", "--random-count", "--cm-count", "--seed",
+                            "--progress"},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-facets", "5"],
+        ["verify", "--d", "3"],
+        ["compare", "--kind", "ek"],
+        ["poset", "--export", "json"],
+        ["polarize", "--kind", "modified"],
+    ], ids=" ".join)
+    def test_removed_flag_is_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--named", "deg2", *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestInternalError:

@@ -17,6 +17,7 @@ from ekcells import (
     poset_to_dot,
     random_borel_ideal,
 )
+from ekcells.suite import named_ideal
 from ekcells.verification import check_cover_support
 from conftest import ideal, mono
 
@@ -75,10 +76,15 @@ class TestFinitePoset:
         assert p.ranks() is None
         assert not p.is_thin()
 
-    def test_restrict_recomputes_covers(self):
-        p = chain_poset(4)
-        q = p.restrict([0, 2, 3])
-        assert (0, 2) in q.covers and len(q.covers) == 2
+    @pytest.mark.parametrize("name, kind", [("deg4", "ek"), ("tri-sq", "modified")])
+    def test_without_bottom_keeps_the_covers_that_avoid_it(self, name, kind):
+        p = build_gamma(kind, named_ideal(name))
+        q = p.without_bottom()
+        assert q.elements == tuple(e for e in p.elements if e is not BOTTOM)
+        assert set(q.covers) == {(x, y) for x, y in p.covers if x is not BOTTOM}
+        for x in q.elements:
+            for y in q.elements:
+                assert q.leq(x, y) == p.leq(x, y)
 
 
 class TestOrderComplex:

@@ -52,7 +52,7 @@ class TestELVerification:
         g = build_gamma("modified", deg2).dual()
         starts = [e for e in g.elements if e is not BOTTOM and len(e.F) == 2]
         for start in starts:
-            rep = verify_el_interval("modified", g, start, BOTTOM, None)
+            rep = verify_el_interval("modified", g, start, BOTTOM, deg2)
             assert rep.passed
             i1, i2 = start.F
             assert rep.increasing_label == (-i2, -i1, 0)
@@ -60,7 +60,7 @@ class TestELVerification:
     def test_length_one_interval(self, deg2):
         g = build_gamma("ek", deg2).dual()
         a, b = g.covers[0]
-        rep = verify_el_interval("ek", g, a, b)
+        rep = verify_el_interval("ek", g, a, b, deg2)
         assert rep.passed and rep.max_chains == 1
 
     def test_all_intervals_pass(self, tri_tri):
@@ -106,9 +106,10 @@ class TestCWPoset:
         # the smallest CW poset: the least element plus one 0-cell
         from conftest import ideal
 
-        g = build_gamma("ek", ideal(1, "x1"))
+        J = ideal(1, "x1")
+        g = build_gamma("ek", J)
         assert len(g) == 2
-        ok, witness = is_cw_poset(g, "ek")
+        ok, witness = is_cw_poset(g, "ek", J)
         assert ok and witness["el_failures"] == 0
 
     def test_degree2_both_kinds(self, deg2):
@@ -124,9 +125,9 @@ class TestCWPoset:
             ok, _ = is_cw_poset(build_gamma("modified", J), "modified", J)
             assert ok
 
-    def test_not_thin_fails(self):
+    def test_not_thin_fails(self, deg2):
         p = FinitePoset(range(3), [(0, 1), (1, 2)])
-        ok, witness = is_cw_poset(p, "ek")
+        ok, witness = is_cw_poset(p, "ek", deg2)
         assert not ok and not witness["thin"]
 
 
@@ -157,18 +158,13 @@ class TestFindShelling:
             find_shelling(data)
 
     def test_budget_exhaustion_is_flagged(self, tri_tri):
+        # 12 facets, not shellable: a search that runs out of nodes proves
+        # nothing, one that finishes proves unshellability
         data = build_gamma("modified", tri_tri).order_complex(drop_bottom=True)
-        res = find_shelling(data, facet_budget=1, node_budget=3)
-        assert res.order is None and not res.exhaustive
-
-    def test_node_budget_bounds_a_search_within_the_facet_budget(self, tri_tri):
-        # 12 facets, not shellable: the facet budget once lifted the node
-        # budget, so this search ran to the end and read exhaustive
-        data = build_gamma("modified", tri_tri).order_complex(drop_bottom=True)
-        assert len(data.facets) <= 64
-        res = find_shelling(data, facet_budget=64, node_budget=1)
-        assert res.order is None and not res.exhaustive
-        res = find_shelling(data, facet_budget=64)
+        for node_budget in (1, 3):
+            res = find_shelling(data, node_budget=node_budget)
+            assert res.order is None and not res.exhaustive
+        res = find_shelling(data)
         assert res.order is None and res.exhaustive
 
     def test_zero_dimensional(self):
@@ -212,25 +208,16 @@ class TestBallCheck:
         assert v_ek.verdict == "refuted"
 
     def test_budget_failure_is_inconclusive(self, tri_tri):
-        v = ball_check(
-            build_gamma("modified", tri_tri),
-            "modified",
-            tri_tri,
-            facet_budget=1,
-            node_budget=3,
-        )
-        assert v.verdict == "inconclusive"
-
-    def test_node_budget_failure_is_inconclusive_within_facet_budget(self, tri_tri):
-        v = ball_check(build_gamma("modified", tri_tri), "modified", tri_tri,
-                       facet_budget=64, node_budget=1)
-        assert v.verdict == "inconclusive"
-        assert v.detail == "shelling search exceeded its budget"
+        g = build_gamma("modified", tri_tri)
+        for node_budget in (1, 3):
+            v = ball_check(g, "modified", tri_tri, node_budget=node_budget)
+            assert v.verdict == "inconclusive"
+            assert v.detail == "shelling search exceeded its budget"
 
     def test_random_cm_ideals_certified(self):
         rng = random.Random(89)
         for _ in range(6):
             J = random_borel_ideal(rng, cm=True, max_gens=8)
             g = build_gamma("modified", J)
-            v = ball_check(g, "modified", J, facet_budget=64)
+            v = ball_check(g, "modified", J)
             assert v.verdict == "ball-certified"
