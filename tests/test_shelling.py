@@ -158,12 +158,18 @@ class TestFindShelling:
             find_shelling(data)
 
     def test_budget_exhaustion_is_flagged(self, tri_tri):
-        # 12 facets, not shellable: a search that runs out of nodes proves
-        # nothing, one that finishes proves unshellability
         data = build_gamma("modified", tri_tri).order_complex(drop_bottom=True)
-        for node_budget in (1, 3):
-            res = find_shelling(data, node_budget=node_budget)
-            assert res.order is None and not res.exhaustive
+        res = find_shelling(data, node_budget=3)
+        assert res.order is None and not res.exhaustive
+
+    def test_node_budget_bounds_a_search_within_the_facet_budget(self, tri_tri):
+        # 12 facets, not shellable: a complex this small once had its node
+        # budget lifted; now a search that runs out of nodes proves nothing,
+        # and one that finishes proves unshellability
+        data = build_gamma("modified", tri_tri).order_complex(drop_bottom=True)
+        assert len(data.facets) <= 64
+        res = find_shelling(data, node_budget=1)
+        assert res.order is None and not res.exhaustive
         res = find_shelling(data)
         assert res.order is None and res.exhaustive
 
@@ -208,11 +214,19 @@ class TestBallCheck:
         assert v_ek.verdict == "refuted"
 
     def test_budget_failure_is_inconclusive(self, tri_tri):
-        g = build_gamma("modified", tri_tri)
-        for node_budget in (1, 3):
-            v = ball_check(g, "modified", tri_tri, node_budget=node_budget)
-            assert v.verdict == "inconclusive"
-            assert v.detail == "shelling search exceeded its budget"
+        v = ball_check(
+            build_gamma("modified", tri_tri), "modified", tri_tri, node_budget=3
+        )
+        assert v.verdict == "inconclusive"
+        assert v.detail == "shelling search exceeded its budget"
+
+    def test_node_budget_failure_is_inconclusive_within_facet_budget(self, tri_tri):
+        # tri-tri's 12 facets once lifted the node budget; it now binds
+        v = ball_check(
+            build_gamma("modified", tri_tri), "modified", tri_tri, node_budget=1
+        )
+        assert v.verdict == "inconclusive"
+        assert v.detail == "shelling search exceeded its budget"
 
     def test_random_cm_ideals_certified(self):
         rng = random.Random(89)
