@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ek import AdmissiblePair, ek_complex, kind_of, modified_complex
 from .ideals import random_borel_ideal, read_ideal
-from .polarization import bpol_ideal, sigma_ideal, stairs_diagram
+from .polarization import bpol_ideal, context_for, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic, poset_to_dot
 from .shelling import ball_check, is_cw_poset, verify_el_all
 from .suite import named_ideal, run_suite
@@ -93,6 +93,7 @@ def _json_dump(obj) -> str:
 
 def cmd_resolve(args) -> int:
     ideal = _load_ideal(args)
+    context_for(ideal, args.d)  # a --d below the largest generator degree exits 2, before any output
     for kind in _kinds(args):
         cplx = _complex_for(kind, ideal, args.d)
         print(f"{kind}: ranks {list(cplx.ranks)}")

@@ -190,7 +190,8 @@ def modified_complex(ideal: MonomialIdeal, d=None) -> FreeComplex:
 
 def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
     layers = admissible_layers(ideal, kind)
-    index = [{pair: k for k, pair in enumerate(layer)} for layer in layers]
+    # rows are looked up by (F, exponents of m): no pair is built or hashed
+    index = [{(pair.F, pair.m.exps): k for k, pair in enumerate(layer)} for layer in layers]
     diffs = []
     for q in range(1, len(layers)):
         mat = {}
@@ -201,7 +202,7 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
                 sign = -1 if r % 2 else 1
                 rest = pair.drop(i)
                 var = pair.variable(i)
-                row = index[q - 1][AdmissiblePair(rest, pair.m, kind)]
+                row = index[q - 1][rest, pair.m.exps]
                 mat[(row, col)] = (sign, var)
                 if i in bset:
                     m2 = kind.shift(ideal, pair.m, i)
@@ -212,7 +213,7 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
                             f"differential coefficient not divisible at {pair!r}, "
                             f"i = {i}: {exc}"
                         ) from exc
-                    row2 = index[q - 1][AdmissiblePair(rest, m2, kind)]
+                    row2 = index[q - 1][rest, m2.exps]
                     mat[(row2, col)] = (-sign, coeff)
         diffs.append(mat)
 

@@ -5,10 +5,12 @@ form homology, simplicial homology of order complexes, the multigraded strand
 exactness oracle certifying that a complex is a resolution, and cell-count
 utilities on graded posets.
 
-All arithmetic is exact and goes through one kernel, ``invariant_factors``:
-the Smith invariants of a sparse integer matrix, from +-1 pivots first and
-the dense ``smith_diagonal`` on the unit-free rest.  Homology reads Betti
-numbers and torsion off them; ranks over Q and F_p count them.
+All arithmetic is exact.  Homology goes through ``invariant_factors``, the
+Smith invariants of a sparse integer matrix, from +-1 pivots first and the
+dense ``smith_diagonal`` on the unit-free rest, and reads Betti numbers and
+torsion off them.  The strand oracle first ranks each strand over F_2 (row
+bitmasks) and F_3 (bitsliced mask pairs); the Smith invariants name the
+failing field of a strand that fails there.
 """
 
 from __future__ import annotations
@@ -355,45 +357,206 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     complex over Q (and over F_p for each requested prime).
 
     Generator and basis degrees are packed once into guard-bit integers
-    (``_Packing``), so the lattice closure is a field-wise maximum and the
-    test "md divides b" is one subtract-and-mask: the guards of
-    ``(b | guard) - md`` all survive exactly when no field of md exceeds b's.
-    A lattice element becomes a monomial again only to name a failure.
+    (``_Packing``), so the lattice closure is a field-wise maximum.  A strand
+    passes on its ranks over F_2 and F_3 (``_StrandFrame``); only a strand
+    that fails there, or every strand when those ranks certify nothing, is
+    checked on Smith invariants, which name the first failing field.  The
+    failures come in the order of their degrees; a lattice element becomes a
+    monomial again only to name one.
     """
-    gens = list(gens)
-    report = StrandReport(ok=True, strands_checked=0, primes=tuple(primes))
+    gens, primes = list(gens), tuple(primes)
     packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
-    guard = packing.guard
-    layers = [[packing.pack(md) for md in layer] for layer in cplx.mdegs]
-    by_col = defaultdict(list)  # (q, column) -> its (row, sign) entries in degree q
-    for q in range(1, cplx.top + 1):
-        for (i, j), (sign, _) in cplx.boundary(q).items():
-            by_col[q, j].append((i, sign))
-    lattice = _lcm_lattice({packing.pack(g) for g in gens}, guard, packing.width)
-    for b in sorted(lattice, key=packing.sort_key):
-        report.strands_checked += 1
-        bg = b | guard
-        sub = [[k for k, md in enumerate(layer) if (bg - md) & guard == guard] for layer in layers]
-        dims = [1] + [len(s) for s in sub]  # degree -1 is the ideal component
-        mats = [[{0: 1} for _ in sub[0]]]
-        for q in range(1, cplx.top + 1):
-            rows = {k: i for i, k in enumerate(sub[q - 1])}
-            mats.append([
-                {rows[i]: sign for i, sign in by_col[q, col] if i in rows}
-                for col in sub[q]
-            ])
-        invariants = [invariant_factors(m) for m in mats]
-        for p in (0,) + report.primes:  # 0 for Q: every invariant is a unit there
+    frame = _StrandFrame(cplx, packing)
+    fields = frame.certifying_fields(primes)
+    lattice = _lcm_lattice({packing.pack(g) for g in gens}, packing.guard, packing.width)
+    failing = []  # (b, field, position, defect), sorted by degree below
+    for b in lattice:
+        sub = frame.strand(packing.fields(b))
+        dims = [(sub & level).bit_count() for level in frame.levels]
+        if fields and all(
+            _exactness_defect(dims, frame.field_ranks(sub, p)) is None for p in fields
+        ):
+            continue
+        invariants = frame.strand_invariants(sub)
+        for p in (0,) + primes:  # 0 for Q: every invariant is a unit there
             ranks = [len(inv) if p == 0 else sum(1 for d in inv if d % p) for inv in invariants]
             defect = _exactness_defect(dims, ranks)
             if defect is not None:
-                report.ok = False
-                report.failures.append(
-                    {"degree": str(packing.unpack(b)), "field": f"F{p}" if p else "Q",
-                     "position": defect[0], "defect": defect[1]}
-                )
+                failing.append((b, f"F{p}" if p else "Q") + defect)
                 break
-    return report
+    failing.sort(key=lambda failure: packing.sort_key(failure[0]))
+    return StrandReport(
+        ok=not failing, strands_checked=len(lattice), primes=primes,
+        failures=[
+            {"degree": str(packing.unpack(b)), "field": field, "position": position,
+             "defect": defect}
+            for b, field, position, defect in failing
+        ],
+    )
+
+
+class _StrandFrame:
+    """The augmented frame complex of a free complex, on bitmasks.
+
+    Basis element k of degree q is bit ``offsets[q + 1] + k``, and bit 0 is
+    degree -1, the ideal component; ``levels[q + 1]`` masks degree q.  A
+    strand is a mask too: the AND over the variables v of ``below[v][e]``,
+    the bits whose exponent in v is at most b's exponent e (bit 0 always).
+    ``entries[q, j]`` holds the (row, sign) entries of column j of degree q,
+    the augmentation (0, 1) for q = 0, and ``cols[p]`` each column as one
+    row bitmask for p = 2 and as its (entries 1, entries -1) masks for p = 3.
+    """
+
+    def __init__(self, cplx: FreeComplex, packing: _Packing):
+        self.sizes = [1] + [len(layer) for layer in cplx.mdegs]
+        self.offsets = [0]
+        for size in self.sizes[:-1]:
+            self.offsets.append(self.offsets[-1] + size)
+        self.levels = [((1 << n) - 1) << off for off, n in zip(self.offsets, self.sizes)]
+        nbits = sum(self.sizes)
+        self.full = (1 << nbits) - 1
+        degrees = [[packing.pack(md) for md in layer] for layer in cplx.mdegs]
+        exps = list(zip(*(packing.fields(md) for layer in degrees for md in layer)))
+        self.tops = [max(col) for col in exps]
+        self.below = []
+        for col, top in zip(exps, self.tops):
+            masks = [1] * top  # none for e >= top: every bit is below it
+            for bit, e in enumerate(col, start=1):
+                if e < top:
+                    masks[e] |= 1 << bit
+            for e in range(1, top):
+                masks[e] |= masks[e - 1]
+            self.below.append(masks)
+        self.entries = {(0, j): [(0, 1)] for j in range(self.sizes[1])}
+        for q in range(1, cplx.top + 1):
+            for (i, j), (sign, _) in cplx.boundary(q).items():
+                self.entries.setdefault((q, j), []).append((i, sign))
+        self.cols = {2: [0] * nbits, 3: [(0, 0)] * nbits}
+        for (q, j), col in self.entries.items():
+            rows = [(self.offsets[q] + i, x) for i, x in col]
+            bit = self.offsets[q + 1] + j
+            self.cols[2][bit] = sum(1 << r for r, x in rows if x % 2)
+            self.cols[3][bit] = (sum(1 << r for r, x in rows if x % 3 == 1),
+                                 sum(1 << r for r, x in rows if x % 3 == 2))
+        self.z_complex = self._strands_are_z_complexes(degrees, packing.guard)
+
+    def _strands_are_z_complexes(self, degrees, guard) -> bool:
+        """Whether every entry's row degree divides its column degree, so that
+        each strand is a subcomplex, and the augmented frame squares to zero
+        over Z."""
+        for (q, j), col in self.entries.items():
+            if q == 0:
+                continue
+            cg = degrees[q][j] | guard
+            if any((cg - degrees[q - 1][i]) & guard != guard for i, _ in col):
+                return False
+            image = defaultdict(int)
+            for i, x in col:
+                for r, y in self.entries.get((q - 1, i), ()):
+                    image[r] += x * y
+            if any(image.values()):
+                return False
+        return True
+
+    def certifying_fields(self, primes) -> tuple:
+        """The fields F_p whose ranks certify a strand over Q and over every
+        requested prime, or () when field ranks cannot.
+
+        If C is a complex of free Z-modules and C (x) F_p is exact, then by
+        universal coefficients H(C) (x) F_p = 0, so H(C) is finite and C (x) Q
+        is exact as well; F_2 alone thus certifies Q.
+        """
+        if not self.z_complex or not set(primes) <= {2, 3}:
+            return ()
+        return tuple(sorted(set(primes))) or (2,)
+
+    def strand(self, exps) -> int:
+        """The mask of the basis elements whose degree divides the degree with
+        exponents ``exps``."""
+        sub = self.full
+        for below, top, e in zip(self.below, self.tops, exps):
+            if e < top:
+                sub &= below[e]
+        return sub
+
+    def field_ranks(self, sub: int, p: int) -> list:
+        """The ranks over F_p of the strand's maps, the augmentation first."""
+        return _top_down_ranks(sub, self.levels, self.cols[p], _INSERT[p])
+
+    def strand_invariants(self, sub: int) -> list:
+        """The Smith invariants of the strand's maps, the augmentation first."""
+        picked = [
+            [k for k in range(n) if sub >> (off + k) & 1]
+            for off, n in zip(self.offsets, self.sizes)
+        ]
+        mats = []
+        for q in range(len(picked) - 1):
+            rows = {k: r for r, k in enumerate(picked[q])}
+            mats.append([
+                {rows[i]: x for i, x in self.entries.get((q, j), ()) if i in rows}
+                for j in picked[q + 1]
+            ])
+        return [invariant_factors(m) for m in mats]
+
+
+def _top_down_ranks(sub: int, levels, cols, insert) -> list:
+    """The ranks over a field of the maps of a complex, restricted to the
+    basis bits in ``sub``.
+
+    ``levels[t]`` masks degree t from the bottom, ``cols[bit]`` is a basis
+    element's boundary as ``insert`` reads it, and the maps compose to zero.
+    From the top down, the map out of a degree is ranked on the elements that
+    are not pivots of the echelon basis of the image coming in: they span the
+    quotient by that image, and the map vanishes on the image.  Entry t is
+    the rank of the map from degree t + 1 into degree t.
+    """
+    ranks = []
+    pivots = 0
+    for level in levels[:0:-1]:
+        todo = sub & level & ~pivots
+        basis = {}
+        pivots = 0
+        while todo:
+            bit = todo.bit_length() - 1
+            todo ^= 1 << bit
+            pivots |= insert(basis, cols[bit])
+        ranks.append(len(basis))
+    return ranks[::-1]
+
+
+def _f2_insert(basis: dict, x: int):
+    """Reduce the F_2 vector ``x``, a bitmask, by the echelon basis
+    ``{leading bit: vector}`` and add it there unless it reduced to zero.
+    Returns the new pivot as a one-bit mask, 0 if none."""
+    while x:
+        h = x.bit_length() - 1
+        v = basis.get(h)
+        if v is None:
+            basis[h] = x
+            return 1 << h
+        x ^= v
+    return 0
+
+
+def _f3_insert(basis: dict, x: tuple):
+    """``_f2_insert`` over F_3 on bitsliced vectors (Boothby-Bradshaw): ``x``
+    is the pair (mask of entries 1, mask of entries -1).  (p, m) + (q, n) is
+    ((m | n) ^ t, (p | q) ^ t) with t = (p | n) ^ (m | q), negation swaps the
+    masks, and basis vectors are scaled to lead with 1."""
+    p, m = x
+    while p | m:
+        h = (p | m).bit_length() - 1
+        v = basis.get(h)
+        if v is None:
+            basis[h] = (m, p) if m >> h & 1 else (p, m)
+            return 1 << h
+        q, n = (v[1], v[0]) if p >> h & 1 else v  # x - v if x leads with 1, else x + v
+        t = (p | n) ^ (m | q)
+        p, m = (m | n) ^ t, (p | q) ^ t
+    return 0
+
+
+_INSERT = {2: _f2_insert, 3: _f3_insert}
 
 
 def _exactness_defect(dims, ranks_q):

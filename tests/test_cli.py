@@ -68,6 +68,18 @@ class TestResolve:
         assert main(["resolve", "--ideal", bad_file, "--kind", "ek"]) == 2
         assert "not stable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["ek", "modified", "both"])
+    def test_column_bound_below_generator_degree_exits_2_before_output(self, kind, capsys):
+        # deg2's generators have degree 2; the bound is checked for every kind
+        assert main(["resolve", "--named", "deg2", "--kind", kind, "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: column bound d=1 below maximal generator degree 2\n"
+
+    def test_column_bound_at_generator_degree_accepted(self, capsys):
+        assert main(["resolve", "--named", "deg2", "--kind", "both", "--d", "2"]) == 0
+        assert capsys.readouterr().out == "ek: ranks [6, 8, 3]\nmodified: ranks [6, 8, 3]\n"
+
     def test_deterministic_bytes(self, deg2_file, tmp_path):
         paths = []
         for tag in ("a", "b"):

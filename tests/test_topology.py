@@ -2,8 +2,11 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ekcells import (
+    FreeComplex,
     IntegerChainComplex,
     SimplicialComplexData,
     bpol_ideal,
@@ -20,14 +23,18 @@ from ekcells import (
     simplicial_chain_complex,
     strand_exactness,
 )
-from ekcells.monomials import BiMonomial
+from ekcells.ideals import borel_closure
+from ekcells.monomials import BiMonomial, Monomial
 from ekcells.polarization import sigma_ideal, specialize_theta, specialize_theta_prime
 from ekcells.shelling import ball_check
 from ekcells.topology import (
     StrandReport,
     _exactness_defect,
+    _f2_insert,
+    _f3_insert,
     _lcm_lattice,
     _Packing,
+    _StrandFrame,
     invariant_factors,
     rank_int,
     rank_mod_p,
@@ -95,23 +102,30 @@ def reference_sort_key(mono):
     return (1, mono.items())
 
 
+def reference_strand(cplx, b):
+    """The strand at b by a ``divides`` scan: the basis indices per degree,
+    the dimensions (degree -1 first) and the dense augmented matrices."""
+    sub = [[k for k, md in enumerate(layer) if md.divides(b)] for layer in cplx.mdegs]
+    dims = [1] + [len(s) for s in sub]
+    mats = [[[1] * len(sub[0])]]
+    for q in range(1, cplx.top + 1):
+        rows = {k: i for i, k in enumerate(sub[q - 1])}
+        cols = {k: j for j, k in enumerate(sub[q])}
+        mat = [[0] * len(sub[q]) for _ in sub[q - 1]]
+        for (i, j), (sign, _) in cplx.boundary(q).items():
+            if i in rows and j in cols:
+                mat[rows[i]][cols[j]] = sign
+        mats.append(mat)
+    return sub, dims, mats
+
+
 def reference_strand_exactness(cplx, gens, primes=()):
     """The strand oracle on monomial objects: the lattice by ``lcm``, each
     strand by a ``divides`` scan, dense strand matrices."""
     report = StrandReport(ok=True, strands_checked=0, primes=tuple(primes))
     for b in sorted(reference_lcm_lattice(list(gens)), key=reference_sort_key):
         report.strands_checked += 1
-        sub = [[k for k, md in enumerate(layer) if md.divides(b)] for layer in cplx.mdegs]
-        dims = [1] + [len(s) for s in sub]
-        mats = [[[1] * len(sub[0])]]
-        for q in range(1, cplx.top + 1):
-            rows = {k: i for i, k in enumerate(sub[q - 1])}
-            cols = {k: j for j, k in enumerate(sub[q])}
-            mat = [[0] * len(sub[q]) for _ in sub[q - 1]]
-            for (i, j), (sign, _) in cplx.boundary(q).items():
-                if i in rows and j in cols:
-                    mat[rows[i]][cols[j]] = sign
-            mats.append(mat)
+        _, dims, mats = reference_strand(cplx, b)
         for p in (0,) + report.primes:
             ranks = [rank_int(m) if p == 0 else rank_mod_p(m, p) for m in mats]
             defect = _exactness_defect(dims, ranks)
@@ -139,6 +153,53 @@ def battery_complexes(J):
         (specialize_theta(cmod), list(J.gens)),
         (specialize_theta_prime(cmod), list(sigma_ideal(J).gens)),
     ]
+
+
+def field_columns(mat, ncols, p):
+    """Each column as the strand oracle reads it: over F_2 the bitmask of its
+    odd rows, over F_3 the masks of its rows = 1 and = -1 mod 3."""
+    def rows(j, residue):
+        return sum(1 << i for i, row in enumerate(mat) if row[j] % p == residue)
+    if p == 2:
+        return [rows(j, 1) for j in range(ncols)]
+    return [(rows(j, 1), rows(j, 2)) for j in range(ncols)]
+
+
+def field_rank(cols, p):
+    basis = {}
+    for col in cols:
+        (_f2_insert if p == 2 else _f3_insert)(basis, col)
+    return len(basis)
+
+
+@st.composite
+def sign_matrices(draw):
+    """Sparse matrices with entries 0 and +-1, with their column count."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    row = st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m)), n
+
+
+# Syzygies of generators all of degree x1*x2, each summing to zero, whose
+# block on the kernel of the augmentation has determinant -2, resp. 3: degree
+# 0 then has homology Z/2, resp. Z/3, and the one strand is exact over Q and
+# every other prime.
+TWO_TORSION = [(1, -1, 0, 0), (0, 0, 1, -1), (1, 1, -1, -1)]
+THREE_TORSION = [(0, -1, 0, 0, 1), (-1, 0, 1, 0, 0), (1, -1, 1, -1, 0), (-1, 1, 0, -1, 1)]
+
+
+def torsion_complex(syzygies):
+    """A valid ``FreeComplex`` with one strand: the generators and the
+    syzygies given, all of degree x1*x2, with the ideal generated by x1*x2."""
+    b, unit = Monomial((1, 1)), Monomial((0, 0))
+    diff = {
+        (i, j): (x, unit) for j, col in enumerate(syzygies) for i, x in enumerate(col) if x
+    }
+    gens, syz = len(syzygies[0]), len(syzygies)
+    return FreeComplex(
+        "ek", ("S", 2), [[f"g{k}" for k in range(gens)], [f"s{k}" for k in range(syz)]],
+        [[b] * gens, [b] * syz], [diff],
+    ), [b]
 
 
 def power_ideal(n, d):
@@ -320,11 +381,26 @@ class TestStrands:
                         pos = rng.choice(sorted(cplx.diffs[q]))
                         sign, coeff = cplx.diffs[q][pos]
                         cplx.diffs[q][pos] = (-sign, coeff)
-                    got = strand_exactness(cplx, gens, primes=(2, 3))
-                    want = reference_strand_exactness(cplx, gens, primes=(2, 3))
-                    assert got == want
+                    for primes in ((2, 3), (), (3,)):
+                        got = strand_exactness(cplx, gens, primes=primes)
+                        want = reference_strand_exactness(cplx, gens, primes=primes)
+                        assert got == want, primes
                     failing += not got.ok
         assert failing >= 10, failing
+
+    @pytest.mark.parametrize("syzygies, prime", [(TWO_TORSION, 2), (THREE_TORSION, 3)])
+    def test_strand_exact_over_q_but_not_over_one_prime(self, syzygies, prime):
+        cplx, gens = torsion_complex(syzygies)
+        report = strand_exactness(cplx, gens, primes=(2, 3))
+        assert report == reference_strand_exactness(cplx, gens, primes=(2, 3))
+        assert report.failures == [
+            {"degree": "x1*x2", "field": f"F{prime}", "position": 0, "defect": 1}
+        ]
+        other = 5 - prime
+        for primes in ((), (other,), (other, 5)):
+            report = strand_exactness(cplx, gens, primes=primes)
+            assert report.ok and report.strands_checked == 1
+            assert report == reference_strand_exactness(cplx, gens, primes=primes)
 
     @pytest.mark.parametrize("d, width", [(7, 4), (8, 5)])
     def test_field_width_steps_with_the_exponent(self, d, width):
@@ -363,7 +439,6 @@ class TestStrands:
         # every multidegree, including those outside the ideal
         from itertools import product
 
-        from ekcells.monomials import Monomial
         from ekcells.topology import rank_int
 
         rng = random.Random(4242)
@@ -393,6 +468,75 @@ class TestStrands:
                     into = ranks[t] if t < len(ranks) else 0
                     outof = ranks[t - 1] if t >= 1 else 0
                     assert dims[t] - into - outof == 0, (J, b, t)
+
+
+class TestFieldRanks:
+    """The F_2 bitmask and bitsliced F_3 kernels of the strand oracle, against
+    the Smith kernel and dense strand matrices."""
+
+    @given(sign_matrices())
+    @example(([], 0))
+    @example(([], 3))
+    @example(([[0, 0]], 2))
+    @example(([[1, -1, 1, 0]], 4))
+    @example(([[1], [-1], [0], [1]], 1))
+    @example(([[1, 1], [1, -1]], 2))
+    def test_bitmask_ranks_match_rank_mod_p(self, case):
+        mat, n = case
+        for p in (2, 3):
+            assert field_rank(field_columns(mat, n, p), p) == rank_mod_p(mat, p), p
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 4), min_size=2, max_size=4), min_size=1, max_size=2))
+    def test_top_down_ranks_match_per_map_ranks(self, seeds):
+        # every strand of a resolution is exact, and the strand mask picks the
+        # basis elements whose degree divides b
+        J = borel_closure([Monomial.from_factors(4, factors) for factors in seeds])
+        assume(len(J.gens) <= 10)
+        for cplx, gens in battery_complexes(J):
+            packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
+            frame = _StrandFrame(cplx, packing)
+            assert frame.certifying_fields(()) == (2,)
+            assert frame.certifying_fields((3, 2)) == (2, 3)
+            for b in reference_lcm_lattice(gens):
+                sub, dims, mats = reference_strand(cplx, b)
+                mask = frame.strand(packing.fields(packing.pack(b)))
+                assert mask == sum(
+                    1 << (frame.offsets[q + 1] + k) for q, ks in enumerate(sub) for k in ks
+                ) | 1
+                for p in (2, 3):
+                    ranks = frame.field_ranks(mask, p)
+                    assert ranks == [rank_mod_p(m, p) for m in mats], (b, p)
+                    assert _exactness_defect(dims, ranks) is None
+
+    @pytest.mark.parametrize("syzygies", [TWO_TORSION, THREE_TORSION])
+    def test_top_down_ranks_see_the_torsion(self, syzygies):
+        cplx, gens = torsion_complex(syzygies)
+        packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
+        frame = _StrandFrame(cplx, packing)
+        mask = frame.strand(packing.fields(packing.pack(gens[0])))
+        _, dims, mats = reference_strand(cplx, gens[0])
+        assert mask == frame.full and dims == [1, len(syzygies) + 1, len(syzygies)]
+        for p in (2, 3):
+            assert frame.field_ranks(mask, p) == [rank_mod_p(m, p) for m in mats]
+        assert rank_mod_p(mats[1], 2 if syzygies is TWO_TORSION else 3) == len(syzygies) - 1
+
+    def test_field_ranks_certify_nothing_off_a_z_complex(self, deg2):
+        cplx = ek_complex(deg2)
+        packing = _Packing(list(deg2.gens) + [md for layer in cplx.mdegs for md in layer])
+        assert _StrandFrame(cplx, packing).certifying_fields((2, 3)) == (2, 3)
+        assert _StrandFrame(cplx, packing).certifying_fields((5,)) == ()
+        pos, (sign, coeff) = next(iter(sorted(cplx.diffs[0].items())))
+        cplx.diffs[0][pos] = (-sign, coeff)
+        assert _StrandFrame(cplx, packing).certifying_fields(()) == ()
+        # a row degree that does not divide its column degree
+        cplx = ek_complex(deg2)
+        (row, _), _ = next(iter(sorted(cplx.diffs[0].items())))
+        cplx.mdegs[0][row] = cplx.mdegs[0][row] * Monomial.variable(deg2.n, 1) ** 3
+        packing = _Packing(list(deg2.gens) + [md for layer in cplx.mdegs for md in layer])
+        assert _StrandFrame(cplx, packing).certifying_fields(()) == ()
+        assert strand_exactness(cplx, list(deg2.gens)) == reference_strand_exactness(
+            cplx, list(deg2.gens))
 
 
 class TestCellCounts:
