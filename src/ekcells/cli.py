@@ -69,8 +69,13 @@ def _load_ideal(args):
     )
 
 
-def _kinds(args):
-    return ("ek", "modified") if args.kind == "both" else (args.kind,)
+def _kinds(args, ideal):
+    """The requested kinds, each checked to admit the ideal before any output."""
+    kinds = ("ek", "modified") if args.kind == "both" else (args.kind,)
+    for rules in map(kind_of, kinds):
+        if not rules.admits(ideal):
+            raise ValueError(f"ideal is not {rules.ideal_class}")
+    return kinds
 
 
 def _complex_for(kind, ideal, d=None):
@@ -94,7 +99,7 @@ def _json_dump(obj) -> str:
 def cmd_resolve(args) -> int:
     ideal = _load_ideal(args)
     context_for(ideal, args.d)  # a --d below the largest generator degree exits 2, before any output
-    for kind in _kinds(args):
+    for kind in _kinds(args, ideal):
         cplx = _complex_for(kind, ideal, args.d)
         print(f"{kind}: ranks {list(cplx.ranks)}")
         if args.export == "json":
@@ -110,7 +115,8 @@ def cmd_verify(args) -> int:
     ideal = _load_ideal(args)
     bundle = {"ideal": [str(m) for m in ideal.gens], "n": ideal.n, "kinds": {}}
     failed = False
-    for kind in _kinds(args):
+    gammas = {}
+    for kind in _kinds(args, ideal):
         cplx = _complex_for(kind, ideal)
         checks = {}
         try:
@@ -129,7 +135,7 @@ def cmd_verify(args) -> int:
             "first_failure": strands.first_failure(),
         }
         failed = failed or not strands.ok
-        poset = build_gamma(kind, ideal)
+        poset = gammas[kind] = build_gamma(kind, ideal)
         checks["thin"] = poset.is_thin()
         failed = failed or not checks["thin"]
         witness = {}
@@ -163,8 +169,10 @@ def cmd_verify(args) -> int:
         checks["reduced_homology_trivial"] = all(b == 0 and not t for b, t in hom)
         bundle["kinds"][kind] = checks
     if args.compare_posets:
-        iso = poset_isomorphic(build_gamma("ek", ideal), build_gamma("modified", ideal))
-        bundle["posets_isomorphic"] = iso
+        g_ek, g_mod = (
+            gammas[k] if k in gammas else build_gamma(k, ideal) for k in ("ek", "modified")
+        )
+        bundle["posets_isomorphic"] = poset_isomorphic(g_ek, g_mod)
     print(_json_dump(bundle), end="")
     return 1 if failed else 0
 
@@ -190,7 +198,7 @@ def cmd_polarize(args) -> int:
 
 def cmd_poset(args) -> int:
     ideal = _load_ideal(args)
-    for kind in _kinds(args):
+    for kind in _kinds(args, ideal):
         poset = build_gamma(kind, ideal)
         print(f"{kind}: {len(poset)} elements, {len(poset.covers)} covers")
         _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(poset, name=kind))

@@ -115,11 +115,21 @@ def sigma_ideal(ideal: MonomialIdeal, d=None) -> MonomialIdeal:
     return shifted
 
 
-def _substitute(cplx: FreeComplex, var_image, kind_suffix, ring) -> FreeComplex:
+def _specialize(cplx: FreeComplex, t: int) -> FreeComplex:
+    """Substitute x_{i,j} -> x_{i+(j-1)t}: theta into k[x_1..x_n] (t = 0), theta'
+    into k[x_1..x_{n+d-1}] (t = 1); basis, ranks and signs unchanged."""
+    name, suffix = ("theta'", "theta-prime") if t else ("theta", "theta")
+    if cplx.ring[0] != "S~":
+        raise ValueError(f"{name} applies to big-ring complexes, got ring {cplx.ring}")
+    _, n, d = cplx.ring
+    ring = ("T", n + d - 1) if t else ("S", n)
+
     def conv(bm: BiMonomial) -> Monomial:
         exps = [0] * ring[1]
         for (i, j), e in bm.items():
-            exps[var_image(i, j) - 1] += e
+            if not (1 <= i <= n and 1 <= j <= d):
+                raise ValueError(f"variable x[{i},{j}] outside context n={n}, d={d}")
+            exps[i + (j - 1) * t - 1] += e
         return Monomial(exps)
 
     diffs = [
@@ -127,7 +137,7 @@ def _substitute(cplx: FreeComplex, var_image, kind_suffix, ring) -> FreeComplex:
         for mat in cplx.diffs
     ]
     return FreeComplex(
-        kind=f"{cplx.kind}|{kind_suffix}",
+        kind=f"{cplx.kind}|{suffix}",
         ring=ring,
         basis=[list(layer) for layer in cplx.basis],
         mdegs=[[conv(md) for md in layer] for layer in cplx.mdegs],
@@ -136,31 +146,13 @@ def _substitute(cplx: FreeComplex, var_image, kind_suffix, ring) -> FreeComplex:
 
 
 def specialize_theta(cplx: FreeComplex) -> FreeComplex:
-    """Substitute x_{i,j} -> x_i throughout; basis, ranks and signs unchanged."""
-    if cplx.ring[0] != "S~":
-        raise ValueError(f"theta applies to big-ring complexes, got ring {cplx.ring}")
-    _, n, d = cplx.ring
-
-    def image(i, j):
-        if not (1 <= i <= n and 1 <= j <= d):
-            raise ValueError(f"variable x[{i},{j}] outside context n={n}, d={d}")
-        return i
-
-    return _substitute(cplx, image, "theta", ("S", n))
+    """The depolarization theta: x_{i,j} -> x_i, recovering the original ideal."""
+    return _specialize(cplx, 0)
 
 
 def specialize_theta_prime(cplx: FreeComplex) -> FreeComplex:
-    """Substitute x_{i,j} -> x_{i+j-1}; lands in N = n + d - 1 variables."""
-    if cplx.ring[0] != "S~":
-        raise ValueError(f"theta' applies to big-ring complexes, got ring {cplx.ring}")
-    _, n, d = cplx.ring
-
-    def image(i, j):
-        if not (1 <= i <= n and 1 <= j <= d):
-            raise ValueError(f"variable x[{i},{j}] outside context n={n}, d={d}")
-        return i + j - 1
-
-    return _substitute(cplx, image, "theta-prime", ("T", n + d - 1))
+    """theta': x_{i,j} -> x_{i+j-1}, recovering the squarefree shift."""
+    return _specialize(cplx, 1)
 
 
 def stairs_diagram(white, wm: BiMonomial) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ek import AdmissiblePair, admissible_layers, b_set, kind_of
+from .ek import admissible_layers, b_set, kind_of
 from .ideals import MonomialIdeal
 
 __all__ = [
@@ -376,47 +376,77 @@ def build_gamma(kind: str, ideal: MonomialIdeal) -> FinitePoset:
     elements = [BOTTOM]
     for layer in layers:
         elements.extend(layer)
+    # lower ends are looked up by (F, exponents of m): no pair is built or hashed
+    pairs = {(pair.F, pair.m.exps): pair for pair in elements[1:]}
     covers = [(BOTTOM, pair) for pair in layers[0]]
     for layer in layers[1:]:
         for pair in layer:
             bset = set(b_set(ideal, pair.F, pair.m, rules))
             for i in pair.F:
                 rest = pair.drop(i)
-                covers.append((AdmissiblePair(rest, pair.m, rules), pair))
-                if i in bset:
-                    shifted = rules.shift(ideal, pair.m, i)
-                    covers.append((AdmissiblePair(rest, shifted, rules), pair))
+                for m in (pair.m, rules.shift(ideal, pair.m, i)) if i in bset else (pair.m,):
+                    lower = pairs.get((rest, m.exps))
+                    if lower is None:
+                        raise RuntimeError(f"cover of {pair!r} ends at ({rest}, {m}), "
+                                           "which is not an admissible pair")
+                    covers.append((lower, pair))
     return FinitePoset(elements, covers)
 
 
 def poset_isomorphic(p1: FinitePoset, p2: FinitePoset) -> bool:
-    """Exact poset isomorphism: networkx's VF2 ``DiGraphMatcher`` on the Hasse
-    diagrams with ranks as node labels, after size and rank-profile checks."""
-    import networkx as nx  # imported here, its only use, to keep ``import ekcells`` light
-    from networkx.algorithms import isomorphism
+    """Exact poset isomorphism of two Hasse diagrams.
 
-    if len(p1) != len(p2) or len(p1.covers) != len(p2.covers):
+    Both posets are coloured together by rank (-1 if not graded), refined by
+    the colours of up and down covers until no class splits (McKay-Piperno,
+    arXiv:1301.1493).  Equal colour histograms go to a backtracking search,
+    on an explicit stack, that maps p1's elements in topological order onto
+    p2 elements of the same colour whose down covers are the images of theirs.
+    """
+    n = len(p1)
+    if n != len(p2) or len(p1.covers) != len(p2.covers):
         return False
-    r1, r2 = p1.ranks(), p2.ranks()
-    if (r1 is None) != (r2 is None):
-        return False
-    if r1 is not None and sorted(r1.values()) != sorted(r2.values()):
+    # element k of p1 is vertex k, element k of p2 is vertex n + k
+    up = p1._up + [[n + j for j in js] for js in p2._up]
+    down = p1._down + [[n + j for j in js] for js in p2._down]
+    colour = []
+    for p in (p1, p2):
+        ranks = p.ranks()
+        colour += [-1 if ranks is None else ranks[e] for e in p.elements]
+    classes = 0
+    while len(set(colour)) > classes:
+        classes = len(set(colour))
+        # the old colour leads each signature, so classes only ever split
+        sigs = [
+            (colour[v], tuple(sorted(colour[w] for w in up[v])),
+             tuple(sorted(colour[w] for w in down[v])))
+            for v in range(2 * n)
+        ]
+        palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        colour = [palette[s] for s in sigs]
+    if sorted(colour[:n]) != sorted(colour[n:]):
         return False
 
-    def digraph(p, ranks):
-        g = nx.DiGraph()
-        for e in p.elements:
-            g.add_node(p.index(e), rank=-1 if ranks is None else ranks[e])
-        for a, b in p.covers:
-            g.add_edge(p.index(a), p.index(b))
-        return g
+    def candidates(v):
+        want = {image[u] for u in down[v]}
+        pool = up[image[down[v][0]]] if down[v] else range(n, 2 * n)
+        return (w for w in pool if colour[w] == colour[v] and w not in used
+                and set(down[w]) == want)
 
-    matcher = isomorphism.DiGraphMatcher(
-        digraph(p1, r1),
-        digraph(p2, r2),
-        node_match=lambda x, y: x["rank"] == y["rank"],
-    )
-    return matcher.is_isomorphic()
+    order, image, used = p1._toposort(), {}, set()
+    stack = [candidates(order[0])] if n else []
+    while stack and len(image) < n:
+        v = order[len(stack) - 1]
+        if v in image:
+            used.remove(image.pop(v))
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        image[v] = w
+        used.add(w)
+        if len(image) < n:
+            stack.append(candidates(order[len(stack)]))
+    return len(image) == n
 
 
 def poset_to_dot(poset: FinitePoset, name: str = "poset") -> str:

@@ -188,6 +188,38 @@ class TestPolarize:
         assert "Borel" in capsys.readouterr().err
 
 
+class TestKindAdmission:
+    @pytest.fixture
+    def stable_not_borel(self, tmp_path):
+        path = tmp_path / "stable.ideal"
+        path.write_text("3 4\nx1^2\nx1*x2\nx2^2\nx2*x3\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["resolve"],
+        ["resolve", "--export", "json"],
+        ["resolve", "--export", "dot", "--out", "OUT"],
+        ["poset"],
+        ["poset", "--out", "OUT"],
+        ["verify"],
+    ], ids=" ".join)
+    def test_kind_both_exits_2_before_output(self, argv, stable_not_borel, tmp_path, capsys):
+        # every requested kind must admit the ideal before anything is printed
+        out_dir = tmp_path / "out"
+        argv = [str(out_dir) if a == "OUT" else a for a in argv]
+        code = main([*argv, "--ideal", stable_not_borel, "--kind", "both"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ideal is not Borel fixed\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["resolve", "poset"])
+    def test_kind_ek_accepts_a_stable_ideal(self, command, stable_not_borel, capsys):
+        assert main([command, "--ideal", stable_not_borel, "--kind", "ek"]) == 0
+        assert capsys.readouterr().out.startswith("ek: ")
+
+
 class TestPosetAndCompare:
     def test_dot_output(self, deg2_file, capsys):
         assert main(["poset", "--ideal", deg2_file, "--kind", "ek"]) == 0
@@ -277,6 +309,27 @@ class TestInternalError:
         assert main(["verify", "--named", "deg2", "--check", "cw"]) == 3
         err = capsys.readouterr().err
         assert err == "internal error: strand oracle disagrees (internal inconsistency)\n"
+
+
+    def test_cover_to_a_missing_pair_exits_3(self, monkeypatch, capsys):
+        # a cover whose lower end is not among the layer's pairs is a fault
+        # of the construction, not of the input
+        from ekcells import posets
+
+        real = posets.admissible_layers
+
+        def without_first_pair(ideal, kind):
+            first, *rest = real(ideal, kind)
+            return [first[1:], *rest]
+
+        monkeypatch.setattr(posets, "admissible_layers", without_first_pair)
+        assert main(["poset", "--named", "deg2", "--kind", "ek"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: cover of e({1};x1*x2) ends at ((), x1^2), "
+            "which is not an admissible pair\n"
+        )
 
 
 class TestPaperSuite:

@@ -17,13 +17,31 @@ from ekcells import (
     poset_to_dot,
     random_borel_ideal,
 )
-from ekcells.suite import named_ideal
+from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_cover_support
 from conftest import ideal, mono
 
 
 def chain_poset(k):
     return FinitePoset(range(k), [(i, i + 1) for i in range(k - 1)])
+
+
+def crown(k):
+    """k minimal elements a_i and k maximal ones b_i, b_i covering a_i and a_{i+1 mod k}."""
+    return FinitePoset(
+        [("a", i) for i in range(k)] + [("b", i) for i in range(k)],
+        [(("a", j), ("b", i)) for i in range(k) for j in (i, (i + 1) % k)],
+    )
+
+
+def relabelled(p, rng):
+    """An isomorphic copy of p with new labels, shuffled elements and covers."""
+    order = list(p.elements)
+    rng.shuffle(order)
+    label = {e: ("copy", k) for k, e in enumerate(order)}
+    covers = [(label[a], label[b]) for a, b in p.covers]
+    rng.shuffle(covers)
+    return FinitePoset([label[e] for e in order], covers)
 
 
 class TestFinitePoset:
@@ -188,19 +206,127 @@ class TestIsomorphism:
         p = FinitePoset("xyz", [("x", "y"), ("y", "z")])
         assert poset_isomorphic(p, chain_poset(3))
 
+    def test_refinement_ties_are_settled_by_the_search(self):
+        # a 6-crown and two 3-crowns: every minimal element has two up covers
+        # and every maximal one two down covers, so colour refinement cannot
+        # tell them apart and the search must
+        six = crown(6)
+        two_threes = FinitePoset(
+            [(k, e) for k in range(2) for e in crown(3).elements],
+            [((k, a), (k, b)) for k in range(2) for a, b in crown(3).covers],
+        )
+        assert len(six) == len(two_threes) and len(six.covers) == len(two_threes.covers)
+        assert not poset_isomorphic(six, two_threes)
+        assert poset_isomorphic(six, relabelled(six, random.Random(3)))
+        assert poset_isomorphic(two_threes, relabelled(two_threes, random.Random(4)))
+
+    def test_long_chain_needs_no_recursion(self):
+        k = sys.getrecursionlimit() + 100
+        assert poset_isomorphic(chain_poset(k), relabelled(chain_poset(k), random.Random(5)))
+
+    def test_empty_posets(self):
+        assert poset_isomorphic(FinitePoset([], []), FinitePoset([], []))
+
     def test_import_leaves_networkx_unloaded(self):
-        # networkx is imported by poset_isomorphic alone, on first use
+        # the isomorphism test is in-tree: comparing the cell posets, alone
+        # or under verify, loads no networkx
         import ekcells
 
         src = str(Path(ekcells.__file__).resolve().parents[1])
         code = (
-            f"import sys; sys.path.insert(0, {src!r}); import ekcells; "
+            f"import sys; sys.path.insert(0, {src!r}); from ekcells.cli import main; "
+            "main(['compare', '--named', 'deg4']); "
+            "main(['verify', '--named', 'deg2', '--check', 'el', '--compare-posets']); "
             "print('networkx' in sys.modules)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
         )
-        assert out.stdout.strip() == "False"
+        lines = out.stdout.splitlines()
+        assert lines[0] == "cell posets isomorphic: False"
+        assert '  "posets_isomorphic": true' in lines
+        assert lines[-1] == "False"
+
+
+@pytest.fixture(scope="module")
+def vf2_isomorphic():
+    """networkx's VF2 on the Hasse diagrams with ranks as node labels: the
+    reference the in-tree test is compared against."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    def isomorphic(p1, p2):
+        graphs = []
+        for p in (p1, p2):
+            ranks = p.ranks()
+            g = nx.DiGraph()
+            g.add_nodes_from(
+                (p.index(e), {"rank": -1 if ranks is None else ranks[e]}) for e in p.elements
+            )
+            g.add_edges_from((p.index(a), p.index(b)) for a, b in p.covers)
+            graphs.append(g)
+        return DiGraphMatcher(
+            *graphs, node_match=lambda x, y: x["rank"] == y["rank"]
+        ).is_isomorphic()
+
+    return isomorphic
+
+
+@pytest.fixture(scope="module")
+def gamma_pairs():
+    """The ek/modified cell poset pairs of the named ideals and of 120 seeded
+    random Borel ideals."""
+    pairs = [(name, named_ideal(name)) for name in NAMED_IDEALS]
+    rng = random.Random(20140113)
+    pairs += [(f"random-{k}", random_borel_ideal(rng)) for k in range(120)]
+    return [(name, build_gamma("ek", J), build_gamma("modified", J)) for name, J in pairs]
+
+
+def one_cover_mutation(p, rng):
+    """p with one cover (a, b) moved to (a, c), or None if no draw is a poset."""
+    for _ in range(20):
+        k = rng.randrange(len(p.covers))
+        a, _b = p.covers[k]
+        moved = p.covers[:k] + p.covers[k + 1:] + ((a, rng.choice(p.elements)),)
+        try:
+            return FinitePoset(p.elements, moved)
+        except ValueError:
+            continue
+    return None
+
+
+class TestIsomorphismOracle:
+    def test_agrees_with_vf2_on_gamma_pairs(self, vf2_isomorphic, gamma_pairs):
+        verdicts = []
+        for name, g_ek, g_mod in gamma_pairs:
+            verdict = poset_isomorphic(g_ek, g_mod)
+            assert verdict == vf2_isomorphic(g_ek, g_mod), name
+            verdicts.append(verdict)
+        # both answers occur, so neither is returned blindly
+        assert True in verdicts and False in verdicts
+
+    def test_relabelled_copies_are_isomorphic(self, vf2_isomorphic, gamma_pairs):
+        rng = random.Random(71)
+        for name, g_ek, g_mod in gamma_pairs:
+            for g in (g_ek, g_mod):
+                copy = relabelled(g, rng)
+                assert poset_isomorphic(g, copy), name
+                assert vf2_isomorphic(g, copy), name
+            assert poset_isomorphic(relabelled(g_ek, rng), relabelled(g_mod, rng)) == (
+                vf2_isomorphic(g_ek, g_mod)
+            ), name
+
+    def test_agrees_with_vf2_on_one_cover_mutations(self, vf2_isomorphic, gamma_pairs):
+        rng = random.Random(72)
+        compared = 0
+        for name, g_ek, g_mod in gamma_pairs:
+            for g, other in ((g_ek, g_mod), (g_mod, g_ek)):
+                mutant = one_cover_mutation(g, rng)
+                if mutant is not None:
+                    assert poset_isomorphic(mutant, other) == vf2_isomorphic(mutant, other), name
+                    assert poset_isomorphic(mutant, g) == vf2_isomorphic(mutant, g), name
+                    compared += 1
+        assert compared >= 200
 
 
 class TestDotExport:
