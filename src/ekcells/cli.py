@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
                 "refuted": "refuted",
             }[args.expect_ball]:
                 failed = True
-        hom = homology_ranks(frame_complex(cplx, augmented=True))
+        hom = homology_ranks(frame_complex(cplx))
         checks["reduced_homology_trivial"] = all(b == 0 and not t for b, t in hom)
         bundle["kinds"][kind] = checks
     if args.compare_posets:

@@ -202,8 +202,7 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
                 sign = -1 if r % 2 else 1
                 rest = pair.drop(i)
                 var = pair.variable(i)
-                row = index[q - 1][rest, pair.m.exps]
-                mat[(row, col)] = (sign, var)
+                mat[(_row(index[q - 1], pair, rest, pair.m), col)] = (sign, var)
                 if i in bset:
                     m2 = kind.shift(ideal, pair.m, i)
                     try:
@@ -213,8 +212,7 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
                             f"differential coefficient not divisible at {pair!r}, "
                             f"i = {i}: {exc}"
                         ) from exc
-                    row2 = index[q - 1][rest, m2.exps]
-                    mat[(row2, col)] = (-sign, coeff)
+                    mat[(_row(index[q - 1], pair, rest, m2), col)] = (-sign, coeff)
         diffs.append(mat)
 
     return FreeComplex(
@@ -224,3 +222,12 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
         mdegs=[[p.multidegree() for p in layer] for layer in layers],
         diffs=diffs,
     )
+
+
+def _row(index: dict, pair: AdmissiblePair, rest: tuple, m: Monomial) -> int:
+    """The row of the pair (rest, m) in the layer below ``pair``."""
+    row = index.get((rest, m.exps))
+    if row is None:
+        raise RuntimeError(f"differential of {pair!r} has a term at ({rest}, {m}), "
+                           "which is not an admissible pair")
+    return row

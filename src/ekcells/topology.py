@@ -5,12 +5,12 @@ form homology, simplicial homology of order complexes, the multigraded strand
 exactness oracle certifying that a complex is a resolution, and cell-count
 utilities on graded posets.
 
-All arithmetic is exact.  Homology goes through ``invariant_factors``, the
-Smith invariants of a sparse integer matrix, from +-1 pivots first and the
-dense ``smith_diagonal`` on the unit-free rest, and reads Betti numbers and
-torsion off them.  The strand oracle first ranks each strand over F_2 (row
-bitmasks) and F_3 (bitsliced mask pairs); the Smith invariants name the
-failing field of a strand that fails there.
+All arithmetic is exact, on sparse integer columns.  Homology goes through
+``invariant_factors``, the Smith invariants of a sparse integer matrix, from
++-1 pivots first and the dense ``smith_diagonal`` on the unit-free rest, and
+reads Betti numbers and torsion off them.  The strand oracle first ranks each
+strand of the frame over F_2 (row bitmasks) and F_3 (bitsliced mask pairs);
+the Smith invariants name the failing field of a strand that fails there.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 
 from .complexes import FreeComplex
 from .monomials import BiMonomial, Monomial
@@ -46,49 +46,71 @@ __all__ = [
 class IntegerChainComplex:
     """A bounded chain complex of free Z-modules.
 
-    ``ranks[k]`` is the rank in degree ``bottom + k``; ``mats[k]`` is the
-    boundary from degree ``bottom + k + 1`` to ``bottom + k`` as a dense
-    row-major integer matrix of shape ranks[k] x ranks[k+1].
+    ``ranks[k]`` is the rank in degree ``bottom + k``; ``cols[k]`` is the
+    boundary from degree ``bottom + k + 1`` to ``bottom + k`` as ranks[k+1]
+    sparse columns, each a ``{row: nonzero entry}`` dict with rows in
+    0..ranks[k]-1.
     """
 
     bottom: int
     ranks: list
-    mats: list
+    cols: list
 
     def __post_init__(self):
-        if len(self.mats) != max(len(self.ranks) - 1, 0):
+        if len(self.cols) != max(len(self.ranks) - 1, 0):
             raise ValueError("matrix count does not match rank count")
-        for k, mat in enumerate(self.mats):
-            if len(mat) != self.ranks[k]:
-                raise ValueError(f"matrix {k} has {len(mat)} rows, expected {self.ranks[k]}")
-            for row in mat:
-                if len(row) != self.ranks[k + 1]:
-                    raise ValueError(f"matrix {k} has a row of length {len(row)}")
+        for k, layer in enumerate(self.cols):
+            if len(layer) != self.ranks[k + 1]:
+                raise ValueError(f"matrix {k} has {len(layer)} columns, not {self.ranks[k + 1]}")
+            if any(col and (min(col) < 0 or max(col) >= self.ranks[k]) for col in layer):
+                raise ValueError(f"matrix {k} has a row outside 0..{self.ranks[k] - 1}")
+
+    @property
+    def mats(self) -> list:
+        """A read-only view of ``cols`` as dense row-major matrices, built on
+        each access.  It exists only for the benchmark tracer's homology entry
+        counter."""
+        mats = [[[0] * len(layer) for _ in range(r)] for r, layer in zip(self.ranks, self.cols)]
+        for mat, layer in zip(mats, self.cols):
+            for j, col in enumerate(layer):
+                for i, x in col.items():
+                    mat[i][j] = x
+        return mats
 
 
-def frame_complex(cplx: FreeComplex, augmented: bool = False) -> IntegerChainComplex:
-    """Replace every coefficient monomial by 1, keeping the signs.
-
-    With ``augmented`` a rank-1 degree (-1) is appended below, receiving the
-    all-ones row from degree 0 (the empty cell).
-    """
-    ranks = list(cplx.ranks)
-    mats = []
+def frame_complex(cplx: FreeComplex) -> IntegerChainComplex:
+    """The augmented frame complex: every coefficient monomial replaced by 1,
+    keeping the signs, above a rank-1 degree (-1), the empty cell, that
+    receives 1 from every basis element of degree 0."""
+    ranks = cplx.ranks
+    cols = [[{0: 1} for _ in range(ranks[0])]] + [[{} for _ in range(r)] for r in ranks[1:]]
     for q in range(1, cplx.top + 1):
-        mat = [[0] * ranks[q] for _ in range(ranks[q - 1])]
         for (i, j), (sign, _) in cplx.boundary(q).items():
-            mat[i][j] = sign
-        mats.append(mat)
-    if augmented:
-        return IntegerChainComplex(-1, [1] + ranks, [[[1] * ranks[0]]] + mats)
-    return IntegerChainComplex(0, ranks, mats)
+            cols[q][j][i] = sign
+    return IntegerChainComplex(-1, [1, *ranks], cols)
+
+
+def _nonzero_composite(cols):
+    """The first k at which the sparse boundaries ``cols[k]`` and
+    ``cols[k + 1]`` do not compose to zero over Z, or None if none."""
+    for k in range(len(cols) - 1):
+        lower = cols[k]
+        for col in cols[k + 1]:
+            image = defaultdict(int)
+            for t, x in col.items():
+                for i, y in lower[t].items():
+                    image[i] += x * y
+            if any(image.values()):
+                return k
+    return None
 
 
 # -- exact integer linear algebra ---------------------------------------------
 
 
 def sparse_columns(mat, ncols=None) -> list:
-    """The columns of a dense row-major matrix as ``{row: entry}`` dicts."""
+    """The columns of a dense row-major matrix as ``{row: entry}`` dicts: the
+    dense-input adapter of ``rank_int`` and ``rank_mod_p``."""
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
     cols = [{} for _ in range(ncols)]
@@ -100,7 +122,7 @@ def sparse_columns(mat, ncols=None) -> list:
 
 def invariant_factors(cols) -> list:
     """The nonzero Smith invariants of a matrix given by sparse columns (left
-    unmodified).
+    unmodified), whose row keys need only be sortable.
 
     While a +-1 entry remains, clear its row with column operations, drop its
     row and column, and count one invariant 1.  Both steps are unimodular over
@@ -211,27 +233,18 @@ def homology_ranks(cplx: IntegerChainComplex) -> list:
     Entry k describes degree ``bottom + k``.  Raises when the input is not a
     complex.
     """
-    cols = [sparse_columns(mat, cplx.ranks[k + 1]) for k, mat in enumerate(cplx.mats)]
-    for k in range(len(cols) - 1):
-        for col in cols[k + 1]:
-            image = {}
-            for t, x in col.items():
-                for i, y in cols[k][t].items():
-                    image[i] = image.get(i, 0) + x * y
-            if any(image.values()):
-                raise ValueError(
-                    f"boundaries out of degrees {cplx.bottom + k + 2} and "
-                    f"{cplx.bottom + k + 1} do not compose to zero"
-                )
-    diag = [invariant_factors(c) for c in cols]
-    out = []
-    for k, rk in enumerate(cplx.ranks):
-        incoming = diag[k] if k < len(cplx.mats) else []
-        outgoing = diag[k - 1] if k >= 1 else []
-        betti = rk - len(incoming) - len(outgoing)
-        torsion = tuple(d for d in incoming if d > 1)
-        out.append((betti, torsion))
-    return out
+    k = _nonzero_composite(cplx.cols)
+    if k is not None:
+        raise ValueError(
+            f"boundaries out of degrees {cplx.bottom + k + 2} and "
+            f"{cplx.bottom + k + 1} do not compose to zero"
+        )
+    # diag[k + 1]: the invariants of the map into degree k, diag[k]: out of it
+    diag = [[], *(invariant_factors(layer) for layer in cplx.cols), []]
+    return [
+        (rk - len(diag[k + 1]) - len(diag[k]), tuple(d for d in diag[k + 1] if d > 1))
+        for k, rk in enumerate(cplx.ranks)
+    ]
 
 
 def simplicial_chain_complex(data: SimplicialComplexData) -> IntegerChainComplex:
@@ -239,16 +252,14 @@ def simplicial_chain_complex(data: SimplicialComplexData) -> IntegerChainComplex
     reduced homology (degree -1 holds the empty face)."""
     by_dim = data.faces()
     ranks = [len(layer) for layer in by_dim]
-    index = [{face: k for k, face in enumerate(layer)} for layer in by_dim]
-    mats = []
+    cols = [[{0: 1} for _ in range(ranks[0])]]
     for d in range(1, len(by_dim)):
-        mat = [[0] * ranks[d] for _ in range(ranks[d - 1])]
-        for col, face in enumerate(by_dim[d]):
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1 :]
-                mat[index[d - 1][sub]][col] = -1 if pos % 2 else 1
-        mats.append(mat)
-    return IntegerChainComplex(-1, [1] + ranks, [[[1] * ranks[0]]] + mats)
+        below = {face: k for k, face in enumerate(by_dim[d - 1])}
+        cols.append([
+            {below[face[:pos] + face[pos + 1 :]]: -1 if pos % 2 else 1 for pos in range(d + 1)}
+            for face in by_dim[d]
+        ])
+    return IntegerChainComplex(-1, [1, *ranks], cols)
 
 
 def reduced_homology_trivial(data: SimplicialComplexData) -> bool:
@@ -402,16 +413,15 @@ class _StrandFrame:
     degree -1, the ideal component; ``levels[q + 1]`` masks degree q.  A
     strand is a mask too: the AND over the variables v of ``below[v][e]``,
     the bits whose exponent in v is at most b's exponent e (bit 0 always).
-    ``entries[q, j]`` holds the (row, sign) entries of column j of degree q,
-    the augmentation (0, 1) for q = 0, and ``cols[p]`` each column as one
-    row bitmask for p = 2 and as its (entries 1, entries -1) masks for p = 3.
+    ``frame`` is ``frame_complex(cplx)``, and ``cols[p]`` holds each of its
+    columns as one row bitmask for p = 2 and as its (entries 1, entries -1)
+    masks for p = 3.
     """
 
     def __init__(self, cplx: FreeComplex, packing: _Packing):
-        self.sizes = [1] + [len(layer) for layer in cplx.mdegs]
-        self.offsets = [0]
-        for size in self.sizes[:-1]:
-            self.offsets.append(self.offsets[-1] + size)
+        self.frame = frame_complex(cplx)
+        self.sizes = self.frame.ranks
+        self.offsets = [0, *accumulate(self.sizes[:-1])]
         self.levels = [((1 << n) - 1) << off for off, n in zip(self.offsets, self.sizes)]
         nbits = sum(self.sizes)
         self.full = (1 << nbits) - 1
@@ -427,36 +437,22 @@ class _StrandFrame:
             for e in range(1, top):
                 masks[e] |= masks[e - 1]
             self.below.append(masks)
-        self.entries = {(0, j): [(0, 1)] for j in range(self.sizes[1])}
-        for q in range(1, cplx.top + 1):
-            for (i, j), (sign, _) in cplx.boundary(q).items():
-                self.entries.setdefault((q, j), []).append((i, sign))
         self.cols = {2: [0] * nbits, 3: [(0, 0)] * nbits}
-        for (q, j), col in self.entries.items():
-            rows = [(self.offsets[q] + i, x) for i, x in col]
-            bit = self.offsets[q + 1] + j
-            self.cols[2][bit] = sum(1 << r for r, x in rows if x % 2)
-            self.cols[3][bit] = (sum(1 << r for r, x in rows if x % 3 == 1),
-                                 sum(1 << r for r, x in rows if x % 3 == 2))
-        self.z_complex = self._strands_are_z_complexes(degrees, packing.guard)
-
-    def _strands_are_z_complexes(self, degrees, guard) -> bool:
-        """Whether every entry's row degree divides its column degree, so that
-        each strand is a subcomplex, and the augmented frame squares to zero
-        over Z."""
-        for (q, j), col in self.entries.items():
-            if q == 0:
-                continue
-            cg = degrees[q][j] | guard
-            if any((cg - degrees[q - 1][i]) & guard != guard for i, _ in col):
-                return False
-            image = defaultdict(int)
-            for i, x in col:
-                for r, y in self.entries.get((q - 1, i), ()):
-                    image[r] += x * y
-            if any(image.values()):
-                return False
-        return True
+        for q, layer in enumerate(self.frame.cols):
+            for bit, col in enumerate(layer, start=self.offsets[q + 1]):
+                rows = [(self.offsets[q] + i, x) for i, x in col.items()]
+                self.cols[2][bit] = sum(1 << r for r, x in rows if x % 2)
+                self.cols[3][bit] = (sum(1 << r for r, x in rows if x % 3 == 1),
+                                     sum(1 << r for r, x in rows if x % 3 == 2))
+        # whether each strand is a subcomplex (every entry's row degree divides
+        # its column degree) and the frame squares to zero over Z
+        guard = packing.guard
+        self.z_complex = all(
+            (cg - degrees[q - 1][i]) & guard == guard
+            for q in range(1, len(self.frame.cols))
+            for cg, col in zip((d | guard for d in degrees[q]), self.frame.cols[q])
+            for i in col
+        ) and _nonzero_composite(self.frame.cols) is None
 
     def certifying_fields(self, primes) -> tuple:
         """The fields F_p whose ranks certify a strand over Q and over every
@@ -485,18 +481,13 @@ class _StrandFrame:
 
     def strand_invariants(self, sub: int) -> list:
         """The Smith invariants of the strand's maps, the augmentation first."""
-        picked = [
-            [k for k in range(n) if sub >> (off + k) & 1]
-            for off, n in zip(self.offsets, self.sizes)
-        ]
-        mats = []
-        for q in range(len(picked) - 1):
-            rows = {k: r for r, k in enumerate(picked[q])}
-            mats.append([
-                {rows[i]: x for i, x in self.entries.get((q, j), ()) if i in rows}
-                for j in picked[q + 1]
+        return [
+            invariant_factors([
+                {i: x for i, x in col.items() if sub >> (self.offsets[q] + i) & 1}
+                for bit, col in enumerate(layer, start=self.offsets[q + 1]) if sub >> bit & 1
             ])
-        return [invariant_factors(m) for m in mats]
+            for q, layer in enumerate(self.frame.cols)
+        ]
 
 
 def _top_down_ranks(sub: int, levels, cols, insert) -> list:

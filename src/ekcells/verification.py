@@ -92,7 +92,7 @@ def check_frame_invariance(cplx: FreeComplex, *specialized: FreeComplex):
     base = frame_complex(cplx)
     for other in specialized:
         fr = frame_complex(other)
-        if fr.ranks != base.ranks or fr.mats != base.mats:
+        if fr.ranks != base.ranks or fr.cols != base.cols:
             raise VerificationError(f"frame of {other.kind} differs from frame of {cplx.kind}")
 
 

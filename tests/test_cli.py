@@ -331,6 +331,26 @@ class TestInternalError:
             "which is not an admissible pair\n"
         )
 
+    @pytest.mark.parametrize("drop, term", [(0, "x1^2"), (1, "x1*x2")])
+    def test_differential_to_a_missing_pair_exits_3(self, monkeypatch, capsys, drop, term):
+        # the shifted row of e({1};x1*x2) is (x1^2), its plain row (x1*x2)
+        from ekcells import ek
+
+        real = ek.admissible_layers
+
+        def without_one_pair(ideal, kind):
+            first, *rest = real(ideal, kind)
+            return [first[:drop] + first[drop + 1:], *rest]
+
+        monkeypatch.setattr(ek, "admissible_layers", without_one_pair)
+        assert main(["resolve", "--named", "deg2", "--kind", "ek"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "Traceback" not in err
+        assert err == (
+            f"internal error: differential of e({{1}};x1*x2) has a term at ((), {term}), "
+            "which is not an admissible pair\n"
+        )
+
 
 class TestPaperSuite:
     def test_reduced_counts(self, capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,6 +27,7 @@ from ekcells.ideals import borel_closure
 from ekcells.monomials import BiMonomial, Monomial
 from ekcells.polarization import sigma_ideal, specialize_theta, specialize_theta_prime
 from ekcells.shelling import ball_check
+from ekcells.suite import NAMED_IDEALS
 from ekcells.topology import (
     StrandReport,
     _exactness_defect,
@@ -78,6 +79,49 @@ def random_matrices(seed, count):
             for row in mat:
                 row[zero_col] = 0
         yield mat, n
+
+
+def dense_simplicial_complex(data):
+    """The augmented simplicial chain complex as dense rows, with the faces
+    enumerated from the facets, as an oracle for the column builder: the
+    ranks and the boundary matrices, degree -1 first."""
+    top = max(len(f) for f in data.facets)
+    by_dim = [
+        sorted({face for f in data.facets for face in combinations(sorted(f), d + 1)})
+        for d in range(top)
+    ]
+    ranks = [len(layer) for layer in by_dim]
+    index = [{face: k for k, face in enumerate(layer)} for layer in by_dim]
+    mats = [[[1] * ranks[0]]]
+    for d in range(1, top):
+        mat = [[0] * ranks[d] for _ in range(ranks[d - 1])]
+        for col, face in enumerate(by_dim[d]):
+            for pos in range(len(face)):
+                mat[index[d - 1][face[:pos] + face[pos + 1 :]]][col] = -1 if pos % 2 else 1
+        mats.append(mat)
+    return [1] + ranks, mats
+
+
+def dense_frame_complex(cplx):
+    """The augmented frame complex as dense rows, as an oracle for the column
+    builder: the ranks and the boundary matrices, degree -1 first."""
+    ranks = list(cplx.ranks)
+    mats = [[[1] * ranks[0]]]
+    for q in range(1, cplx.top + 1):
+        mat = [[0] * ranks[q] for _ in range(ranks[q - 1])]
+        for (i, j), (sign, _) in cplx.boundary(q).items():
+            mat[i][j] = sign
+        mats.append(mat)
+    return [1] + ranks, mats
+
+
+def dense_homology(ranks, mats):
+    """(free rank, torsion) per degree from the dense Smith diagonals."""
+    diag = [smith_diagonal(mat) for mat in mats] + [[]]
+    return [
+        (rk - len(diag[k]) - (len(diag[k - 1]) if k else 0), tuple(d for d in diag[k] if d > 1))
+        for k, rk in enumerate(ranks)
+    ]
 
 
 def reference_lcm_lattice(gens):
@@ -209,6 +253,19 @@ def power_ideal(n, d):
     ))
 
 
+CIRCLE = SimplicialComplexData(
+    (0, 1, 2), (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
+)
+
+# the 6-vertex triangulation of RP^2
+RP2 = SimplicialComplexData(
+    tuple(range(6)),
+    tuple(frozenset(f) for f in (
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+    )),
+)
+
 class TestExactLinearAlgebra:
     def test_rank(self):
         assert rank_int([[1, 2], [2, 4]]) == 1
@@ -267,34 +324,37 @@ class TestHomology:
 
     def test_torsion_detection(self):
         # Z --2--> Z has homology Z/2 in the bottom degree
-        cc = IntegerChainComplex(0, [1, 1], [[[2]]])
+        cc = IntegerChainComplex(0, [1, 1], [[{0: 2}]])
         assert homology_ranks(cc) == [(0, (2,)), (0, ())]
 
     def test_composite_check(self):
-        cc = IntegerChainComplex(0, [1, 1, 1], [[[1]], [[1]]])
+        cc = IntegerChainComplex(0, [1, 1, 1], [[{0: 1}], [{0: 1}]])
         with pytest.raises(ValueError, match="compose"):
             homology_ranks(cc)
 
+    @pytest.mark.parametrize("ranks, cols, message", [
+        ([1, 1], [], "matrix count"),
+        ([1, 1, 1], [[{0: 1}]], "matrix count"),
+        ([1, 2], [[{0: 1}]], "has 1 columns, not 2"),
+        ([2, 1], [[{0: 1}], [{0: 1}]], "matrix count"),
+        ([1, 1], [[{0: 1}, {}]], "has 2 columns, not 1"),
+        ([1, 2], [[{0: 1}, {1: 1}]], "row outside 0..0"),
+        ([2, 1], [[{-1: 1}]], "row outside 0..1"),
+    ], ids=["no-matrix", "one-short", "one-column-short", "one-extra",
+            "one-column-over", "row-too-high", "row-negative"])
+    def test_malformed_complex_is_rejected(self, ranks, cols, message):
+        with pytest.raises(ValueError, match=message):
+            IntegerChainComplex(0, ranks, cols)
+
     def test_circle(self):
-        circle = SimplicialComplexData(
-            (0, 1, 2), (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
-        )
-        hom = homology_ranks(simplicial_chain_complex(circle))
+        hom = homology_ranks(simplicial_chain_complex(CIRCLE))
         assert hom == [(0, ()), (0, ()), (1, ())]
-        assert not reduced_homology_trivial(circle)
+        assert not reduced_homology_trivial(CIRCLE)
 
     def test_projective_plane_has_two_torsion(self):
-        # the 6-vertex triangulation of RP^2
-        rp2 = SimplicialComplexData(
-            tuple(range(6)),
-            tuple(frozenset(f) for f in (
-                (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-                (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
-            )),
-        )
-        hom = homology_ranks(simplicial_chain_complex(rp2))
+        hom = homology_ranks(simplicial_chain_complex(RP2))
         assert hom == [(0, ()), (0, ()), (0, (2,)), (0, ())]
-        assert not reduced_homology_trivial(rp2)
+        assert not reduced_homology_trivial(RP2)
 
     def test_ball_check_on_cube_of_maximal_ideal(self):
         # (x1..x4)^3, 336 facets per kind: too large for the dense elimination in tier-1
@@ -308,17 +368,14 @@ class TestHomology:
         assert reduced_homology_trivial(triangle)
 
     def test_augmented_frame_of_degree2(self, deg2):
-        cc = frame_complex(ek_complex(deg2), augmented=True)
-        assert all(b == 0 and not t for b, t in homology_ranks(cc))
-
-    def test_frame_unaugmented_has_one_component(self, deg2):
         cc = frame_complex(ek_complex(deg2))
-        assert homology_ranks(cc)[0] == (1, ())
+        assert cc.bottom == -1 and cc.ranks[0] == 1
+        assert all(b == 0 and not t for b, t in homology_ranks(cc))
 
     def test_wedge_of_triangles_is_contractible(self, tri_tri):
         # the two-triangle complex fails the ball check, yet its reduced
         # homology vanishes; only the shelling search detects it
-        cc = frame_complex(modified_complex(tri_tri), augmented=True)
+        cc = frame_complex(modified_complex(tri_tri))
         assert all(b == 0 and not t for b, t in homology_ranks(cc))
 
     def test_cellular_and_barycentric_homology_agree(self):
@@ -329,13 +386,45 @@ class TestHomology:
         for _ in range(6):
             J = random_borel_ideal(rng, max_gens=10)
             for kind, builder in (("ek", ek_complex), ("modified", modified_complex)):
-                cellular = homology_ranks(frame_complex(builder(J), augmented=True))
+                cellular = homology_ranks(frame_complex(builder(J)))
                 g = build_gamma(kind, J)
                 barycentric = homology_ranks(
                     simplicial_chain_complex(g.order_complex(drop_bottom=True))
                 )
                 assert all(x == (0, ()) for x in cellular)
                 assert all(x == (0, ()) for x in barycentric)
+
+
+class TestColumnBuilders:
+    """The sparse-column chain complexes against dense rows built on their
+    own, and their homology against the dense Smith diagonal."""
+
+    def check(self, cc, ranks, mats):
+        assert cc.ranks == ranks and cc.mats == mats
+        assert homology_ranks(cc) == dense_homology(ranks, mats)
+
+    @pytest.mark.parametrize("data", [CIRCLE, RP2], ids=["circle", "rp2"])
+    def test_simplicial_complexes(self, data):
+        self.check(simplicial_chain_complex(data), *dense_simplicial_complex(data))
+
+    @pytest.mark.parametrize("name", list(NAMED_IDEALS))
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_named_ideals(self, name, kind):
+        self.check_ideal(NAMED_IDEALS[name](), kind)
+
+    def test_random_borel_ideals(self):
+        rng = random.Random(6061)
+        for _ in range(6):
+            J = random_borel_ideal(rng, max_gens=8)
+            for kind in ("ek", "modified"):
+                self.check_ideal(J, kind)
+
+    def check_ideal(self, J, kind):
+        """The order complex of the cell poset and the frame complex."""
+        data = build_gamma(kind, J).order_complex(drop_bottom=True)
+        self.check(simplicial_chain_complex(data), *dense_simplicial_complex(data))
+        cplx = (ek_complex if kind == "ek" else modified_complex)(J)
+        self.check(frame_complex(cplx), *dense_frame_complex(cplx))
 
 
 class TestStrands:
