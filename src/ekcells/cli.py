@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the least value each bound flag accepts
-_FLAG_MINIMUMS = {"max_n": 2, "max_deg": 1, "max_gens": 1}
+_FLAG_MINIMUMS = {"max_n": 2, "max_deg": 1, "max_gens": 1, "random_count": 0, "cm_count": 0}
 
 
 def _check_bounds(args):

@@ -88,46 +88,26 @@ class MonomialIdeal:
 
     def is_stable(self) -> bool:
         if self._stable is None:
-            ok = True
-            for m in self.gens:
-                k = m.max_var()
-                base = m.div_var(k)
-                if any(base.times_var(i) not in self for i in range(1, k)):
-                    ok = False
-                    break
-            self._stable = ok
+            self._stable = all(
+                m2 in self for m in self.gens for _, m2 in _exchanges(m, (m.max_var(),))
+            )
         return self._stable
 
     def is_borel_fixed(self) -> bool:
         if self._borel is None:
-            ok = True
-            for m in self.gens:
-                for j in m.support():
-                    base = m.div_var(j)
-                    if any(base.times_var(i) not in self for i in range(1, j)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._borel = ok
+            self._borel = all(
+                m2 in self for m in self.gens for _, m2 in _exchanges(m, m.support())
+            )
         return self._borel
 
     def is_sqfree_strongly_stable(self) -> bool:
         if self._sqfree_ss is None:
-            ok = all(m.is_squarefree() for m in self.gens)
-            if ok:
-                for m in self.gens:
-                    for j in m.support():
-                        base = m.div_var(j)
-                        for i in range(1, j):
-                            if m.deg(i) == 0 and base.times_var(i) not in self:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-            self._sqfree_ss = ok
+            self._sqfree_ss = all(m.is_squarefree() for m in self.gens) and all(
+                m2 in self
+                for m in self.gens
+                for i, m2 in _exchanges(m, m.support())
+                if m.deg(i) == 0
+            )
         return self._sqfree_ss
 
     # -- the decomposition function g ----------------------------------------
@@ -200,6 +180,15 @@ class MonomialIdeal:
         return (True, h, powers[0])
 
 
+def _exchanges(m: Monomial, slots):
+    """The exchange moves (i, x_i * m / x_j) of m, for each j in slots and
+    each i < j."""
+    for j in slots:
+        base = m.div_var(j)
+        for i in range(1, j):
+            yield i, base.times_var(i)
+
+
 def minimalize(gens) -> MonomialIdeal:
     """The ideal generated by ``gens``, with redundant generators dropped."""
     gens = list(gens)
@@ -232,13 +221,10 @@ def borel_closure(seeds) -> MonomialIdeal:
     while frontier:
         nxt = []
         for m in frontier:
-            for j in m.support():
-                base = m.div_var(j)
-                for i in range(1, j):
-                    m2 = base.times_var(i)
-                    if m2 not in seen:
-                        seen.add(m2)
-                        nxt.append(m2)
+            for _, m2 in _exchanges(m, m.support()):
+                if m2 not in seen:
+                    seen.add(m2)
+                    nxt.append(m2)
         frontier = nxt
     return MonomialIdeal(n, seen)
 

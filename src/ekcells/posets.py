@@ -46,7 +46,8 @@ class FinitePoset:
     iteration orders downstream.
     """
 
-    __slots__ = ("elements", "covers", "_idx", "_up", "_down", "_above", "_below", "_ranks")
+    __slots__ = ("elements", "covers", "_idx", "_up", "_down", "_above", "_below",
+                 "_order", "_rank", "_graded")
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
@@ -62,16 +63,15 @@ class FinitePoset:
             if a == b:
                 raise ValueError(f"reflexive cover at {lo!r}")
             pairs.add((a, b))
+        pairs = sorted(pairs)
         self._up = [[] for _ in range(n)]
         self._down = [[] for _ in range(n)]
-        for a, b in sorted(pairs):
+        for a, b in pairs:
             self._up[a].append(b)
             self._down[b].append(a)
-        self.covers = tuple(
-            (self.elements[a], self.elements[b]) for a, b in sorted(pairs)
-        )
-        order = self._toposort()
-        # _above[i]: bitmask of all j >= i (reflexive); computed bottom-up.
+        self.covers = tuple((self.elements[a], self.elements[b]) for a, b in pairs)
+        self._order = order = self._toposort()
+        # _above[i]: bitmask of all j >= i (reflexive); computed top-down.
         above = [0] * n
         for i in reversed(order):
             mask = 1 << i
@@ -79,15 +79,18 @@ class FinitePoset:
                 mask |= above[j]
             above[i] = mask
         self._above = above
-        below = [0] * n
+        # _below[i] likewise, and _rank[i] the length of the longest chain
+        # from a minimal element up to i; computed bottom-up.
+        below, rank = [0] * n, [0] * n
         for i in order:
             mask = 1 << i
             for j in self._down[i]:
                 mask |= below[j]
             below[i] = mask
-        self._below = below
+            rank[i] = max([rank[j] + 1 for j in self._down[i]], default=0)
+        self._below, self._rank = below, rank
+        self._graded = all(rank[b] == rank[a] + 1 for a, b in pairs)
         self._check_reduced()
-        self._ranks = None
 
     def _toposort(self):
         n = len(self.elements)
@@ -194,115 +197,57 @@ class FinitePoset:
 
     def maximal_chains(self) -> list:
         """All unrefinable chains from a minimal to a maximal element."""
-        out = []
-        for start in self.minimal_elements():
-            self._extend_chain([self._idx[start]], out)
-        return [tuple(self.elements[i] for i in chain) for chain in out]
-
-    def _extend_chain(self, prefix, out):
-        ups = self._up[prefix[-1]]
-        if not ups:
-            out.append(list(prefix))
-            return
-        for j in ups:
-            prefix.append(j)
-            self._extend_chain(prefix, out)
-            prefix.pop()
+        everything = (1 << len(self.elements)) - 1
+        return [chain for k, downs in enumerate(self._down) if not downs
+                for chain in self._chains((self.elements[k],), k, everything, [])]
 
     def chains_between(self, a, b) -> list:
         """All unrefinable chains from a up to b (maximal chains of [a, b])."""
         if not self.leq(a, b):
             raise ValueError(f"{a!r} and {b!r} do not satisfy a <= b")
-        ia, ib = self._idx[a], self._idx[b]
-        below_b = self._below[ib]
-        out = []
+        ia = self._idx[a]
+        return self._chains((self.elements[ia],), ia, self._below[self._idx[b]], [])
 
-        def walk(prefix):
-            last = prefix[-1]
-            if last == ib:
-                out.append(tuple(self.elements[i] for i in prefix))
-                return
-            for j in self._up[last]:
-                if below_b >> j & 1:
-                    prefix.append(j)
-                    walk(prefix)
-                    prefix.pop()
-
-        walk([ia])
+    def _chains(self, chain, last, within, out) -> list:
+        # climbs from index last by the up covers inside the bitmask within,
+        # in cover order; each chain that no such cover extends goes to out
+        ups = [j for j in self._up[last] if within >> j & 1]
+        if not ups:
+            out.append(chain)
+        for j in ups:
+            self._chains(chain + (self.elements[j],), j, within, out)
         return out
 
     # -- structure predicates ---------------------------------------------------
 
     def ranks(self):
         """Longest-path rank per element if the poset is graded, else None."""
-        if self._ranks is None:
-            order = self._toposort()
-            rank = [0] * len(self.elements)
-            for i in order:
-                for j in self._down[i]:
-                    rank[i] = max(rank[i], rank[j] + 1)
-            graded = all(rank[b] == rank[a] + 1 for a in range(len(self.elements)) for b in self._up[a])
-            self._ranks = (dict(zip(self.elements, rank)), graded)
-        rankmap, graded = self._ranks
-        return rankmap if graded else None
+        return dict(zip(self.elements, self._rank)) if self._graded else None
 
     def is_bounded(self) -> bool:
         return len(self.minimal_elements()) == 1 and len(self.maximal_elements()) == 1
 
     def is_pure(self) -> bool:
-        """Whether every maximal chain has the same length."""
-        order = self._toposort()
-        lo = [0] * len(self.elements)
-        hi = [0] * len(self.elements)
-        for i in order:
-            downs = self._down[i]
-            if downs:
-                lo[i] = min(lo[j] for j in downs) + 1
-                hi[i] = max(hi[j] for j in downs) + 1
-        tops = [k for k in range(len(self.elements)) if not self._up[k]]
-        lengths = {lo[k] for k in tops} | {hi[k] for k in tops}
-        return len(lengths) <= 1
+        """Whether every maximal chain has the same length: the poset is
+        graded (a cover that skips a rank puts two maximal chains of unequal
+        length through it) and its maximal elements share one rank."""
+        tops = {r for r, ups in zip(self._rank, self._up) if not ups}
+        return self._graded and len(tops) <= 1
 
     def is_thin(self) -> bool:
-        """Whether every interval of length 2 has cardinality 4."""
-        rankmap = self.ranks()
-        if rankmap is not None:
-            for a in range(len(self.elements)):
-                seen = set()
-                for z in self._up[a]:
-                    for b in self._up[z]:
-                        if b in seen:
-                            continue
-                        seen.add(b)
-                        middles = sum(
-                            1 for w in self._down[b] if self._above[a] >> w & 1
-                        )
-                        if middles != 2:
-                            return False
-            return True
-        # ungraded fallback: inspect every comparable pair
-        n = len(self.elements)
-        for a in range(n):
-            for b in range(n):
-                if a == b or not (self._above[a] >> b & 1):
-                    continue
-                members = self._above[a] & self._below[b]
-                if self._interval_length(members, a, b) == 2:
-                    if bin(members).count("1") != 4:
-                        return False
-        return True
+        """Whether every interval of length 2 has cardinality 4.
 
-    def _interval_length(self, members, a, b):
-        # longest chain from a to b inside the member mask
-        order = self._toposort()
-        best = {a: 0}
-        for i in order:
-            if i not in best:
-                continue
-            for j in self._up[i]:
-                if members >> j & 1 and best.get(j, -1) < best[i] + 1:
-                    best[j] = best[i] + 1
-        return best.get(b, -1)
+        [a, b] has length 2 exactly when b is two covers above a and every
+        element strictly between them covers a; it has 4 elements when there
+        are two of those.
+        """
+        for a, ups in enumerate(self._up):
+            covers_a = sum(1 << z for z in ups)
+            for b in {b for z in ups for b in self._up[z]}:
+                middles = self._above[a] & self._below[b] & ~(1 << a | 1 << b)
+                if middles & ~covers_a == 0 and middles.bit_count() != 2:
+                    return False
+        return True
 
     def order_complex(self, drop_bottom: bool = False) -> "SimplicialComplexData":
         """The simplicial complex of chains; facets are the maximal chains."""
@@ -410,8 +355,7 @@ def poset_isomorphic(p1: FinitePoset, p2: FinitePoset) -> bool:
     down = p1._down + [[n + j for j in js] for js in p2._down]
     colour = []
     for p in (p1, p2):
-        ranks = p.ranks()
-        colour += [-1 if ranks is None else ranks[e] for e in p.elements]
+        colour += p._rank if p._graded else [-1] * n
     classes = 0
     while len(set(colour)) > classes:
         classes = len(set(colour))
@@ -432,7 +376,7 @@ def poset_isomorphic(p1: FinitePoset, p2: FinitePoset) -> bool:
         return (w for w in pool if colour[w] == colour[v] and w not in used
                 and set(down[w]) == want)
 
-    order, image, used = p1._toposort(), {}, set()
+    order, image, used = p1._order, {}, set()
     stack = [candidates(order[0])] if n else []
     while stack and len(image) < n:
         v = order[len(stack) - 1]

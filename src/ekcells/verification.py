@@ -280,19 +280,19 @@ def check_shift_instances(ideal: MonomialIdeal):
 
 def _check_bset_relations(ideal, pair, bset):
     F, m = pair.F, pair.m
-    if len(F) < 2:
+    # every relation below concerns an index of the B set
+    if len(F) < 2 or not bset:
         return
-
-    def in_b(i, rest, m2):
-        return i in b_set(ideal, rest, m2, "modified")
-
     shift = {i: g_shift(ideal, m, i) for i in F}
+    rest = {s: tuple(k for k in F if k != s) for s in F}
+    # the B sets after dropping s, of m and (for s in the B set) of m_s
+    b_of_m = {s: set(b_set(ideal, rest[s], m, "modified")) for s in F}
+    b_of_ms = {s: set(b_set(ideal, rest[s], shift[s], "modified")) for s in bset}
     for r in F:
         for s in F:
             if r == s:
                 continue
-            rest_s = tuple(k for k in F if k != s)
-            if r in bset and not in_b(r, rest_s, m):
+            if r in bset and r not in b_of_m[s]:
                 raise VerificationError(f"{r} leaves the B set of {pair!r} after dropping {s}")
             if r in bset and s in bset:
                 sr = g_shift(ideal, shift[s], r) if r < shift[s].max_var() else None
@@ -302,12 +302,11 @@ def _check_bset_relations(ideal, pair, bset):
                         f"iterated shifts differ on {pair!r}: ({s},{r}) -> {sr}, "
                         f"({r},{s}) -> {rs}"
                     )
-                rest_r = tuple(k for k in F if k != r)
-                if in_b(r, rest_s, shift[s]) != in_b(s, rest_r, shift[r]):
+                if (r in b_of_ms[s]) != (s in b_of_ms[r]):
                     raise VerificationError(f"B-membership not symmetric for {r},{s} on {pair!r}")
             if r not in bset and s in bset:
-                in_shifted = in_b(r, rest_s, shift[s])
-                if in_shifted != in_b(r, rest_s, m):
+                in_shifted = r in b_of_ms[s]
+                if in_shifted != (r in b_of_m[s]):
                     raise VerificationError(
                         f"mixed B-membership differs for {r} (after {s}) on {pair!r}"
                     )

@@ -253,6 +253,14 @@ class TestBoundChecks:
         assert main(["verify", "--random-borel", "--max-n", "2", "--max-deg", "1",
                      "--max-gens", "1", "--check", "ball"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--random-count", "--cm-count"])
+    def test_negative_suite_count_exits_2(self, flag, capsys):
+        # a negative count once passed as "-3 random Borel ideals" with exit 0
+        assert main(["paper-suite", flag, "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be at least 0, got -3\n"
+
 
 class TestIdealFileHeader:
     @pytest.mark.parametrize("header", ["n 2", "2"])

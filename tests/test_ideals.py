@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -57,6 +58,70 @@ class TestStabilityPredicates:
         J = ideal(3, "x1^2", "x1*x2", "x2^2", "x2*x3")
         assert J.is_stable()
         assert not J.is_borel_fixed()
+
+
+def exchange(u, i, j):
+    """x_i * u / x_j."""
+    exps = list(u.exps)
+    exps[j - 1] -= 1
+    exps[i - 1] += 1
+    return Monomial(exps)
+
+
+def predicates_by_definition(J):
+    """Stable, Borel fixed and squarefree strongly stable, each checked on
+    every monomial of J up to its largest generator degree."""
+    top = J.max_deg()
+    monomials = (Monomial(e) for e in product(range(top + 1), repeat=J.n) if 0 < sum(e) <= top)
+    members = [u for u in monomials if u in J]
+    stable = all(
+        exchange(u, i, u.max_var()) in J for u in members for i in range(1, u.max_var())
+    )
+    borel = all(
+        exchange(u, i, j) in J for u in members for j in u.support() for i in range(1, j)
+    )
+    sqfree = all(m.is_squarefree() for m in J.gens) and all(
+        exchange(u, i, j) in J
+        for u in members if u.is_squarefree()
+        for j in u.support() for i in range(1, j) if u.deg(i) == 0
+    )
+    return stable, borel, sqfree
+
+
+def random_generators(rng):
+    """Up to 4 random generators in 2-4 variables of degree at most 3, all
+    squarefree in a third of the draws."""
+    n = rng.randint(2, 4)
+    squarefree = rng.random() < 1 / 3
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        deg = rng.randint(1, 3)
+        if squarefree:
+            factors = rng.sample(range(1, n + 1), min(deg, n))
+        else:
+            factors = [rng.randint(1, n) for _ in range(deg)]
+        gens.append(Monomial.from_factors(n, factors))
+    return n, gens
+
+
+class TestStabilityOracle:
+    def test_predicates_match_their_definitions(self):
+        # a fifth of the ideals are Borel closures, so every verdict occurs;
+        # stable ideals that are not Borel are too rare to draw, so one is added
+        rng = random.Random(43)
+        ideals = [ideal(3, "x1^2", "x1*x2", "x2^2", "x2*x3")]
+        for _ in range(300):
+            n, gens = random_generators(rng)
+            ideals.append(borel_closure(gens) if rng.random() < 0.2 else MonomialIdeal(n, gens))
+        verdicts = []
+        for J in ideals:
+            got = (J.is_stable(), J.is_borel_fixed(), J.is_sqfree_strongly_stable())
+            assert got == predicates_by_definition(J), J
+            verdicts.append(got)
+        for k in range(3):
+            assert {v[k] for v in verdicts} == {True, False}
+        assert sum(not stable and not borel for stable, borel, _ in verdicts) > 150
+        assert any(stable and not borel for stable, borel, _ in verdicts)
 
 
 class TestDecompositionFunction:

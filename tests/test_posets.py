@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,133 @@ class TestIsomorphismOracle:
                     assert poset_isomorphic(mutant, g) == vf2_isomorphic(mutant, g), name
                     compared += 1
         assert compared >= 200
+
+
+def walks(poset):
+    """Every cover path of the poset by brute force, per start element in
+    depth-first pre-order, up covers taken in element order."""
+    position = {e: k for k, e in enumerate(poset.elements)}
+    up = {e: [] for e in poset.elements}
+    for a, b in sorted(poset.covers, key=lambda c: position[c[1]]):
+        up[a].append(b)
+    out = {e: [] for e in poset.elements}
+
+    def extend(path):
+        out[path[0]].append(path)
+        for b in up[path[-1]]:
+            extend(path + (b,))
+
+    for e in poset.elements:
+        extend((e,))
+    return out
+
+
+def reference_order(poset):
+    """The order answers by their definitions, from the cover paths alone:
+    maximal chains, chains between each comparable pair, purity (all
+    maximal chains have one length), longest-path ranks (None when a cover
+    skips a rank) and thinness (every comparable pair whose longest chain
+    has length 2 spans 4 elements)."""
+    paths = walks(poset)
+    lows = {b for _, b in poset.covers}
+    highs = {a for a, _ in poset.covers}
+    minimal = [e for e in poset.elements if e not in lows]
+    maximal_chains = [p for m in minimal for p in paths[m] if p[-1] not in highs]
+    between = {}
+    for a in poset.elements:
+        for p in paths[a]:
+            between.setdefault((a, p[-1]), []).append(p)
+    rank = {
+        x: max(len(p) - 1 for m in minimal for p in paths[m] if p[-1] == x)
+        for x in poset.elements
+    }
+    graded = all(rank[b] == rank[a] + 1 for a, b in poset.covers)
+    thin = all(
+        sum(1 for x in poset.elements if (a, x) in between and (x, b) in between) == 4
+        for (a, b), chains in between.items()
+        if max(len(c) for c in chains) == 3
+    )
+    return {
+        "maximal_chains": maximal_chains,
+        "chains_between": between,
+        "pure": len({len(c) for c in maximal_chains}) <= 1,
+        "ranks": rank if graded else None,
+        "thin": thin,
+    }
+
+
+def assert_matches_reference(poset):
+    ref = reference_order(poset)
+    assert poset.maximal_chains() == ref["maximal_chains"]
+    for a in poset.elements:
+        for b in poset.elements:
+            if poset.leq(a, b):
+                assert poset.chains_between(a, b) == ref["chains_between"][a, b]
+            else:
+                assert (a, b) not in ref["chains_between"]
+    assert poset.is_pure() == ref["pure"]
+    assert poset.ranks() == ref["ranks"]
+    assert poset.is_thin() == ref["thin"]
+    return ref
+
+
+def random_reduced_dag(rng):
+    """A random poset on 1-9 elements in shuffled order: the transitive
+    reduction of random relations i < j."""
+    n = rng.randint(1, 9)
+    density = rng.choice((0.25, 0.4, 0.55))
+    less = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+    for k in range(n):
+        for i in range(k):
+            for j in range(k + 1, n):
+                if (i, k) in less and (k, j) in less:
+                    less.add((i, j))
+    covers = [(i, j) for i, j in less if not any((i, k) in less and (k, j) in less for k in range(n))]
+    return FinitePoset(rng.sample(range(n), n), covers)
+
+
+def boolean_lattice_with_long_cover():
+    """B_3 plus one element p with 0hat < p < 1hat."""
+    subsets = [frozenset(c) for k in range(4) for c in combinations((1, 2, 3), k)]
+    covers = [(x, y) for x in subsets for y in subsets if x < y and len(y) == len(x) + 1]
+    covers += [(frozenset(), "p"), ("p", frozenset((1, 2, 3)))]
+    return FinitePoset(subsets + ["p"], covers)
+
+
+def diamond_with_second_bottom():
+    """The diamond x < a, a' < y plus a second minimal element z < y."""
+    return FinitePoset("xaAyz", [("x", "a"), ("x", "A"), ("a", "y"), ("A", "y"), ("z", "y")])
+
+
+class TestOrderOracle:
+    def test_random_posets_match_the_definitions(self):
+        rng = random.Random(97)
+        posets = [random_reduced_dag(rng) for _ in range(300)]
+        refs = [assert_matches_reference(p) for p in posets]
+        ungraded = sum(ref["ranks"] is None for ref in refs)
+        assert 60 <= ungraded <= 150
+        assert sum(len(p.minimal_elements()) > 1 for p in posets) >= 60
+        # both verdicts of each predicate occur on graded posets; no ungraded
+        # poset is pure, and the thin ungraded ones are built below
+        graded = [ref for ref in refs if ref["ranks"] is not None]
+        assert {ref["thin"] for ref in graded} == {True, False}
+        assert {ref["pure"] for ref in graded} == {True, False}
+        assert not any(ref["pure"] for ref in refs if ref["ranks"] is None)
+
+    @pytest.mark.parametrize("name", NAMED_IDEALS)
+    def test_cell_posets_and_duals_match_the_definitions(self, name):
+        for kind in ("ek", "modified"):
+            g = build_gamma(kind, named_ideal(name))
+            for p in (g, g.dual()):
+                ref = assert_matches_reference(p)
+                assert ref["thin"] and ref["pure"] and ref["ranks"] is not None
+
+    @pytest.mark.parametrize("build", [boolean_lattice_with_long_cover, diamond_with_second_bottom])
+    def test_ungraded_but_thin(self, build):
+        # a cover skips a rank, yet every interval of length 2 is a diamond
+        p = build()
+        ref = assert_matches_reference(p)
+        assert ref["ranks"] is None and ref["thin"] and not ref["pure"]
 
 
 class TestDotExport:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,11 +15,13 @@ from ekcells import (
     find_shelling,
     is_cw_poset,
     random_borel_ideal,
+    shelling,
     u_of_chain,
     verify_el_all,
     verify_el_interval,
 )
 from ekcells.shelling import verify_shelling_order
+from ekcells.suite import named_ideal
 from conftest import mono
 
 
@@ -129,6 +132,50 @@ class TestCWPoset:
         p = FinitePoset(range(3), [(0, 1), (1, 2)])
         ok, witness = is_cw_poset(p, "ek", deg2)
         assert not ok and not witness["thin"]
+
+
+def two_squares_under_one_top():
+    """A least element, two disjoint 4-cycles of vertices and edges, and one
+    top element above all eight edges: thin and pure, but the lower interval
+    of the top is a double cone over two circles, which is not shellable."""
+    vertices = [("v", c, k) for c in range(2) for k in range(4)]
+    edges = [("e", c, k) for c in range(2) for k in range(4)]
+    covers = [("0", v) for v in vertices] + [(e, "1") for e in edges]
+    covers += [(("v", c, j), ("e", c, k)) for c in range(2) for k in range(4)
+               for j in (k, (k + 1) % 4)]
+    return FinitePoset(["0"] + vertices + edges + ["1"], covers)
+
+
+class TestCWFallback:
+    """When the EL sweep reports a failure, is_cw_poset shells every lower
+    interval directly."""
+
+    @pytest.mark.parametrize("name", ["deg2", "tri-tri", "tri-sq", "deg4"])
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_cell_posets_pass_by_direct_shelling(self, name, kind, monkeypatch):
+        real = shelling.verify_el_all
+
+        def first_report_failed(*args):
+            reports = real(*args)
+            return [replace(reports[0], passed=False)] + reports[1:]
+
+        monkeypatch.setattr(shelling, "verify_el_all", first_report_failed)
+        J = named_ideal(name)
+        ok, witness = is_cw_poset(build_gamma(kind, J), kind, J)
+        assert ok
+        assert witness["el_failures"] == 1
+        assert "fallback" in witness
+
+    def test_unshellable_interval_is_named(self, deg2, monkeypatch):
+        p = two_squares_under_one_top()
+        assert len(p) == 18 and p.is_thin() and p.is_pure()
+        failed = shelling.ELReport(bottom="1", top="0", max_chains=0, increasing_chains=0,
+                                   lex_least=False, passed=False)
+        monkeypatch.setattr(shelling, "verify_el_all", lambda *args: [failed])
+        ok, witness = is_cw_poset(p, "ek", deg2)
+        assert not ok
+        assert witness["el_failures"] == 1
+        assert witness["unshellable_interval"] == ("0", "1", True)
 
 
 class TestFindShelling:

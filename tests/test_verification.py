@@ -1,8 +1,11 @@
 import random
+import re
 
 import pytest
 
-from ekcells import Monomial, ek_complex, modified_complex, random_borel_ideal, shelling
+from ekcells import (
+    Monomial, ek_complex, modified_complex, random_borel_ideal, shelling, verification,
+)
 from ekcells.verification import (
     VerificationError,
     check_cover_support,
@@ -120,6 +123,19 @@ class TestPropertyChecks:
     def test_shift_instances(self, deg2, deg4):
         check_shift_instances(deg2)
         check_shift_instances(deg4)
+
+    def test_bset_relation_failure_names_the_pair(self, deg2, monkeypatch):
+        # with every one-index B set emptied, dropping an index from a
+        # two-index pair loses the other index's B membership
+        real = verification.b_set
+
+        def no_single_index(ideal, F, m, kind="ek"):
+            return () if len(F) == 1 else real(ideal, F, m, kind)
+
+        monkeypatch.setattr(verification, "b_set", no_single_index)
+        message = "2 leaves the B set of ~e({(1,2),(2,2)};x1*x3) after dropping 1"
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            check_shift_instances(deg2)
 
     def test_interval_sweep_counts(self, intro):
         dual = build_gamma("ek", intro).dual()
