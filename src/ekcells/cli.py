@@ -105,7 +105,7 @@ def cmd_resolve(args) -> int:
         if args.export == "json":
             _write_or_print(args, f"{kind}.complex.json", _json_dump(cplx.to_json_dict()))
         elif args.export == "dot":
-            _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(build_gamma(kind, ideal)))
+            _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(build_gamma(cplx)))
     return 0
 
 
@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
             "first_failure": strands.first_failure(),
         }
         failed = failed or not strands.ok
-        poset = gammas[kind] = build_gamma(kind, ideal)
+        poset = gammas[kind] = build_gamma(cplx)
         checks["thin"] = poset.is_thin()
         failed = failed or not checks["thin"]
         witness = {}
@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
             checks["el"] = {"intervals": intervals, "failures": failures}
             failed = failed or failures > 0
         if args.check in ("ball", "all"):
-            verdict = ball_check(poset, kind, ideal, cw_result=cw)
+            verdict = ball_check(poset, cplx, ideal, cw_result=cw)
             checks["ball"] = {
                 "verdict": verdict.verdict,
                 "cond2": verdict.cond2,
@@ -170,7 +170,8 @@ def cmd_verify(args) -> int:
         bundle["kinds"][kind] = checks
     if args.compare_posets:
         g_ek, g_mod = (
-            gammas[k] if k in gammas else build_gamma(k, ideal) for k in ("ek", "modified")
+            gammas[k] if k in gammas else build_gamma(_complex_for(k, ideal))
+            for k in ("ek", "modified")
         )
         bundle["posets_isomorphic"] = poset_isomorphic(g_ek, g_mod)
     print(_json_dump(bundle), end="")
@@ -199,7 +200,7 @@ def cmd_polarize(args) -> int:
 def cmd_poset(args) -> int:
     ideal = _load_ideal(args)
     for kind in _kinds(args, ideal):
-        poset = build_gamma(kind, ideal)
+        poset = build_gamma(_complex_for(kind, ideal))
         print(f"{kind}: {len(poset)} elements, {len(poset.covers)} covers")
         _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(poset, name=kind))
     return 0
@@ -207,9 +208,7 @@ def cmd_poset(args) -> int:
 
 def cmd_compare(args) -> int:
     ideal = _load_ideal(args)
-    g_ek = build_gamma("ek", ideal)
-    g_mod = build_gamma("modified", ideal)
-    iso = poset_isomorphic(g_ek, g_mod)
+    iso = poset_isomorphic(build_gamma(ek_complex(ideal)), build_gamma(modified_complex(ideal)))
     print(f"cell posets isomorphic: {iso}")
     if args.expect:
         want = args.expect == "isomorphic"

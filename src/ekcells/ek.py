@@ -97,6 +97,18 @@ def kind_of(kind) -> Kind:
         raise ValueError(f"unknown kind {kind!r}") from None
 
 
+def _index_tuple(F, m: Monomial) -> tuple:
+    """F as a tuple of ints, checked to index an admissible pair with m."""
+    F = tuple(int(i) for i in F)
+    if any(i < 1 for i in F):
+        raise ValueError(f"indices must be >= 1: {F}")
+    if any(a >= b for a, b in zip(F, F[1:])):
+        raise ValueError(f"index set must be strictly increasing: {F}")
+    if F and F[-1] >= m.max_var():
+        raise ValueError(f"max {F} must stay below max({m}) = {m.max_var()}")
+    return F
+
+
 @dataclass(frozen=True)
 class AdmissiblePair:
     F: tuple
@@ -104,15 +116,8 @@ class AdmissiblePair:
     kind: Kind = EK  # a Kind or its name
 
     def __post_init__(self):
-        F = tuple(int(i) for i in self.F)
-        object.__setattr__(self, "F", F)
         object.__setattr__(self, "kind", kind_of(self.kind))
-        if any(i < 1 for i in F):
-            raise ValueError(f"indices must be >= 1: {F}")
-        if any(a >= b for a, b in zip(F, F[1:])):
-            raise ValueError(f"index set must be strictly increasing: {F}")
-        if F and F[-1] >= self.m.max_var():
-            raise ValueError(f"max {F} must stay below max({self.m}) = {self.m.max_var()}")
+        object.__setattr__(self, "F", _index_tuple(self.F, self.m))
 
     @property
     def indices(self) -> tuple:
@@ -163,16 +168,12 @@ def b_set(ideal: MonomialIdeal, F, m: Monomial, kind="ek") -> tuple:
     """The indices i in F whose removal pairs admissibly with m_i: every other
     index stays below max(m_i) and keeps its variable under m_i."""
     kind = kind_of(kind)
-    pair = AdmissiblePair(tuple(F), m, kind)
+    F = _index_tuple(F, m)
     out = []
-    for i in pair.F:
+    for i in F:
         m2 = kind.shift(ideal, m, i)
         bound = m2.max_var()
-        if all(
-            k < bound and kind.index(m2, k) == kind.index(m, k)
-            for k in pair.F
-            if k != i
-        ):
+        if all(k < bound and kind.index(m2, k) == kind.index(m, k) for k in F if k != i):
             out.append(i)
     return tuple(out)
 

@@ -1,17 +1,16 @@
 """Finite posets and the cell posets of the Eliahou-Kervaire type resolutions.
 
 A ``FinitePoset`` stores opaque element labels plus the cover relation (the
-Hasse diagram); comparability is derived by reachability only.  The basis
-poset of a resolution has the admissible pairs as elements, covers matching
-the differential supports, and an explicit least element ``BOTTOM``.
+Hasse diagram); comparability is derived by reachability only.  The cell
+poset of a resolution has its basis as elements, the support of its
+differential as covers, and an explicit least element ``BOTTOM``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ek import admissible_layers, b_set, kind_of
-from .ideals import MonomialIdeal
+from .complexes import FreeComplex
 
 __all__ = [
     "BOTTOM",
@@ -308,33 +307,18 @@ class SimplicialComplexData:
         return tuple(len(layer) for layer in self.faces())
 
 
-def build_gamma(kind: str, ideal: MonomialIdeal) -> FinitePoset:
-    """The basis poset of the chosen resolution, with least element BOTTOM.
-
-    Covers out of a pair are read off its label: every plain index removal,
-    plus the shifted-generator removals for indices in its B set.  They are
-    derived here independently of the differential, so that
-    ``check_cover_support`` compares two constructions.
-    """
-    rules = kind_of(kind)
-    layers = admissible_layers(ideal, rules)
+def build_gamma(cplx: FreeComplex) -> FinitePoset:
+    """The cell poset of a resolution, read off its differential: BOTTOM
+    covered by each basis element of degree 0, and one cover per differential
+    entry, from its row to its column (the support of the differential, as in
+    Bayer-Sturmfels, "Cellular resolutions of monomial modules", 1998)."""
     elements = [BOTTOM]
-    for layer in layers:
+    for layer in cplx.basis:
         elements.extend(layer)
-    # lower ends are looked up by (F, exponents of m): no pair is built or hashed
-    pairs = {(pair.F, pair.m.exps): pair for pair in elements[1:]}
-    covers = [(BOTTOM, pair) for pair in layers[0]]
-    for layer in layers[1:]:
-        for pair in layer:
-            bset = set(b_set(ideal, pair.F, pair.m, rules))
-            for i in pair.F:
-                rest = pair.drop(i)
-                for m in (pair.m, rules.shift(ideal, pair.m, i)) if i in bset else (pair.m,):
-                    lower = pairs.get((rest, m.exps))
-                    if lower is None:
-                        raise RuntimeError(f"cover of {pair!r} ends at ({rest}, {m}), "
-                                           "which is not an admissible pair")
-                    covers.append((lower, pair))
+    covers = [(BOTTOM, cell) for cell in cplx.basis[0]]
+    for q, mat in enumerate(cplx.diffs, start=1):
+        lower, upper = cplx.basis[q - 1], cplx.basis[q]
+        covers.extend((lower[i], upper[j]) for i, j in mat)
     return FinitePoset(elements, covers)
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from . import topology
+from .complexes import FreeComplex
 from .ek import kind_of
 from .posets import BOTTOM, FinitePoset, SimplicialComplexData
-from .topology import reduced_homology_trivial, ridge_incidences
 
 __all__ = [
     "ELReport",
@@ -263,7 +264,8 @@ def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> Sh
     if not found:
         return ShellingResult(None, True)
     order.reverse()
-    assert verify_shelling_order(data, order)
+    if not verify_shelling_order(data, order):
+        raise RuntimeError(f"shelling search returned an order that fails the check: {order}")
     return ShellingResult(order, True)
 
 
@@ -286,33 +288,43 @@ def verify_shelling_order(data: SimplicialComplexData, order) -> bool:
 
 
 def ball_check(
-    poset: FinitePoset, kind: str, ideal, node_budget: int = 500_000, cw_result=None
+    poset: FinitePoset, cplx: FreeComplex, ideal, node_budget: int = 500_000, cw_result=None
 ) -> BallVerdict:
-    """Evaluate the closed-ball criteria on the order complex of the poset
-    minus its least element.
+    """Evaluate the closed-ball criteria on the cell poset of the resolution
+    ``cplx`` (of kind ``cplx.kind``) minus its least element.
 
-    Certification requires a verified shelling order (constructibility
-    witness) plus the two ridge-incidence conditions.  Refutation requires a
-    definite obstruction: a ridge in more than two top cells, nontrivial
-    reduced homology, a non-pure complex, or an exhaustive shelling search
-    that proves unshellability.  A shelling search that runs out of its
-    ``node_budget`` is inconclusive, as is everything else.  ``cw_result``
-    reuses an ``is_cw_poset`` result the caller already has.
+    Certification requires a verified shelling order of the order complex
+    (constructibility witness) plus the two ridge-incidence conditions.
+    Refutation requires a definite obstruction: a ridge in more than two top
+    cells, nontrivial reduced homology, a non-pure complex, or an exhaustive
+    shelling search that proves unshellability.  A shelling search that runs
+    out of its ``node_budget`` is inconclusive, as is everything else.
+    ``cw_result`` reuses an ``is_cw_poset`` result the caller already has.
+
+    The reduced homology is read off the augmented frame of ``cplx``.  A
+    poset certified CW is the face poset of a regular CW complex X; the frame
+    has entries +-1 exactly on its covers and d o d = 0, and any two incidence
+    functions of X differ only by orientation signs (Lundell-Weingram, *The
+    Topology of CW Complexes*, 1969, Ch. V).  So the frame is isomorphic to
+    X's reduced cellular chain complex, whose homology is the order complex's.
     """
     if cw_result is None:
-        cw_result = is_cw_poset(poset, kind, ideal)
+        cw_result = is_cw_poset(poset, cplx.kind, ideal)
     cw_ok, _ = cw_result
-    incidences = ridge_incidences(poset)
+    incidences = topology.ridge_incidences(poset)
     cond2 = all(c <= 2 for _, c in incidences)
     cond3 = any(c == 1 for _, c in incidences)
-    data = poset.order_complex(drop_bottom=True)
-    hom_trivial = reduced_homology_trivial(data)
+    # through the module, so that a wrapper on topology.homology_ranks sees it
+    hom_trivial = all(
+        betti == 0 and not torsion
+        for betti, torsion in topology.homology_ranks(topology.frame_complex(cplx))
+    )
     if not cw_ok:
         return BallVerdict(None, cond2, cond3, hom_trivial, "inconclusive",
                            "poset not certified as CW")
     pure = poset.is_pure()
     if pure:
-        shell = find_shelling(data, node_budget)
+        shell = find_shelling(poset.order_complex(drop_bottom=True), node_budget)
     else:
         shell = ShellingResult(None, True)
 
@@ -322,22 +334,17 @@ def ball_check(
                 "shelling + incidence conditions certified a ball, yet reduced "
                 "homology is nontrivial (internal inconsistency)"
             )
-        return BallVerdict(shell.order, cond2, cond3, hom_trivial,
-                           "ball-certified", "shelling found; ridge conditions hold")
-    if not pure:
-        return BallVerdict(None, cond2, cond3, hom_trivial, "refuted",
-                           "order complex is not pure")
-    if not cond2:
-        return BallVerdict(shell.order, cond2, cond3, hom_trivial, "refuted",
-                           "a ridge lies in more than two top cells")
-    if not hom_trivial:
-        return BallVerdict(shell.order, cond2, cond3, hom_trivial, "refuted",
-                           "reduced homology is nontrivial")
-    if shell.order is None and shell.exhaustive:
-        return BallVerdict(None, cond2, cond3, hom_trivial, "refuted",
-                           "exhaustive search: the order complex is not shellable")
-    if shell.order is not None and not cond3:
-        return BallVerdict(shell.order, cond2, cond3, hom_trivial, "refuted",
-                           "shellable without a free ridge (no boundary)")
-    return BallVerdict(shell.order, cond2, cond3, hom_trivial, "inconclusive",
-                       "shelling search exceeded its budget")
+        verdict, detail = "ball-certified", "shelling found; ridge conditions hold"
+    elif not pure:
+        verdict, detail = "refuted", "order complex is not pure"
+    elif not cond2:
+        verdict, detail = "refuted", "a ridge lies in more than two top cells"
+    elif not hom_trivial:
+        verdict, detail = "refuted", "reduced homology is nontrivial"
+    elif shell.order is None and shell.exhaustive:
+        verdict, detail = "refuted", "exhaustive search: the order complex is not shellable"
+    elif shell.order is not None and not cond3:
+        verdict, detail = "refuted", "shellable without a free ridge (no boundary)"
+    else:
+        verdict, detail = "inconclusive", "shelling search exceeded its budget"
+    return BallVerdict(shell.order, cond2, cond3, hom_trivial, verdict, detail)

@@ -77,20 +77,18 @@ FIG_PARTIAL = """\
 ···■■"""
 
 
-def _both_posets(ideal):
-    return build_gamma("ek", ideal), build_gamma("modified", ideal)
-
-
 def criterion_1():
     ideal = named_ideal("deg2")
-    _ensure(ek_complex(ideal).ranks == (6, 8, 3), "classical f-vector is not (6,8,3)")
-    _ensure(modified_complex(ideal).ranks == (6, 8, 3), "modified f-vector is not (6,8,3)")
-    for kind, poset in zip(("ek", "modified"), _both_posets(ideal)):
+    cek, cmod = ek_complex(ideal), modified_complex(ideal)
+    _ensure(cek.ranks == (6, 8, 3), "classical f-vector is not (6,8,3)")
+    _ensure(cmod.ranks == (6, 8, 3), "modified f-vector is not (6,8,3)")
+    for cplx in (cek, cmod):
+        kind, poset = cplx.kind, build_gamma(cplx)
         _ensure(poset.is_thin(), f"{kind} poset not thin")
         cw = is_cw_poset(poset, kind, ideal)
         _ensure(cw[0], f"{kind} poset not CW")
         _ensure(cw[1].get("el_failures") == 0, f"{kind} EL verification failed")
-        verdict = ball_check(poset, kind, ideal, cw_result=cw)
+        verdict = ball_check(poset, cplx, ideal, cw_result=cw)
         _ensure(
             verdict.verdict == "ball-certified",
             f"{kind} ball check: {verdict.verdict} ({verdict.detail})",
@@ -103,11 +101,11 @@ def criterion_2():
     _ensure(not ideal.is_cm_stable()[0], "ideal unexpectedly Cohen-Macaulay")
     cplx = modified_complex(ideal)
     _ensure(cplx.ranks == (5, 6, 2), f"modified f-vector {cplx.ranks} != (5,6,2)")
-    poset = build_gamma("modified", ideal)
+    poset = build_gamma(cplx)
     _ensure(euler_characteristic(poset) == 1, "Euler characteristic != 1")
     data = poset.order_complex(drop_bottom=True)
     _ensure(reduced_homology_trivial(data), "reduced homology not trivial")
-    verdict = ball_check(poset, "modified", ideal)
+    verdict = ball_check(poset, cplx, ideal)
     _ensure(
         verdict.verdict == "refuted" and verdict.constructible_certificate is None,
         f"expected refuted without certificate, got {verdict.verdict}",
@@ -124,13 +122,12 @@ def criterion_3():
     cek, cmod = ek_complex(ideal), modified_complex(ideal)
     _ensure(cek.ranks == (5, 6, 2), f"classical f-vector {cek.ranks} != (5,6,2)")
     _ensure(cmod.ranks == (5, 6, 2), f"modified f-vector {cmod.ranks} != (5,6,2)")
-    g_ek, g_mod = _both_posets(ideal)
-    v_mod = ball_check(g_mod, "modified", ideal)
+    v_mod = ball_check(build_gamma(cmod), cmod, ideal)
     _ensure(
         v_mod.verdict == "ball-certified",
         f"modified ball check: {v_mod.verdict} ({v_mod.detail})",
     )
-    v_ek = ball_check(g_ek, "ek", ideal)
+    v_ek = ball_check(build_gamma(cek), cek, ideal)
     _ensure(v_ek.verdict == "refuted", f"classical ball check: {v_ek.verdict}")
     return "modified ball-certified, classical refuted; both f-vectors (5,6,2)"
 
@@ -140,10 +137,13 @@ def criterion_4():
     cek, cmod = ek_complex(ideal), modified_complex(ideal)
     _ensure(cek.ranks == (8, 12, 5), f"classical f-vector {cek.ranks} != (8,12,5)")
     _ensure(cmod.ranks == (8, 12, 5), f"modified f-vector {cmod.ranks} != (8,12,5)")
-    g_ek, g_mod = _both_posets(ideal)
-    _ensure(not poset_isomorphic(g_ek, g_mod), "cell posets unexpectedly isomorphic")
+    _ensure(
+        not poset_isomorphic(build_gamma(cek), build_gamma(cmod)),
+        "cell posets unexpectedly isomorphic",
+    )
     # sanity on the comparison machinery: the degree-2 posets do agree
-    same = _both_posets(named_ideal("deg2"))
+    deg2 = named_ideal("deg2")
+    same = build_gamma(ek_complex(deg2)), build_gamma(modified_complex(deg2))
     _ensure(poset_isomorphic(*same), "degree-2 cell posets should be isomorphic")
     return "f-vectors (8,12,5); classical and modified cell posets non-isomorphic"
 

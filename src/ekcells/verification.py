@@ -8,6 +8,7 @@ assert per ideal.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -148,20 +149,26 @@ def check_g_properties(ideal: MonomialIdeal):
 
 
 def check_cover_support(poset: FinitePoset, cplx: FreeComplex):
-    """The covers into each basis element match its differential column."""
-    down = {e: set(poset.down_covers(e)) for e in poset.elements}
+    """The cell poset supports the resolution: the covers into each basis
+    element match its differential column, and each cell of dimension >= 1
+    has the lcm of the multidegrees of the cells it covers as its own (so,
+    by induction, the lcm of its vertices' multidegrees)."""
     for pair in cplx.basis[0]:
-        if down[pair] != {BOTTOM}:
+        if set(poset.down_covers(pair)) != {BOTTOM}:
             raise VerificationError(f"{pair!r} should cover exactly the bottom")
     for q in range(1, cplx.top + 1):
-        layer = cplx.basis[q]
-        prev = cplx.basis[q - 1]
-        col_targets = {}
-        for (i, j), _ in cplx.boundary(q).items():
-            col_targets.setdefault(j, set()).add(prev[i])
-        for j, pair in enumerate(layer):
-            if down[pair] != col_targets.get(j, set()):
+        support = [set() for _ in cplx.basis[q]]
+        for i, j in cplx.boundary(q):
+            support[j].add(i)
+        prev, prev_mdegs = cplx.basis[q - 1], cplx.mdegs[q - 1]
+        for pair, mdeg, rows in zip(cplx.basis[q], cplx.mdegs[q], support):
+            if set(poset.down_covers(pair)) != {prev[i] for i in rows}:
                 raise VerificationError(f"covers of {pair!r} differ from differential support")
+            lcm = reduce(lambda a, b: a.lcm(b), [prev_mdegs[i] for i in rows]) if rows else None
+            if mdeg != lcm:
+                raise VerificationError(
+                    f"multidegree {mdeg} of {pair!r} is not the lcm {lcm} of the cells it covers"
+                )
 
 
 def check_thin(poset: FinitePoset, kind: str, ideal: MonomialIdeal):
@@ -419,8 +426,8 @@ def full_battery(ideal: MonomialIdeal) -> dict:
     check_shift_instances(ideal)
 
     stats = {"ranks": cek.ranks}
-    for kind, cplx in (("ek", cek), ("modified", cmod)):
-        poset = build_gamma(kind, ideal)
+    for cplx in (cek, cmod):
+        kind, poset = cplx.kind, build_gamma(cplx)
         check_cover_support(poset, cplx)
         check_thin(poset, kind, ideal)
         if len(poset.minimal_elements()) != 1:
@@ -440,8 +447,9 @@ def cm_battery(ideal: MonomialIdeal) -> dict:
         raise VerificationError(f"{ideal!r} is not Cohen-Macaulay")
     check_cm_generator_exchanges(ideal, h)
     stats = {"h": h, "l": l_power}
-    for kind in ("ek", "modified"):
-        poset = build_gamma(kind, ideal)
+    for build in (ek_complex, modified_complex):
+        cplx = build(ideal)
+        kind, poset = cplx.kind, build_gamma(cplx)
         if not poset.is_pure():
             raise VerificationError(f"{kind} poset of CM ideal not pure")
         if euler_characteristic(poset) != 1:
@@ -450,7 +458,7 @@ def cm_battery(ideal: MonomialIdeal) -> dict:
         cw = is_cw_poset(poset, kind, ideal)
         if not cw[0]:
             raise VerificationError(f"{kind} poset not certified CW: {cw[1]}")
-        verdict = ball_check(poset, kind, ideal, cw_result=cw)
+        verdict = ball_check(poset, cplx, ideal, cw_result=cw)
         if verdict.verdict != "ball-certified":
             raise VerificationError(
                 f"{kind} ball check returned {verdict.verdict}: {verdict.detail}"

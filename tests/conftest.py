@@ -1,6 +1,8 @@
 import pytest
 
-from ekcells import FinitePoset, Monomial, MonomialIdeal
+from ekcells import (
+    FinitePoset, Monomial, MonomialIdeal, ball_check, build_gamma, ek_complex, modified_complex,
+)
 from ekcells.suite import named_ideal
 
 
@@ -10,6 +12,22 @@ def mono(text, n):
 
 def ideal(n, *gens):
     return MonomialIdeal(n, [Monomial.parse(g, n) for g in gens])
+
+
+def resolution(kind, J):
+    """The classical ("ek") or modified resolution of the ideal J."""
+    return ek_complex(J) if kind == "ek" else modified_complex(J)
+
+
+def gamma(kind, J):
+    """The cell poset of the kind's resolution of J."""
+    return build_gamma(resolution(kind, J))
+
+
+def ball(kind, J, **kwargs):
+    """``ball_check`` on the cell poset of the kind's resolution of J."""
+    cplx = resolution(kind, J)
+    return ball_check(build_gamma(cplx), cplx, J, **kwargs)
 
 
 @pytest.fixture

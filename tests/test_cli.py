@@ -321,21 +321,22 @@ class TestInternalError:
 
     def test_cover_to_a_missing_pair_exits_3(self, monkeypatch, capsys):
         # a cover whose lower end is not among the layer's pairs is a fault
-        # of the construction, not of the input
-        from ekcells import posets
+        # of the construction, not of the input; the covers of the cell
+        # poset are the differential's entries, so the complex reports it
+        from ekcells import ek
 
-        real = posets.admissible_layers
+        real = ek.admissible_layers
 
         def without_first_pair(ideal, kind):
             first, *rest = real(ideal, kind)
             return [first[1:], *rest]
 
-        monkeypatch.setattr(posets, "admissible_layers", without_first_pair)
+        monkeypatch.setattr(ek, "admissible_layers", without_first_pair)
         assert main(["poset", "--named", "deg2", "--kind", "ek"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "internal error: cover of e({1};x1*x2) ends at ((), x1^2), "
+            "internal error: differential of e({1};x1*x2) has a term at ((), x1^2), "
             "which is not an admissible pair\n"
         )
 

@@ -62,6 +62,15 @@ class TestBSet:
         # g(x1 * x1x3) = x1^2 has max 1, so removing 1 from {1,2} fails
         assert b_set(deg2, (1, 2), mono("x1*x3", 3)) == (2,)
 
+    @pytest.mark.parametrize("F, message", [
+        ((0, 1), ">= 1"),
+        ((2, 1), "strictly increasing"),
+        ((1, 3), "must stay below max"),
+    ])
+    def test_index_set_is_validated(self, deg2, F, message):
+        with pytest.raises(ValueError, match=message):
+            b_set(deg2, F, mono("x3^2", 3))
+
 
 class TestDifferential:
     def test_worked_column(self, deg2):

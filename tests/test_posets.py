@@ -11,16 +11,16 @@ from ekcells import (
     AdmissiblePair,
     FinitePoset,
     SimplicialComplexData,
-    build_gamma,
     ek_complex,
     modified_complex,
     poset_isomorphic,
     poset_to_dot,
     random_borel_ideal,
 )
+from ekcells.ek import admissible_layers, b_set, kind_of
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_cover_support
-from conftest import ideal, mono
+from conftest import gamma, ideal, mono
 
 
 def chain_poset(k):
@@ -62,7 +62,7 @@ class TestFinitePoset:
             p.interval(3, 1)
 
     def test_interval_of_length_two_in_gamma(self, deg2):
-        g = build_gamma("ek", deg2)
+        g = gamma("ek", deg2)
         pair = AdmissiblePair((1, 2), mono("x3^2", 3))
         ranks = g.ranks()
         length2 = [
@@ -72,7 +72,7 @@ class TestFinitePoset:
             assert len(g.interval(e, pair)) == 4
 
     def test_dual_involution(self, deg2):
-        g = build_gamma("ek", deg2)
+        g = gamma("ek", deg2)
         assert g.dual().dual() == g
 
     def test_maximal_chains_of_chain(self):
@@ -97,7 +97,7 @@ class TestFinitePoset:
 
     @pytest.mark.parametrize("name, kind", [("deg4", "ek"), ("tri-sq", "modified")])
     def test_without_bottom_keeps_the_covers_that_avoid_it(self, name, kind):
-        p = build_gamma(kind, named_ideal(name))
+        p = gamma(kind, named_ideal(name))
         q = p.without_bottom()
         assert q.elements == tuple(e for e in p.elements if e is not BOTTOM)
         assert set(q.covers) == {(x, y) for x, y in p.covers if x is not BOTTOM}
@@ -113,11 +113,11 @@ class TestOrderComplex:
         assert data.f_vector() == (4,)
 
     def test_dual_has_same_complex(self, tri_sq):
-        g = build_gamma("ek", tri_sq)
+        g = gamma("ek", tri_sq)
         assert set(g.order_complex().facets) == set(g.dual().order_complex().facets)
 
     def test_drop_bottom(self, deg2):
-        g = build_gamma("ek", deg2)
+        g = gamma("ek", deg2)
         data = g.order_complex(drop_bottom=True)
         assert data.dim() == 2
         assert len(data.facets) == 20
@@ -128,23 +128,57 @@ class TestOrderComplex:
             SimplicialComplexData((1, 2, 3), (frozenset({0, 1}), frozenset({0})))
 
 
+def rule_gamma(kind, J):
+    """The cell poset derived from the pair labels alone, as a reference for
+    the one read off the differential: above each pair, every plain index
+    removal, plus the shifted-generator removal for each index of its B set."""
+    rules = kind_of(kind)
+    layers = admissible_layers(J, rules)
+    covers = [(BOTTOM, pair) for pair in layers[0]]
+    for layer in layers[1:]:
+        for pair in layer:
+            bset = b_set(J, pair.F, pair.m, rules)
+            for i in pair.F:
+                rest = pair.drop(i)
+                covers.append((AdmissiblePair(rest, pair.m, rules), pair))
+                if i in bset:
+                    covers.append((AdmissiblePair(rest, rules.shift(J, pair.m, i), rules), pair))
+    return FinitePoset([BOTTOM, *(pair for layer in layers for pair in layer)], covers)
+
+
+def reference_ideals():
+    """The named ideals, the first 50 random Borel ideals of the structural
+    suite and the 50 random Cohen-Macaulay ideals of the ball suite."""
+    rng6, rng7 = random.Random(20260810), random.Random(20260811)
+    return ([named_ideal(name) for name in NAMED_IDEALS]
+            + [random_borel_ideal(rng6) for _ in range(50)]
+            + [random_borel_ideal(rng7, cm=True) for _ in range(50)])
+
+
 class TestBuildGamma:
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_differential_support_equals_the_label_rule(self, kind):
+        for J in reference_ideals():
+            g, ref = gamma(kind, J), rule_gamma(kind, J)
+            assert g.elements == ref.elements
+            assert g.covers == ref.covers
+
     def test_degree2_size(self, deg2):
-        g = build_gamma("ek", deg2)
+        g = gamma("ek", deg2)
         assert len(g) == 18
         assert len(g.minimal_elements()) == 1
 
     def test_principal(self):
-        g = build_gamma("ek", ideal(1, "x1"))
+        g = gamma("ek", ideal(1, "x1"))
         assert len(g) == 2
         assert len(g.covers) == 1
 
     def test_covers_match_differential(self, deg2):
-        check_cover_support(build_gamma("ek", deg2), ek_complex(deg2))
-        check_cover_support(build_gamma("modified", deg2), modified_complex(deg2))
+        check_cover_support(gamma("ek", deg2), ek_complex(deg2))
+        check_cover_support(gamma("modified", deg2), modified_complex(deg2))
 
     def test_worked_cover_set(self, deg2):
-        g = build_gamma("ek", deg2)
+        g = gamma("ek", deg2)
         pair = AdmissiblePair((1, 2), mono("x3^2", 3))
         downs = set(g.down_covers(pair))
         assert downs == {
@@ -158,11 +192,11 @@ class TestBuildGamma:
         rng = random.Random(61)
         for _ in range(10):
             J = random_borel_ideal(rng)
-            assert build_gamma("ek", J).is_thin()
-            assert build_gamma("modified", J).is_thin()
+            assert gamma("ek", J).is_thin()
+            assert gamma("modified", J).is_thin()
 
     def test_graded_with_bottom_at_zero(self, tri_tri):
-        g = build_gamma("modified", tri_tri)
+        g = gamma("modified", tri_tri)
         ranks = g.ranks()
         assert ranks[BOTTOM] == 0
         assert max(ranks.values()) == 3
@@ -178,26 +212,26 @@ class TestBuildGamma:
         # triangle, the classical one two triangles; the two-triangle ideal
         # gives two triangles either way; the degree-2 ideal one square plus
         # two triangles
-        assert self._two_cell_shapes(build_gamma("modified", tri_sq)) == [3, 4]
-        assert self._two_cell_shapes(build_gamma("ek", tri_sq)) == [3, 3]
-        assert self._two_cell_shapes(build_gamma("modified", tri_tri)) == [3, 3]
-        assert self._two_cell_shapes(build_gamma("ek", deg2)) == [3, 3, 4]
-        assert self._two_cell_shapes(build_gamma("modified", deg2)) == [3, 3, 4]
+        assert self._two_cell_shapes(gamma("modified", tri_sq)) == [3, 4]
+        assert self._two_cell_shapes(gamma("ek", tri_sq)) == [3, 3]
+        assert self._two_cell_shapes(gamma("modified", tri_tri)) == [3, 3]
+        assert self._two_cell_shapes(gamma("ek", deg2)) == [3, 3, 4]
+        assert self._two_cell_shapes(gamma("modified", deg2)) == [3, 3, 4]
 
 
 class TestIsomorphism:
     def test_reflexive(self, deg2):
-        g = build_gamma("ek", deg2)
+        g = gamma("ek", deg2)
         assert poset_isomorphic(g, g)
 
     def test_degree2_kinds_agree(self, deg2):
         assert poset_isomorphic(
-            build_gamma("ek", deg2), build_gamma("modified", deg2)
+            gamma("ek", deg2), gamma("modified", deg2)
         )
 
     def test_degree4_kinds_differ(self, deg4):
         assert not poset_isomorphic(
-            build_gamma("ek", deg4), build_gamma("modified", deg4)
+            gamma("ek", deg4), gamma("modified", deg4)
         )
 
     def test_size_mismatch(self):
@@ -280,7 +314,7 @@ def gamma_pairs():
     pairs = [(name, named_ideal(name)) for name in NAMED_IDEALS]
     rng = random.Random(20140113)
     pairs += [(f"random-{k}", random_borel_ideal(rng)) for k in range(120)]
-    return [(name, build_gamma("ek", J), build_gamma("modified", J)) for name, J in pairs]
+    return [(name, gamma("ek", J), gamma("modified", J)) for name, J in pairs]
 
 
 def one_cover_mutation(p, rng):
@@ -444,7 +478,7 @@ class TestOrderOracle:
     @pytest.mark.parametrize("name", NAMED_IDEALS)
     def test_cell_posets_and_duals_match_the_definitions(self, name):
         for kind in ("ek", "modified"):
-            g = build_gamma(kind, named_ideal(name))
+            g = gamma(kind, named_ideal(name))
             for p in (g, g.dual()):
                 ref = assert_matches_reference(p)
                 assert ref["thin"] and ref["pure"] and ref["ranks"] is not None
@@ -459,13 +493,13 @@ class TestOrderOracle:
 
 class TestDotExport:
     def test_contains_nodes_edges_ranks(self, intro):
-        g = build_gamma("modified", intro)
+        g = gamma("modified", intro)
         dot = poset_to_dot(g)
         assert dot.startswith("digraph")
         assert dot.count("->") == len(g.covers)
         assert "rank=same" in dot
 
     def test_deterministic(self, deg2):
-        g1 = poset_to_dot(build_gamma("ek", deg2))
-        g2 = poset_to_dot(build_gamma("ek", deg2))
+        g1 = poset_to_dot(gamma("ek", deg2))
+        g2 = poset_to_dot(gamma("ek", deg2))
         assert g1 == g2

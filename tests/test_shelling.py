@@ -9,8 +9,6 @@ from ekcells import (
     FinitePoset,
     Monomial,
     SimplicialComplexData,
-    ball_check,
-    build_gamma,
     el_label_edge,
     find_shelling,
     is_cw_poset,
@@ -22,7 +20,7 @@ from ekcells import (
 )
 from ekcells.shelling import verify_shelling_order
 from ekcells.suite import named_ideal
-from conftest import mono
+from conftest import ball, gamma, mono
 
 
 class TestEdgeLabels:
@@ -52,7 +50,7 @@ class TestELVerification:
     def test_top_interval_label(self, deg2):
         # the unique increasing chain down to the least element removes the
         # index set from the largest entry and ends with the zero label
-        g = build_gamma("modified", deg2).dual()
+        g = gamma("modified", deg2).dual()
         starts = [e for e in g.elements if e is not BOTTOM and len(e.F) == 2]
         for start in starts:
             rep = verify_el_interval("modified", g, start, BOTTOM, deg2)
@@ -61,21 +59,21 @@ class TestELVerification:
             assert rep.increasing_label == (-i2, -i1, 0)
 
     def test_length_one_interval(self, deg2):
-        g = build_gamma("ek", deg2).dual()
+        g = gamma("ek", deg2).dual()
         a, b = g.covers[0]
         rep = verify_el_interval("ek", g, a, b, deg2)
         assert rep.passed and rep.max_chains == 1
 
     def test_all_intervals_pass(self, tri_tri):
         for kind in ("ek", "modified"):
-            dual = build_gamma(kind, tri_tri).dual()
+            dual = gamma(kind, tri_tri).dual()
             reports = verify_el_all(kind, dual, tri_tri)
             assert reports and all(r.passed for r in reports)
 
 
 class TestChainMonomial:
     def test_all_negative_chain_gives_unit(self, deg2):
-        g = build_gamma("ek", deg2).dual()
+        g = gamma("ek", deg2).dual()
         m = mono("x3^2", 3)
         chain = (
             AdmissiblePair((1, 2), m),
@@ -87,7 +85,7 @@ class TestChainMonomial:
 
     def test_lcm_identity_on_increasing_chains(self, deg2):
         for kind in ("ek", "modified"):
-            dual = build_gamma(kind, deg2).dual()
+            dual = gamma(kind, deg2).dual()
             for rep in verify_el_all(kind, dual, deg2):
                 if rep.top is BOTTOM:
                     continue
@@ -110,14 +108,14 @@ class TestCWPoset:
         from conftest import ideal
 
         J = ideal(1, "x1")
-        g = build_gamma("ek", J)
+        g = gamma("ek", J)
         assert len(g) == 2
         ok, witness = is_cw_poset(g, "ek", J)
         assert ok and witness["el_failures"] == 0
 
     def test_degree2_both_kinds(self, deg2):
         for kind in ("ek", "modified"):
-            ok, witness = is_cw_poset(build_gamma(kind, deg2), kind, deg2)
+            ok, witness = is_cw_poset(gamma(kind, deg2), kind, deg2)
             assert ok
             assert witness["el_failures"] == 0
 
@@ -125,7 +123,7 @@ class TestCWPoset:
         rng = random.Random(83)
         for _ in range(8):
             J = random_borel_ideal(rng, max_gens=8)
-            ok, _ = is_cw_poset(build_gamma("modified", J), "modified", J)
+            ok, _ = is_cw_poset(gamma("modified", J), "modified", J)
             assert ok
 
     def test_not_thin_fails(self, deg2):
@@ -161,7 +159,7 @@ class TestCWFallback:
 
         monkeypatch.setattr(shelling, "verify_el_all", first_report_failed)
         J = named_ideal(name)
-        ok, witness = is_cw_poset(build_gamma(kind, J), kind, J)
+        ok, witness = is_cw_poset(gamma(kind, J), kind, J)
         assert ok
         assert witness["el_failures"] == 1
         assert "fallback" in witness
@@ -192,7 +190,7 @@ class TestFindShelling:
         assert res.order is None and res.exhaustive
 
     def test_degree2_order_complex_shellable(self, deg2):
-        data = build_gamma("ek", deg2).order_complex(drop_bottom=True)
+        data = gamma("ek", deg2).order_complex(drop_bottom=True)
         res = find_shelling(data)
         assert res.order is not None
         assert verify_shelling_order(data, res.order)
@@ -205,7 +203,7 @@ class TestFindShelling:
             find_shelling(data)
 
     def test_budget_exhaustion_is_flagged(self, tri_tri):
-        data = build_gamma("modified", tri_tri).order_complex(drop_bottom=True)
+        data = gamma("modified", tri_tri).order_complex(drop_bottom=True)
         res = find_shelling(data, node_budget=3)
         assert res.order is None and not res.exhaustive
 
@@ -213,12 +211,26 @@ class TestFindShelling:
         # 12 facets, not shellable: a complex this small once had its node
         # budget lifted; now a search that runs out of nodes proves nothing,
         # and one that finishes proves unshellability
-        data = build_gamma("modified", tri_tri).order_complex(drop_bottom=True)
+        data = gamma("modified", tri_tri).order_complex(drop_bottom=True)
         assert len(data.facets) <= 64
         res = find_shelling(data, node_budget=1)
         assert res.order is None and not res.exhaustive
         res = find_shelling(data)
         assert res.order is None and res.exhaustive
+
+    def test_order_failing_its_check_raises(self, deg2, monkeypatch):
+        # the final check of the search is no assert, so it also runs under -O
+        monkeypatch.setattr(shelling, "verify_shelling_order", lambda data, order: False)
+        data = gamma("ek", deg2).order_complex(drop_bottom=True)
+        with pytest.raises(RuntimeError, match="fails the check"):
+            find_shelling(data)
+
+    def test_order_failing_its_check_exits_3(self, monkeypatch, capsys):
+        from ekcells.cli import main
+
+        monkeypatch.setattr(shelling, "verify_shelling_order", lambda data, order: False)
+        assert main(["verify", "--named", "deg2", "--check", "ball"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: shelling search returned")
 
     def test_zero_dimensional(self):
         data = SimplicialComplexData((0, 1), (frozenset({0}), frozenset({1})))
@@ -228,7 +240,7 @@ class TestFindShelling:
         # the two certifiers agree: every EL-verified lower interval has a
         # shellable order complex
         for kind in ("ek", "modified"):
-            poset = build_gamma(kind, tri_sq)
+            poset = gamma(kind, tri_sq)
             dual = poset.dual()
             bottom = poset.minimal_elements()[0]
             for e in poset.elements:
@@ -243,35 +255,31 @@ class TestFindShelling:
 class TestBallCheck:
     def test_degree2_certified(self, deg2):
         for kind in ("ek", "modified"):
-            v = ball_check(build_gamma(kind, deg2), kind, deg2)
+            v = ball(kind, deg2)
             assert v.verdict == "ball-certified"
             assert v.cond2 and v.cond3 and v.homology_trivial
             assert v.constructible_certificate is not None
 
     def test_tri_tri_refuted(self, tri_tri):
-        v = ball_check(build_gamma("modified", tri_tri), "modified", tri_tri)
+        v = ball("modified", tri_tri)
         assert v.verdict == "refuted"
         assert v.constructible_certificate is None
         assert v.cond2 and v.homology_trivial  # the obstruction is shellability
 
     def test_tri_sq_split_verdicts(self, tri_sq):
-        v_mod = ball_check(build_gamma("modified", tri_sq), "modified", tri_sq)
-        v_ek = ball_check(build_gamma("ek", tri_sq), "ek", tri_sq)
+        v_mod = ball("modified", tri_sq)
+        v_ek = ball("ek", tri_sq)
         assert v_mod.verdict == "ball-certified"
         assert v_ek.verdict == "refuted"
 
     def test_budget_failure_is_inconclusive(self, tri_tri):
-        v = ball_check(
-            build_gamma("modified", tri_tri), "modified", tri_tri, node_budget=3
-        )
+        v = ball("modified", tri_tri, node_budget=3)
         assert v.verdict == "inconclusive"
         assert v.detail == "shelling search exceeded its budget"
 
     def test_node_budget_failure_is_inconclusive_within_facet_budget(self, tri_tri):
         # tri-tri's 12 facets once lifted the node budget; it now binds
-        v = ball_check(
-            build_gamma("modified", tri_tri), "modified", tri_tri, node_budget=1
-        )
+        v = ball("modified", tri_tri, node_budget=1)
         assert v.verdict == "inconclusive"
         assert v.detail == "shelling search exceeded its budget"
 
@@ -279,6 +287,5 @@ class TestBallCheck:
         rng = random.Random(89)
         for _ in range(6):
             J = random_borel_ideal(rng, cm=True, max_gens=8)
-            g = build_gamma("modified", J)
-            v = ball_check(g, "modified", J)
+            v = ball("modified", J)
             assert v.verdict == "ball-certified"

@@ -26,7 +26,6 @@ from ekcells import (
 from ekcells.ideals import borel_closure
 from ekcells.monomials import BiMonomial, Monomial
 from ekcells.polarization import sigma_ideal, specialize_theta, specialize_theta_prime
-from ekcells.shelling import ball_check
 from ekcells.suite import NAMED_IDEALS
 from ekcells.topology import (
     StrandReport,
@@ -42,7 +41,7 @@ from ekcells.topology import (
     smith_diagonal,
     sparse_columns,
 )
-from conftest import ideal
+from conftest import ball, gamma, ideal, resolution
 
 
 def dense_rank_mod_p(mat, p):
@@ -360,7 +359,7 @@ class TestHomology:
         # (x1..x4)^3, 336 facets per kind: too large for the dense elimination in tier-1
         J = power_ideal(4, 3)
         for kind in ("ek", "modified"):
-            verdict = ball_check(build_gamma(kind, J), kind, J)
+            verdict = ball(kind, J)
             assert verdict.verdict == "ball-certified" and verdict.homology_trivial
 
     def test_triangle_is_contractible(self):
@@ -381,18 +380,32 @@ class TestHomology:
     def test_cellular_and_barycentric_homology_agree(self):
         # the frame complex (differential signs) and the order complex of the
         # cell poset (chain enumeration) are independent routes to the same
-        # reduced homology
-        rng = random.Random(5150)
-        for _ in range(6):
-            J = random_borel_ideal(rng, max_gens=10)
-            for kind, builder in (("ek", ek_complex), ("modified", modified_complex)):
-                cellular = homology_ranks(frame_complex(builder(J)))
-                g = build_gamma(kind, J)
-                barycentric = homology_ranks(
-                    simplicial_chain_complex(g.order_complex(drop_bottom=True))
-                )
+        # reduced homology; ball_check reads it off the frame alone
+        rng = random.Random(20260811)  # the ideals of the CM ball suite
+        ideals = [J() for J in NAMED_IDEALS.values()]
+        ideals += [random_borel_ideal(rng, cm=True) for _ in range(50)]
+        ideals += [power_ideal(n, d) for n, d in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3))]
+        for J in ideals:
+            for kind in ("ek", "modified"):
+                cplx = resolution(kind, J)
+                cellular = homology_ranks(frame_complex(cplx))
+                data = build_gamma(cplx).order_complex(drop_bottom=True)
+                barycentric = homology_ranks(simplicial_chain_complex(data))
+                assert cellular == barycentric
                 assert all(x == (0, ()) for x in cellular)
-                assert all(x == (0, ()) for x in barycentric)
+
+    @pytest.mark.parametrize("name, kind, verdict", [
+        ("deg2", "ek", "ball-certified"), ("deg2", "modified", "ball-certified"),
+        ("tri-tri", "ek", "refuted"), ("tri-tri", "modified", "refuted"),
+        ("tri-sq", "ek", "refuted"), ("tri-sq", "modified", "ball-certified"),
+    ])
+    def test_ball_check_builds_no_simplicial_chain_complex(self, monkeypatch, name, kind, verdict):
+        def refuse(data):
+            raise AssertionError("ball_check built a simplicial chain complex")
+
+        monkeypatch.setattr("ekcells.topology.simplicial_chain_complex", refuse)
+        v = ball(kind, NAMED_IDEALS[name]())
+        assert (v.verdict, v.cond2, v.cond3, v.homology_trivial) == (verdict, True, True, True)
 
 
 class TestColumnBuilders:
@@ -421,7 +434,7 @@ class TestColumnBuilders:
 
     def check_ideal(self, J, kind):
         """The order complex of the cell poset and the frame complex."""
-        data = build_gamma(kind, J).order_complex(drop_bottom=True)
+        data = gamma(kind, J).order_complex(drop_bottom=True)
         self.check(simplicial_chain_complex(data), *dense_simplicial_complex(data))
         cplx = (ek_complex if kind == "ek" else modified_complex)(J)
         self.check(frame_complex(cplx), *dense_frame_complex(cplx))
@@ -631,22 +644,22 @@ class TestFieldRanks:
 class TestCellCounts:
     def test_degree2(self, deg2):
         for kind in ("ek", "modified"):
-            g = build_gamma(kind, deg2)
+            g = gamma(kind, deg2)
             assert face_counts(g) == (6, 8, 3)
             assert euler_characteristic(g) == 1
 
     def test_tri_sq(self, tri_sq):
         for kind in ("ek", "modified"):
-            g = build_gamma(kind, tri_sq)
+            g = gamma(kind, tri_sq)
             assert face_counts(g) == (5, 6, 2)
             assert euler_characteristic(g) == 1
 
     def test_deg4(self, deg4):
-        g = build_gamma("modified", deg4)
+        g = gamma("modified", deg4)
         assert face_counts(g) == (8, 12, 5)
 
     def test_ridge_incidences(self, deg2):
-        g = build_gamma("ek", deg2)
+        g = gamma("ek", deg2)
         counts = [c for _, c in ridge_incidences(g)]
         assert len(counts) == 8
         assert all(1 <= c <= 2 for c in counts)

@@ -17,8 +17,8 @@ from ekcells.verification import (
     cm_battery,
     full_battery,
 )
-from ekcells.posets import FinitePoset, build_gamma
-from conftest import ideal
+from ekcells.posets import FinitePoset
+from conftest import gamma, ideal
 
 
 class TestBatteries:
@@ -108,10 +108,21 @@ class TestMutationDetection:
 
     def test_missing_cover_detected(self, intro):
         cplx = modified_complex(intro)
-        poset = build_gamma("modified", intro)
+        poset = gamma("modified", intro)
         pos = next(iter(sorted(cplx.diffs[0])))
         del cplx.diffs[0][pos]
         with pytest.raises(VerificationError, match="covers"):
+            check_cover_support(poset, cplx)
+
+
+    @pytest.mark.parametrize("q, cell", [(1, "e({1};x1*x2)"), (2, "e({1,2};x1*x3)")])
+    def test_multidegree_off_the_lcm_labelling_detected(self, deg2, q, cell):
+        # the first cell of degree q, its multidegree times x3
+        cplx = ek_complex(deg2)
+        poset = gamma("ek", deg2)
+        check_cover_support(poset, cplx)
+        cplx.mdegs[q][0] = cplx.mdegs[q][0].times_var(3)
+        with pytest.raises(VerificationError, match=re.escape(f"of {cell} is not the lcm")):
             check_cover_support(poset, cplx)
 
 
@@ -138,5 +149,5 @@ class TestPropertyChecks:
             check_shift_instances(deg2)
 
     def test_interval_sweep_counts(self, intro):
-        dual = build_gamma("ek", intro).dual()
+        dual = gamma("ek", intro).dual()
         assert check_intervals("ek", dual, intro) == 9
