@@ -165,8 +165,9 @@ def cmd_verify(args) -> int:
                 "refuted": "refuted",
             }[args.expect_ball]:
                 failed = True
-        hom = homology_ranks(frame_complex(cplx))
-        checks["reduced_homology_trivial"] = all(b == 0 and not t for b, t in hom)
+        checks["reduced_homology_trivial"] = (  # a ball check read it off the same frame
+            verdict.homology_trivial if args.check in ("ball", "all")
+            else all(b == 0 and not t for b, t in homology_ranks(frame_complex(cplx))))
         bundle["kinds"][kind] = checks
     if args.compare_posets:
         g_ek, g_mod = (

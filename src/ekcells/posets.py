@@ -78,18 +78,25 @@ class FinitePoset:
                 mask |= above[j]
             above[i] = mask
         self._above = above
-        # _below[i] likewise, and _rank[i] the length of the longest chain
-        # from a minimal element up to i; computed bottom-up.
-        below, rank = [0] * n, [0] * n
+        # _below[i] likewise, computed bottom-up.
+        below = [0] * n
         for i in order:
             mask = 1 << i
             for j in self._down[i]:
                 mask |= below[j]
             below[i] = mask
-            rank[i] = max([rank[j] + 1 for j in self._down[i]], default=0)
-        self._below, self._rank = below, rank
-        self._graded = all(rank[b] == rank[a] + 1 for a, b in pairs)
+        self._below = below
+        self._rank_pass()
         self._check_reduced()
+
+    def _rank_pass(self):
+        # _rank[i]: the length of the longest chain from a minimal element up
+        # to i, computed bottom-up; graded when every cover raises it by one
+        rank = [0] * len(self.elements)
+        for i in self._order:
+            rank[i] = max([rank[j] + 1 for j in self._down[i]], default=0)
+        self._rank = rank
+        self._graded = all(rank[b] == rank[a] + 1 for a, ups in enumerate(self._up) for b in ups)
 
     def _toposort(self):
         n = len(self.elements)
@@ -160,7 +167,16 @@ class FinitePoset:
     # -- derived posets --------------------------------------------------------
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.elements, [(b, a) for a, b in self.covers])
+        """The opposite poset, not revalidated: this one's up and down covers
+        and masks swapped (shared; neither changes them), its order reversed."""
+        d = object.__new__(FinitePoset)
+        d.elements, d._idx = self.elements, self._idx
+        d._up, d._down, d._above, d._below = self._down, self._up, self._below, self._above
+        d._order = self._order[::-1]
+        d.covers = tuple((self.elements[a], self.elements[b])
+                         for a, ups in enumerate(d._up) for b in ups)
+        d._rank_pass()
+        return d
 
     def interval(self, a, b) -> "FinitePoset":
         """The closed interval [a, b] as a poset (covers restrict, since
@@ -198,23 +214,24 @@ class FinitePoset:
         """All unrefinable chains from a minimal to a maximal element."""
         everything = (1 << len(self.elements)) - 1
         return [chain for k, downs in enumerate(self._down) if not downs
-                for chain in self._chains((self.elements[k],), k, everything, [])]
+                for chain in self._chains(k, everything)]
 
     def chains_between(self, a, b) -> list:
         """All unrefinable chains from a up to b (maximal chains of [a, b])."""
         if not self.leq(a, b):
             raise ValueError(f"{a!r} and {b!r} do not satisfy a <= b")
-        ia = self._idx[a]
-        return self._chains((self.elements[ia],), ia, self._below[self._idx[b]], [])
+        return self._chains(self._idx[a], self._below[self._idx[b]])
 
-    def _chains(self, chain, last, within, out) -> list:
-        # climbs from index last by the up covers inside the bitmask within,
-        # in cover order; each chain that no such cover extends goes to out
-        ups = [j for j in self._up[last] if within >> j & 1]
-        if not ups:
-            out.append(chain)
-        for j in ups:
-            self._chains(chain + (self.elements[j],), j, within, out)
+    def _chains(self, start, within) -> list:
+        # pre-order walk on an explicit stack from index start up the covers
+        # inside the bitmask within; each path that no such cover extends is a chain
+        out, stack = [], [(start,)]
+        while stack:
+            path = stack.pop()
+            ups = [j for j in self._up[path[-1]] if within >> j & 1]
+            if not ups:
+                out.append(tuple(self.elements[k] for k in path))
+            stack.extend(path + (j,) for j in reversed(ups))
         return out
 
     # -- structure predicates ---------------------------------------------------

@@ -93,44 +93,48 @@ def label_chain(kind: str, chain, ideal) -> tuple:
 def verify_el_interval(kind: str, dual: FinitePoset, a, b, ideal) -> ELReport:
     """EL verification of the interval [a, b] of the dual poset."""
     chains = dual.chains_between(a, b)
-    return _el_report(a, b, chains, [label_chain(kind, c, ideal) for c in chains])
+    labels = [label_chain(kind, c, ideal) for c in chains]
+    rising = [(lab, c) for lab, c in zip(labels, chains)
+              if all(x <= y for x, y in zip(lab, lab[1:]))]
+    return _el_report(a, b, labels, rising)
 
 
 def verify_el_all(kind: str, dual: FinitePoset, ideal) -> list:
-    """EL reports for every nontrivial interval of the dual poset, each cover
-    labelled once."""
-    label = {(x, y): el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
+    """EL reports for every nontrivial interval [a, b] of the dual poset, a in
+    element order and b in ``up_set(a)`` order.  Each cover is labelled once;
+    one pre-order walk up the covers from each a yields every maximal chain of
+    every [a, b], in ``chains_between`` order, with its label tuple."""
+    els, up = dual.elements, dual._up  # by index, so that no element is hashed
+    label = [[el_label_edge(kind, els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
     out = []
-    for a in dual.elements:
-        for b in dual.up_set(a):
-            if a != b:
-                chains = dual.chains_between(a, b)
-                labels = [tuple(label[e] for e in zip(c, c[1:])) for c in chains]
-                out.append(_el_report(a, b, chains, labels))
+    for a in range(len(els)):
+        labels, rising, path = {}, {}, []
+        stack = [(a, (), True)]  # (index, label tuple of its path, weakly increasing)
+        while stack:
+            i, word, inc = stack.pop()
+            del path[len(word):]
+            path.append(i)
+            if word:
+                labels.setdefault(i, []).append(word)
+                if inc:
+                    rising.setdefault(i, []).append((word, tuple(els[k] for k in path)))
+            for j, lab in zip(reversed(up[i]), reversed(label[i])):
+                stack.append((j, word + (lab,), inc and (not word or word[-1] <= lab)))
+        # the ends of nonempty paths from a are exactly up_set(a) minus a
+        out.extend(_el_report(els[a], els[b], labels[b], rising.get(b, []))
+                   for b in sorted(labels))
     return out
 
 
-def _el_report(a, b, chains, labels) -> ELReport:
-    increasing = [
-        lab for lab in labels if all(x <= y for x, y in zip(lab, lab[1:]))
-    ]
-    lex_least = False
-    chain0 = label0 = None
-    if len(increasing) == 1:
-        label0 = increasing[0]
-        chain0 = chains[labels.index(label0)]
-        lex_least = all(label0 < lab for lab in labels if lab != label0) and labels.count(label0) == 1
-    return ELReport(
-        bottom=a,
-        top=b,
-        max_chains=len(chains),
-        increasing_chains=len(increasing),
-        lex_least=lex_least,
-        passed=len(increasing) == 1 and lex_least,
-        increasing_chain=chain0,
-        increasing_label=label0,
-        labels=labels,
-    )
+def _el_report(a, b, labels, rising) -> ELReport:
+    """The report of [a, b] from its chains' labels and its increasing (label, chain)s."""
+    lex_least, chain0, label0 = False, None, None
+    if len(rising) == 1:
+        # label0 occurs once: a chain with an equal label would be increasing
+        [(label0, chain0)] = rising
+        lex_least = all(label0 < lab for lab in labels if lab != label0)
+    passed = len(rising) == 1 and lex_least
+    return ELReport(a, b, len(labels), len(rising), lex_least, passed, chain0, label0, labels)
 
 
 def u_of_chain(kind: str, chain, ideal):
@@ -145,10 +149,14 @@ def u_of_chain(kind: str, chain, ideal):
     labels = label_chain(kind, chain, ideal)
     if any(x > y for x, y in zip(labels, labels[1:])):
         raise ValueError("chain is not increasing")
-    rules, start, end = kind_of(kind), chain[0], chain[-1]
-    lift = rules.lift(start.m)
-    lcm = lift.lcm(rules.lift(end.m))
-    u = prod((rules.variable(start.m, i) for i in labels if i > 0), start=lift)
+    rules = kind_of(kind)
+    return _positive_part(rules, chain, labels, rules.lift(chain[0].m), rules.lift(chain[-1].m))
+
+
+def _positive_part(rules, chain, labels, lift, end_lift):
+    """``u_of_chain`` from the chain's labels and the lifts of its ends."""
+    lcm = lift.lcm(end_lift)
+    u = prod((rules.variable(chain[0].m, i) for i in labels if i > 0), start=lift)
     if u != lcm:
         raise RuntimeError(
             f"positive-label monomial {u.div(lift)} differs from lcm quotient "

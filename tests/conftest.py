@@ -1,7 +1,9 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from ekcells import (
-    FinitePoset, Monomial, MonomialIdeal, ball_check, build_gamma, ek_complex, modified_complex,
+    Monomial, MonomialIdeal, ball_check, build_gamma, cli, ek_complex, modified_complex, shelling,
 )
 from ekcells.suite import named_ideal
 
@@ -12,6 +14,14 @@ def mono(text, n):
 
 def ideal(n, *gens):
     return MonomialIdeal(n, [Monomial.parse(g, n) for g in gens])
+
+
+def power_ideal(n, d):
+    """(x1..xn)^d."""
+    return ideal(n, *(
+        "*".join(f"x{i}" for i in combo)
+        for combo in combinations_with_replacement(range(1, n + 1), d)
+    ))
 
 
 def resolution(kind, J):
@@ -31,17 +41,20 @@ def ball(kind, J, **kwargs):
 
 
 @pytest.fixture
-def chains_between_calls(monkeypatch):
-    """Records the (a, b) of every FinitePoset.chains_between call."""
-    calls = []
-    original = FinitePoset.chains_between
+def el_sweeps(monkeypatch):
+    """Records the kind and report count of every EL sweep, under both names
+    it is called by (``shelling.verify_el_all`` and ``cli.verify_el_all``)."""
+    sweeps = []
+    original = shelling.verify_el_all
 
-    def counted(self, a, b):
-        calls.append((a, b))
-        return original(self, a, b)
+    def recorded(kind, dual, ideal):
+        reports = original(kind, dual, ideal)
+        sweeps.append((kind, len(reports)))
+        return reports
 
-    monkeypatch.setattr(FinitePoset, "chains_between", counted)
-    return calls
+    monkeypatch.setattr(shelling, "verify_el_all", recorded)
+    monkeypatch.setattr(cli, "verify_el_all", recorded)
+    return sweeps
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ekcells import FinitePoset, format_ideal
+from ekcells import FinitePoset, cli, format_ideal, topology
 from ekcells.cli import build_parser, main
 from ekcells.suite import NAMED_IDEALS, named_ideal
 
@@ -112,10 +112,28 @@ class TestVerify:
             assert checks["ball"]["verdict"] == "ball-certified"
             assert checks["el"]["failures"] == 0
 
-    def test_el_counts_come_from_the_cw_sweep(self, chains_between_calls, capsys):
+    def test_el_counts_come_from_the_cw_sweep(self, el_sweeps, capsys):
+        # one sweep per kind, the one behind the CW verdict
         assert main(["verify", "--named", "deg2", "--check", "all"]) == 0
         kinds = json.loads(capsys.readouterr().out)["kinds"]
-        assert len(chains_between_calls) == sum(k["el"]["intervals"] for k in kinds.values())
+        assert el_sweeps == [(kind, k["el"]["intervals"]) for kind, k in kinds.items()]
+
+    @pytest.mark.parametrize("check, calls", [("all", 2), ("cw", 2)])
+    def test_one_frame_homology_per_kind(self, check, calls, monkeypatch, capsys):
+        # with a ball check, its homology verdict is the reduced homology's
+        seen = []
+        original = topology.homology_ranks
+
+        def counted(cplx):
+            seen.append(cplx)
+            return original(cplx)
+
+        monkeypatch.setattr(topology, "homology_ranks", counted)
+        monkeypatch.setattr(cli, "homology_ranks", counted)
+        assert main(["verify", "--named", "deg4", "--check", check]) == 0
+        kinds = json.loads(capsys.readouterr().out)["kinds"]
+        assert len(seen) == calls
+        assert all(k["reduced_homology_trivial"] for k in kinds.values())
 
     def test_el_counts_without_cw_sweep(self, monkeypatch, capsys):
         # a poset that is not thin stops the CW check before its EL sweep;

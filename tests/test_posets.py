@@ -78,6 +78,12 @@ class TestFinitePoset:
     def test_maximal_chains_of_chain(self):
         assert chain_poset(3).maximal_chains() == [(0, 1, 2)]
 
+    def test_chains_of_a_long_chain_need_no_recursion(self):
+        p, chain = chain_poset(1200), tuple(range(1200))
+        assert p.maximal_chains() == [chain]
+        assert p.chains_between(0, 1199) == [chain]
+        assert p.order_complex().facets == (frozenset(chain),)
+
     def test_three_chain_predicates(self):
         # a 3-chain has the interval [0, 2] of length 2 with only 3 elements,
         # so it is not thin; it is pure and bounded
@@ -482,6 +488,22 @@ class TestOrderOracle:
             for p in (g, g.dual()):
                 ref = assert_matches_reference(p)
                 assert ref["thin"] and ref["pure"] and ref["ranks"] is not None
+
+    def test_dual_equals_the_rebuilt_dual(self):
+        # the named and ball-suite cell posets, and random posets that are
+        # mostly ungraded, against the dual built from reversed covers
+        rng7, rng = random.Random(20260811), random.Random(98)
+        ideals = [named_ideal(name) for name in NAMED_IDEALS]
+        ideals += [random_borel_ideal(rng7, cm=True) for _ in range(50)]
+        posets = [gamma(kind, J) for J in ideals for kind in ("ek", "modified")]
+        posets += [random_reduced_dag(rng) for _ in range(100)]
+        for p in posets:
+            d, ref = p.dual(), FinitePoset(p.elements, [(b, a) for a, b in p.covers])
+            assert d.elements == ref.elements and d.covers == ref.covers
+            assert d.ranks() == ref.ranks()
+            assert (d.is_pure(), d.is_thin()) == (ref.is_pure(), ref.is_thin())
+            assert d.maximal_chains() == ref.maximal_chains()
+            assert all(d.leq(x, y) == ref.leq(x, y) for x in p.elements for y in p.elements)
 
     @pytest.mark.parametrize("build", [boolean_lattice_with_long_cover, diamond_with_second_bottom])
     def test_ungraded_but_thin(self, build):

@@ -18,9 +18,10 @@ from ekcells import (
     verify_el_all,
     verify_el_interval,
 )
-from ekcells.shelling import verify_shelling_order
-from ekcells.suite import named_ideal
-from conftest import ball, gamma, mono
+from ekcells.ek import kind_of
+from ekcells.shelling import ELReport, verify_shelling_order
+from ekcells.suite import NAMED_IDEALS, named_ideal
+from conftest import ball, gamma, mono, power_ideal
 
 
 class TestEdgeLabels:
@@ -69,6 +70,54 @@ class TestELVerification:
             dual = gamma(kind, tri_tri).dual()
             reports = verify_el_all(kind, dual, tri_tri)
             assert reports and all(r.passed for r in reports)
+
+
+def reference_el_reports(kind, dual, ideal):
+    """The EL sweep by definition: the maximal chains of each interval from
+    ``chains_between``, labelled through a dict keyed by the (x, y) cover."""
+    label = {(x, y): el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
+    out = []
+    for a in dual.elements:
+        for b in dual.up_set(a):
+            if a == b:
+                continue
+            chains = dual.chains_between(a, b)
+            labels = [tuple(label[e] for e in zip(c, c[1:])) for c in chains]
+            increasing = [lab for lab in labels if all(x <= y for x, y in zip(lab, lab[1:]))]
+            lex_least, chain0, label0 = False, None, None
+            if len(increasing) == 1:
+                label0 = increasing[0]
+                chain0 = chains[labels.index(label0)]
+                lex_least = (all(label0 < lab for lab in labels if lab != label0)
+                             and labels.count(label0) == 1)
+            out.append(ELReport(a, b, len(chains), len(increasing), lex_least,
+                                len(increasing) == 1 and lex_least, chain0, label0, labels))
+    return out
+
+
+class TestSweepOracle:
+    @pytest.fixture(scope="class")
+    def sweep_ideals(self):
+        """The named ideals, the first 50 ideals of the structural suite, the
+        50 of the ball suite, (x1..x3)^2..4 and (x1..x4)^2."""
+        rng6, rng7 = random.Random(20260810), random.Random(20260811)
+        return ([named_ideal(name) for name in NAMED_IDEALS]
+                + [random_borel_ideal(rng6) for _ in range(50)]
+                + [random_borel_ideal(rng7, cm=True) for _ in range(50)]
+                + [power_ideal(3, d) for d in (2, 3, 4)] + [power_ideal(4, 2)])
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_sweep_equals_the_reference(self, kind, sweep_ideals):
+        rules = kind_of(kind)
+        for J in sweep_ideals:
+            dual = gamma(kind, J).dual()
+            reports = verify_el_all(kind, dual, J)
+            assert reports == reference_el_reports(kind, dual, J), J
+            for rep in reports:
+                if rep.top is not BOTTOM:
+                    chain, lab = rep.increasing_chain, rep.increasing_label
+                    assert u_of_chain(kind, chain, J) == shelling._positive_part(
+                        rules, chain, lab, rules.lift(rep.bottom.m), rules.lift(rep.top.m))
 
 
 class TestChainMonomial:

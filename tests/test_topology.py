@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -41,7 +41,7 @@ from ekcells.topology import (
     smith_diagonal,
     sparse_columns,
 )
-from conftest import ball, gamma, ideal, resolution
+from conftest import ball, gamma, power_ideal, resolution
 
 
 def dense_rank_mod_p(mat, p):
@@ -243,13 +243,6 @@ def torsion_complex(syzygies):
         "ek", ("S", 2), [[f"g{k}" for k in range(gens)], [f"s{k}" for k in range(syz)]],
         [[b] * gens, [b] * syz], [diff],
     ), [b]
-
-
-def power_ideal(n, d):
-    return ideal(n, *(
-        "*".join(f"x{i}" for i in combo)
-        for combo in combinations_with_replacement(range(1, n + 1), d)
-    ))
 
 
 CIRCLE = SimplicialComplexData(

@@ -62,9 +62,9 @@ class TestBatteries:
         full_battery(deg2)
         assert calls == []
 
-    def test_one_el_sweep_per_kind(self, deg2, chains_between_calls):
+    def test_one_el_sweep_per_kind(self, deg2, el_sweeps):
         stats = full_battery(deg2)
-        assert len(chains_between_calls) == stats["intervals_ek"] + stats["intervals_modified"]
+        assert el_sweeps == [("ek", stats["intervals_ek"]), ("modified", stats["intervals_modified"])]
 
 
 class TestMutationDetection:
