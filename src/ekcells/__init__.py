@@ -12,12 +12,14 @@ from .ideals import (
     random_borel_ideal,
     read_ideal,
 )
-from .monomials import BiMonomial, Monomial, lex_compare
+from .monomials import Monomial
 from .polarization import (
     PolarizationContext,
     b_shift,
     bpol_ideal,
     bpol_monomial,
+    bpol_ring,
+    bpol_squares,
     context_for,
     g_shift,
     sigma_ideal,

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .ek import AdmissiblePair, ek_complex, kind_of, modified_complex
 from .ideals import random_borel_ideal, read_ideal
-from .polarization import bpol_ideal, context_for, sigma_ideal, stairs_diagram
+from .monomials import square_str
+from .polarization import bpol_ideal, bpol_ring, context_for, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic, poset_to_dot
 from .shelling import ball_check, is_cw_poset, verify_el_all
 from .suite import named_ideal, run_suite
@@ -127,7 +128,7 @@ def cmd_verify(args) -> int:
         except VerificationError as exc:
             checks["structure_error"] = str(exc)
             failed = True
-        gens = [kind_of(kind).lift(m) for m in ideal.gens]
+        gens = [kind_of(kind).lift(m, cplx.squares) for m in ideal.gens]
         strands = strand_exactness(cplx, gens, primes=(2, 3))
         checks["strands"] = {
             "ok": strands.ok,
@@ -181,11 +182,11 @@ def cmd_verify(args) -> int:
 
 def cmd_polarize(args) -> int:
     ideal = _load_ideal(args)
-    pol = bpol_ideal(ideal)
+    pol, squares = bpol_ideal(ideal), bpol_ring(ideal)
     shifted = sigma_ideal(ideal, args.d)
     print("bpol generators:")
     for b in pol:
-        print(f"  {b}")
+        print(f"  {square_str(b, squares)}")
     print(f"squarefree shift (in {shifted.n} variables):")
     for m in shifted.gens:
         print(f"  {m}")
@@ -193,7 +194,7 @@ def cmd_polarize(args) -> int:
         blocks = []
         for m in ideal.gens:
             full = AdmissiblePair(tuple(range(1, m.max_var())), m, "modified")
-            blocks.append(f"{m}:\n{stairs_diagram(full.indices, full.lift())}")
+            blocks.append(f"{m}:\n{stairs_diagram(full.indices, m)}")
         _write_or_print(args, "stairs.txt", "\n\n".join(blocks) + "\n")
     return 0
 

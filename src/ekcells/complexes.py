@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomials import BiMonomial, Monomial
+from .monomials import square_items
 
 __all__ = ["FreeComplex"]
 
@@ -20,9 +20,9 @@ __all__ = ["FreeComplex"]
 @dataclass
 class FreeComplex:
     kind: str        # "ek", "modified", "modified|theta", "modified|theta-prime"
-    ring: tuple      # ("S", n) | ("S~", n, d) | ("T", N)
+    ring: tuple      # ("S", n) | ("S~", n, d, squares) | ("T", N)
     basis: list      # basis[q]: ordered list of labels
-    mdegs: list      # mdegs[q][k]: Monomial or BiMonomial, degree of basis[q][k]
+    mdegs: list      # mdegs[q][k]: Monomial, degree of basis[q][k]
     diffs: list      # diffs[q]: dict[(row, col)] = (sign, coeff), degree q+1 -> q
 
     def __post_init__(self):
@@ -44,8 +44,10 @@ class FreeComplex:
     def ranks(self) -> tuple:
         return tuple(len(b) for b in self.basis)
 
-    def f_vector(self) -> tuple:
-        return self.ranks
+    @property
+    def squares(self):
+        """The squares (i, j) of the variables of an S~ ring, else None."""
+        return self.ring[3] if self.ring[0] == "S~" else None
 
     def boundary(self, q: int) -> dict:
         """The differential from degree q to q - 1 (q >= 1)."""
@@ -72,9 +74,10 @@ class FreeComplex:
             "basis": [[_label_json(lbl) for lbl in layer] for layer in self.basis],
             "diffs": [],
         }
+        squares = self.squares
         for q, mat in enumerate(self.diffs, start=1):
             entries = [
-                {"row": i, "col": j, "sign": sign, "coeff_exponents": _coeff_json(coeff)}
+                {"row": i, "col": j, "sign": sign, "coeff_exponents": _coeff_json(coeff, squares)}
                 for (i, j), (sign, coeff) in sorted(mat.items(), key=lambda kv: (kv[0][1], kv[0][0]))
             ]
             out["diffs"].append({"q": q, "entries": entries})
@@ -87,9 +90,7 @@ def _label_json(label) -> dict:
     return {"F": F, "m": list(label.m.exps)}
 
 
-def _coeff_json(coeff):
-    if isinstance(coeff, Monomial):
+def _coeff_json(coeff, squares):
+    if squares is None:
         return list(coeff.exps)
-    if isinstance(coeff, BiMonomial):
-        return [[i, j, e] for (i, j), e in coeff.items()]
-    raise TypeError(f"unexpected coefficient type {type(coeff).__name__}")
+    return [[i, j, e] for (i, j), e in square_items(coeff, squares)]

@@ -4,8 +4,9 @@ fixed ideal.
 
 Both have the same basis, the admissible pairs (F, m): a minimal generator m
 together with a strictly increasing index tuple F below max(m).  They differ
-in three rules, which a :class:`Kind` record holds:
+in four rules, which a :class:`Kind` record holds:
 
+* the ring: k[x_1..x_n], resp. k[x_s | s in bpol_ring(I)];
 * the variable attached to an index i: x_i, resp. x_{i,j(m,i)};
 * the lift of m: m, resp. bpol(m);
 * the shifted generator m_i: g(x_i m), resp. g(b_i(m)).
@@ -29,8 +30,8 @@ from typing import Callable
 
 from .complexes import FreeComplex
 from .ideals import MonomialIdeal
-from .monomials import BiMonomial, Monomial
-from .polarization import bpol_monomial, context_for, g_shift
+from .monomials import Monomial, from_squares, square_str
+from .polarization import bpol_monomial, bpol_ring, context_for, g_shift
 
 __all__ = [
     "Kind",
@@ -65,22 +66,25 @@ class Kind:
     ideal_class: str      # the ideals it resolves: "stable" | "Borel fixed"
     admits: Callable      # ideal -> whether the ideal is of that class
     index: Callable       # (m, i) -> how a label names index i: i | (i, j(m, i))
-    variable: Callable    # (m, i) -> x_i | x_{i,j(m,i)}
-    lift: Callable        # m -> m | bpol(m)
+    ring: Callable        # ideal -> the squares of the ring: None | bpol_ring(ideal)
+    variable: Callable    # (m, i, ring) -> x_i | x_{i,j(m,i)}
+    lift: Callable        # (m, ring) -> m | bpol(m)
     shift: Callable       # (ideal, m, i) -> g(x_i m) | g(b_i(m))
 
 
 EK = Kind(
     "ek", "e", "stable", MonomialIdeal.is_stable,
     index=lambda m, i: i,
-    variable=lambda m, i: Monomial.variable(m.n, i),
-    lift=lambda m: m,
+    ring=lambda ideal: None,
+    variable=lambda m, i, ring: Monomial.variable(m.n, i),
+    lift=lambda m, ring: m,
     shift=lambda ideal, m, i: ideal.g(m.times_var(i)),
 )
 MODIFIED = Kind(
     "modified", "~e", "Borel fixed", MonomialIdeal.is_borel_fixed,
     index=lambda m, i: (i, j_index(m, i)),
-    variable=lambda m, i: BiMonomial.variable(i, j_index(m, i)),
+    ring=bpol_ring,
+    variable=lambda m, i, ring: from_squares(ring, ((i, j_index(m, i)),)),
     lift=bpol_monomial,
     shift=g_shift,
 )
@@ -125,19 +129,10 @@ class AdmissiblePair:
         squares (i, j) (modified)."""
         return tuple(self.kind.index(self.m, i) for i in self.F)
 
-    def variable(self, i: int):
-        return self.kind.variable(self.m, i)
-
-    def lift(self):
-        return self.kind.lift(self.m)
-
     def drop(self, i: int) -> tuple:
         if i not in self.F:
             raise ValueError(f"{i} not in {self.F}")
         return tuple(k for k in self.F if k != i)
-
-    def multidegree(self):
-        return prod((self.variable(i) for i in self.F), start=self.lift())
 
     def __repr__(self):
         inner = ",".join(str(x).replace(" ", "") for x in self.indices)
@@ -185,42 +180,50 @@ def ek_complex(ideal: MonomialIdeal) -> FreeComplex:
 
 def modified_complex(ideal: MonomialIdeal, d=None) -> FreeComplex:
     """The modified resolution of bpol(I) for a Borel fixed ideal I, in the
-    ring with columns j <= d (default: the largest generator degree)."""
+    ring of the squares bpol(I) uses; d (default: the largest generator
+    degree) bounds the columns of the ring theta' maps into."""
     return _resolution(MODIFIED, ideal, ("S~", ideal.n, context_for(ideal, d).d))
 
 
 def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
     layers = admissible_layers(ideal, kind)
+    squares = kind.ring(ideal)
+    # each generator's lift and the variables it attaches to its indices
+    lifts = {m: kind.lift(m, squares) for m in ideal.gens}
+    variables = {m: [None] + [kind.variable(m, i, squares) for i in range(1, m.max_var())]
+                 for m in ideal.gens}
     # rows are looked up by (F, exponents of m): no pair is built or hashed
     index = [{(pair.F, pair.m.exps): k for k, pair in enumerate(layer)} for layer in layers]
     diffs = []
     for q in range(1, len(layers)):
         mat = {}
         for col, pair in enumerate(layers[q]):
-            lift = pair.lift()
+            lift, xs = lifts[pair.m], variables[pair.m]
             bset = set(b_set(ideal, pair.F, pair.m, kind))
             for r, i in enumerate(pair.F, start=1):
                 sign = -1 if r % 2 else 1
                 rest = pair.drop(i)
-                var = pair.variable(i)
-                mat[(_row(index[q - 1], pair, rest, pair.m), col)] = (sign, var)
+                mat[(_row(index[q - 1], pair, rest, pair.m), col)] = (sign, xs[i])
                 if i in bset:
                     m2 = kind.shift(ideal, pair.m, i)
+                    top, low = xs[i] * lift, lifts[m2]
                     try:
-                        coeff = (var * lift).div(kind.lift(m2))
-                    except ValueError as exc:
+                        coeff = top.div(low)
+                    except ValueError:
+                        low, top = square_str(low, squares), square_str(top, squares)
                         raise RuntimeError(
                             f"differential coefficient not divisible at {pair!r}, "
-                            f"i = {i}: {exc}"
-                        ) from exc
+                            f"i = {i}: {low} does not divide {top}"
+                        ) from None
                     mat[(_row(index[q - 1], pair, rest, m2), col)] = (-sign, coeff)
         diffs.append(mat)
 
     return FreeComplex(
         kind=kind.name,
-        ring=ring,
+        ring=ring if squares is None else ring + (squares,),
         basis=layers,
-        mdegs=[[p.multidegree() for p in layer] for layer in layers],
+        mdegs=[[prod((variables[p.m][i] for i in p.F), start=lifts[p.m]) for p in layer]
+               for layer in layers],
         diffs=diffs,
     )
 

@@ -1,10 +1,15 @@
-"""Exact monomial arithmetic for k[x_1,...,x_n] and the doubly indexed ring
-k[x_{i,j}].
+"""Exact monomial arithmetic for k[x_1,...,x_n] and for rings of doubly
+indexed variables x_{i,j}.
 
 Variable indices are 1-based throughout.  ``Monomial`` carries the
-lexicographic order with x_1 > x_2 > ... > x_n on its comparison operators;
-``BiMonomial`` is an unordered sparse exponent map.  Both types are immutable
-and hashable, so they are safe to share freely (including across threads).
+lexicographic order with x_1 > x_2 > ... > x_n on its comparison operators.
+It is immutable and hashable, so it is safe to share freely (including
+across threads).
+
+A ring k[x_s | s in squares] of doubly indexed variables, ``squares`` a
+strictly increasing tuple of squares s = (i, j), is a ``Monomial`` ring with
+one slot per square: x_s is slot k where squares[k] = s.  ``from_squares``,
+``square_items`` and ``square_str`` are the only code that knows this layout.
 
 Input is validated at the public constructors (``Monomial(exps)``, ``parse``,
 ``from_factors``, ``unit``, ``**``).  Products, quotients, lcms, variables and
@@ -17,8 +22,9 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_left
 
-__all__ = ["Monomial", "BiMonomial", "lex_compare"]
+__all__ = ["Monomial", "from_squares", "square_items", "square_str"]
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
 
@@ -224,109 +230,30 @@ class Monomial:
         return "*".join(parts)
 
 
-def lex_compare(a: Monomial, b: Monomial) -> int:
-    """-1, 0 or +1 according to a < b, a == b, a > b in the lex order."""
-    if a.n != b.n:
-        raise ValueError(f"variable count mismatch: {a.n} != {b.n}")
-    if a.exps == b.exps:
-        return 0
-    return 1 if a.exps > b.exps else -1
+def from_squares(squares: tuple, factors) -> Monomial:
+    """The monomial of k[x_s | s in squares] with one factor x_s per entry of
+    ``factors``."""
+    exps = [0] * len(squares)
+    for s in factors:
+        k = bisect_left(squares, s)
+        if k == len(squares) or squares[k] != s:
+            raise ValueError(f"x[{s[0]},{s[1]}] is not a variable of the ring")
+        exps[k] += 1
+    return Monomial(exps)
 
 
-class BiMonomial:
-    """A monomial of the doubly indexed ring k[x_{i,j}], stored sparsely.
+def square_items(m: Monomial, squares: tuple) -> tuple:
+    """The pairs (s, e) with e > 0 of a monomial of k[x_s | s in squares], in
+    the order of ``squares``."""
+    return tuple((s, e) for s, e in zip(squares, m.exps, strict=True) if e)
 
-    Keys are pairs (i, j) with i, j >= 1; zero exponents are never stored.
-    """
 
-    __slots__ = ("_exps", "_key")
-
-    def __init__(self, exps):
-        d = {}
-        for key, e in dict(exps).items():
-            i, j = key
-            e = int(e)
-            if e < 0:
-                raise ValueError(f"exponents must be nonnegative: {exps}")
-            if i < 1 or j < 1:
-                raise ValueError(f"variable index pair {key} out of range")
-            if e:
-                d[(int(i), int(j))] = e
-        self._exps = d
-        self._key = tuple(sorted(d.items()))
-
-    @classmethod
-    def unit(cls) -> "BiMonomial":
-        return cls({})
-
-    @classmethod
-    def variable(cls, i: int, j: int) -> "BiMonomial":
-        return cls({(i, j): 1})
-
-    @classmethod
-    def from_factors(cls, pairs) -> "BiMonomial":
-        d = {}
-        for p in pairs:
-            d[p] = d.get(p, 0) + 1
-        return cls(d)
-
-    def items(self):
-        return self._key
-
-    def exponent(self, i: int, j: int) -> int:
-        return self._exps.get((i, j), 0)
-
-    def variables(self) -> tuple:
-        """Sorted index pairs of the variables dividing self."""
-        return tuple(k for k, _ in self._key)
-
-    def degree(self) -> int:
-        return sum(self._exps.values())
-
-    def is_unit(self) -> bool:
-        return not self._exps
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for e in self._exps.values())
-
-    def divides(self, other: "BiMonomial") -> bool:
-        oe = other._exps
-        return all(e <= oe.get(k, 0) for k, e in self._exps.items())
-
-    def lcm(self, other: "BiMonomial") -> "BiMonomial":
-        d = dict(self._exps)
-        for k, e in other._exps.items():
-            if e > d.get(k, 0):
-                d[k] = e
-        return BiMonomial(d)
-
-    def __mul__(self, other: "BiMonomial") -> "BiMonomial":
-        d = dict(self._exps)
-        for k, e in other._exps.items():
-            d[k] = d.get(k, 0) + e
-        return BiMonomial(d)
-
-    def div(self, other: "BiMonomial") -> "BiMonomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        d = dict(self._exps)
-        for k, e in other._exps.items():
-            d[k] -= e
-        return BiMonomial(d)
-
-    def __eq__(self, other):
-        return isinstance(other, BiMonomial) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"BiMonomial({self})"
-
-    def __str__(self):
-        if self.is_unit():
-            return "1"
-        parts = []
-        for (i, j), e in self._key:
-            parts.append(f"x[{i},{j}]" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts)
+def square_str(m: Monomial, squares) -> str:
+    """m as text: factors x[i,j]^e on the ring of ``squares``, or ``str(m)``
+    when ``squares`` is None (the ring k[x_1..x_n])."""
+    if squares is None:
+        return str(m)
+    items = square_items(m, squares)
+    if not items:
+        return "1"
+    return "*".join(f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in items)

@@ -1,9 +1,11 @@
 """Non-standard polarization of Borel fixed ideals and its specializations.
 
 bpol places the i-th smallest variable of a monomial (with multiplicity) into
-column i of the doubly indexed ring.  The two linear specializations collapse
-the big ring back down: theta sends x_{i,j} to x_i and recovers the original
-ideal, theta' sends x_{i,j} to x_{i+j-1} and recovers the squarefree shift.
+column i of the doubly indexed ring: the factor x_a at position i becomes the
+square (a, i).  bpol(I) lives in k[x_s | s in bpol_ring(I)], the squares its
+generators use.  The two linear specializations collapse the big ring back
+down: theta sends x_{i,j} to x_i and recovers the original ideal, theta'
+sends x_{i,j} to x_{i+j-1} and recovers the squarefree shift.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from dataclasses import dataclass
 
 from .complexes import FreeComplex
 from .ideals import MonomialIdeal
-from .monomials import BiMonomial, Monomial
+from .monomials import Monomial, from_squares, square_items
 
 __all__ = [
     "PolarizationContext",
     "context_for",
+    "bpol_squares",
+    "bpol_ring",
     "bpol_monomial",
     "bpol_ideal",
     "b_shift",
@@ -56,20 +60,34 @@ def context_for(ideal: MonomialIdeal, d=None) -> PolarizationContext:
     return PolarizationContext(ideal.n, d)
 
 
-def bpol_monomial(m: Monomial) -> BiMonomial:
-    """Squarefree lift of m: the i-th smallest factor goes to column i."""
+def bpol_squares(m: Monomial) -> tuple:
+    """The squares of bpol(m), in order: the i-th smallest factor x_a of m
+    gives the square (a, i)."""
     if m.is_unit():
         raise ValueError("the unit monomial has no polarization")
-    return BiMonomial.from_factors(
-        (a, pos) for pos, a in enumerate(m.sorted_factors(), start=1)
-    )
+    return tuple((a, pos) for pos, a in enumerate(m.sorted_factors(), start=1))
+
+
+def bpol_ring(ideal: MonomialIdeal) -> tuple:
+    """The sorted squares that bpol(I) uses: the variables of the ring of the
+    modified resolution.  For Borel fixed I the variable x_{i,j(m,i)} of its
+    differential is lcm(bpol(m), bpol(m_i)) / bpol(m), so it divides bpol(m_i)
+    and lies in this ring."""
+    return tuple(sorted({s for m in ideal.gens for s in bpol_squares(m)}))
+
+
+def bpol_monomial(m: Monomial, squares: tuple) -> Monomial:
+    """Squarefree lift of m in k[x_s | s in squares]."""
+    return from_squares(squares, bpol_squares(m))
 
 
 def bpol_ideal(ideal: MonomialIdeal) -> list:
-    """Polarized generators, in the ideal's canonical generator order."""
+    """Polarized generators in k[x_s | s in bpol_ring(I)], in the ideal's
+    canonical generator order."""
     if not ideal.is_borel_fixed():
         raise ValueError("ideal is not Borel fixed")
-    return [bpol_monomial(m) for m in ideal.gens]
+    squares = bpol_ring(ideal)
+    return [bpol_monomial(m, squares) for m in ideal.gens]
 
 
 def b_shift(m: Monomial, s: int) -> Monomial:
@@ -121,16 +139,17 @@ def _specialize(cplx: FreeComplex, t: int) -> FreeComplex:
     name, suffix = ("theta'", "theta-prime") if t else ("theta", "theta")
     if cplx.ring[0] != "S~":
         raise ValueError(f"{name} applies to big-ring complexes, got ring {cplx.ring}")
-    _, n, d = cplx.ring
+    _, n, d, squares = cplx.ring
+    for i, j in squares:
+        if not (1 <= i <= n and 1 <= j <= d):
+            raise ValueError(f"variable x[{i},{j}] outside context n={n}, d={d}")
     ring = ("T", n + d - 1) if t else ("S", n)
 
-    def conv(bm: BiMonomial) -> Monomial:
+    def conv(mono: Monomial) -> Monomial:
         exps = [0] * ring[1]
-        for (i, j), e in bm.items():
-            if not (1 <= i <= n and 1 <= j <= d):
-                raise ValueError(f"variable x[{i},{j}] outside context n={n}, d={d}")
+        for (i, j), e in square_items(mono, squares):
             exps[i + (j - 1) * t - 1] += e
-        return Monomial(exps)
+        return Monomial._of(tuple(exps))
 
     diffs = [
         {pos: (sign, conv(coeff)) for pos, (sign, coeff) in mat.items()}
@@ -155,11 +174,11 @@ def specialize_theta_prime(cplx: FreeComplex) -> FreeComplex:
     return _specialize(cplx, 1)
 
 
-def stairs_diagram(white, wm: BiMonomial) -> str:
+def stairs_diagram(white, m: Monomial) -> str:
     """ASCII stairs diagram: rows i, columns j, white squares from the index
-    set, black squares from the variables of the polarized monomial."""
+    set, black squares from the squares of bpol(m)."""
     white = {(int(i), int(j)) for i, j in white}
-    black = set(wm.variables())
+    black = set(bpol_squares(m))
     overlap = white & black
     if overlap:
         raise ValueError(f"white and black squares overlap at {sorted(overlap)}")

@@ -15,6 +15,7 @@ from math import prod
 from . import topology
 from .complexes import FreeComplex
 from .ek import kind_of
+from .monomials import square_str
 from .posets import BOTTOM, FinitePoset, SimplicialComplexData
 
 __all__ = [
@@ -150,17 +151,20 @@ def u_of_chain(kind: str, chain, ideal):
     if any(x > y for x, y in zip(labels, labels[1:])):
         raise ValueError("chain is not increasing")
     rules = kind_of(kind)
-    return _positive_part(rules, chain, labels, rules.lift(chain[0].m), rules.lift(chain[-1].m))
+    squares = rules.ring(ideal)
+    return _positive_part(rules, squares, chain, labels,
+                          rules.lift(chain[0].m, squares), rules.lift(chain[-1].m, squares))
 
 
-def _positive_part(rules, chain, labels, lift, end_lift):
-    """``u_of_chain`` from the chain's labels and the lifts of its ends."""
+def _positive_part(rules, squares, chain, labels, lift, end_lift):
+    """``u_of_chain`` from the kind's ring, the chain's labels and the lifts
+    of its ends."""
     lcm = lift.lcm(end_lift)
-    u = prod((rules.variable(chain[0].m, i) for i in labels if i > 0), start=lift)
+    u = prod((rules.variable(chain[0].m, i, squares) for i in labels if i > 0), start=lift)
     if u != lcm:
         raise RuntimeError(
-            f"positive-label monomial {u.div(lift)} differs from lcm quotient "
-            f"{lcm.div(lift)} on chain {chain!r}"
+            f"positive-label monomial {square_str(u.div(lift), squares)} differs from "
+            f"lcm quotient {square_str(lcm.div(lift), squares)} on chain {chain!r}"
         )
     return u.div(lift)
 

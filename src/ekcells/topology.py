@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 
 from .complexes import FreeComplex
-from .monomials import BiMonomial, Monomial
+from .monomials import Monomial, square_str
 from .posets import FinitePoset, SimplicialComplexData
 
 __all__ = [
@@ -287,31 +287,21 @@ class _Packing:
     """Exponent vectors packed into ints (Monagan-Pearce).
 
     One field of ``width`` bits per variable, the first variable most
-    significant: the positions of ``Monomial.exps``, or the sorted union of
-    the ``BiMonomial`` variables seen.  Each field is one bit wider than the
-    largest exponent, and that top bit, the guard, is clear in every packed
-    degree; ``guard`` is the mask of all guard bits.
+    significant, so packed ints order as ``Monomial.exps`` do.  Each field is
+    one bit wider than the largest exponent, and that top bit, the guard, is
+    clear in every packed degree; ``guard`` is the mask of all guard bits.
     """
 
     def __init__(self, monos):
         monos = list(monos)
-        if all(isinstance(m, Monomial) for m in monos):
-            self.variables, self.size = None, (monos[0].n if monos else 1)
-        else:
-            self.variables = sorted({v for m in monos for v in m.variables()})
-            self.size = len(self.variables)
-        top = max((e for m in monos for e in self._exps(m)), default=0)
+        self.size = monos[0].n if monos else 1
+        top = max((e for m in monos for e in m.exps), default=0)
         self.width = top.bit_length() + 1
         self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(self.size))
 
-    def _exps(self, mono):
-        if self.variables is None:
-            return mono.exps
-        return tuple(mono.exponent(i, j) for i, j in self.variables)
-
-    def pack(self, mono) -> int:
+    def pack(self, mono: Monomial) -> int:
         x = 0
-        for e in self._exps(mono):
+        for e in mono.exps:
             x = (x << self.width) | e
         return x
 
@@ -319,17 +309,8 @@ class _Packing:
         w, mask = self.width, (1 << (self.width - 1)) - 1
         return tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1))
 
-    def unpack(self, x):
-        if self.variables is None:
-            return Monomial(self.fields(x))
-        return BiMonomial(dict(zip(self.variables, self.fields(x))))
-
-    def sort_key(self, x):
-        """The order of the unpacked degrees: ``Monomial.exps`` as tuples, which
-        is the order of their packed ints, or ``BiMonomial.items()``."""
-        if self.variables is None:
-            return x
-        return tuple((v, e) for v, e in zip(self.variables, self.fields(x)) if e)
+    def unpack(self, x) -> Monomial:
+        return Monomial(self.fields(x))
 
 
 def _lcm_lattice(gens, guard: int, width: int) -> set:
@@ -395,12 +376,12 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
             if defect is not None:
                 failing.append((b, f"F{p}" if p else "Q") + defect)
                 break
-    failing.sort(key=lambda failure: packing.sort_key(failure[0]))
+    failing.sort(key=lambda failure: failure[0])
     return StrandReport(
         ok=not failing, strands_checked=len(lattice), primes=primes,
         failures=[
-            {"degree": str(packing.unpack(b)), "field": field, "position": position,
-             "defect": defect}
+            {"degree": square_str(packing.unpack(b), cplx.squares), "field": field,
+             "position": position, "defect": defect}
             for b, field, position, defect in failing
         ],
     )

@@ -16,11 +16,12 @@ from . import shelling
 from .complexes import FreeComplex
 from .ek import AdmissiblePair, admissible_layers, b_set, ek_complex, kind_of, modified_complex
 from .ideals import MonomialIdeal
-from .monomials import Monomial
+from .monomials import Monomial, square_items, square_str
 from .polarization import (
     b_shift,
     bpol_ideal,
     bpol_monomial,
+    bpol_ring,
     g_shift,
     sigma_ideal,
     specialize_theta,
@@ -55,7 +56,9 @@ def check_d2(cplx: FreeComplex):
                 acc[key] = acc.get(key, 0) + s1 * s2
         bad = {k: v for k, v in acc.items() if v}
         if bad:
-            raise VerificationError(f"d^2 != 0 in {cplx.kind}: surviving terms {bad}")
+            terms = {(col, tgt, square_str(c, cplx.squares)): v
+                     for (col, tgt, c), v in bad.items()}
+            raise VerificationError(f"d^2 != 0 in {cplx.kind}: surviving terms {terms}")
 
 
 def check_minimality(cplx: FreeComplex):
@@ -72,9 +75,10 @@ def check_multidegrees(cplx: FreeComplex):
             src = cplx.mdegs[q][j]
             tgt = cplx.mdegs[q - 1][i]
             if tgt * coeff != src:
+                tgt, coeff, src = (square_str(m, cplx.squares) for m in (tgt, coeff, src))
                 raise VerificationError(
-                    f"multidegree mismatch at ({i},{j}) in degree {q} of {cplx.kind}: "
-                    f"{tgt} * {coeff} != {src}"
+                    f"multidegree mismatch at ({i},{j}) in degree {q} of {cplx.kind}, "
+                    f"cell {cplx.basis[q][j]!r}: {tgt} * {coeff} != {src}"
                 )
 
 
@@ -166,6 +170,7 @@ def check_cover_support(poset: FinitePoset, cplx: FreeComplex):
                 raise VerificationError(f"covers of {pair!r} differ from differential support")
             lcm = reduce(lambda a, b: a.lcm(b), [prev_mdegs[i] for i in rows]) if rows else None
             if mdeg != lcm:
+                mdeg, lcm = (m and square_str(m, cplx.squares) for m in (mdeg, lcm))
                 raise VerificationError(
                     f"multidegree {mdeg} of {pair!r} is not the lcm {lcm} of the cells it covers"
                 )
@@ -191,7 +196,8 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
     # shelling.verify_el_all (bench/tracer.py) also sees this sweep.
     reports = shelling.verify_el_all(kind, dual, ideal)
     rules = kind_of(kind)
-    lift = cache(rules.lift)  # one lift per generator, for the whole sweep
+    squares = rules.ring(ideal)
+    lift = cache(lambda m: rules.lift(m, squares))  # one lift per generator, for the whole sweep
     for rep in reports:
         a, b, labels = rep.bottom, rep.top, rep.labels
         labelset = set(labels)
@@ -205,8 +211,8 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
             raise VerificationError(f"increasing chain not lex-least on [{a!r}, {b!r}]")
         if b is not BOTTOM:
             try:
-                shelling._positive_part(rules, rep.increasing_chain, rep.increasing_label,
-                                        lift(a.m), lift(b.m))
+                shelling._positive_part(rules, squares, rep.increasing_chain,
+                                        rep.increasing_label, lift(a.m), lift(b.m))
             except RuntimeError as exc:  # the lcm identity fails
                 raise VerificationError(f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
             if kind == "ek":
@@ -276,15 +282,19 @@ def check_shift_instances(ideal: MonomialIdeal):
             if not ms > m:
                 raise VerificationError(f"m_<{s}> = {ms} not above m = {m}")
 
+    squares = bpol_ring(ideal)
+    lifts = {m: bpol_monomial(m, squares) for m in ideal.gens}
     for layer in admissible_layers(ideal, "modified"):
         for pair in layer:
-            wm = pair.lift()
+            wm = lifts[pair.m]
             bset = set(b_set(ideal, pair.F, pair.m, "modified"))
-            for i in pair.F:
-                wms = bpol_monomial(g_shift(ideal, pair.m, i))
-                var = pair.variable(i)
-                if wm.lcm(wms).div(wm) != var:
-                    raise VerificationError(f"lcm quotient of {pair!r} at {i} is not {var}")
+            for i, square in zip(pair.F, pair.indices):
+                quotient = wm.lcm(lifts[g_shift(ideal, pair.m, i)]).div(wm)
+                if square_items(quotient, squares) != ((square, 1),):
+                    raise VerificationError(
+                        f"lcm quotient {square_str(quotient, squares)} of {pair!r} at {i} "
+                        f"is not x[{square[0]},{square[1]}]"
+                    )
             _check_bset_relations(ideal, pair, bset)
 
 

@@ -35,6 +35,27 @@ EXPORT_DIGESTS = {
 }
 
 
+# SHA-256 of the stairs diagrams `polarize --diagram` writes and of the file
+# `resolve --kind modified --export json --d 6` writes for the named ideals,
+# recorded before the modified ring moved onto the squares that bpol(I) uses.
+# With --d 6 the column bound exceeds every generator degree; only the JSON
+# ring's "d" shows it.
+STAIRS_DIGESTS = {
+    "deg2/stairs.txt": "235de57309a634a782434588ba4554559559855c103637ec765dcc85e45f126d",
+    "tri-tri/stairs.txt": "8b9a69375fbea3a3f6cacf59f5b331877651cf20a22acdea306ff576ba74b7ca",
+    "tri-sq/stairs.txt": "64e0c2a54bc924947a3cb5d83db718bba3dfcb5d4743fd662aaa126677275249",
+    "deg4/stairs.txt": "b297dbf53431206dd6d346887cc237a5122cb7cd3dc68d6db1420f8c1bf299bd",
+    "intro/stairs.txt": "8d089ce2a72101ee6c1778a780ce55264b59a380c4821a3c6dde3c21995766df",
+}
+WIDE_EXPORT_DIGESTS = {
+    "deg2/modified.complex.json": "45f2e455800fb456564d1b36c10bd4983f3801a62372059305f8a1e00f914807",
+    "tri-tri/modified.complex.json": "7e87cf8217b0dc0215b2294f45ee5ac5abe04d8251831e032c616c3443d93c78",
+    "tri-sq/modified.complex.json": "c507055a526595a9cfcfd65c59553afa57efca0a264ef525d4cca555d3a40cc2",
+    "deg4/modified.complex.json": "d3e6645d88dee6eb68239474efb95bcaedb8bce6f1c88b054df603ff3e4811cb",
+    "intro/modified.complex.json": "c38df605c77fc480479a796005c458eff8872559f29669dbcff540a183e7c638",
+}
+
+
 @pytest.fixture
 def deg2_file(tmp_path):
     path = tmp_path / "deg2.ideal"
@@ -99,6 +120,20 @@ class TestResolve:
                     digests[f"{ideal_name}/{path.name}"] = hashlib.sha256(
                         path.read_bytes()).hexdigest()
         assert digests == EXPORT_DIGESTS
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (["polarize", "--diagram"], STAIRS_DIGESTS),
+        (["resolve", "--kind", "modified", "--export", "json", "--d", "6"], WIDE_EXPORT_DIGESTS),
+    ])
+    def test_stairs_and_wide_ring_bytes(self, argv, recorded, tmp_path, capsys):
+        digests = {}
+        for ideal_name in NAMED_IDEALS:
+            out = tmp_path / ideal_name
+            assert main([*argv, "--named", ideal_name, "--out", str(out)]) == 0
+            for path in out.iterdir():
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                digests[f"{ideal_name}/{path.name}"] = digest
+        assert digests == recorded
 
 
 class TestVerify:

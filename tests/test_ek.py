@@ -102,7 +102,7 @@ class TestDifferential:
         assert entries[AdmissiblePair((2,), mono("x1*x3", 3))] == (-1, mono("x1", 3))
 
     def test_f_vector(self, deg2):
-        assert ek_complex(deg2).f_vector() == (6, 8, 3)
+        assert ek_complex(deg2).ranks == (6, 8, 3)
 
     def test_rejects_non_stable(self):
         with pytest.raises(ValueError, match="not stable"):

@@ -4,16 +4,19 @@ import pytest
 
 from ekcells import (
     AdmissiblePair,
-    BiMonomial,
     admissible_pairs,
     b_set,
     bpol_monomial,
+    bpol_ring,
+    bpol_squares,
     ek_complex,
     g_shift,
     j_index,
     modified_complex,
     random_borel_ideal,
 )
+from ekcells.monomials import from_squares, square_items
+from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_d2, check_minimality, check_multidegrees
 from conftest import ideal, mono
 
@@ -47,11 +50,12 @@ class TestAdmissibleTilde:
         rng = random.Random(41)
         for _ in range(20):
             J = random_borel_ideal(rng)
+            ring = bpol_ring(J)
             for q in range(1, 4):
                 for pair in admissible_pairs(J, q, "modified"):
-                    wm = pair.lift()
+                    wm = bpol_monomial(pair.m, ring)
                     for i, j in pair.indices:
-                        assert not BiMonomial.variable(i, j).divides(wm)
+                        assert not from_squares(ring, [(i, j)]).divides(wm)
 
     def test_q0(self, tri_tri):
         pairs = admissible_pairs(tri_tri, 0, "modified")
@@ -91,7 +95,7 @@ class TestBTildeSet:
 
 class TestModifiedComplex:
     def test_f_vector(self, deg2):
-        assert modified_complex(deg2).f_vector() == (6, 8, 3)
+        assert modified_complex(deg2).ranks == (6, 8, 3)
 
     def test_single_term_column(self, intro):
         cplx = modified_complex(intro)
@@ -104,23 +108,24 @@ class TestModifiedComplex:
         # -x[1,2] e(0; x11 x22) + x[2,2] e(0; x11 x12)
         assert entries[AdmissiblePair((), mono("x1*x2", 2), "modified")] == (
             -1,
-            BiMonomial.variable(1, 2),
+            from_squares(cplx.squares, [(1, 2)]),
         )
         assert entries[AdmissiblePair((), mono("x1^2", 2), "modified")] == (
             1,
-            BiMonomial.variable(2, 2),
+            from_squares(cplx.squares, [(2, 2)]),
         )
 
     def test_removed_variable_is_lcm_quotient(self):
         rng = random.Random(47)
         for _ in range(15):
             J = random_borel_ideal(rng)
+            ring = bpol_ring(J)
             for q in range(1, 4):
                 for pair in admissible_pairs(J, q, "modified"):
-                    wm = pair.lift()
+                    wm = bpol_monomial(pair.m, ring)
                     for i, j in pair.indices:
-                        wm2 = bpol_monomial(g_shift(J, pair.m, i))
-                        assert wm.lcm(wm2).div(wm) == BiMonomial.variable(i, j)
+                        wm2 = bpol_monomial(g_shift(J, pair.m, i), ring)
+                        assert wm.lcm(wm2).div(wm) == from_squares(ring, [(i, j)])
 
     def test_rank_equality_with_classical(self):
         rng = random.Random(53)
@@ -148,3 +153,50 @@ class TestModifiedComplex:
         assert isinstance(lbl["F"][0], list) and len(lbl["F"][0]) == 2
         coeff = data["diffs"][0]["entries"][0]["coeff_exponents"]
         assert isinstance(coeff[0], list) and len(coeff[0]) == 3
+
+
+class TestSquaresLayout:
+    """The modified complex on the squares that bpol(I) uses, read back through
+    ``square_items`` against the stairs picture of each cell, which is built
+    without the layout: the black squares of bpol(m) and the white squares of
+    its index set, each once."""
+
+    @pytest.fixture(scope="class")
+    def layout_ideals(self):
+        """The named ideals, the first 50 ideals of the structural suite and
+        the 50 of the ball suite."""
+        rng6, rng7 = random.Random(20260810), random.Random(20260811)
+        return ([named_ideal(name) for name in NAMED_IDEALS]
+                + [random_borel_ideal(rng6) for _ in range(50)]
+                + [random_borel_ideal(rng7, cm=True) for _ in range(50)])
+
+    def test_degrees_are_the_stairs_pictures(self, layout_ideals):
+        for J in layout_ideals:
+            cplx = modified_complex(J)
+            squares = cplx.squares
+            assert squares == tuple(sorted({s for m in J.gens for s in bpol_squares(m)}))
+            pictures = []
+            for layer, mdegs in zip(cplx.basis, cplx.mdegs):
+                pictures.append([])
+                for pair, md in zip(layer, mdegs):
+                    black, white = set(bpol_squares(pair.m)), set(pair.indices)
+                    assert not black & white, (J, pair)
+                    picture = black | white
+                    pictures[-1].append(picture)
+                    assert square_items(md, squares) == tuple((s, 1) for s in sorted(picture))
+            # each coefficient is the picture of its column less that of its row
+            for q, mat in enumerate(cplx.diffs, start=1):
+                for (i, j), (_, coeff) in mat.items():
+                    src, tgt = pictures[q][j], pictures[q - 1][i]
+                    assert tgt <= src, (J, q, i, j)
+                    assert square_items(coeff, squares) == tuple((s, 1) for s in sorted(src - tgt))
+
+    def test_ring_is_compact(self):
+        # 202 squares, where a ring of all x[i,j] with i <= n, j <= d has 600
+        J = ideal(3, "x1", "x2", "x3^200")
+        cplx = modified_complex(J)
+        assert cplx.squares == ((1, 1), (2, 1)) + tuple((3, j) for j in range(1, 201))
+        assert cplx.ring == ("S~", 3, 200, cplx.squares)
+        monos = [md for layer in cplx.mdegs for md in layer]
+        monos += [coeff for mat in cplx.diffs for _, coeff in mat.values()]
+        assert monos and all(m.n == 202 for m in monos)

@@ -5,35 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekcells import BiMonomial, Monomial, lex_compare
+from ekcells import Monomial
+from ekcells.monomials import from_squares, square_items, square_str
 from conftest import mono
+
+
+def compare(a, b):
+    """-1, 0 or +1 according to a < b, a == b, a > b, from the operators."""
+    return (a > b) - (a < b)
 
 
 class TestLexOrder:
     def test_forced_by_definition(self):
-        assert lex_compare(mono("x1*x3", 3), mono("x2^2", 3)) == 1
+        assert mono("x1*x3", 3) > mono("x2^2", 3)
 
     def test_equal(self):
-        assert lex_compare(mono("x3^2", 3), mono("x3^2", 3)) == 0
+        a, b = mono("x3^2", 3), mono("x3^2", 3)
+        assert a == b and a <= b and a >= b and not a < b and not a > b
 
     def test_first_differing_slot(self):
-        assert lex_compare(mono("x2*x3", 3), mono("x3^2", 3)) == 1
+        assert mono("x2*x3", 3) > mono("x3^2", 3)
 
     def test_mismatched_ring(self):
-        with pytest.raises(ValueError):
-            lex_compare(mono("x1", 2), mono("x1", 3))
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            with pytest.raises(ValueError):
+                getattr(mono("x1", 2), op)(mono("x1", 3))
 
     def test_total_order(self):
         monos = [Monomial(e) for e in itertools.product(range(3), repeat=3)]
         srt = sorted(monos)
         for a, b in zip(srt, srt[1:]):
-            assert lex_compare(a, b) == -1
-        # antisymmetry + totality on all pairs
+            assert compare(a, b) == -1
+        # exactly one of <, ==, > on every pair, and antisymmetry
         for a in monos:
             for b in monos:
-                c = lex_compare(a, b)
-                assert c == -lex_compare(b, a)
-                assert c in (-1, 0, 1)
+                assert (a < b) + (a == b) + (a > b) == 1
+                assert compare(a, b) == -compare(b, a)
+                assert (a <= b) == (a < b or a == b) and (a >= b) == (a > b or a == b)
 
 
 class TestBasicOps:
@@ -103,28 +111,40 @@ class TestParsing:
             Monomial.parse("y1", 3)
 
 
+SQUARES = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
+
+
 class TestBiMonomial:
+    """Monomials of a doubly indexed ring k[x_s | s in squares]."""
+
     def test_from_factors_counts_multiplicity(self):
-        b = BiMonomial.from_factors([(1, 1), (1, 1), (2, 3)])
-        assert b.exponent(1, 1) == 2
+        b = from_squares(SQUARES, [(1, 1), (1, 1), (2, 3)])
+        assert b == Monomial((2, 0, 0, 0, 1))
         assert not b.is_squarefree()
+        with pytest.raises(ValueError, match=r"x\[3,1\] is not a variable"):
+            from_squares(SQUARES, [(3, 1)])
 
     def test_divides_lcm_div(self):
-        a = BiMonomial({(1, 1): 1, (2, 2): 1})
-        b = BiMonomial({(1, 1): 1})
+        a = from_squares(SQUARES, [(1, 1), (2, 2)])
+        b = from_squares(SQUARES, [(1, 1)])
         assert b.divides(a)
-        assert a.div(b) == BiMonomial({(2, 2): 1})
+        assert a.div(b) == from_squares(SQUARES, [(2, 2)])
         assert a.lcm(b) == a
         with pytest.raises(ValueError):
             b.div(a)
 
     def test_no_stored_zero_exponents(self):
-        b = BiMonomial({(1, 1): 0, (2, 1): 1})
-        assert b.items() == (((2, 1), 1),)
+        b = from_squares(SQUARES, [(2, 1)])
+        assert square_items(b, SQUARES) == (((2, 1), 1),)
+        assert square_items(Monomial.unit(5), SQUARES) == ()
+        with pytest.raises(ValueError):
+            square_items(b, SQUARES[:4])
 
     def test_str(self):
-        b = BiMonomial({(2, 1): 1, (1, 1): 2})
-        assert str(b) == "x[1,1]^2*x[2,1]"
+        b = from_squares(SQUARES, [(2, 1), (1, 1), (1, 1)])
+        assert square_str(b, SQUARES) == "x[1,1]^2*x[2,1]"
+        assert square_str(Monomial.unit(5), SQUARES) == "1"
+        assert square_str(b, None) == str(b) == "x1^2*x3"
 
 
 # Differential tests of the arithmetic results, which are built from their

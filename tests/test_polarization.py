@@ -4,11 +4,12 @@ import random
 import pytest
 
 from ekcells import (
-    BiMonomial,
     Monomial,
     b_shift,
     bpol_ideal,
     bpol_monomial,
+    bpol_ring,
+    bpol_squares,
     context_for,
     ek_complex,
     g_shift,
@@ -21,27 +22,37 @@ from ekcells import (
     stairs_diagram,
     strand_exactness,
 )
+from ekcells.monomials import square_items, square_str
 from conftest import ideal, mono
 
 
 class TestBpol:
     def test_worked_monomial(self):
-        got = bpol_monomial(mono("x1^2*x4*x6^2", 6))
-        assert got == BiMonomial.from_factors([(1, 1), (1, 2), (4, 3), (6, 4), (6, 5)])
+        m = mono("x1^2*x4*x6^2", 6)
+        squares = ((1, 1), (1, 2), (4, 3), (6, 4), (6, 5))
+        assert bpol_squares(m) == squares
+        # in a ring with squares bpol(m) does not use
+        ring = tuple(sorted(squares + ((2, 1), (6, 6))))
+        assert square_items(bpol_monomial(m, ring), ring) == tuple((s, 1) for s in squares)
 
     def test_intro_ideal(self, intro):
-        assert [str(b) for b in bpol_ideal(intro)] == [
+        ring = bpol_ring(intro)
+        assert ring == ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
+        assert [square_str(b, ring) for b in bpol_ideal(intro)] == [
             "x[1,1]*x[1,2]",
             "x[1,1]*x[2,2]",
             "x[2,1]*x[2,2]*x[2,3]",
         ]
 
     def test_single_factor(self):
-        assert bpol_monomial(mono("x3", 3)) == BiMonomial.variable(3, 1)
+        assert bpol_squares(mono("x3", 3)) == ((3, 1),)
+        assert bpol_monomial(mono("x3", 3), ((1, 1), (3, 1))) == Monomial((0, 1))
 
     def test_unit_rejected(self):
         with pytest.raises(ValueError):
-            bpol_monomial(Monomial.unit(2))
+            bpol_squares(Monomial.unit(2))
+        with pytest.raises(ValueError):
+            bpol_monomial(Monomial.unit(2), ((1, 1),))
 
     def test_always_squarefree_and_injective(self):
         monos = [
@@ -49,7 +60,8 @@ class TestBpol:
             for e in itertools.product(range(3), repeat=3)
             if any(e)
         ]
-        images = [bpol_monomial(m) for m in monos]
+        ring = tuple(sorted({s for m in monos for s in bpol_squares(m)}))
+        images = [bpol_monomial(m, ring) for m in monos]
         assert all(b.is_squarefree() for b in images)
         assert len(set(images)) == len(monos)
 
@@ -161,11 +173,11 @@ class TestSpecializations:
 
 class TestStairsDiagram:
     def test_single_black_square(self):
-        assert stairs_diagram((), BiMonomial.variable(1, 1)) == "■"
+        assert stairs_diagram((), mono("x1", 1)) == "■"
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            stairs_diagram(((1, 1),), BiMonomial.variable(1, 1))
+            stairs_diagram(((1, 1),), mono("x1", 1))
 
     def test_column_structure(self):
         # one black square at the bottom of each column for a maximal pair
@@ -173,7 +185,7 @@ class TestStairsDiagram:
         from ekcells import AdmissiblePair
 
         full = AdmissiblePair((1, 2, 3, 4, 5), m, "modified")
-        grid = stairs_diagram(full.indices, full.lift()).splitlines()
+        grid = stairs_diagram(full.indices, m).splitlines()
         for j in range(5):
             column = [row[j] for row in grid]
             assert column.count("■") == 1

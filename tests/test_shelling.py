@@ -116,8 +116,10 @@ class TestSweepOracle:
             for rep in reports:
                 if rep.top is not BOTTOM:
                     chain, lab = rep.increasing_chain, rep.increasing_label
+                    squares = rules.ring(J)
                     assert u_of_chain(kind, chain, J) == shelling._positive_part(
-                        rules, chain, lab, rules.lift(rep.bottom.m), rules.lift(rep.top.m))
+                        rules, squares, chain, lab,
+                        rules.lift(rep.bottom.m, squares), rules.lift(rep.top.m, squares))
 
 
 class TestChainMonomial:

@@ -24,7 +24,7 @@ from ekcells import (
     strand_exactness,
 )
 from ekcells.ideals import borel_closure
-from ekcells.monomials import BiMonomial, Monomial
+from ekcells.monomials import Monomial, from_squares, square_items, square_str
 from ekcells.polarization import sigma_ideal, specialize_theta, specialize_theta_prime
 from ekcells.suite import NAMED_IDEALS
 from ekcells.topology import (
@@ -139,12 +139,6 @@ def reference_lcm_lattice(gens):
     return lattice
 
 
-def reference_sort_key(mono):
-    if hasattr(mono, "exps"):
-        return (0, mono.exps)
-    return (1, mono.items())
-
-
 def reference_strand(cplx, b):
     """The strand at b by a ``divides`` scan: the basis indices per degree,
     the dimensions (degree -1 first) and the dense augmented matrices."""
@@ -163,10 +157,10 @@ def reference_strand(cplx, b):
 
 
 def reference_strand_exactness(cplx, gens, primes=()):
-    """The strand oracle on monomial objects: the lattice by ``lcm``, each
-    strand by a ``divides`` scan, dense strand matrices."""
+    """The strand oracle on monomial objects: the lattice by ``lcm`` in
+    monomial order, each strand by a ``divides`` scan, dense strand matrices."""
     report = StrandReport(ok=True, strands_checked=0, primes=tuple(primes))
-    for b in sorted(reference_lcm_lattice(list(gens)), key=reference_sort_key):
+    for b in sorted(reference_lcm_lattice(list(gens))):
         report.strands_checked += 1
         _, dims, mats = reference_strand(cplx, b)
         for p in (0,) + report.primes:
@@ -174,7 +168,8 @@ def reference_strand_exactness(cplx, gens, primes=()):
             defect = _exactness_defect(dims, ranks)
             if defect is not None:
                 report.ok = False
-                report.failures.append({"degree": str(b), "field": f"F{p}" if p else "Q",
+                report.failures.append({"degree": square_str(b, cplx.squares),
+                                        "field": f"F{p}" if p else "Q",
                                         "position": defect[0], "defect": defect[1]})
                 break
     return report
@@ -512,10 +507,22 @@ class TestStrands:
         assert strand_exactness(cek, list(J.gens)).strands_checked == (d + 1) * (d + 2) // 2
 
     def test_variable_in_no_generator_never_divides(self, deg2):
+        # the modified complex in a ring with one more square, (9, 9), that no
+        # generator uses, and one multidegree times x[9,9]
         cplx = modified_complex(deg2)
-        gens = bpol_ideal(deg2)
-        stray = BiMonomial.variable(9, 9)
-        cplx.mdegs[-1][0] = cplx.mdegs[-1][0] * stray
+        ring = cplx.squares + ((9, 9),)
+
+        def widen(m):
+            factors = [s for s, e in square_items(m, cplx.squares) for _ in range(e)]
+            return from_squares(ring, factors)
+
+        gens = [widen(g) for g in bpol_ideal(deg2)]
+        cplx = FreeComplex(
+            cplx.kind, cplx.ring[:3] + (ring,), cplx.basis,
+            [[widen(md) for md in layer] for layer in cplx.mdegs],
+            [{pos: (sign, widen(c)) for pos, (sign, c) in mat.items()} for mat in cplx.diffs],
+        )
+        cplx.mdegs[-1][0] = cplx.mdegs[-1][0] * from_squares(ring, [(9, 9)])
         packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
         md = packing.pack(cplx.mdegs[-1][0])
         G = packing.guard

@@ -1,11 +1,14 @@
 import random
 import re
+import sys
 
 import pytest
 
 from ekcells import (
-    Monomial, ek_complex, modified_complex, random_borel_ideal, shelling, verification,
+    AdmissiblePair, Monomial, ek_complex, modified_complex, random_borel_ideal, shelling,
+    verification,
 )
+from ekcells.monomials import from_squares, square_str
 from ekcells.verification import (
     VerificationError,
     check_cover_support,
@@ -13,12 +16,13 @@ from ekcells.verification import (
     check_g_properties,
     check_intervals,
     check_minimality,
+    check_multidegrees,
     check_shift_instances,
     cm_battery,
     full_battery,
 )
 from ekcells.posets import FinitePoset
-from conftest import gamma, ideal
+from conftest import gamma, ideal, mono
 
 
 class TestBatteries:
@@ -56,9 +60,19 @@ class TestBatteries:
         assert [stats["facets_ek"], stats["facets_modified"]] == [len(d.facets) for d in built]
 
     def test_messages_built_only_on_failure(self, deg2, monkeypatch):
+        # messages print through Monomial.__str__ and, on the squares of the
+        # modified ring, through square_str under each name it is imported as
         calls = []
         original = Monomial.__str__
         monkeypatch.setattr(Monomial, "__str__", lambda m: calls.append(m) or original(m))
+
+        def recorded(m, squares):
+            calls.append(m)
+            return square_str(m, squares)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ekcells") and hasattr(module, "square_str"):
+                monkeypatch.setattr(module, "square_str", recorded)
         full_battery(deg2)
         assert calls == []
 
@@ -78,12 +92,10 @@ class TestMutationDetection:
             check_d2(cplx)
 
     def test_unit_coefficient_detected(self, intro):
-        from ekcells.monomials import BiMonomial
-
         cplx = modified_complex(intro)
         pos = next(iter(sorted(cplx.diffs[0])))
         sign, _ = cplx.diffs[0][pos]
-        cplx.diffs[0][pos] = (sign, BiMonomial.unit())
+        cplx.diffs[0][pos] = (sign, Monomial.unit(len(cplx.squares)))
         with pytest.raises(VerificationError, match="unit"):
             check_minimality(cplx)
 
@@ -105,6 +117,25 @@ class TestMutationDetection:
         )
         with pytest.raises(VerificationError, match=r"lcm identity fails on \[e\(\{1\}"):
             full_battery(deg2)
+
+    def test_modified_messages_name_the_cell_and_its_squares(self, deg2):
+        # the first cell of degree 1 with its multidegree times x[3,1]
+        cplx = modified_complex(deg2)
+        poset = gamma("modified", deg2)
+        assert cplx.basis[1][0] == AdmissiblePair((1,), mono("x1*x2", 3), "modified")
+        cplx.mdegs[1][0] = cplx.mdegs[1][0] * from_squares(cplx.squares, [(3, 1)])
+        with pytest.raises(VerificationError) as info:
+            check_multidegrees(cplx)
+        assert str(info.value) == (
+            "multidegree mismatch at (1,0) in degree 1 of modified, cell ~e({(1,2)};x1*x2): "
+            "x[1,1]*x[2,2] * x[1,2] != x[1,1]*x[1,2]*x[2,2]*x[3,1]"
+        )
+        with pytest.raises(VerificationError) as info:
+            check_cover_support(poset, cplx)
+        assert str(info.value) == (
+            "multidegree x[1,1]*x[1,2]*x[2,2]*x[3,1] of ~e({(1,2)};x1*x2) is not the lcm "
+            "x[1,1]*x[1,2]*x[2,2] of the cells it covers"
+        )
 
     def test_missing_cover_detected(self, intro):
         cplx = modified_complex(intro)
