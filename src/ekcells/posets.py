@@ -196,41 +196,34 @@ class FinitePoset:
         mask = self._above[self._idx[a]]
         return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
 
-    def without_bottom(self) -> "FinitePoset":
-        """The poset minus its least element.  Removing a least element
-        creates no cover, so the covers are those that avoid it."""
-        mins = self.minimal_elements()
-        if len(mins) != 1:
-            raise ValueError("poset has no unique least element")
-        bottom = mins[0]
-        return FinitePoset(
-            [e for e in self.elements if e != bottom],
-            [(x, y) for x, y in self.covers if x != bottom],
-        )
-
     # -- chains ---------------------------------------------------------------
 
     def maximal_chains(self) -> list:
         """All unrefinable chains from a minimal to a maximal element."""
         everything = (1 << len(self.elements)) - 1
-        return [chain for k, downs in enumerate(self._down) if not downs
-                for chain in self._chains(k, everything)]
+        return [self._labels(path) for k, downs in enumerate(self._down) if not downs
+                for path in self._chains(k, everything)]
 
     def chains_between(self, a, b) -> list:
         """All unrefinable chains from a up to b (maximal chains of [a, b])."""
         if not self.leq(a, b):
             raise ValueError(f"{a!r} and {b!r} do not satisfy a <= b")
-        return self._chains(self._idx[a], self._below[self._idx[b]])
+        paths = self._chains(self._idx[a], self._below[self._idx[b]])
+        return [self._labels(path) for path in paths]
+
+    def _labels(self, path) -> tuple:
+        return tuple(self.elements[k] for k in path)
 
     def _chains(self, start, within) -> list:
         # pre-order walk on an explicit stack from index start up the covers
-        # inside the bitmask within; each path that no such cover extends is a chain
+        # inside the bitmask within; each index path that no such cover
+        # extends is a chain
         out, stack = [], [(start,)]
         while stack:
             path = stack.pop()
             ups = [j for j in self._up[path[-1]] if within >> j & 1]
             if not ups:
-                out.append(tuple(self.elements[k] for k in path))
+                out.append(path)
             stack.extend(path + (j,) for j in reversed(ups))
         return out
 
@@ -266,14 +259,23 @@ class FinitePoset:
         return True
 
     def order_complex(self, drop_bottom: bool = False) -> "SimplicialComplexData":
-        """The simplicial complex of chains; facets are the maximal chains."""
-        pos = self
+        """The simplicial complex of chains; facets are the maximal chains.
+
+        With ``drop_bottom``, that of the poset minus its least element: the
+        chains then start at the covers of the least element, and vertex k is
+        the k-th of the other elements.  Maximal chains are pairwise
+        incomparable, so the complex is not revalidated."""
+        starts = [k for k, downs in enumerate(self._down) if not downs]
+        vertices, skip = self.elements, len(self.elements)
         if drop_bottom:
-            pos = self.without_bottom()
-        facets = [
-            frozenset(pos.index(x) for x in chain) for chain in pos.maximal_chains()
-        ]
-        return SimplicialComplexData(pos.elements, tuple(facets))
+            if len(starts) != 1:
+                raise ValueError("poset has no unique least element")
+            skip = starts[0]
+            starts, vertices = self._up[skip], vertices[:skip] + vertices[skip + 1:]
+        everything = (1 << len(self.elements)) - 1
+        facets = tuple(frozenset([k - (k > skip) for k in path])
+                       for k in starts for path in self._chains(k, everything))
+        return SimplicialComplexData._of(vertices, facets)
 
 
 @dataclass(frozen=True)
@@ -294,6 +296,15 @@ class SimplicialComplexData:
             for g in facets:
                 if f is not g and f != g and f <= g:
                     raise ValueError("facets must be pairwise incomparable")
+
+    @classmethod
+    def _of(cls, vertices: tuple, facets: tuple) -> "SimplicialComplexData":
+        """The complex with these vertices and facets, unchecked: only for
+        pairwise incomparable frozensets of vertex indices in range."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "vertices", vertices)
+        object.__setattr__(data, "facets", facets)
+        return data
 
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1

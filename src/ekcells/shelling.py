@@ -214,68 +214,69 @@ def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> Sh
     nodes returns ``ShellingResult(None, False)``.  Candidate order is
     lexicographic on sorted vertex lists throughout, so results are
     reproducible.
+
+    The search is a depth-first walk on an explicit stack.  A facet can follow
+    the placed ones only if it shares a ridge with one of them, so each step
+    scans just those facets, in index order, and tests them with
+    ``_can_follow``.
     """
     if not data.is_pure():
         raise ValueError("shelling search needs a pure complex")
-    facets = sorted(data.facets, key=lambda f: tuple(sorted(f)))
+    facets = sorted(tuple(sorted(f)) for f in data.facets)
     r = len(facets)
-    if r == 1:
-        return ShellingResult([0], True)
-    masks = []
-    for f in facets:
-        m = 0
-        for v in f:
-            m |= 1 << v
-        masks.append(m)
+    if r <= 1:
+        return ShellingResult(list(range(r)), True)
+    everything = (1 << r) - 1
+    # neighbours[i]: the other facets that share a ridge with facet i
+    ridges = {}
+    for i, f in enumerate(facets):
+        for k in range(len(f)):
+            ridges.setdefault(f[:k] + f[k + 1:], []).append(i)
+    neighbours = [0] * r
+    for sharing in ridges.values():
+        for i in sharing:
+            for j in sharing:
+                if j != i:
+                    neighbours[i] |= 1 << j
 
-    nodes = 0
-    dead = set()
-    order = []
-
-    def addable(s, used):
-        cov = 0
-        diffs = []
-        for t in used:
-            dmask = s & ~t
-            diffs.append(dmask)
-            if dmask.bit_count() == 1:
-                cov |= dmask
-        if not cov:
-            return False
-        return all(d & cov for d in diffs)
-
-    class _Budget(Exception):
-        pass
-
-    def dfs(used_mask, used):
-        nonlocal nodes
-        if len(used) == r:
-            return True
-        if used_mask in dead:
-            return False
+    placed = [0] * len(data.vertices)  # placed[v]: the placed facets that contain v
+    used, order, dead, nodes = 0, [], set(), 1  # the root is the first node
+    if nodes > node_budget:
+        return ShellingResult(None, False)
+    # one frame per placed prefix, the root first: [candidates left, frontier]
+    stack = [[everything, 0]]
+    while stack:
+        frame = stack[-1]
+        if not frame[0]:
+            dead.add(used)
+            stack.pop()
+            if order:
+                i = order.pop()
+                used ^= 1 << i
+                for v in facets[i]:
+                    placed[v] ^= 1 << i
+            continue
+        bit = frame[0] & -frame[0]
+        frame[0] ^= bit
+        i = bit.bit_length() - 1
+        if used and not _can_follow(facets[i], placed, used):
+            continue
+        if used | bit == everything:
+            order.append(i)
+            break
+        if used | bit in dead:
+            continue
         nodes += 1
         if nodes > node_budget:
-            raise _Budget
-        for idx in range(r):
-            if used_mask >> idx & 1:
-                continue
-            if used and not addable(masks[idx], used):
-                continue
-            used.append(masks[idx])
-            if dfs(used_mask | (1 << idx), used):
-                order.append(idx)
-                return True
-            used.pop()
-        dead.add(used_mask)
-        return False
-
-    try:
-        found = dfs(0, [])
-    except _Budget:
-        return ShellingResult(None, False)
-    if not found:
+            return ShellingResult(None, False)
+        order.append(i)
+        used |= bit
+        for v in facets[i]:
+            placed[v] |= bit
+        frontier = (frame[1] | neighbours[i]) & ~used
+        stack.append([frontier, frontier])
+    else:
         return ShellingResult(None, True)
-    order.reverse()
     if not verify_shelling_order(data, order):
         raise RuntimeError(f"shelling search returned an order that fails the check: {order}")
     return ShellingResult(order, True)
@@ -283,20 +284,39 @@ def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> Sh
 
 def verify_shelling_order(data: SimplicialComplexData, order) -> bool:
     """Check the shelling condition for an explicit facet order (on the same
-    canonical facet ordering used by find_shelling)."""
-    facets = sorted(data.facets, key=lambda f: tuple(sorted(f)))
+    canonical facet ordering used by find_shelling), in one pass: each facet
+    must be able to follow the ones before it."""
+    facets = sorted(tuple(sorted(f)) for f in data.facets)
     if sorted(order) != list(range(len(facets))):
         return False
-    size = len(facets[0])
-    for pos in range(1, len(order)):
-        s = facets[order[pos]]
-        inters = [s & facets[order[k]] for k in range(pos)]
-        ridges = [x for x in inters if len(x) == size - 1]
-        if not ridges:
+    placed, used = [0] * len(data.vertices), 0
+    for i in order:
+        if used and not _can_follow(facets[i], placed, used):
             return False
-        if not all(any(x <= rho for rho in ridges) for x in inters):
-            return False
+        used |= 1 << i
+        for v in facets[i]:
+            placed[v] |= 1 << i
     return True
+
+
+def _can_follow(f, placed, used) -> bool:
+    """Whether facet ``f`` can follow the placed facets in a shelling.
+
+    ``placed[v]`` is the bitmask of the placed facets that contain vertex v
+    and ``used`` their union.  The restriction face of f is the set of its
+    vertices v whose ridge f - v lies in a placed facet; f can follow exactly
+    when that face is nonempty and lies in no placed facet (Bjorner-Wachs,
+    "Shellable nonpure complexes and posets I", Trans. AMS 348, 1996).
+    """
+    restricted, common = False, used
+    for v in f:
+        ridge = used
+        for u in f:
+            if u != v:
+                ridge &= placed[u]
+        if ridge:
+            restricted, common = True, common & placed[v]
+    return restricted and not common
 
 
 def ball_check(

@@ -101,15 +101,20 @@ class TestFinitePoset:
         assert p.ranks() is None
         assert not p.is_thin()
 
-    @pytest.mark.parametrize("name, kind", [("deg4", "ek"), ("tri-sq", "modified")])
+    @pytest.mark.parametrize("name, kind", [(name, kind) for name in NAMED_IDEALS
+                                            for kind in ("ek", "modified")])
     def test_without_bottom_keeps_the_covers_that_avoid_it(self, name, kind):
+        # oracle for order_complex(drop_bottom=True): the order complex of the
+        # poset rebuilt from the other elements and the covers that avoid BOTTOM
         p = gamma(kind, named_ideal(name))
-        q = p.without_bottom()
-        assert q.elements == tuple(e for e in p.elements if e is not BOTTOM)
-        assert set(q.covers) == {(x, y) for x, y in p.covers if x is not BOTTOM}
-        for x in q.elements:
-            for y in q.elements:
-                assert q.leq(x, y) == p.leq(x, y)
+        q = FinitePoset([e for e in p.elements if e is not BOTTOM],
+                        [(x, y) for x, y in p.covers if x is not BOTTOM])
+        got, want = p.order_complex(drop_bottom=True), q.order_complex()
+        assert got.vertices == want.vertices
+        assert len(got.facets) == len(want.facets)
+        assert set(got.facets) == set(want.facets)
+        # the validating constructor accepts the unchecked complex
+        assert SimplicialComplexData(got.vertices, got.facets) == got
 
 
 class TestOrderComplex:

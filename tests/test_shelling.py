@@ -1,7 +1,11 @@
+import hashlib
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekcells import (
     BOTTOM,
@@ -19,7 +23,7 @@ from ekcells import (
     verify_el_interval,
 )
 from ekcells.ek import kind_of
-from ekcells.shelling import ELReport, verify_shelling_order
+from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from conftest import ball, gamma, mono, power_ideal
 
@@ -227,11 +231,144 @@ class TestCWFallback:
         assert witness["unshellable_interval"] == ("0", "1", True)
 
 
+def pairwise_shelling_order(data, order):
+    """The shelling condition by definition, facet against facet: each facet
+    after the first meets some earlier one in a ridge, and its intersection
+    with every earlier facet lies in one of those ridges.  The intersections
+    are collected from the earlier facets that meet it, plus the empty one
+    when some earlier facet does not."""
+    facets = sorted(data.facets, key=lambda f: tuple(sorted(f)))
+    if sorted(order) != list(range(len(facets))):
+        return False
+    size = len(facets[0])
+    earlier = {}  # vertex -> the earlier facets that contain it
+    for pos, i in enumerate(order):
+        s = facets[i]
+        if pos:
+            meeting = {t for v in s for t in earlier.get(v, ())}
+            inters = {s & t for t in meeting}
+            if len(meeting) < pos:
+                inters.add(frozenset())
+            ridges = [x for x in inters if len(x) == size - 1]
+            if not ridges:
+                return False
+            if not all(any(x <= rho for rho in ridges) for x in inters):
+                return False
+        for v in s:
+            earlier.setdefault(v, []).append(s)
+    return True
+
+
+@st.composite
+def pure_complexes(draw):
+    """Up to 10 distinct k-subsets of at most 6 vertices."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=n))
+    chosen = draw(st.lists(st.sampled_from(list(combinations(range(n), k))),
+                           min_size=1, max_size=10, unique=True))
+    return SimplicialComplexData(tuple(range(n)), tuple(frozenset(f) for f in chosen))
+
+
+def swapped(order, k):
+    """``order`` with its entries k and k + 1 exchanged."""
+    out = list(order)
+    out[k], out[k + 1] = out[k + 1], out[k]
+    return out
+
+
+class TestShellingCheckOracle:
+    """The one-pass ``verify_shelling_order`` against the pairwise reference."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(pure_complexes(), st.randoms(use_true_random=False))
+    def test_random_orders(self, data, rnd):
+        order = list(range(len(data.facets)))
+        rnd.shuffle(order)
+        assert verify_shelling_order(data, order) == pairwise_shelling_order(data, order)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(pure_complexes(), st.data())
+    def test_found_orders_and_a_transposition(self, data, draws):
+        order = find_shelling(data).order
+        if order is None:
+            return
+        assert pairwise_shelling_order(data, order)
+        if len(order) > 1:
+            moved = swapped(order, draws.draw(st.integers(0, len(order) - 2)))
+            assert verify_shelling_order(data, moved) == pairwise_shelling_order(data, moved)
+
+    @pytest.mark.parametrize("name", NAMED_IDEALS)
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_every_transposition_of_a_found_order(self, name, kind):
+        data = gamma(kind, named_ideal(name)).order_complex(drop_bottom=True)
+        order = find_shelling(data).order
+        if order is None:
+            return
+        verdicts = [verify_shelling_order(data, swapped(order, k)) for k in range(len(order) - 1)]
+        assert verdicts == [pairwise_shelling_order(data, swapped(order, k))
+                            for k in range(len(order) - 1)]
+        assert not all(verdicts)
+
+    def test_non_permutations_rejected(self, deg2):
+        data = gamma("ek", deg2).order_complex(drop_bottom=True)
+        order = find_shelling(data).order
+        assert not verify_shelling_order(data, order[:-1])
+        assert not verify_shelling_order(data, order + [order[0]])
+
+
+# SHA-256 of repr((order, exhaustive)) of each search below, in order, as the
+# recursive search that the explicit-stack one replaced answered them
+SEARCH_DIGEST = "71ba1961ef72cbcc406de0c02de735fb9c5d158bfa1ee55bc8ba7c7e2a273d44"
+
+
+class TestSearchPins:
+    def test_answers_equal_the_recorded_digest(self):
+        rng = random.Random(20260811)  # the 50 draws of the cm-ball suite
+        ideals = ([named_ideal(name) for name in NAMED_IDEALS]
+                  + [power_ideal(3, d) for d in (2, 3, 4)]
+                  + [power_ideal(4, d) for d in (2, 3)]
+                  + [random_borel_ideal(rng, cm=True) for _ in range(50)])
+        digest = hashlib.sha256()
+        for kind in ("ek", "modified"):
+            for J in ideals:
+                res = find_shelling(gamma(kind, J).order_complex(drop_bottom=True))
+                digest.update(repr((res.order, res.exhaustive)).encode())
+        assert digest.hexdigest() == SEARCH_DIGEST
+
+    @pytest.mark.parametrize("name, kind, nodes, answer", [
+        ("tri-tri", "modified", 63, ShellingResult(None, True)),
+        ("deg2", "ek", 20, ShellingResult([0, 1, 2, 3, 4, 7, 6, 5] + list(range(8, 20)), True)),
+    ])
+    def test_node_budget_boundary(self, name, kind, nodes, answer):
+        # the search visits exactly ``nodes`` nodes: that budget gives its
+        # answer, one node less runs out
+        data = gamma(kind, named_ideal(name)).order_complex(drop_bottom=True)
+        assert find_shelling(data) == answer
+        assert find_shelling(data, node_budget=nodes) == answer
+        assert find_shelling(data, node_budget=nodes - 1) == ShellingResult(None, False)
+
+    def test_three_thousand_facets_need_no_recursion(self):
+        # (x1..x5)^3 has 3,024 facets; a search that recursed once per placed
+        # facet exceeded the interpreter's recursion limit here
+        J = power_ideal(5, 3)
+        data = gamma("ek", J).order_complex(drop_bottom=True)
+        assert len(data.facets) == 3024
+        res = find_shelling(data)
+        assert pairwise_shelling_order(data, res.order)
+        assert ball("ek", J).verdict == "ball-certified"
+
+
 class TestFindShelling:
     def test_single_simplex(self):
         data = SimplicialComplexData((0, 1, 2), (frozenset({0, 1, 2}),))
         res = find_shelling(data)
         assert res.order == [0]
+
+    def test_void_complex(self):
+        # no facets: the empty order shells it
+        data = SimplicialComplexData((), ())
+        assert find_shelling(data) == ShellingResult([], True)
+        assert verify_shelling_order(data, [])
 
     def test_two_triangles_sharing_a_vertex(self):
         data = SimplicialComplexData(
@@ -245,6 +382,7 @@ class TestFindShelling:
         res = find_shelling(data)
         assert res.order is not None
         assert verify_shelling_order(data, res.order)
+        assert pairwise_shelling_order(data, res.order)
 
     def test_non_pure_rejected(self):
         data = SimplicialComplexData(
