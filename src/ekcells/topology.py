@@ -8,9 +8,10 @@ utilities on graded posets.
 All arithmetic is exact, on sparse integer columns.  Homology goes through
 ``invariant_factors``, the Smith invariants of a sparse integer matrix, from
 +-1 pivots first and the dense ``smith_diagonal`` on the unit-free rest, and
-reads Betti numbers and torsion off them.  The strand oracle first ranks each
-strand of the frame over F_2 (row bitmasks) and F_3 (bitsliced mask pairs);
-the Smith invariants name the failing field of a strand that fails there.
+reads Betti numbers and torsion off them.  The strand oracle walks the lcm
+lattice once and ranks, over F_2 (row bitmasks) and F_3 (bitsliced mask
+pairs), only the cells each strand adds to an exact strand below it; the
+Smith invariants name the failing field of a strand that fails there.
 """
 
 from __future__ import annotations
@@ -305,38 +306,9 @@ class _Packing:
             x = (x << self.width) | e
         return x
 
-    def fields(self, x) -> tuple:
-        w, mask = self.width, (1 << (self.width - 1)) - 1
-        return tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1))
-
     def unpack(self, x) -> Monomial:
-        return Monomial(self.fields(x))
-
-
-def _lcm_lattice(gens, guard: int, width: int) -> set:
-    """All joins of nonempty subsets of the packed generator degrees.
-
-    The join is the field-wise maximum, taken by SWAR: the guard of a field
-    survives ``(a | guard) - g`` exactly where a's exponent is at least g's,
-    and subtracting that guard shifted to the field's low bit widens it into a
-    mask of the field.
-    """
-    lattice = set(gens)
-    frontier = list(lattice)
-    shift = width - 1
-    while frontier:
-        nxt = []
-        for a in frontier:
-            ag = a | guard
-            for g in gens:
-                ge = (ag - g) & guard
-                keep = ge - (ge >> shift)
-                j = (a & keep) | (g & ~keep)
-                if j not in lattice:
-                    lattice.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return lattice
+        w, mask = self.width, (1 << (self.width - 1)) - 1
+        return Monomial(tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1)))
 
 
 def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
@@ -346,45 +318,46 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     each free module to the basis elements whose degree divides b, restricts
     the differentials (entries become +-1), augments by the one-dimensional
     degree-b component of the ideal, and verifies exactness of the resulting
-    complex over Q (and over F_p for each requested prime).
+    complex over Q (and over F_p for each requested prime): the
+    Bayer-Sturmfels acyclicity criterion.
 
     Generator and basis degrees are packed once into guard-bit integers
     (``_Packing``), so the lattice closure is a field-wise maximum.  A strand
-    passes on its ranks over F_2 and F_3 (``_StrandFrame``); only a strand
-    that fails there, or every strand when those ranks certify nothing, is
-    checked on Smith invariants, which name the first failing field.  The
-    failures come in the order of their degrees; a lattice element becomes a
-    monomial again only to name one.
+    passes on its ranks over F_2 and F_3 (``_StrandFrame``), taken relative
+    to a strand below it.  If a divides b, the strand A at a is a subcomplex
+    of the strand B at b, as the frame is checked once to be a Z-complex
+    whose row degrees divide their column degrees.  If A is exact over F_p,
+    the long exact sequence of 0 -> A -> B -> B/A -> 0 (Weibel, An
+    Introduction to Homological Algebra, Thm 1.3.1) gives H(B) = H(B/A), so
+    only B's cells outside A are ranked, rows restricted to them; A is the
+    strand of b's parent in the lattice walk if that is exact over F_p, else
+    empty.  Only a strand that fails there, or every strand when field ranks
+    certify nothing, is checked on Smith invariants, which name the first
+    failing field.  The failures come in the order of their degrees; a
+    lattice element becomes a monomial again only to name one.
     """
     gens, primes = list(gens), tuple(primes)
     packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
     frame = _StrandFrame(cplx, packing)
     fields = frame.certifying_fields(primes)
-    lattice = _lcm_lattice({packing.pack(g) for g in gens}, packing.guard, packing.width)
-    failing = []  # (b, field, position, defect), sorted by degree below
-    for b in lattice:
-        sub = frame.strand(packing.fields(b))
-        dims = [(sub & level).bit_count() for level in frame.levels]
-        if fields and all(
-            _exactness_defect(dims, frame.field_ranks(sub, p)) is None for p in fields
-        ):
+    lattice = frame.lattice(packing.pack(g) for g in gens)
+    exact = frame.field_verdicts(lattice, fields)
+    failures = []
+    for b, (sub, _) in lattice.items():
+        if fields and all(exact[b]):
             continue
+        dims = [(sub & level).bit_count() for level in frame.levels]
         invariants = frame.strand_invariants(sub)
         for p in (0,) + primes:  # 0 for Q: every invariant is a unit there
             ranks = [len(inv) if p == 0 else sum(1 for d in inv if d % p) for inv in invariants]
             defect = _exactness_defect(dims, ranks)
             if defect is not None:
-                failing.append((b, f"F{p}" if p else "Q") + defect)
+                failures.append({
+                    "degree": square_str(packing.unpack(b), cplx.squares),
+                    "field": f"F{p}" if p else "Q", "position": defect[0], "defect": defect[1],
+                })
                 break
-    failing.sort(key=lambda failure: failure[0])
-    return StrandReport(
-        ok=not failing, strands_checked=len(lattice), primes=primes,
-        failures=[
-            {"degree": square_str(packing.unpack(b), cplx.squares), "field": field,
-             "position": position, "defect": defect}
-            for b, field, position, defect in failing
-        ],
-    )
+    return StrandReport(not failures, len(lattice), primes, failures)
 
 
 class _StrandFrame:
@@ -392,11 +365,11 @@ class _StrandFrame:
 
     Basis element k of degree q is bit ``offsets[q + 1] + k``, and bit 0 is
     degree -1, the ideal component; ``levels[q + 1]`` masks degree q.  A
-    strand is a mask too: the AND over the variables v of ``below[v][e]``,
-    the bits whose exponent in v is at most b's exponent e (bit 0 always).
-    ``frame`` is ``frame_complex(cplx)``, and ``cols[p]`` holds each of its
-    columns as one row bitmask for p = 2 and as its (entries 1, entries -1)
-    masks for p = 3.
+    strand is a mask too: the AND over the variables v of ``below[e]``, the
+    bits whose exponent in v is at most b's exponent e (bit 0 always), read
+    off b's field at ``shift``.  ``frame`` is ``frame_complex(cplx)``, and
+    ``cols[p]`` holds each of its columns as one row bitmask for p = 2 and as
+    its (entries 1, entries -1) masks for p = 3.
     """
 
     def __init__(self, cplx: FreeComplex, packing: _Packing):
@@ -406,18 +379,21 @@ class _StrandFrame:
         self.levels = [((1 << n) - 1) << off for off, n in zip(self.offsets, self.sizes)]
         nbits = sum(self.sizes)
         self.full = (1 << nbits) - 1
-        degrees = [[packing.pack(md) for md in layer] for layer in cplx.mdegs]
-        exps = list(zip(*(packing.fields(md) for layer in degrees for md in layer)))
-        self.tops = [max(col) for col in exps]
-        self.below = []
-        for col, top in zip(exps, self.tops):
-            masks = [1] * top  # none for e >= top: every bit is below it
+        self.guard, self.width = packing.guard, packing.width
+        self.field = (1 << (packing.width - 1)) - 1
+        self.below = []  # (shift, below) per variable that some basis degree uses
+        exps = zip(*(md.exps for layer in cplx.mdegs for md in layer))
+        for v, col in enumerate(exps):
+            top = max(col)
+            if not top:
+                continue
+            masks = [1] * top + [self.full] * (self.field + 1 - top)
             for bit, e in enumerate(col, start=1):
                 if e < top:
                     masks[e] |= 1 << bit
             for e in range(1, top):
                 masks[e] |= masks[e - 1]
-            self.below.append(masks)
+            self.below.append((packing.width * (packing.size - 1 - v), masks))
         self.cols = {2: [0] * nbits, 3: [(0, 0)] * nbits}
         for q, layer in enumerate(self.frame.cols):
             for bit, col in enumerate(layer, start=self.offsets[q + 1]):
@@ -427,11 +403,11 @@ class _StrandFrame:
                                      sum(1 << r for r, x in rows if x % 3 == 2))
         # whether each strand is a subcomplex (every entry's row degree divides
         # its column degree) and the frame squares to zero over Z
-        guard = packing.guard
+        degrees = [[packing.pack(md) for md in layer] for layer in cplx.mdegs]
         self.z_complex = all(
-            (cg - degrees[q - 1][i]) & guard == guard
+            (cg - degrees[q - 1][i]) & self.guard == self.guard
             for q in range(1, len(self.frame.cols))
-            for cg, col in zip((d | guard for d in degrees[q]), self.frame.cols[q])
+            for cg, col in zip((d | self.guard for d in degrees[q]), self.frame.cols[q])
             for i in col
         ) and _nonzero_composite(self.frame.cols) is None
 
@@ -447,17 +423,60 @@ class _StrandFrame:
             return ()
         return tuple(sorted(set(primes))) or (2,)
 
-    def strand(self, exps) -> int:
-        """The mask of the basis elements whose degree divides the degree with
-        exponents ``exps``."""
-        sub = self.full
-        for below, top, e in zip(self.below, self.tops, exps):
-            if e < top:
-                sub &= below[e]
+    def strand(self, b: int) -> int:
+        """The mask of the basis elements whose degree divides the packed
+        degree ``b``."""
+        sub, field = self.full, self.field
+        for shift, below in self.below:
+            sub &= below[b >> shift & field]
         return sub
 
+    def lattice(self, gens) -> dict:
+        """The lcm lattice of the packed generator degrees ``gens``, ascending,
+        as ``{b: (strand mask, parent)}``.  Each a is joined, by SWAR, with the
+        g that do not divide it: the guard of a field survives
+        ``(a | guard) - g`` where a's exponent is at least g's, and subtracting
+        the guards shifted to the fields' low bits widens them into field
+        masks.  b's parent is the element joined into b with the largest
+        strand (None for a minimal generator); it divides b, so it comes
+        first."""
+        gens = set(gens)
+        guard, shift = self.guard, self.width - 1
+        subs = {g: self.strand(g) for g in gens}
+        parents = {}  # b -> (the size of its parent's strand, parent)
+        frontier = list(subs)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                size, ag = subs[a].bit_count(), a | guard
+                for g in gens:
+                    ge = (ag - g) & guard
+                    if ge == guard:
+                        continue
+                    keep = ge - (ge >> shift)
+                    j = (a & keep) | (g & ~keep)
+                    if j not in subs:
+                        subs[j] = self.strand(j)
+                        nxt.append(j)
+                    if parents.get(j, (-1,))[0] < size:
+                        parents[j] = (size, a)
+            frontier = nxt
+        return {b: (sub, parents.get(b, (0, None))[1]) for b, sub in sorted(subs.items())}
+
+    def field_verdicts(self, lattice, fields) -> dict:
+        """Per b, whether its strand is exact over each F_p in ``fields``: whether
+        the ranks sum to half the cells (no homology is negative), on the cells
+        the parent's strand lacks if that one is exact over F_p."""
+        exact, unknown = {}, (False,) * len(fields)
+        for b, (sub, parent) in lattice.items():
+            base = lattice[parent][0] if parent is not None else 0
+            parts = [sub & ~base if known else sub for known in exact.get(parent, unknown)]
+            exact[b] = tuple(part.bit_count() == 2 * sum(self.field_ranks(part, p))
+                             for part, p in zip(parts, fields))
+        return exact
+
     def field_ranks(self, sub: int, p: int) -> list:
-        """The ranks over F_p of the strand's maps, the augmentation first."""
+        """The ranks over F_p of the maps on ``sub``, the augmentation first."""
         return _top_down_ranks(sub, self.levels, self.cols[p], _INSERT[p])
 
     def strand_invariants(self, sub: int) -> list:
@@ -473,10 +492,11 @@ class _StrandFrame:
 
 def _top_down_ranks(sub: int, levels, cols, insert) -> list:
     """The ranks over a field of the maps of a complex, restricted to the
-    basis bits in ``sub``.
+    basis bits in ``sub``, rows and columns.
 
     ``levels[t]`` masks degree t from the bottom, ``cols[bit]`` is a basis
-    element's boundary as ``insert`` reads it, and the maps compose to zero.
+    element's boundary as ``insert`` reads it, and the restricted maps
+    compose to zero: ``sub`` spans a subcomplex or a quotient of one.
     From the top down, the map out of a degree is ranked on the elements that
     are not pivots of the echelon basis of the image coming in: they span the
     quotient by that image, and the map vanishes on the image.  Entry t is
@@ -491,15 +511,16 @@ def _top_down_ranks(sub: int, levels, cols, insert) -> list:
         while todo:
             bit = todo.bit_length() - 1
             todo ^= 1 << bit
-            pivots |= insert(basis, cols[bit])
+            pivots |= insert(basis, cols[bit], sub)
         ranks.append(len(basis))
     return ranks[::-1]
 
 
-def _f2_insert(basis: dict, x: int):
-    """Reduce the F_2 vector ``x``, a bitmask, by the echelon basis
-    ``{leading bit: vector}`` and add it there unless it reduced to zero.
-    Returns the new pivot as a one-bit mask, 0 if none."""
+def _f2_insert(basis: dict, x: int, rows: int):
+    """Reduce the F_2 vector ``x``, a bitmask cut to ``rows``, by the echelon
+    basis ``{leading bit: vector}`` and add it there unless it reduced to
+    zero.  Returns the new pivot as a one-bit mask, 0 if none."""
+    x &= rows
     while x:
         h = x.bit_length() - 1
         v = basis.get(h)
@@ -510,12 +531,12 @@ def _f2_insert(basis: dict, x: int):
     return 0
 
 
-def _f3_insert(basis: dict, x: tuple):
+def _f3_insert(basis: dict, x: tuple, rows: int):
     """``_f2_insert`` over F_3 on bitsliced vectors (Boothby-Bradshaw): ``x``
     is the pair (mask of entries 1, mask of entries -1).  (p, m) + (q, n) is
     ((m | n) ^ t, (p | q) ^ t) with t = (p | n) ^ (m | q), negation swaps the
     masks, and basis vectors are scaled to lead with 1."""
-    p, m = x
+    p, m = x[0] & rows, x[1] & rows
     while p | m:
         h = (p | m).bit_length() - 1
         v = basis.get(h)

@@ -226,7 +226,8 @@ def _check_minimal_support(ideal, a, b, lab0):
     hits = []
     for size in range(len(diff) + 1):
         for G in combinations(diff, size):
-            if ideal.g(Monomial.from_factors(ideal.n, G) * a.m) == b.m:
+            shifted = Monomial._of(tuple(e + (i in G) for i, e in enumerate(a.m.exps, 1)))
+            if ideal.g(shifted) == b.m:
                 hits.append(set(G))
     minimal = [G for G in hits if not any(H < G for H in hits)]
     positive = {x for x in lab0 if x > 0}

@@ -32,7 +32,6 @@ from ekcells.topology import (
     _exactness_defect,
     _f2_insert,
     _f3_insert,
-    _lcm_lattice,
     _Packing,
     _StrandFrame,
     invariant_factors,
@@ -175,11 +174,16 @@ def reference_strand_exactness(cplx, gens, primes=()):
     return report
 
 
-def packed_lattice(cplx, gens):
-    """The packed strand oracle's lcm lattice, unpacked to monomials."""
+def strand_frame(cplx, gens):
+    """The strand oracle's packing and frame of a complex and its generators."""
     packing = _Packing(list(gens) + [md for layer in cplx.mdegs for md in layer])
-    lattice = _lcm_lattice({packing.pack(g) for g in gens}, packing.guard, packing.width)
-    return {packing.unpack(b) for b in lattice}
+    return packing, _StrandFrame(cplx, packing)
+
+
+def packed_lattice(cplx, gens):
+    """The strand oracle's lattice walk, unpacked to monomials."""
+    packing, frame = strand_frame(cplx, gens)
+    return {packing.unpack(b) for b in frame.lattice(packing.pack(g) for g in gens)}
 
 
 def battery_complexes(J):
@@ -206,7 +210,7 @@ def field_columns(mat, ncols, p):
 def field_rank(cols, p):
     basis = {}
     for col in cols:
-        (_f2_insert if p == 2 else _f3_insert)(basis, col)
+        (_f2_insert if p == 2 else _f3_insert)(basis, col, -1)  # -1: every row
     return len(basis)
 
 
@@ -238,6 +242,42 @@ def torsion_complex(syzygies):
         "ek", ("S", 2), [[f"g{k}" for k in range(gens)], [f"s{k}" for k in range(syz)]],
         [[b] * gens, [b] * syz], [diff],
     ), [b]
+
+
+def torsion_tower():
+    """``torsion_complex(THREE_TORSION)`` beside a generator h of degree x3
+    and one syzygy t of degree x1*x2*x3 with boundary g0 - h: a Z-complex
+    whose strand at x1*x2 has 3-torsion, below the lattice top x1*x2*x3."""
+    (cplx, _), unit = torsion_complex(THREE_TORSION), Monomial((0, 0, 0))
+    x12, x3 = Monomial((1, 1, 0)), Monomial((0, 0, 1))
+    diff = {pos: (x, unit) for pos, (x, _) in cplx.diffs[0].items()}
+    diff[0, 4], diff[5, 4] = (1, x3), (-1, x12)
+    return FreeComplex(
+        "ek", ("S", 3), [cplx.basis[0] + ["h"], cplx.basis[1] + ["t"]],
+        [[x12] * 5 + [x3], [x12] * 4 + [x12 * x3]], [diff],
+    ), [x12, x3]
+
+
+def without_last_top_cell(cplx):
+    """A copy without the last basis element of the top degree: still a
+    Z-complex whose degrees divide, but every strand that held the cell now
+    has homology one degree below it."""
+    q, last = cplx.top, len(cplx.basis[-1]) - 1
+    diffs = [dict(mat) for mat in cplx.diffs]
+    if q:
+        diffs[-1] = {(i, j): e for (i, j), e in diffs[-1].items() if j != last}
+    return FreeComplex(cplx.kind, cplx.ring, [*cplx.basis[:-1], cplx.basis[-1][:-1]],
+                       [*cplx.mdegs[:-1], cplx.mdegs[-1][:-1]], diffs)
+
+
+def walk_cases():
+    """The named ideals and (x1..x3)^2..4, (x1..x4)^2..3, both kinds, with
+    their generators."""
+    ideals = [make() for make in NAMED_IDEALS.values()]
+    ideals += [power_ideal(n, d) for n, ds in ((3, (2, 3, 4)), (4, (2, 3))) for d in ds]
+    for J in ideals:
+        yield ek_complex(J), list(J.gens)
+        yield modified_complex(J), bpol_ideal(J)
 
 
 CIRCLE = SimplicialComplexData(
@@ -523,10 +563,10 @@ class TestStrands:
             [{pos: (sign, widen(c)) for pos, (sign, c) in mat.items()} for mat in cplx.diffs],
         )
         cplx.mdegs[-1][0] = cplx.mdegs[-1][0] * from_squares(ring, [(9, 9)])
-        packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
+        packing, frame = strand_frame(cplx, gens)
         md = packing.pack(cplx.mdegs[-1][0])
         G = packing.guard
-        lattice = _lcm_lattice({packing.pack(g) for g in gens}, G, packing.width)
+        lattice = frame.lattice(packing.pack(g) for g in gens)
         assert lattice and all(((b | G) - md) & G != G for b in lattice)
         got = strand_exactness(cplx, gens, primes=(2, 3))
         assert not got.ok and got == reference_strand_exactness(cplx, gens, primes=(2, 3))
@@ -572,6 +612,112 @@ class TestStrands:
                     assert dims[t] - into - outof == 0, (J, b, t)
 
 
+class TestLatticeWalk:
+    """The strand oracle's one walk over the lcm lattice and its relative
+    field ranks, against the lattice by monomial lcms and the field ranks of
+    whole strands."""
+
+    @staticmethod
+    def check_walk(cplx, gens):
+        """Checks the walk's lattice, strands and parents and each per-field
+        verdict; returns the certifying fields and the number of elements
+        some field fails at."""
+        packing, frame = strand_frame(cplx, gens)
+        lattice = frame.lattice(packing.pack(g) for g in gens)
+        assert {packing.unpack(b) for b in lattice} == reference_lcm_lattice(list(gens))
+        assert list(lattice) == sorted(lattice)
+        G = packing.guard
+        fields = frame.certifying_fields((2, 3))
+        exact = frame.field_verdicts(lattice, fields)
+        for b, (sub, parent) in lattice.items():
+            assert sub == frame.strand(b)
+            if parent is not None:
+                assert parent != b and ((b | G) - parent) & G == G
+            dims = [(sub & level).bit_count() for level in frame.levels]
+            want = tuple(_exactness_defect(dims, frame.field_ranks(sub, p)) is None
+                         for p in fields)
+            assert exact[b] == want, (packing.unpack(b), fields)
+        return fields, sum(not all(verdict) for verdict in exact.values())
+
+    def test_verdicts_match_whole_strand_ranks(self):
+        # each resolution, and a copy without one top cell that stays a
+        # Z-complex, so failing parents send their children to whole strands
+        failing = 0
+        for cplx, gens in walk_cases():
+            assert self.check_walk(cplx, gens) == ((2, 3), 0)
+            fields, fails = self.check_walk(without_last_top_cell(cplx), gens)
+            assert fields == (2, 3) and fails
+            failing += fails
+        assert failing >= 100, failing
+
+    def test_random_battery_complexes(self):
+        # the four battery complexes of seeded random Borel ideals, a copy
+        # without one top cell, one with a sign flipped (no Z-complex, so
+        # field ranks certify nothing) and the generators with a non-minimal
+        # one added, whose strand the walk reaches by a join
+        rng = random.Random(1515)
+        for _ in range(20):
+            J = random_borel_ideal(rng, max_gens=8)
+            for cplx, gens in battery_complexes(J):
+                extra = gens + [gens[0] * Monomial.variable(gens[0].n, 1)]
+                cases = [(cplx, gens, (2, 3)), (without_last_top_cell(cplx), gens, (2, 3)),
+                         (cplx, extra, (2, 3))]
+                if cplx.diffs:
+                    flipped = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs,
+                                          [dict(mat) for mat in cplx.diffs])
+                    pos = rng.choice(sorted(flipped.diffs[-1]))
+                    sign, coeff = flipped.diffs[-1][pos]
+                    flipped.diffs[-1][pos] = (-sign, coeff)
+                    cases.append((flipped, gens, ()))
+                for case, case_gens, fields in cases:
+                    assert self.check_walk(case, case_gens)[0] == fields
+                    got = strand_exactness(case, case_gens, primes=(2, 3))
+                    assert got == reference_strand_exactness(case, case_gens, primes=(2, 3))
+
+    def test_torsion_below_the_lattice_top(self, monkeypatch):
+        cplx, gens = torsion_tower()
+        calls = []
+        field_ranks = _StrandFrame.field_ranks
+        monkeypatch.setattr(_StrandFrame, "field_ranks",
+                            lambda frame, sub, p: calls.append((sub, p)) or field_ranks(frame, sub, p))
+        report = strand_exactness(cplx, gens, primes=(2, 3))
+        assert report == reference_strand_exactness(cplx, gens, primes=(2, 3))
+        assert report.failures == [
+            {"degree": "x1*x2", "field": "F3", "position": 0, "defect": 1},
+            {"degree": "x1*x2*x3", "field": "F3", "position": 0, "defect": 1},
+        ]
+        # the lattice is x3 < x1*x2 < x1*x2*x3, the top's parent is x1*x2; over
+        # F_2 the top ranks only h and t, over F_3 its whole strand
+        _, frame = strand_frame(cplx, gens)
+        h, t = 1 << 6, 1 << 11
+        assert calls[4:] == [(h | t, 2), (frame.full, 3)]
+        for primes in ((), (2,), (2, 5)):
+            report = strand_exactness(cplx, gens, primes=primes)
+            assert report.ok and report.strands_checked == 3
+            assert report == reference_strand_exactness(cplx, gens, primes=primes)
+
+    def test_only_generator_strands_are_ranked_whole(self, monkeypatch):
+        # a silent fallback to whole strands fails here: on a resolution each
+        # non-generator ranks only the cells its parent's strand lacks
+        whole = []
+        field_ranks = _StrandFrame.field_ranks
+        monkeypatch.setattr(_StrandFrame, "field_ranks",
+                            lambda frame, sub, p: (whole.append((sub, p)) if sub & 1 else None)
+                            or field_ranks(frame, sub, p))
+        for cplx, gens in battery_complexes(power_ideal(4, 3)):
+            whole.clear()
+            report = strand_exactness(cplx, gens, primes=(2, 3))
+            assert report.ok and report.strands_checked > len(gens)
+            packing, frame = strand_frame(cplx, gens)
+            assert sorted(whole) == sorted(
+                (frame.strand(packing.pack(g)), p) for g in gens for p in (2, 3))
+
+    def test_strand_counts_on_fourth_power_of_maximal_ideal(self):
+        J = power_ideal(4, 4)
+        assert strand_exactness(ek_complex(J), list(J.gens)).strands_checked == 590
+        assert strand_exactness(modified_complex(J), bpol_ideal(J)).strands_checked == 2854
+
+
 class TestFieldRanks:
     """The F_2 bitmask and bitsliced F_3 kernels of the strand oracle, against
     the Smith kernel and dense strand matrices."""
@@ -596,13 +742,12 @@ class TestFieldRanks:
         J = borel_closure([Monomial.from_factors(4, factors) for factors in seeds])
         assume(len(J.gens) <= 10)
         for cplx, gens in battery_complexes(J):
-            packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
-            frame = _StrandFrame(cplx, packing)
+            packing, frame = strand_frame(cplx, gens)
             assert frame.certifying_fields(()) == (2,)
             assert frame.certifying_fields((3, 2)) == (2, 3)
             for b in reference_lcm_lattice(gens):
                 sub, dims, mats = reference_strand(cplx, b)
-                mask = frame.strand(packing.fields(packing.pack(b)))
+                mask = frame.strand(packing.pack(b))
                 assert mask == sum(
                     1 << (frame.offsets[q + 1] + k) for q, ks in enumerate(sub) for k in ks
                 ) | 1
@@ -614,9 +759,8 @@ class TestFieldRanks:
     @pytest.mark.parametrize("syzygies", [TWO_TORSION, THREE_TORSION])
     def test_top_down_ranks_see_the_torsion(self, syzygies):
         cplx, gens = torsion_complex(syzygies)
-        packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
-        frame = _StrandFrame(cplx, packing)
-        mask = frame.strand(packing.fields(packing.pack(gens[0])))
+        packing, frame = strand_frame(cplx, gens)
+        mask = frame.strand(packing.pack(gens[0]))
         _, dims, mats = reference_strand(cplx, gens[0])
         assert mask == frame.full and dims == [1, len(syzygies) + 1, len(syzygies)]
         for p in (2, 3):
