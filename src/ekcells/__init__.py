@@ -45,7 +45,6 @@ from .shelling import (
     is_cw_poset,
     u_of_chain,
     verify_el_all,
-    verify_el_interval,
 )
 from .suite import named_ideal, run_suite
 from .topology import (

@@ -4,7 +4,23 @@ the three-condition closed-ball check.
 The edge labeling on the dual poset assigns 0 to the top covers into the
 least element, -i to a plain index removal, and +i to a removal that also
 shifts the generator.  An interval passes EL verification when it has exactly
-one weakly increasing maximal chain and that chain is strictly lex-least.
+one weakly increasing maximal chain and that chain is strictly lex-least
+(Bjorner-Wachs, "On lexicographically shellable posets", Trans. AMS 277, 1983).
+
+``verify_el_all`` counts chains instead of listing them.  For x < b, let y
+run over the covers of x below b, and l(y) be the label of x <* y:
+
+* chains[x, b] = sum_y chains[y, b], with chains[b, b] = 1;
+* rising[x, b][l] = the sum, over the y with l(y) = l, of the weakly
+  increasing chains of [y, b] whose first label is >= l (the one chain of
+  [b, b] counts): the weakly increasing chains of [x, b], by first label;
+* the lex-least word of [x, b] is l(y) followed by that of [y, b], for the y
+  of least label (of tied least labels, the y whose word is least).  It is
+  unique and weakly increasing when the word of [y, b] is, no other y ties
+  with it, and l(y) is at most its first label.
+
+Each x merges these records of its covers, so the sweep is one pass over the
+pairs x <= b, in reverse topological order, and lists no chain.
 """
 
 from __future__ import annotations
@@ -20,11 +36,10 @@ from .posets import BOTTOM, FinitePoset, SimplicialComplexData
 
 __all__ = [
     "ELReport",
+    "ELSweep",
     "BallVerdict",
     "ShellingResult",
     "el_label_edge",
-    "label_chain",
-    "verify_el_interval",
     "verify_el_all",
     "u_of_chain",
     "is_cw_poset",
@@ -33,8 +48,11 @@ __all__ = [
     "ball_check",
 ]
 
+# above every label: the first label of the empty word of [b, b]
+_TOP = 1 << 60
 
-@dataclass
+
+@dataclass(slots=True)
 class ELReport:
     bottom: object
     top: object
@@ -44,7 +62,13 @@ class ELReport:
     passed: bool
     increasing_chain: object = None
     increasing_label: object = None
-    labels: list = None  # label tuple of each maximal chain, in chain order
+
+
+class ELSweep(list):
+    """The reports of ``verify_el_all``, with the cover labels they came from:
+    ``cover_labels[i][k]`` labels the cover from element i to ``dual._up[i][k]``."""
+
+    __slots__ = ("cover_labels",)
 
 
 @dataclass
@@ -85,57 +109,124 @@ def el_label_edge(kind: str, lower, upper, ideal) -> int:
     return i
 
 
-def label_chain(kind: str, chain, ideal) -> tuple:
-    return tuple(
-        el_label_edge(kind, a, b, ideal) for a, b in zip(chain, chain[1:])
-    )
-
-
-def verify_el_interval(kind: str, dual: FinitePoset, a, b, ideal) -> ELReport:
-    """EL verification of the interval [a, b] of the dual poset."""
-    chains = dual.chains_between(a, b)
-    labels = [label_chain(kind, c, ideal) for c in chains]
-    rising = [(lab, c) for lab, c in zip(labels, chains)
-              if all(x <= y for x, y in zip(lab, lab[1:]))]
-    return _el_report(a, b, labels, rising)
-
-
-def verify_el_all(kind: str, dual: FinitePoset, ideal) -> list:
+def verify_el_all(kind: str, dual: FinitePoset, ideal) -> ELSweep:
     """EL reports for every nontrivial interval [a, b] of the dual poset, a in
-    element order and b in ``up_set(a)`` order.  Each cover is labelled once;
-    one pre-order walk up the covers from each a yields every maximal chain of
-    every [a, b], in ``chains_between`` order, with its label tuple."""
+    element order and b in ``up_set(a)`` order.
+
+    Each cover is labelled once.  Then each x, in reverse topological order,
+    merges the records of [y, b] of its covers y into those of [x, b], by the
+    recurrences of the module docstring, taking the covers in increasing label
+    order so that the first cover below b starts the lex-least word of [x, b].
+    [a, b] passes when it has exactly one increasing chain and its lex-least
+    word is unique and increasing: that chain is then the lex-least one, which
+    the records keep.  Where the one increasing chain is not lex-least, it is
+    read off by following the covers that keep the chain increasing.
+    """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
     label = [[el_label_edge(kind, els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
-    out = []
-    for a in range(len(els)):
-        labels, rising, path = {}, {}, []
-        stack = [(a, (), True)]  # (index, label tuple of its path, weakly increasing)
-        while stack:
-            i, word, inc = stack.pop()
-            del path[len(word):]
-            path.append(i)
-            if word:
-                labels.setdefault(i, []).append(word)
-                if inc:
-                    rising.setdefault(i, []).append((word, tuple(els[k] for k in path)))
-            for j, lab in zip(reversed(up[i]), reversed(label[i])):
-                stack.append((j, word + (lab,), inc and (not word or word[-1] <= lab)))
-        # the ends of nonempty paths from a are exactly up_set(a) minus a
-        out.extend(_el_report(els[a], els[b], labels[b], rising.get(b, []))
-                   for b in sorted(labels))
+    n = len(els)
+    # per x and b >= x: chains[x][b] counts the maximal chains of [x, b];
+    # rising[x][b] is the first label of its one increasing chain, or
+    # {first label: count} when it has more, and missing when it has none;
+    # least[x][b] is the cover that starts its lex-least word; lex[x][b] is
+    # that word's chain and the word, when the word is unique and increasing.
+    # [x, x] has one chain, whose empty word counts as starting with _TOP.
+    chains, rising, least, lex = [None] * n, [None] * n, [None] * n, [None] * n
+    for x in reversed(dual._order):
+        ex = els[x]
+        cx, rx, lx, ox = {x: 1}, {x: _TOP}, {}, {x: ((ex,), ())}
+        covers = sorted(zip(label[x], up[x]))
+        # with a tie, labof[y] is the label of the cover y
+        labof = {y: lab for lab, y in covers} if len(set(label[x])) < len(covers) else None
+        for lab, y in covers:
+            ry, oy = rising[y], lex[y]
+            for b, c in chains[y].items():
+                cx[b] = cx.get(b, 0) + c
+                r = ry.get(b)
+                if r is not None:
+                    k = lab <= r if r.__class__ is int else _rising_from(r, lab)
+                    if k:
+                        old = rx.get(b)
+                        rx[b] = lab if old is None and k == 1 else _merge(old, lab, k)
+                if b in lx:
+                    # only a cover of the same least label competes, by its word
+                    if labof is None or labof[lx[b]] != lab:
+                        continue
+                    mine = _lex_word(y, b, up, label, least)
+                    other = _lex_word(lx[b], b, up, label, least)
+                    if mine >= other:
+                        if mine == other:
+                            ox.pop(b, None)  # the least word is not unique
+                        continue
+                    ox.pop(b, None)
+                lx[b] = y
+                o = oy.get(b)
+                if o is not None and (not o[1] or lab <= o[1][0]):
+                    ox[b] = ((ex,) + o[0], (lab,) + o[1])
+        chains[x], rising[x], least[x], lex[x] = cx, rx, lx, ox
+    out = ELSweep()
+    out.cover_labels = label
+    for a in range(n):
+        ea, ca, ra, oa = els[a], chains[a], rising[a], lex[a]
+        for b in sorted(ca):
+            if b == a:
+                continue
+            r = ra.get(b)
+            rises = 0 if r is None else 1 if r.__class__ is int else sum(r.values())
+            if rises != 1:
+                out.append(ELReport(ea, els[b], ca[b], rises, False, False))
+                continue
+            o = oa.get(b)
+            if o is None:
+                chain, word = _rising_chain(a, b, up, label, chains, rising)
+                out.append(ELReport(ea, els[b], ca[b], 1, False, False,
+                                    tuple(els[k] for k in chain), word))
+            else:
+                out.append(ELReport(ea, els[b], ca[b], 1, True, True, *o))
     return out
 
 
-def _el_report(a, b, labels, rising) -> ELReport:
-    """The report of [a, b] from its chains' labels and its increasing (label, chain)s."""
-    lex_least, chain0, label0 = False, None, None
-    if len(rising) == 1:
-        # label0 occurs once: a chain with an equal label would be increasing
-        [(label0, chain0)] = rising
-        lex_least = all(label0 < lab for lab in labels if lab != label0)
-    passed = len(rising) == 1 and lex_least
-    return ELReport(a, b, len(labels), len(rising), lex_least, passed, chain0, label0, labels)
+def _rising_from(r, lab) -> int:
+    """The increasing chains of an interval whose first label is >= lab, from
+    its ``rising`` record ``r``."""
+    if r is None:
+        return 0
+    if r.__class__ is int:
+        return int(lab <= r)
+    return sum(count for f, count in r.items() if f >= lab)
+
+
+def _merge(old, lab, k) -> dict:
+    """The ``rising`` record ``old`` with k chains of first label lab added,
+    as a dict."""
+    out = {} if old is None else {old: 1} if old.__class__ is int else old
+    out[lab] = out.get(lab, 0) + k
+    return out
+
+
+def _lex_word(u, b, up, label, least) -> tuple:
+    """The lex-least word of [u, b], read along the lex-least covers."""
+    word = []
+    while u != b:
+        z = least[u][b]
+        word.append(label[u][up[u].index(z)])
+        u = z
+    return tuple(word)
+
+
+def _rising_chain(a, b, up, label, chains, rising):
+    """The one increasing chain of [a, b], by index, and its word: from each u
+    on it, the cover z below b whose label continues the chain and that
+    starts an increasing chain of [z, b]."""
+    path, word, u, low = [a], [], a, -_TOP
+    while u != b:
+        for z, lab in zip(up[u], label[u]):
+            if lab >= low and b in chains[z] and _rising_from(rising[z].get(b), lab):
+                break
+        path.append(z)
+        word.append(lab)
+        u, low = z, lab
+    return path, tuple(word)
 
 
 def u_of_chain(kind: str, chain, ideal):
@@ -147,20 +238,37 @@ def u_of_chain(kind: str, chain, ideal):
     """
     if len(chain) < 1 or chain[-1] is BOTTOM:
         raise ValueError("chain must stay below the least dual element")
-    labels = label_chain(kind, chain, ideal)
+    labels = [el_label_edge(kind, a, b, ideal) for a, b in zip(chain, chain[1:])]
     if any(x > y for x, y in zip(labels, labels[1:])):
         raise ValueError("chain is not increasing")
     rules = kind_of(kind)
     squares = rules.ring(ideal)
-    return _positive_part(rules, squares, chain, labels,
-                          rules.lift(chain[0].m, squares), rules.lift(chain[-1].m, squares))
+    m = chain[0].m
+    return _positive_part(_Attached(rules, m, squares), squares, chain, labels,
+                          rules.lift(m, squares), rules.lift(chain[-1].m, squares))
 
 
-def _positive_part(rules, squares, chain, labels, lift, end_lift):
-    """``u_of_chain`` from the kind's ring, the chain's labels and the lifts
-    of its ends."""
+class _Attached(dict):
+    """The variables the kind ``rules`` attaches to the indices of m, by
+    index, each built by ``rules.variable`` on its first lookup."""
+
+    __slots__ = ("rules", "m", "squares")
+
+    def __init__(self, rules, m, squares):
+        super().__init__()
+        self.rules, self.m, self.squares = rules, m, squares
+
+    def __missing__(self, i):
+        x = self[i] = self.rules.variable(self.m, i, self.squares)
+        return x
+
+
+def _positive_part(variables, squares, chain, labels, lift, end_lift):
+    """``u_of_chain`` from the variables the chain's start attaches
+    (``_Attached``), the kind's ring, the chain's labels and the lifts of its
+    ends."""
     lcm = lift.lcm(end_lift)
-    u = prod((rules.variable(chain[0].m, i, squares) for i in labels if i > 0), start=lift)
+    u = prod((variables[i] for i in labels if i > 0), start=lift)
     if u != lcm:
         raise RuntimeError(
             f"positive-label monomial {square_str(u.div(lift), squares)} differs from "

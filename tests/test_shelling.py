@@ -1,5 +1,7 @@
 import hashlib
 import random
+import zlib
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -20,12 +22,11 @@ from ekcells import (
     shelling,
     u_of_chain,
     verify_el_all,
-    verify_el_interval,
 )
 from ekcells.ek import kind_of
 from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
 from ekcells.suite import NAMED_IDEALS, named_ideal
-from conftest import ball, gamma, mono, power_ideal
+from conftest import ball, gamma, ideal, mono, power_ideal
 
 
 class TestEdgeLabels:
@@ -58,7 +59,7 @@ class TestELVerification:
         g = gamma("modified", deg2).dual()
         starts = [e for e in g.elements if e is not BOTTOM and len(e.F) == 2]
         for start in starts:
-            rep = verify_el_interval("modified", g, start, BOTTOM, deg2)
+            rep = reference_el_report("modified", g, start, BOTTOM, deg2)
             assert rep.passed
             i1, i2 = start.F
             assert rep.increasing_label == (-i2, -i1, 0)
@@ -66,7 +67,7 @@ class TestELVerification:
     def test_length_one_interval(self, deg2):
         g = gamma("ek", deg2).dual()
         a, b = g.covers[0]
-        rep = verify_el_interval("ek", g, a, b, deg2)
+        rep = reference_el_report("ek", g, a, b, deg2)
         assert rep.passed and rep.max_chains == 1
 
     def test_all_intervals_pass(self, tri_tri):
@@ -76,27 +77,32 @@ class TestELVerification:
             assert reports and all(r.passed for r in reports)
 
 
+def reference_el_report(kind, dual, a, b, ideal, label=None):
+    """The EL report of [a, b] by definition: its maximal chains from
+    ``chains_between``, labelled through ``label``, a dict keyed by the
+    (x, y) cover (by ``shelling.el_label_edge``, as the sweep does, when None)."""
+    chains = dual.chains_between(a, b)
+    if label is None:
+        label = {(x, y): shelling.el_label_edge(kind, x, y, ideal)
+                 for c in chains for x, y in zip(c, c[1:])}
+    labels = [tuple(label[e] for e in zip(c, c[1:])) for c in chains]
+    increasing = [lab for lab in labels if all(x <= y for x, y in zip(lab, lab[1:]))]
+    lex_least, chain0, label0 = False, None, None
+    if len(increasing) == 1:
+        label0 = increasing[0]
+        chain0 = chains[labels.index(label0)]
+        lex_least = (all(label0 < lab for lab in labels if lab != label0)
+                     and labels.count(label0) == 1)
+    return ELReport(a, b, len(chains), len(increasing), lex_least,
+                    len(increasing) == 1 and lex_least, chain0, label0)
+
+
 def reference_el_reports(kind, dual, ideal):
-    """The EL sweep by definition: the maximal chains of each interval from
-    ``chains_between``, labelled through a dict keyed by the (x, y) cover."""
-    label = {(x, y): el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
-    out = []
-    for a in dual.elements:
-        for b in dual.up_set(a):
-            if a == b:
-                continue
-            chains = dual.chains_between(a, b)
-            labels = [tuple(label[e] for e in zip(c, c[1:])) for c in chains]
-            increasing = [lab for lab in labels if all(x <= y for x, y in zip(lab, lab[1:]))]
-            lex_least, chain0, label0 = False, None, None
-            if len(increasing) == 1:
-                label0 = increasing[0]
-                chain0 = chains[labels.index(label0)]
-                lex_least = (all(label0 < lab for lab in labels if lab != label0)
-                             and labels.count(label0) == 1)
-            out.append(ELReport(a, b, len(chains), len(increasing), lex_least,
-                                len(increasing) == 1 and lex_least, chain0, label0, labels))
-    return out
+    """The reports of every nontrivial interval of the dual, by definition, in
+    ``verify_el_all``'s order."""
+    label = {(x, y): shelling.el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
+    return [reference_el_report(kind, dual, a, b, ideal, label)
+            for a in dual.elements for b in dual.up_set(a) if a != b]
 
 
 class TestSweepOracle:
@@ -122,8 +128,47 @@ class TestSweepOracle:
                     chain, lab = rep.increasing_chain, rep.increasing_label
                     squares = rules.ring(J)
                     assert u_of_chain(kind, chain, J) == shelling._positive_part(
-                        rules, squares, chain, lab,
+                        shelling._Attached(rules, rep.bottom.m, squares), squares, chain, lab,
                         rules.lift(rep.bottom.m, squares), rules.lift(rep.top.m, squares))
+
+    @pytest.mark.parametrize("labelling", ["pseudo-random", "constant", "unsigned"])
+    def test_sweep_equals_the_reference_under_other_labels(self, labelling, monkeypatch):
+        # labels that break EL: ties out of an element (words then compared
+        # past the first label, and repeated), intervals with no, several, or
+        # one increasing chain that is not lex-least
+        original = shelling.el_label_edge
+        relabel = {
+            "pseudo-random": lambda kind, x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
+            "constant": lambda *args: 0,
+            "unsigned": lambda *args: -abs(original(*args)),
+        }[labelling]
+        monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        cases = Counter()
+        for J in ([named_ideal(name) for name in NAMED_IDEALS]
+                  + [power_ideal(3, d) for d in (2, 3)] + [power_ideal(4, 2)]):
+            for kind in ("ek", "modified"):
+                dual = gamma(kind, J).dual()
+                reports = verify_el_all(kind, dual, J)
+                assert reports == reference_el_reports(kind, dual, J), (kind, J)
+                cases.update("passed" if r.passed else min(r.increasing_chains, 2)
+                             for r in reports)
+        # 0: no increasing chain, 1: one that is not lex-least, 2: several
+        if labelling == "pseudo-random":
+            assert cases[0] and cases[1] and cases[2], cases
+        assert cases[2], cases
+
+
+class TestSweepScale:
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_complete_intersection_of_eight_variables(self, kind):
+        # (x1..x7, x8^2): Gamma is the face lattice of a 7-simplex, so an
+        # interval of rank k has k! maximal chains, up to 8! = 40,320, and
+        # listing them all takes about half a second per kind
+        J = ideal(8, *(f"x{i}" for i in range(1, 8)), "x8^2")
+        reports = verify_el_all(kind, gamma(kind, J).dual(), J)
+        assert len(reports) == 6305
+        assert all(r.passed for r in reports)
+        assert max(r.max_chains for r in reports) == 40320
 
 
 class TestChainMonomial:
@@ -435,7 +480,7 @@ class TestFindShelling:
             for e in poset.elements:
                 if e is bottom:
                     continue
-                rep = verify_el_interval(kind, dual, e, bottom, tri_sq)
+                rep = reference_el_report(kind, dual, e, bottom, tri_sq)
                 assert rep.passed
                 data = poset.interval(bottom, e).order_complex()
                 assert find_shelling(data).order is not None

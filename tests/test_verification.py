@@ -107,6 +107,59 @@ class TestMutationDetection:
         with pytest.raises(VerificationError, match="label tuples repeat"):
             full_battery(deg2)
 
+    def test_repeat_past_a_tie_is_found_and_budgeted(self, deg2, monkeypatch):
+        # the same relabelling: the chains out of each element whose labels
+        # tie are listed, and a budget too small to find the repeat says so
+        original = shelling.el_label_edge
+        monkeypatch.setattr(shelling, "el_label_edge", lambda *args: -abs(original(*args)))
+        dual = gamma("ek", deg2).dual()
+        with pytest.raises(VerificationError, match=re.escape(
+                "label tuples repeat on [e({1};x1*x2), 0hat]")):
+            check_intervals("ek", dual, deg2)
+        monkeypatch.setattr(verification, "_TIE_CHAINS", 1)
+        with pytest.raises(VerificationError, match="leave injectivity undecided"):
+            check_intervals("ek", dual, deg2)
+
+    def test_tied_labels_with_distinct_words_pass(self):
+        # 0 < 1, 2 < 3: the two labels out of 0 tie, the words (5, 1) and
+        # (5, 2) differ; with both second labels 1 they repeat
+        p = FinitePoset(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
+        verification._check_injective(p, [[5, 5], [1], [2], []])
+        with pytest.raises(VerificationError, match=r"label tuples repeat on \[0, 3\]"):
+            verification._check_injective(p, [[5, 5], [1], [1], []])
+
+    @pytest.mark.parametrize("kind, message", [
+        ("ek", "negative label not rotatable in (-2, -1) at 2 on "
+               "[e({1,2};x1*x3), e({};x1^2)]"),
+        ("modified", "negative label not commutable in (-2, -1) at 2 on "
+                     "[~e({(1,2),(2,2)};x1*x3), ~e({};x1^2)]"),
+    ], ids=["ek", "modified"])
+    def test_negative_label_rewrite_failure_names_the_rank_two_interval(
+            self, deg2, monkeypatch, kind, message):
+        # every label negated: shifted removals read negative, and a shifted
+        # removal of 1 after the plain removal of 2 has no rank-2 swap
+        original = shelling.el_label_edge
+        monkeypatch.setattr(shelling, "el_label_edge", lambda *args: -original(*args))
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            check_intervals(kind, gamma(kind, deg2).dual(), deg2)
+        if kind == "ek":  # the battery checks the classical kind first
+            with pytest.raises(VerificationError, match=re.escape(message)):
+                full_battery(deg2)
+
+    def test_positive_label_negation_failure_names_the_rank_two_interval(self, deg2, monkeypatch):
+        # plain removals of i relabelled 10 - i: the shifted removal of 1 into
+        # the least element then has neither a swap nor a negation
+        original = shelling.el_label_edge
+
+        def relabel(*args):
+            lab = original(*args)
+            return 10 - lab if lab < 0 else lab
+
+        monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        with pytest.raises(VerificationError, match=re.escape(
+                "positive label not negatable in (1, 0) at 2 on [~e({(1,2)};x1*x2), 0hat]")):
+            check_intervals("modified", gamma("modified", deg2).dual(), deg2)
+
     def test_lcm_identity_failure_names_the_interval(self, deg2, monkeypatch):
         # Positive labels 1 and 2 swapped: the increasing chain of
         # [e({1};x1*x2), e({};x1^2)] then reads x2 where the lcm quotient is x1.
