@@ -14,13 +14,12 @@ from .ideals import (
 )
 from .monomials import Monomial
 from .polarization import (
-    PolarizationContext,
     b_shift,
     bpol_ideal,
     bpol_monomial,
     bpol_ring,
     bpol_squares,
-    context_for,
+    column_bound,
     g_shift,
     sigma_ideal,
     sigma_monomial,

@@ -18,7 +18,7 @@ from pathlib import Path
 from .ek import AdmissiblePair, ek_complex, kind_of, modified_complex
 from .ideals import random_borel_ideal, read_ideal
 from .monomials import square_str
-from .polarization import bpol_ideal, bpol_ring, context_for, sigma_ideal, stairs_diagram
+from .polarization import bpol_ideal, bpol_ring, column_bound, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic, poset_to_dot
 from .shelling import ball_check, is_cw_poset, verify_el_all
 from .suite import named_ideal, run_suite
@@ -99,7 +99,7 @@ def _json_dump(obj) -> str:
 
 def cmd_resolve(args) -> int:
     ideal = _load_ideal(args)
-    context_for(ideal, args.d)  # a --d below the largest generator degree exits 2, before any output
+    column_bound(ideal, args.d)  # a --d below the largest generator degree exits 2, before any output
     for kind in _kinds(args, ideal):
         cplx = _complex_for(kind, ideal, args.d)
         print(f"{kind}: ranks {list(cplx.ranks)}")

@@ -31,7 +31,7 @@ from typing import Callable
 from .complexes import FreeComplex
 from .ideals import MonomialIdeal
 from .monomials import Monomial, from_squares, square_str
-from .polarization import bpol_monomial, bpol_ring, context_for, g_shift
+from .polarization import bpol_monomial, bpol_ring, column_bound, g_shift
 
 __all__ = [
     "Kind",
@@ -182,7 +182,7 @@ def modified_complex(ideal: MonomialIdeal, d=None) -> FreeComplex:
     """The modified resolution of bpol(I) for a Borel fixed ideal I, in the
     ring of the squares bpol(I) uses; d (default: the largest generator
     degree) bounds the columns of the ring theta' maps into."""
-    return _resolution(MODIFIED, ideal, ("S~", ideal.n, context_for(ideal, d).d))
+    return _resolution(MODIFIED, ideal, ("S~", ideal.n, column_bound(ideal, d)))
 
 
 def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:

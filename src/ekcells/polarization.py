@@ -10,15 +10,12 @@ sends x_{i,j} to x_{i+j-1} and recovers the squarefree shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import FreeComplex
 from .ideals import MonomialIdeal
 from .monomials import Monomial, from_squares, square_items
 
 __all__ = [
-    "PolarizationContext",
-    "context_for",
+    "column_bound",
     "bpol_squares",
     "bpol_ring",
     "bpol_monomial",
@@ -33,31 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarizationContext:
-    """Ring bounds for k[x_{i,j} | 1 <= i <= n, 1 <= j <= d]."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"invalid context n={self.n}, d={self.d}")
-
-    @property
-    def shifted_n(self) -> int:
-        """Variable count N = n + d - 1 of the squarefree target ring."""
-        return self.n + self.d - 1
-
-
-def context_for(ideal: MonomialIdeal, d=None) -> PolarizationContext:
-    """The context for an ideal; d defaults to the largest generator degree."""
+def column_bound(ideal: MonomialIdeal, d=None) -> int:
+    """The column bound d of k[x_{i,j} | 1 <= i <= n, 1 <= j <= d]: by
+    default the largest generator degree, below which it may not go."""
     d0 = ideal.max_deg()
     if d is None:
-        d = d0
-    elif d < d0:
+        return d0
+    if d < d0:
         raise ValueError(f"column bound d={d} below maximal generator degree {d0}")
-    return PolarizationContext(ideal.n, d)
+    return d
 
 
 def bpol_squares(m: Monomial) -> tuple:
@@ -122,12 +103,10 @@ def sigma_monomial(m: Monomial, n_target: int) -> Monomial:
 
 def sigma_ideal(ideal: MonomialIdeal, d=None) -> MonomialIdeal:
     """The squarefree strongly stable shift of a Borel fixed ideal."""
-    ctx = context_for(ideal, d)
+    n_target = ideal.n + column_bound(ideal, d) - 1
     if not ideal.is_borel_fixed():
         raise ValueError("ideal is not Borel fixed")
-    shifted = MonomialIdeal(
-        ctx.shifted_n, [sigma_monomial(m, ctx.shifted_n) for m in ideal.gens]
-    )
+    shifted = MonomialIdeal(n_target, [sigma_monomial(m, n_target) for m in ideal.gens])
     if not shifted.is_sqfree_strongly_stable():
         raise RuntimeError(f"shift of {ideal!r} is not squarefree strongly stable")
     return shifted

@@ -14,10 +14,11 @@ run over the covers of x below b, and l(y) be the label of x <* y:
 * rising[x, b][l] = the sum, over the y with l(y) = l, of the weakly
   increasing chains of [y, b] whose first label is >= l (the one chain of
   [b, b] counts): the weakly increasing chains of [x, b], by first label;
-* the lex-least word of [x, b] is l(y) followed by that of [y, b], for the y
-  of least label (of tied least labels, the y whose word is least).  It is
-  unique and weakly increasing when the word of [y, b] is, no other y ties
-  with it, and l(y) is at most its first label.
+* lex[x, b] = (word, chain, ok): word is the least of the words l(y)
+  followed by the word of [y, b], chain carries it, and ok says that word is
+  weakly increasing: ok holds for [y, b] and l(y) is at most the first label
+  of its word.  Every chain that carries an increasing word increases, so
+  where [x, b] has one increasing chain, an increasing least word is unique.
 
 Each x merges these records of its covers, so the sweep is one pass over the
 pairs x <= b, in reverse topological order, and lists no chain.
@@ -116,29 +117,29 @@ def verify_el_all(kind: str, dual: FinitePoset, ideal) -> ELSweep:
     Each cover is labelled once.  Then each x, in reverse topological order,
     merges the records of [y, b] of its covers y into those of [x, b], by the
     recurrences of the module docstring, taking the covers in increasing label
-    order so that the first cover below b starts the lex-least word of [x, b].
-    [a, b] passes when it has exactly one increasing chain and its lex-least
-    word is unique and increasing: that chain is then the lex-least one, which
-    the records keep.  Where the one increasing chain is not lex-least, it is
-    read off by following the covers that keep the chain increasing.
+    order, so that a cover of greater label than the kept word's first is
+    passed over and only covers of a tied label compare their words.  [a, b]
+    passes when it has exactly one increasing chain and its lex-least word is
+    increasing: that chain then carries the word, which no other chain does,
+    and the records keep it.  Where the one increasing chain is not
+    lex-least, it is read off by following the covers that keep the chain
+    increasing.
     """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
     label = [[el_label_edge(kind, els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
     n = len(els)
     # per x and b >= x: chains[x][b] counts the maximal chains of [x, b];
     # rising[x][b] is the first label of its one increasing chain, or
-    # {first label: count} when it has more, and missing when it has none;
-    # least[x][b] is the cover that starts its lex-least word; lex[x][b] is
-    # that word's chain and the word, when the word is unique and increasing.
-    # [x, x] has one chain, whose empty word counts as starting with _TOP.
-    chains, rising, least, lex = [None] * n, [None] * n, [None] * n, [None] * n
+    # {first label: count} when it has more, and missing when it has none
+    # (a dict for every pair costs 40-80% more sweep time); lex[x][b] is
+    # (word, chain, ok): its lex-least word, a chain that carries it, and
+    # whether that word is weakly increasing.  [x, x] has one chain, whose
+    # empty word counts as starting with _TOP.
+    chains, rising, lex = [None] * n, [None] * n, [None] * n
     for x in reversed(dual._order):
         ex = els[x]
-        cx, rx, lx, ox = {x: 1}, {x: _TOP}, {}, {x: ((ex,), ())}
-        covers = sorted(zip(label[x], up[x]))
-        # with a tie, labof[y] is the label of the cover y
-        labof = {y: lab for lab, y in covers} if len(set(label[x])) < len(covers) else None
-        for lab, y in covers:
+        cx, rx, ox = {x: 1}, {x: _TOP}, {x: ((), (ex,), True)}
+        for lab, y in sorted(zip(label[x], up[x])):
             ry, oy = rising[y], lex[y]
             for b, c in chains[y].items():
                 cx[b] = cx.get(b, 0) + c
@@ -148,22 +149,14 @@ def verify_el_all(kind: str, dual: FinitePoset, ideal) -> ELSweep:
                     if k:
                         old = rx.get(b)
                         rx[b] = lab if old is None and k == 1 else _merge(old, lab, k)
-                if b in lx:
-                    # only a cover of the same least label competes, by its word
-                    if labof is None or labof[lx[b]] != lab:
-                        continue
-                    mine = _lex_word(y, b, up, label, least)
-                    other = _lex_word(lx[b], b, up, label, least)
-                    if mine >= other:
-                        if mine == other:
-                            ox.pop(b, None)  # the least word is not unique
-                        continue
-                    ox.pop(b, None)
-                lx[b] = y
-                o = oy.get(b)
-                if o is not None and (not o[1] or lab <= o[1][0]):
-                    ox[b] = ((ex,) + o[0], (lab,) + o[1])
-        chains[x], rising[x], least[x], lex[x] = cx, rx, lx, ox
+                o = ox.get(b)
+                if o is not None and o[0][0] < lab:
+                    continue  # an earlier cover of lesser label starts the least word
+                word, chain, ok = oy[b]
+                word = (lab,) + word
+                if o is None or word < o[0]:
+                    ox[b] = (word, (ex,) + chain, ok and (len(word) == 1 or lab <= word[1]))
+        chains[x], rising[x], lex[x] = cx, rx, ox
     out = ELSweep()
     out.cover_labels = label
     for a in range(n):
@@ -176,13 +169,11 @@ def verify_el_all(kind: str, dual: FinitePoset, ideal) -> ELSweep:
             if rises != 1:
                 out.append(ELReport(ea, els[b], ca[b], rises, False, False))
                 continue
-            o = oa.get(b)
-            if o is None:
-                chain, word = _rising_chain(a, b, up, label, chains, rising)
-                out.append(ELReport(ea, els[b], ca[b], 1, False, False,
-                                    tuple(els[k] for k in chain), word))
-            else:
-                out.append(ELReport(ea, els[b], ca[b], 1, True, True, *o))
+            word, chain, ok = oa[b]
+            if not ok:
+                path, word = _rising_chain(a, b, up, label, chains, rising)
+                chain = tuple(els[k] for k in path)
+            out.append(ELReport(ea, els[b], ca[b], 1, ok, ok, chain, word))
     return out
 
 
@@ -202,16 +193,6 @@ def _merge(old, lab, k) -> dict:
     out = {} if old is None else {old: 1} if old.__class__ is int else old
     out[lab] = out.get(lab, 0) + k
     return out
-
-
-def _lex_word(u, b, up, label, least) -> tuple:
-    """The lex-least word of [u, b], read along the lex-least covers."""
-    word = []
-    while u != b:
-        z = least[u][b]
-        word.append(label[u][up[u].index(z)])
-        u = z
-    return tuple(word)
 
 
 def _rising_chain(a, b, up, label, chains, rising):

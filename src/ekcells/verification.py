@@ -141,8 +141,6 @@ def check_g_properties(ideal: MonomialIdeal):
     small = [m for m in _monomials_up_to(ideal.n, 2)]
     for m in small:
         for nmem in members:
-            if m.degree() + nmem.degree() > deg_bound + 2:
-                continue
             lhs = ideal.g(m * ideal.g(nmem))
             rhs = ideal.g(m * nmem)
             if lhs != rhs:

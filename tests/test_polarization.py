@@ -10,7 +10,7 @@ from ekcells import (
     bpol_monomial,
     bpol_ring,
     bpol_squares,
-    context_for,
+    column_bound,
     ek_complex,
     g_shift,
     modified_complex,
@@ -166,9 +166,9 @@ class TestSpecializations:
 
     def test_context_bound(self, deg2):
         with pytest.raises(ValueError):
-            context_for(deg2, d=1)
-        assert context_for(deg2).d == 2
-        assert context_for(deg2, d=5).shifted_n == 7
+            column_bound(deg2, d=1)
+        assert column_bound(deg2) == 2
+        assert sigma_ideal(deg2, d=5).n == 7
 
 
 class TestStairsDiagram:

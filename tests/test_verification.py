@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ekcells import (
-    AdmissiblePair, Monomial, ek_complex, modified_complex, random_borel_ideal, shelling,
+    AdmissiblePair, Monomial, MonomialIdeal, ek_complex, modified_complex, random_borel_ideal, shelling,
     verification,
 )
 from ekcells.monomials import from_squares, square_str
@@ -14,6 +14,7 @@ from ekcells.verification import (
     check_cover_support,
     check_d2,
     check_g_properties,
+    check_interval_decomposition,
     check_intervals,
     check_minimality,
     check_multidegrees,
@@ -21,7 +22,7 @@ from ekcells.verification import (
     cm_battery,
     full_battery,
 )
-from ekcells.posets import FinitePoset
+from ekcells.posets import BOTTOM, FinitePoset
 from conftest import gamma, ideal, mono
 
 
@@ -119,6 +120,27 @@ class TestMutationDetection:
         monkeypatch.setattr(verification, "_TIE_CHAINS", 1)
         with pytest.raises(VerificationError, match="leave injectivity undecided"):
             check_intervals("ek", dual, deg2)
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_cell_outside_the_full_pair_intervals_detected(self, kind, deg2):
+        # an extra cell over the least element lies below no full pair
+        g = gamma(kind, deg2)
+        p = FinitePoset(g.elements + ("extra",), g.covers + ((BOTTOM, "extra"),))
+        with pytest.raises(VerificationError, match=re.escape(
+                f"{kind} poset is not covered by the full-pair intervals")):
+            check_interval_decomposition(kind, deg2, p, deg2.is_cm_stable()[1])
+
+    @pytest.mark.parametrize("kind, message", [
+        ("ek", "intersection with interval 1 differs from predicted union (ek)"),
+        ("modified", "maximal elements of intersection 1 are {~e({(2,2)};x1*x3)}, "
+                     "expected {~e({(1,1)};x2*x3)} (modified)"),
+    ])
+    def test_wrong_intersection_detected(self, kind, message, deg2, monkeypatch):
+        # the top generators taken in reverse order predict the wrong overlaps
+        original = MonomialIdeal.top_generators
+        monkeypatch.setattr(MonomialIdeal, "top_generators", lambda J: original(J)[::-1])
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            check_interval_decomposition(kind, deg2, gamma(kind, deg2), deg2.is_cm_stable()[1])
 
     def test_tied_labels_with_distinct_words_pass(self):
         # 0 < 1, 2 < 3: the two labels out of 0 tie, the words (5, 1) and
