@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 check failure, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -239,6 +240,7 @@ def cmd_paper_suite(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache  # built once per process and shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ekcells",
@@ -302,8 +304,7 @@ def _check_bounds(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_bounds(args)
         return args.fn(args)

@@ -261,37 +261,26 @@ def _positive_part(variables, squares, chain, labels, lift, end_lift):
 def is_cw_poset(poset: FinitePoset, kind: str, ideal):
     """Certify that a poset is the face poset of a regular CW complex.
 
-    Checks: thin, at least two elements, a least element, and shellability of
-    every lower interval, certified through EL verification of all intervals
-    of the dual poset (with brute-force shelling of the lower intervals as a
-    fallback).  Returns (bool, witness dict).
+    The poset is certified CW exactly when it is thin, has at least two
+    elements and a least element, and every interval of its dual passes
+    ``verify_el_all``: EL-shellability of the dual intervals shells every
+    lower interval, which is Bjorner's CW-poset criterion (Europ. J. Combin.
+    5, 1984).  No shelling search runs, so an EL failure reads as not CW.
+    Returns (bool, witness dict); when the sweep fails, ``el_first_failure``
+    names the first failing dual interval (a, b).
     """
-    witness = {"thin": poset.is_thin(), "size": len(poset)}
-    mins = poset.minimal_elements()
-    witness["bounded_below"] = len(mins) == 1
+    witness = {"thin": poset.is_thin()}
+    witness["bounded_below"] = len(poset.minimal_elements()) == 1
     if not (witness["thin"] and witness["bounded_below"] and len(poset) >= 2):
         witness["el_intervals"] = None
         return False, witness
-    dual = poset.dual()
-    reports = verify_el_all(kind, dual, ideal)
+    reports = verify_el_all(kind, poset.dual(), ideal)
     failures = [r for r in reports if not r.passed]
     witness["el_intervals"] = len(reports)
     witness["el_failures"] = len(failures)
-    if not failures:
-        return True, witness
-    # EL certification failed somewhere; fall back to direct shelling of the
-    # lower intervals (sufficient for Bjorner's criterion).
-    bottom = mins[0]
-    for e in poset.elements:
-        if e is bottom:
-            continue
-        data = poset.interval(bottom, e).order_complex()
-        res = find_shelling(data)
-        if res.order is None:
-            witness["unshellable_interval"] = (bottom, e, res.exhaustive)
-            return False, witness
-    witness["fallback"] = "direct shelling of all lower intervals"
-    return True, witness
+    if failures:
+        witness["el_first_failure"] = (failures[0].bottom, failures[0].top)
+    return not failures, witness
 
 
 def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> ShellingResult:
@@ -421,6 +410,8 @@ def ball_check(
     shelling search that proves unshellability.  A shelling search that runs
     out of its ``node_budget`` is inconclusive, as is everything else.
     ``cw_result`` reuses an ``is_cw_poset`` result the caller already has.
+    Certified CW means EL-certified: a poset whose EL sweep fails is not CW
+    (``"cw": false`` in ``verify``), and its verdict is inconclusive.
 
     The reduced homology is read off the augmented frame of ``cplx``.  A
     poset certified CW is the face poset of a regular CW complex X; the frame

@@ -5,6 +5,9 @@ Each test delegates to the shared criterion implementation in
 and prints one pass/fail line.
 """
 
+import pytest
+
+from ekcells import topology
 from ekcells.suite import (
     criterion_1,
     criterion_2,
@@ -14,6 +17,7 @@ from ekcells.suite import (
     criterion_6,
     criterion_7,
 )
+from ekcells.verification import VerificationError
 
 RANDOM_COUNT = 200
 CM_COUNT = 50
@@ -67,3 +71,21 @@ def test_criterion_7_cm_battery():
         count=CM_COUNT,
         seed=SEED + 1,
     )
+
+
+def test_criterion_2_reads_homology_off_the_frame_alone(monkeypatch):
+    # the ball check's frame homology is criterion 2's only homology route:
+    # it builds no barycentric chain complex, and a reported Betti number fails it
+    built = []
+    real = topology.simplicial_chain_complex
+
+    def recorded(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "simplicial_chain_complex", recorded)
+    criterion_2()
+    monkeypatch.setattr(topology, "homology_ranks", lambda cplx: [(0, ()), (1, ())])
+    with pytest.raises(VerificationError, match="exhaustive shelling failure alone"):
+        criterion_2()
+    assert not built

@@ -1,9 +1,11 @@
 import hashlib
+import json
 import random
 import zlib
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ekcells import (
     AdmissiblePair,
     FinitePoset,
     Monomial,
+    MonomialIdeal,
     SimplicialComplexData,
     el_label_edge,
     find_shelling,
@@ -23,9 +26,11 @@ from ekcells import (
     u_of_chain,
     verify_el_all,
 )
+from ekcells.cli import main
 from ekcells.ek import kind_of
 from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
 from ekcells.suite import NAMED_IDEALS, named_ideal
+from ekcells.verification import VerificationError, cm_battery
 from conftest import ball, gamma, ideal, mono, power_ideal
 
 
@@ -244,27 +249,61 @@ def two_squares_under_one_top():
     return FinitePoset(["0"] + vertices + edges + ["1"], covers)
 
 
-class TestCWFallback:
-    """When the EL sweep reports a failure, is_cw_poset shells every lower
-    interval directly."""
+def stable_closure(seeds):
+    """The smallest stable ideal containing the seeds: closed under the
+    stable moves m / x_max(m) * x_i, i < max(m)."""
+    seen, frontier = set(seeds), list(seeds)
+    while frontier:
+        m = frontier.pop()
+        j = m.max_var()
+        for i in range(1, j):
+            moved = m.div_var(j).times_var(i)
+            if moved not in seen:
+                seen.add(moved)
+                frontier.append(moved)
+    return MonomialIdeal(seeds[0].n, seen)
+
+
+@pytest.fixture
+def first_report_fails(monkeypatch):
+    """Every EL sweep reports its first interval failed; the failed reports
+    are recorded in ``.failed``, and any shelling search or order complex is
+    recorded in ``.searches`` and raises."""
+    state = SimpleNamespace(failed=[], searches=[])
+    real = shelling.verify_el_all
+
+    def sweep(*args):
+        reports = real(*args)
+        reports[0] = replace(reports[0], passed=False)
+        state.failed.append(reports[0])
+        return reports
+
+    def search(*args, **kwargs):
+        state.searches.append(args)
+        raise AssertionError("a CW verdict ran a shelling search")
+
+    monkeypatch.setattr(shelling, "verify_el_all", sweep)
+    monkeypatch.setattr(shelling, "find_shelling", search)
+    monkeypatch.setattr(FinitePoset, "order_complex", search)
+    return state
+
+
+class TestCWFromSweep:
+    """is_cw_poset certifies CW by the EL sweep alone: a failing report reads
+    as not CW, names its dual interval, and starts no shelling search."""
 
     @pytest.mark.parametrize("name", ["deg2", "tri-tri", "tri-sq", "deg4"])
     @pytest.mark.parametrize("kind", ["ek", "modified"])
-    def test_cell_posets_pass_by_direct_shelling(self, name, kind, monkeypatch):
-        real = shelling.verify_el_all
-
-        def first_report_failed(*args):
-            reports = real(*args)
-            return [replace(reports[0], passed=False)] + reports[1:]
-
-        monkeypatch.setattr(shelling, "verify_el_all", first_report_failed)
+    def test_failing_report_refutes_cw_without_search(self, name, kind, first_report_fails):
         J = named_ideal(name)
         ok, witness = is_cw_poset(gamma(kind, J), kind, J)
-        assert ok
+        (failed,) = first_report_fails.failed
+        assert not ok
         assert witness["el_failures"] == 1
-        assert "fallback" in witness
+        assert witness["el_first_failure"] == (failed.bottom, failed.top)
+        assert not first_report_fails.searches
 
-    def test_unshellable_interval_is_named(self, deg2, monkeypatch):
+    def test_unshellable_poset_is_refuted_by_its_report(self, deg2, monkeypatch):
         p = two_squares_under_one_top()
         assert len(p) == 18 and p.is_thin() and p.is_pure()
         failed = shelling.ELReport(bottom="1", top="0", max_chains=0, increasing_chains=0,
@@ -272,8 +311,37 @@ class TestCWFallback:
         monkeypatch.setattr(shelling, "verify_el_all", lambda *args: [failed])
         ok, witness = is_cw_poset(p, "ek", deg2)
         assert not ok
-        assert witness["el_failures"] == 1
-        assert witness["unshellable_interval"] == ("0", "1", True)
+        assert witness == {"thin": True, "bounded_below": True, "el_intervals": 1,
+                           "el_failures": 1, "el_first_failure": ("1", "0")}
+
+    def test_verify_prints_cw_false(self, first_report_fails, capsys):
+        assert main(["verify", "--named", "deg2", "--check", "cw"]) == 1
+        out = capsys.readouterr().out
+        assert '"cw": false' in out
+        assert {k: c["cw"] for k, c in json.loads(out)["kinds"].items()} == {
+            "ek": False, "modified": False}
+        assert not first_report_fails.searches
+
+    def test_cm_battery_names_kind_and_interval(self, deg2, first_report_fails):
+        with pytest.raises(VerificationError, match="ek poset not certified CW") as exc:
+            cm_battery(deg2)
+        (failed,) = first_report_fails.failed
+        assert repr((failed.bottom, failed.top)) in str(exc.value)
+        assert not first_report_fails.searches
+
+    def test_stable_non_borel_ideals_pass_el(self):
+        # the stable closures of at most two seeds of degree <= 3 in three
+        # variables: 61 ideals, 14 of them not Borel fixed, which the Borel
+        # batteries never draw
+        seeds = [Monomial.parse("*".join(f"x{i}" for i in c), 3)
+                 for d in (1, 2, 3) for c in combinations_with_replacement((1, 2, 3), d)]
+        ideals = {stable_closure(list(s)) for k in (1, 2) for s in combinations(seeds, k)}
+        assert len(ideals) == 61 and all(J.is_stable() for J in ideals)
+        non_borel = [J for J in ideals if not J.is_borel_fixed()]
+        assert len(non_borel) == 14
+        for J in non_borel:
+            ok, witness = is_cw_poset(gamma("ek", J), "ek", J)
+            assert ok and witness["el_failures"] == 0, J
 
 
 def pairwise_shelling_order(data, order):
