@@ -77,6 +77,7 @@ def _kinds(args, ideal):
     for rules in map(kind_of, kinds):
         if not rules.admits(ideal):
             raise ValueError(f"ideal is not {rules.ideal_class}")
+        rules.ring(ideal)  # the modified ring polarizes each generator, and may refuse one
     return kinds
 
 

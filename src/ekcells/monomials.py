@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from bisect import bisect_left
 
 __all__ = ["Monomial", "from_squares", "square_items", "square_str"]
@@ -135,6 +136,8 @@ class Monomial:
 
     def sorted_factors(self) -> list:
         """Variable indices with multiplicity, nondecreasing."""
+        if self.degree() > sys.maxsize:
+            raise ValueError(f"cannot list the {self.degree()} factors of {self}")
         out = []
         for i, e in enumerate(self.exps, 1):
             out.extend([i] * e)

@@ -8,10 +8,11 @@ utilities on graded posets.
 All arithmetic is exact, on sparse integer columns.  Homology goes through
 ``invariant_factors``, the Smith invariants of a sparse integer matrix, from
 +-1 pivots first and the dense ``smith_diagonal`` on the unit-free rest, and
-reads Betti numbers and torsion off them.  The strand oracle walks the lcm
-lattice once and ranks, over F_2 (row bitmasks) and F_3 (bitsliced mask
-pairs), only the cells each strand adds to an exact strand below it; the
-Smith invariants name the failing field of a strand that fails there.
+reads Betti numbers and torsion off them.  The strand oracle closes the lcm
+lattice one generator at a time, walks it once upwards and ranks, over F_2
+(row bitmasks) and F_3 (bitsliced mask pairs), only the cells each strand
+adds to an exact strand below it; the Smith invariants name the failing
+field of a strand that fails there.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
+from operator import getitem
 
 from .complexes import FreeComplex
 from .monomials import Monomial, square_str
@@ -285,30 +287,48 @@ class StrandReport:
 
 
 class _Packing:
-    """Exponent vectors packed into ints (Monagan-Pearce).
+    """Exponent vectors packed into ints (Monagan-Pearce), on exponent ranks.
 
-    One field of ``width`` bits per variable, the first variable most
-    significant, so packed ints order as ``Monomial.exps`` do.  Each field is
-    one bit wider than the largest exponent, and that top bit, the guard, is
-    clear in every packed degree; ``guard`` is the mask of all guard bits.
+    Each exponent is replaced by its rank among the distinct exponents its
+    variable takes in ``monos``: a monotone relabelling, so lcms and
+    divisibility among ``monos`` and their lcms are kept, and a field's width
+    follows how many exponents a variable takes, not how large they are.
+    ``counts[v]`` is that number.  Where every variable takes 0..k, the
+    exponents are their own ranks and ``values`` and ``ranks`` are None;
+    otherwise ``values[v]`` lists v's exponents in order and ``ranks[v]`` maps
+    each to its rank, one map shared by the variables that take the same
+    exponents.  One field of ``width`` bits per variable, the first variable
+    most significant, so packed ints order as ``Monomial.exps`` do.  Each
+    field is one bit wider than the largest rank, and that top bit, the guard,
+    is clear in every packed degree; ``guard`` is the mask of all guard bits.
     """
 
     def __init__(self, monos):
-        monos = list(monos)
-        self.size = monos[0].n if monos else 1
-        top = max((e for m in monos for e in m.exps), default=0)
-        self.width = top.bit_length() + 1
+        taken = [set(col) for col in zip(*(m.exps for m in monos))]
+        self.counts = list(map(len, taken))
+        self.size = len(taken)
+        self.values = self.ranks = None
+        if any(max(col) >= len(col) for col in taken):  # some variable skips an exponent
+            values = [tuple(sorted(col)) for col in taken]
+            tables = {col: dict(zip(col, range(len(col)))) for col in set(values)}
+            self.values, self.ranks = values, [tables[col] for col in values]
+        self.width = (max(self.counts, default=1) - 1).bit_length() + 1
         self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(self.size))
+
+    def ranked(self, mono: Monomial):
+        """The ranks of the exponents of ``mono``, one per variable."""
+        return mono.exps if self.ranks is None else tuple(map(getitem, self.ranks, mono.exps))
 
     def pack(self, mono: Monomial) -> int:
         x = 0
-        for e in mono.exps:
-            x = (x << self.width) | e
+        for r in self.ranked(mono):
+            x = (x << self.width) | r
         return x
 
     def unpack(self, x) -> Monomial:
         w, mask = self.width, (1 << (self.width - 1)) - 1
-        return Monomial(tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1)))
+        ranks = tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1))
+        return Monomial(ranks if self.values is None else tuple(map(getitem, self.values, ranks)))
 
 
 def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
@@ -321,20 +341,23 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     complex over Q (and over F_p for each requested prime): the
     Bayer-Sturmfels acyclicity criterion.
 
-    Generator and basis degrees are packed once into guard-bit integers
-    (``_Packing``), so the lattice closure is a field-wise maximum.  A strand
-    passes on its ranks over F_2 and F_3 (``_StrandFrame``), taken relative
-    to a strand below it.  If a divides b, the strand A at a is a subcomplex
-    of the strand B at b, as the frame is checked once to be a Z-complex
-    whose row degrees divide their column degrees.  If A is exact over F_p,
-    the long exact sequence of 0 -> A -> B -> B/A -> 0 (Weibel, An
-    Introduction to Homological Algebra, Thm 1.3.1) gives H(B) = H(B/A), so
-    only B's cells outside A are ranked, rows restricted to them; A is the
-    strand of b's parent in the lattice walk if that is exact over F_p, else
-    empty.  Only a strand that fails there, or every strand when field ranks
-    certify nothing, is checked on Smith invariants, which name the first
-    failing field.  The failures come in the order of their degrees; a
-    lattice element becomes a monomial again only to name one.
+    Generator and basis degrees are packed once into guard-bit integers, on
+    the ranks of their exponents (``_Packing``), so the lattice closure is a
+    field-wise maximum and no table grows with an exponent's size.  The
+    closure joins each generator with the elements before it, once.  A strand
+    passes on its ranks over F_2 and F_3 (``_StrandFrame``), taken relative to
+    a strand below it.  If a divides b, the strand A at a is a subcomplex of
+    the strand B at b, as the frame is checked once to be a Z-complex whose
+    row degrees divide their column degrees.  If A is exact over F_p, the long
+    exact sequence of 0 -> A -> B -> B/A -> 0 (Weibel, An Introduction to
+    Homological Algebra, Thm 1.3.1) gives H(B) = H(B/A), so only B's cells
+    outside A are ranked, rows restricted to them; A is the strand of b's
+    parent, a proper divisor of b in the lattice with the largest strand, read
+    off the strand masks, if that is exact over F_p, else empty.  Only a
+    strand that fails there, or every strand when field ranks certify nothing,
+    is checked on Smith invariants, which name the first failing field.  The
+    failures come in the order of their degrees; a lattice element becomes a
+    monomial again only to name one.
     """
     gens, primes = list(gens), tuple(primes)
     packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
@@ -366,10 +389,11 @@ class _StrandFrame:
     Basis element k of degree q is bit ``offsets[q + 1] + k``, and bit 0 is
     degree -1, the ideal component; ``levels[q + 1]`` masks degree q.  A
     strand is a mask too: the AND over the variables v of ``below[e]``, the
-    bits whose exponent in v is at most b's exponent e (bit 0 always), read
-    off b's field at ``shift``.  ``frame`` is ``frame_complex(cplx)``, and
-    ``cols[p]`` holds each of its columns as one row bitmask for p = 2 and as
-    its (entries 1, entries -1) masks for p = 3.
+    bits whose exponent rank in v is at most b's rank e (bit 0 always), read
+    off b's field at ``shift``; a table has one mask per rank, so it is no
+    longer than the generators and cells together.  ``frame`` is
+    ``frame_complex(cplx)``, and ``cols[p]`` holds each of its columns as one
+    row bitmask for p = 2 and as its (entries 1, entries -1) masks for p = 3.
     """
 
     def __init__(self, cplx: FreeComplex, packing: _Packing):
@@ -381,13 +405,13 @@ class _StrandFrame:
         self.full = (1 << nbits) - 1
         self.guard, self.width = packing.guard, packing.width
         self.field = (1 << (packing.width - 1)) - 1
-        self.below = []  # (shift, below) per variable that some basis degree uses
-        exps = zip(*(md.exps for layer in cplx.mdegs for md in layer))
-        for v, col in enumerate(exps):
+        self.below = []  # (shift, below) per variable in which basis degrees differ
+        ranks = zip(*(packing.ranked(md) for layer in cplx.mdegs for md in layer))
+        for v, (col, count) in enumerate(zip(ranks, packing.counts)):
             top = max(col)
             if not top:
                 continue
-            masks = [1] * top + [self.full] * (self.field + 1 - top)
+            masks = [1] * top + [self.full] * (count - top)
             for bit, e in enumerate(col, start=1):
                 if e < top:
                     masks[e] |= 1 << bit
@@ -433,35 +457,49 @@ class _StrandFrame:
 
     def lattice(self, gens) -> dict:
         """The lcm lattice of the packed generator degrees ``gens``, ascending,
-        as ``{b: (strand mask, parent)}``.  Each a is joined, by SWAR, with the
-        g that do not divide it: the guard of a field survives
-        ``(a | guard) - g`` where a's exponent is at least g's, and subtracting
-        the guards shifted to the fields' low bits widens them into field
-        masks.  b's parent is the element joined into b with the largest
-        strand (None for a minimal generator); it divides b, so it comes
-        first."""
-        gens = set(gens)
-        guard, shift = self.guard, self.width - 1
-        subs = {g: self.strand(g) for g in gens}
-        parents = {}  # b -> (the size of its parent's strand, parent)
-        frontier = list(subs)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                size, ag = subs[a].bit_count(), a | guard
-                for g in gens:
-                    ge = (ag - g) & guard
-                    if ge == guard:
-                        continue
-                    keep = ge - (ge >> shift)
-                    j = (a & keep) | (g & ~keep)
-                    if j not in subs:
-                        subs[j] = self.strand(j)
-                        nxt.append(j)
-                    if parents.get(j, (-1,))[0] < size:
-                        parents[j] = (size, a)
-            frontier = nxt
-        return {b: (sub, parents.get(b, (0, None))[1]) for b, sub in sorted(subs.items())}
+        as ``{b: (strand mask, parent)}``.
+
+        The closure adds the generators one at a time, repeats dropped: g and
+        its join with each element so far.  A join is SWAR: the guard of a
+        field survives ``(a | guard) - g`` where a's exponent is at least g's,
+        and subtracting the guards shifted to the fields' low bits widens them
+        into field masks.
+
+        b's parent is a proper divisor of b with the largest strand (None if
+        there is none).  Such a divisor is below b in some variable v, where
+        b's field is e, so its strand lies in ``strand(b) & below[e - 1]``.
+        These masks are looked up largest first, each by the first element
+        with that strand, and the first element found that divides b is the
+        parent.  Where the cells of degree 0 are the generators and every cell
+        degree is an lcm of them, as on the resolutions built here, the first
+        lookup finds it.
+        """
+        guard, shift, field = self.guard, self.width - 1, self.field
+        elements = set()
+        for g in dict.fromkeys(gens):
+            joins = {g}
+            for a in elements:
+                ge = ((a | guard) - g) & guard
+                keep = ge - (ge >> shift)
+                joins.add((a & keep) | (g & ~keep))
+            elements |= joins
+        lattice, owner = {}, {}  # owner: strand mask -> the first element with it
+        for b in sorted(elements):
+            sub, cuts = self.full, []  # strand(b), and below[e - 1] where e > 0
+            for s, below in self.below:
+                e = b >> s & field
+                sub &= below[e]
+                if e:
+                    cuts.append(below[e - 1])
+            parent, bg = None, b | guard
+            for part in sorted([sub & cut for cut in cuts], key=int.bit_count, reverse=True):
+                a = owner.get(part)
+                if a is not None and (bg - a) & guard == guard:
+                    parent = a
+                    break
+            lattice[b] = (sub, parent)
+            owner.setdefault(sub, b)
+        return lattice
 
     def field_verdicts(self, lattice, fields) -> dict:
         """Per b, whether its strand is exact over each F_p in ``fields``: whether

@@ -298,14 +298,19 @@ def _check_label_rewrites(kind, dual, labels):
 
 
 def _check_minimal_support(ideal, a, b, lab0):
+    """The positive labels of [a, b]'s increasing chain are the one minimal
+    G in a.F - b.F with g(x_G a.m) = b.m.  The subsets go by size, and a
+    superset of a hit, which cannot be minimal, is skipped without a call
+    to g."""
     diff = sorted(set(a.F) - set(b.F))
-    hits = []
+    minimal = []
     for size in range(len(diff) + 1):
-        for G in combinations(diff, size):
+        for G in map(set, combinations(diff, size)):
+            if any(H <= G for H in minimal):
+                continue
             shifted = Monomial._of(tuple(e + (i in G) for i, e in enumerate(a.m.exps, 1)))
             if ideal.g(shifted) == b.m:
-                hits.append(set(G))
-    minimal = [G for G in hits if not any(H < G for H in hits)]
+                minimal.append(G)
     positive = {x for x in lab0 if x > 0}
     if len(minimal) != 1 or minimal[0] != positive:
         raise VerificationError(

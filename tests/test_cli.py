@@ -315,6 +315,34 @@ class TestBoundChecks:
         assert err == f"error: {flag} must be at least 0, got -3\n"
 
 
+class TestHugeExponents:
+    @pytest.fixture
+    def huge_power(self, tmp_path):
+        path = tmp_path / "huge.ideal"
+        path.write_text("3 1\n99999999999999999999 0 0\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["resolve"], ["verify"], ["verify", "--kind", "modified"], ["polarize"],
+    ], ids=" ".join)
+    def test_unlistable_factors_exit_2_naming_the_generator(self, argv, huge_power, capsys):
+        # polarizing lists a generator's factors, and these do not fit a list;
+        # with both kinds asked for, nothing is printed first
+        assert main([*argv, "--ideal", huge_power]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot list the 99999999999999999999 factors "
+                                "of x1^99999999999999999999\n")
+
+    def test_classical_strands_take_any_exponent(self, huge_power, tmp_path, capsys):
+        path = tmp_path / "two.ideal"
+        path.write_text("2 2\nx1\nx2^100000000000000000000\n", encoding="utf-8")
+        for ideal, checked in ((huge_power, 1), (str(path), 3)):
+            assert main(["verify", "--ideal", ideal, "--kind", "ek", "--check", "cw"]) == 0
+            strands = json.loads(capsys.readouterr().out)["kinds"]["ek"]["strands"]
+            assert strands == {"ok": True, "checked": checked, "first_failure": None}
+
+
 class TestIdealFileHeader:
     @pytest.mark.parametrize("header", ["n 2", "2"])
     def test_bad_header_names_the_expected_one(self, header, tmp_path, capsys):

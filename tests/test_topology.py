@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ekcells import (
     FreeComplex,
     IntegerChainComplex,
+    MonomialIdeal,
     SimplicialComplexData,
     bpol_ideal,
     build_gamma,
@@ -40,7 +41,7 @@ from ekcells.topology import (
     smith_diagonal,
     sparse_columns,
 )
-from conftest import ball, gamma, power_ideal, resolution
+from conftest import ball, gamma, mono, power_ideal, resolution
 
 
 def dense_rank_mod_p(mat, p):
@@ -534,7 +535,8 @@ class TestStrands:
 
     @pytest.mark.parametrize("d, width", [(7, 4), (8, 5)])
     def test_field_width_steps_with_the_exponent(self, d, width):
-        # x2^7 fits three bits plus the guard, x2^8 needs four
+        # (x1, x2)^7 takes 8 exponents in each variable, whose ranks fit three
+        # bits plus the guard; (x1, x2)^8 takes 9 and needs four
         J = power_ideal(2, d)
         cek = ek_complex(J)
         assert _Packing(list(J.gens)).width == width
@@ -545,6 +547,23 @@ class TestStrands:
             assert packed_lattice(cplx, gens) == reference_lcm_lattice(gens)
         # lcm(x1^(d-i) x2^i, x1^(d-j) x2^j) = x1^(d-i) x2^j for i <= j
         assert strand_exactness(cek, list(J.gens)).strands_checked == (d + 1) * (d + 2) // 2
+
+    @pytest.mark.parametrize("power", [10**9, 10**20])
+    def test_fields_follow_the_exponents_taken_not_their_size(self, power):
+        # (x1, x2^power): x2 takes two exponents, 0 and power, so its field
+        # holds ranks 0 and 1 and its strand table has one mask per rank
+        J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, power))])
+        cplx, gens = ek_complex(J), list(J.gens)
+        packing, frame = strand_frame(cplx, gens)
+        assert packing.values == [(0, 1), (0, power)] and packing.width == 2
+        assert [len(below) for _, below in frame.below] == [2, 2]
+        got = strand_exactness(cplx, gens, primes=(2, 3))
+        assert got.ok and got.strands_checked == 3
+        assert got == reference_strand_exactness(cplx, gens, primes=(2, 3))
+        # a failure is named by its exponents, not their ranks
+        broken = strand_exactness(without_last_top_cell(cplx), gens, primes=(2, 3))
+        assert broken.failures == [
+            {"degree": f"x1*x2^{power}", "field": "Q", "position": 0, "defect": 1}]
 
     def test_variable_in_no_generator_never_divides(self, deg2):
         # the modified complex in a ring with one more square, (9, 9), that no
@@ -716,6 +735,70 @@ class TestLatticeWalk:
         J = power_ideal(4, 4)
         assert strand_exactness(ek_complex(J), list(J.gens)).strands_checked == 590
         assert strand_exactness(modified_complex(J), bpol_ideal(J)).strands_checked == 2854
+
+    @staticmethod
+    def resolution_cases():
+        """The walk cases and the four battery complexes of seeded random
+        Borel ideals: resolutions of their minimal generators."""
+        yield from walk_cases()
+        rng = random.Random(1919)
+        for _ in range(10):
+            yield from battery_complexes(random_borel_ideal(rng, max_gens=8))
+
+    def test_parent_has_the_largest_strand_of_a_proper_divisor(self):
+        for cplx, gens in self.resolution_cases():
+            packing, frame = strand_frame(cplx, gens)
+            lattice = frame.lattice(packing.pack(g) for g in gens)
+            G = packing.guard
+            for b, (sub, parent) in lattice.items():
+                below = [a_sub.bit_count() for a, (a_sub, _) in lattice.items()
+                         if a != b and ((b | G) - a) & G == G]
+                if parent is None:
+                    assert not below, packing.unpack(b)
+                else:
+                    assert lattice[parent][0].bit_count() == max(below), packing.unpack(b)
+
+    def test_a_strand_owner_that_does_not_divide_is_passed_over(self):
+        # the resolution of (x1^2, x1*x2, x2^2), walked over generators times
+        # x3 and x4: below x1^2*x2*x3 in x1 lies the strand of x1*x2*x3, first
+        # owned by x1*x2*x4, which does not divide it; the parent is x1^2
+        J = MonomialIdeal(4, [mono(t, 4) for t in ("x1^2", "x1*x2", "x2^2")])
+        gens = [mono(t, 4) for t in ("x1^2", "x1*x2*x4", "x2^2*x3", "x1*x2*x3")]
+        cplx = ek_complex(J)
+        assert self.check_walk(cplx, gens) == ((2, 3), 0)
+        packing, frame = strand_frame(cplx, gens)
+        lattice = frame.lattice(packing.pack(g) for g in gens)
+        b, owner, shared = (packing.pack(mono(t, 4))
+                            for t in ("x1^2*x2*x3", "x1*x2*x4", "x1*x2*x3"))
+        assert lattice[owner][0] == lattice[shared][0] and owner < shared
+        assert packing.unpack(lattice[b][1]) == mono("x1^2", 4)
+
+    def test_walk_ignores_generator_order_repeats_and_redundant_lcms(self):
+        # the lattice and its parents depend on the set the generators span:
+        # the same for the generators shuffled, repeated, or joined by an lcm
+        # of two of them, which is no minimal generator
+        rng = random.Random(2020)
+        for cplx, gens in self.resolution_cases():
+            packing, frame = strand_frame(cplx, gens)
+            want = frame.lattice(packing.pack(g) for g in gens)
+            shuffled = rng.sample(gens, len(gens))
+            for variant in (shuffled, gens + gens[::2], gens + [gens[0].lcm(gens[-1])]):
+                assert frame.lattice(packing.pack(g) for g in variant) == want
+
+    def test_cells_ranked_on_fourth_power_of_maximal_ideal(self, monkeypatch):
+        # the bits ranked over F_2 on each strand: a worse choice of parents
+        # ranks more
+        ranked = []
+        field_ranks = _StrandFrame.field_ranks
+        monkeypatch.setattr(_StrandFrame, "field_ranks",
+                            lambda frame, sub, p: ranked.append(sub.bit_count())
+                            or field_ranks(frame, sub, p))
+        J = power_ideal(4, 4)
+        for cplx, gens, bits in ((ek_complex(J), list(J.gens), 4246),
+                                 (modified_complex(J), bpol_ideal(J), 12172)):
+            ranked.clear()
+            assert strand_exactness(cplx, gens, primes=(2,)).ok
+            assert sum(ranked) == bits
 
 
 class TestFieldRanks:

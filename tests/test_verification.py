@@ -193,6 +193,19 @@ class TestMutationDetection:
         with pytest.raises(VerificationError, match=r"lcm identity fails on \[e\(\{1\}"):
             full_battery(deg2)
 
+    def test_minimal_support_failure_names_the_interval(self, deg2, monkeypatch):
+        # a support search that never tries a single shift finds no minimal
+        # support where the increasing chain's positive label is 1
+        original = verification.combinations
+        monkeypatch.setattr(verification, "combinations",
+                            lambda items, size: original(items, size) if size != 1 else iter(()))
+        message = ("minimal shift supports [] vs positive labels {1} "
+                   "on [e({1};x1*x2), e({};x1^2)]")
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            check_intervals("ek", gamma("ek", deg2).dual(), deg2)
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            full_battery(deg2)
+
     def test_modified_messages_name_the_cell_and_its_squares(self, deg2):
         # the first cell of degree 1 with its multidegree times x[3,1]
         cplx = modified_complex(deg2)
