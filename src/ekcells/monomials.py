@@ -22,12 +22,16 @@ from __future__ import annotations
 
 import operator
 import re
-import sys
 from bisect import bisect_left
 
 __all__ = ["Monomial", "from_squares", "square_items", "square_str"]
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?\Z")
+
+# The most factors ``sorted_factors`` lists.  Polarizing a monomial gives
+# one variable per factor, so a degree above this would make a list, and a
+# ring, of millions of entries.
+FACTOR_LIMIT = 1 << 20
 
 
 class Monomial:
@@ -135,8 +139,9 @@ class Monomial:
         raise ValueError("min_var of the unit monomial")
 
     def sorted_factors(self) -> list:
-        """Variable indices with multiplicity, nondecreasing."""
-        if self.degree() > sys.maxsize:
+        """Variable indices with multiplicity, nondecreasing; at most
+        ``FACTOR_LIMIT`` of them."""
+        if self.degree() > FACTOR_LIMIT:
             raise ValueError(f"cannot list the {self.degree()} factors of {self}")
         out = []
         for i, e in enumerate(self.exps, 1):

@@ -293,31 +293,25 @@ class _Packing:
     variable takes in ``monos``: a monotone relabelling, so lcms and
     divisibility among ``monos`` and their lcms are kept, and a field's width
     follows how many exponents a variable takes, not how large they are.
-    ``counts[v]`` is that number.  Where every variable takes 0..k, the
-    exponents are their own ranks and ``values`` and ``ranks`` are None;
-    otherwise ``values[v]`` lists v's exponents in order and ``ranks[v]`` maps
-    each to its rank, one map shared by the variables that take the same
-    exponents.  One field of ``width`` bits per variable, the first variable
-    most significant, so packed ints order as ``Monomial.exps`` do.  Each
-    field is one bit wider than the largest rank, and that top bit, the guard,
-    is clear in every packed degree; ``guard`` is the mask of all guard bits.
+    ``counts[v]`` is that number, ``values[v]`` lists v's exponents in
+    order, and ``ranks[v]`` maps each to its rank.  One field of ``width``
+    bits per variable, the first variable most significant, so packed ints
+    order as ``Monomial.exps`` do.  Each field is one bit wider than the
+    largest rank, and that top bit, the guard, is clear in every packed
+    degree; ``guard`` is the mask of all guard bits.
     """
 
     def __init__(self, monos):
-        taken = [set(col) for col in zip(*(m.exps for m in monos))]
-        self.counts = list(map(len, taken))
-        self.size = len(taken)
-        self.values = self.ranks = None
-        if any(max(col) >= len(col) for col in taken):  # some variable skips an exponent
-            values = [tuple(sorted(col)) for col in taken]
-            tables = {col: dict(zip(col, range(len(col)))) for col in set(values)}
-            self.values, self.ranks = values, [tables[col] for col in values]
+        self.values = [tuple(sorted(set(col))) for col in zip(*(m.exps for m in monos))]
+        self.ranks = [dict(zip(col, range(len(col)))) for col in self.values]
+        self.counts = list(map(len, self.values))
+        self.size = len(self.values)
         self.width = (max(self.counts, default=1) - 1).bit_length() + 1
         self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(self.size))
 
     def ranked(self, mono: Monomial):
         """The ranks of the exponents of ``mono``, one per variable."""
-        return mono.exps if self.ranks is None else tuple(map(getitem, self.ranks, mono.exps))
+        return tuple(map(getitem, self.ranks, mono.exps))
 
     def pack(self, mono: Monomial) -> int:
         x = 0
@@ -328,7 +322,7 @@ class _Packing:
     def unpack(self, x) -> Monomial:
         w, mask = self.width, (1 << (self.width - 1)) - 1
         ranks = tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1))
-        return Monomial(ranks if self.values is None else tuple(map(getitem, self.values, ranks)))
+        return Monomial(tuple(map(getitem, self.values, ranks)))
 
 
 def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:

@@ -299,18 +299,15 @@ def _check_label_rewrites(kind, dual, labels):
 
 def _check_minimal_support(ideal, a, b, lab0):
     """The positive labels of [a, b]'s increasing chain are the one minimal
-    G in a.F - b.F with g(x_G a.m) = b.m.  The subsets go by size, and a
-    superset of a hit, which cannot be minimal, is skipped without a call
-    to g."""
+    G in a.F - b.F with g(x_G a.m) = b.m."""
     diff = sorted(set(a.F) - set(b.F))
-    minimal = []
+    hits = []
     for size in range(len(diff) + 1):
-        for G in map(set, combinations(diff, size)):
-            if any(H <= G for H in minimal):
-                continue
+        for G in combinations(diff, size):
             shifted = Monomial._of(tuple(e + (i in G) for i, e in enumerate(a.m.exps, 1)))
             if ideal.g(shifted) == b.m:
-                minimal.append(G)
+                hits.append(set(G))
+    minimal = [G for G in hits if not any(H < G for H in hits)]
     positive = {x for x in lab0 if x > 0}
     if len(minimal) != 1 or minimal[0] != positive:
         raise VerificationError(

@@ -1,11 +1,13 @@
 import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
 from ekcells import FinitePoset, cli, format_ideal, topology
 from ekcells.cli import build_parser, main
+from ekcells.monomials import FACTOR_LIMIT
 from ekcells.suite import NAMED_IDEALS, named_ideal
 
 # SHA-256 of each file `resolve --kind both --export json|dot` writes for the
@@ -316,23 +318,28 @@ class TestBoundChecks:
 
 
 class TestHugeExponents:
+    # a list of 10^12 factors raises MemoryError, one of 10^9 takes 8 GB
+    @pytest.fixture(params=[FACTOR_LIMIT + 1, 10**12, sys.maxsize - 1, 99999999999999999999])
+    def degree(self, request):
+        return request.param
+
     @pytest.fixture
-    def huge_power(self, tmp_path):
+    def huge_power(self, degree, tmp_path):
         path = tmp_path / "huge.ideal"
-        path.write_text("3 1\n99999999999999999999 0 0\n", encoding="utf-8")
+        path.write_text(f"3 1\n{degree} 0 0\n", encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize("argv", [
         ["resolve"], ["verify"], ["verify", "--kind", "modified"], ["polarize"],
     ], ids=" ".join)
-    def test_unlistable_factors_exit_2_naming_the_generator(self, argv, huge_power, capsys):
-        # polarizing lists a generator's factors, and these do not fit a list;
+    def test_unlistable_factors_exit_2_naming_the_generator(self, argv, degree, huge_power,
+                                                            capsys):
+        # polarizing lists a generator's factors, and there are too many;
         # with both kinds asked for, nothing is printed first
         assert main([*argv, "--ideal", huge_power]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: cannot list the 99999999999999999999 factors "
-                                "of x1^99999999999999999999\n")
+        assert captured.err == f"error: cannot list the {degree} factors of x1^{degree}\n"
 
     def test_classical_strands_take_any_exponent(self, huge_power, tmp_path, capsys):
         path = tmp_path / "two.ideal"

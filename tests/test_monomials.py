@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekcells import Monomial
-from ekcells.monomials import from_squares, square_items, square_str
+from ekcells.monomials import FACTOR_LIMIT, from_squares, square_items, square_str
 from conftest import mono
 
 
@@ -85,6 +85,11 @@ class TestBasicOps:
 
     def test_sorted_factors(self):
         assert mono("x1^2*x4*x6^2", 6).sorted_factors() == [1, 1, 4, 6, 6]
+
+    def test_sorted_factors_stop_at_the_limit(self):
+        assert len(Monomial((0, FACTOR_LIMIT)).sorted_factors()) == FACTOR_LIMIT
+        with pytest.raises(ValueError, match=f"cannot list the {FACTOR_LIMIT + 1} factors"):
+            Monomial((1, FACTOR_LIMIT)).sorted_factors()
 
 
 class TestParsing:
