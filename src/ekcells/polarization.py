@@ -130,10 +130,9 @@ def _specialize(cplx: FreeComplex, t: int) -> FreeComplex:
             exps[i + (j - 1) * t - 1] += e
         return Monomial._of(tuple(exps))
 
-    diffs = [
-        {pos: (sign, conv(coeff)) for pos, (sign, coeff) in mat.items()}
-        for mat in cplx.diffs
-    ]
+    # the coefficients are few distinct monomials, mostly single variables
+    image = {c: conv(c) for c in {c for mat in cplx.diffs for _, c in mat.values()}}
+    diffs = [{pos: (sign, image[c]) for pos, (sign, c) in mat.items()} for mat in cplx.diffs]
     return FreeComplex(
         kind=f"{cplx.kind}|{suffix}",
         ring=ring,

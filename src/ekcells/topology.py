@@ -12,7 +12,12 @@ reads Betti numbers and torsion off them.  The strand oracle closes the lcm
 lattice one generator at a time, walks it once upwards and ranks, over F_2
 (row bitmasks) and F_3 (bitsliced mask pairs), only the cells each strand
 adds to an exact strand below it; the Smith invariants name the failing
-field of a strand that fails there.
+field of a strand that fails there.  Its verdict covers every multidegree
+where each cell degree is an lcm of the generators.  A complex over the S~
+ring of the modified resolution is certified through its theta image
+x_{i,j} -> x_i, on the smaller lcm lattice of theta(gens): the forms
+x_{i,j} - x_{i,j0} that theta sets to zero are regular on free modules, so
+by graded Nakayama the complex is exact where its image is.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, compress
 from operator import getitem
 
 from .complexes import FreeComplex
 from .monomials import Monomial, square_str
+from .polarization import specialize_theta
 from .posets import FinitePoset, SimplicialComplexData
 
 __all__ = [
@@ -333,7 +340,15 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     the differentials (entries become +-1), augments by the one-dimensional
     degree-b component of the ideal, and verifies exactness of the resulting
     complex over Q (and over F_p for each requested prime): the
-    Bayer-Sturmfels acyclicity criterion.
+    Bayer-Peeva-Sturmfels acyclicity criterion.  It is complete where every
+    cell degree is the lcm of the generators that divide it: then the strand
+    at any monomial is the strand at the lcm of the generators dividing it, a
+    lattice element, and the report speaks for every multidegree.
+
+    A complex over the S~ ring of the modified resolution is first certified
+    through its theta image (``_lift_theta``), on the lattice of
+    theta(gens), which is far smaller than that of gens; where the lemma
+    there does not apply, or the image fails, its own strands are walked.
 
     Generator and basis degrees are packed once into guard-bit integers, on
     the ranks of their exponents (``_Packing``), so the lattice closure is a
@@ -354,6 +369,12 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     monomial again only to name one.
     """
     gens, primes = list(gens), tuple(primes)
+    lifted = _lift_theta(cplx, gens, primes)
+    return lifted if lifted is not None else _strand_walk(cplx, gens, primes)
+
+
+def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
+    """``strand_exactness`` on the complex's own lcm lattice."""
     packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
     frame = _StrandFrame(cplx, packing)
     fields = frame.certifying_fields(primes)
@@ -375,6 +396,112 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
                 })
                 break
     return StrandReport(not failures, len(lattice), primes, failures)
+
+
+def _lift_theta(cmod: FreeComplex, gens: list, primes: tuple, theta=None, theta_report=None):
+    """The report of ``strand_exactness(cmod, gens, primes)`` read off the
+    theta image of ``cmod``, or None where the lemma below does not apply or
+    the image is not exact.  A caller that holds them passes ``theta``,
+    ``specialize_theta(cmod)``, and ``theta_report``, its report against its
+    degree-0 degrees and ``primes``.
+
+    Lemma.  Let F be a complex of free multigraded modules over
+    S~ = k[x_{i,j}], augmented into S~, and let theta: x_{i,j} -> x_i.  Then
+    theta(F) is F (x) S~/L, L spanned by the forms x_{i,j} - x_{i,j0} (j0
+    the first column of row i), with the variables no square uses adjoined,
+    which is flat; and if theta(F) is exact in degrees >= 0, so is F.  Each
+    form is regular on every free module over S~ modulo the forms before it,
+    so for one form l, 0 -> F(-1) -> F -> F/lF -> 0 is exact and its long
+    exact sequence makes l act onto H_q(F) wherever H_q(F/lF) = 0; graded
+    Nakayama then gives H_q(F) = 0, one form at a time from theta(F) up.  The
+    same holds over Q and over each F_p.  Every strand of an exact F is
+    exact, as it is F's graded piece at its degree, so the report on the
+    lattice of gens passes with no strand of it ranked; only the closure is
+    walked, for the count.
+
+    The strand checks read F off the frame and the cell degrees, so the
+    lemma applies when:
+
+    - theta applies: every square (i, j) has i <= n (and j <= d);
+    - ``gens`` are the degree-0 degrees, as a set, so F resolves their ideal;
+    - each entry's row degree divides its column degree, on cmod's own
+      degrees (theta can make a non-dividing pair divide), and the frame
+      squares to zero over Z: F is a complex;
+    - each cell degree of theta(cmod) is the lcm of the theta generators
+      dividing it, so the strands on their lattice are all of theta(F)'s
+      (the completeness condition of ``strand_exactness``);
+    - the theta report is ok.
+    """
+    if cmod.squares is None or set(gens) != set(cmod.mdegs[0]):
+        return None
+    if not all(cmod.mdegs[q][i].divides(cmod.mdegs[q + 1][j])
+               for q, mat in enumerate(cmod.diffs) for i, j in mat):
+        return None
+    if _nonzero_composite(frame_complex(cmod).cols) is not None:
+        return None
+    if theta is None:
+        try:
+            theta = specialize_theta(cmod)
+        except ValueError:  # a square outside the context n, d
+            return None
+    theta_gens = theta.mdegs[0]
+    if not _lcm_complete(theta_gens, [md for layer in theta.mdegs[1:] for md in layer]):
+        return None
+    if theta_report is None:
+        theta_report = _strand_walk(theta, theta_gens, primes)
+    if not theta_report.ok:
+        return None
+    # variables whose exponents agree on every generator have equal lcms, so
+    # the lattice is counted on the first of each such set
+    first = {}
+    for v, col in enumerate(zip(*(g.exps for g in gens))):
+        first.setdefault(col, v)
+    gens = [Monomial._of(tuple(g.exps[v] for v in first.values())) for g in gens]
+    packing = _Packing(gens)
+    closure = _lcm_closure(map(packing.pack, gens), packing.guard, packing.width)
+    return StrandReport(True, len(closure), primes, [])
+
+
+def _lcm_closure(gens, guard: int, width: int) -> set:
+    """The lcm lattice of packed degrees ``gens``, on fields of ``width`` bits
+    whose top bits make ``guard``.
+
+    Adds the generators one at a time, repeats dropped: g and its join with
+    each element so far.  A join is SWAR: the guard of a field survives
+    ``(a | guard) - g`` where a's exponent is at least g's, and subtracting
+    the guards shifted to the fields' low bits widens them into field masks.
+    Where each field is one bit and its guard (``width`` 2, as on squarefree
+    degrees), the join is an OR.
+    """
+    shift = width - 1
+    elements = set()
+    if width == 2:
+        for g in dict.fromkeys(gens):
+            elements |= {a | g for a in elements}
+            elements.add(g)
+        return elements
+    for g in dict.fromkeys(gens):
+        joins = {g}
+        for a in elements:
+            ge = ((a | guard) - g) & guard
+            keep = ge - (ge >> shift)
+            joins.add((a & keep) | (g & ~keep))
+        elements |= joins
+    return elements
+
+
+def _lcm_complete(gens: list, cells: list) -> bool:
+    """Whether each degree in ``cells`` is the lcm of the ``gens`` dividing it,
+    these found by packed divisibility."""
+    packing = _Packing(gens + cells)
+    guard = packing.guard
+    packed = [(packing.pack(g), g) for g in gens]
+    for c in set(cells):
+        cg = packing.pack(c) | guard
+        below = [g for p, g in packed if (cg - p) & guard == guard]
+        if not below or reduce(Monomial.lcm, below) != c:
+            return False
+    return True
 
 
 class _StrandFrame:
@@ -450,14 +577,8 @@ class _StrandFrame:
         return sub
 
     def lattice(self, gens) -> dict:
-        """The lcm lattice of the packed generator degrees ``gens``, ascending,
-        as ``{b: (strand mask, parent)}``.
-
-        The closure adds the generators one at a time, repeats dropped: g and
-        its join with each element so far.  A join is SWAR: the guard of a
-        field survives ``(a | guard) - g`` where a's exponent is at least g's,
-        and subtracting the guards shifted to the fields' low bits widens them
-        into field masks.
+        """The lcm lattice of the packed generator degrees ``gens``
+        (``_lcm_closure``), ascending, as ``{b: (strand mask, parent)}``.
 
         b's parent is a proper divisor of b with the largest strand (None if
         there is none).  Such a divisor is below b in some variable v, where
@@ -468,15 +589,8 @@ class _StrandFrame:
         degree is an lcm of them, as on the resolutions built here, the first
         lookup finds it.
         """
-        guard, shift, field = self.guard, self.width - 1, self.field
-        elements = set()
-        for g in dict.fromkeys(gens):
-            joins = {g}
-            for a in elements:
-                ge = ((a | guard) - g) & guard
-                keep = ge - (ge >> shift)
-                joins.add((a & keep) | (g & ~keep))
-            elements |= joins
+        guard, field = self.guard, self.field
+        elements = _lcm_closure(gens, guard, self.width)
         lattice, owner = {}, {}  # owner: strand mask -> the first element with it
         for b in sorted(elements):
             sub, cuts = self.full, []  # strand(b), and below[e - 1] where e > 0

@@ -9,6 +9,7 @@ from ekcells import FinitePoset, cli, format_ideal, topology
 from ekcells.cli import build_parser, main
 from ekcells.monomials import FACTOR_LIMIT
 from ekcells.suite import NAMED_IDEALS, named_ideal
+from conftest import power_ideal
 
 # SHA-256 of each file `resolve --kind both --export json|dot` writes for the
 # named ideals, recorded before the classical and modified constructions were
@@ -148,6 +149,26 @@ class TestVerify:
             assert checks["d2"] and checks["strands"]["ok"] and checks["cw"]
             assert checks["ball"]["verdict"] == "ball-certified"
             assert checks["el"]["failures"] == 0
+
+    @pytest.mark.parametrize("ideal", ["deg2", "tri-sq", "pow4-4"])
+    def test_theta_route_keeps_the_modified_bytes(self, ideal, monkeypatch, tmp_path, capsys):
+        # the modified strands certified through the theta image or walked on
+        # the lattice of bpol(I): the same verify JSON, byte for byte
+        if ideal == "pow4-4":
+            path = tmp_path / "pow4-4.ideal"
+            path.write_text(format_ideal(power_ideal(4, 4)), encoding="utf-8")
+            source = ["--ideal", str(path)]
+        else:
+            source = ["--named", ideal]
+        argv = ["verify", *source, "--kind", "modified", "--check", "all"]
+        outputs, lifted, lift = [], [], topology._lift_theta
+        for route in (lambda *args: lifted.append(lift(*args)) or lifted[-1], lambda *args: None):
+            monkeypatch.setattr(topology, "_lift_theta", route)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert lifted and None not in lifted
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["kinds"]["modified"]["strands"]["ok"]
 
     def test_el_counts_come_from_the_cw_sweep(self, el_sweeps, capsys):
         # one sweep per kind, the one behind the CW verdict

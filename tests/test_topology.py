@@ -35,6 +35,9 @@ from ekcells.topology import (
     _f3_insert,
     _Packing,
     _StrandFrame,
+    _lcm_complete,
+    _lift_theta,
+    _strand_walk,
     invariant_factors,
     rank_int,
     rank_mod_p,
@@ -269,6 +272,46 @@ def without_last_top_cell(cplx):
         diffs[-1] = {(i, j): e for (i, j), e in diffs[-1].items() if j != last}
     return FreeComplex(cplx.kind, cplx.ring, [*cplx.basis[:-1], cplx.basis[-1][:-1]],
                        [*cplx.mdegs[:-1], cplx.mdegs[-1][:-1]], diffs)
+
+
+def moved_to_second_column(cplx):
+    """A copy with one top cell's degree moved from some x[i,1] to x[i,2]:
+    its theta degree stays, but a row degree of its boundary stops dividing."""
+    ring = cplx.squares
+    col = len(cplx.basis[-1]) - 1
+    md = cplx.mdegs[-1][col]
+    i = next(i for (i, j), e in square_items(md, ring) if j == 1 and e and (i, 2) in ring)
+    moved = md.div(from_squares(ring, [(i, 1)])) * from_squares(ring, [(i, 2)])
+    mdegs = [list(layer) for layer in cplx.mdegs]
+    mdegs[-1][col] = moved
+    return FreeComplex(cplx.kind, cplx.ring, cplx.basis, mdegs, cplx.diffs)
+
+
+def with_isolated_cell(cplx, degree):
+    """A copy with one more cell of degree 1 and the given degree, in no
+    differential entry: a cycle that bounds nothing."""
+    basis = [cplx.basis[0], cplx.basis[1] + ["u"], *cplx.basis[2:]]
+    mdegs = [cplx.mdegs[0], cplx.mdegs[1] + [degree], *cplx.mdegs[2:]]
+    return FreeComplex(cplx.kind, cplx.ring, basis, mdegs, cplx.diffs)
+
+
+def widened(cplx, gens):
+    """The modified complex and its generators in a ring with one more square,
+    (9, 9), beyond the ring's n and d, and one top degree times x[9,9]."""
+    squares = cplx.squares
+    ring = squares + ((9, 9),)
+
+    def widen(m):
+        factors = [s for s, e in square_items(m, squares) for _ in range(e)]
+        return from_squares(ring, factors)
+
+    wide = FreeComplex(
+        cplx.kind, cplx.ring[:3] + (ring,), cplx.basis,
+        [[widen(md) for md in layer] for layer in cplx.mdegs],
+        [{pos: (sign, widen(c)) for pos, (sign, c) in mat.items()} for mat in cplx.diffs],
+    )
+    wide.mdegs[-1][0] = wide.mdegs[-1][0] * from_squares(ring, [(9, 9)])
+    return wide, [widen(g) for g in gens]
 
 
 def walk_cases():
@@ -568,20 +611,7 @@ class TestStrands:
     def test_variable_in_no_generator_never_divides(self, deg2):
         # the modified complex in a ring with one more square, (9, 9), that no
         # generator uses, and one multidegree times x[9,9]
-        cplx = modified_complex(deg2)
-        ring = cplx.squares + ((9, 9),)
-
-        def widen(m):
-            factors = [s for s, e in square_items(m, cplx.squares) for _ in range(e)]
-            return from_squares(ring, factors)
-
-        gens = [widen(g) for g in bpol_ideal(deg2)]
-        cplx = FreeComplex(
-            cplx.kind, cplx.ring[:3] + (ring,), cplx.basis,
-            [[widen(md) for md in layer] for layer in cplx.mdegs],
-            [{pos: (sign, widen(c)) for pos, (sign, c) in mat.items()} for mat in cplx.diffs],
-        )
-        cplx.mdegs[-1][0] = cplx.mdegs[-1][0] * from_squares(ring, [(9, 9)])
+        cplx, gens = widened(modified_complex(deg2), bpol_ideal(deg2))
         packing, frame = strand_frame(cplx, gens)
         md = packing.pack(cplx.mdegs[-1][0])
         G = packing.guard
@@ -794,11 +824,121 @@ class TestLatticeWalk:
                             lambda frame, sub, p: ranked.append(sub.bit_count())
                             or field_ranks(frame, sub, p))
         J = power_ideal(4, 4)
-        for cplx, gens, bits in ((ek_complex(J), list(J.gens), 4246),
-                                 (modified_complex(J), bpol_ideal(J), 12172)):
+        cmod = modified_complex(J)
+        # the modified complex is ranked on its theta image, whose lattice is
+        # that of J; its own walk still ranks 12,172 bits
+        for check, cplx, gens, bits in ((strand_exactness, ek_complex(J), list(J.gens), 4246),
+                                        (strand_exactness, cmod, bpol_ideal(J), 4246),
+                                        (_strand_walk, cmod, bpol_ideal(J), 12172)):
             ranked.clear()
-            assert strand_exactness(cplx, gens, primes=(2,)).ok
+            assert check(cplx, gens, (2,)).ok
             assert sum(ranked) == bits
+
+
+class TestThetaLift:
+    """The modified complex certified through its theta image, against its
+    own lattice walk and the object oracle."""
+
+    @staticmethod
+    def modified_cases():
+        """The modified resolutions of the named ideals, (x1..x3)^2..3,
+        (x1..x4)^2 and seeded random Borel ideals, with bpol(I)."""
+        ideals = [make() for make in NAMED_IDEALS.values()]
+        ideals += [power_ideal(3, 2), power_ideal(3, 3), power_ideal(4, 2)]
+        rng = random.Random(2121)
+        ideals += [random_borel_ideal(rng, max_gens=8) for _ in range(10)]
+        for J in ideals:
+            yield modified_complex(J), bpol_ideal(J)
+
+    def test_routes_match_the_object_oracle(self):
+        for cplx, gens in self.modified_cases():
+            for primes in ((), (2, 3)):
+                lifted = _lift_theta(cplx, gens, primes)
+                assert lifted is not None
+                assert lifted == strand_exactness(cplx, gens, primes)
+                assert lifted == _strand_walk(cplx, gens, primes)
+                assert lifted == reference_strand_exactness(cplx, gens, primes)
+
+    @pytest.mark.parametrize("mutation, ok", [
+        ("top cell removed", False), ("square outside the ring", False), ("degree moved", False),
+        # every strand of a resolution is exact, on any lattice
+        ("gens not degree 0", True),
+        # a top sign flipped: no complex, whose strands still pass their ranks
+        ("sign flipped", True), ("cell degree no theta lcm", False),
+    ])
+    def test_each_failed_precondition_falls_back(self, mutation, ok):
+        if mutation == "cell degree no theta lcm":
+            # a lattice element of bpol(tri-tri) whose theta image, x1^2*x2^2*x3^2,
+            # divides no element of the lattice of tri-tri: an isolated cell of
+            # that degree is seen by the direct walk alone
+            J = NAMED_IDEALS["tri-tri"]()
+        else:
+            J = NAMED_IDEALS["deg2"]()
+        cplx, gens = modified_complex(J), bpol_ideal(J)
+        if mutation == "top cell removed":
+            cplx = without_last_top_cell(cplx)
+        elif mutation == "square outside the ring":
+            cplx, gens = widened(cplx, gens)
+        elif mutation == "degree moved":
+            cplx = moved_to_second_column(cplx)
+            theta, before = specialize_theta(cplx), specialize_theta(modified_complex(J))
+            assert theta.mdegs == before.mdegs
+        elif mutation == "gens not degree 0":
+            gens = gens[1:]
+        elif mutation == "sign flipped":
+            diffs = [dict(mat) for mat in cplx.diffs]
+            pos = min(diffs[-1])
+            sign, coeff = diffs[-1][pos]
+            diffs[-1][pos] = (-sign, coeff)
+            cplx = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs, diffs)
+            theta = specialize_theta(cplx)
+            assert strand_exactness(theta, theta.mdegs[0], (2, 3)).ok
+        else:
+            degree = from_squares(cplx.squares, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (3, 3)])
+            cplx = with_isolated_cell(cplx, degree)
+            theta = specialize_theta(cplx)
+            assert strand_exactness(theta, theta.mdegs[0]).ok
+            assert not _lcm_complete(theta.mdegs[0], theta.mdegs[1])
+        for primes in ((), (2, 3)):
+            assert _lift_theta(cplx, gens, primes) is None
+            got = strand_exactness(cplx, gens, primes)
+            assert got == _strand_walk(cplx, gens, primes)
+            assert got == reference_strand_exactness(cplx, gens, primes)
+            assert got.ok == ok
+
+    def test_battery_reads_the_modified_verdict_off_the_theta_report(self, monkeypatch):
+        # full_battery strands ctheta once, walks no lattice of bpol(I) and
+        # hands the lift the theta image it built
+        from ekcells import topology, verification
+
+        def refuse(cplx):
+            raise AssertionError("theta image built twice")
+
+        walked = []
+        walk = topology._strand_walk
+        monkeypatch.setattr(topology, "_strand_walk",
+                            lambda cplx, gens, primes: walked.append(cplx.kind)
+                            or walk(cplx, gens, primes))
+        monkeypatch.setattr(topology, "specialize_theta", refuse)
+        verification.full_battery(NAMED_IDEALS["deg2"]())
+        assert walked == ["ek", "modified|theta", "modified|theta-prime"]
+
+    def test_lattice_counted_on_distinct_exponent_columns(self):
+        # bpol(x2^300) takes 300 squares whose exponents agree on both
+        # generators: the lift counts the lattice on one of them
+        J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 300))])
+        cplx, gens = modified_complex(J), bpol_ideal(J)
+        assert len(cplx.squares) == 301
+        lifted = _lift_theta(cplx, gens, (2, 3))
+        assert lifted == _strand_walk(cplx, gens, (2, 3))
+        assert lifted.strands_checked == 3
+
+    def test_lcm_completeness(self):
+        gens = [mono(t, 2) for t in ("x1^2", "x1*x2", "x2^2")]
+        assert _lcm_complete(gens, [mono(t, 2) for t in ("x1^2*x2", "x1^2*x2^2")])
+        # no generator divides x1; x1^3 and x1^2*x2^3 exceed their divisors' lcm
+        for cell in ("x1", "x1^3", "x1^2*x2^3"):
+            assert not _lcm_complete(gens, [mono(cell, 2)])
 
 
 class TestFieldRanks:
