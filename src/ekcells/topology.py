@@ -364,9 +364,12 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     parent, a proper divisor of b in the lattice with the largest strand, read
     off the strand masks, if that is exact over F_p, else empty.  Only a
     strand that fails there, or every strand when field ranks certify nothing,
-    is checked on Smith invariants, which name the first failing field.  The
-    failures come in the order of their degrees; a lattice element becomes a
-    monomial again only to name one.
+    is checked on Smith invariants, which name the first failing field.  Off
+    a Z-complex a strand that passes them may still have maps that do not
+    compose to zero; it fails with field "Z", defect None, at the degree the
+    nonzero composite passes through.  The failures come in the order of
+    their degrees; a lattice element becomes a monomial again only to name
+    one.
     """
     gens, primes = list(gens), tuple(primes)
     lifted = _lift_theta(cplx, gens, primes)
@@ -385,16 +388,20 @@ def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
         if fields and all(exact[b]):
             continue
         dims = [(sub & level).bit_count() for level in frame.levels]
-        invariants = frame.strand_invariants(sub)
+        cols = frame.strand_cols(sub)
+        invariants = [invariant_factors(layer) for layer in cols]
         for p in (0,) + primes:  # 0 for Q: every invariant is a unit there
             ranks = [len(inv) if p == 0 else sum(1 for d in inv if d % p) for inv in invariants]
             defect = _exactness_defect(dims, ranks)
             if defect is not None:
-                failures.append({
-                    "degree": square_str(packing.unpack(b), cplx.squares),
-                    "field": f"F{p}" if p else "Q", "position": defect[0], "defect": defect[1],
-                })
+                failure = {"field": f"F{p}" if p else "Q", "position": defect[0],
+                           "defect": defect[1]}
                 break
+        else:  # off a Z-complex a strand whose ranks pass need not be a complex
+            k = None if frame.z_complex else _nonzero_composite(cols)
+            failure = None if k is None else {"field": "Z", "position": k, "defect": None}
+        if failure is not None:
+            failures.append({"degree": square_str(packing.unpack(b), cplx.squares), **failure})
     return StrandReport(not failures, len(lattice), primes, failures)
 
 
@@ -425,19 +432,20 @@ def _lift_theta(cmod: FreeComplex, gens: list, primes: tuple, theta=None, theta_
     - theta applies: every square (i, j) has i <= n (and j <= d);
     - ``gens`` are the degree-0 degrees, as a set, so F resolves their ideal;
     - each entry's row degree divides its column degree, on cmod's own
-      degrees (theta can make a non-dividing pair divide), and the frame
-      squares to zero over Z: F is a complex;
+      degrees (theta can make a non-dividing pair divide);
     - each cell degree of theta(cmod) is the lcm of the theta generators
       dividing it, so the strands on their lattice are all of theta(F)'s
       (the completeness condition of ``strand_exactness``);
     - the theta report is ok.
+
+    The last three make F a complex: theta(cmod) has cmod's frame, each
+    column lies with its boundary and theirs in the strand at its degree, a
+    lattice element, and a strand whose maps do not compose fails.
     """
     if cmod.squares is None or set(gens) != set(cmod.mdegs[0]):
         return None
     if not all(cmod.mdegs[q][i].divides(cmod.mdegs[q + 1][j])
                for q, mat in enumerate(cmod.diffs) for i, j in mat):
-        return None
-    if _nonzero_composite(frame_complex(cmod).cols) is not None:
         return None
     if theta is None:
         try:
@@ -470,16 +478,9 @@ def _lcm_closure(gens, guard: int, width: int) -> set:
     each element so far.  A join is SWAR: the guard of a field survives
     ``(a | guard) - g`` where a's exponent is at least g's, and subtracting
     the guards shifted to the fields' low bits widens them into field masks.
-    Where each field is one bit and its guard (``width`` 2, as on squarefree
-    degrees), the join is an OR.
     """
     shift = width - 1
     elements = set()
-    if width == 2:
-        for g in dict.fromkeys(gens):
-            elements |= {a | g for a in elements}
-            elements.add(g)
-        return elements
     for g in dict.fromkeys(gens):
         joins = {g}
         for a in elements:
@@ -625,13 +626,14 @@ class _StrandFrame:
         """The ranks over F_p of the maps on ``sub``, the augmentation first."""
         return _top_down_ranks(sub, self.levels, self.cols[p], _INSERT[p])
 
-    def strand_invariants(self, sub: int) -> list:
-        """The Smith invariants of the strand's maps, the augmentation first."""
+    def strand_cols(self, sub: int) -> list:
+        """The frame's sparse columns restricted to the strand ``sub``, rows and
+        columns, the augmentation first; a column outside it is empty, so
+        indices are the frame's."""
         return [
-            invariant_factors([
-                {i: x for i, x in col.items() if sub >> (self.offsets[q] + i) & 1}
-                for bit, col in enumerate(layer, start=self.offsets[q + 1]) if sub >> bit & 1
-            ])
+            [{i: x for i, x in col.items() if sub >> (self.offsets[q] + i) & 1}
+             if sub >> bit & 1 else {}
+             for bit, col in enumerate(layer, start=self.offsets[q + 1])]
             for q, layer in enumerate(self.frame.cols)
         ]
 

@@ -175,6 +175,14 @@ def reference_strand_exactness(cplx, gens, primes=()):
                                         "field": f"F{p}" if p else "Q",
                                         "position": defect[0], "defect": defect[1]})
                 break
+        else:
+            composite = next((q for q in range(len(mats) - 1)
+                              if any(sum(x * y for x, y in zip(row, col))
+                                     for row in mats[q] for col in zip(*mats[q + 1]))), None)
+            if composite is not None:
+                report.ok = False
+                report.failures.append({"degree": square_str(b, cplx.squares), "field": "Z",
+                                        "position": composite, "defect": None})
     return report
 
 
@@ -529,8 +537,13 @@ class TestStrands:
         cplx.diffs[0][pos] = (-sign, coeff)
         report = strand_exactness(cplx, list(deg2.gens))
         assert not report.ok
-        failure = report.first_failure()
-        assert failure["field"] == "Q" and failure["defect"] != 0
+        # the first strand holding the flipped column passes its ranks, but the
+        # augmentation no longer kills that column's boundary; a larger strand
+        # fails over Q
+        assert report.first_failure()["field"] == "Z"
+        assert report.first_failure()["position"] == 0
+        assert any(f["field"] == "Q" and f["defect"] != 0 for f in report.failures)
+        assert report == reference_strand_exactness(cplx, list(deg2.gens))
 
     def test_random_ideals(self):
         rng = random.Random(79)
@@ -863,8 +876,8 @@ class TestThetaLift:
         ("top cell removed", False), ("square outside the ring", False), ("degree moved", False),
         # every strand of a resolution is exact, on any lattice
         ("gens not degree 0", True),
-        # a top sign flipped: no complex, whose strands still pass their ranks
-        ("sign flipped", True), ("cell degree no theta lcm", False),
+        # a top sign flipped: no complex, so a strand fails over Z
+        ("sign flipped", False), ("cell degree no theta lcm", False),
     ])
     def test_each_failed_precondition_falls_back(self, mutation, ok):
         if mutation == "cell degree no theta lcm":
@@ -892,7 +905,7 @@ class TestThetaLift:
             diffs[-1][pos] = (-sign, coeff)
             cplx = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs, diffs)
             theta = specialize_theta(cplx)
-            assert strand_exactness(theta, theta.mdegs[0], (2, 3)).ok
+            assert strand_exactness(theta, theta.mdegs[0], (2, 3)).first_failure()["field"] == "Z"
         else:
             degree = from_squares(cplx.squares, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (3, 3)])
             cplx = with_isolated_cell(cplx, degree)
