@@ -407,8 +407,9 @@ def ball_check(
     (constructibility witness) plus the two ridge-incidence conditions.
     Refutation requires a definite obstruction: a ridge in more than two top
     cells, nontrivial reduced homology, a non-pure complex, or an exhaustive
-    shelling search that proves unshellability.  A shelling search that runs
-    out of its ``node_budget`` is inconclusive, as is everything else.
+    shelling search that proves unshellability in dimension <= 2, where every
+    triangulated ball is shellable (unshellable 3-balls exist: Rudin, 1958).
+    Any other failed search is inconclusive, as is everything else.
     ``cw_result`` reuses an ``is_cw_poset`` result the caller already has.
     Certified CW means EL-certified: a poset whose EL sweep fails is not CW
     (``"cw": false`` in ``verify``), and its verdict is inconclusive.
@@ -436,7 +437,9 @@ def ball_check(
                            "poset not certified as CW")
     pure = poset.is_pure()
     if pure:
-        shell = find_shelling(poset.order_complex(drop_bottom=True), node_budget)
+        data = poset.order_complex(drop_bottom=True)
+        dimension = max(map(len, data.facets)) - 1
+        shell = find_shelling(data, node_budget)
     else:
         shell = ShellingResult(None, True)
 
@@ -453,10 +456,12 @@ def ball_check(
         verdict, detail = "refuted", "a ridge lies in more than two top cells"
     elif not hom_trivial:
         verdict, detail = "refuted", "reduced homology is nontrivial"
-    elif shell.order is None and shell.exhaustive:
+    elif shell.order is None and shell.exhaustive and dimension <= 2:
         verdict, detail = "refuted", "exhaustive search: the order complex is not shellable"
     elif shell.order is not None and not cond3:
         verdict, detail = "refuted", "shellable without a free ridge (no boundary)"
-    else:
-        verdict, detail = "inconclusive", "shelling search exceeded its budget"
+    else:  # no shelling found, by a search cut off or above dimension 2
+        verdict = "inconclusive"
+        detail = (f"no shelling, which refutes no ball in dimension {dimension}"
+                  if shell.exhaustive else "shelling search exceeded its budget")
     return BallVerdict(shell.order, cond2, cond3, hom_trivial, verdict, detail)

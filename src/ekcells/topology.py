@@ -8,30 +8,29 @@ utilities on graded posets.
 All arithmetic is exact, on sparse integer columns.  Homology goes through
 ``invariant_factors``, the Smith invariants of a sparse integer matrix, from
 +-1 pivots first and the dense ``smith_diagonal`` on the unit-free rest, and
-reads Betti numbers and torsion off them.  The strand oracle closes the lcm
+reads Betti numbers and torsion off them.  The strand oracle first reads
+exactness off the mapping-cone filtration of the complex: the cells grouped
+by generator, each group a Koszul complex on the variables of the linear
+quotient of its generator, which takes time linear in the differential and
+ranks no strand.  Where that certificate does not apply, it closes the lcm
 lattice one generator at a time, walks it once upwards and ranks, over F_2
 (row bitmasks) and F_3 (bitsliced mask pairs), only the cells each strand
 adds to an exact strand below it; the Smith invariants name the failing
-field of a strand that fails there.  Its verdict covers every multidegree
-where each cell degree is an lcm of the generators.  A complex over the S~
-ring of the modified resolution is certified through its theta image
-x_{i,j} -> x_i, on the smaller lcm lattice of theta(gens): the forms
-x_{i,j} - x_{i,j0} that theta sets to zero are regular on free modules, so
-by graded Nakayama the complex is exact where its image is.
+field of a strand that fails there.  The walk's verdict covers every
+multidegree where each cell degree is an lcm of the generators.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, compress
-from operator import getitem
+from operator import getitem, or_
 
 from .complexes import FreeComplex
 from .monomials import Monomial, square_str
-from .polarization import specialize_theta
 from .posets import FinitePoset, SimplicialComplexData
 
 __all__ = [
@@ -345,39 +344,33 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     at any monomial is the strand at the lcm of the generators dividing it, a
     lattice element, and the report speaks for every multidegree.
 
-    A complex over the S~ ring of the modified resolution is first certified
-    through its theta image (``_lift_theta``), on the lattice of
-    theta(gens), which is far smaller than that of gens; where the lemma
-    there does not apply, or the image fails, its own strands are walked.
-
-    Generator and basis degrees are packed once into guard-bit integers, on
-    the ranks of their exponents (``_Packing``), so the lattice closure is a
-    field-wise maximum and no table grows with an exponent's size.  The
-    closure joins each generator with the elements before it, once.  A strand
-    passes on its ranks over F_2 and F_3 (``_StrandFrame``), taken relative to
-    a strand below it.  If a divides b, the strand A at a is a subcomplex of
-    the strand B at b, as the frame is checked once to be a Z-complex whose
-    row degrees divide their column degrees.  If A is exact over F_p, the long
-    exact sequence of 0 -> A -> B -> B/A -> 0 (Weibel, An Introduction to
-    Homological Algebra, Thm 1.3.1) gives H(B) = H(B/A), so only B's cells
-    outside A are ranked, rows restricted to them; A is the strand of b's
-    parent, a proper divisor of b in the lattice with the largest strand, read
-    off the strand masks, if that is exact over F_p, else empty.  Only a
-    strand that fails there, or every strand when field ranks certify nothing,
-    is checked on Smith invariants, which name the first failing field.  Off
-    a Z-complex a strand that passes them may still have maps that do not
-    compose to zero; it fails with field "Z", defect None, at the degree the
-    nonzero composite passes through.  The failures come in the order of
-    their degrees; a lattice element becomes a monomial again only to name
-    one.
+    The mapping-cone certificate (``_mapping_cone``) is tried first: it reads
+    exactness off the differential in linear time and ranks no strand.
+    Where one of its conditions fails, the strands are walked
+    (``_strand_walk``), and only the walk names failures.
     """
     gens, primes = list(gens), tuple(primes)
-    lifted = _lift_theta(cplx, gens, primes)
-    return lifted if lifted is not None else _strand_walk(cplx, gens, primes)
+    report = _mapping_cone(cplx, gens, primes)
+    return report if report is not None else _strand_walk(cplx, gens, primes)
 
 
 def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
-    """``strand_exactness`` on the complex's own lcm lattice."""
+    """``strand_exactness`` on the complex's own lcm lattice.
+
+    Degrees are packed once, on the ranks of their exponents (``_Packing``).
+    A strand passes on its ranks over F_2 and F_3 (``_StrandFrame``), taken
+    relative to a strand below it: if a divides b, the strand A at a is a
+    subcomplex of the strand B at b, as the frame is checked once to be a
+    Z-complex whose row degrees divide their column degrees, and if A is
+    exact over F_p, the long exact sequence of 0 -> A -> B -> B/A -> 0
+    (Weibel, Thm 1.3.1) gives H(B) = H(B/A), so only B's cells outside A are
+    ranked; A is the strand of b's parent, a proper divisor of b with the
+    largest strand, if that is exact over F_p, else empty.  A strand that
+    fails there, or every strand when field ranks certify nothing, is
+    checked on Smith invariants, which name the first failing field; off a
+    Z-complex a strand that passes them but whose maps do not compose fails
+    with field "Z", defect None.  Failures come in the order of their degrees.
+    """
     packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
     frame = _StrandFrame(cplx, packing)
     fields = frame.certifying_fields(primes)
@@ -405,69 +398,88 @@ def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
     return StrandReport(not failures, len(lattice), primes, failures)
 
 
-def _lift_theta(cmod: FreeComplex, gens: list, primes: tuple, theta=None, theta_report=None):
-    """The report of ``strand_exactness(cmod, gens, primes)`` read off the
-    theta image of ``cmod``, or None where the lemma below does not apply or
-    the image is not exact.  A caller that holds them passes ``theta``,
-    ``specialize_theta(cmod)``, and ``theta_report``, its report against its
-    degree-0 degrees and ``primes``.
+def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
+    """The report of ``strand_exactness(cplx, gens, primes)`` read off the
+    mapping-cone filtration of ``cplx``, or None where the lemma's
+    conditions fail.
 
-    Lemma.  Let F be a complex of free multigraded modules over
-    S~ = k[x_{i,j}], augmented into S~, and let theta: x_{i,j} -> x_i.  Then
-    theta(F) is F (x) S~/L, L spanned by the forms x_{i,j} - x_{i,j0} (j0
-    the first column of row i), with the variables no square uses adjoined,
-    which is flat; and if theta(F) is exact in degrees >= 0, so is F.  Each
-    form is regular on every free module over S~ modulo the forms before it,
-    so for one form l, 0 -> F(-1) -> F -> F/lF -> 0 is exact and its long
-    exact sequence makes l act onto H_q(F) wherever H_q(F/lF) = 0; graded
-    Nakayama then gives H_q(F) = 0, one form at a time from theta(F) up.  The
-    same holds over Q and over each F_p.  Every strand of an exact F is
-    exact, as it is F's graded piece at its degree, so the report on the
-    lattice of gens passes with no strand of it ranked; only the closure is
-    walked, for the count.
+    Lemma (Eliahou-Kervaire 1990; Herzog-Takayama, HHA 4, 2002).  Let F be a
+    complex of free multigraded modules over S = k[x], k any field, with the
+    frame's +-1 entries and coefficients (column degree) / (row degree).
+    Give its degree-0 degrees u_1..u_m, in basis order, the groups 1..m, and
+    each higher basis element the largest group among its rows.  Suppose:
 
-    The strand checks read F off the frame and the cell degrees, so the
-    lemma applies when:
+    - (a) group(row) <= group(column) on every entry, by construction, so
+      the elements of group <= j span a subcomplex F^(j);
+    - (b) in group j a column of degree q has exactly q entries in group j,
+      each coefficient one variable x, distinct within the column, to the
+      element whose set is S - {x}, S being the column's variables; every
+      subset of V_j, the union of the sets of group j, occurs once, and by
+      induction from u_j the column degree is u_j * prod(S);
+    - (c) (u_1..u_{j-1}) : u_j = (V_j), both inclusions tested: x * u_j is
+      in (u_<j) for each x in V_j, and each u_i / gcd(u_i, u_j), i < j, has
+      a variable of V_j;
+    - (d) the frame composes to zero over Z, augmentation included.
 
-    - theta applies: every square (i, j) has i <= n (and j <= d);
-    - ``gens`` are the degree-0 degrees, as a set, so F resolves their ideal;
-    - each entry's row degree divides its column degree, on cmod's own
-      degrees (theta can make a non-dividing pair divide);
-    - each cell degree of theta(cmod) is the lcm of the theta generators
-      dividing it, so the strands on their lattice are all of theta(F)'s
-      (the completeness condition of ``strand_exactness``);
-    - the theta report is ok.
+    Then F resolves I = (u_1..u_m).  Let I_j = (u_1..u_j).  By (b),
+    Q_j = F^(j)/F^(j-1) is the cube on V_j with degrees u_j * prod(S) and
+    entries +-x.  Its signs square to zero by (d), so they multiply to -1
+    on each square face, as the Koszul signs do; the two differ by a Z/2
+    1-cocycle on the cube, which is simply connected, so by a coboundary: a
+    change of sign of basis elements.  So Q_j is the Koszul complex on V_j
+    shifted by u_j, exact in degrees >= 1 with H_0 = S/(V_j), which (c)
+    makes I_j/I_(j-1) through 1 -> u_j.  If F^(j-1) resolves I_(j-1), the
+    long exact sequence of 0 -> F^(j-1) -> F^(j) -> Q_j -> 0 (Weibel, Thm
+    1.3.1) makes F^(j) exact in degrees >= 1, and its degree-0 end maps
+    by the augmentation onto 0 -> I_(j-1) -> I_j -> I_j/I_(j-1) -> 0 with
+    isomorphisms outside, so by the five lemma H_0(F^(j)) = I_j.  The
+    strand at b is the degree-b piece of the augmented F, so every strand is
+    exact over Q and each F_p, and only the lattice closure is walked, for
+    the count.
 
-    The last three make F a complex: theta(cmod) has cmod's frame, each
-    column lies with its boundary and theirs in the strand at its degree, a
-    lattice element, and a strand whose maps do not compose fails.
+    Each exponent vector is read once: variables whose exponents agree on
+    every cell share one guard-bit field, which is a coefficient's variable
+    only if it holds one variable.
     """
-    if cmod.squares is None or set(gens) != set(cmod.mdegs[0]):
+    degree0 = cplx.mdegs[0]
+    if not degree0 or len(set(degree0)) != len(degree0) or set(degree0) != set(gens):
         return None
-    if not all(cmod.mdegs[q][i].divides(cmod.mdegs[q + 1][j])
-               for q, mat in enumerate(cmod.diffs) for i, j in mat):
+    columns = Counter(zip(*(md.exps for layer in cplx.mdegs for md in layer)))
+    width = max(map(max, columns)).bit_length() + 1
+    guard = sum(1 << (width * f + width - 1) for f in range(len(columns)))
+    single = sum(1 << width * f for f, count in enumerate(columns.values()) if count == 1)
+    cells = iter(zip(*columns))  # each cell's exponents, one per field
+    layers = [[sum(e << width * f for f, e in enumerate(next(cells))) for _ in layer]
+              for layer in cplx.mdegs]
+    frame, units = frame_complex(cplx).cols, layers[0]
+    # (a), (b): each element's (group, set), the set a mask of field low bits
+    placed, seen, spans = [(j, 0) for j in range(len(units))], set(), [0] * len(units)
+    for q in range(1, len(layers)):
+        below, placed_below, placed = layers[q - 1], placed, []
+        for c, col in zip(layers[q], frame[q]):
+            if not col or any(((c | guard) - below[i]) & guard != guard for i in col):
+                return None
+            j = max(placed_below[i][0] for i in col)
+            steps = [(c - below[i], placed_below[i][1]) for i in col if placed_below[i][0] == j]
+            s = reduce(or_, (x for x, _ in steps), 0)
+            if len(steps) != q or s.bit_count() != q or (j, s) in seen or not all(
+                    x & single and not x & (x - 1) and rest == s ^ x for x, rest in steps):
+                return None
+            seen.add((j, s))
+            placed.append((j, s))
+            spans[j] |= s
+    sizes = Counter(j for j, _ in seen)
+    if any(sizes[j] + 1 != 1 << span.bit_count() for j, span in enumerate(spans)):
         return None
-    if theta is None:
-        try:
-            theta = specialize_theta(cmod)
-        except ValueError:  # a square outside the context n, d
+    for j, (u, span) in enumerate(zip(units, spans)):  # (c), both inclusions
+        reach = span << (width - 1)
+        if any(((u | guard) - v) & reach == reach for v in units[:j]) or not all(
+                any((((u + (1 << b)) | guard) - v) & guard == guard for v in units[:j])
+                for b in range(0, span.bit_length(), width) if span >> b & 1):
             return None
-    theta_gens = theta.mdegs[0]
-    if not _lcm_complete(theta_gens, [md for layer in theta.mdegs[1:] for md in layer]):
+    if _nonzero_composite(frame) is not None:  # (d)
         return None
-    if theta_report is None:
-        theta_report = _strand_walk(theta, theta_gens, primes)
-    if not theta_report.ok:
-        return None
-    # variables whose exponents agree on every generator have equal lcms, so
-    # the lattice is counted on the first of each such set
-    first = {}
-    for v, col in enumerate(zip(*(g.exps for g in gens))):
-        first.setdefault(col, v)
-    gens = [Monomial._of(tuple(g.exps[v] for v in first.values())) for g in gens]
-    packing = _Packing(gens)
-    closure = _lcm_closure(map(packing.pack, gens), packing.guard, packing.width)
-    return StrandReport(True, len(closure), primes, [])
+    return StrandReport(True, len(_lcm_closure(units, guard, width)), primes, [])
 
 
 def _lcm_closure(gens, guard: int, width: int) -> set:
@@ -489,20 +501,6 @@ def _lcm_closure(gens, guard: int, width: int) -> set:
             joins.add((a & keep) | (g & ~keep))
         elements |= joins
     return elements
-
-
-def _lcm_complete(gens: list, cells: list) -> bool:
-    """Whether each degree in ``cells`` is the lcm of the ``gens`` dividing it,
-    these found by packed divisibility."""
-    packing = _Packing(gens + cells)
-    guard = packing.guard
-    packed = [(packing.pack(g), g) for g in gens]
-    for c in set(cells):
-        cg = packing.pack(c) | guard
-        below = [g for p, g in packed if (cg - p) & guard == guard]
-        if not below or reduce(Monomial.lcm, below) != c:
-            return False
-    return True
 
 
 class _StrandFrame:

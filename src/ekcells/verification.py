@@ -29,7 +29,7 @@ from .polarization import (
 )
 from .posets import BOTTOM, FinitePoset, build_gamma
 from .shelling import ball_check, is_cw_poset
-from .topology import _lift_theta, euler_characteristic, frame_complex, strand_exactness
+from .topology import euler_characteristic, frame_complex, strand_exactness
 
 __all__ = ["VerificationError", "full_battery", "cm_battery"]
 
@@ -107,7 +107,6 @@ def check_strands(cplx: FreeComplex, gens):
         raise VerificationError(
             f"strand exactness fails for {cplx.kind}: {report.first_failure()}"
         )
-    return report
 
 
 # -- decomposition function properties -----------------------------------------
@@ -466,10 +465,10 @@ def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FiniteP
 def full_battery(ideal: MonomialIdeal) -> dict:
     """Everything the randomized suite asserts for one Borel fixed ideal.
 
-    Strand exactness of the four complexes is certified over Q, the modified
-    one through the report of its theta image.  The CW certificate of each
-    cell poset is asserted piece by piece: thin, a least element, and a
-    passing EL sweep of the dual (``check_intervals``).
+    Strand exactness of the four complexes is certified over Q, each through
+    ``check_strands``.  The CW certificate of each cell poset is asserted
+    piece by piece: thin, a least element, and a passing EL sweep of the dual
+    (``check_intervals``).
     """
     if not ideal.is_borel_fixed():
         raise VerificationError(f"{ideal!r} is not Borel fixed")
@@ -487,11 +486,8 @@ def full_battery(ideal: MonomialIdeal) -> dict:
         raise VerificationError(f"classical ranks {cek.ranks} != modified ranks {cmod.ranks}")
     check_frame_invariance(cmod, ctheta, cthetap)
     check_strands(cek, list(ideal.gens))
-    # the theta report certifies cmod too (``_lift_theta``), unless the lemma
-    # does not apply; either way no complex is stranded twice
-    theta_report = check_strands(ctheta, list(ideal.gens))
-    if _lift_theta(cmod, bpol_ideal(ideal), (), ctheta, theta_report) is None:
-        check_strands(cmod, bpol_ideal(ideal))
+    check_strands(cmod, bpol_ideal(ideal))
+    check_strands(ctheta, list(ideal.gens))
     check_strands(cthetap, list(sigma_ideal(ideal).gens))
     check_g_properties(ideal)
     check_shift_instances(ideal)

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -22,6 +22,29 @@ def power_ideal(n, d):
         "*".join(f"x{i}" for i in combo)
         for combo in combinations_with_replacement(range(1, n + 1), d)
     ))
+
+
+def stable_closure(seeds):
+    """The smallest stable ideal containing the seeds: closed under the
+    stable moves m / x_max(m) * x_i, i < max(m)."""
+    seen, frontier = set(seeds), list(seeds)
+    while frontier:
+        m = frontier.pop()
+        j = m.max_var()
+        for i in range(1, j):
+            moved = m.div_var(j).times_var(i)
+            if moved not in seen:
+                seen.add(moved)
+                frontier.append(moved)
+    return MonomialIdeal(seeds[0].n, seen)
+
+
+def stable_closures():
+    """The stable closures of at most two seeds of degree <= 3 in three
+    variables, as a set."""
+    seeds = [Monomial.parse("*".join(f"x{i}" for i in c), 3)
+             for d in (1, 2, 3) for c in combinations_with_replacement((1, 2, 3), d)]
+    return {stable_closure(list(s)) for k in (1, 2) for s in combinations(seeds, k)}
 
 
 def resolution(kind, J):

@@ -151,24 +151,25 @@ class TestVerify:
             assert checks["el"]["failures"] == 0
 
     @pytest.mark.parametrize("ideal", ["deg2", "tri-sq", "pow4-4"])
-    def test_theta_route_keeps_the_modified_bytes(self, ideal, monkeypatch, tmp_path, capsys):
-        # the modified strands certified through the theta image or walked on
-        # the lattice of bpol(I): the same verify JSON, byte for byte
+    def test_cone_route_keeps_the_walk_bytes(self, ideal, monkeypatch, tmp_path, capsys):
+        # the strands of both kinds certified on the mapping cone or walked on
+        # their lattices: the same verify JSON, byte for byte
         if ideal == "pow4-4":
             path = tmp_path / "pow4-4.ideal"
             path.write_text(format_ideal(power_ideal(4, 4)), encoding="utf-8")
             source = ["--ideal", str(path)]
         else:
             source = ["--named", ideal]
-        argv = ["verify", *source, "--kind", "modified", "--check", "all"]
-        outputs, lifted, lift = [], [], topology._lift_theta
-        for route in (lambda *args: lifted.append(lift(*args)) or lifted[-1], lambda *args: None):
-            monkeypatch.setattr(topology, "_lift_theta", route)
+        argv = ["verify", *source, "--check", "all"]
+        outputs, certified, cone = [], [], topology._mapping_cone
+        for route in (lambda *args: certified.append(cone(*args)) or certified[-1],
+                      lambda *args: None):
+            monkeypatch.setattr(topology, "_mapping_cone", route)
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert lifted and None not in lifted
+        assert len(certified) == 2 and None not in certified
         assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["kinds"]["modified"]["strands"]["ok"]
+        assert all(k["strands"]["ok"] for k in json.loads(outputs[0])["kinds"].values())
 
     def test_el_counts_come_from_the_cw_sweep(self, el_sweeps, capsys):
         # one sweep per kind, the one behind the CW verdict

@@ -4,7 +4,7 @@ import random
 import zlib
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +16,6 @@ from ekcells import (
     AdmissiblePair,
     FinitePoset,
     Monomial,
-    MonomialIdeal,
     SimplicialComplexData,
     el_label_edge,
     find_shelling,
@@ -31,7 +30,7 @@ from ekcells.ek import kind_of
 from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import VerificationError, cm_battery
-from conftest import ball, gamma, ideal, mono, power_ideal
+from conftest import ball, gamma, ideal, mono, power_ideal, stable_closures
 
 
 class TestEdgeLabels:
@@ -249,21 +248,6 @@ def two_squares_under_one_top():
     return FinitePoset(["0"] + vertices + edges + ["1"], covers)
 
 
-def stable_closure(seeds):
-    """The smallest stable ideal containing the seeds: closed under the
-    stable moves m / x_max(m) * x_i, i < max(m)."""
-    seen, frontier = set(seeds), list(seeds)
-    while frontier:
-        m = frontier.pop()
-        j = m.max_var()
-        for i in range(1, j):
-            moved = m.div_var(j).times_var(i)
-            if moved not in seen:
-                seen.add(moved)
-                frontier.append(moved)
-    return MonomialIdeal(seeds[0].n, seen)
-
-
 @pytest.fixture
 def first_report_fails(monkeypatch):
     """Every EL sweep reports its first interval failed; the failed reports
@@ -330,12 +314,9 @@ class TestCWFromSweep:
         assert not first_report_fails.searches
 
     def test_stable_non_borel_ideals_pass_el(self):
-        # the stable closures of at most two seeds of degree <= 3 in three
-        # variables: 61 ideals, 14 of them not Borel fixed, which the Borel
+        # 61 stable closures, 14 of them not Borel fixed, which the Borel
         # batteries never draw
-        seeds = [Monomial.parse("*".join(f"x{i}" for i in c), 3)
-                 for d in (1, 2, 3) for c in combinations_with_replacement((1, 2, 3), d)]
-        ideals = {stable_closure(list(s)) for k in (1, 2) for s in combinations(seeds, k)}
+        ideals = stable_closures()
         assert len(ideals) == 61 and all(J.is_stable() for J in ideals)
         non_borel = [J for J in ideals if not J.is_borel_fixed()]
         assert len(non_borel) == 14
@@ -584,6 +565,21 @@ class TestBallCheck:
         v = ball("modified", tri_tri, node_budget=1)
         assert v.verdict == "inconclusive"
         assert v.detail == "shelling search exceeded its budget"
+
+    @pytest.mark.parametrize("J, verdict", [
+        (power_ideal(4, 2), "inconclusive"), (named_ideal("deg2"), "refuted"),
+    ], ids=["dimension-3", "dimension-2"])
+    def test_unshellable_refutes_only_up_to_dimension_2(self, monkeypatch, J, verdict):
+        # a search that proves a 3-dimensional order complex unshellable
+        # refutes no ball, as unshellable 3-balls exist
+        monkeypatch.setattr(shelling, "find_shelling", lambda data, budget: ShellingResult(None, True))
+        v = ball("ek", J)
+        assert v.cond2 and v.cond3 and v.homology_trivial
+        assert v.verdict == verdict
+        if verdict == "inconclusive":
+            assert v.detail == "no shelling, which refutes no ball in dimension 3"
+        else:
+            assert v.detail == "exhaustive search: the order complex is not shellable"
 
     def test_random_cm_ideals_certified(self):
         rng = random.Random(89)

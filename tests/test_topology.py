@@ -35,8 +35,7 @@ from ekcells.topology import (
     _f3_insert,
     _Packing,
     _StrandFrame,
-    _lcm_complete,
-    _lift_theta,
+    _mapping_cone,
     _strand_walk,
     invariant_factors,
     rank_int,
@@ -44,7 +43,7 @@ from ekcells.topology import (
     smith_diagonal,
     sparse_columns,
 )
-from conftest import ball, gamma, mono, power_ideal, resolution
+from conftest import ball, gamma, mono, power_ideal, resolution, stable_closures
 
 
 def dense_rank_mod_p(mat, p):
@@ -293,6 +292,28 @@ def moved_to_second_column(cplx):
     mdegs = [list(layer) for layer in cplx.mdegs]
     mdegs[-1][col] = moved
     return FreeComplex(cplx.kind, cplx.ring, cplx.basis, mdegs, cplx.diffs)
+
+
+def without_cells(cplx, drop):
+    """A copy without the basis elements (q, label) that ``drop`` names, and
+    without every differential entry into or out of them."""
+    keep = [[k for k, label in enumerate(layer) if not drop(q, label)]
+            for q, layer in enumerate(cplx.basis)]
+    index = [{k: new for new, k in enumerate(ks)} for ks in keep]
+    diffs = [{(index[q][i], index[q + 1][j]): entry for (i, j), entry in mat.items()
+              if i in index[q] and j in index[q + 1]}
+             for q, mat in enumerate(cplx.diffs)]
+    return FreeComplex(cplx.kind, cplx.ring,
+                       [[layer[k] for k in ks] for layer, ks in zip(cplx.basis, keep)],
+                       [[layer[k] for k in ks] for layer, ks in zip(cplx.mdegs, keep)], diffs)
+
+
+def with_generators_reversed(cplx):
+    """A copy with the basis of degree 0 in reverse order: the same complex."""
+    last = len(cplx.basis[0]) - 1
+    diffs = [{(last - i, j): entry for (i, j), entry in cplx.diffs[0].items()}, *cplx.diffs[1:]]
+    return FreeComplex(cplx.kind, cplx.ring, [cplx.basis[0][::-1], *cplx.basis[1:]],
+                       [cplx.mdegs[0][::-1], *cplx.mdegs[1:]], diffs)
 
 
 def with_isolated_cell(cplx, degree):
@@ -742,7 +763,7 @@ class TestLatticeWalk:
         field_ranks = _StrandFrame.field_ranks
         monkeypatch.setattr(_StrandFrame, "field_ranks",
                             lambda frame, sub, p: calls.append((sub, p)) or field_ranks(frame, sub, p))
-        report = strand_exactness(cplx, gens, primes=(2, 3))
+        report = _strand_walk(cplx, gens, (2, 3))
         assert report == reference_strand_exactness(cplx, gens, primes=(2, 3))
         assert report.failures == [
             {"degree": "x1*x2", "field": "F3", "position": 0, "defect": 1},
@@ -753,6 +774,7 @@ class TestLatticeWalk:
         _, frame = strand_frame(cplx, gens)
         h, t = 1 << 6, 1 << 11
         assert calls[4:] == [(h | t, 2), (frame.full, 3)]
+        assert report == strand_exactness(cplx, gens, primes=(2, 3))
         for primes in ((), (2,), (2, 5)):
             report = strand_exactness(cplx, gens, primes=primes)
             assert report.ok and report.strands_checked == 3
@@ -768,7 +790,7 @@ class TestLatticeWalk:
                             or field_ranks(frame, sub, p))
         for cplx, gens in battery_complexes(power_ideal(4, 3)):
             whole.clear()
-            report = strand_exactness(cplx, gens, primes=(2, 3))
+            report = _strand_walk(cplx, gens, (2, 3))
             assert report.ok and report.strands_checked > len(gens)
             packing, frame = strand_frame(cplx, gens)
             assert sorted(whole) == sorted(
@@ -838,120 +860,133 @@ class TestLatticeWalk:
                             or field_ranks(frame, sub, p))
         J = power_ideal(4, 4)
         cmod = modified_complex(J)
-        # the modified complex is ranked on its theta image, whose lattice is
-        # that of J; its own walk still ranks 12,172 bits
-        for check, cplx, gens, bits in ((strand_exactness, ek_complex(J), list(J.gens), 4246),
-                                        (strand_exactness, cmod, bpol_ideal(J), 4246),
-                                        (_strand_walk, cmod, bpol_ideal(J), 12172)):
-            ranked.clear()
-            assert check(cplx, gens, (2,)).ok
-            assert sum(ranked) == bits
+        # the walk of the theta image, whose lattice is that of J, ranks as
+        # many bits as the ek walk; the cone ranks none
+        for cplx, gens, bits in ((ek_complex(J), list(J.gens), 4246),
+                                 (cmod, bpol_ideal(J), 12172),
+                                 (specialize_theta(cmod), list(J.gens), 4246)):
+            for check, want in ((_strand_walk, bits), (strand_exactness, 0)):
+                ranked.clear()
+                assert check(cplx, gens, (2,)).ok
+                assert sum(ranked) == want
 
 
-class TestThetaLift:
-    """The modified complex certified through its theta image, against its
-    own lattice walk and the object oracle."""
+class TestMappingCone:
+    """The mapping-cone certificate against the lattice walk and the object
+    oracle, and each of its conditions broken on its own."""
 
     @staticmethod
-    def modified_cases():
-        """The modified resolutions of the named ideals, (x1..x3)^2..3,
-        (x1..x4)^2 and seeded random Borel ideals, with bpol(I)."""
+    def certified_cases():
+        """The four battery complexes of the named ideals, (x1..x3)^2..4,
+        (x1..x4)^2..3, (x1..x5)^2 and seeded random Borel ideals, and the ek
+        complexes of the stable closures that are not Borel fixed."""
         ideals = [make() for make in NAMED_IDEALS.values()]
-        ideals += [power_ideal(3, 2), power_ideal(3, 3), power_ideal(4, 2)]
+        ideals += [power_ideal(n, d) for n, ds in ((3, (2, 3, 4)), (4, (2, 3)), (5, (2,)))
+                   for d in ds]
         rng = random.Random(2121)
         ideals += [random_borel_ideal(rng, max_gens=8) for _ in range(10)]
         for J in ideals:
-            yield modified_complex(J), bpol_ideal(J)
+            yield from battery_complexes(J)
+        closures = sorted((J for J in stable_closures() if not J.is_borel_fixed()), key=repr)
+        assert len(closures) == 14
+        for J in closures:
+            yield ek_complex(J), list(J.gens)
 
     def test_routes_match_the_object_oracle(self):
-        for cplx, gens in self.modified_cases():
+        for cplx, gens in self.certified_cases():
             for primes in ((), (2, 3)):
-                lifted = _lift_theta(cplx, gens, primes)
-                assert lifted is not None
-                assert lifted == strand_exactness(cplx, gens, primes)
-                assert lifted == _strand_walk(cplx, gens, primes)
-                assert lifted == reference_strand_exactness(cplx, gens, primes)
+                cone = _mapping_cone(cplx, gens, primes)
+                assert cone is not None, (cplx.kind, gens)
+                assert cone == strand_exactness(cplx, gens, primes)
+                assert cone == _strand_walk(cplx, gens, primes)
+                assert cone == reference_strand_exactness(cplx, gens, primes)
+        # (x1..x4)^4 against the walk alone: its object oracle takes seconds
+        for cplx, gens in battery_complexes(power_ideal(4, 4)):
+            for primes in ((), (2, 3)):
+                assert _mapping_cone(cplx, gens, primes) == _strand_walk(cplx, gens, primes)
 
     @pytest.mark.parametrize("mutation, ok", [
-        ("top cell removed", False), ("square outside the ring", False), ("degree moved", False),
+        # (a) holds by construction, as a group is read off the rows: with
+        # the generators in reverse order a cell lands in the group of a
+        # shifted generator, where its cube breaks
+        ("(a) generators reversed", True),
+        ("(b) top cell removed", False),
+        ("(b) coefficient of two variables", False),
+        ("(c) cube of the last generator cut to its vertex", False),
+        ("(d) sign flipped", False),
+        ("row degree does not divide", False),
         # every strand of a resolution is exact, on any lattice
         ("gens not degree 0", True),
-        # a top sign flipped: no complex, so a strand fails over Z
-        ("sign flipped", False), ("cell degree no theta lcm", False),
+        ("cell with no boundary", False),
     ])
-    def test_each_failed_precondition_falls_back(self, mutation, ok):
-        if mutation == "cell degree no theta lcm":
-            # a lattice element of bpol(tri-tri) whose theta image, x1^2*x2^2*x3^2,
-            # divides no element of the lattice of tri-tri: an isolated cell of
-            # that degree is seen by the direct walk alone
-            J = NAMED_IDEALS["tri-tri"]()
-        else:
-            J = NAMED_IDEALS["deg2"]()
+    def test_each_broken_condition_falls_back_to_the_walk(self, monkeypatch, mutation, ok):
+        from ekcells import topology
+
+        J = NAMED_IDEALS["deg2"]()
         cplx, gens = modified_complex(J), bpol_ideal(J)
-        if mutation == "top cell removed":
+        if mutation.startswith("(a)"):
+            cplx = with_generators_reversed(ek_complex(J))
+            gens = list(J.gens)
+        elif mutation.startswith("(b) top"):
             cplx = without_last_top_cell(cplx)
-        elif mutation == "square outside the ring":
+        elif mutation.startswith("(b) coeff"):
+            # a square (9, 9) beyond the ring, on one top degree
             cplx, gens = widened(cplx, gens)
-        elif mutation == "degree moved":
-            cplx = moved_to_second_column(cplx)
-            theta, before = specialize_theta(cplx), specialize_theta(modified_complex(J))
-            assert theta.mdegs == before.mdegs
-        elif mutation == "gens not degree 0":
-            gens = gens[1:]
-        elif mutation == "sign flipped":
+        elif mutation.startswith("(c)"):
+            cplx = without_cells(cplx, lambda q, pair: q and pair.m == J.gens[-1])
+            assert len(cplx.basis[0]) == len(J.gens)
+        elif mutation.startswith("(d)"):
             diffs = [dict(mat) for mat in cplx.diffs]
             pos = min(diffs[-1])
             sign, coeff = diffs[-1][pos]
             diffs[-1][pos] = (-sign, coeff)
             cplx = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs, diffs)
-            theta = specialize_theta(cplx)
-            assert strand_exactness(theta, theta.mdegs[0], (2, 3)).first_failure()["field"] == "Z"
+        elif mutation == "row degree does not divide":
+            cplx = moved_to_second_column(cplx)
+        elif mutation == "gens not degree 0":
+            gens = gens[1:]
         else:
-            degree = from_squares(cplx.squares, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (3, 3)])
-            cplx = with_isolated_cell(cplx, degree)
-            theta = specialize_theta(cplx)
-            assert strand_exactness(theta, theta.mdegs[0]).ok
-            assert not _lcm_complete(theta.mdegs[0], theta.mdegs[1])
+            cplx = with_isolated_cell(cplx, cplx.mdegs[1][0])
+        composites = []  # (d) runs last: a cone stopped before it never composes
+        composite = topology._nonzero_composite
+        monkeypatch.setattr(topology, "_nonzero_composite",
+                            lambda cols: composites.append(composite(cols)) or composites[-1])
         for primes in ((), (2, 3)):
-            assert _lift_theta(cplx, gens, primes) is None
+            composites.clear()
+            assert _mapping_cone(cplx, gens, primes) is None
+            assert (composites != []) == mutation.startswith("(d)")
             got = strand_exactness(cplx, gens, primes)
             assert got == _strand_walk(cplx, gens, primes)
             assert got == reference_strand_exactness(cplx, gens, primes)
             assert got.ok == ok
+            if mutation.startswith("(d)"):
+                # the strand the flipped column first lies in passes its ranks,
+                # but its maps do not compose
+                assert got.first_failure()["field"] == "Z"
 
-    def test_battery_reads_the_modified_verdict_off_the_theta_report(self, monkeypatch):
-        # full_battery strands ctheta once, walks no lattice of bpol(I) and
-        # hands the lift the theta image it built
+    def test_battery_walks_no_lattice(self, monkeypatch):
+        # full_battery sends all four complexes through check_strands and
+        # verification.strand_exactness, and the cone certifies each
         from ekcells import topology, verification
 
-        def refuse(cplx):
-            raise AssertionError("theta image built twice")
-
-        walked = []
-        walk = topology._strand_walk
-        monkeypatch.setattr(topology, "_strand_walk",
-                            lambda cplx, gens, primes: walked.append(cplx.kind)
-                            or walk(cplx, gens, primes))
-        monkeypatch.setattr(topology, "specialize_theta", refuse)
+        walked, checked = [], []
+        monkeypatch.setattr(topology, "_strand_walk", lambda *args: walked.append(args))
+        strands = verification.strand_exactness
+        monkeypatch.setattr(verification, "strand_exactness",
+                            lambda cplx, gens: checked.append(cplx.kind) or strands(cplx, gens))
         verification.full_battery(NAMED_IDEALS["deg2"]())
-        assert walked == ["ek", "modified|theta", "modified|theta-prime"]
+        assert not walked
+        assert checked == ["ek", "modified", "modified|theta", "modified|theta-prime"]
 
     def test_lattice_counted_on_distinct_exponent_columns(self):
-        # bpol(x2^300) takes 300 squares whose exponents agree on both
-        # generators: the lift counts the lattice on one of them
+        # bpol(x2^300) takes 300 squares whose exponents agree on every cell:
+        # the cone reads them as one field and counts the lattice on it
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 300))])
         cplx, gens = modified_complex(J), bpol_ideal(J)
         assert len(cplx.squares) == 301
-        lifted = _lift_theta(cplx, gens, (2, 3))
-        assert lifted == _strand_walk(cplx, gens, (2, 3))
-        assert lifted.strands_checked == 3
-
-    def test_lcm_completeness(self):
-        gens = [mono(t, 2) for t in ("x1^2", "x1*x2", "x2^2")]
-        assert _lcm_complete(gens, [mono(t, 2) for t in ("x1^2*x2", "x1^2*x2^2")])
-        # no generator divides x1; x1^3 and x1^2*x2^3 exceed their divisors' lcm
-        for cell in ("x1", "x1^3", "x1^2*x2^3"):
-            assert not _lcm_complete(gens, [mono(cell, 2)])
+        cone = _mapping_cone(cplx, gens, (2, 3))
+        assert cone == _strand_walk(cplx, gens, (2, 3))
+        assert cone.strands_checked == 3
 
 
 class TestFieldRanks:
