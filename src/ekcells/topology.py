@@ -5,19 +5,17 @@ form homology, simplicial homology of order complexes, the multigraded strand
 exactness oracle certifying that a complex is a resolution, and cell-count
 utilities on graded posets.
 
-All arithmetic is exact, on sparse integer columns.  Homology goes through
-``invariant_factors``, the Smith invariants of a sparse integer matrix, from
-+-1 pivots first and the dense ``smith_diagonal`` on the unit-free rest, and
-reads Betti numbers and torsion off them.  The strand oracle first reads
-exactness off the mapping-cone filtration of the complex: the cells grouped
-by generator, each group a Koszul complex on the variables of the linear
-quotient of its generator, which takes time linear in the differential and
-ranks no strand.  Where that certificate does not apply, it closes the lcm
-lattice one generator at a time, walks it once upwards and ranks, over F_2
-(row bitmasks) and F_3 (bitsliced mask pairs), only the cells each strand
-adds to an exact strand below it; the Smith invariants name the failing
-field of a strand that fails there.  The walk's verdict covers every
-multidegree where each cell degree is an lcm of the generators.
+All arithmetic is exact, on sparse integer columns, and ``invariant_factors``
+is the one rank kernel: the Smith invariants of a sparse integer matrix, from
++-1 pivots first and the dense ``smith_diagonal`` on the unit-free rest.
+Betti numbers, torsion, and ranks over Q and each F_p are read off them.  The
+strand oracle first reads exactness off the mapping-cone filtration of the
+complex: the cells grouped by generator, each group a Koszul complex on the
+variables of the linear quotient of its generator, which takes time linear
+in the differential and ranks no strand.  Where that certificate does not
+apply, it walks the lcm lattice of the generators and ranks each strand on
+its Smith invariants, which name the failing field.  The walk's verdict
+covers every multidegree where each cell degree is an lcm of the generators.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, compress
-from operator import getitem, or_
+from itertools import compress
+from operator import or_
 
 from .complexes import FreeComplex
 from .monomials import Monomial, square_str
@@ -292,43 +290,38 @@ class StrandReport:
         return self.failures[0] if self.failures else None
 
 
-class _Packing:
-    """Exponent vectors packed into ints (Monagan-Pearce), on exponent ranks.
+class _PackedDegrees:
+    """The degrees of generators and cells packed into ints (Monagan-Pearce).
 
-    Each exponent is replaced by its rank among the distinct exponents its
-    variable takes in ``monos``: a monotone relabelling, so lcms and
-    divisibility among ``monos`` and their lcms are kept, and a field's width
-    follows how many exponents a variable takes, not how large they are.
-    ``counts[v]`` is that number, ``values[v]`` lists v's exponents in
-    order, and ``ranks[v]`` maps each to its rank.  One field of ``width``
-    bits per variable, the first variable most significant, so packed ints
-    order as ``Monomial.exps`` do.  Each field is one bit wider than the
-    largest rank, and that top bit, the guard, is clear in every packed
-    degree; ``guard`` is the mask of all guard bits.
+    Variables whose exponents agree on every generator and cell share one
+    field, so each exponent vector is read once.  Fields follow their first
+    variable, the first most significant, so packed ints order as
+    ``Monomial`` does.  Each field is ``width`` bits, one more than the
+    largest exponent needs: that top bit, the guard, is clear in every packed
+    degree and every lcm of them, and ``guard`` masks the guard bits, so a
+    divides b exactly when ``((b | guard) - a) & guard == guard``.
+    ``single`` masks the low bits of the fields that hold one variable.
+    ``gens`` are the generators packed and ``layers`` the cells, per degree.
     """
 
-    def __init__(self, monos):
-        self.values = [tuple(sorted(set(col))) for col in zip(*(m.exps for m in monos))]
-        self.ranks = [dict(zip(col, range(len(col)))) for col in self.values]
-        self.counts = list(map(len, self.values))
-        self.size = len(self.values)
-        self.width = (max(self.counts, default=1) - 1).bit_length() + 1
-        self.guard = sum(1 << (self.width * k + self.width - 1) for k in range(self.size))
-
-    def ranked(self, mono: Monomial):
-        """The ranks of the exponents of ``mono``, one per variable."""
-        return tuple(map(getitem, self.ranks, mono.exps))
-
-    def pack(self, mono: Monomial) -> int:
-        x = 0
-        for r in self.ranked(mono):
-            x = (x << self.width) | r
-        return x
+    def __init__(self, gens, mdegs):
+        exps = [m.exps for m in gens] + [md.exps for layer in mdegs for md in layer]
+        by_variable = list(zip(*exps))  # each variable's exponents
+        columns = Counter(by_variable)
+        self.width = width = max(map(max, columns), default=0).bit_length() + 1
+        self.shifts = [width * f for f in range(len(columns))][::-1]
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.single = sum(1 << s for s, count in zip(self.shifts, columns.values()) if count == 1)
+        index = {col: f for f, col in enumerate(columns)}
+        self.fields = [index[col] for col in by_variable]  # each variable's field
+        packed = iter([sum(e << s for e, s in zip(degree, self.shifts)) for degree in zip(*columns)])
+        self.gens = [next(packed) for _ in gens]
+        self.layers = [[next(packed) for _ in layer] for layer in mdegs]
 
     def unpack(self, x) -> Monomial:
-        w, mask = self.width, (1 << (self.width - 1)) - 1
-        ranks = tuple((x >> (w * k)) & mask for k in range(self.size - 1, -1, -1))
-        return Monomial(tuple(map(getitem, self.values, ranks)))
+        mask = (1 << (self.width - 1)) - 1
+        fields = [x >> s & mask for s in self.shifts]
+        return Monomial(tuple(fields[f] for f in self.fields))
 
 
 def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
@@ -355,33 +348,36 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
 
 
 def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
-    """``strand_exactness`` on the complex's own lcm lattice.
+    """``strand_exactness`` strand by strand, on the lcm lattice of ``gens``
+    (``_lcm_closure``) in ascending order, so failures come in the order of
+    their degrees.
 
-    Degrees are packed once, on the ranks of their exponents (``_Packing``).
-    A strand passes on its ranks over F_2 and F_3 (``_StrandFrame``), taken
-    relative to a strand below it: if a divides b, the strand A at a is a
-    subcomplex of the strand B at b, as the frame is checked once to be a
-    Z-complex whose row degrees divide their column degrees, and if A is
-    exact over F_p, the long exact sequence of 0 -> A -> B -> B/A -> 0
-    (Weibel, Thm 1.3.1) gives H(B) = H(B/A), so only B's cells outside A are
-    ranked; A is the strand of b's parent, a proper divisor of b with the
-    largest strand, if that is exact over F_p, else empty.  A strand that
-    fails there, or every strand when field ranks certify nothing, is
-    checked on Smith invariants, which name the first failing field; off a
-    Z-complex a strand that passes them but whose maps do not compose fails
-    with field "Z", defect None.  Failures come in the order of their degrees.
+    A strand is the frame restricted to the cells whose degree divides b.
+    Its maps are ranked once, on their Smith invariants (``invariant_factors``),
+    and read over Q and over each requested prime; the first field where some
+    homology is nonzero fails.  Whether the frame is a Z-complex is checked
+    once: every row degree divides its column degree, so each strand is a
+    subcomplex, and the frame composes to zero.  Off a Z-complex a strand
+    whose ranks pass need not be a complex, and one whose maps do not compose
+    fails with field "Z", defect None.
     """
-    packing = _Packing(gens + [md for layer in cplx.mdegs for md in layer])
-    frame = _StrandFrame(cplx, packing)
-    fields = frame.certifying_fields(primes)
-    lattice = frame.lattice(packing.pack(g) for g in gens)
-    exact = frame.field_verdicts(lattice, fields)
+    packing = _PackedDegrees(gens, cplx.mdegs)
+    guard, frame = packing.guard, frame_complex(cplx).cols
+    degrees = [[0], *packing.layers]  # the augmentation's degree divides every b
+    z_complex = all(
+        ((c | guard) - rows[i]) & guard == guard
+        for rows, cols, layer in zip(degrees, degrees[1:], frame)
+        for c, col in zip(cols, layer) for i in col
+    ) and _nonzero_composite(frame) is None
+    lattice = sorted(_lcm_closure(packing.gens, guard, packing.width))
     failures = []
-    for b, (sub, _) in lattice.items():
-        if fields and all(exact[b]):
-            continue
-        dims = [(sub & level).bit_count() for level in frame.levels]
-        cols = frame.strand_cols(sub)
+    for b in lattice:
+        bg = b | guard
+        inside = [[(bg - d) & guard == guard for d in layer] for layer in degrees]
+        cols = [[{i: x for i, x in col.items() if rows[i]} if keep else {}
+                 for keep, col in zip(cells, layer)]
+                for rows, cells, layer in zip(inside, inside[1:], frame)]
+        dims = list(map(sum, inside))
         invariants = [invariant_factors(layer) for layer in cols]
         for p in (0,) + primes:  # 0 for Q: every invariant is a unit there
             ranks = [len(inv) if p == 0 else sum(1 for d in inv if d % p) for inv in invariants]
@@ -390,8 +386,8 @@ def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
                 failure = {"field": f"F{p}" if p else "Q", "position": defect[0],
                            "defect": defect[1]}
                 break
-        else:  # off a Z-complex a strand whose ranks pass need not be a complex
-            k = None if frame.z_complex else _nonzero_composite(cols)
+        else:
+            k = None if z_complex else _nonzero_composite(cols)
             failure = None if k is None else {"field": "Z", "position": k, "defect": None}
         if failure is not None:
             failures.append({"degree": square_str(packing.unpack(b), cplx.squares), **failure})
@@ -437,20 +433,14 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
     exact over Q and each F_p, and only the lattice closure is walked, for
     the count.
 
-    Each exponent vector is read once: variables whose exponents agree on
-    every cell share one guard-bit field, which is a coefficient's variable
-    only if it holds one variable.
+    Degrees are packed once (``_PackedDegrees``); a field is a coefficient's
+    variable only if it holds one variable.
     """
     degree0 = cplx.mdegs[0]
     if not degree0 or len(set(degree0)) != len(degree0) or set(degree0) != set(gens):
         return None
-    columns = Counter(zip(*(md.exps for layer in cplx.mdegs for md in layer)))
-    width = max(map(max, columns)).bit_length() + 1
-    guard = sum(1 << (width * f + width - 1) for f in range(len(columns)))
-    single = sum(1 << width * f for f, count in enumerate(columns.values()) if count == 1)
-    cells = iter(zip(*columns))  # each cell's exponents, one per field
-    layers = [[sum(e << width * f for f, e in enumerate(next(cells))) for _ in layer]
-              for layer in cplx.mdegs]
+    packing = _PackedDegrees(gens, cplx.mdegs)
+    guard, width, single, layers = packing.guard, packing.width, packing.single, packing.layers
     frame, units = frame_complex(cplx).cols, layers[0]
     # (a), (b): each element's (group, set), the set a mask of field low bits
     placed, seen, spans = [(j, 0) for j in range(len(units))], set(), [0] * len(units)
@@ -501,201 +491,6 @@ def _lcm_closure(gens, guard: int, width: int) -> set:
             joins.add((a & keep) | (g & ~keep))
         elements |= joins
     return elements
-
-
-class _StrandFrame:
-    """The augmented frame complex of a free complex, on bitmasks.
-
-    Basis element k of degree q is bit ``offsets[q + 1] + k``, and bit 0 is
-    degree -1, the ideal component; ``levels[q + 1]`` masks degree q.  A
-    strand is a mask too: the AND over the variables v of ``below[e]``, the
-    bits whose exponent rank in v is at most b's rank e (bit 0 always), read
-    off b's field at ``shift``; a table has one mask per rank, so it is no
-    longer than the generators and cells together.  ``frame`` is
-    ``frame_complex(cplx)``, and ``cols[p]`` holds each of its columns as one
-    row bitmask for p = 2 and as its (entries 1, entries -1) masks for p = 3.
-    """
-
-    def __init__(self, cplx: FreeComplex, packing: _Packing):
-        self.frame = frame_complex(cplx)
-        self.sizes = self.frame.ranks
-        self.offsets = [0, *accumulate(self.sizes[:-1])]
-        self.levels = [((1 << n) - 1) << off for off, n in zip(self.offsets, self.sizes)]
-        nbits = sum(self.sizes)
-        self.full = (1 << nbits) - 1
-        self.guard, self.width = packing.guard, packing.width
-        self.field = (1 << (packing.width - 1)) - 1
-        self.below = []  # (shift, below) per variable in which basis degrees differ
-        ranks = zip(*(packing.ranked(md) for layer in cplx.mdegs for md in layer))
-        for v, (col, count) in enumerate(zip(ranks, packing.counts)):
-            top = max(col)
-            if not top:
-                continue
-            masks = [1] * top + [self.full] * (count - top)
-            for bit, e in enumerate(col, start=1):
-                if e < top:
-                    masks[e] |= 1 << bit
-            for e in range(1, top):
-                masks[e] |= masks[e - 1]
-            self.below.append((packing.width * (packing.size - 1 - v), masks))
-        self.cols = {2: [0] * nbits, 3: [(0, 0)] * nbits}
-        for q, layer in enumerate(self.frame.cols):
-            for bit, col in enumerate(layer, start=self.offsets[q + 1]):
-                rows = [(self.offsets[q] + i, x) for i, x in col.items()]
-                self.cols[2][bit] = sum(1 << r for r, x in rows if x % 2)
-                self.cols[3][bit] = (sum(1 << r for r, x in rows if x % 3 == 1),
-                                     sum(1 << r for r, x in rows if x % 3 == 2))
-        # whether each strand is a subcomplex (every entry's row degree divides
-        # its column degree) and the frame squares to zero over Z
-        degrees = [[packing.pack(md) for md in layer] for layer in cplx.mdegs]
-        self.z_complex = all(
-            (cg - degrees[q - 1][i]) & self.guard == self.guard
-            for q in range(1, len(self.frame.cols))
-            for cg, col in zip((d | self.guard for d in degrees[q]), self.frame.cols[q])
-            for i in col
-        ) and _nonzero_composite(self.frame.cols) is None
-
-    def certifying_fields(self, primes) -> tuple:
-        """The fields F_p whose ranks certify a strand over Q and over every
-        requested prime, or () when field ranks cannot.
-
-        If C is a complex of free Z-modules and C (x) F_p is exact, then by
-        universal coefficients H(C) (x) F_p = 0, so H(C) is finite and C (x) Q
-        is exact as well; F_2 alone thus certifies Q.
-        """
-        if not self.z_complex or not set(primes) <= {2, 3}:
-            return ()
-        return tuple(sorted(set(primes))) or (2,)
-
-    def strand(self, b: int) -> int:
-        """The mask of the basis elements whose degree divides the packed
-        degree ``b``."""
-        sub, field = self.full, self.field
-        for shift, below in self.below:
-            sub &= below[b >> shift & field]
-        return sub
-
-    def lattice(self, gens) -> dict:
-        """The lcm lattice of the packed generator degrees ``gens``
-        (``_lcm_closure``), ascending, as ``{b: (strand mask, parent)}``.
-
-        b's parent is a proper divisor of b with the largest strand (None if
-        there is none).  Such a divisor is below b in some variable v, where
-        b's field is e, so its strand lies in ``strand(b) & below[e - 1]``.
-        These masks are looked up largest first, each by the first element
-        with that strand, and the first element found that divides b is the
-        parent.  Where the cells of degree 0 are the generators and every cell
-        degree is an lcm of them, as on the resolutions built here, the first
-        lookup finds it.
-        """
-        guard, field = self.guard, self.field
-        elements = _lcm_closure(gens, guard, self.width)
-        lattice, owner = {}, {}  # owner: strand mask -> the first element with it
-        for b in sorted(elements):
-            sub, cuts = self.full, []  # strand(b), and below[e - 1] where e > 0
-            for s, below in self.below:
-                e = b >> s & field
-                sub &= below[e]
-                if e:
-                    cuts.append(below[e - 1])
-            parent, bg = None, b | guard
-            for part in sorted([sub & cut for cut in cuts], key=int.bit_count, reverse=True):
-                a = owner.get(part)
-                if a is not None and (bg - a) & guard == guard:
-                    parent = a
-                    break
-            lattice[b] = (sub, parent)
-            owner.setdefault(sub, b)
-        return lattice
-
-    def field_verdicts(self, lattice, fields) -> dict:
-        """Per b, whether its strand is exact over each F_p in ``fields``: whether
-        the ranks sum to half the cells (no homology is negative), on the cells
-        the parent's strand lacks if that one is exact over F_p."""
-        exact, unknown = {}, (False,) * len(fields)
-        for b, (sub, parent) in lattice.items():
-            base = lattice[parent][0] if parent is not None else 0
-            parts = [sub & ~base if known else sub for known in exact.get(parent, unknown)]
-            exact[b] = tuple(part.bit_count() == 2 * sum(self.field_ranks(part, p))
-                             for part, p in zip(parts, fields))
-        return exact
-
-    def field_ranks(self, sub: int, p: int) -> list:
-        """The ranks over F_p of the maps on ``sub``, the augmentation first."""
-        return _top_down_ranks(sub, self.levels, self.cols[p], _INSERT[p])
-
-    def strand_cols(self, sub: int) -> list:
-        """The frame's sparse columns restricted to the strand ``sub``, rows and
-        columns, the augmentation first; a column outside it is empty, so
-        indices are the frame's."""
-        return [
-            [{i: x for i, x in col.items() if sub >> (self.offsets[q] + i) & 1}
-             if sub >> bit & 1 else {}
-             for bit, col in enumerate(layer, start=self.offsets[q + 1])]
-            for q, layer in enumerate(self.frame.cols)
-        ]
-
-
-def _top_down_ranks(sub: int, levels, cols, insert) -> list:
-    """The ranks over a field of the maps of a complex, restricted to the
-    basis bits in ``sub``, rows and columns.
-
-    ``levels[t]`` masks degree t from the bottom, ``cols[bit]`` is a basis
-    element's boundary as ``insert`` reads it, and the restricted maps
-    compose to zero: ``sub`` spans a subcomplex or a quotient of one.
-    From the top down, the map out of a degree is ranked on the elements that
-    are not pivots of the echelon basis of the image coming in: they span the
-    quotient by that image, and the map vanishes on the image.  Entry t is
-    the rank of the map from degree t + 1 into degree t.
-    """
-    ranks = []
-    pivots = 0
-    for level in levels[:0:-1]:
-        todo = sub & level & ~pivots
-        basis = {}
-        pivots = 0
-        while todo:
-            bit = todo.bit_length() - 1
-            todo ^= 1 << bit
-            pivots |= insert(basis, cols[bit], sub)
-        ranks.append(len(basis))
-    return ranks[::-1]
-
-
-def _f2_insert(basis: dict, x: int, rows: int):
-    """Reduce the F_2 vector ``x``, a bitmask cut to ``rows``, by the echelon
-    basis ``{leading bit: vector}`` and add it there unless it reduced to
-    zero.  Returns the new pivot as a one-bit mask, 0 if none."""
-    x &= rows
-    while x:
-        h = x.bit_length() - 1
-        v = basis.get(h)
-        if v is None:
-            basis[h] = x
-            return 1 << h
-        x ^= v
-    return 0
-
-
-def _f3_insert(basis: dict, x: tuple, rows: int):
-    """``_f2_insert`` over F_3 on bitsliced vectors (Boothby-Bradshaw): ``x``
-    is the pair (mask of entries 1, mask of entries -1).  (p, m) + (q, n) is
-    ((m | n) ^ t, (p | q) ^ t) with t = (p | n) ^ (m | q), negation swaps the
-    masks, and basis vectors are scaled to lead with 1."""
-    p, m = x[0] & rows, x[1] & rows
-    while p | m:
-        h = (p | m).bit_length() - 1
-        v = basis.get(h)
-        if v is None:
-            basis[h] = (m, p) if m >> h & 1 else (p, m)
-            return 1 << h
-        q, n = (v[1], v[0]) if p >> h & 1 else v  # x - v if x leads with 1, else x + v
-        t = (p | n) ^ (m | q)
-        p, m = (m | n) ^ t, (p | q) ^ t
-    return 0
-
-
-_INSERT = {2: _f2_insert, 3: _f3_insert}
 
 
 def _exactness_defect(dims, ranks_q):

@@ -2,8 +2,6 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from ekcells import (
     FreeComplex,
@@ -24,18 +22,15 @@ from ekcells import (
     simplicial_chain_complex,
     strand_exactness,
 )
-from ekcells.ideals import borel_closure
 from ekcells.monomials import Monomial, from_squares, square_items, square_str
 from ekcells.polarization import sigma_ideal, specialize_theta, specialize_theta_prime
 from ekcells.suite import NAMED_IDEALS
 from ekcells.topology import (
     StrandReport,
     _exactness_defect,
-    _f2_insert,
-    _f3_insert,
-    _Packing,
-    _StrandFrame,
+    _lcm_closure,
     _mapping_cone,
+    _PackedDegrees,
     _strand_walk,
     invariant_factors,
     rank_int,
@@ -185,16 +180,11 @@ def reference_strand_exactness(cplx, gens, primes=()):
     return report
 
 
-def strand_frame(cplx, gens):
-    """The strand oracle's packing and frame of a complex and its generators."""
-    packing = _Packing(list(gens) + [md for layer in cplx.mdegs for md in layer])
-    return packing, _StrandFrame(cplx, packing)
-
-
-def packed_lattice(cplx, gens):
-    """The strand oracle's lattice walk, unpacked to monomials."""
-    packing, frame = strand_frame(cplx, gens)
-    return {packing.unpack(b) for b in frame.lattice(packing.pack(g) for g in gens)}
+def closure_lattice(cplx, gens):
+    """The strand walk's lattice, ``_lcm_closure`` on the packed degrees,
+    unpacked to monomials."""
+    packing = _PackedDegrees(gens, cplx.mdegs)
+    return {packing.unpack(b) for b in _lcm_closure(packing.gens, packing.guard, packing.width)}
 
 
 def battery_complexes(J):
@@ -206,31 +196,6 @@ def battery_complexes(J):
         (specialize_theta(cmod), list(J.gens)),
         (specialize_theta_prime(cmod), list(sigma_ideal(J).gens)),
     ]
-
-
-def field_columns(mat, ncols, p):
-    """Each column as the strand oracle reads it: over F_2 the bitmask of its
-    odd rows, over F_3 the masks of its rows = 1 and = -1 mod 3."""
-    def rows(j, residue):
-        return sum(1 << i for i, row in enumerate(mat) if row[j] % p == residue)
-    if p == 2:
-        return [rows(j, 1) for j in range(ncols)]
-    return [(rows(j, 1), rows(j, 2)) for j in range(ncols)]
-
-
-def field_rank(cols, p):
-    basis = {}
-    for col in cols:
-        (_f2_insert if p == 2 else _f3_insert)(basis, col, -1)  # -1: every row
-    return len(basis)
-
-
-@st.composite
-def sign_matrices(draw):
-    """Sparse matrices with entries 0 and +-1, with their column count."""
-    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-    row = st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=n, max_size=n)
-    return draw(st.lists(row, min_size=m, max_size=m)), n
 
 
 # Syzygies of generators all of degree x1*x2, each summing to zero, whose
@@ -580,7 +545,7 @@ class TestStrands:
         for _ in range(10):
             J = random_borel_ideal(rng, max_gens=8)
             for cplx, gens in battery_complexes(J):
-                assert packed_lattice(cplx, gens) == reference_lcm_lattice(gens)
+                assert closure_lattice(cplx, gens) == reference_lcm_lattice(gens)
                 for corrupt in (False, True):
                     if corrupt:
                         if not cplx.diffs:
@@ -612,32 +577,29 @@ class TestStrands:
 
     @pytest.mark.parametrize("d, width", [(7, 4), (8, 5)])
     def test_field_width_steps_with_the_exponent(self, d, width):
-        # (x1, x2)^7 takes 8 exponents in each variable, whose ranks fit three
-        # bits plus the guard; (x1, x2)^8 takes 9 and needs four
+        # (x1, x2)^7 takes exponents up to 7, which fit three bits plus the
+        # guard; (x1, x2)^8 takes 8 and needs four
         J = power_ideal(2, d)
         cek = ek_complex(J)
-        assert _Packing(list(J.gens)).width == width
+        assert _PackedDegrees(list(J.gens), cek.mdegs).width == width
         for cplx, gens in battery_complexes(J)[:2]:
             got = strand_exactness(cplx, gens, primes=(2, 3))
             want = reference_strand_exactness(cplx, gens, primes=(2, 3))
             assert got.ok and got == want
-            assert packed_lattice(cplx, gens) == reference_lcm_lattice(gens)
+            assert closure_lattice(cplx, gens) == reference_lcm_lattice(gens)
         # lcm(x1^(d-i) x2^i, x1^(d-j) x2^j) = x1^(d-i) x2^j for i <= j
         assert strand_exactness(cek, list(J.gens)).strands_checked == (d + 1) * (d + 2) // 2
 
     @pytest.mark.parametrize("power", [10**9, 10**20])
-    def test_fields_follow_the_exponents_taken_not_their_size(self, power):
-        # (x1, x2^power): x2 takes two exponents, 0 and power, so its field
-        # holds ranks 0 and 1 and its strand table has one mask per rank
+    def test_exponents_wider_than_a_machine_word(self, power):
+        # (x1, x2^power): x2's field is as wide as power, past 64 bits at 10^20
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, power))])
         cplx, gens = ek_complex(J), list(J.gens)
-        packing, frame = strand_frame(cplx, gens)
-        assert packing.values == [(0, 1), (0, power)] and packing.width == 2
-        assert [len(below) for _, below in frame.below] == [2, 2]
+        assert closure_lattice(cplx, gens) == reference_lcm_lattice(gens)
         got = strand_exactness(cplx, gens, primes=(2, 3))
         assert got.ok and got.strands_checked == 3
         assert got == reference_strand_exactness(cplx, gens, primes=(2, 3))
-        # a failure is named by its exponents, not their ranks
+        # a failure is named by its exponents
         broken = strand_exactness(without_last_top_cell(cplx), gens, primes=(2, 3))
         assert broken.failures == [
             {"degree": f"x1*x2^{power}", "field": "Q", "position": 0, "defect": 1}]
@@ -646,13 +608,20 @@ class TestStrands:
         # the modified complex in a ring with one more square, (9, 9), that no
         # generator uses, and one multidegree times x[9,9]
         cplx, gens = widened(modified_complex(deg2), bpol_ideal(deg2))
-        packing, frame = strand_frame(cplx, gens)
-        md = packing.pack(cplx.mdegs[-1][0])
-        G = packing.guard
-        lattice = frame.lattice(packing.pack(g) for g in gens)
+        packing = _PackedDegrees(gens, cplx.mdegs)
+        md, G = packing.layers[-1][0], packing.guard
+        lattice = _lcm_closure(packing.gens, G, packing.width)
         assert lattice and all(((b | G) - md) & G != G for b in lattice)
         got = strand_exactness(cplx, gens, primes=(2, 3))
         assert not got.ok and got == reference_strand_exactness(cplx, gens, primes=(2, 3))
+
+    def test_row_degree_that_does_not_divide(self, deg2):
+        # off a Z-complex, a strand need not be a subcomplex
+        cplx = ek_complex(deg2)
+        (row, _), _ = next(iter(sorted(cplx.diffs[0].items())))
+        cplx.mdegs[0][row] = cplx.mdegs[0][row] * Monomial.variable(deg2.n, 1) ** 3
+        assert strand_exactness(cplx, list(deg2.gens)) == reference_strand_exactness(
+            cplx, list(deg2.gens))
 
     def test_strand_counts_on_cube_of_maximal_ideal(self):
         J = power_ideal(4, 3)
@@ -696,110 +665,103 @@ class TestStrands:
 
 
 class TestLatticeWalk:
-    """The strand oracle's one walk over the lcm lattice and its relative
-    field ranks, against the lattice by monomial lcms and the field ranks of
-    whole strands."""
+    """The strand oracle's walk over the lcm lattice, against the lattice by
+    monomial lcms and the object oracle."""
 
     @staticmethod
     def check_walk(cplx, gens):
-        """Checks the walk's lattice, strands and parents and each per-field
-        verdict; returns the certifying fields and the number of elements
-        some field fails at."""
-        packing, frame = strand_frame(cplx, gens)
-        lattice = frame.lattice(packing.pack(g) for g in gens)
-        assert {packing.unpack(b) for b in lattice} == reference_lcm_lattice(list(gens))
-        assert list(lattice) == sorted(lattice)
-        G = packing.guard
-        fields = frame.certifying_fields((2, 3))
-        exact = frame.field_verdicts(lattice, fields)
-        for b, (sub, parent) in lattice.items():
-            assert sub == frame.strand(b)
-            if parent is not None:
-                assert parent != b and ((b | G) - parent) & G == G
-            dims = [(sub & level).bit_count() for level in frame.levels]
-            want = tuple(_exactness_defect(dims, frame.field_ranks(sub, p)) is None
-                         for p in fields)
-            assert exact[b] == want, (packing.unpack(b), fields)
-        return fields, sum(not all(verdict) for verdict in exact.values())
+        """Checks the walk's lattice; returns its report over Q, F_2 and F_3."""
+        assert closure_lattice(cplx, gens) == reference_lcm_lattice(list(gens))
+        return _strand_walk(cplx, gens, (2, 3))
 
-    def test_verdicts_match_whole_strand_ranks(self):
+    def test_resolutions_pass_and_copies_without_a_top_cell_fail(self):
         # each resolution, and a copy without one top cell that stays a
-        # Z-complex, so failing parents send their children to whole strands
+        # Z-complex, so every strand that held the cell fails
         failing = 0
         for cplx, gens in walk_cases():
-            assert self.check_walk(cplx, gens) == ((2, 3), 0)
-            fields, fails = self.check_walk(without_last_top_cell(cplx), gens)
-            assert fields == (2, 3) and fails
-            failing += fails
+            assert self.check_walk(cplx, gens).ok
+            report = self.check_walk(without_last_top_cell(cplx), gens)
+            assert report.failures and {f["field"] for f in report.failures} == {"Q"}
+            failing += len(report.failures)
         assert failing >= 100, failing
 
     def test_random_battery_complexes(self):
         # the four battery complexes of seeded random Borel ideals, a copy
-        # without one top cell, one with a sign flipped (no Z-complex, so
-        # field ranks certify nothing) and the generators with a non-minimal
-        # one added, whose strand the walk reaches by a join
+        # without one top cell, one with a sign flipped (no Z-complex) and the
+        # generators with a non-minimal one added, whose strand the walk
+        # reaches by a join
         rng = random.Random(1515)
         for _ in range(20):
             J = random_borel_ideal(rng, max_gens=8)
             for cplx, gens in battery_complexes(J):
                 extra = gens + [gens[0] * Monomial.variable(gens[0].n, 1)]
-                cases = [(cplx, gens, (2, 3)), (without_last_top_cell(cplx), gens, (2, 3)),
-                         (cplx, extra, (2, 3))]
+                cases = [(cplx, gens), (without_last_top_cell(cplx), gens), (cplx, extra)]
                 if cplx.diffs:
                     flipped = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs,
                                           [dict(mat) for mat in cplx.diffs])
                     pos = rng.choice(sorted(flipped.diffs[-1]))
                     sign, coeff = flipped.diffs[-1][pos]
                     flipped.diffs[-1][pos] = (-sign, coeff)
-                    cases.append((flipped, gens, ()))
-                for case, case_gens, fields in cases:
-                    assert self.check_walk(case, case_gens)[0] == fields
-                    got = strand_exactness(case, case_gens, primes=(2, 3))
+                    cases.append((flipped, gens))
+                for case, case_gens in cases:
+                    got = self.check_walk(case, case_gens)
                     assert got == reference_strand_exactness(case, case_gens, primes=(2, 3))
+                    assert got == strand_exactness(case, case_gens, primes=(2, 3))
 
-    def test_torsion_below_the_lattice_top(self, monkeypatch):
+    def test_torsion_below_the_lattice_top(self):
+        # the lattice is x3 < x1*x2 < x1*x2*x3: the 3-torsion at x1*x2 stays
+        # in the top strand, which adds h and t
         cplx, gens = torsion_tower()
-        calls = []
-        field_ranks = _StrandFrame.field_ranks
-        monkeypatch.setattr(_StrandFrame, "field_ranks",
-                            lambda frame, sub, p: calls.append((sub, p)) or field_ranks(frame, sub, p))
         report = _strand_walk(cplx, gens, (2, 3))
         assert report == reference_strand_exactness(cplx, gens, primes=(2, 3))
         assert report.failures == [
             {"degree": "x1*x2", "field": "F3", "position": 0, "defect": 1},
             {"degree": "x1*x2*x3", "field": "F3", "position": 0, "defect": 1},
         ]
-        # the lattice is x3 < x1*x2 < x1*x2*x3, the top's parent is x1*x2; over
-        # F_2 the top ranks only h and t, over F_3 its whole strand
-        _, frame = strand_frame(cplx, gens)
-        h, t = 1 << 6, 1 << 11
-        assert calls[4:] == [(h | t, 2), (frame.full, 3)]
         assert report == strand_exactness(cplx, gens, primes=(2, 3))
         for primes in ((), (2,), (2, 5)):
             report = strand_exactness(cplx, gens, primes=primes)
             assert report.ok and report.strands_checked == 3
             assert report == reference_strand_exactness(cplx, gens, primes=primes)
 
-    def test_only_generator_strands_are_ranked_whole(self, monkeypatch):
-        # a silent fallback to whole strands fails here: on a resolution each
-        # non-generator ranks only the cells its parent's strand lacks
-        whole = []
-        field_ranks = _StrandFrame.field_ranks
-        monkeypatch.setattr(_StrandFrame, "field_ranks",
-                            lambda frame, sub, p: (whole.append((sub, p)) if sub & 1 else None)
-                            or field_ranks(frame, sub, p))
-        for cplx, gens in battery_complexes(power_ideal(4, 3)):
-            whole.clear()
-            report = _strand_walk(cplx, gens, (2, 3))
-            assert report.ok and report.strands_checked > len(gens)
-            packing, frame = strand_frame(cplx, gens)
-            assert sorted(whole) == sorted(
-                (frame.strand(packing.pack(g)), p) for g in gens for p in (2, 3))
-
     def test_strand_counts_on_fourth_power_of_maximal_ideal(self):
         J = power_ideal(4, 4)
         assert strand_exactness(ek_complex(J), list(J.gens)).strands_checked == 590
         assert strand_exactness(modified_complex(J), bpol_ideal(J)).strands_checked == 2854
+
+    def test_cone_ranks_nothing_on_fourth_power_of_maximal_ideal(self, monkeypatch):
+        # every battery complex is certified on its mapping cone, with no
+        # call to the rank kernel
+        from ekcells import topology
+
+        calls = []
+        kernel = topology.invariant_factors
+        monkeypatch.setattr(topology, "invariant_factors",
+                            lambda cols: calls.append(1) or kernel(cols))
+        for cplx, gens in battery_complexes(power_ideal(4, 4)):
+            assert strand_exactness(cplx, gens, (2, 3)).ok
+        assert calls == []
+        # the walk goes through the patched kernel
+        cplx, gens = torsion_complex(TWO_TORSION)
+        assert not strand_exactness(cplx, gens, (2,)).ok and calls
+
+    @pytest.mark.parametrize("mutation", ["top cell removed", "sign flipped"])
+    def test_failing_battery_complexes_of_the_cube(self, mutation):
+        # (x1..x4)^3: the walk alone names these failures; primes outside
+        # {2, 3} go the same way as the rest
+        for cplx, gens in battery_complexes(power_ideal(4, 3)):
+            if mutation == "top cell removed":
+                cplx = without_last_top_cell(cplx)
+            else:
+                diffs = [dict(mat) for mat in cplx.diffs]
+                pos = min(diffs[-1])
+                sign, coeff = diffs[-1][pos]
+                diffs[-1][pos] = (-sign, coeff)
+                cplx = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs, diffs)
+            for primes in ((), (2, 3), (5,)):
+                got = strand_exactness(cplx, gens, primes)
+                assert not got.ok
+                assert got == reference_strand_exactness(cplx, gens, primes), primes
 
     @staticmethod
     def resolution_cases():
@@ -810,65 +772,18 @@ class TestLatticeWalk:
         for _ in range(10):
             yield from battery_complexes(random_borel_ideal(rng, max_gens=8))
 
-    def test_parent_has_the_largest_strand_of_a_proper_divisor(self):
-        for cplx, gens in self.resolution_cases():
-            packing, frame = strand_frame(cplx, gens)
-            lattice = frame.lattice(packing.pack(g) for g in gens)
-            G = packing.guard
-            for b, (sub, parent) in lattice.items():
-                below = [a_sub.bit_count() for a, (a_sub, _) in lattice.items()
-                         if a != b and ((b | G) - a) & G == G]
-                if parent is None:
-                    assert not below, packing.unpack(b)
-                else:
-                    assert lattice[parent][0].bit_count() == max(below), packing.unpack(b)
-
-    def test_a_strand_owner_that_does_not_divide_is_passed_over(self):
-        # the resolution of (x1^2, x1*x2, x2^2), walked over generators times
-        # x3 and x4: below x1^2*x2*x3 in x1 lies the strand of x1*x2*x3, first
-        # owned by x1*x2*x4, which does not divide it; the parent is x1^2
-        J = MonomialIdeal(4, [mono(t, 4) for t in ("x1^2", "x1*x2", "x2^2")])
-        gens = [mono(t, 4) for t in ("x1^2", "x1*x2*x4", "x2^2*x3", "x1*x2*x3")]
-        cplx = ek_complex(J)
-        assert self.check_walk(cplx, gens) == ((2, 3), 0)
-        packing, frame = strand_frame(cplx, gens)
-        lattice = frame.lattice(packing.pack(g) for g in gens)
-        b, owner, shared = (packing.pack(mono(t, 4))
-                            for t in ("x1^2*x2*x3", "x1*x2*x4", "x1*x2*x3"))
-        assert lattice[owner][0] == lattice[shared][0] and owner < shared
-        assert packing.unpack(lattice[b][1]) == mono("x1^2", 4)
-
     def test_walk_ignores_generator_order_repeats_and_redundant_lcms(self):
-        # the lattice and its parents depend on the set the generators span:
+        # the lattice and the report depend on the set the generators span:
         # the same for the generators shuffled, repeated, or joined by an lcm
         # of two of them, which is no minimal generator
         rng = random.Random(2020)
         for cplx, gens in self.resolution_cases():
-            packing, frame = strand_frame(cplx, gens)
-            want = frame.lattice(packing.pack(g) for g in gens)
+            want = _strand_walk(cplx, gens, (2, 3))
+            lattice = closure_lattice(cplx, gens)
             shuffled = rng.sample(gens, len(gens))
             for variant in (shuffled, gens + gens[::2], gens + [gens[0].lcm(gens[-1])]):
-                assert frame.lattice(packing.pack(g) for g in variant) == want
-
-    def test_cells_ranked_on_fourth_power_of_maximal_ideal(self, monkeypatch):
-        # the bits ranked over F_2 on each strand: a worse choice of parents
-        # ranks more
-        ranked = []
-        field_ranks = _StrandFrame.field_ranks
-        monkeypatch.setattr(_StrandFrame, "field_ranks",
-                            lambda frame, sub, p: ranked.append(sub.bit_count())
-                            or field_ranks(frame, sub, p))
-        J = power_ideal(4, 4)
-        cmod = modified_complex(J)
-        # the walk of the theta image, whose lattice is that of J, ranks as
-        # many bits as the ek walk; the cone ranks none
-        for cplx, gens, bits in ((ek_complex(J), list(J.gens), 4246),
-                                 (cmod, bpol_ideal(J), 12172),
-                                 (specialize_theta(cmod), list(J.gens), 4246)):
-            for check, want in ((_strand_walk, bits), (strand_exactness, 0)):
-                ranked.clear()
-                assert check(cplx, gens, (2,)).ok
-                assert sum(ranked) == want
+                assert closure_lattice(cplx, variant) == lattice
+                assert _strand_walk(cplx, variant, (2, 3)) == want
 
 
 class TestMappingCone:
@@ -987,73 +902,6 @@ class TestMappingCone:
         cone = _mapping_cone(cplx, gens, (2, 3))
         assert cone == _strand_walk(cplx, gens, (2, 3))
         assert cone.strands_checked == 3
-
-
-class TestFieldRanks:
-    """The F_2 bitmask and bitsliced F_3 kernels of the strand oracle, against
-    the Smith kernel and dense strand matrices."""
-
-    @given(sign_matrices())
-    @example(([], 0))
-    @example(([], 3))
-    @example(([[0, 0]], 2))
-    @example(([[1, -1, 1, 0]], 4))
-    @example(([[1], [-1], [0], [1]], 1))
-    @example(([[1, 1], [1, -1]], 2))
-    def test_bitmask_ranks_match_rank_mod_p(self, case):
-        mat, n = case
-        for p in (2, 3):
-            assert field_rank(field_columns(mat, n, p), p) == rank_mod_p(mat, p), p
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.lists(st.lists(st.integers(1, 4), min_size=2, max_size=4), min_size=1, max_size=2))
-    def test_top_down_ranks_match_per_map_ranks(self, seeds):
-        # every strand of a resolution is exact, and the strand mask picks the
-        # basis elements whose degree divides b
-        J = borel_closure([Monomial.from_factors(4, factors) for factors in seeds])
-        assume(len(J.gens) <= 10)
-        for cplx, gens in battery_complexes(J):
-            packing, frame = strand_frame(cplx, gens)
-            assert frame.certifying_fields(()) == (2,)
-            assert frame.certifying_fields((3, 2)) == (2, 3)
-            for b in reference_lcm_lattice(gens):
-                sub, dims, mats = reference_strand(cplx, b)
-                mask = frame.strand(packing.pack(b))
-                assert mask == sum(
-                    1 << (frame.offsets[q + 1] + k) for q, ks in enumerate(sub) for k in ks
-                ) | 1
-                for p in (2, 3):
-                    ranks = frame.field_ranks(mask, p)
-                    assert ranks == [rank_mod_p(m, p) for m in mats], (b, p)
-                    assert _exactness_defect(dims, ranks) is None
-
-    @pytest.mark.parametrize("syzygies", [TWO_TORSION, THREE_TORSION])
-    def test_top_down_ranks_see_the_torsion(self, syzygies):
-        cplx, gens = torsion_complex(syzygies)
-        packing, frame = strand_frame(cplx, gens)
-        mask = frame.strand(packing.pack(gens[0]))
-        _, dims, mats = reference_strand(cplx, gens[0])
-        assert mask == frame.full and dims == [1, len(syzygies) + 1, len(syzygies)]
-        for p in (2, 3):
-            assert frame.field_ranks(mask, p) == [rank_mod_p(m, p) for m in mats]
-        assert rank_mod_p(mats[1], 2 if syzygies is TWO_TORSION else 3) == len(syzygies) - 1
-
-    def test_field_ranks_certify_nothing_off_a_z_complex(self, deg2):
-        cplx = ek_complex(deg2)
-        packing = _Packing(list(deg2.gens) + [md for layer in cplx.mdegs for md in layer])
-        assert _StrandFrame(cplx, packing).certifying_fields((2, 3)) == (2, 3)
-        assert _StrandFrame(cplx, packing).certifying_fields((5,)) == ()
-        pos, (sign, coeff) = next(iter(sorted(cplx.diffs[0].items())))
-        cplx.diffs[0][pos] = (-sign, coeff)
-        assert _StrandFrame(cplx, packing).certifying_fields(()) == ()
-        # a row degree that does not divide its column degree
-        cplx = ek_complex(deg2)
-        (row, _), _ = next(iter(sorted(cplx.diffs[0].items())))
-        cplx.mdegs[0][row] = cplx.mdegs[0][row] * Monomial.variable(deg2.n, 1) ** 3
-        packing = _Packing(list(deg2.gens) + [md for layer in cplx.mdegs for md in layer])
-        assert _StrandFrame(cplx, packing).certifying_fields(()) == ()
-        assert strand_exactness(cplx, list(deg2.gens)) == reference_strand_exactness(
-            cplx, list(deg2.gens))
 
 
 class TestCellCounts:
