@@ -615,6 +615,31 @@ class TestStrands:
         got = strand_exactness(cplx, gens, primes=(2, 3))
         assert not got.ok and got == reference_strand_exactness(cplx, gens, primes=(2, 3))
 
+    def test_packing_unpacks_divides_and_keeps_monomial_order(self, deg2):
+        # the one packing of the cone and the walk: each degree unpacks to
+        # itself, the guard test is divisibility, packed ints order as
+        # monomials do, and there is one field per distinct exponent column
+        rng = random.Random(3131)
+        cases = [case for _ in range(5)
+                 for case in battery_complexes(random_borel_ideal(rng, max_gens=8))]
+        J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 10**20))])
+        cases += [(ek_complex(J), list(J.gens)), widened(modified_complex(deg2), bpol_ideal(deg2))]
+        for cplx, gens in cases:
+            packing = _PackedDegrees(gens, cplx.mdegs)
+            monos = list(gens) + [md for layer in cplx.mdegs for md in layer]
+            packed = packing.gens + [x for layer in packing.layers for x in layer]
+            G = packing.guard
+            assert [packing.unpack(x) for x in packed] == monos
+            assert not any(x & G for x in packed)
+            columns = list(zip(*(m.exps for m in monos)))
+            assert len(packing.shifts) == len(set(columns))
+            assert [packing.fields.count(f) == 1 for f in range(len(packing.shifts))] == [
+                bool(packing.single >> s & 1) for s in packing.shifts]
+            pairs = [rng.sample(range(len(monos)), 2) for _ in range(200)]
+            for i, j in pairs:
+                assert (packed[i] < packed[j]) == (monos[i] < monos[j])
+                assert (((packed[j] | G) - packed[i]) & G == G) == monos[i].divides(monos[j])
+
     def test_row_degree_that_does_not_divide(self, deg2):
         # off a Z-complex, a strand need not be a subcomplex
         cplx = ek_complex(deg2)
@@ -723,6 +748,55 @@ class TestLatticeWalk:
             report = strand_exactness(cplx, gens, primes=primes)
             assert report.ok and report.strands_checked == 3
             assert report == reference_strand_exactness(cplx, gens, primes=primes)
+
+    @pytest.mark.parametrize("syzygies, prime", [(TWO_TORSION, 2), (THREE_TORSION, 3)],
+                             ids=["2-torsion", "3-torsion"])
+    def test_every_prime_is_read_off_one_smith_form(self, monkeypatch, syzygies, prime):
+        # the one strand is the whole frame, whose syzygy map has one
+        # invariant that is no unit, the prime: each map is ranked once, for
+        # however many primes, and only F_prime sees homology
+        from ekcells import topology
+
+        cplx, gens = torsion_complex(syzygies)
+        frame = frame_complex(cplx).cols
+        assert invariant_factors(frame[1]) == [1] * (len(syzygies) - 1) + [prime]
+        calls = []
+        kernel = topology.invariant_factors
+        monkeypatch.setattr(topology, "invariant_factors",
+                            lambda cols: calls.append(1) or kernel(cols))
+        for primes in ((), (5,), (prime,), (5, prime), (prime, 5), (2, 3), (3, 2)):
+            calls.clear()
+            got = _strand_walk(cplx, gens, primes)
+            assert len(calls) == len(frame) and got.strands_checked == 1
+            assert got.failures == ([{"degree": "x1*x2", "field": f"F{prime}", "position": 0,
+                                      "defect": 1}] if prime in primes else [])
+            assert got == reference_strand_exactness(cplx, gens, primes)
+
+    def test_generators_off_the_complex_degrees(self):
+        # the resolution of (x1^2, x1*x2, x2^2), walked over generators times
+        # x3 and x4: every lcm lies in the ideal, so each strand is exact, but
+        # the strand at x1^2*x2*x3 leaves out the cells of degree x1*x2*x4
+        J = MonomialIdeal(4, [mono(t, 4) for t in ("x1^2", "x1*x2", "x2^2")])
+        gens = [mono(t, 4) for t in ("x1^2", "x1*x2*x4", "x2^2*x3", "x1*x2*x3")]
+        cplx = ek_complex(J)
+        report = self.check_walk(cplx, gens)
+        assert report.ok and report.strands_checked == len(reference_lcm_lattice(gens))
+        assert report == strand_exactness(cplx, gens, (2, 3))
+        # a generator of degree x3, which no cell divides, fails at the
+        # augmentation, and so does every lcm with it outside the ideal
+        report = self.check_walk(cplx, gens + [mono("x3", 4)])
+        assert report.failures[0] == {"degree": "x3", "field": "Q", "position": -1, "defect": 1}
+        assert report == reference_strand_exactness(cplx, gens + [mono("x3", 4)], (2, 3))
+
+    def test_one_generator_and_none(self):
+        # a complex of one cell: its one strand is exact; with no generators
+        # the lattice is empty and nothing fails
+        J = MonomialIdeal(3, [mono("x1^3", 3)])
+        cplx = ek_complex(J)
+        for gens, count in (([], 0), (list(J.gens), 1)):
+            report = self.check_walk(cplx, gens)
+            assert report.ok and report.strands_checked == count
+            assert report == reference_strand_exactness(cplx, gens, (2, 3))
 
     def test_strand_counts_on_fourth_power_of_maximal_ideal(self):
         J = power_ideal(4, 4)
