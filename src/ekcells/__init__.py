@@ -7,7 +7,6 @@ from .ideals import (
     MonomialIdeal,
     borel_closure,
     format_ideal,
-    minimalize,
     parse_ideal,
     random_borel_ideal,
     read_ideal,
@@ -42,7 +41,6 @@ from .shelling import (
     el_label_edge,
     find_shelling,
     is_cw_poset,
-    u_of_chain,
     verify_el_all,
 )
 from .suite import named_ideal, run_suite
@@ -52,7 +50,6 @@ from .topology import (
     face_counts,
     frame_complex,
     homology_ranks,
-    reduced_homology_trivial,
     ridge_incidences,
     simplicial_chain_complex,
     strand_exactness,

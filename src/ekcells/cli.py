@@ -72,12 +72,12 @@ def _load_ideal(args):
 
 
 def _kinds(args, ideal):
-    """The requested kinds, each checked to admit the ideal before any output."""
+    """The requested kinds, each checked to admit the ideal.  A modified build
+    may still refuse a generator, so no command prints before all are built."""
     kinds = ("ek", "modified") if args.kind == "both" else (args.kind,)
     for rules in map(kind_of, kinds):
         if not rules.admits(ideal):
             raise ValueError(f"ideal is not {rules.ideal_class}")
-        rules.ring(ideal)  # the modified ring polarizes each generator, and may refuse one
     return kinds
 
 
@@ -102,8 +102,8 @@ def _json_dump(obj) -> str:
 def cmd_resolve(args) -> int:
     ideal = _load_ideal(args)
     column_bound(ideal, args.d)  # a --d below the largest generator degree exits 2, before any output
-    for kind in _kinds(args, ideal):
-        cplx = _complex_for(kind, ideal, args.d)
+    complexes = {kind: _complex_for(kind, ideal, args.d) for kind in _kinds(args, ideal)}
+    for kind, cplx in complexes.items():
         print(f"{kind}: ranks {list(cplx.ranks)}")
         if args.export == "json":
             _write_or_print(args, f"{kind}.complex.json", _json_dump(cplx.to_json_dict()))
@@ -203,8 +203,9 @@ def cmd_polarize(args) -> int:
 
 def cmd_poset(args) -> int:
     ideal = _load_ideal(args)
-    for kind in _kinds(args, ideal):
-        poset = build_gamma(_complex_for(kind, ideal))
+    complexes = {kind: _complex_for(kind, ideal) for kind in _kinds(args, ideal)}
+    for kind, cplx in complexes.items():
+        poset = build_gamma(cplx)
         print(f"{kind}: {len(poset)} elements, {len(poset.covers)} covers")
         _write_or_print(args, f"{kind}.hasse.dot", poset_to_dot(poset, name=kind))
     return 0

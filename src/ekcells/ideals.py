@@ -14,7 +14,6 @@ from .monomials import Monomial
 
 __all__ = [
     "MonomialIdeal",
-    "minimalize",
     "borel_closure",
     "random_borel_ideal",
     "parse_ideal",
@@ -187,14 +186,6 @@ def _exchanges(m: Monomial, slots):
         base = m.div_var(j)
         for i in range(1, j):
             yield i, base.times_var(i)
-
-
-def minimalize(gens) -> MonomialIdeal:
-    """The ideal generated by ``gens``, with redundant generators dropped."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("cannot minimalize an empty generating set")
-    return MonomialIdeal(gens[0].n, gens)
 
 
 def _minimal_subset(gens):

@@ -161,9 +161,6 @@ class FinitePoset:
     def minimal_elements(self) -> list:
         return [e for k, e in enumerate(self.elements) if not self._down[k]]
 
-    def maximal_elements(self) -> list:
-        return [e for k, e in enumerate(self.elements) if not self._up[k]]
-
     # -- derived posets --------------------------------------------------------
 
     def dual(self) -> "FinitePoset":
@@ -198,21 +195,12 @@ class FinitePoset:
 
     # -- chains ---------------------------------------------------------------
 
-    def maximal_chains(self) -> list:
-        """All unrefinable chains from a minimal to a maximal element."""
-        everything = (1 << len(self.elements)) - 1
-        return [self._labels(path) for k, downs in enumerate(self._down) if not downs
-                for path in self._chains(k, everything)]
-
     def chains_between(self, a, b) -> list:
         """All unrefinable chains from a up to b (maximal chains of [a, b])."""
         if not self.leq(a, b):
             raise ValueError(f"{a!r} and {b!r} do not satisfy a <= b")
         paths = self._chains(self._idx[a], self._below[self._idx[b]])
-        return [self._labels(path) for path in paths]
-
-    def _labels(self, path) -> tuple:
-        return tuple(self.elements[k] for k in path)
+        return [tuple(self.elements[k] for k in path) for path in paths]
 
     def _chains(self, start, within) -> list:
         # pre-order walk on an explicit stack from index start up the covers
@@ -232,9 +220,6 @@ class FinitePoset:
     def ranks(self):
         """Longest-path rank per element if the poset is graded, else None."""
         return dict(zip(self.elements, self._rank)) if self._graded else None
-
-    def is_bounded(self) -> bool:
-        return len(self.minimal_elements()) == 1 and len(self.maximal_elements()) == 1
 
     def is_pure(self) -> bool:
         """Whether every maximal chain has the same length: the poset is
@@ -330,9 +315,6 @@ class SimplicialComplexData:
         for layer in by_dim:
             layer.sort()
         return by_dim
-
-    def f_vector(self) -> tuple:
-        return tuple(len(layer) for layer in self.faces())
 
 
 def build_gamma(cplx: FreeComplex) -> FinitePoset:

@@ -42,7 +42,6 @@ __all__ = [
     "ShellingResult",
     "el_label_edge",
     "verify_el_all",
-    "u_of_chain",
     "is_cw_poset",
     "find_shelling",
     "verify_shelling_order",
@@ -51,6 +50,9 @@ __all__ = [
 
 # above every label: the first label of the empty word of [b, b]
 _TOP = 1 << 60
+
+# nodes a shelling search visits before it gives up, inconclusive
+NODE_BUDGET = 500_000
 
 
 @dataclass(slots=True)
@@ -210,25 +212,6 @@ def _rising_chain(a, b, up, label, chains, rising):
     return path, tuple(word)
 
 
-def u_of_chain(kind: str, chain, ideal):
-    """The monomial of the positive labels along an increasing chain: the
-    product of the variables the start attaches to them.
-
-    The result is checked against lcm(lift(start), lift(end)) / lift(start)
-    and a mismatch raises.
-    """
-    if len(chain) < 1 or chain[-1] is BOTTOM:
-        raise ValueError("chain must stay below the least dual element")
-    labels = [el_label_edge(kind, a, b, ideal) for a, b in zip(chain, chain[1:])]
-    if any(x > y for x, y in zip(labels, labels[1:])):
-        raise ValueError("chain is not increasing")
-    rules = kind_of(kind)
-    squares = rules.ring(ideal)
-    m = chain[0].m
-    return _positive_part(_Attached(rules, m, squares), squares, chain, labels,
-                          rules.lift(m, squares), rules.lift(chain[-1].m, squares))
-
-
 class _Attached(dict):
     """The variables the kind ``rules`` attaches to the indices of m, by
     index, each built by ``rules.variable`` on its first lookup."""
@@ -245,9 +228,13 @@ class _Attached(dict):
 
 
 def _positive_part(variables, squares, chain, labels, lift, end_lift):
-    """``u_of_chain`` from the variables the chain's start attaches
-    (``_Attached``), the kind's ring, the chain's labels and the lifts of its
-    ends."""
+    """The monomial of the positive labels along an increasing chain: the
+    product of the variables its start attaches to them (``_Attached``), from
+    the kind's ring, the chain's labels and the lifts of its ends.
+
+    The result is checked against lcm(lift(start), lift(end)) / lift(start)
+    and a mismatch raises.
+    """
     lcm = lift.lcm(end_lift)
     u = prod((variables[i] for i in labels if i > 0), start=lift)
     if u != lcm:
@@ -283,11 +270,11 @@ def is_cw_poset(poset: FinitePoset, kind: str, ideal):
     return not failures, witness
 
 
-def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> ShellingResult:
+def find_shelling(data: SimplicialComplexData) -> ShellingResult:
     """Search for a shelling order of a pure complex.
 
     The search backtracks over facet orders, memoized over facet subsets, and
-    visits at most ``node_budget`` nodes.  A None result from a search that
+    visits at most ``NODE_BUDGET`` nodes.  A None result from a search that
     finished is a proof that no shelling exists; a search that runs out of
     nodes returns ``ShellingResult(None, False)``.  Candidate order is
     lexicographic on sorted vertex lists throughout, so results are
@@ -319,7 +306,7 @@ def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> Sh
 
     placed = [0] * len(data.vertices)  # placed[v]: the placed facets that contain v
     used, order, dead, nodes = 0, [], set(), 1  # the root is the first node
-    if nodes > node_budget:
+    if nodes > NODE_BUDGET:
         return ShellingResult(None, False)
     # one frame per placed prefix, the root first: [candidates left, frontier]
     stack = [[everything, 0]]
@@ -345,7 +332,7 @@ def find_shelling(data: SimplicialComplexData, node_budget: int = 500_000) -> Sh
         if used | bit in dead:
             continue
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             return ShellingResult(None, False)
         order.append(i)
         used |= bit
@@ -397,9 +384,7 @@ def _can_follow(f, placed, used) -> bool:
     return restricted and not common
 
 
-def ball_check(
-    poset: FinitePoset, cplx: FreeComplex, ideal, node_budget: int = 500_000, cw_result=None
-) -> BallVerdict:
+def ball_check(poset: FinitePoset, cplx: FreeComplex, ideal, cw_result=None) -> BallVerdict:
     """Evaluate the closed-ball criteria on the cell poset of the resolution
     ``cplx`` (of kind ``cplx.kind``) minus its least element.
 
@@ -439,7 +424,7 @@ def ball_check(
     if pure:
         data = poset.order_complex(drop_bottom=True)
         dimension = max(map(len, data.facets)) - 1
-        shell = find_shelling(data, node_budget)
+        shell = find_shelling(data)
     else:
         shell = ShellingResult(None, True)
 

@@ -36,7 +36,6 @@ __all__ = [
     "frame_complex",
     "homology_ranks",
     "simplicial_chain_complex",
-    "reduced_homology_trivial",
     "strand_exactness",
     "StrandReport",
     "face_counts",
@@ -267,13 +266,6 @@ def simplicial_chain_complex(data: SimplicialComplexData) -> IntegerChainComplex
             for face in by_dim[d]
         ])
     return IntegerChainComplex(-1, [1, *ranks], cols)
-
-
-def reduced_homology_trivial(data: SimplicialComplexData) -> bool:
-    return all(
-        betti == 0 and not torsion
-        for betti, torsion in homology_ranks(simplicial_chain_complex(data))
-    )
 
 
 # -- multigraded strand exactness ------------------------------------------------

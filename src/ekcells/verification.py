@@ -298,19 +298,21 @@ def _check_label_rewrites(kind, dual, labels):
 
 def _check_minimal_support(ideal, a, b, lab0):
     """The positive labels of [a, b]'s increasing chain are the one minimal
-    G in a.F - b.F with g(x_G a.m) = b.m."""
+    G in a.F - b.F with g(x_G a.m) = b.m.  Subsets come by size, and one that
+    contains an earlier hit is skipped, so the hits are the minimal ones."""
     diff = sorted(set(a.F) - set(b.F))
     hits = []
     for size in range(len(diff) + 1):
-        for G in combinations(diff, size):
+        for G in map(set, combinations(diff, size)):
+            if any(H <= G for H in hits):
+                continue
             shifted = Monomial._of(tuple(e + (i in G) for i, e in enumerate(a.m.exps, 1)))
             if ideal.g(shifted) == b.m:
-                hits.append(set(G))
-    minimal = [G for G in hits if not any(H < G for H in hits)]
+                hits.append(G)
     positive = {x for x in lab0 if x > 0}
-    if len(minimal) != 1 or minimal[0] != positive:
+    if len(hits) != 1 or hits[0] != positive:
         raise VerificationError(
-            f"minimal shift supports {minimal} vs positive labels {positive} "
+            f"minimal shift supports {hits} vs positive labels {positive} "
             f"on [{a!r}, {b!r}]"
         )
 
@@ -506,8 +508,8 @@ def full_battery(ideal: MonomialIdeal) -> dict:
 def cm_battery(ideal: MonomialIdeal) -> dict:
     """Structure and ball certification for one Cohen-Macaulay Borel ideal.
 
-    Each shelling search runs under ``ball_check``'s default node budget; a
-    verdict other than "ball-certified" raises.
+    Each shelling search runs under ``shelling.NODE_BUDGET``; a verdict
+    other than "ball-certified" raises.
     """
     is_cm, h, l_power = ideal.is_cm_stable()
     if not is_cm:

@@ -57,10 +57,10 @@ def gamma(kind, J):
     return build_gamma(resolution(kind, J))
 
 
-def ball(kind, J, **kwargs):
+def ball(kind, J):
     """``ball_check`` on the cell poset of the kind's resolution of J."""
     cplx = resolution(kind, J)
-    return ball_check(build_gamma(cplx), cplx, J, **kwargs)
+    return ball_check(build_gamma(cplx), cplx, J)
 
 
 @pytest.fixture

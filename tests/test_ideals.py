@@ -8,7 +8,6 @@ from ekcells import (
     MonomialIdeal,
     borel_closure,
     format_ideal,
-    minimalize,
     parse_ideal,
     random_borel_ideal,
 )
@@ -17,11 +16,11 @@ from conftest import ideal, mono
 
 class TestMinimalize:
     def test_divisibility_filter(self):
-        got = minimalize([mono("x1^2", 2), mono("x1^2*x2", 2), mono("x2^3", 2)])
+        got = MonomialIdeal(2, [mono("x1^2", 2), mono("x1^2*x2", 2), mono("x2^3", 2)])
         assert set(got.gens) == {mono("x1^2", 2), mono("x2^3", 2)}
 
     def test_identity(self):
-        got = minimalize([mono("x1*x2", 2)])
+        got = MonomialIdeal(2, [mono("x1*x2", 2)])
         assert got.gens == (mono("x1*x2", 2),)
 
     def test_already_minimal(self, intro):
@@ -32,7 +31,7 @@ class TestMinimalize:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            minimalize([])
+            MonomialIdeal(2, [])
 
     def test_generators_sorted_descending(self, deg2):
         gens = list(deg2.gens)

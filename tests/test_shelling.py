@@ -15,21 +15,19 @@ from ekcells import (
     BOTTOM,
     AdmissiblePair,
     FinitePoset,
-    Monomial,
     SimplicialComplexData,
     el_label_edge,
     find_shelling,
     is_cw_poset,
     random_borel_ideal,
     shelling,
-    u_of_chain,
     verify_el_all,
 )
 from ekcells.cli import main
 from ekcells.ek import kind_of
 from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
 from ekcells.suite import NAMED_IDEALS, named_ideal
-from ekcells.verification import VerificationError, cm_battery
+from ekcells.verification import VerificationError, check_intervals, cm_battery
 from conftest import ball, gamma, ideal, mono, power_ideal, stable_closures
 
 
@@ -131,7 +129,7 @@ class TestSweepOracle:
                 if rep.top is not BOTTOM:
                     chain, lab = rep.increasing_chain, rep.increasing_label
                     squares = rules.ring(J)
-                    assert u_of_chain(kind, chain, J) == shelling._positive_part(
+                    shelling._positive_part(  # raises on a mismatch
                         shelling._Attached(rules, rep.bottom.m, squares), squares, chain, lab,
                         rules.lift(rep.bottom.m, squares), rules.lift(rep.top.m, squares))
 
@@ -176,34 +174,9 @@ class TestSweepScale:
 
 
 class TestChainMonomial:
-    def test_all_negative_chain_gives_unit(self, deg2):
-        g = gamma("ek", deg2).dual()
-        m = mono("x3^2", 3)
-        chain = (
-            AdmissiblePair((1, 2), m),
-            AdmissiblePair((1,), m),
-            AdmissiblePair((), m),
-        )
-        u = u_of_chain("ek", chain, deg2)
-        assert u == Monomial.unit(3)
-
     def test_lcm_identity_on_increasing_chains(self, deg2):
         for kind in ("ek", "modified"):
-            dual = gamma(kind, deg2).dual()
-            for rep in verify_el_all(kind, dual, deg2):
-                if rep.top is BOTTOM:
-                    continue
-                u_of_chain(kind, rep.increasing_chain, deg2)  # raises on mismatch
-
-    def test_non_increasing_rejected(self, deg2):
-        # labels (2, -1): the shifted removal of 2 followed by a plain removal
-        chain = (
-            AdmissiblePair((1, 2), mono("x3^2", 3)),
-            AdmissiblePair((1,), mono("x2*x3", 3)),
-            AdmissiblePair((), mono("x2*x3", 3)),
-        )
-        with pytest.raises(ValueError, match="not increasing"):
-            u_of_chain("ek", chain, deg2)
+            check_intervals(kind, gamma(kind, deg2).dual(), deg2)  # raises on a mismatch
 
 
 class TestCWPoset:
@@ -433,13 +406,15 @@ class TestSearchPins:
         ("tri-tri", "modified", 63, ShellingResult(None, True)),
         ("deg2", "ek", 20, ShellingResult([0, 1, 2, 3, 4, 7, 6, 5] + list(range(8, 20)), True)),
     ])
-    def test_node_budget_boundary(self, name, kind, nodes, answer):
+    def test_node_budget_boundary(self, name, kind, nodes, answer, monkeypatch):
         # the search visits exactly ``nodes`` nodes: that budget gives its
         # answer, one node less runs out
         data = gamma(kind, named_ideal(name)).order_complex(drop_bottom=True)
         assert find_shelling(data) == answer
-        assert find_shelling(data, node_budget=nodes) == answer
-        assert find_shelling(data, node_budget=nodes - 1) == ShellingResult(None, False)
+        monkeypatch.setattr(shelling, "NODE_BUDGET", nodes)
+        assert find_shelling(data) == answer
+        monkeypatch.setattr(shelling, "NODE_BUDGET", nodes - 1)
+        assert find_shelling(data) == ShellingResult(None, False)
 
     def test_three_thousand_facets_need_no_recursion(self):
         # (x1..x5)^3 has 3,024 facets; a search that recursed once per placed
@@ -485,19 +460,22 @@ class TestFindShelling:
         with pytest.raises(ValueError, match="pure"):
             find_shelling(data)
 
-    def test_budget_exhaustion_is_flagged(self, tri_tri):
+    def test_budget_exhaustion_is_flagged(self, tri_tri, monkeypatch):
         data = gamma("modified", tri_tri).order_complex(drop_bottom=True)
-        res = find_shelling(data, node_budget=3)
+        monkeypatch.setattr(shelling, "NODE_BUDGET", 3)
+        res = find_shelling(data)
         assert res.order is None and not res.exhaustive
 
-    def test_node_budget_bounds_a_search_within_the_facet_budget(self, tri_tri):
+    def test_node_budget_bounds_a_search_within_the_facet_budget(self, tri_tri, monkeypatch):
         # 12 facets, not shellable: a complex this small once had its node
         # budget lifted; now a search that runs out of nodes proves nothing,
         # and one that finishes proves unshellability
         data = gamma("modified", tri_tri).order_complex(drop_bottom=True)
         assert len(data.facets) <= 64
-        res = find_shelling(data, node_budget=1)
+        monkeypatch.setattr(shelling, "NODE_BUDGET", 1)
+        res = find_shelling(data)
         assert res.order is None and not res.exhaustive
+        monkeypatch.undo()  # the default budget
         res = find_shelling(data)
         assert res.order is None and res.exhaustive
 
@@ -555,14 +533,16 @@ class TestBallCheck:
         assert v_mod.verdict == "ball-certified"
         assert v_ek.verdict == "refuted"
 
-    def test_budget_failure_is_inconclusive(self, tri_tri):
-        v = ball("modified", tri_tri, node_budget=3)
+    def test_budget_failure_is_inconclusive(self, tri_tri, monkeypatch):
+        monkeypatch.setattr(shelling, "NODE_BUDGET", 3)
+        v = ball("modified", tri_tri)
         assert v.verdict == "inconclusive"
         assert v.detail == "shelling search exceeded its budget"
 
-    def test_node_budget_failure_is_inconclusive_within_facet_budget(self, tri_tri):
+    def test_node_budget_failure_is_inconclusive_within_facet_budget(self, tri_tri, monkeypatch):
         # tri-tri's 12 facets once lifted the node budget; it now binds
-        v = ball("modified", tri_tri, node_budget=1)
+        monkeypatch.setattr(shelling, "NODE_BUDGET", 1)
+        v = ball("modified", tri_tri)
         assert v.verdict == "inconclusive"
         assert v.detail == "shelling search exceeded its budget"
 
@@ -572,7 +552,7 @@ class TestBallCheck:
     def test_unshellable_refutes_only_up_to_dimension_2(self, monkeypatch, J, verdict):
         # a search that proves a 3-dimensional order complex unshellable
         # refutes no ball, as unshellable 3-balls exist
-        monkeypatch.setattr(shelling, "find_shelling", lambda data, budget: ShellingResult(None, True))
+        monkeypatch.setattr(shelling, "find_shelling", lambda data: ShellingResult(None, True))
         v = ball("ek", J)
         assert v.cond2 and v.cond3 and v.homology_trivial
         assert v.verdict == verdict

@@ -206,6 +206,22 @@ class TestMutationDetection:
         with pytest.raises(VerificationError, match=re.escape(message)):
             full_battery(deg2)
 
+    def test_minimal_supports_skip_the_supersets_of_a_hit(self, deg2, monkeypatch):
+        # subsets come by size and none that contains a hit is tried: 63 calls
+        # of g over deg2's 53 intervals, where trying every subset made 92
+        class CountingIdeal:
+            calls = 0
+
+            def g(self, m):
+                self.calls += 1
+                return deg2.g(m)
+
+        counting, original = CountingIdeal(), verification._check_minimal_support
+        monkeypatch.setattr(verification, "_check_minimal_support",
+                            lambda ideal, *args: original(counting, *args))
+        assert check_intervals("ek", gamma("ek", deg2).dual(), deg2) == 53
+        assert counting.calls == 63
+
     def test_modified_messages_name_the_cell_and_its_squares(self, deg2):
         # the first cell of degree 1 with its multidegree times x[3,1]
         cplx = modified_complex(deg2)
