@@ -6,9 +6,10 @@ Both have the same basis, the admissible pairs (F, m): a minimal generator m
 together with a strictly increasing index tuple F below max(m).  They differ
 in four rules, which a :class:`Kind` record holds:
 
-* the ring: k[x_1..x_n], resp. k[x_s | s in bpol_ring(I)];
+* the ring and the generators' lifts: k[x_1..x_n] and m, resp.
+  k[x_s | s in bpol_ring(I)] and bpol(m);
 * the variable attached to an index i: x_i, resp. x_{i,j(m,i)};
-* the lift of m: m, resp. bpol(m);
+* the lift of one monomial m: m, resp. bpol(m);
 * the shifted generator m_i: g(x_i m), resp. g(b_i(m)).
 
 The differential sends e(F, m) to
@@ -19,6 +20,8 @@ The differential sends e(F, m) to
 with r the 1-based position of i_r in F, x the variable attached to i_r, and
 B(F, m) the indices i of F whose removal leaves an admissible pair for m_i:
 every other index of F stays below max(m_i) and keeps its variable under m_i.
+m_i, the indices it keeps, and the coefficient depend on (m, i) alone, so a
+build reads them off one table per generator (``_shift_entry``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable
 from .complexes import FreeComplex
 from .ideals import MonomialIdeal
 from .monomials import Monomial, from_squares, square_str
-from .polarization import bpol_monomial, bpol_ring, column_bound, g_shift
+from .polarization import bpol_lifts, bpol_monomial, column_bound, g_shift
 
 __all__ = [
     "Kind",
@@ -66,7 +69,8 @@ class Kind:
     ideal_class: str      # the ideals it resolves: "stable" | "Borel fixed"
     admits: Callable      # ideal -> whether the ideal is of that class
     index: Callable       # (m, i) -> how a label names index i: i | (i, j(m, i))
-    ring: Callable        # ideal -> the squares of the ring: None | bpol_ring(ideal)
+    lifts: Callable       # ideal -> (squares of the ring, {generator: lift}):
+                          #   (None, {m: m}) | bpol_lifts(ideal)
     variable: Callable    # (m, i, ring) -> x_i | x_{i,j(m,i)}
     lift: Callable        # (m, ring) -> m | bpol(m)
     shift: Callable       # (ideal, m, i) -> g(x_i m) | g(b_i(m))
@@ -75,7 +79,7 @@ class Kind:
 EK = Kind(
     "ek", "e", "stable", MonomialIdeal.is_stable,
     index=lambda m, i: i,
-    ring=lambda ideal: None,
+    lifts=lambda ideal: (None, {m: m for m in ideal.gens}),
     variable=lambda m, i, ring: Monomial.variable(m.n, i),
     lift=lambda m, ring: m,
     shift=lambda ideal, m, i: ideal.g(m.times_var(i)),
@@ -83,7 +87,7 @@ EK = Kind(
 MODIFIED = Kind(
     "modified", "~e", "Borel fixed", MonomialIdeal.is_borel_fixed,
     index=lambda m, i: (i, j_index(m, i)),
-    ring=bpol_ring,
+    lifts=bpol_lifts,
     variable=lambda m, i, ring: from_squares(ring, ((i, j_index(m, i)),)),
     lift=bpol_monomial,
     shift=g_shift,
@@ -123,16 +127,19 @@ class AdmissiblePair:
         object.__setattr__(self, "kind", kind_of(self.kind))
         object.__setattr__(self, "F", _index_tuple(self.F, self.m))
 
+    @classmethod
+    def _of(cls, F: tuple, m: Monomial, kind: Kind) -> "AdmissiblePair":
+        """The pair (F, m) of ``kind``, unchecked: only for a strictly
+        increasing tuple of ints in 1..max(m) - 1."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(F=F, m=m, kind=kind)
+        return pair
+
     @property
     def indices(self) -> tuple:
         """The index set as the kind names it: bare indices i (classical) or
         squares (i, j) (modified)."""
         return tuple(self.kind.index(self.m, i) for i in self.F)
-
-    def drop(self, i: int) -> tuple:
-        if i not in self.F:
-            raise ValueError(f"{i} not in {self.F}")
-        return tuple(k for k in self.F if k != i)
 
     def __repr__(self):
         inner = ",".join(str(x).replace(" ", "") for x in self.indices)
@@ -148,7 +155,7 @@ def admissible_pairs(ideal: MonomialIdeal, q: int, kind="ek") -> list:
     if q < 0:
         raise ValueError("homological degree must be >= 0")
     return [
-        AdmissiblePair(F, m, kind)
+        AdmissiblePair._of(F, m, kind)
         for m in ideal.gens
         for F in combinations(range(1, m.max_var()), q)
     ]
@@ -164,13 +171,23 @@ def b_set(ideal: MonomialIdeal, F, m: Monomial, kind="ek") -> tuple:
     index stays below max(m_i) and keeps its variable under m_i."""
     kind = kind_of(kind)
     F = _index_tuple(F, m)
-    out = []
-    for i in F:
-        m2 = kind.shift(ideal, m, i)
-        bound = m2.max_var()
-        if all(k < bound and kind.index(m2, k) == kind.index(m, k) for k in F if k != i):
-            out.append(i)
-    return tuple(out)
+    return _b_indices(F, {i: _shift_entry(kind, ideal, m, i) for i in F})
+
+
+def _shift_entry(kind: Kind, ideal: MonomialIdeal, m: Monomial, i: int) -> list:
+    """The entry of (m, i) in a shift table: [m_i, the mask of the indices k
+    that stay below max(m_i) and keep their variable under m_i (bit k), and a
+    slot for the coefficient x lift(m) / lift(m_i), filled on first use]."""
+    m2 = kind.shift(ideal, m, i)
+    keep = sum(1 << k for k in range(1, m2.max_var()) if kind.index(m2, k) == kind.index(m, k))
+    return [m2, keep, None]
+
+
+def _b_indices(F: tuple, row) -> tuple:
+    """B(F, m) read off the shift table ``row`` of m, ``row[i]`` the entry
+    of (m, i): the i in F whose m_i keeps every other index of F."""
+    mask = sum(1 << i for i in F)
+    return tuple(i for i in F if not mask & ~(row[i][1] | 1 << i))
 
 
 def ek_complex(ideal: MonomialIdeal) -> FreeComplex:
@@ -187,35 +204,30 @@ def modified_complex(ideal: MonomialIdeal, d=None) -> FreeComplex:
 
 def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
     layers = admissible_layers(ideal, kind)
-    squares = kind.ring(ideal)
-    # each generator's lift and the variables it attaches to its indices
-    lifts = {m: kind.lift(m, squares) for m in ideal.gens}
+    squares, lifts = kind.lifts(ideal)
+    # each generator's variables and shift table, by index
     variables = {m: [None] + [kind.variable(m, i, squares) for i in range(1, m.max_var())]
                  for m in ideal.gens}
+    table = {m: [None] + [_shift_entry(kind, ideal, m, i) for i in range(1, m.max_var())]
+             for m in ideal.gens}
     # rows are looked up by (F, exponents of m): no pair is built or hashed
     index = [{(pair.F, pair.m.exps): k for k, pair in enumerate(layer)} for layer in layers]
     diffs = []
     for q in range(1, len(layers)):
-        mat = {}
+        mat, below = {}, index[q - 1]
         for col, pair in enumerate(layers[q]):
-            lift, xs = lifts[pair.m], variables[pair.m]
-            bset = set(b_set(ideal, pair.F, pair.m, kind))
-            for r, i in enumerate(pair.F, start=1):
+            F, m = pair.F, pair.m
+            xs, row = variables[m], table[m]
+            bset = _b_indices(F, row)
+            for r, i in enumerate(F, start=1):
                 sign = -1 if r % 2 else 1
-                rest = pair.drop(i)
-                mat[(_row(index[q - 1], pair, rest, pair.m), col)] = (sign, xs[i])
+                rest = F[:r - 1] + F[r:]
+                mat[(_row(below, pair, rest, m), col)] = (sign, xs[i])
                 if i in bset:
-                    m2 = kind.shift(ideal, pair.m, i)
-                    top, low = xs[i] * lift, lifts[m2]
-                    try:
-                        coeff = top.div(low)
-                    except ValueError:
-                        low, top = square_str(low, squares), square_str(top, squares)
-                        raise RuntimeError(
-                            f"differential coefficient not divisible at {pair!r}, "
-                            f"i = {i}: {low} does not divide {top}"
-                        ) from None
-                    mat[(_row(index[q - 1], pair, rest, m2), col)] = (-sign, coeff)
+                    entry = row[i]
+                    if entry[2] is None:
+                        entry[2] = _coefficient(xs[i] * lifts[m], lifts[entry[0]], squares, pair, i)
+                    mat[(_row(below, pair, rest, entry[0]), col)] = (-sign, entry[2])
         diffs.append(mat)
 
     return FreeComplex(
@@ -226,6 +238,18 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
                for layer in layers],
         diffs=diffs,
     )
+
+
+def _coefficient(top: Monomial, low: Monomial, squares, pair: AdmissiblePair, i: int) -> Monomial:
+    """top / low, the coefficient of the shifted term of ``pair`` at i."""
+    try:
+        return top.div(low)
+    except ValueError:
+        low, top = square_str(low, squares), square_str(top, squares)
+        raise RuntimeError(
+            f"differential coefficient not divisible at {pair!r}, "
+            f"i = {i}: {low} does not divide {top}"
+        ) from None
 
 
 def _row(index: dict, pair: AdmissiblePair, rest: tuple, m: Monomial) -> int:

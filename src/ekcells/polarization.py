@@ -19,6 +19,7 @@ __all__ = [
     "bpol_squares",
     "bpol_ring",
     "bpol_monomial",
+    "bpol_lifts",
     "bpol_ideal",
     "b_shift",
     "g_shift",
@@ -46,7 +47,8 @@ def bpol_squares(m: Monomial) -> tuple:
     gives the square (a, i)."""
     if m.is_unit():
         raise ValueError("the unit monomial has no polarization")
-    return tuple((a, pos) for pos, a in enumerate(m.sorted_factors(), start=1))
+    factors = m.sorted_factors()
+    return tuple(zip(factors, range(1, len(factors) + 1)))
 
 
 def bpol_ring(ideal: MonomialIdeal) -> tuple:
@@ -62,13 +64,29 @@ def bpol_monomial(m: Monomial, squares: tuple) -> Monomial:
     return from_squares(squares, bpol_squares(m))
 
 
+def bpol_lifts(ideal: MonomialIdeal) -> tuple:
+    """bpol_ring(I) and {m: bpol(m)} over the generators m of I, in their
+    canonical order.  Each generator is polarized once, and its lift is read
+    off one map from the squares to their slots."""
+    polar = {m: bpol_squares(m) for m in ideal.gens}
+    # each generator's squares are sorted, so the sort merges that many runs
+    squares = tuple(sorted(dict.fromkeys(s for sq in polar.values() for s in sq)))
+    slot = {s: k for k, s in enumerate(squares)}
+    lifts = {}
+    for m, sq in polar.items():
+        exps = [0] * len(squares)
+        for s in sq:  # the squares of bpol(m) are distinct
+            exps[slot[s]] = 1
+        lifts[m] = Monomial._of(tuple(exps))
+    return squares, lifts
+
+
 def bpol_ideal(ideal: MonomialIdeal) -> list:
     """Polarized generators in k[x_s | s in bpol_ring(I)], in the ideal's
     canonical generator order."""
     if not ideal.is_borel_fixed():
         raise ValueError("ideal is not Borel fixed")
-    squares = bpol_ring(ideal)
-    return [bpol_monomial(m, squares) for m in ideal.gens]
+    return list(bpol_lifts(ideal)[1].values())
 
 
 def b_shift(m: Monomial, s: int) -> Monomial:

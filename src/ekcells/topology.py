@@ -469,18 +469,23 @@ def _lcm_closure(gens, guard: int, width: int) -> set:
     whose top bits make ``guard``.
 
     Adds the generators one at a time, repeats dropped: g and its join with
-    each element so far.  A join is SWAR: the guard of a field survives
+    each element so far.  On fields of width 2 every exponent is 0 or 1, so
+    a join is an OR.  Otherwise it is SWAR: the guard of a field survives
     ``(a | guard) - g`` where a's exponent is at least g's, and subtracting
     the guards shifted to the fields' low bits widens them into field masks.
     """
     shift = width - 1
     elements = set()
     for g in dict.fromkeys(gens):
-        joins = {g}
-        for a in elements:
-            ge = ((a | guard) - g) & guard
-            keep = ge - (ge >> shift)
-            joins.add((a & keep) | (g & ~keep))
+        if width == 2:
+            joins = {a | g for a in elements}
+        else:
+            joins = set()
+            for a in elements:
+                ge = ((a | guard) - g) & guard
+                keep = ge - (ge >> shift)
+                joins.add((a & keep) | (g & ~keep))
+        joins.add(g)
         elements |= joins
     return elements
 

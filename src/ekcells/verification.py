@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
+from operator import add
 
 from . import shelling
 from .complexes import FreeComplex
@@ -20,8 +21,7 @@ from .monomials import Monomial, square_items, square_str
 from .polarization import (
     b_shift,
     bpol_ideal,
-    bpol_monomial,
-    bpol_ring,
+    bpol_lifts,
     g_shift,
     sigma_ideal,
     specialize_theta,
@@ -128,8 +128,8 @@ def _monomials_up_to(n, deg):
 def check_g_properties(ideal: MonomialIdeal):
     deg_bound = ideal.max_deg() + 1
     members = [m for m in _monomials_up_to(ideal.n, deg_bound) if m in ideal]
-    for m in members:
-        ideal.g(m, check=True)  # lex-greatest divisor vs max/min witness
+    # lex-greatest divisor vs max/min witness
+    g_members = [ideal.g(m, check=True) for m in members]
     for m in ideal.gens:
         for i in range(1, ideal.n + 1):
             gi = ideal.g(m.times_var(i))
@@ -137,12 +137,23 @@ def check_g_properties(ideal: MonomialIdeal):
                 raise VerificationError(f"g(x{i}*{m}) = {gi} is below {m}")
             if (gi == m) != (i >= m.max_var()):
                 raise VerificationError(f"g(x{i}*{m}) = {m} fixpoint condition fails at i={i}")
-    small = [m for m in _monomials_up_to(ideal.n, 2)]
-    for m in small:
-        for nmem in members:
-            lhs = ideal.g(m * ideal.g(nmem))
-            rhs = ideal.g(m * nmem)
-            if lhs != rhs:
+    # g(m * g(n)) = g(m * n): the products are tuple sums, each distinct
+    # product looked up in g once
+    products = {}
+
+    def g_of(exps):
+        found = products.get(exps)
+        if found is None:
+            found = products[exps] = ideal.g(Monomial._of(exps))
+        return found
+
+    pairs = [(nmem, nmem.exps, gn.exps) for nmem, gn in zip(members, g_members)]
+    for m in _monomials_up_to(ideal.n, 2):
+        me = m.exps
+        for nmem, ne, ge in pairs:
+            lhs = g_of(tuple(map(add, me, ge)))
+            rhs = g_of(tuple(map(add, me, ne)))
+            if lhs.exps != rhs.exps:
                 raise VerificationError(f"g({m}*g({nmem})) = {lhs} != g({m}*{nmem}) = {rhs}")
 
 
@@ -216,9 +227,8 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
     _check_injective(dual, reports.cover_labels)
     _check_label_rewrites(kind, dual, reports.cover_labels)
     rules = kind_of(kind)
-    squares = rules.ring(ideal)
-    # one lift and one map of attached variables per generator, for the whole sweep
-    lift = cache(lambda m: rules.lift(m, squares))
+    squares, lifts = rules.lifts(ideal)
+    # one map of attached variables per generator, for the whole sweep
     variables = cache(lambda m: shelling._Attached(rules, m, squares))
     for rep in reports:
         a, b = rep.bottom, rep.top
@@ -231,7 +241,7 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
         if b is not BOTTOM:
             try:
                 shelling._positive_part(variables(a.m), squares, rep.increasing_chain,
-                                        rep.increasing_label, lift(a.m), lift(b.m))
+                                        rep.increasing_label, lifts[a.m], lifts[b.m])
             except RuntimeError as exc:  # the lcm identity fails
                 raise VerificationError(f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
             if kind == "ek":
@@ -337,8 +347,7 @@ def check_shift_instances(ideal: MonomialIdeal):
             if not ms > m:
                 raise VerificationError(f"m_<{s}> = {ms} not above m = {m}")
 
-    squares = bpol_ring(ideal)
-    lifts = {m: bpol_monomial(m, squares) for m in ideal.gens}
+    squares, lifts = bpol_lifts(ideal)
     for layer in admissible_layers(ideal, "modified"):
         for pair in layer:
             wm = lifts[pair.m]

@@ -1,5 +1,8 @@
 import random
-from math import comb
+import re
+from dataclasses import replace
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 
@@ -7,16 +10,19 @@ from ekcells import (
     AdmissiblePair,
     admissible_pairs,
     b_set,
+    bpol_ring,
     ek_complex,
+    modified_complex,
     random_borel_ideal,
 )
+from ekcells.ek import EK, _resolution, kind_of
 from ekcells.verification import (
     check_d2,
     check_minimality,
     check_multidegrees,
     check_pair_counts,
 )
-from conftest import ideal, mono
+from conftest import ideal, mono, stable_closures
 
 
 class TestAdmissiblePairs:
@@ -129,3 +135,66 @@ class TestDifferential:
         assert data["basis"][0][0] == {"F": [], "m": [2, 0, 0]}
         entry = data["diffs"][0]["entries"][0]
         assert set(entry) == {"row", "col", "sign", "coeff_exponents"}
+
+
+def reference_resolution(kind, J):
+    """The basis, degrees and differentials of the kind's resolution of J,
+    with B(F, m) read straight off its definition: i is in B(F, m) when every
+    other index of F stays below max(m_i) and keeps its variable under m_i."""
+    rules = kind_of(kind)
+    squares = bpol_ring(J) if kind == "modified" else None
+    lift = {m: rules.lift(m, squares) for m in J.gens}
+    basis = [[(F, m) for m in J.gens for F in combinations(range(1, m.max_var()), q)]
+             for q in range(J.max_max())]
+    mdegs = [[prod((rules.variable(m, i, squares) for i in F), start=lift[m]) for F, m in layer]
+             for layer in basis]
+    diffs = []
+    for q in range(1, len(basis)):
+        row = {pair: k for k, pair in enumerate(basis[q - 1])}
+        mat = {}
+        for col, (F, m) in enumerate(basis[q]):
+            for r, i in enumerate(F, start=1):
+                rest = tuple(k for k in F if k != i)
+                x = rules.variable(m, i, squares)
+                mat[(row[(rest, m)], col)] = ((-1) ** r, x)
+                m2 = rules.shift(J, m, i)
+                if all(k < m2.max_var() and rules.index(m2, k) == rules.index(m, k)
+                       for k in rest):
+                    mat[(row[(rest, m2)], col)] = (-(-1) ** r, (x * lift[m]).div(lift[m2]))
+        diffs.append(mat)
+    return squares, basis, mdegs, diffs
+
+
+class TestShiftTableOracle:
+    """Each build reads m_i, B(F, m) and the shifted coefficient off one
+    table per generator; the reference recomputes them for every column."""
+
+    @staticmethod
+    def assert_matches_reference(kind, J):
+        cplx = ek_complex(J) if kind == "ek" else modified_complex(J)
+        squares, basis, mdegs, diffs = reference_resolution(kind, J)
+        assert cplx.squares == squares
+        assert [[(p.F, p.m) for p in layer] for layer in cplx.basis] == basis, J
+        assert all(p.kind is kind_of(kind) for layer in cplx.basis for p in layer)
+        assert cplx.mdegs == mdegs, J
+        assert cplx.diffs == diffs, J
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_random_borel_ideals(self, kind):
+        rng = random.Random(61)
+        for _ in range(25):
+            self.assert_matches_reference(kind, random_borel_ideal(rng, max_n=5, max_deg=4))
+
+    def test_stable_ideals_that_are_not_borel_fixed(self):
+        ideals = [J for J in stable_closures() if not J.is_borel_fixed()]
+        assert ideals
+        for J in ideals:
+            self.assert_matches_reference("ek", J)
+
+    def test_undivisible_coefficient_names_the_first_pair(self, deg2):
+        # squared lifts: x1 * (x1*x2)^2 / (x1^2)^2 is not a monomial
+        squared = replace(EK, lifts=lambda J: (None, {m: m * m for m in J.gens}))
+        with pytest.raises(RuntimeError, match=re.escape(
+                "differential coefficient not divisible at e({1};x1*x2), i = 1: "
+                "x1^4 does not divide x1^3*x2^2")):
+            _resolution(squared, deg2, ("S", deg2.n))

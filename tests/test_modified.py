@@ -85,7 +85,7 @@ class TestBTildeSet:
                     expect = set()
                     for i in pair.F:
                         m2 = g_shift(J, pair.m, i)
-                        rest = pair.drop(i)
+                        rest = tuple(k for k in pair.F if k != i)
                         if all(k < m2.max_var() for k in rest) and all(
                             j_index(pair.m, k) == j_index(m2, k) for k in rest
                         ):

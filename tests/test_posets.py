@@ -148,7 +148,7 @@ def rule_gamma(kind, J):
         for pair in layer:
             bset = b_set(J, pair.F, pair.m, rules)
             for i in pair.F:
-                rest = pair.drop(i)
+                rest = tuple(k for k in pair.F if k != i)
                 covers.append((AdmissiblePair(rest, pair.m, rules), pair))
                 if i in bset:
                     covers.append((AdmissiblePair(rest, rules.shift(J, pair.m, i), rules), pair))

@@ -128,7 +128,7 @@ class TestSweepOracle:
             for rep in reports:
                 if rep.top is not BOTTOM:
                     chain, lab = rep.increasing_chain, rep.increasing_label
-                    squares = rules.ring(J)
+                    squares = rules.lifts(J)[0]
                     shelling._positive_part(  # raises on a mismatch
                         shelling._Attached(rules, rep.bottom.m, squares), squares, chain, lab,
                         rules.lift(rep.bottom.m, squares), rules.lift(rep.top.m, squares))

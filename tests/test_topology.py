@@ -696,6 +696,25 @@ class TestLatticeWalk:
         assert closure_lattice(cplx, gens) == reference_lcm_lattice(list(gens))
         return _strand_walk(cplx, gens, (2, 3))
 
+    def test_squarefree_or_join_equals_swar_and_every_subset_lcm(self):
+        # exponents 0 and 1 packed 2 bits wide join by OR; packed 3 bits wide,
+        # the same exponents take the SWAR join
+        rng = random.Random(67)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            gens = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+            closures = []
+            for width in (2, 3):
+                shifts = [width * f for f in range(n)][::-1]
+                guard = sum(1 << (s + width - 1) for s in shifts)
+                packed = [sum(e << s for e, s in zip(exps, shifts)) for exps in gens]
+                closure = _lcm_closure(packed, guard, width)
+                assert not any(x & guard for x in closure)
+                closures.append({tuple(x >> s & 1 for s in shifts) for x in closure})
+            subsets = {tuple(map(max, zip(*combo)))
+                       for k in range(1, len(gens) + 1) for combo in combinations(gens, k)}
+            assert closures[0] == closures[1] == subsets, gens
+
     def test_resolutions_pass_and_copies_without_a_top_cell_fail(self):
         # each resolution, and a copy without one top cell that stays a
         # Z-complex, so every strand that held the cell fails

@@ -266,6 +266,27 @@ class TestPropertyChecks:
         check_g_properties(deg2)
         check_g_properties(intro)
 
+    def test_g_wrong_on_one_product_is_named(self, deg2, monkeypatch):
+        # x3^5 has degree 5, above the members' bound 3 and every m * g(n),
+        # so it is reached only as the product x3^2 * x3^3
+        real, wrong = MonomialIdeal.g, mono("x1^2", 3)
+
+        def g(ideal, m, check=False):
+            return wrong if m == mono("x3^5", 3) else real(ideal, m, check)
+
+        monkeypatch.setattr(MonomialIdeal, "g", g)
+        with pytest.raises(VerificationError, match=re.escape(
+                "g(x3^2*g(x3^3)) = x3^2 != g(x3^2*x3^3) = x1^2")):
+            check_g_properties(deg2)
+
+    def test_passing_g_properties_format_no_monomial(self, deg2, deg4, monkeypatch):
+        formatted = []
+        real = Monomial.__str__
+        monkeypatch.setattr(Monomial, "__str__", lambda m: formatted.append(m) or real(m))
+        check_g_properties(deg2)
+        check_g_properties(deg4)
+        assert formatted == []
+
     def test_shift_instances(self, deg2, deg4):
         check_shift_instances(deg2)
         check_shift_instances(deg4)
