@@ -27,8 +27,7 @@ build reads them off one table per generator (``_shift_entry``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import prod
+from itertools import accumulate, combinations
 from typing import Callable
 
 from .complexes import FreeComplex
@@ -60,6 +59,19 @@ def j_index(m: Monomial, i: int) -> int:
     return 1 + sum(m.exps[:i])
 
 
+def _column_keeps(m: Monomial, m2: Monomial) -> int:
+    """The mask of the k < max(m2) with j(m2, k) = j(m, k) (bit k), read off
+    the prefix sums of both exponent tuples in one pass."""
+    top = m2.max_var()
+    if top > m.max_var():
+        j_index(m, m.max_var())  # raises, as j(m, k) does for every k >= max(m)
+    keep = 0
+    for k, a, b in zip(range(1, top), accumulate(m.exps), accumulate(m2.exps)):
+        if a == b:
+            keep |= 1 << k
+    return keep
+
+
 @dataclass(frozen=True, eq=False)
 class Kind:
     """The rules that set one resolution of the family apart."""
@@ -74,6 +86,8 @@ class Kind:
     variable: Callable    # (m, i, ring) -> x_i | x_{i,j(m,i)}
     lift: Callable        # (m, ring) -> m | bpol(m)
     shift: Callable       # (ideal, m, i) -> g(x_i m) | g(b_i(m))
+    keeps: Callable       # (m, m_i) -> the mask of the k < max(m_i) (bit k) whose
+                          #   variable m_i keeps: all of them | j(m_i, k) = j(m, k)
 
 
 EK = Kind(
@@ -83,6 +97,7 @@ EK = Kind(
     variable=lambda m, i, ring: Monomial.variable(m.n, i),
     lift=lambda m, ring: m,
     shift=lambda ideal, m, i: ideal.g(m.times_var(i)),
+    keeps=lambda m, m2: (1 << m2.max_var()) - 2,
 )
 MODIFIED = Kind(
     "modified", "~e", "Borel fixed", MonomialIdeal.is_borel_fixed,
@@ -91,6 +106,7 @@ MODIFIED = Kind(
     variable=lambda m, i, ring: from_squares(ring, ((i, j_index(m, i)),)),
     lift=bpol_monomial,
     shift=g_shift,
+    keeps=_column_keeps,
 )
 KINDS = {kind.name: kind for kind in (EK, MODIFIED)}
 
@@ -179,8 +195,7 @@ def _shift_entry(kind: Kind, ideal: MonomialIdeal, m: Monomial, i: int) -> list:
     that stay below max(m_i) and keep their variable under m_i (bit k), and a
     slot for the coefficient x lift(m) / lift(m_i), filled on first use]."""
     m2 = kind.shift(ideal, m, i)
-    keep = sum(1 << k for k in range(1, m2.max_var()) if kind.index(m2, k) == kind.index(m, k))
-    return [m2, keep, None]
+    return [m2, kind.keeps(m, m2), None]
 
 
 def _b_indices(F: tuple, row) -> tuple:
@@ -212,9 +227,9 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
              for m in ideal.gens}
     # rows are looked up by (F, exponents of m): no pair is built or hashed
     index = [{(pair.F, pair.m.exps): k for k, pair in enumerate(layer)} for layer in layers]
-    diffs = []
+    diffs, mdegs = [], [[lifts[pair.m] for pair in layers[0]]]
     for q in range(1, len(layers)):
-        mat, below = {}, index[q - 1]
+        mat, below, degs = {}, index[q - 1], []
         for col, pair in enumerate(layers[q]):
             F, m = pair.F, pair.m
             xs, row = variables[m], table[m]
@@ -222,20 +237,24 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
             for r, i in enumerate(F, start=1):
                 sign = -1 if r % 2 else 1
                 rest = F[:r - 1] + F[r:]
-                mat[(_row(below, pair, rest, m), col)] = (sign, xs[i])
+                plain = _row(below, pair, rest, m)
+                mat[(plain, col)] = (sign, xs[i])
                 if i in bset:
                     entry = row[i]
                     if entry[2] is None:
                         entry[2] = _coefficient(xs[i] * lifts[m], lifts[entry[0]], squares, pair, i)
                     mat[(_row(below, pair, rest, entry[0]), col)] = (-sign, entry[2])
+            # the cell's degree is that of the last plain term's row, (F minus
+            # its last index, m), times the variable of that index
+            degs.append(mdegs[q - 1][plain] * xs[F[-1]])
         diffs.append(mat)
+        mdegs.append(degs)
 
     return FreeComplex(
         kind=kind.name,
         ring=ring if squares is None else ring + (squares,),
         basis=layers,
-        mdegs=[[prod((variables[p.m][i] for i in p.F), start=lifts[p.m]) for p in layer]
-               for layer in layers],
+        mdegs=mdegs,
         diffs=diffs,
     )
 

@@ -13,9 +13,9 @@ one slot per square: x_s is slot k where squares[k] = s.  ``from_squares``,
 
 Input is validated at the public constructors (``Monomial(exps)``, ``parse``,
 ``from_factors``, ``unit``, ``**``).  Products, quotients, lcms, variables and
-variable shifts of valid monomials are already tuples of nonnegative ints, so
-``Monomial`` builds those results straight from their tuples without checking
-them again.
+variable shifts of valid monomials, and the factor counts of ``from_squares``,
+are already tuples of nonnegative ints, so ``Monomial`` builds those results
+straight from their tuples without checking them again.
 """
 
 from __future__ import annotations
@@ -240,14 +240,19 @@ class Monomial:
 
 def from_squares(squares: tuple, factors) -> Monomial:
     """The monomial of k[x_s | s in squares] with one factor x_s per entry of
-    ``factors``."""
+    ``factors``.  Each factor tries the slot after the previous factor's
+    first, where the next square of one variable of bpol(m) sits, and
+    bisects only when that misses."""
     exps = [0] * len(squares)
+    k = -1
     for s in factors:
-        k = bisect_left(squares, s)
+        k += 1
         if k == len(squares) or squares[k] != s:
-            raise ValueError(f"x[{s[0]},{s[1]}] is not a variable of the ring")
+            k = bisect_left(squares, s)
+            if k == len(squares) or squares[k] != s:
+                raise ValueError(f"x[{s[0]},{s[1]}] is not a variable of the ring")
         exps[k] += 1
-    return Monomial(exps)
+    return Monomial._of(tuple(exps))
 
 
 def square_items(m: Monomial, squares: tuple) -> tuple:

@@ -15,14 +15,21 @@ from operator import add
 
 from . import shelling
 from .complexes import FreeComplex
-from .ek import AdmissiblePair, admissible_layers, b_set, ek_complex, kind_of, modified_complex
+from .ek import (
+    AdmissiblePair,
+    _b_indices,
+    _shift_entry,
+    admissible_layers,
+    ek_complex,
+    kind_of,
+    modified_complex,
+)
 from .ideals import MonomialIdeal
 from .monomials import Monomial, square_items, square_str
 from .polarization import (
     b_shift,
     bpol_ideal,
     bpol_lifts,
-    g_shift,
     sigma_ideal,
     specialize_theta,
     specialize_theta_prime,
@@ -220,6 +227,12 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
       spliced into any chain through x < y < z in place of y, keeps the
       prefix and suffix of that chain, and a rotation is a run of adjacent
       swaps of a negative label; so the rank-2 test implies the global one.
+
+    The two per-interval identities depend on keys, not on intervals, so
+    each is computed once per key, at the first interval that has it, and
+    the first failure is the same as checking every interval: the lcm
+    identity on (a.m, b.m, the increasing chain's positive labels), which fix
+    both of its sides; and g(x_G a.m), for the minimal supports, on (a.m, G).
     """
     # Called through the module, so that a wrapper installed on
     # shelling.verify_el_all (bench/tracer.py) also sees this sweep.
@@ -230,6 +243,8 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
     squares, lifts = rules.lifts(ideal)
     # one map of attached variables per generator, for the whole sweep
     variables = cache(lambda m: shelling._Attached(rules, m, squares))
+    holds = set()  # the (a.m, b.m, positive labels) whose lcm identity holds
+    shifted = {}   # (a.m, G) -> the exponents of g(x_G a.m), for the minimal supports
     for rep in reports:
         a, b = rep.bottom, rep.top
         if rep.increasing_chains != 1:
@@ -239,13 +254,17 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
         if not rep.lex_least:
             raise VerificationError(f"increasing chain not lex-least on [{a!r}, {b!r}]")
         if b is not BOTTOM:
-            try:
-                shelling._positive_part(variables(a.m), squares, rep.increasing_chain,
-                                        rep.increasing_label, lifts[a.m], lifts[b.m])
-            except RuntimeError as exc:  # the lcm identity fails
-                raise VerificationError(f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
+            key = (a.m.exps, b.m.exps, tuple(x for x in rep.increasing_label if x > 0))
+            if key not in holds:
+                try:
+                    shelling._positive_part(variables(a.m), squares, rep.increasing_chain,
+                                            rep.increasing_label, lifts[a.m], lifts[b.m])
+                except RuntimeError as exc:  # the lcm identity fails
+                    raise VerificationError(
+                        f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
+                holds.add(key)
             if kind == "ek":
-                _check_minimal_support(ideal, a, b, rep.increasing_label)
+                _check_minimal_support(ideal, a, b, rep.increasing_label, shifted)
     return len(reports)
 
 
@@ -306,19 +325,24 @@ def _check_label_rewrites(kind, dual, labels):
                     )
 
 
-def _check_minimal_support(ideal, a, b, lab0):
+def _check_minimal_support(ideal, a, b, lab0, shifted):
     """The positive labels of [a, b]'s increasing chain are the one minimal
     G in a.F - b.F with g(x_G a.m) = b.m.  Subsets come by size, and one that
-    contains an earlier hit is skipped, so the hits are the minimal ones."""
+    contains an earlier hit is skipped, so the hits are the minimal ones.
+    ``shifted`` keeps the exponents of g(x_G a.m) by (a.m, G) across the
+    intervals of a sweep."""
     diff = sorted(set(a.F) - set(b.F))
-    hits = []
+    m, hits = a.m.exps, []
     for size in range(len(diff) + 1):
-        for G in map(set, combinations(diff, size)):
-            if any(H <= G for H in hits):
+        for G in combinations(diff, size):
+            if hits and any(H.issubset(G) for H in hits):
                 continue
-            shifted = Monomial._of(tuple(e + (i in G) for i, e in enumerate(a.m.exps, 1)))
-            if ideal.g(shifted) == b.m:
-                hits.append(G)
+            gm = shifted.get((m, G))
+            if gm is None:
+                x_G = Monomial._of(tuple(e + (i in G) for i, e in enumerate(m, 1)))
+                gm = shifted[m, G] = ideal.g(x_G).exps
+            if gm == b.m.exps:
+                hits.append(set(G))
     positive = {x for x in lab0 if x > 0}
     if len(hits) != 1 or hits[0] != positive:
         raise VerificationError(
@@ -333,14 +357,32 @@ def _check_minimal_support(ideal, a, b, lab0):
 def check_shift_instances(ideal: MonomialIdeal):
     """Pointwise checks of the exchange-shift identities on all admissible
     pairs: the lcm form of the removed variable, prefix agreement of the
-    shifted generator, and the B-set stability and commutation statements."""
+    shifted generator, and the B-set stability and commutation statements.
+
+    The identities depend on keys, not on pairs, so each is computed once per
+    key and read back for every pair that uses it:
+
+    * m_s = g(b_s(m)) and the indices it keeps depend on (m, s) alone: one
+      shift table per call, built like ``ek._resolution``'s
+      (``_shift_entry``), gives every m_s, iterated shift and B set below
+      (``_b_indices``);
+    * the lcm quotient lcm(bpol(m), bpol(m_i)) / bpol(m) = x[i, j(m, i)]
+      depends on (m, i) alone, and is checked on ({i}, m), the first pair
+      that uses it.  The one-index pairs come before every pair whose B-set
+      relations are checked, so the first failure is the same as checking the
+      quotient on every pair.
+    """
+    rules = kind_of("modified")
+    table = {}
     for m in ideal.gens:
+        row = table[m] = [None]
         for s in range(1, m.max_var()):
             fb = b_shift(m, s)
             if fb not in ideal:
                 raise VerificationError(f"exchange b_{s}({m}) = {fb} left the ideal")
-            ms = g_shift(ideal, m, s)
-            if any(ms.deg(l) != fb.deg(l) for l in range(1, s + 1)):
+            row.append(_shift_entry(rules, ideal, m, s))
+            ms = row[s][0]
+            if ms.exps[:s] != fb.exps[:s]:
                 raise VerificationError(f"m_<{s}> = {ms} disagrees with {fb} below slot {s}")
             if ms.max_var() < s:
                 raise VerificationError(f"max(m_<{s}>) < {s} for m = {m}")
@@ -348,30 +390,33 @@ def check_shift_instances(ideal: MonomialIdeal):
                 raise VerificationError(f"m_<{s}> = {ms} not above m = {m}")
 
     squares, lifts = bpol_lifts(ideal)
+    for m, row in table.items():
+        wm = lifts[m]
+        for i in range(1, len(row)):
+            quotient = wm.lcm(lifts[row[i][0]]).div(wm)
+            square = rules.index(m, i)
+            if square_items(quotient, squares) != ((square, 1),):
+                raise VerificationError(
+                    f"lcm quotient {square_str(quotient, squares)} of "
+                    f"{AdmissiblePair._of((i,), m, rules)!r} at {i} "
+                    f"is not x[{square[0]},{square[1]}]"
+                )
+
     for layer in admissible_layers(ideal, "modified"):
         for pair in layer:
-            wm = lifts[pair.m]
-            bset = set(b_set(ideal, pair.F, pair.m, "modified"))
-            for i, square in zip(pair.F, pair.indices):
-                quotient = wm.lcm(lifts[g_shift(ideal, pair.m, i)]).div(wm)
-                if square_items(quotient, squares) != ((square, 1),):
-                    raise VerificationError(
-                        f"lcm quotient {square_str(quotient, squares)} of {pair!r} at {i} "
-                        f"is not x[{square[0]},{square[1]}]"
-                    )
-            _check_bset_relations(ideal, pair, bset)
+            _check_bset_relations(table, pair, _b_indices(pair.F, table[pair.m]))
 
 
-def _check_bset_relations(ideal, pair, bset):
+def _check_bset_relations(table, pair, bset):
     F, m = pair.F, pair.m
     # every relation below concerns an index of the B set
     if len(F) < 2 or not bset:
         return
-    shift = {i: g_shift(ideal, m, i) for i in F}
+    shift = {i: table[m][i][0] for i in F}
     rest = {s: tuple(k for k in F if k != s) for s in F}
     # the B sets after dropping s, of m and (for s in the B set) of m_s
-    b_of_m = {s: set(b_set(ideal, rest[s], m, "modified")) for s in F}
-    b_of_ms = {s: set(b_set(ideal, rest[s], shift[s], "modified")) for s in bset}
+    b_of_m = {s: _b_indices(rest[s], table[m]) for s in F}
+    b_of_ms = {s: _b_indices(rest[s], table[shift[s]]) for s in bset}
     for r in F:
         for s in F:
             if r == s:
@@ -379,8 +424,8 @@ def _check_bset_relations(ideal, pair, bset):
             if r in bset and r not in b_of_m[s]:
                 raise VerificationError(f"{r} leaves the B set of {pair!r} after dropping {s}")
             if r in bset and s in bset:
-                sr = g_shift(ideal, shift[s], r) if r < shift[s].max_var() else None
-                rs = g_shift(ideal, shift[r], s) if s < shift[r].max_var() else None
+                sr = table[shift[s]][r][0] if r < shift[s].max_var() else None
+                rs = table[shift[r]][s][0] if s < shift[r].max_var() else None
                 if sr is None or rs is None or sr != rs:
                     raise VerificationError(
                         f"iterated shifts differ on {pair!r}: ({s},{r}) -> {sr}, "
@@ -394,7 +439,7 @@ def _check_bset_relations(ideal, pair, bset):
                     raise VerificationError(
                         f"mixed B-membership differs for {r} (after {s}) on {pair!r}"
                     )
-                if in_shifted and shift[r] != g_shift(ideal, shift[s], r):
+                if in_shifted and shift[r] != table[shift[s]][r][0]:
                     raise VerificationError(
                         f"mixed iterated shift differs for {r},{s} on {pair!r}"
                     )

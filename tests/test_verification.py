@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -193,6 +194,28 @@ class TestMutationDetection:
         with pytest.raises(VerificationError, match=r"lcm identity fails on \[e\(\{1\}"):
             full_battery(deg2)
 
+    def test_lcm_identity_is_checked_per_positive_labels(self, deg2, monkeypatch):
+        # [~e({(1,2),(2,2)};x1*x3), ~e({};x1^2)] is the second interval with
+        # ends x1*x3, x1^2; its report relabelled (-2, 2) reads x[2,2] where
+        # the first one's positive label 1 read the lcm quotient x[1,2]
+        real = shelling.verify_el_all
+
+        def relabelled(kind, dual, ideal):
+            reports = real(kind, dual, ideal)
+            for k, rep in enumerate(reports):
+                if repr((rep.bottom, rep.top)) == "(~e({(1,2),(2,2)};x1*x3), ~e({};x1^2))":
+                    reports[k] = dataclasses.replace(rep, increasing_label=(-2, 2))
+            return reports
+
+        monkeypatch.setattr(shelling, "verify_el_all", relabelled)
+        with pytest.raises(VerificationError) as info:
+            check_intervals("modified", gamma("modified", deg2).dual(), deg2)
+        assert str(info.value) == (
+            "lcm identity fails on [~e({(1,2),(2,2)};x1*x3), ~e({};x1^2)]: positive-label "
+            "monomial x[2,2] differs from lcm quotient x[1,2] on chain "
+            "(~e({(1,2),(2,2)};x1*x3), ~e({(1,2)};x1*x3), ~e({};x1^2))"
+        )
+
     def test_minimal_support_failure_names_the_interval(self, deg2, monkeypatch):
         # a support search that never tries a single shift finds no minimal
         # support where the increasing chain's positive label is 1
@@ -206,9 +229,14 @@ class TestMutationDetection:
         with pytest.raises(VerificationError, match=re.escape(message)):
             full_battery(deg2)
 
-    def test_minimal_supports_skip_the_supersets_of_a_hit(self, deg2, monkeypatch):
-        # subsets come by size and none that contains a hit is tried: 63 calls
-        # of g over deg2's 53 intervals, where trying every subset made 92
+    @pytest.mark.parametrize("per_interval, calls", [(True, 63), (False, 14)],
+                             ids=["memo-per-interval", "memo-per-sweep"])
+    def test_minimal_supports_skip_the_supersets_of_a_hit(self, deg2, monkeypatch,
+                                                          per_interval, calls):
+        # subsets come by size and none that contains a hit is tried: with a
+        # fresh memo per interval, 63 calls of g over deg2's 53 intervals,
+        # where trying every subset made 92; the sweep's one memo of
+        # g(x_G a.m) by (a.m, G) takes that to 14
         class CountingIdeal:
             calls = 0
 
@@ -217,10 +245,34 @@ class TestMutationDetection:
                 return deg2.g(m)
 
         counting, original = CountingIdeal(), verification._check_minimal_support
-        monkeypatch.setattr(verification, "_check_minimal_support",
-                            lambda ideal, *args: original(counting, *args))
+
+        def counted(ideal, a, b, lab0, shifted):
+            return original(counting, a, b, lab0, {} if per_interval else shifted)
+
+        monkeypatch.setattr(verification, "_check_minimal_support", counted)
         assert check_intervals("ek", gamma("ek", deg2).dual(), deg2) == 53
-        assert counting.calls == 63
+        assert counting.calls == calls
+
+    def test_wrong_minimal_support_hit_names_the_first_interval(self, deg2, monkeypatch):
+        # g(x1*x2*x3) answered x1^2 for the support search alone: the first
+        # interval that shifts x1*x3 by x2 loses its hit
+        x1x2x3, x1sq = mono("x1*x2*x3", 3), mono("x1^2", 3)
+
+        class WrongIdeal:
+            def g(self, m):
+                return x1sq if m == x1x2x3 else deg2.g(m)
+
+        original = verification._check_minimal_support
+        monkeypatch.setattr(verification, "_check_minimal_support",
+                            lambda ideal, *args: original(WrongIdeal(), *args))
+        message = ("minimal shift supports [] vs positive labels {2} "
+                   "on [e({2};x1*x3), e({};x1*x2)]")
+        with pytest.raises(VerificationError) as info:
+            check_intervals("ek", gamma("ek", deg2).dual(), deg2)
+        assert str(info.value) == message
+        with pytest.raises(VerificationError) as info:
+            full_battery(deg2)
+        assert str(info.value) == message
 
     def test_modified_messages_name_the_cell_and_its_squares(self, deg2):
         # the first cell of degree 1 with its multidegree times x[3,1]
@@ -294,15 +346,47 @@ class TestPropertyChecks:
     def test_bset_relation_failure_names_the_pair(self, deg2, monkeypatch):
         # with every one-index B set emptied, dropping an index from a
         # two-index pair loses the other index's B membership
-        real = verification.b_set
+        real = verification._b_indices
 
-        def no_single_index(ideal, F, m, kind="ek"):
-            return () if len(F) == 1 else real(ideal, F, m, kind)
+        def no_single_index(F, row):
+            return () if len(F) == 1 else real(F, row)
 
-        monkeypatch.setattr(verification, "b_set", no_single_index)
+        monkeypatch.setattr(verification, "_b_indices", no_single_index)
         message = "2 leaves the B set of ~e({(1,2),(2,2)};x1*x3) after dropping 1"
         with pytest.raises(VerificationError, match=re.escape(message)):
             check_shift_instances(deg2)
+
+    @pytest.mark.parametrize("name", ["deg2", "deg4"])
+    def test_shift_table_has_one_entry_per_generator_and_index(self, name, request,
+                                                               monkeypatch):
+        J = request.getfixturevalue(name)
+        made, real = [], verification._shift_entry
+        monkeypatch.setattr(verification, "_shift_entry",
+                            lambda *args: made.append(args[2:]) or real(*args))
+        check_shift_instances(J)
+        # sum(max(m) - 1) entries: each (generator, index) once, in table order
+        assert made == [(m, i) for m in J.gens for i in range(1, m.max_var())]
+
+    @pytest.mark.parametrize("shifted, message", [
+        ("x1^2", "lcm quotient x[1,2]*x[3,1] of ~e({(1,2)};x1*x2) at 1 is not x[1,2]"),
+        ("x2^2", "lcm quotient x[2,2]*x[3,1] of ~e({(2,2)};x2*x3) at 2 is not x[2,2]"),
+    ])
+    def test_wrong_lcm_quotient_names_the_first_pair(self, deg2, monkeypatch, shifted, message):
+        # bpol of one generator given an extra factor x[3,1]: the quotient at
+        # the first (m, i) whose shift is that generator reads it too, first
+        # on ({i}, m): (x1*x2, 1) for x1^2, (x2*x3, 2) for x2^2
+        real = verification.bpol_lifts
+
+        def lifts(ideal):
+            squares, lift = real(ideal)
+            m = mono(shifted, 3)
+            return squares, {**lift, m: lift[m] * from_squares(squares, [(3, 1)])}
+
+        monkeypatch.setattr(verification, "bpol_lifts", lifts)
+        for check in (check_shift_instances, full_battery):
+            with pytest.raises(VerificationError) as info:
+                check(deg2)
+            assert str(info.value) == message
 
     def test_interval_sweep_counts(self, intro):
         dual = gamma("ek", intro).dual()
