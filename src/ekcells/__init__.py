@@ -2,7 +2,7 @@
 posets, and machine certification of shellability and closed-ball topology."""
 
 from .complexes import FreeComplex
-from .ek import AdmissiblePair, admissible_pairs, b_set, ek_complex, j_index, modified_complex
+from .ek import AdmissiblePair, admissible_pairs, ek_complex, j_index, modified_complex
 from .ideals import (
     MonomialIdeal,
     borel_closure,

@@ -43,7 +43,6 @@ __all__ = [
     "AdmissiblePair",
     "admissible_pairs",
     "admissible_layers",
-    "b_set",
     "ek_complex",
     "modified_complex",
 ]
@@ -182,12 +181,11 @@ def admissible_layers(ideal: MonomialIdeal, kind="ek") -> list:
     return [admissible_pairs(ideal, q, kind) for q in range(ideal.max_max())]
 
 
-def b_set(ideal: MonomialIdeal, F, m: Monomial, kind="ek") -> tuple:
-    """The indices i in F whose removal pairs admissibly with m_i: every other
-    index stays below max(m_i) and keeps its variable under m_i."""
-    kind = kind_of(kind)
-    F = _index_tuple(F, m)
-    return _b_indices(F, {i: _shift_entry(kind, ideal, m, i) for i in F})
+def _attached(kind: Kind, ideal: MonomialIdeal, squares) -> dict:
+    """Each generator's attached variables, by index: entry i of the list of m
+    is x_i, resp. x_{i,j(m,i)}, for 1 <= i < max(m)."""
+    return {m: [None] + [kind.variable(m, i, squares) for i in range(1, m.max_var())]
+            for m in ideal.gens}
 
 
 def _shift_entry(kind: Kind, ideal: MonomialIdeal, m: Monomial, i: int) -> list:
@@ -221,8 +219,7 @@ def _resolution(kind: Kind, ideal: MonomialIdeal, ring: tuple) -> FreeComplex:
     layers = admissible_layers(ideal, kind)
     squares, lifts = kind.lifts(ideal)
     # each generator's variables and shift table, by index
-    variables = {m: [None] + [kind.variable(m, i, squares) for i in range(1, m.max_var())]
-                 for m in ideal.gens}
+    variables = _attached(kind, ideal, squares)
     table = {m: [None] + [_shift_entry(kind, ideal, m, i) for i in range(1, m.max_var())]
              for m in ideal.gens}
     # rows are looked up by (F, exponents of m): no pair is built or hashed

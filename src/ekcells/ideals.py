@@ -111,40 +111,23 @@ class MonomialIdeal:
 
     # -- the decomposition function g ----------------------------------------
 
-    def g(self, m: Monomial, check: bool = False) -> Monomial:
+    def g(self, m: Monomial) -> Monomial:
         """The unique generator m0 dividing m with max(m0) <= min(m/m0).
 
         Computed as the lex-greatest generator dividing m (the two
-        characterizations agree for stable ideals; pass ``check=True`` to
-        verify the agreement on this call).
+        characterizations agree for stable ideals;
+        ``verification.check_g_properties`` checks the agreement).
         """
         if not self.is_stable():
             raise ValueError("decomposition function needs a stable ideal")
         cached = self._g_cache.get(m)
-        if cached is not None and not check:
+        if cached is not None:
             return cached
-        result = None
         for m0 in self.gens:  # descending lex
             if m0.divides(m):
-                result = m0
-                break
-        if result is None:
-            raise ValueError(f"{m} is not in the ideal")
-        if check:
-            witnesses = []
-            for m0 in self.gens:
-                if not m0.divides(m):
-                    continue
-                q = m.div(m0)
-                if q.is_unit() or m0.max_var() <= q.min_var():
-                    witnesses.append(m0)
-            if len(witnesses) != 1 or witnesses[0] != result:
-                raise RuntimeError(
-                    f"decomposition characterizations disagree on {m}: "
-                    f"lex-greatest {result}, max/min witnesses {witnesses}"
-                )
-        self._g_cache[m] = result
-        return result
+                self._g_cache[m] = m0
+                return m0
+        raise ValueError(f"{m} is not in the ideal")
 
     # -- height and Cohen-Macaulayness ----------------------------------------
 

@@ -189,10 +189,6 @@ class FinitePoset:
         mask = self._above[self._idx[a]] & self._below[self._idx[b]]
         return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
 
-    def up_set(self, a) -> tuple:
-        mask = self._above[self._idx[a]]
-        return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
-
     # -- chains ---------------------------------------------------------------
 
     def chains_between(self, a, b) -> list:

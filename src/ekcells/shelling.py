@@ -113,8 +113,8 @@ def el_label_edge(kind: str, lower, upper, ideal) -> int:
 
 
 def verify_el_all(kind: str, dual: FinitePoset, ideal) -> ELSweep:
-    """EL reports for every nontrivial interval [a, b] of the dual poset, a in
-    element order and b in ``up_set(a)`` order.
+    """EL reports for every nontrivial interval [a, b] of the dual poset, a and
+    then b in element order.
 
     Each cover is labelled once.  Then each x, in reverse topological order,
     merges the records of [y, b] of its covers y into those of [x, b], by the
@@ -212,29 +212,17 @@ def _rising_chain(a, b, up, label, chains, rising):
     return path, tuple(word)
 
 
-class _Attached(dict):
-    """The variables the kind ``rules`` attaches to the indices of m, by
-    index, each built by ``rules.variable`` on its first lookup."""
-
-    __slots__ = ("rules", "m", "squares")
-
-    def __init__(self, rules, m, squares):
-        super().__init__()
-        self.rules, self.m, self.squares = rules, m, squares
-
-    def __missing__(self, i):
-        x = self[i] = self.rules.variable(self.m, i, self.squares)
-        return x
-
-
 def _positive_part(variables, squares, chain, labels, lift, end_lift):
     """The monomial of the positive labels along an increasing chain: the
-    product of the variables its start attaches to them (``_Attached``), from
-    the kind's ring, the chain's labels and the lifts of its ends.
+    product of the variables its start attaches to them (``variables``, its
+    generator's list from ``ek._attached``), from the kind's ring, the
+    chain's labels and the lifts of its ends.
 
     The result is checked against lcm(lift(start), lift(end)) / lift(start)
-    and a mismatch raises.
+    and a mismatch raises, as does a label that names no index of the start.
     """
+    if max(labels) >= len(variables):
+        raise RuntimeError(f"label {max(labels)} names no index of {chain[0]!r}")
     lcm = lift.lcm(end_lift)
     u = prod((variables[i] for i in labels if i > 0), start=lift)
     if u != lcm:

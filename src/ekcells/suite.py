@@ -13,7 +13,7 @@ from .ideals import MonomialIdeal, random_borel_ideal
 from .monomials import Monomial, square_str
 from .polarization import bpol_ideal, bpol_ring, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic
-from .shelling import ball_check, is_cw_poset
+from .shelling import ball_check
 from .topology import euler_characteristic
 from .verification import VerificationError, cm_battery, full_battery
 
@@ -82,17 +82,7 @@ def criterion_1():
     cek, cmod = ek_complex(ideal), modified_complex(ideal)
     _ensure(cek.ranks == (6, 8, 3), "classical f-vector is not (6,8,3)")
     _ensure(cmod.ranks == (6, 8, 3), "modified f-vector is not (6,8,3)")
-    for cplx in (cek, cmod):
-        kind, poset = cplx.kind, build_gamma(cplx)
-        _ensure(poset.is_thin(), f"{kind} poset not thin")
-        cw = is_cw_poset(poset, kind, ideal)
-        _ensure(cw[0], f"{kind} poset not CW")
-        _ensure(cw[1].get("el_failures") == 0, f"{kind} EL verification failed")
-        verdict = ball_check(poset, cplx, ideal, cw_result=cw)
-        _ensure(
-            verdict.verdict == "ball-certified",
-            f"{kind} ball check: {verdict.verdict} ({verdict.detail})",
-        )
+    cm_battery(ideal)  # thin, CW, EL and ball, and the CM structure, for both kinds
     return "f-vectors (6,8,3); thin, CW, EL pass; both complexes ball-certified"
 
 

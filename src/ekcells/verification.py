@@ -8,7 +8,7 @@ assert per ideal.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import add
@@ -17,6 +17,7 @@ from . import shelling
 from .complexes import FreeComplex
 from .ek import (
     AdmissiblePair,
+    _attached,
     _b_indices,
     _shift_entry,
     admissible_layers,
@@ -135,8 +136,16 @@ def _monomials_up_to(n, deg):
 def check_g_properties(ideal: MonomialIdeal):
     deg_bound = ideal.max_deg() + 1
     members = [m for m in _monomials_up_to(ideal.n, deg_bound) if m in ideal]
-    # lex-greatest divisor vs max/min witness
-    g_members = [ideal.g(m, check=True) for m in members]
+    # the lex-greatest divisor g(m) against the max/min witnesses of each member
+    g_members = [ideal.g(m) for m in members]
+    for m, gm in zip(members, g_members):
+        witnesses = [m0 for m0 in ideal.gens if m0.divides(m)
+                     and (m0 == m or m0.max_var() <= m.div(m0).min_var())]
+        if witnesses != [gm]:
+            raise RuntimeError(
+                f"decomposition characterizations disagree on {m}: "
+                f"lex-greatest {gm}, max/min witnesses {witnesses}"
+            )
     for m in ideal.gens:
         for i in range(1, ideal.n + 1):
             gi = ideal.g(m.times_var(i))
@@ -241,8 +250,7 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
     _check_label_rewrites(kind, dual, reports.cover_labels)
     rules = kind_of(kind)
     squares, lifts = rules.lifts(ideal)
-    # one map of attached variables per generator, for the whole sweep
-    variables = cache(lambda m: shelling._Attached(rules, m, squares))
+    variables = _attached(rules, ideal, squares)
     holds = set()  # the (a.m, b.m, positive labels) whose lcm identity holds
     shifted = {}   # (a.m, G) -> the exponents of g(x_G a.m), for the minimal supports
     for rep in reports:
@@ -257,7 +265,7 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
             key = (a.m.exps, b.m.exps, tuple(x for x in rep.increasing_label if x > 0))
             if key not in holds:
                 try:
-                    shelling._positive_part(variables(a.m), squares, rep.increasing_chain,
+                    shelling._positive_part(variables[a.m], squares, rep.increasing_chain,
                                             rep.increasing_label, lifts[a.m], lifts[b.m])
                 except RuntimeError as exc:  # the lcm identity fails
                     raise VerificationError(
@@ -560,7 +568,9 @@ def full_battery(ideal: MonomialIdeal) -> dict:
 
 
 def cm_battery(ideal: MonomialIdeal) -> dict:
-    """Structure and ball certification for one Cohen-Macaulay Borel ideal.
+    """Structure and ball certification for one Cohen-Macaulay stable ideal,
+    of each kind the ideal admits: the classical one always, the modified one
+    when the ideal is Borel fixed.
 
     Each shelling search runs under ``shelling.NODE_BUDGET``; a verdict
     other than "ball-certified" raises.
@@ -570,9 +580,11 @@ def cm_battery(ideal: MonomialIdeal) -> dict:
         raise VerificationError(f"{ideal!r} is not Cohen-Macaulay")
     check_cm_generator_exchanges(ideal, h)
     stats = {"h": h, "l": l_power}
-    for build in (ek_complex, modified_complex):
+    for kind, build in (("ek", ek_complex), ("modified", modified_complex)):
+        if not kind_of(kind).admits(ideal):
+            continue
         cplx = build(ideal)
-        kind, poset = cplx.kind, build_gamma(cplx)
+        poset = build_gamma(cplx)
         if not poset.is_pure():
             raise VerificationError(f"{kind} poset of CM ideal not pure")
         if euler_characteristic(poset) != 1:

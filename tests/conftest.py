@@ -5,6 +5,7 @@ import pytest
 from ekcells import (
     Monomial, MonomialIdeal, ball_check, build_gamma, cli, ek_complex, modified_complex, shelling,
 )
+from ekcells.ek import _b_indices, _shift_entry, kind_of
 from ekcells.suite import named_ideal
 
 
@@ -45,6 +46,13 @@ def stable_closures():
     seeds = [Monomial.parse("*".join(f"x{i}" for i in c), 3)
              for d in (1, 2, 3) for c in combinations_with_replacement((1, 2, 3), d)]
     return {stable_closure(list(s)) for k in (1, 2) for s in combinations(seeds, k)}
+
+
+def b_set(J, F, m, kind="ek"):
+    """B(F, m) of the kind, read off the shift entries of (m, i), i in F, as a
+    build reads it."""
+    rules = kind_of(kind)
+    return _b_indices(F, {i: _shift_entry(rules, J, m, i) for i in F})
 
 
 def resolution(kind, J):

@@ -382,6 +382,38 @@ class TestIdealFileHeader:
         assert err == f'error: expected header "<n> <count>", got {header!r}\n'
 
 
+class TestFuzzList:
+    # each bad input exits 2 with one "error:" line and prints nothing else
+    @pytest.mark.parametrize("text, message", [
+        ("3 0\n", "invalid header values n=3, count=0"),
+        ("", "empty ideal file"),
+        ("2 1\n1\n", "the unit ideal is not supported"),
+        ("2 1\nx3\n", "variable index 3 out of range 1..2"),
+        ("-1 2\nx1\nx2\n", "invalid header values n=-1, count=2"),
+        ("2 1\nx1^a\n", "cannot parse monomial factor 'x1^a'"),
+    ], ids=["no generators", "empty file", "unit ideal", "index above n", "negative n",
+            "exponent not a number"])
+    def test_bad_ideal_file_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.ideal"
+        path.write_text(text, encoding="utf-8")
+        assert main(["resolve", "--ideal", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unknown_name_and_missing_file_exit_2(self, tmp_path, capsys):
+        assert main(["resolve", "--named", "nope"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown named ideal 'nope'\n")
+        assert main(["resolve", "--ideal", str(tmp_path / "missing.ideal")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file" in err
+
+    def test_duplicate_generator_counts_once(self, tmp_path, capsys):
+        path = tmp_path / "twice.ideal"
+        path.write_text("2 2\nx1\nx1\n", encoding="utf-8")
+        assert main(["resolve", "--ideal", str(path)]) == 0
+        assert capsys.readouterr() == ("ek: ranks [1]\nmodified: ranks [1]\n", "")
+
+
 _INPUT_FLAGS = {"-h", "--help", "--ideal", "--named", "--random-borel", "--seed",
                 "--max-n", "--max-deg", "--max-gens"}
 

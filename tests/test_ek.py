@@ -9,7 +9,6 @@ import pytest
 from ekcells import (
     AdmissiblePair,
     admissible_pairs,
-    b_set,
     bpol_ring,
     ek_complex,
     modified_complex,
@@ -22,7 +21,7 @@ from ekcells.verification import (
     check_multidegrees,
     check_pair_counts,
 )
-from conftest import ideal, mono, stable_closures
+from conftest import b_set, ideal, mono, stable_closures
 
 
 class TestAdmissiblePairs:
@@ -53,6 +52,15 @@ class TestAdmissiblePairs:
         with pytest.raises(ValueError):
             AdmissiblePair((0,), mono("x3", 3))
 
+    @pytest.mark.parametrize("F, message", [
+        ((0, 1), ">= 1"),
+        ((2, 1), "strictly increasing"),
+        ((1, 3), "must stay below max"),
+    ])
+    def test_index_set_is_validated(self, F, message):
+        with pytest.raises(ValueError, match=message):
+            AdmissiblePair(F, mono("x3^2", 3))
+
 
 class TestBSet:
     def test_full(self, deg2):
@@ -67,15 +75,6 @@ class TestBSet:
     def test_blocked(self, deg2):
         # g(x1 * x1x3) = x1^2 has max 1, so removing 1 from {1,2} fails
         assert b_set(deg2, (1, 2), mono("x1*x3", 3)) == (2,)
-
-    @pytest.mark.parametrize("F, message", [
-        ((0, 1), ">= 1"),
-        ((2, 1), "strictly increasing"),
-        ((1, 3), "must stay below max"),
-    ])
-    def test_index_set_is_validated(self, deg2, F, message):
-        with pytest.raises(ValueError, match=message):
-            b_set(deg2, F, mono("x3^2", 3))
 
 
 class TestDifferential:

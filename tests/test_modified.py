@@ -5,7 +5,6 @@ import pytest
 from ekcells import (
     AdmissiblePair,
     admissible_pairs,
-    b_set,
     bpol_monomial,
     bpol_ring,
     bpol_squares,
@@ -18,7 +17,7 @@ from ekcells import (
 from ekcells.monomials import from_squares, square_items
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_d2, check_minimality, check_multidegrees
-from conftest import ideal, mono
+from conftest import b_set, ideal, mono
 
 
 class TestJIndex:

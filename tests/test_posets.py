@@ -17,10 +17,10 @@ from ekcells import (
     poset_to_dot,
     random_borel_ideal,
 )
-from ekcells.ek import admissible_layers, b_set, kind_of
+from ekcells.ek import admissible_layers, kind_of
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_cover_support
-from conftest import gamma, ideal, mono
+from conftest import b_set, gamma, ideal, mono
 
 
 def chain_poset(k):

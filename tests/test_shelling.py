@@ -24,7 +24,7 @@ from ekcells import (
     verify_el_all,
 )
 from ekcells.cli import main
-from ekcells.ek import kind_of
+from ekcells.ek import _attached, kind_of
 from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import VerificationError, check_intervals, cm_battery
@@ -104,7 +104,7 @@ def reference_el_reports(kind, dual, ideal):
     ``verify_el_all``'s order."""
     label = {(x, y): shelling.el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
     return [reference_el_report(kind, dual, a, b, ideal, label)
-            for a in dual.elements for b in dual.up_set(a) if a != b]
+            for a in dual.elements for b in dual.elements if a != b and dual.leq(a, b)]
 
 
 class TestSweepOracle:
@@ -125,12 +125,13 @@ class TestSweepOracle:
             dual = gamma(kind, J).dual()
             reports = verify_el_all(kind, dual, J)
             assert reports == reference_el_reports(kind, dual, J), J
+            squares = rules.lifts(J)[0]
+            variables = _attached(rules, J, squares)
             for rep in reports:
                 if rep.top is not BOTTOM:
                     chain, lab = rep.increasing_chain, rep.increasing_label
-                    squares = rules.lifts(J)[0]
                     shelling._positive_part(  # raises on a mismatch
-                        shelling._Attached(rules, rep.bottom.m, squares), squares, chain, lab,
+                        variables[rep.bottom.m], squares, chain, lab,
                         rules.lift(rep.bottom.m, squares), rules.lift(rep.top.m, squares))
 
     @pytest.mark.parametrize("labelling", ["pseudo-random", "constant", "unsigned"])

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekcells import (
     FreeComplex,
@@ -360,6 +362,12 @@ class TestExactLinearAlgebra:
             assert cols == sparse_columns(mat, n)  # the input is left as it was
             shapes.add((len(mat), n))
         assert (0, 0) in shapes and any(m and not n for m, n in shapes)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=6)))
+    def test_sparse_kernel_matches_dense_smith_on_drawn_matrices(self, mat):
+        assert invariant_factors(sparse_columns(mat)) == smith_diagonal(mat)
 
     def test_unit_free_block_keeps_its_invariants(self):
         assert invariant_factors(sparse_columns([[2, 4], [6, 8]])) == [2, 4]

@@ -40,6 +40,39 @@ class TestBatteries:
         with pytest.raises(VerificationError, match="not Cohen-Macaulay"):
             cm_battery(tri_tri)
 
+    # the stable closures of at most three seeds of degree <= 4 in three
+    # variables that are Cohen-Macaulay but not Borel fixed (14 of 430)
+    STABLE_CM_NOT_BOREL = [
+        ("x1^2", "x1*x2", "x1*x3^2", "x2^2", "x2*x3", "x3^3"),
+        ("x1^2", "x1*x2", "x1*x3^2", "x2^2", "x2*x3", "x3^4"),
+        ("x1^2", "x1*x2", "x1*x3^3", "x2^2", "x2*x3", "x3^4"),
+        ("x1^2", "x1*x2", "x1*x3^3", "x2^2", "x2*x3^2", "x3^4"),
+        ("x1^2", "x1*x2", "x1*x3^3", "x2^3", "x2^2*x3", "x2*x3^2", "x3^4"),
+        ("x1^2", "x1*x2^2", "x1*x2*x3", "x1*x3^3", "x2^3", "x2^2*x3", "x2*x3^2", "x3^4"),
+        ("x1^2", "x1*x2^2", "x1*x2*x3^2", "x1*x3^3", "x2^3", "x2^2*x3", "x2*x3^3", "x3^4"),
+        ("x1^3", "x1^2*x2", "x1^2*x3", "x1*x2^2", "x1*x2*x3", "x1*x3^3", "x2^3", "x2^2*x3",
+         "x2*x3^2", "x3^4"),
+        ("x1^3", "x1^2*x2", "x1^2*x3", "x1*x2^2", "x1*x2*x3^2", "x1*x3^3", "x2^3", "x2^2*x3",
+         "x2*x3^3", "x3^4"),
+        ("x1^3", "x1^2*x2", "x1^2*x3^2", "x1*x2^2", "x1*x2*x3", "x1*x3^3", "x2^3", "x2^2*x3",
+         "x2*x3^2", "x3^4"),
+        ("x1^3", "x1^2*x2", "x1^2*x3^2", "x1*x2^2", "x1*x2*x3", "x1*x3^3", "x2^3", "x2^2*x3",
+         "x2*x3^3", "x3^4"),
+        ("x1^3", "x1^2*x2", "x1^2*x3^2", "x1*x2^2", "x1*x2*x3", "x1*x3^3", "x2^3", "x2^2*x3^2",
+         "x2*x3^3", "x3^4"),
+        ("x1^3", "x1^2*x2", "x1^2*x3^2", "x1*x2^2", "x1*x2*x3^2", "x1*x3^3", "x2^3", "x2^2*x3",
+         "x2*x3^3", "x3^4"),
+        ("x1^3", "x1^2*x2", "x1^2*x3^2", "x1*x2^2", "x1*x2*x3", "x1*x3^3", "x2^4", "x2^3*x3",
+         "x2^2*x3^2", "x2*x3^3", "x3^4"),
+    ]
+
+    @pytest.mark.parametrize("gens", STABLE_CM_NOT_BOREL, ids=lambda gens: ",".join(gens))
+    def test_cm_battery_certifies_the_classical_kind_of_a_stable_ideal(self, gens):
+        J = ideal(3, *gens)
+        assert J.is_stable() and not J.is_borel_fixed() and J.is_cm_stable()[0]
+        stats = cm_battery(J)
+        assert stats["facets_ek"] > 0 and "facets_modified" not in stats
+
     def test_battery_rejects_non_borel(self):
         J = ideal(3, "x1^2", "x1*x2", "x2^2", "x2*x3")
         with pytest.raises(VerificationError, match="not Borel"):
@@ -323,12 +356,23 @@ class TestPropertyChecks:
         # so it is reached only as the product x3^2 * x3^3
         real, wrong = MonomialIdeal.g, mono("x1^2", 3)
 
-        def g(ideal, m, check=False):
-            return wrong if m == mono("x3^5", 3) else real(ideal, m, check)
+        def g(ideal, m):
+            return wrong if m == mono("x3^5", 3) else real(ideal, m)
 
         monkeypatch.setattr(MonomialIdeal, "g", g)
         with pytest.raises(VerificationError, match=re.escape(
                 "g(x3^2*g(x3^3)) = x3^2 != g(x3^2*x3^3) = x1^2")):
+            check_g_properties(deg2)
+
+    def test_g_off_the_max_min_witness_raises(self, deg2, monkeypatch):
+        # x1*x3 divides the member x1*x2*x3, but its witness is x1*x2:
+        # x1*x3 / x1*x3 leaves x2, below max(x1*x3) = 3
+        real, member = MonomialIdeal.g, mono("x1*x2*x3", 3)
+        monkeypatch.setattr(MonomialIdeal, "g", lambda ideal, m: (
+            mono("x1*x3", 3) if m == member else real(ideal, m)))
+        with pytest.raises(RuntimeError, match=re.escape(
+                "decomposition characterizations disagree on x1*x2*x3: "
+                "lex-greatest x1*x3, max/min witnesses [Monomial(x1*x2)]")):
             check_g_properties(deg2)
 
     def test_passing_g_properties_format_no_monomial(self, deg2, deg4, monkeypatch):
