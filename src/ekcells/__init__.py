@@ -16,7 +16,6 @@ from .polarization import (
     b_shift,
     bpol_ideal,
     bpol_monomial,
-    bpol_ring,
     bpol_squares,
     column_bound,
     g_shift,

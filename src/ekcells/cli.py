@@ -19,7 +19,7 @@ from pathlib import Path
 from .ek import AdmissiblePair, ek_complex, kind_of, modified_complex
 from .ideals import random_borel_ideal, read_ideal
 from .monomials import square_str
-from .polarization import bpol_ideal, bpol_ring, column_bound, sigma_ideal, stairs_diagram
+from .polarization import bpol_ideal, bpol_lifts, column_bound, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic, poset_to_dot
 from .shelling import ball_check, is_cw_poset, verify_el_all
 from .suite import named_ideal, run_suite
@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
 
 def cmd_polarize(args) -> int:
     ideal = _load_ideal(args)
-    pol, squares = bpol_ideal(ideal), bpol_ring(ideal)
+    pol, squares = bpol_ideal(ideal), bpol_lifts(ideal)[0]
     shifted = sigma_ideal(ideal, args.d)
     print("bpol generators:")
     for b in pol:

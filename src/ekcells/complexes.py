@@ -55,14 +55,6 @@ class FreeComplex:
             raise ValueError(f"no differential out of degree {q}")
         return self.diffs[q - 1]
 
-    def column(self, q: int, col: int) -> list:
-        """Entries (row, sign, coeff) of one differential column."""
-        return [
-            (i, sign, coeff)
-            for (i, j), (sign, coeff) in self.boundary(q).items()
-            if j == col
-        ]
-
     def to_json_dict(self) -> dict:
         ring = {"type": self.ring[0], "n": self.ring[1]}
         if self.ring[0] == "S~":

@@ -7,7 +7,7 @@ together with a strictly increasing index tuple F below max(m).  They differ
 in four rules, which a :class:`Kind` record holds:
 
 * the ring and the generators' lifts: k[x_1..x_n] and m, resp.
-  k[x_s | s in bpol_ring(I)] and bpol(m);
+  k[x_s | s the squares of bpol(I)] and bpol(m);
 * the variable attached to an index i: x_i, resp. x_{i,j(m,i)};
 * the lift of one monomial m: m, resp. bpol(m);
 * the shifted generator m_i: g(x_i m), resp. g(b_i(m)).

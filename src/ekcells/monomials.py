@@ -9,7 +9,9 @@ across threads).
 A ring k[x_s | s in squares] of doubly indexed variables, ``squares`` a
 strictly increasing tuple of squares s = (i, j), is a ``Monomial`` ring with
 one slot per square: x_s is slot k where squares[k] = s.  ``from_squares``,
-``square_items`` and ``square_str`` are the only code that knows this layout.
+``square_items`` and ``square_str`` read and write this layout; only
+``polarization.bpol_lifts`` builds a slot map of its own, on purpose, so that
+the lift through ``from_squares`` can check it.
 
 Input is validated at the public constructors (``Monomial(exps)``, ``parse``,
 ``from_factors``, ``unit``, ``**``).  Products, quotients, lcms, variables and

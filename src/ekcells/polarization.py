@@ -2,10 +2,11 @@
 
 bpol places the i-th smallest variable of a monomial (with multiplicity) into
 column i of the doubly indexed ring: the factor x_a at position i becomes the
-square (a, i).  bpol(I) lives in k[x_s | s in bpol_ring(I)], the squares its
-generators use.  The two linear specializations collapse the big ring back
-down: theta sends x_{i,j} to x_i and recovers the original ideal, theta'
-sends x_{i,j} to x_{i+j-1} and recovers the squarefree shift.
+square (a, i).  bpol(I) lives in k[x_s | s in squares], ``squares`` the
+sorted squares its generators use (the first half of ``bpol_lifts(I)``).
+The two linear specializations collapse the big ring back down: theta sends
+x_{i,j} to x_i and recovers the original ideal, theta' sends x_{i,j} to
+x_{i+j-1} and recovers the squarefree shift.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .monomials import Monomial, from_squares, square_items
 __all__ = [
     "column_bound",
     "bpol_squares",
-    "bpol_ring",
     "bpol_monomial",
     "bpol_lifts",
     "bpol_ideal",
@@ -51,23 +51,18 @@ def bpol_squares(m: Monomial) -> tuple:
     return tuple(zip(factors, range(1, len(factors) + 1)))
 
 
-def bpol_ring(ideal: MonomialIdeal) -> tuple:
-    """The sorted squares that bpol(I) uses: the variables of the ring of the
-    modified resolution.  For Borel fixed I the variable x_{i,j(m,i)} of its
-    differential is lcm(bpol(m), bpol(m_i)) / bpol(m), so it divides bpol(m_i)
-    and lies in this ring."""
-    return tuple(sorted({s for m in ideal.gens for s in bpol_squares(m)}))
-
-
 def bpol_monomial(m: Monomial, squares: tuple) -> Monomial:
     """Squarefree lift of m in k[x_s | s in squares]."""
     return from_squares(squares, bpol_squares(m))
 
 
 def bpol_lifts(ideal: MonomialIdeal) -> tuple:
-    """bpol_ring(I) and {m: bpol(m)} over the generators m of I, in their
-    canonical order.  Each generator is polarized once, and its lift is read
-    off one map from the squares to their slots."""
+    """The sorted squares of bpol(I), the ring of the modified resolution
+    (each variable x_{i,j(m,i)} of its differential divides bpol(m_i)),
+    and {m: bpol(m)} over the generators m of I, in their canonical order.
+    Each generator is polarized once, and its lift is read off a map from
+    the squares to their slots built apart from ``from_squares``, so that
+    ``bpol_monomial`` checks it."""
     polar = {m: bpol_squares(m) for m in ideal.gens}
     # each generator's squares are sorted, so the sort merges that many runs
     squares = tuple(sorted(dict.fromkeys(s for sq in polar.values() for s in sq)))
@@ -82,7 +77,7 @@ def bpol_lifts(ideal: MonomialIdeal) -> tuple:
 
 
 def bpol_ideal(ideal: MonomialIdeal) -> list:
-    """Polarized generators in k[x_s | s in bpol_ring(I)], in the ideal's
+    """Polarized generators in the ring of ``bpol_lifts(I)``, in the ideal's
     canonical generator order."""
     if not ideal.is_borel_fixed():
         raise ValueError("ideal is not Borel fixed")

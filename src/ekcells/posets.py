@@ -133,16 +133,6 @@ class FinitePoset:
     def __contains__(self, x):
         return x in self._idx
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinitePoset)
-            and set(self.elements) == set(other.elements)
-            and set(self.covers) == set(other.covers)
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.elements), frozenset(self.covers)))
-
     def index(self, x) -> int:
         return self._idx[x]
 
@@ -175,17 +165,8 @@ class FinitePoset:
         d._rank_pass()
         return d
 
-    def interval(self, a, b) -> "FinitePoset":
-        """The closed interval [a, b] as a poset (covers restrict, since
-        intervals are convex)."""
-        if not self.leq(a, b):
-            raise ValueError(f"{a!r} and {b!r} do not satisfy a <= b")
-        members = self.interval_set(a, b)
-        keep = set(members)
-        covers = [(x, y) for x, y in self.covers if x in keep and y in keep]
-        return FinitePoset(members, covers)
-
     def interval_set(self, a, b) -> tuple:
+        """The elements of the closed interval [a, b]; empty unless a <= b."""
         mask = self._above[self._idx[a]] & self._below[self._idx[b]]
         return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
 

@@ -9,12 +9,12 @@ import pytest
 from ekcells import (
     AdmissiblePair,
     admissible_pairs,
-    bpol_ring,
     ek_complex,
     modified_complex,
     random_borel_ideal,
 )
 from ekcells.ek import EK, _resolution, kind_of
+from ekcells.polarization import bpol_lifts
 from ekcells.verification import (
     check_d2,
     check_minimality,
@@ -82,9 +82,8 @@ class TestDifferential:
         cplx = ek_complex(deg2)
         pair = AdmissiblePair((1, 2), mono("x3^2", 3))
         col = cplx.basis[2].index(pair)
-        entries = {}
-        for row, sign, coeff in cplx.column(2, col):
-            entries[cplx.basis[1][row]] = (sign, coeff)
+        entries = {cplx.basis[1][row]: entry
+                   for (row, c), entry in cplx.boundary(2).items() if c == col}
         expect = {
             AdmissiblePair((2,), mono("x3^2", 3)): (-1, mono("x1", 3)),
             AdmissiblePair((1,), mono("x3^2", 3)): (1, mono("x2", 3)),
@@ -99,10 +98,8 @@ class TestDifferential:
         cplx = ek_complex(deg2)
         pair = AdmissiblePair((1, 2), mono("x1*x3", 3))
         col = cplx.basis[2].index(pair)
-        entries = {
-            cplx.basis[1][row]: (sign, coeff)
-            for row, sign, coeff in cplx.column(2, col)
-        }
+        entries = {cplx.basis[1][row]: entry
+                   for (row, c), entry in cplx.boundary(2).items() if c == col}
         assert len(entries) == 3
         assert entries[AdmissiblePair((2,), mono("x1*x3", 3))] == (-1, mono("x1", 3))
 
@@ -141,7 +138,7 @@ def reference_resolution(kind, J):
     with B(F, m) read straight off its definition: i is in B(F, m) when every
     other index of F stays below max(m_i) and keeps its variable under m_i."""
     rules = kind_of(kind)
-    squares = bpol_ring(J) if kind == "modified" else None
+    squares = bpol_lifts(J)[0] if kind == "modified" else None
     lift = {m: rules.lift(m, squares) for m in J.gens}
     basis = [[(F, m) for m in J.gens for F in combinations(range(1, m.max_var()), q)]
              for q in range(J.max_max())]

@@ -6,7 +6,6 @@ from ekcells import (
     AdmissiblePair,
     admissible_pairs,
     bpol_monomial,
-    bpol_ring,
     bpol_squares,
     ek_complex,
     g_shift,
@@ -15,6 +14,7 @@ from ekcells import (
     random_borel_ideal,
 )
 from ekcells.monomials import from_squares, square_items
+from ekcells.polarization import bpol_lifts
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_d2, check_minimality, check_multidegrees
 from conftest import b_set, ideal, mono
@@ -49,7 +49,7 @@ class TestAdmissibleTilde:
         rng = random.Random(41)
         for _ in range(20):
             J = random_borel_ideal(rng)
-            ring = bpol_ring(J)
+            ring = bpol_lifts(J)[0]
             for q in range(1, 4):
                 for pair in admissible_pairs(J, q, "modified"):
                     wm = bpol_monomial(pair.m, ring)
@@ -100,10 +100,8 @@ class TestModifiedComplex:
         cplx = modified_complex(intro)
         pair = AdmissiblePair((1,), mono("x1*x2", 2), "modified")
         col = cplx.basis[1].index(pair)
-        entries = {
-            cplx.basis[0][row]: (sign, coeff)
-            for row, sign, coeff in cplx.column(1, col)
-        }
+        entries = {cplx.basis[0][row]: entry
+                   for (row, c), entry in cplx.boundary(1).items() if c == col}
         # -x[1,2] e(0; x11 x22) + x[2,2] e(0; x11 x12)
         assert entries[AdmissiblePair((), mono("x1*x2", 2), "modified")] == (
             -1,
@@ -118,7 +116,7 @@ class TestModifiedComplex:
         rng = random.Random(47)
         for _ in range(15):
             J = random_borel_ideal(rng)
-            ring = bpol_ring(J)
+            ring = bpol_lifts(J)[0]
             for q in range(1, 4):
                 for pair in admissible_pairs(J, q, "modified"):
                     wm = bpol_monomial(pair.m, ring)

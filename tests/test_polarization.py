@@ -8,7 +8,6 @@ from ekcells import (
     b_shift,
     bpol_ideal,
     bpol_monomial,
-    bpol_ring,
     bpol_squares,
     column_bound,
     ek_complex,
@@ -23,6 +22,8 @@ from ekcells import (
     strand_exactness,
 )
 from ekcells.monomials import square_items, square_str
+from ekcells.polarization import bpol_lifts
+from ekcells.suite import NAMED_IDEALS
 from conftest import ideal, mono
 
 
@@ -36,7 +37,7 @@ class TestBpol:
         assert square_items(bpol_monomial(m, ring), ring) == tuple((s, 1) for s in squares)
 
     def test_intro_ideal(self, intro):
-        ring = bpol_ring(intro)
+        ring = bpol_lifts(intro)[0]
         assert ring == ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
         assert [square_str(b, ring) for b in bpol_ideal(intro)] == [
             "x[1,1]*x[1,2]",
@@ -64,6 +65,20 @@ class TestBpol:
         images = [bpol_monomial(m, ring) for m in monos]
         assert all(b.is_squarefree() for b in images)
         assert len(set(images)) == len(monos)
+
+    def test_lifts_agree_with_the_independent_lift(self):
+        # the ideals of criteria 6 and 7 (their seeds), the named ideals and
+        # (x1, x2^k): bpol_lifts' ring is the sorted squares of every bpol(m),
+        # and its slot map lifts each generator as bpol_monomial does
+        rng6, rng7 = random.Random(20260810), random.Random(20260811)
+        ideals = [random_borel_ideal(rng6) for _ in range(200)]
+        ideals += [random_borel_ideal(rng7, cm=True) for _ in range(50)]
+        ideals += [build() for build in NAMED_IDEALS.values()]
+        ideals += [ideal(2, "x1", f"x2^{k}") for k in (1, 2, 3, 5)]
+        for J in ideals:
+            ring, lifts = bpol_lifts(J)
+            assert ring == tuple(sorted({s for m in J.gens for s in bpol_squares(m)}))
+            assert list(lifts.items()) == [(m, bpol_monomial(m, ring)) for m in J.gens]
 
 
 class TestBShift:

@@ -58,8 +58,7 @@ class TestFinitePoset:
         p = chain_poset(4)
         assert p.leq(0, 3) and not p.leq(3, 0)
         assert p.interval_set(1, 3) == (1, 2, 3)
-        with pytest.raises(ValueError):
-            p.interval(3, 1)
+        assert p.interval_set(3, 1) == ()
 
     def test_interval_of_length_two_in_gamma(self, deg2):
         g = gamma("ek", deg2)
@@ -69,11 +68,12 @@ class TestFinitePoset:
             e for e in g.interval_set(BOTTOM, pair) if ranks[pair] - ranks[e] == 2
         ]
         for e in length2:
-            assert len(g.interval(e, pair)) == 4
+            assert len(g.interval_set(e, pair)) == 4
 
     def test_dual_involution(self, deg2):
         g = gamma("ek", deg2)
-        assert g.dual().dual() == g
+        back = g.dual().dual()
+        assert back.elements == g.elements and set(back.covers) == set(g.covers)
 
     def test_maximal_chains_of_chain(self):
         assert chain_poset(3).order_complex().facets == (frozenset({0, 1, 2}),)

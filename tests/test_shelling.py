@@ -16,6 +16,9 @@ from ekcells import (
     AdmissiblePair,
     FinitePoset,
     SimplicialComplexData,
+    ball_check,
+    build_gamma,
+    ek_complex,
     el_label_edge,
     find_shelling,
     is_cw_poset,
@@ -510,7 +513,9 @@ class TestFindShelling:
                     continue
                 rep = reference_el_report(kind, dual, e, bottom, tri_sq)
                 assert rep.passed
-                data = poset.interval(bottom, e).order_complex()
+                members = poset.interval_set(bottom, e)
+                covers = [(a, b) for a, b in poset.covers if a in members and b in members]
+                data = FinitePoset(members, covers).order_complex()
                 assert find_shelling(data).order is not None
 
 
@@ -533,6 +538,18 @@ class TestBallCheck:
         v_ek = ball("ek", tri_sq)
         assert v_mod.verdict == "ball-certified"
         assert v_ek.verdict == "refuted"
+
+    def test_poset_without_least_element_is_inconclusive(self, deg2):
+        # emptying the first top-degree column leaves that cell minimal, so
+        # no ridge count exists: the verdict is the not-CW one, not a raise
+        cplx = ek_complex(deg2)
+        cplx.diffs[-1] = {pos: e for pos, e in cplx.diffs[-1].items() if pos[1] != 0}
+        poset = build_gamma(cplx)
+        cw = is_cw_poset(poset, "ek", deg2)
+        assert not cw[0] and not cw[1]["bounded_below"]
+        v = ball_check(poset, cplx, deg2, cw_result=cw)
+        assert (v.verdict, v.detail) == ("inconclusive", "poset not certified as CW")
+        assert v.constructible_certificate is None and not v.cond2 and not v.cond3
 
     def test_budget_failure_is_inconclusive(self, tri_tri, monkeypatch):
         monkeypatch.setattr(shelling, "NODE_BUDGET", 3)
