@@ -14,7 +14,6 @@ from .ideals import (
 from .monomials import Monomial
 from .polarization import (
     b_shift,
-    bpol_ideal,
     bpol_monomial,
     bpol_squares,
     column_bound,

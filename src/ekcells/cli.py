@@ -3,7 +3,9 @@
 Subcommands: resolve, verify, polarize, poset, compare, paper-suite.  All but
 paper-suite read an ideal from ``--ideal``, ``--named`` or ``--random-borel``;
 each declares only the other flags it reads (``--kind``, ``--d``, ``--out``,
-``resolve --export``), so an unread flag is an argparse error.
+``resolve --export``), so an unread flag is an argparse error.  ``resolve``
+without ``--export`` and ``polarize`` without ``--diagram`` write no file, so
+there ``--out`` exits 2, as ``--expect-ball`` does without a ball check.
 Exit codes: 0 success, 1 check failure, 2 input error, 3 internal error.
 """
 
@@ -19,7 +21,7 @@ from pathlib import Path
 from .ek import AdmissiblePair, ek_complex, kind_of, modified_complex
 from .ideals import random_borel_ideal, read_ideal
 from .monomials import square_str
-from .polarization import bpol_ideal, bpol_lifts, column_bound, sigma_ideal, stairs_diagram
+from .polarization import bpol_lifts, column_bound, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic, poset_to_dot
 from .shelling import ball_check, is_cw_poset, verify_el_all
 from .suite import named_ideal, run_suite
@@ -100,6 +102,8 @@ def _json_dump(obj) -> str:
 
 
 def cmd_resolve(args) -> int:
+    if args.out and not args.export:
+        raise ValueError("--out needs --export json|dot")
     ideal = _load_ideal(args)
     column_bound(ideal, args.d)  # a --d below the largest generator degree exits 2, before any output
     complexes = {kind: _complex_for(kind, ideal, args.d) for kind in _kinds(args, ideal)}
@@ -143,14 +147,14 @@ def cmd_verify(args) -> int:
         failed = failed or not checks["thin"]
         witness = {}
         if args.check != "el":
-            cw = is_cw_poset(poset, kind, ideal)
+            cw = is_cw_poset(poset, ideal)
             checks["cw"], witness = cw
             failed = failed or not cw[0]
         if args.check in ("el", "all"):
             # the counts of the EL sweep behind the CW verdict, if it got that far
             intervals, failures = witness.get("el_intervals"), witness.get("el_failures")
             if intervals is None:
-                reports = verify_el_all(kind, poset.dual(), ideal)
+                reports = verify_el_all(poset.dual(), ideal)
                 intervals, failures = len(reports), sum(not r.passed for r in reports)
             checks["el"] = {"intervals": intervals, "failures": failures}
             failed = failed or failures > 0
@@ -183,11 +187,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_polarize(args) -> int:
+    if args.out and not args.diagram:
+        raise ValueError("--out needs --diagram")
     ideal = _load_ideal(args)
-    pol, squares = bpol_ideal(ideal), bpol_lifts(ideal)[0]
+    squares, lifts = bpol_lifts(ideal)
     shifted = sigma_ideal(ideal, args.d)
     print("bpol generators:")
-    for b in pol:
+    for b in lifts.values():
         print(f"  {square_str(b, squares)}")
     print(f"squarefree shift (in {shifted.n} variables):")
     for m in shifted.gens:

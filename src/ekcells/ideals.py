@@ -101,11 +101,13 @@ class MonomialIdeal:
 
     def is_sqfree_strongly_stable(self) -> bool:
         if self._sqfree_ss is None:
+            # a move into a slot of supp(m) is not squarefree: skipped unbuilt
             self._sqfree_ss = all(m.is_squarefree() for m in self.gens) and all(
-                m2 in self
+                m.div_var(j).times_var(i) in self
                 for m in self.gens
-                for i, m2 in _exchanges(m, m.support())
-                if m.deg(i) == 0
+                for j in m.support()
+                for i in range(1, j)
+                if not m.exps[i - 1]
             )
         return self._sqfree_ss
 

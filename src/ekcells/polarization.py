@@ -20,7 +20,6 @@ __all__ = [
     "bpol_squares",
     "bpol_monomial",
     "bpol_lifts",
-    "bpol_ideal",
     "b_shift",
     "g_shift",
     "sigma_monomial",
@@ -62,7 +61,9 @@ def bpol_lifts(ideal: MonomialIdeal) -> tuple:
     and {m: bpol(m)} over the generators m of I, in their canonical order.
     Each generator is polarized once, and its lift is read off a map from
     the squares to their slots built apart from ``from_squares``, so that
-    ``bpol_monomial`` checks it."""
+    ``bpol_monomial`` checks it.  Raises ValueError unless I is Borel fixed."""
+    if not ideal.is_borel_fixed():
+        raise ValueError("ideal is not Borel fixed")
     polar = {m: bpol_squares(m) for m in ideal.gens}
     # each generator's squares are sorted, so the sort merges that many runs
     squares = tuple(sorted(dict.fromkeys(s for sq in polar.values() for s in sq)))
@@ -74,14 +75,6 @@ def bpol_lifts(ideal: MonomialIdeal) -> tuple:
             exps[slot[s]] = 1
         lifts[m] = Monomial._of(tuple(exps))
     return squares, lifts
-
-
-def bpol_ideal(ideal: MonomialIdeal) -> list:
-    """Polarized generators in the ring of ``bpol_lifts(I)``, in the ideal's
-    canonical generator order."""
-    if not ideal.is_borel_fixed():
-        raise ValueError("ideal is not Borel fixed")
-    return list(bpol_lifts(ideal)[1].values())
 
 
 def b_shift(m: Monomial, s: int) -> Monomial:

@@ -31,7 +31,6 @@ from math import prod
 
 from . import topology
 from .complexes import FreeComplex
-from .ek import kind_of
 from .monomials import square_str
 from .posets import BOTTOM, FinitePoset, SimplicialComplexData
 
@@ -90,13 +89,12 @@ class BallVerdict:
     detail: str = ""
 
 
-def el_label_edge(kind: str, lower, upper, ideal) -> int:
+def el_label_edge(lower, upper, ideal) -> int:
     """Label of a cover ``lower <* upper`` of the dual basis poset.
 
-    ``kind`` is "ek" or "modified".  The shifted-generator case is verified
-    against the kind's shift rule on ``ideal``.
+    The shifted-generator case is verified against the shift rule of
+    ``lower.kind`` on ``ideal``.
     """
-    rules = kind_of(kind)
     if upper is BOTTOM:
         if lower.F != ():
             raise ValueError(f"{lower!r} is not covered by the least element in the dual")
@@ -107,12 +105,12 @@ def el_label_edge(kind: str, lower, upper, ideal) -> int:
     i = removed.pop()
     if upper.m == lower.m:
         return -i
-    if upper.m != rules.shift(ideal, lower.m, i):
+    if upper.m != lower.kind.shift(ideal, lower.m, i):
         raise ValueError(f"cover ({lower!r}, {upper!r}) matches neither labeling case")
     return i
 
 
-def verify_el_all(kind: str, dual: FinitePoset, ideal) -> ELSweep:
+def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     """EL reports for every nontrivial interval [a, b] of the dual poset, a and
     then b in element order.
 
@@ -128,7 +126,7 @@ def verify_el_all(kind: str, dual: FinitePoset, ideal) -> ELSweep:
     increasing.
     """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
-    label = [[el_label_edge(kind, els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
+    label = [[el_label_edge(els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
     n = len(els)
     # per x and b >= x: chains[x][b] counts the maximal chains of [x, b];
     # rising[x][b] is the first label of its one increasing chain, or
@@ -233,7 +231,7 @@ def _positive_part(variables, squares, chain, labels, lift, end_lift):
     return u.div(lift)
 
 
-def is_cw_poset(poset: FinitePoset, kind: str, ideal):
+def is_cw_poset(poset: FinitePoset, ideal):
     """Certify that a poset is the face poset of a regular CW complex.
 
     The poset is certified CW exactly when it is thin, has at least two
@@ -249,7 +247,7 @@ def is_cw_poset(poset: FinitePoset, kind: str, ideal):
     if not (witness["thin"] and witness["bounded_below"] and len(poset) >= 2):
         witness["el_intervals"] = None
         return False, witness
-    reports = verify_el_all(kind, poset.dual(), ideal)
+    reports = verify_el_all(poset.dual(), ideal)
     failures = [r for r in reports if not r.passed]
     witness["el_intervals"] = len(reports)
     witness["el_failures"] = len(failures)
@@ -395,7 +393,7 @@ def ball_check(poset: FinitePoset, cplx: FreeComplex, ideal, cw_result=None) -> 
     X's reduced cellular chain complex, whose homology is the order complex's.
     """
     if cw_result is None:
-        cw_result = is_cw_poset(poset, cplx.kind, ideal)
+        cw_result = is_cw_poset(poset, ideal)
     cw_ok, _ = cw_result
     # ridges are counted by rank above a least element, which a poset that
     # is not CW may lack; then neither ridge condition holds

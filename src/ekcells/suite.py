@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .ek import AdmissiblePair, ek_complex, modified_complex
 from .ideals import MonomialIdeal, random_borel_ideal
 from .monomials import Monomial, square_str
-from .polarization import bpol_ideal, bpol_lifts, sigma_ideal, stairs_diagram
+from .polarization import bpol_lifts, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic
 from .shelling import ball_check
 from .topology import euler_characteristic
@@ -138,8 +138,8 @@ def criterion_4():
 
 def criterion_5():
     ideal = named_ideal("intro")
-    squares = bpol_lifts(ideal)[0]
-    pol = [square_str(b, squares) for b in bpol_ideal(ideal)]
+    squares, lifts = bpol_lifts(ideal)
+    pol = [square_str(b, squares) for b in lifts.values()]
     _ensure(
         pol == ["x[1,1]*x[1,2]", "x[1,1]*x[2,2]", "x[2,1]*x[2,2]*x[2,3]"],
         f"polarized generators are {pol}",

@@ -204,9 +204,9 @@ def check_thin(poset: FinitePoset, kind: str, ideal: MonomialIdeal):
         raise VerificationError(f"{kind} poset of {ideal!r} is not thin")
 
 
-def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
-    """The EL sweep over all intervals of the dual poset, with more checks on
-    its labels and on each interval's report.
+def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) -> int:
+    """The EL sweep over all intervals of the dual of ``cplx``'s cell poset,
+    with more checks on its labels and on each interval's report.
 
     Verifies: injectivity of the labeling on the maximal chains of each
     interval, realizability of the label swap, negation and rotation
@@ -244,12 +244,12 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
     """
     # Called through the module, so that a wrapper installed on
     # shelling.verify_el_all (bench/tracer.py) also sees this sweep.
-    reports = shelling.verify_el_all(kind, dual, ideal)
+    reports = shelling.verify_el_all(dual, ideal)
     _check_injective(dual, reports.cover_labels)
-    _check_label_rewrites(kind, dual, reports.cover_labels)
-    rules = kind_of(kind)
-    squares, lifts = rules.lifts(ideal)
-    variables = _attached(rules, ideal, squares)
+    _check_label_rewrites(cplx.kind, dual, reports.cover_labels)
+    squares = cplx.squares  # the ring and the generators' lifts, as built
+    lifts = dict(zip((pair.m for pair in cplx.basis[0]), cplx.mdegs[0]))
+    variables = _attached(kind_of(cplx.kind), ideal, squares)
     holds = set()  # the (a.m, b.m, positive labels) whose lcm identity holds
     shifted = {}   # (a.m, G) -> the exponents of g(x_G a.m), for the minimal supports
     for rep in reports:
@@ -270,7 +270,7 @@ def check_intervals(kind: str, dual: FinitePoset, ideal: MonomialIdeal) -> int:
                     raise VerificationError(
                         f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
                 holds.add(key)
-            if kind == "ek":
+            if cplx.kind == "ek":
                 _check_minimal_support(ideal, a, b, rep.increasing_label, shifted)
     return len(reports)
 
@@ -563,7 +563,7 @@ def full_battery(ideal: MonomialIdeal) -> dict:
         check_thin(poset, kind, ideal)
         if len(poset.minimal_elements()) != 1:
             raise VerificationError(f"{kind} poset not bounded below")
-        stats[f"intervals_{kind}"] = check_intervals(kind, poset.dual(), ideal)
+        stats[f"intervals_{kind}"] = check_intervals(cplx, poset.dual(), ideal)
     return stats
 
 
@@ -590,7 +590,7 @@ def cm_battery(ideal: MonomialIdeal) -> dict:
         if euler_characteristic(poset) != 1:
             raise VerificationError(f"{kind} poset of CM ideal has Euler characteristic != 1")
         check_interval_decomposition(kind, ideal, poset, h)
-        cw = is_cw_poset(poset, kind, ideal)
+        cw = is_cw_poset(poset, ideal)
         if not cw[0]:
             raise VerificationError(f"{kind} poset not certified CW: {cw[1]}")
         verdict = ball_check(poset, cplx, ideal, cw_result=cw)

@@ -3,7 +3,8 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from ekcells import (
-    Monomial, MonomialIdeal, ball_check, build_gamma, cli, ek_complex, modified_complex, shelling,
+    BOTTOM, Monomial, MonomialIdeal, ball_check, build_gamma, cli, ek_complex, modified_complex,
+    shelling,
 )
 from ekcells.ek import _b_indices, _shift_entry, kind_of
 from ekcells.suite import named_ideal
@@ -73,13 +74,15 @@ def ball(kind, J):
 
 @pytest.fixture
 def el_sweeps(monkeypatch):
-    """Records the kind and report count of every EL sweep, under both names
-    it is called by (``shelling.verify_el_all`` and ``cli.verify_el_all``)."""
+    """Records the kind of the swept cells and the report count of every EL
+    sweep, under both names it is called by (``shelling.verify_el_all`` and
+    ``cli.verify_el_all``)."""
     sweeps = []
     original = shelling.verify_el_all
 
-    def recorded(kind, dual, ideal):
-        reports = original(kind, dual, ideal)
+    def recorded(dual, ideal):
+        reports = original(dual, ideal)
+        kind = next(el.kind.name for el in dual.elements if el is not BOTTOM)
         sweeps.append((kind, len(reports)))
         return reports
 

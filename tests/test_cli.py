@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -418,6 +420,17 @@ _INPUT_FLAGS = {"-h", "--help", "--ideal", "--named", "--random-borel", "--seed"
                 "--max-n", "--max-deg", "--max-gens"}
 
 
+def _readme_cli_flags():
+    """The flags each row of README's CLI table names, by subcommand."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        name, flags = re.fullmatch(r"\| `([a-z-]+)` \| (.*) \|", line).groups()
+        rows[name] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    return rows
+
+
 class TestOptionSurface:
     def test_each_subcommand_declares_the_flags_it_reads(self):
         parser = build_parser()
@@ -426,15 +439,31 @@ class TestOptionSurface:
             name: {flag for action in sub._actions for flag in action.option_strings}
             for name, sub in subparsers.choices.items()
         }
-        assert surface == {
-            "resolve": _INPUT_FLAGS | {"--kind", "--d", "--export", "--out"},
-            "verify": _INPUT_FLAGS | {"--kind", "--check", "--compare-posets", "--expect-ball"},
-            "polarize": _INPUT_FLAGS | {"--d", "--diagram", "--out"},
-            "poset": _INPUT_FLAGS | {"--kind", "--out"},
-            "compare": _INPUT_FLAGS | {"--expect"},
-            "paper-suite": {"-h", "--help", "--random-count", "--cm-count", "--seed",
-                            "--progress"},
+        own = {  # the flags each subcommand reads besides its input
+            "resolve": {"--kind", "--d", "--export", "--out"},
+            "verify": {"--kind", "--check", "--compare-posets", "--expect-ball"},
+            "polarize": {"--d", "--diagram", "--out"},
+            "poset": {"--kind", "--out"},
+            "compare": {"--expect"},
+            "paper-suite": {"--random-count", "--cm-count", "--seed", "--progress"},
         }
+        inputs = {name: {"-h", "--help"} if name == "paper-suite" else _INPUT_FLAGS
+                  for name in own}
+        assert surface == {name: own[name] | inputs[name] for name in own}
+        # README's CLI table names exactly those, row by row
+        assert _readme_cli_flags() == own
+
+    @pytest.mark.parametrize("argv, message", [
+        (["resolve", "--kind", "ek"], "--out needs --export json|dot"),
+        (["polarize"], "--out needs --diagram"),
+    ], ids=["resolve", "polarize"])
+    def test_out_without_a_file_to_write_exits_2_before_output(self, argv, message,
+                                                                tmp_path, capsys):
+        # --out was once ignored there: exit 0, nothing written
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--named", "intro", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--max-facets", "5"],

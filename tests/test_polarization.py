@@ -6,7 +6,6 @@ import pytest
 from ekcells import (
     Monomial,
     b_shift,
-    bpol_ideal,
     bpol_monomial,
     bpol_squares,
     column_bound,
@@ -22,8 +21,11 @@ from ekcells import (
     strand_exactness,
 )
 from ekcells.monomials import square_items, square_str
+from ekcells import polarization
+from ekcells.cli import main
 from ekcells.polarization import bpol_lifts
-from ekcells.suite import NAMED_IDEALS
+from ekcells.suite import NAMED_IDEALS, criterion_5, named_ideal
+from ekcells.verification import full_battery
 from conftest import ideal, mono
 
 
@@ -37,9 +39,9 @@ class TestBpol:
         assert square_items(bpol_monomial(m, ring), ring) == tuple((s, 1) for s in squares)
 
     def test_intro_ideal(self, intro):
-        ring = bpol_lifts(intro)[0]
+        ring, lifts = bpol_lifts(intro)
         assert ring == ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))
-        assert [square_str(b, ring) for b in bpol_ideal(intro)] == [
+        assert [square_str(b, ring) for b in lifts.values()] == [
             "x[1,1]*x[1,2]",
             "x[1,1]*x[2,2]",
             "x[2,1]*x[2,2]*x[2,3]",
@@ -137,6 +139,17 @@ class TestSigma:
         assert [str(m) for m in got.gens] == ["x1*x2", "x1*x3", "x2*x3*x4"]
         assert got.is_sqfree_strongly_stable()
 
+    def test_self_check_builds_only_the_squarefree_moves(self, monkeypatch):
+        # sigma of (x1, x2^64) is (x1, x2*x3*...*x65): x1 is the one slot
+        # outside the second generator's support, so the self-check moves
+        # each of its 64 variables there, and I's Borel check makes one move;
+        # building every move first made 2,081
+        calls = []
+        real = Monomial.times_var
+        monkeypatch.setattr(Monomial, "times_var", lambda m, i: calls.append(i) or real(m, i))
+        assert sigma_ideal(ideal(2, "x1", "x2^64")).n == 65
+        assert len(calls) == 65
+
     def test_degree_one_identity(self):
         assert sigma_monomial(mono("x1", 3), 3) == mono("x1", 3)
 
@@ -153,6 +166,27 @@ class TestSigma:
             s = sigma_monomial(m, 3 + m.degree())
             assert s.degree() == m.degree()
             assert s.is_squarefree()
+
+
+class TestPolarizationCount:
+    """Each route polarizes a generator once per lift it needs, counted as
+    ``bpol_squares`` calls."""
+
+    @pytest.mark.parametrize("route, count", [
+        # one bpol_lifts on 3 generators
+        (lambda: main(["polarize", "--named", "intro"]), 3),
+        # one bpol_lifts, and the two stairs diagrams' black squares
+        (criterion_5, 5),
+        # on 8 generators: the build, the strand check's own lift, and the
+        # shift check's bpol_lifts; the EL sweep reads the build's lifts
+        (lambda: full_battery(named_ideal("deg4")), 24),
+    ], ids=["polarize", "criterion-5", "full-battery"])
+    def test_generator_polarizations(self, route, count, monkeypatch, capsys):
+        calls = []
+        real = polarization.bpol_squares
+        monkeypatch.setattr(polarization, "bpol_squares", lambda m: calls.append(m) or real(m))
+        route()
+        assert len(calls) == count
 
 
 class TestSpecializations:

@@ -31,30 +31,30 @@ from ekcells.ek import _attached, kind_of
 from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import VerificationError, check_intervals, cm_battery
-from conftest import ball, gamma, ideal, mono, power_ideal, stable_closures
+from conftest import ball, gamma, ideal, mono, power_ideal, resolution, stable_closures
 
 
 class TestEdgeLabels:
     def test_plain_removal_is_negative(self, deg2):
         lower = AdmissiblePair((1, 2), mono("x3^2", 3))
         upper = AdmissiblePair((2,), mono("x3^2", 3))
-        assert el_label_edge("ek", lower, upper, deg2) == -1
+        assert el_label_edge(lower, upper, deg2) == -1
 
     def test_shifted_removal_is_positive(self, deg2):
         lower = AdmissiblePair((1, 2), mono("x3^2", 3))
         upper = AdmissiblePair((2,), mono("x1*x3", 3))
-        assert el_label_edge("ek", lower, upper, deg2) == 1
+        assert el_label_edge(lower, upper, deg2) == 1
 
     def test_bottom_cover_is_zero(self, deg2):
         for m in deg2.gens:
-            assert el_label_edge("ek", AdmissiblePair((), m), BOTTOM, deg2) == 0
+            assert el_label_edge(AdmissiblePair((), m), BOTTOM, deg2) == 0
 
     def test_invalid_cover_rejected(self, deg2):
         lower = AdmissiblePair((1, 2), mono("x3^2", 3))
         with pytest.raises(ValueError):
-            el_label_edge("ek", lower, AdmissiblePair((2,), mono("x2^2", 3)), deg2)
+            el_label_edge(lower, AdmissiblePair((2,), mono("x2^2", 3)), deg2)
         with pytest.raises(ValueError):
-            el_label_edge("ek", lower, BOTTOM, deg2)
+            el_label_edge(lower, BOTTOM, deg2)
 
 
 class TestELVerification:
@@ -64,7 +64,7 @@ class TestELVerification:
         g = gamma("modified", deg2).dual()
         starts = [e for e in g.elements if e is not BOTTOM and len(e.F) == 2]
         for start in starts:
-            rep = reference_el_report("modified", g, start, BOTTOM, deg2)
+            rep = reference_el_report(g, start, BOTTOM, deg2)
             assert rep.passed
             i1, i2 = start.F
             assert rep.increasing_label == (-i2, -i1, 0)
@@ -72,23 +72,23 @@ class TestELVerification:
     def test_length_one_interval(self, deg2):
         g = gamma("ek", deg2).dual()
         a, b = g.covers[0]
-        rep = reference_el_report("ek", g, a, b, deg2)
+        rep = reference_el_report(g, a, b, deg2)
         assert rep.passed and rep.max_chains == 1
 
     def test_all_intervals_pass(self, tri_tri):
         for kind in ("ek", "modified"):
             dual = gamma(kind, tri_tri).dual()
-            reports = verify_el_all(kind, dual, tri_tri)
+            reports = verify_el_all(dual, tri_tri)
             assert reports and all(r.passed for r in reports)
 
 
-def reference_el_report(kind, dual, a, b, ideal, label=None):
+def reference_el_report(dual, a, b, ideal, label=None):
     """The EL report of [a, b] by definition: its maximal chains from
     ``chains_between``, labelled through ``label``, a dict keyed by the
     (x, y) cover (by ``shelling.el_label_edge``, as the sweep does, when None)."""
     chains = dual.chains_between(a, b)
     if label is None:
-        label = {(x, y): shelling.el_label_edge(kind, x, y, ideal)
+        label = {(x, y): shelling.el_label_edge(x, y, ideal)
                  for c in chains for x, y in zip(c, c[1:])}
     labels = [tuple(label[e] for e in zip(c, c[1:])) for c in chains]
     increasing = [lab for lab in labels if all(x <= y for x, y in zip(lab, lab[1:]))]
@@ -102,11 +102,11 @@ def reference_el_report(kind, dual, a, b, ideal, label=None):
                     len(increasing) == 1 and lex_least, chain0, label0)
 
 
-def reference_el_reports(kind, dual, ideal):
+def reference_el_reports(dual, ideal):
     """The reports of every nontrivial interval of the dual, by definition, in
     ``verify_el_all``'s order."""
-    label = {(x, y): shelling.el_label_edge(kind, x, y, ideal) for x, y in dual.covers}
-    return [reference_el_report(kind, dual, a, b, ideal, label)
+    label = {(x, y): shelling.el_label_edge(x, y, ideal) for x, y in dual.covers}
+    return [reference_el_report(dual, a, b, ideal, label)
             for a in dual.elements for b in dual.elements if a != b and dual.leq(a, b)]
 
 
@@ -126,8 +126,8 @@ class TestSweepOracle:
         rules = kind_of(kind)
         for J in sweep_ideals:
             dual = gamma(kind, J).dual()
-            reports = verify_el_all(kind, dual, J)
-            assert reports == reference_el_reports(kind, dual, J), J
+            reports = verify_el_all(dual, J)
+            assert reports == reference_el_reports(dual, J), J
             squares = rules.lifts(J)[0]
             variables = _attached(rules, J, squares)
             for rep in reports:
@@ -144,7 +144,7 @@ class TestSweepOracle:
         # one increasing chain that is not lex-least
         original = shelling.el_label_edge
         relabel = {
-            "pseudo-random": lambda kind, x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
+            "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
             "constant": lambda *args: 0,
             "unsigned": lambda *args: -abs(original(*args)),
         }[labelling]
@@ -154,8 +154,8 @@ class TestSweepOracle:
                   + [power_ideal(3, d) for d in (2, 3)] + [power_ideal(4, 2)]):
             for kind in ("ek", "modified"):
                 dual = gamma(kind, J).dual()
-                reports = verify_el_all(kind, dual, J)
-                assert reports == reference_el_reports(kind, dual, J), (kind, J)
+                reports = verify_el_all(dual, J)
+                assert reports == reference_el_reports(dual, J), (kind, J)
                 cases.update("passed" if r.passed else min(r.increasing_chains, 2)
                              for r in reports)
         # 0: no increasing chain, 1: one that is not lex-least, 2: several
@@ -171,7 +171,7 @@ class TestSweepScale:
         # interval of rank k has k! maximal chains, up to 8! = 40,320, and
         # listing them all takes about half a second per kind
         J = ideal(8, *(f"x{i}" for i in range(1, 8)), "x8^2")
-        reports = verify_el_all(kind, gamma(kind, J).dual(), J)
+        reports = verify_el_all(gamma(kind, J).dual(), J)
         assert len(reports) == 6305
         assert all(r.passed for r in reports)
         assert max(r.max_chains for r in reports) == 40320
@@ -180,7 +180,8 @@ class TestSweepScale:
 class TestChainMonomial:
     def test_lcm_identity_on_increasing_chains(self, deg2):
         for kind in ("ek", "modified"):
-            check_intervals(kind, gamma(kind, deg2).dual(), deg2)  # raises on a mismatch
+            cplx = resolution(kind, deg2)
+            check_intervals(cplx, build_gamma(cplx).dual(), deg2)  # raises on a mismatch
 
 
 class TestCWPoset:
@@ -191,12 +192,12 @@ class TestCWPoset:
         J = ideal(1, "x1")
         g = gamma("ek", J)
         assert len(g) == 2
-        ok, witness = is_cw_poset(g, "ek", J)
+        ok, witness = is_cw_poset(g, J)
         assert ok and witness["el_failures"] == 0
 
     def test_degree2_both_kinds(self, deg2):
         for kind in ("ek", "modified"):
-            ok, witness = is_cw_poset(gamma(kind, deg2), kind, deg2)
+            ok, witness = is_cw_poset(gamma(kind, deg2), deg2)
             assert ok
             assert witness["el_failures"] == 0
 
@@ -204,12 +205,12 @@ class TestCWPoset:
         rng = random.Random(83)
         for _ in range(8):
             J = random_borel_ideal(rng, max_gens=8)
-            ok, _ = is_cw_poset(gamma("modified", J), "modified", J)
+            ok, _ = is_cw_poset(gamma("modified", J), J)
             assert ok
 
     def test_not_thin_fails(self, deg2):
         p = FinitePoset(range(3), [(0, 1), (1, 2)])
-        ok, witness = is_cw_poset(p, "ek", deg2)
+        ok, witness = is_cw_poset(p, deg2)
         assert not ok and not witness["thin"]
 
 
@@ -257,7 +258,7 @@ class TestCWFromSweep:
     @pytest.mark.parametrize("kind", ["ek", "modified"])
     def test_failing_report_refutes_cw_without_search(self, name, kind, first_report_fails):
         J = named_ideal(name)
-        ok, witness = is_cw_poset(gamma(kind, J), kind, J)
+        ok, witness = is_cw_poset(gamma(kind, J), J)
         (failed,) = first_report_fails.failed
         assert not ok
         assert witness["el_failures"] == 1
@@ -270,7 +271,7 @@ class TestCWFromSweep:
         failed = shelling.ELReport(bottom="1", top="0", max_chains=0, increasing_chains=0,
                                    lex_least=False, passed=False)
         monkeypatch.setattr(shelling, "verify_el_all", lambda *args: [failed])
-        ok, witness = is_cw_poset(p, "ek", deg2)
+        ok, witness = is_cw_poset(p, deg2)
         assert not ok
         assert witness == {"thin": True, "bounded_below": True, "el_intervals": 1,
                            "el_failures": 1, "el_first_failure": ("1", "0")}
@@ -298,7 +299,7 @@ class TestCWFromSweep:
         non_borel = [J for J in ideals if not J.is_borel_fixed()]
         assert len(non_borel) == 14
         for J in non_borel:
-            ok, witness = is_cw_poset(gamma("ek", J), "ek", J)
+            ok, witness = is_cw_poset(gamma("ek", J), J)
             assert ok and witness["el_failures"] == 0, J
 
 
@@ -511,7 +512,7 @@ class TestFindShelling:
             for e in poset.elements:
                 if e is bottom:
                     continue
-                rep = reference_el_report(kind, dual, e, bottom, tri_sq)
+                rep = reference_el_report(dual, e, bottom, tri_sq)
                 assert rep.passed
                 members = poset.interval_set(bottom, e)
                 covers = [(a, b) for a, b in poset.covers if a in members and b in members]
@@ -545,7 +546,7 @@ class TestBallCheck:
         cplx = ek_complex(deg2)
         cplx.diffs[-1] = {pos: e for pos, e in cplx.diffs[-1].items() if pos[1] != 0}
         poset = build_gamma(cplx)
-        cw = is_cw_poset(poset, "ek", deg2)
+        cw = is_cw_poset(poset, deg2)
         assert not cw[0] and not cw[1]["bounded_below"]
         v = ball_check(poset, cplx, deg2, cw_result=cw)
         assert (v.verdict, v.detail) == ("inconclusive", "poset not certified as CW")

@@ -10,7 +10,6 @@ from ekcells import (
     IntegerChainComplex,
     MonomialIdeal,
     SimplicialComplexData,
-    bpol_ideal,
     build_gamma,
     ek_complex,
     euler_characteristic,
@@ -24,7 +23,7 @@ from ekcells import (
     strand_exactness,
 )
 from ekcells.monomials import Monomial, from_squares, square_items, square_str
-from ekcells.polarization import sigma_ideal, specialize_theta, specialize_theta_prime
+from ekcells.polarization import bpol_lifts, sigma_ideal, specialize_theta, specialize_theta_prime
 from ekcells.suite import NAMED_IDEALS
 from ekcells.topology import (
     StrandReport,
@@ -193,7 +192,7 @@ def battery_complexes(J):
     cmod = modified_complex(J)
     return [
         (ek_complex(J), list(J.gens)),
-        (cmod, bpol_ideal(J)),
+        (cmod, list(bpol_lifts(J)[1].values())),
         (specialize_theta(cmod), list(J.gens)),
         (specialize_theta_prime(cmod), list(sigma_ideal(J).gens)),
     ]
@@ -316,7 +315,7 @@ def walk_cases():
     ideals += [power_ideal(n, d) for n, ds in ((3, (2, 3, 4)), (4, (2, 3))) for d in ds]
     for J in ideals:
         yield ek_complex(J), list(J.gens)
-        yield modified_complex(J), bpol_ideal(J)
+        yield modified_complex(J), list(bpol_lifts(J)[1].values())
 
 
 CIRCLE = SimplicialComplexData(
@@ -514,7 +513,7 @@ class TestColumnBuilders:
 class TestStrands:
     def test_degree2_both_kinds(self, deg2):
         assert strand_exactness(ek_complex(deg2), list(deg2.gens), primes=(2, 3)).ok
-        assert strand_exactness(modified_complex(deg2), bpol_ideal(deg2)).ok
+        assert strand_exactness(modified_complex(deg2), list(bpol_lifts(deg2)[1].values())).ok
 
     def test_generator_strand_is_trivial(self, intro):
         report = strand_exactness(ek_complex(intro), list(intro.gens))
@@ -612,7 +611,7 @@ class TestStrands:
     def test_variable_in_no_generator_never_divides(self, deg2):
         # the modified complex in a ring with one more square, (9, 9), that no
         # generator uses, and one multidegree times x[9,9]
-        cplx, gens = widened(modified_complex(deg2), bpol_ideal(deg2))
+        cplx, gens = widened(modified_complex(deg2), list(bpol_lifts(deg2)[1].values()))
         packing = _PackedDegrees(gens, cplx.mdegs)
         md, G = packing.layers[-1][0], packing.guard
         lattice = _lcm_closure(packing.gens, G, packing.width)
@@ -628,7 +627,8 @@ class TestStrands:
         cases = [case for _ in range(5)
                  for case in battery_complexes(random_borel_ideal(rng, max_gens=8))]
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 10**20))])
-        cases += [(ek_complex(J), list(J.gens)), widened(modified_complex(deg2), bpol_ideal(deg2))]
+        cases += [(ek_complex(J), list(J.gens)),
+                  widened(modified_complex(deg2), list(bpol_lifts(deg2)[1].values()))]
         for cplx, gens in cases:
             packing = _PackedDegrees(gens, cplx.mdegs)
             monos = list(gens) + [md for layer in cplx.mdegs for md in layer]
@@ -656,7 +656,8 @@ class TestStrands:
     def test_strand_counts_on_cube_of_maximal_ideal(self):
         J = power_ideal(4, 3)
         assert strand_exactness(ek_complex(J), list(J.gens)).strands_checked == 241
-        assert strand_exactness(modified_complex(J), bpol_ideal(J)).strands_checked == 612
+        gens = list(bpol_lifts(J)[1].values())
+        assert strand_exactness(modified_complex(J), gens).strands_checked == 612
 
     def test_exact_at_degrees_outside_the_lattice(self):
         # the oracle restricts to the lcm lattice; exactness in fact holds at
@@ -825,7 +826,8 @@ class TestLatticeWalk:
     def test_strand_counts_on_fourth_power_of_maximal_ideal(self):
         J = power_ideal(4, 4)
         assert strand_exactness(ek_complex(J), list(J.gens)).strands_checked == 590
-        assert strand_exactness(modified_complex(J), bpol_ideal(J)).strands_checked == 2854
+        gens = list(bpol_lifts(J)[1].values())
+        assert strand_exactness(modified_complex(J), gens).strands_checked == 2854
 
     def test_cone_ranks_nothing_on_fourth_power_of_maximal_ideal(self, monkeypatch):
         # every battery complex is certified on its mapping cone, with no
@@ -936,7 +938,7 @@ class TestMappingCone:
         from ekcells import topology
 
         J = NAMED_IDEALS["deg2"]()
-        cplx, gens = modified_complex(J), bpol_ideal(J)
+        cplx, gens = modified_complex(J), list(bpol_lifts(J)[1].values())
         if mutation.startswith("(a)"):
             cplx = with_generators_reversed(ek_complex(J))
             gens = list(J.gens)
@@ -995,7 +997,7 @@ class TestMappingCone:
         # bpol(x2^300) takes 300 squares whose exponents agree on every cell:
         # the cone reads them as one field and counts the lattice on it
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 300))])
-        cplx, gens = modified_complex(J), bpol_ideal(J)
+        cplx, gens = modified_complex(J), list(bpol_lifts(J)[1].values())
         assert len(cplx.squares) == 301
         cone = _mapping_cone(cplx, gens, (2, 3))
         assert cone == _strand_walk(cplx, gens, (2, 3))

@@ -23,8 +23,8 @@ from ekcells.verification import (
     cm_battery,
     full_battery,
 )
-from ekcells.posets import BOTTOM, FinitePoset
-from conftest import gamma, ideal, mono
+from ekcells.posets import BOTTOM, FinitePoset, build_gamma
+from conftest import gamma, ideal, mono, resolution
 
 
 class TestBatteries:
@@ -147,13 +147,14 @@ class TestMutationDetection:
         # tie are listed, and a budget too small to find the repeat says so
         original = shelling.el_label_edge
         monkeypatch.setattr(shelling, "el_label_edge", lambda *args: -abs(original(*args)))
-        dual = gamma("ek", deg2).dual()
+        cplx = resolution("ek", deg2)
+        dual = build_gamma(cplx).dual()
         with pytest.raises(VerificationError, match=re.escape(
                 "label tuples repeat on [e({1};x1*x2), 0hat]")):
-            check_intervals("ek", dual, deg2)
+            check_intervals(cplx, dual, deg2)
         monkeypatch.setattr(verification, "_TIE_CHAINS", 1)
         with pytest.raises(VerificationError, match="leave injectivity undecided"):
-            check_intervals("ek", dual, deg2)
+            check_intervals(cplx, dual, deg2)
 
     @pytest.mark.parametrize("kind", ["ek", "modified"])
     def test_cell_outside_the_full_pair_intervals_detected(self, kind, deg2):
@@ -196,8 +197,9 @@ class TestMutationDetection:
         # removal of 1 after the plain removal of 2 has no rank-2 swap
         original = shelling.el_label_edge
         monkeypatch.setattr(shelling, "el_label_edge", lambda *args: -original(*args))
+        cplx = resolution(kind, deg2)
         with pytest.raises(VerificationError, match=re.escape(message)):
-            check_intervals(kind, gamma(kind, deg2).dual(), deg2)
+            check_intervals(cplx, build_gamma(cplx).dual(), deg2)
         if kind == "ek":  # the battery checks the classical kind first
             with pytest.raises(VerificationError, match=re.escape(message)):
                 full_battery(deg2)
@@ -212,9 +214,10 @@ class TestMutationDetection:
             return 10 - lab if lab < 0 else lab
 
         monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        cplx = resolution("modified", deg2)
         with pytest.raises(VerificationError, match=re.escape(
                 "positive label not negatable in (1, 0) at 2 on [~e({(1,2)};x1*x2), 0hat]")):
-            check_intervals("modified", gamma("modified", deg2).dual(), deg2)
+            check_intervals(cplx, build_gamma(cplx).dual(), deg2)
 
     def test_lcm_identity_failure_names_the_interval(self, deg2, monkeypatch):
         # Positive labels 1 and 2 swapped: the increasing chain of
@@ -233,16 +236,17 @@ class TestMutationDetection:
         # the first one's positive label 1 read the lcm quotient x[1,2]
         real = shelling.verify_el_all
 
-        def relabelled(kind, dual, ideal):
-            reports = real(kind, dual, ideal)
+        def relabelled(dual, ideal):
+            reports = real(dual, ideal)
             for k, rep in enumerate(reports):
                 if repr((rep.bottom, rep.top)) == "(~e({(1,2),(2,2)};x1*x3), ~e({};x1^2))":
                     reports[k] = dataclasses.replace(rep, increasing_label=(-2, 2))
             return reports
 
         monkeypatch.setattr(shelling, "verify_el_all", relabelled)
+        cplx = resolution("modified", deg2)
         with pytest.raises(VerificationError) as info:
-            check_intervals("modified", gamma("modified", deg2).dual(), deg2)
+            check_intervals(cplx, build_gamma(cplx).dual(), deg2)
         assert str(info.value) == (
             "lcm identity fails on [~e({(1,2),(2,2)};x1*x3), ~e({};x1^2)]: positive-label "
             "monomial x[2,2] differs from lcm quotient x[1,2] on chain "
@@ -257,8 +261,9 @@ class TestMutationDetection:
                             lambda items, size: original(items, size) if size != 1 else iter(()))
         message = ("minimal shift supports [] vs positive labels {1} "
                    "on [e({1};x1*x2), e({};x1^2)]")
+        cplx = resolution("ek", deg2)
         with pytest.raises(VerificationError, match=re.escape(message)):
-            check_intervals("ek", gamma("ek", deg2).dual(), deg2)
+            check_intervals(cplx, build_gamma(cplx).dual(), deg2)
         with pytest.raises(VerificationError, match=re.escape(message)):
             full_battery(deg2)
 
@@ -283,7 +288,8 @@ class TestMutationDetection:
             return original(counting, a, b, lab0, {} if per_interval else shifted)
 
         monkeypatch.setattr(verification, "_check_minimal_support", counted)
-        assert check_intervals("ek", gamma("ek", deg2).dual(), deg2) == 53
+        cplx = resolution("ek", deg2)
+        assert check_intervals(cplx, build_gamma(cplx).dual(), deg2) == 53
         assert counting.calls == calls
 
     def test_wrong_minimal_support_hit_names_the_first_interval(self, deg2, monkeypatch):
@@ -300,8 +306,9 @@ class TestMutationDetection:
                             lambda ideal, *args: original(WrongIdeal(), *args))
         message = ("minimal shift supports [] vs positive labels {2} "
                    "on [e({2};x1*x3), e({};x1*x2)]")
+        cplx = resolution("ek", deg2)
         with pytest.raises(VerificationError) as info:
-            check_intervals("ek", gamma("ek", deg2).dual(), deg2)
+            check_intervals(cplx, build_gamma(cplx).dual(), deg2)
         assert str(info.value) == message
         with pytest.raises(VerificationError) as info:
             full_battery(deg2)
@@ -433,5 +440,5 @@ class TestPropertyChecks:
             assert str(info.value) == message
 
     def test_interval_sweep_counts(self, intro):
-        dual = gamma("ek", intro).dual()
-        assert check_intervals("ek", dual, intro) == 9
+        cplx = resolution("ek", intro)
+        assert check_intervals(cplx, build_gamma(cplx).dual(), intro) == 9
