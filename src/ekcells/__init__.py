@@ -44,11 +44,8 @@ from .shelling import (
 from .suite import named_ideal, run_suite
 from .topology import (
     IntegerChainComplex,
-    euler_characteristic,
-    face_counts,
     frame_complex,
     homology_ranks,
-    ridge_incidences,
     simplicial_chain_complex,
     strand_exactness,
 )

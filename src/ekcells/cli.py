@@ -143,13 +143,14 @@ def cmd_verify(args) -> int:
         }
         failed = failed or not strands.ok
         poset = gammas[kind] = build_gamma(cplx)
-        checks["thin"] = poset.is_thin()
-        failed = failed or not checks["thin"]
         witness = {}
         if args.check != "el":
             cw = is_cw_poset(poset, ideal)
             checks["cw"], witness = cw
             failed = failed or not cw[0]
+        # the CW check tests thinness first, so only --check el tests it here
+        checks["thin"] = witness["thin"] if witness else poset.is_thin()
+        failed = failed or not checks["thin"]
         if args.check in ("el", "all"):
             # the counts of the EL sweep behind the CW verdict, if it got that far
             intervals, failures = witness.get("el_intervals"), witness.get("el_failures")
@@ -159,7 +160,7 @@ def cmd_verify(args) -> int:
             checks["el"] = {"intervals": intervals, "failures": failures}
             failed = failed or failures > 0
         if args.check in ("ball", "all"):
-            verdict = ball_check(poset, cplx, ideal, cw_result=cw)
+            verdict = ball_check(poset, cplx, cw)
             checks["ball"] = {
                 "verdict": verdict.verdict,
                 "cond2": verdict.cond2,

@@ -174,12 +174,16 @@ def _exchanges(m: Monomial, slots):
 
 
 def _minimal_subset(gens):
-    unique = set(gens)
-    return [
-        m
-        for m in unique
-        if not any(g is not m and g != m and g.divides(m) for g in unique)
-    ]
+    """The minimal monomials of gens under divisibility.  One monomial divides
+    another of its degree only if they are equal, so each is tested only
+    against those kept from lower degrees."""
+    by_degree = {}
+    for m in gens:
+        by_degree.setdefault(m.degree(), set()).add(m)
+    kept = []
+    for d in sorted(by_degree):
+        kept += [m for m in by_degree[d] if not any(g.divides(m) for g in kept)]
+    return kept
 
 
 def borel_closure(seeds) -> MonomialIdeal:

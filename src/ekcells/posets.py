@@ -142,9 +142,6 @@ class FinitePoset:
     def lt(self, a, b) -> bool:
         return a != b and self.leq(a, b)
 
-    def up_covers(self, x) -> list:
-        return [self.elements[j] for j in self._up[self._idx[x]]]
-
     def down_covers(self, x) -> list:
         return [self.elements[j] for j in self._down[self._idx[x]]]
 

@@ -26,6 +26,7 @@ pairs x <= b, in reverse topological order, and lists no chain.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -370,9 +371,10 @@ def _can_follow(f, placed, used) -> bool:
     return restricted and not common
 
 
-def ball_check(poset: FinitePoset, cplx: FreeComplex, ideal, cw_result=None) -> BallVerdict:
+def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result) -> BallVerdict:
     """Evaluate the closed-ball criteria on the cell poset of the resolution
-    ``cplx`` (of kind ``cplx.kind``) minus its least element.
+    ``cplx`` (of kind ``cplx.kind``) minus its least element, given the
+    poset's ``is_cw_poset`` result ``cw_result``.
 
     Certification requires a verified shelling order of the order complex
     (constructibility witness) plus the two ridge-incidence conditions.
@@ -381,30 +383,31 @@ def ball_check(poset: FinitePoset, cplx: FreeComplex, ideal, cw_result=None) -> 
     shelling search that proves unshellability in dimension <= 2, where every
     triangulated ball is shellable (unshellable 3-balls exist: Rudin, 1958).
     Any other failed search is inconclusive, as is everything else.
-    ``cw_result`` reuses an ``is_cw_poset`` result the caller already has.
     Certified CW means EL-certified: a poset whose EL sweep fails is not CW
     (``"cw": false`` in ``verify``), and its verdict is inconclusive.
 
-    The reduced homology is read off the augmented frame of ``cplx``.  A
-    poset certified CW is the face poset of a regular CW complex X; the frame
-    has entries +-1 exactly on its covers and d o d = 0, and any two incidence
-    functions of X differ only by orientation signs (Lundell-Weingram, *The
-    Topology of CW Complexes*, 1969, Ch. V).  So the frame is isomorphic to
-    X's reduced cellular chain complex, whose homology is the order complex's.
+    The ridge counts and the reduced homology are read off the augmented
+    frame of ``cplx``, whose entries are the poset's covers.  The poset is
+    graded above one least element exactly when every cell of degree >= 1 has
+    a facet; then a ridge's top cells are the entries in its row of the top
+    map.  A poset certified CW is the face poset of a regular CW complex X;
+    the frame has entries +-1 exactly on its covers and d o d = 0, and any two
+    incidence functions of X differ only by orientation signs (Lundell-
+    Weingram, *The Topology of CW Complexes*, 1969, Ch. V).  So the frame is
+    isomorphic to X's reduced cellular chain complex, whose homology is the
+    order complex's.
     """
-    if cw_result is None:
-        cw_result = is_cw_poset(poset, ideal)
     cw_ok, _ = cw_result
-    # ridges are counted by rank above a least element, which a poset that
-    # is not CW may lack; then neither ridge condition holds
-    countable = poset.ranks() is not None and len(poset.minimal_elements()) == 1
-    incidences = topology.ridge_incidences(poset) if countable else ()
-    cond2 = countable and all(c <= 2 for _, c in incidences)
-    cond3 = any(c == 1 for _, c in incidences)
+    frame = topology.frame_complex(cplx)
+    # a cell of degree >= 1 without a facet leaves no ridge count, and then
+    # neither ridge condition holds
+    countable = all(col for layer in frame.cols for col in layer)
+    incidences = Counter(row for col in frame.cols[-1] for row in col).values()
+    cond2 = countable and all(c <= 2 for c in incidences)
+    cond3 = countable and any(c == 1 for c in incidences)
     # through the module, so that a wrapper on topology.homology_ranks sees it
     hom_trivial = all(
-        betti == 0 and not torsion
-        for betti, torsion in topology.homology_ranks(topology.frame_complex(cplx))
+        betti == 0 and not torsion for betti, torsion in topology.homology_ranks(frame)
     )
     if not cw_ok:
         return BallVerdict(None, cond2, cond3, hom_trivial, "inconclusive",

@@ -13,8 +13,7 @@ from .ideals import MonomialIdeal, random_borel_ideal
 from .monomials import Monomial, square_str
 from .polarization import bpol_lifts, sigma_ideal, stairs_diagram
 from .posets import build_gamma, poset_isomorphic
-from .shelling import ball_check
-from .topology import euler_characteristic
+from .shelling import ball_check, is_cw_poset
 from .verification import VerificationError, cm_battery, full_battery
 
 __all__ = ["NAMED_IDEALS", "named_ideal", "run_suite", "CriterionResult"]
@@ -91,9 +90,10 @@ def criterion_2():
     _ensure(not ideal.is_cm_stable()[0], "ideal unexpectedly Cohen-Macaulay")
     cplx = modified_complex(ideal)
     _ensure(cplx.ranks == (5, 6, 2), f"modified f-vector {cplx.ranks} != (5,6,2)")
+    chi = sum((-1) ** q * r for q, r in enumerate(cplx.ranks))
+    _ensure(chi == 1, "Euler characteristic != 1")
     poset = build_gamma(cplx)
-    _ensure(euler_characteristic(poset) == 1, "Euler characteristic != 1")
-    verdict = ball_check(poset, cplx, ideal)
+    verdict = ball_check(poset, cplx, is_cw_poset(poset, ideal))
     _ensure(
         verdict.verdict == "refuted" and verdict.constructible_certificate is None,
         f"expected refuted without certificate, got {verdict.verdict}",
@@ -110,12 +110,13 @@ def criterion_3():
     cek, cmod = ek_complex(ideal), modified_complex(ideal)
     _ensure(cek.ranks == (5, 6, 2), f"classical f-vector {cek.ranks} != (5,6,2)")
     _ensure(cmod.ranks == (5, 6, 2), f"modified f-vector {cmod.ranks} != (5,6,2)")
-    v_mod = ball_check(build_gamma(cmod), cmod, ideal)
+    g_mod, g_ek = build_gamma(cmod), build_gamma(cek)
+    v_mod = ball_check(g_mod, cmod, is_cw_poset(g_mod, ideal))
     _ensure(
         v_mod.verdict == "ball-certified",
         f"modified ball check: {v_mod.verdict} ({v_mod.detail})",
     )
-    v_ek = ball_check(build_gamma(cek), cek, ideal)
+    v_ek = ball_check(g_ek, cek, is_cw_poset(g_ek, ideal))
     _ensure(v_ek.verdict == "refuted", f"classical ball check: {v_ek.verdict}")
     return "modified ball-certified, classical refuted; both f-vectors (5,6,2)"
 

@@ -1,9 +1,8 @@
 """Chain-complex linear algebra over the integers.
 
 Provides the frame (coefficient-free) complex of a free complex, Smith normal
-form homology, simplicial homology of order complexes, the multigraded strand
-exactness oracle certifying that a complex is a resolution, and cell-count
-utilities on graded posets.
+form homology, simplicial homology of order complexes, and the multigraded
+strand exactness oracle certifying that a complex is a resolution.
 
 All arithmetic is exact, on sparse integer columns, and ``invariant_factors``
 is the one rank kernel: the Smith invariants of a sparse integer matrix, from
@@ -29,7 +28,7 @@ from operator import or_
 
 from .complexes import FreeComplex
 from .monomials import Monomial, square_str
-from .posets import FinitePoset, SimplicialComplexData
+from .posets import SimplicialComplexData
 
 __all__ = [
     "IntegerChainComplex",
@@ -38,9 +37,6 @@ __all__ = [
     "simplicial_chain_complex",
     "strand_exactness",
     "StrandReport",
-    "face_counts",
-    "euler_characteristic",
-    "ridge_incidences",
     "invariant_factors",
     "sparse_columns",
     "rank_int",
@@ -501,39 +497,3 @@ def _exactness_defect(dims, ranks_q):
             return (t - 1, h)
     return None
 
-
-# -- cell counting on graded posets ---------------------------------------------
-
-
-def _cell_ranks(poset: FinitePoset):
-    rankmap = poset.ranks()
-    if rankmap is None:
-        raise ValueError("poset is not graded")
-    mins = poset.minimal_elements()
-    if len(mins) != 1:
-        raise ValueError("poset has no unique least element")
-    return rankmap, mins[0]
-
-
-def face_counts(poset: FinitePoset) -> tuple:
-    """Cell counts per dimension, the least element not counted."""
-    rankmap, bottom = _cell_ranks(poset)
-    top = max(rankmap.values())
-    counts = [0] * top
-    for e in poset.elements:
-        if e is not bottom:
-            counts[rankmap[e] - 1] += 1
-    return tuple(counts)
-
-
-def euler_characteristic(poset: FinitePoset) -> int:
-    return sum((-1) ** k * c for k, c in enumerate(face_counts(poset)))
-
-
-def ridge_incidences(poset: FinitePoset) -> list:
-    """(element, number of covering cells) for every corank-1 element."""
-    rankmap, _ = _cell_ranks(poset)
-    top = max(rankmap.values())
-    return [
-        (e, len(poset.up_covers(e))) for e in poset.elements if rankmap[e] == top - 1
-    ]

@@ -36,7 +36,7 @@ from .polarization import (
 )
 from .posets import BOTTOM, FinitePoset, build_gamma
 from .shelling import ball_check, is_cw_poset
-from .topology import euler_characteristic, frame_complex, strand_exactness
+from .topology import frame_complex, strand_exactness
 
 __all__ = ["VerificationError", "full_battery", "cm_battery"]
 
@@ -587,13 +587,13 @@ def cm_battery(ideal: MonomialIdeal) -> dict:
         poset = build_gamma(cplx)
         if not poset.is_pure():
             raise VerificationError(f"{kind} poset of CM ideal not pure")
-        if euler_characteristic(poset) != 1:
+        if sum((-1) ** q * r for q, r in enumerate(cplx.ranks)) != 1:
             raise VerificationError(f"{kind} poset of CM ideal has Euler characteristic != 1")
         check_interval_decomposition(kind, ideal, poset, h)
         cw = is_cw_poset(poset, ideal)
         if not cw[0]:
             raise VerificationError(f"{kind} poset not certified CW: {cw[1]}")
-        verdict = ball_check(poset, cplx, ideal, cw_result=cw)
+        verdict = ball_check(poset, cplx, cw)
         if verdict.verdict != "ball-certified":
             raise VerificationError(
                 f"{kind} ball check returned {verdict.verdict}: {verdict.detail}"

@@ -3,8 +3,8 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from ekcells import (
-    BOTTOM, Monomial, MonomialIdeal, ball_check, build_gamma, cli, ek_complex, modified_complex,
-    shelling,
+    BOTTOM, Monomial, MonomialIdeal, ball_check, build_gamma, cli, ek_complex, is_cw_poset,
+    modified_complex, shelling,
 )
 from ekcells.ek import _b_indices, _shift_entry, kind_of
 from ekcells.suite import named_ideal
@@ -69,7 +69,8 @@ def gamma(kind, J):
 def ball(kind, J):
     """``ball_check`` on the cell poset of the kind's resolution of J."""
     cplx = resolution(kind, J)
-    return ball_check(build_gamma(cplx), cplx, J)
+    poset = build_gamma(cplx)
+    return ball_check(poset, cplx, is_cw_poset(poset, J))
 
 
 @pytest.fixture

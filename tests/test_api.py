@@ -30,3 +30,20 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"ekcells.{module_name}")
         assert name in module.__all__, f"ekcells.{module_name} does not export {name!r}"
         assert getattr(ekcells, name) is getattr(module, name)
+
+
+
+@pytest.mark.parametrize("name", [*LIBRARY, "cli"])
+def test_every_imported_name_is_used(name):
+    # an unused-import lint: every module but the package, whose imports are
+    # its exports, references each name it imports, ``__future__`` aside
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"ekcells.{name}")))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"ekcells.{name} never uses {sorted(imported - used)}"

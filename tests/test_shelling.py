@@ -548,7 +548,7 @@ class TestBallCheck:
         poset = build_gamma(cplx)
         cw = is_cw_poset(poset, deg2)
         assert not cw[0] and not cw[1]["bounded_below"]
-        v = ball_check(poset, cplx, deg2, cw_result=cw)
+        v = ball_check(poset, cplx, cw)
         assert (v.verdict, v.detail) == ("inconclusive", "poset not certified as CW")
         assert v.constructible_certificate is None and not v.cond2 and not v.cond3
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,18 +11,18 @@ from ekcells import (
     IntegerChainComplex,
     MonomialIdeal,
     SimplicialComplexData,
+    ball_check,
     build_gamma,
     ek_complex,
-    euler_characteristic,
-    face_counts,
     frame_complex,
     homology_ranks,
+    is_cw_poset,
     modified_complex,
     random_borel_ideal,
-    ridge_incidences,
     simplicial_chain_complex,
     strand_exactness,
 )
+from ekcells.ek import kind_of
 from ekcells.monomials import Monomial, from_squares, square_items, square_str
 from ekcells.polarization import bpol_lifts, sigma_ideal, specialize_theta, specialize_theta_prime
 from ekcells.suite import NAMED_IDEALS
@@ -1004,26 +1005,92 @@ class TestMappingCone:
         assert cone.strands_checked == 3
 
 
+def poset_face_counts(poset):
+    """The cells of a graded cell poset per dimension, from its ranks."""
+    counts = Counter(poset.ranks().values())
+    return tuple(counts[r] for r in range(1, max(counts) + 1))
+
+
+def poset_ridge_counts(poset):
+    """The number of top cells above each ridge (corank-1 element) of a
+    graded cell poset with one least element, from the up covers on the
+    poset; None on any other poset, which has no ridge count."""
+    ranks = poset.ranks()
+    if ranks is None or len(poset.minimal_elements()) != 1:
+        return None
+    top = max(ranks.values())
+    ups = Counter(lo for lo, _ in poset.covers)
+    return [ups[e] for e in poset.elements if ranks[e] == top - 1]
+
+
+def ridge_conditions_match(cplx, J):
+    """Asserts that ``ball_check``'s cond2 and cond3 on cplx equal their
+    definition on its cell poset; returns the poset's ridge counts."""
+    poset = build_gamma(cplx)
+    verdict = ball_check(poset, cplx, is_cw_poset(poset, J))
+    counts = poset_ridge_counts(poset)
+    expected = (counts is not None and all(c <= 2 for c in counts),
+                counts is not None and any(c == 1 for c in counts))
+    assert (verdict.cond2, verdict.cond3) == expected, (J, cplx.kind)
+    return counts
+
+
+def without_first_top_column(cplx):
+    """cplx with its first top cell's column emptied: that cell is then
+    minimal beside the least element."""
+    cplx.diffs[-1] = {pos: e for pos, e in cplx.diffs[-1].items() if pos[1] != 0}
+    return cplx
+
+
+def euler(cplx):
+    return sum((-1) ** q * r for q, r in enumerate(cplx.ranks))
+
+
 class TestCellCounts:
+    """The f-vector is ``cplx.ranks`` and the ridge conditions are read off
+    the frame's top map; both are compared with their count on the poset."""
+
     def test_degree2(self, deg2):
         for kind in ("ek", "modified"):
-            g = gamma(kind, deg2)
-            assert face_counts(g) == (6, 8, 3)
-            assert euler_characteristic(g) == 1
+            cplx = resolution(kind, deg2)
+            assert cplx.ranks == poset_face_counts(build_gamma(cplx)) == (6, 8, 3)
+            assert euler(cplx) == 1
 
     def test_tri_sq(self, tri_sq):
         for kind in ("ek", "modified"):
-            g = gamma(kind, tri_sq)
-            assert face_counts(g) == (5, 6, 2)
-            assert euler_characteristic(g) == 1
+            cplx = resolution(kind, tri_sq)
+            assert cplx.ranks == poset_face_counts(build_gamma(cplx)) == (5, 6, 2)
+            assert euler(cplx) == 1
 
     def test_deg4(self, deg4):
-        g = gamma("modified", deg4)
-        assert face_counts(g) == (8, 12, 5)
+        cplx = resolution("modified", deg4)
+        assert cplx.ranks == poset_face_counts(build_gamma(cplx)) == (8, 12, 5)
 
     def test_ridge_incidences(self, deg2):
-        g = gamma("ek", deg2)
-        counts = [c for _, c in ridge_incidences(g)]
+        cplx = resolution("ek", deg2)
+        frame = frame_complex(cplx)
+        rows = Counter(row for col in frame.cols[-1] for row in col)
+        counts = [rows[row] for row in range(frame.ranks[-2])]
+        assert counts == ridge_conditions_match(cplx, deg2)
         assert len(counts) == 8
         assert all(1 <= c <= 2 for c in counts)
         assert counts.count(1) > 0  # the boundary edges of the disk
+        verdict = ball("ek", deg2)
+        assert verdict.cond2 and verdict.cond3
+
+    @pytest.mark.parametrize("name", sorted(NAMED_IDEALS))
+    def test_ridge_conditions_on_named_ideals(self, name):
+        J = NAMED_IDEALS[name]()
+        for kind in ("ek", "modified"):
+            if kind_of(kind).admits(J):
+                assert ridge_conditions_match(resolution(kind, J), J) is not None
+                # a top cell without facets leaves no least element, so no count
+                mutant = without_first_top_column(resolution(kind, J))
+                assert ridge_conditions_match(mutant, J) is None
+
+    def test_ridge_conditions_on_criterion_7_draws(self):
+        rng = random.Random(20260811)
+        for _ in range(50):
+            J = random_borel_ideal(rng, cm=True)
+            for kind in ("ek", "modified"):
+                assert ridge_conditions_match(resolution(kind, J), J) is not None
