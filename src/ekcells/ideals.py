@@ -9,6 +9,7 @@ constructions).
 from __future__ import annotations
 
 from itertools import combinations
+from operator import le
 
 from .monomials import Monomial
 
@@ -118,16 +119,20 @@ class MonomialIdeal:
 
         Computed as the lex-greatest generator dividing m (the two
         characterizations agree for stable ideals;
-        ``verification.check_g_properties`` checks the agreement).
+        ``verification.check_g_properties`` checks the agreement), and
+        cached by the exponent tuple of m.  Only tuples of this ring are
+        cached, so one ring check on a miss covers every call.
         """
         if not self.is_stable():
             raise ValueError("decomposition function needs a stable ideal")
-        cached = self._g_cache.get(m)
+        exps = m.exps
+        cached = self._g_cache.get(exps)
         if cached is not None:
             return cached
+        self.gens[0]._check_ring(m)
         for m0 in self.gens:  # descending lex
-            if m0.divides(m):
-                self._g_cache[m] = m0
+            if all(map(le, m0.exps, exps)):
+                self._g_cache[exps] = m0
                 return m0
         raise ValueError(f"{m} is not in the ideal")
 

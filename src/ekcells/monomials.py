@@ -42,7 +42,11 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
+        given = tuple(exps)
+        exps = tuple(map(int, given))
+        if exps != given:
+            bad = next(e for e, k in zip(given, exps) if e != k)
+            raise ValueError(f"exponents must be integers, got {bad!r}")
         if not exps:
             raise ValueError("variable count must be at least 1")
         if any(e < 0 for e in exps):
@@ -129,16 +133,11 @@ class Monomial:
         return all(e <= 1 for e in self.exps)
 
     def max_var(self) -> int:
-        for i in range(self.n, 0, -1):
-            if self.exps[i - 1]:
+        exps = self.exps
+        for i in range(len(exps), 0, -1):
+            if exps[i - 1]:
                 return i
         raise ValueError("max_var of the unit monomial")
-
-    def min_var(self) -> int:
-        for i in range(1, self.n + 1):
-            if self.exps[i - 1]:
-                return i
-        raise ValueError("min_var of the unit monomial")
 
     def sorted_factors(self) -> list:
         """Variable indices with multiplicity, nondecreasing; at most
@@ -195,6 +194,8 @@ class Monomial:
         return Monomial._of(tuple(exps))
 
     def __pow__(self, k: int) -> "Monomial":
+        if int(k) != k:
+            raise ValueError(f"power must be an integer, got {k!r}")
         if k < 0:
             raise ValueError("negative power")
         return Monomial(e * k for e in self.exps)

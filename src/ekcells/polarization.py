@@ -87,8 +87,9 @@ def b_shift(m: Monomial, s: int) -> Monomial:
         raise ValueError("cannot shift the unit monomial")
     if not 1 <= s < m.max_var():
         raise ValueError(f"need 1 <= s < max({m}) = {m.max_var()}, got {s}")
-    k = min(i for i in m.support() if i > s)
-    return m.div_var(k).times_var(s)
+    e = m.exps
+    k = next(k for k in range(s, len(e)) if e[k])  # x_{k+1}, 0-based slot k
+    return Monomial._of(e[:s - 1] + (e[s - 1] + 1,) + e[s:k] + (e[k] - 1,) + e[k + 1:])
 
 
 def g_shift(ideal: MonomialIdeal, m: Monomial, s: int) -> Monomial:

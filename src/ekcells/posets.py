@@ -54,11 +54,11 @@ class FinitePoset:
         if len(self._idx) != len(self.elements):
             raise ValueError("duplicate elements")
         n = len(self.elements)
-        pairs = set()
+        pairs, idx = set(), self._idx
         for lo, hi in covers:
-            if lo not in self._idx or hi not in self._idx:
+            a, b = idx.get(lo), idx.get(hi)
+            if a is None or b is None:
                 raise ValueError(f"cover ({lo!r}, {hi!r}) uses unknown elements")
-            a, b = self._idx[lo], self._idx[hi]
             if a == b:
                 raise ValueError(f"reflexive cover at {lo!r}")
             pairs.add((a, b))

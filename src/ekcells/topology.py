@@ -40,6 +40,7 @@ __all__ = [
     "invariant_factors",
     "sparse_columns",
     "rank_int",
+    "rank_mod_p",
     "smith_diagonal",
 ]
 

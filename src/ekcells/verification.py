@@ -8,10 +8,9 @@ assert per ideal.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import add
+from operator import add, le
 
 from . import shelling
 from .complexes import FreeComplex
@@ -54,17 +53,18 @@ def check_d2(cplx: FreeComplex):
         outer = cplx.boundary(q)
         inner = cplx.boundary(q - 1)
         inner_cols = {}
-        for (tgt, mid), entry in inner.items():
-            inner_cols.setdefault(mid, []).append((tgt, entry))
-        acc = {}
+        for (tgt, mid), (s2, c2) in inner.items():
+            inner_cols.setdefault(mid, []).append((tgt, s2, c2.exps))
+        acc = {}  # (col, tgt, exponents of the coefficient) -> summed sign
         for (mid, col), (s1, c1) in outer.items():
-            for tgt, (s2, c2) in inner_cols.get(mid, ()):
-                key = (col, tgt, c2 * c1)
+            e1 = c1.exps
+            for tgt, s2, e2 in inner_cols.get(mid, ()):
+                key = (col, tgt, tuple(map(add, e2, e1)))
                 acc[key] = acc.get(key, 0) + s1 * s2
         bad = {k: v for k, v in acc.items() if v}
         if bad:
-            terms = {(col, tgt, square_str(c, cplx.squares)): v
-                     for (col, tgt, c), v in bad.items()}
+            terms = {(col, tgt, square_str(Monomial._of(e), cplx.squares)): v
+                     for (col, tgt, e), v in bad.items()}
             raise VerificationError(f"d^2 != 0 in {cplx.kind}: surviving terms {terms}")
 
 
@@ -81,7 +81,7 @@ def check_multidegrees(cplx: FreeComplex):
         for (i, j), (_, coeff) in cplx.boundary(q).items():
             src = cplx.mdegs[q][j]
             tgt = cplx.mdegs[q - 1][i]
-            if tgt * coeff != src:
+            if tuple(map(add, tgt.exps, coeff.exps)) != src.exps:
                 tgt, coeff, src = (square_str(m, cplx.squares) for m in (tgt, coeff, src))
                 raise VerificationError(
                     f"multidegree mismatch at ({i},{j}) in degree {q} of {cplx.kind}, "
@@ -119,30 +119,30 @@ def check_strands(cplx: FreeComplex, gens):
 # -- decomposition function properties -----------------------------------------
 
 
-def _monomials_up_to(n, deg):
-    def rec(slot, remaining):
-        if slot == n:
-            yield ()
-            return
-        for e in range(remaining + 1):
-            for rest in rec(slot + 1, remaining - e):
-                yield (e,) + rest
-
-    for exps in rec(0, deg):
-        yield Monomial(exps)
+def _exponents_up_to(n, deg):
+    """The exponent tuples of the monomials of degree <= deg in n variables,
+    in ascending (lex) order."""
+    out = [()]
+    for _ in range(n):
+        out = [t + (e,) for t in out for e in range(deg - sum(t) + 1)]
+    return out
 
 
 def check_g_properties(ideal: MonomialIdeal):
     deg_bound = ideal.max_deg() + 1
-    members = [m for m in _monomials_up_to(ideal.n, deg_bound) if m in ideal]
-    # the lex-greatest divisor g(m) against the max/min witnesses of each member
-    g_members = [ideal.g(m) for m in members]
-    for m, gm in zip(members, g_members):
-        witnesses = [m0 for m0 in ideal.gens if m0.divides(m)
-                     and (m0 == m or m0.max_var() <= m.div(m0).min_var())]
+    gens = [(m0, m0.exps, m0.max_var() - 1) for m0 in ideal.gens]
+    # the members up to deg_bound, each with its dividing generators
+    members = [(e, found) for e in _exponents_up_to(ideal.n, deg_bound)
+               if (found := [g for g in gens if all(map(le, g[1], e))])]
+    # the lex-greatest divisor g(m) against the max/min witnesses of each
+    # member: the divisors m0 with max(m0) <= min(m / m0), that is those
+    # that agree with m below slot max(m0)
+    g_members = [ideal.g(Monomial._of(e)) for e, _ in members]
+    for (e, found), gm in zip(members, g_members):
+        witnesses = [m0 for m0, e0, top in found if e0[:top] == e[:top]]
         if witnesses != [gm]:
             raise RuntimeError(
-                f"decomposition characterizations disagree on {m}: "
+                f"decomposition characterizations disagree on {Monomial._of(e)}: "
                 f"lex-greatest {gm}, max/min witnesses {witnesses}"
             )
     for m in ideal.gens:
@@ -156,19 +156,18 @@ def check_g_properties(ideal: MonomialIdeal):
     # product looked up in g once
     products = {}
 
-    def g_of(exps):
-        found = products.get(exps)
-        if found is None:
-            found = products[exps] = ideal.g(Monomial._of(exps))
+    def g_of(exps):  # a product not looked up yet (a Monomial is never falsy)
+        found = products[exps] = ideal.g(Monomial._of(exps))
         return found
 
-    pairs = [(nmem, nmem.exps, gn.exps) for nmem, gn in zip(members, g_members)]
-    for m in _monomials_up_to(ideal.n, 2):
-        me = m.exps
-        for nmem, ne, ge in pairs:
-            lhs = g_of(tuple(map(add, me, ge)))
-            rhs = g_of(tuple(map(add, me, ne)))
+    pairs = [(ne, gn.exps) for (ne, _), gn in zip(members, g_members)]
+    for me in _exponents_up_to(ideal.n, 2):
+        for ne, ge in pairs:
+            lk, rk = tuple(map(add, me, ge)), tuple(map(add, me, ne))
+            lhs = products.get(lk) or g_of(lk)
+            rhs = products.get(rk) or g_of(rk)
             if lhs.exps != rhs.exps:
+                m, nmem = Monomial._of(me), Monomial._of(ne)
                 raise VerificationError(f"g({m}*g({nmem})) = {lhs} != g({m}*{nmem}) = {rhs}")
 
 
@@ -191,8 +190,9 @@ def check_cover_support(poset: FinitePoset, cplx: FreeComplex):
         for pair, mdeg, rows in zip(cplx.basis[q], cplx.mdegs[q], support):
             if set(poset.down_covers(pair)) != {prev[i] for i in rows}:
                 raise VerificationError(f"covers of {pair!r} differ from differential support")
-            lcm = reduce(lambda a, b: a.lcm(b), [prev_mdegs[i] for i in rows]) if rows else None
-            if mdeg != lcm:
+            lcm = tuple(map(max, zip(*[prev_mdegs[i].exps for i in rows]))) if rows else None
+            if mdeg.exps != lcm:
+                lcm = lcm and Monomial._of(lcm)
                 mdeg, lcm = (m and square_str(m, cplx.squares) for m in (mdeg, lcm))
                 raise VerificationError(
                     f"multidegree {mdeg} of {pair!r} is not the lcm {lcm} of the cells it covers"

@@ -47,3 +47,45 @@ def test_every_imported_name_is_used(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"ekcells.{name} never uses {sorted(imported - used)}"
+
+
+# The benchmark tracer patches ``chains_between`` by name and reads ``mats``
+# for its homology counters, though no code in the package calls either
+# (ROADMAP item 7).
+UNREFERENCED = {"FinitePoset.chains_between", "IntegerChainComplex.mats"}
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class and
+    each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_definition_is_referenced():
+    # a dead-code lint: each definition is named somewhere in the package
+    # outside its own body, or exported through a module's ``__all__``
+    trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"ekcells.{name}")))
+             for name in [*LIBRARY, "cli"]}
+    exported = {name for module in trees
+                for name in getattr(importlib.import_module(f"ekcells.{module}"), "__all__", ())}
+    references = {}  # name -> [(module, line)]
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                references.setdefault(name, []).append((module, node.lineno))
+    unreferenced = [
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in _definitions(tree)
+        if qualname not in exported and qualname not in UNREFERENCED and not any(
+            where != module or not node.lineno <= line <= node.end_lineno
+            for where, line in references.get(node.name, ()))
+    ]
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"

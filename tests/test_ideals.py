@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -12,7 +13,7 @@ from ekcells import (
     random_borel_ideal,
 )
 from ekcells.verification import check_g_properties
-from conftest import ideal, mono
+from conftest import ideal, mono, stable_closures
 
 
 class TestMinimalize:
@@ -150,6 +151,51 @@ class TestDecompositionFunction:
         rng = random.Random(3)
         for _ in range(25):
             check_g_properties(random_borel_ideal(rng, max_gens=8))
+
+
+def _oracle_ideals():
+    """Seeded random Borel ideals and the stable closures that are not Borel."""
+    rng = random.Random(30)
+    draws = [random_borel_ideal(rng) for _ in range(30)]
+    return draws + sorted((J for J in stable_closures() if not J.is_borel_fixed()), key=repr)
+
+
+class TestDecompositionOracle:
+    """g, cached by exponent tuple, against the lex-greatest generator that
+    divides m, found with ``Monomial.divides``."""
+
+    IDEALS = _oracle_ideals()
+
+    def test_stable_closures_are_among_them(self):
+        assert sum(not J.is_borel_fixed() for J in self.IDEALS) >= 5
+
+    @pytest.mark.parametrize("J", IDEALS, ids=repr)
+    def test_g_is_the_lex_greatest_divisor(self, J):
+        bound = J.max_deg() + 2
+        monomials = [Monomial(e) for e in product(range(bound + 1), repeat=J.n)
+                     if sum(e) <= bound]
+        for warm in (False, True):
+            for m in monomials:
+                divisors = [m0 for m0 in J.gens if m0.divides(m)]
+                if divisors:
+                    assert J.g(m) == max(divisors), (J, m, warm)
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"{m} is not in the ideal")):
+                        J.g(m)
+                    assert m.exps not in J._g_cache
+
+    @pytest.mark.parametrize("J", IDEALS[::6], ids=repr)
+    def test_another_ring_raises_on_a_cold_and_a_warm_cache(self, J):
+        J = MonomialIdeal(J.n, J.gens)  # a cold cache
+        wider = [Monomial(m.exps + (0,)) for m in J.gens]
+        message = f"variable count mismatch: {J.n} != {J.n + 1}"
+        with pytest.raises(ValueError, match=message):
+            J.g(wider[0])
+        for m in J.gens:
+            assert J.g(m) is m
+        for m in wider:  # warm: each generator's own tuple is cached
+            with pytest.raises(ValueError, match=message):
+                J.g(m)
 
 
 class TestHeightAndCM:

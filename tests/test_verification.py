@@ -126,6 +126,27 @@ class TestMutationDetection:
         with pytest.raises(VerificationError, match="d\\^2"):
             check_d2(cplx)
 
+    # the whole message, surviving terms in order, for the first entry of
+    # the top differential flipped: on S and on the squares ring (intro's
+    # modified complex has one differential, so no d o d to break)
+    @pytest.mark.parametrize("kind, name, message", [
+        ("ek", "deg2",
+         "d^2 != 0 in ek: surviving terms {(0, 1, 'x1*x3'): -2, (0, 0, 'x2*x3'): 2}"),
+        ("modified", "deg2",
+         "d^2 != 0 in modified: surviving terms "
+         "{(0, 1, 'x[1,2]*x[3,2]'): -2, (0, 0, 'x[2,2]*x[3,2]'): 2}"),
+        ("modified", "deg4",
+         "d^2 != 0 in modified: surviving terms "
+         "{(0, 1, 'x[1,2]*x[3,2]'): -2, (0, 0, 'x[2,2]*x[3,2]'): 2}"),
+    ])
+    def test_sign_flip_names_the_surviving_terms(self, kind, name, message, request):
+        cplx = resolution(kind, request.getfixturevalue(name))
+        pos, (sign, coeff) = next(iter(sorted(cplx.diffs[1].items())))
+        cplx.diffs[1][pos] = (-sign, coeff)
+        with pytest.raises(VerificationError) as err:
+            check_d2(cplx)
+        assert str(err.value) == message
+
     def test_unit_coefficient_detected(self, intro):
         cplx = modified_complex(intro)
         pos = next(iter(sorted(cplx.diffs[0])))
