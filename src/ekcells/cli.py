@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
             intervals, failures = witness.get("el_intervals"), witness.get("el_failures")
             if intervals is None:
                 reports = verify_el_all(poset.dual(), ideal)
-                intervals, failures = len(reports), sum(not r.passed for r in reports)
+                intervals, failures = len(reports), len(reports.failures())
             checks["el"] = {"intervals": intervals, "failures": failures}
             failed = failed or failures > 0
         if args.check in ("ball", "all"):

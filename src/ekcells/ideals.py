@@ -255,23 +255,33 @@ def random_borel_ideal(rng, max_n=4, max_deg=4, max_gens=12, cm=False) -> Monomi
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
+    """The ideal of a file: a header "<n> <count>", then one generator per
+    line, skipping blank lines and "#" comments.  An error in a generator
+    names its line, "line k: ...", counting every line of the file from 1."""
     lines = [
-        ln.strip()
-        for ln in text.splitlines()
+        (k, ln.strip())
+        for k, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not lines:
         raise ValueError("empty ideal file")
+    header = lines[0][1]
     try:
-        n, count = map(int, lines[0].split())
+        n, count = map(int, header.split())
     except ValueError:
-        raise ValueError(f'expected header "<n> <count>", got {lines[0]!r}') from None
+        raise ValueError(f'expected header "<n> <count>", got {header!r}') from None
     if n < 1 or count < 1:
         raise ValueError(f"invalid header values n={n}, count={count}")
     body = lines[1:]
     if len(body) != count:
         raise ValueError(f"header announces {count} generators, found {len(body)}")
-    return MonomialIdeal(n, [Monomial.parse(ln, n) for ln in body])
+    gens = []
+    for k, ln in body:
+        try:
+            gens.append(Monomial.parse(ln, n))
+        except ValueError as exc:
+            raise ValueError(f"line {k}: {exc}") from None
+    return MonomialIdeal(n, gens)
 
 
 def read_ideal(path) -> MonomialIdeal:

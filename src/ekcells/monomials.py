@@ -106,7 +106,13 @@ class Monomial:
         parts = s.split()
         if len(parts) != n:
             raise ValueError(f"expected {n} exponents, got {len(parts)}: {s!r}")
-        return cls(int(p) for p in parts)
+        exps = []
+        for p in parts:
+            try:
+                exps.append(int(p))
+            except ValueError:
+                raise ValueError(f"exponent {p!r} is not an integer") from None
+        return cls(exps)
 
     # -- basic queries -----------------------------------------------------
 

@@ -49,32 +49,49 @@ class FinitePoset:
                  "_order", "_rank", "_graded")
 
     def __init__(self, elements, covers):
-        self.elements = tuple(elements)
-        self._idx = {e: k for k, e in enumerate(self.elements)}
-        if len(self._idx) != len(self.elements):
+        elements = tuple(elements)
+        idx = {e: k for k, e in enumerate(elements)}
+        if len(idx) != len(elements):
             raise ValueError("duplicate elements")
-        n = len(self.elements)
-        pairs, idx = set(), self._idx
+        pairs = set()
         for lo, hi in covers:
             a, b = idx.get(lo), idx.get(hi)
             if a is None or b is None:
                 raise ValueError(f"cover ({lo!r}, {hi!r}) uses unknown elements")
-            if a == b:
-                raise ValueError(f"reflexive cover at {lo!r}")
             pairs.add((a, b))
-        pairs = sorted(pairs)
-        self._up = [[] for _ in range(n)]
-        self._down = [[] for _ in range(n)]
+        self._build(elements, idx, pairs)
+
+    @classmethod
+    def _of(cls, elements: tuple, pairs) -> "FinitePoset":
+        """The poset on ``elements`` with a cover from element a to element b
+        for each index pair (a, b) of ``pairs``, in any order, checked as the
+        constructor checks covers: only for distinct elements and distinct
+        pairs of indices in range."""
+        poset = object.__new__(cls)
+        poset._build(elements, {e: k for k, e in enumerate(elements)}, pairs)
+        return poset
+
+    def _build(self, elements, idx, pairs):
+        """Derive the order from the covers by index; raise on a reflexive
+        cover, a cycle or an implied cover."""
+        self.elements, self._idx = elements, idx
+        n = len(elements)
+        self._up = up = [[] for _ in range(n)]
+        self._down = down = [[] for _ in range(n)]
         for a, b in pairs:
-            self._up[a].append(b)
-            self._down[b].append(a)
-        self.covers = tuple((self.elements[a], self.elements[b]) for a, b in pairs)
+            if a == b:
+                raise ValueError(f"reflexive cover at {elements[a]!r}")
+            up[a].append(b)
+            down[b].append(a)
+        for ends in up + down:
+            ends.sort()
+        self.covers = tuple((elements[a], elements[b]) for a, ups in enumerate(up) for b in ups)
         self._order = order = self._toposort()
         # _above[i]: bitmask of all j >= i (reflexive); computed top-down.
         above = [0] * n
         for i in reversed(order):
             mask = 1 << i
-            for j in self._up[i]:
+            for j in up[i]:
                 mask |= above[j]
             above[i] = mask
         self._above = above
@@ -82,7 +99,7 @@ class FinitePoset:
         below = [0] * n
         for i in order:
             mask = 1 << i
-            for j in self._down[i]:
+            for j in down[i]:
                 mask |= below[j]
             below[i] = mask
         self._below = below
@@ -296,14 +313,15 @@ def build_gamma(cplx: FreeComplex) -> FinitePoset:
     covered by each basis element of degree 0, and one cover per differential
     entry, from its row to its column (the support of the differential, as in
     Bayer-Sturmfels, "Cellular resolutions of monomial modules", 1998)."""
-    elements = [BOTTOM]
+    elements, offsets = [BOTTOM], []
     for layer in cplx.basis:
+        offsets.append(len(elements))  # basis[q][k] is element offsets[q] + k
         elements.extend(layer)
-    covers = [(BOTTOM, cell) for cell in cplx.basis[0]]
+    pairs = [(0, k) for k in range(1, 1 + len(cplx.basis[0]))]
     for q, mat in enumerate(cplx.diffs, start=1):
-        lower, upper = cplx.basis[q - 1], cplx.basis[q]
-        covers.extend((lower[i], upper[j]) for i, j in mat)
-    return FinitePoset(elements, covers)
+        lo, hi = offsets[q - 1], offsets[q]
+        pairs.extend((lo + i, hi + j) for i, j in mat)
+    return FinitePoset._of(tuple(elements), pairs)
 
 
 def poset_isomorphic(p1: FinitePoset, p2: FinitePoset) -> bool:

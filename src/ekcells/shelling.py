@@ -27,6 +27,7 @@ pairs x <= b, in reverse topological order, and lists no chain.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 
@@ -67,11 +68,82 @@ class ELReport:
     increasing_label: object = None
 
 
-class ELSweep(list):
-    """The reports of ``verify_el_all``, with the cover labels they came from:
-    ``cover_labels[i][k]`` labels the cover from element i to ``dual._up[i][k]``."""
+class ELSweep(Sequence):
+    """The reports of ``verify_el_all``, a and then b in element order, with
+    the cover labels they came from: ``cover_labels[i][k]`` labels the cover
+    from element i to ``dual._up[i][k]``.
 
-    __slots__ = ("cover_labels",)
+    A sweep keeps the per-pair records of ``verify_el_all`` and builds every
+    report from them at the first access to one.  Until then ``len()`` and
+    ``failures()`` read the records, so a verdict builds no report; after,
+    they read the reports, edits included.  ``ELSweep(reports)`` holds the
+    given reports.
+    """
+
+    __slots__ = ("cover_labels", "_reports", "_dual", "_records", "_count")
+
+    def __init__(self, reports=()):
+        self.cover_labels, self._reports = None, list(reports)
+
+    @classmethod
+    def _of(cls, dual: FinitePoset, labels: list, records: tuple) -> "ELSweep":
+        """The sweep of ``dual`` with these cover labels and records (chains,
+        rising, lex by element index, and the failing pairs), as
+        ``verify_el_all`` leaves them."""
+        sweep = object.__new__(cls)
+        sweep.cover_labels, sweep._reports = labels, None
+        sweep._dual, sweep._records = dual, records
+        sweep._count = sum(map(len, records[0])) - len(dual)  # less the pairs [a, a]
+        return sweep
+
+    def __len__(self):
+        return self._count if self._reports is None else len(self._reports)
+
+    def __getitem__(self, k):
+        return self._built()[k]
+
+    def __setitem__(self, k, report):
+        self._built()[k] = report
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        return self._built() == other
+
+    def failures(self) -> list:
+        """The (bottom, top) of each failing interval, in report order."""
+        if self._reports is not None:
+            return [(r.bottom, r.top) for r in self._reports if not r.passed]
+        els = self._dual.elements
+        return [(els[a], els[b]) for a, b in sorted(self._records[3])]
+
+    def _built(self) -> list:
+        """The reports, built from the records at the first call, which then
+        drops them."""
+        if self._reports is None:
+            els, up, label = self._dual.elements, self._dual._up, self.cover_labels
+            chains, rising, lex, failing = self._records
+            failing = set(failing)
+            self._reports = out = []
+            for a, ca in enumerate(chains):
+                ea, ra, oa = els[a], rising[a], lex[a]
+                for b in sorted(ca):
+                    if b == a:
+                        continue
+                    r = ra.get(b)
+                    if (a, b) not in failing:  # the increasing chain carries the least word
+                        word, chain, _ = oa[b]
+                        out.append(ELReport(ea, els[b], ca[b], 1, True, True, chain, word))
+                    elif r.__class__ is int:  # one increasing chain, not lex-least
+                        path, word = _rising_chain(a, b, up, label, chains, rising)
+                        chain = tuple(els[k] for k in path)
+                        out.append(ELReport(ea, els[b], ca[b], 1, False, False, chain, word))
+                    else:  # no increasing chain, or several
+                        rises = 0 if r is None else sum(r.values())
+                        out.append(ELReport(ea, els[b], ca[b], rises, False, False))
+            self._dual = self._records = None
+        return self._reports
 
 
 @dataclass
@@ -100,13 +172,21 @@ def el_label_edge(lower, upper, ideal) -> int:
         if lower.F != ():
             raise ValueError(f"{lower!r} is not covered by the least element in the dual")
         return 0
-    removed = set(lower.F) - set(upper.F)
-    if len(removed) != 1 or not set(upper.F) <= set(lower.F):
+    # both index tuples increase, so upper's is lower's less one index exactly
+    # when it is one shorter and continues, from the first position k where
+    # they part, with lower's past k
+    F, G = lower.F, upper.F
+    k = 0
+    for f, g in zip(F, G):
+        if f != g:
+            break
+        k += 1
+    if len(F) != len(G) + 1 or F[k + 1:] != G[k:]:
         raise ValueError(f"({lower!r}, {upper!r}) is not a dual cover")
-    i = removed.pop()
-    if upper.m == lower.m:
+    i = F[k]
+    if upper.m.exps == lower.m.exps:
         return -i
-    if upper.m != lower.kind.shift(ideal, lower.m, i):
+    if upper.m.exps != lower.kind.shift(ideal, lower.m, i).exps:
         raise ValueError(f"cover ({lower!r}, {upper!r}) matches neither labeling case")
     return i
 
@@ -124,7 +204,8 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     increasing: that chain then carries the word, which no other chain does,
     and the records keep it.  Where the one increasing chain is not
     lex-least, it is read off by following the covers that keep the chain
-    increasing.
+    increasing.  The result keeps the records and builds the reports from
+    them when they are first read (``ELSweep``).
     """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
     label = [[el_label_edge(els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
@@ -135,8 +216,9 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     # (a dict for every pair costs 40-80% more sweep time); lex[x][b] is
     # (word, chain, ok): its lex-least word, a chain that carries it, and
     # whether that word is weakly increasing.  [x, x] has one chain, whose
-    # empty word counts as starting with _TOP.
-    chains, rising, lex = [None] * n, [None] * n, [None] * n
+    # empty word counts as starting with _TOP.  failing lists the (x, b) whose
+    # [x, b] fails, once its records are complete.
+    chains, rising, lex, failing = [None] * n, [None] * n, [None] * n, []
     for x in reversed(dual._order):
         ex = els[x]
         cx, rx, ox = {x: 1}, {x: _TOP}, {x: ((), (ex,), True)}
@@ -158,24 +240,10 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
                 if o is None or word < o[0]:
                     ox[b] = (word, (ex,) + chain, ok and (len(word) == 1 or lab <= word[1]))
         chains[x], rising[x], lex[x] = cx, rx, ox
-    out = ELSweep()
-    out.cover_labels = label
-    for a in range(n):
-        ea, ca, ra, oa = els[a], chains[a], rising[a], lex[a]
-        for b in sorted(ca):
-            if b == a:
-                continue
-            r = ra.get(b)
-            rises = 0 if r is None else 1 if r.__class__ is int else sum(r.values())
-            if rises != 1:
-                out.append(ELReport(ea, els[b], ca[b], rises, False, False))
-                continue
-            word, chain, ok = oa[b]
-            if not ok:
-                path, word = _rising_chain(a, b, up, label, chains, rising)
-                chain = tuple(els[k] for k in path)
-            out.append(ELReport(ea, els[b], ca[b], 1, ok, ok, chain, word))
-    return out
+        # the pass rule above: one increasing chain (a bare first label) and
+        # an increasing lex-least word
+        failing += [(x, b) for b, o in ox.items() if not (o[2] and rx.get(b).__class__ is int)]
+    return ELSweep._of(dual, label, (chains, rising, lex, failing))
 
 
 def _rising_from(r, lab) -> int:
@@ -241,7 +309,8 @@ def is_cw_poset(poset: FinitePoset, ideal):
     lower interval, which is Bjorner's CW-poset criterion (Europ. J. Combin.
     5, 1984).  No shelling search runs, so an EL failure reads as not CW.
     Returns (bool, witness dict); when the sweep fails, ``el_first_failure``
-    names the first failing dual interval (a, b).
+    names the first failing dual interval (a, b).  The counts and that
+    interval are read off the sweep's records, so a pass builds no report.
     """
     witness = {"thin": poset.is_thin()}
     witness["bounded_below"] = len(poset.minimal_elements()) == 1
@@ -249,11 +318,11 @@ def is_cw_poset(poset: FinitePoset, ideal):
         witness["el_intervals"] = None
         return False, witness
     reports = verify_el_all(poset.dual(), ideal)
-    failures = [r for r in reports if not r.passed]
+    failures = reports.failures()
     witness["el_intervals"] = len(reports)
     witness["el_failures"] = len(failures)
     if failures:
-        witness["el_first_failure"] = (failures[0].bottom, failures[0].top)
+        witness["el_first_failure"] = failures[0]
     return not failures, witness
 
 

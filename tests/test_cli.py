@@ -390,11 +390,13 @@ class TestFuzzList:
         ("3 0\n", "invalid header values n=3, count=0"),
         ("", "empty ideal file"),
         ("2 1\n1\n", "the unit ideal is not supported"),
-        ("2 1\nx3\n", "variable index 3 out of range 1..2"),
+        ("2 1\nx3\n", "line 2: variable index 3 out of range 1..2"),
         ("-1 2\nx1\nx2\n", "invalid header values n=-1, count=2"),
-        ("2 1\nx1^a\n", "cannot parse monomial factor 'x1^a'"),
+        ("2 1\nx1^a\n", "line 2: cannot parse monomial factor 'x1^a'"),
+        ("# two variables\n2 2\n\n1 1\n1.5 1\n", "line 5: exponent '1.5' is not an integer"),
+        ("2 1\n0 1 2\n", "line 2: expected 2 exponents, got 3: '0 1 2'"),
     ], ids=["no generators", "empty file", "unit ideal", "index above n", "negative n",
-            "exponent not a number"])
+            "exponent not a number", "fractional exponent", "exponent count"])
     def test_bad_ideal_file_exits_2(self, text, message, tmp_path, capsys):
         path = tmp_path / "bad.ideal"
         path.write_text(text, encoding="utf-8")

@@ -11,6 +11,7 @@ from ekcells import (
     AdmissiblePair,
     FinitePoset,
     SimplicialComplexData,
+    build_gamma,
     ek_complex,
     modified_complex,
     poset_isomorphic,
@@ -20,7 +21,7 @@ from ekcells import (
 from ekcells.ek import admissible_layers, kind_of
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_cover_support
-from conftest import b_set, gamma, ideal, mono
+from conftest import b_set, gamma, ideal, mono, power_ideal
 
 
 def chain_poset(k):
@@ -226,6 +227,46 @@ class TestBuildGamma:
         assert self._two_cell_shapes(gamma("modified", tri_tri)) == [3, 3]
         assert self._two_cell_shapes(gamma("ek", deg2)) == [3, 3, 4]
         assert self._two_cell_shapes(gamma("modified", deg2)) == [3, 3, 4]
+
+
+def element_gamma(cplx):
+    """The cell poset of a resolution through the element-cover constructor:
+    BOTTOM below each cell of degree 0, and one cover per differential entry,
+    from the cell of its row to the cell of its column."""
+    covers = [(BOTTOM, cell) for cell in cplx.basis[0]]
+    for q, mat in enumerate(cplx.diffs, start=1):
+        covers.extend((cplx.basis[q - 1][i], cplx.basis[q][j]) for i, j in mat)
+    return FinitePoset([BOTTOM, *(cell for layer in cplx.basis for cell in layer)], covers)
+
+
+class TestIndexConstructor:
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_build_gamma_equals_the_element_cover_constructor(self, kind):
+        rng7 = random.Random(20260811)
+        ideals = ([named_ideal(name) for name in NAMED_IDEALS] + [power_ideal(4, 2)]
+                  + [random_borel_ideal(rng7, cm=True) for _ in range(50)])
+        for J in ideals:
+            cplx = ek_complex(J) if kind == "ek" else modified_complex(J)
+            got, want = build_gamma(cplx), element_gamma(cplx)
+            assert got.elements == want.elements, J
+            assert got.covers == want.covers, J
+            assert (got._up, got._down, got._order) == (want._up, want._down, want._order), J
+            assert got.ranks() == want.ranks(), J
+            assert (got._above, got._below) == (want._above, want._below), J
+
+    def test_index_constructor_keeps_the_cover_checks(self):
+        with pytest.raises(ValueError, match="cover relation contains a cycle"):
+            FinitePoset._of((1, 2, 3), [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError, match=r"cover \(1, 3\) is implied by other covers"):
+            FinitePoset._of((1, 2, 3), [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="reflexive cover at 2"):
+            FinitePoset._of((1, 2, 3), [(0, 1), (1, 1)])
+
+    def test_index_pairs_in_any_order(self):
+        p = FinitePoset._of(("a", "b", "c", "d"), [(1, 3), (0, 2), (2, 3), (0, 1)])
+        q = FinitePoset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        assert p.covers == q.covers == (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))
+        assert (p._up, p._down, p._order) == (q._up, q._down, q._order)
 
 
 class TestIsomorphism:

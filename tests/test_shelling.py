@@ -56,6 +56,56 @@ class TestEdgeLabels:
         with pytest.raises(ValueError):
             el_label_edge(lower, BOTTOM, deg2)
 
+    @pytest.mark.parametrize("upper, message", [
+        (None, "e({1,2};x3^2) is not covered by the least element in the dual"),
+        (((1, 2), "x3^2"), "(e({1,2};x3^2), e({1,2};x3^2)) is not a dual cover"),
+        (((), "x3^2"), "(e({1,2};x3^2), e({};x3^2)) is not a dual cover"),
+        (((1, 2, 3), "x1*x4"), "(e({1,2};x3^2), e({1,2,3};x1*x4)) is not a dual cover"),
+        (((1,), "x2^2"), "cover (e({1,2};x3^2), e({1};x2^2)) matches neither labeling case"),
+        (((2,), "x2*x3"), "cover (e({1,2};x3^2), e({2};x2*x3)) matches neither labeling case"),
+    ], ids=["bottom", "same indices", "two indices removed", "index added", "wrong generator",
+            "generator of another index"])
+    def test_non_cover_messages(self, upper, message):
+        J = ideal(4, "x1", "x2^2", "x2*x3", "x3^2")
+        lower = AdmissiblePair((1, 2), mono("x3^2", 4))
+        upper = BOTTOM if upper is None else AdmissiblePair(upper[0], mono(upper[1], 4))
+        with pytest.raises(ValueError) as exc:
+            el_label_edge(lower, upper, J)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("F, G", [((1,), (2,)), ((1, 2), (3,)), ((1, 3), (2,))])
+    def test_other_indices_are_no_cover(self, F, G):
+        # the same generator, and an index set one shorter but not a subset
+        J = ideal(4, "x1", "x2", "x3", "x4")
+        m = mono("x4", 4)
+        with pytest.raises(ValueError) as exc:
+            el_label_edge(AdmissiblePair(F, m), AdmissiblePair(G, m), J)
+        assert str(exc.value) == f"({AdmissiblePair(F, m)!r}, {AdmissiblePair(G, m)!r}) is not a dual cover"
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_labels_equal_the_set_definition(self, kind):
+        rng6 = random.Random(20260810)
+        for J in ([named_ideal(name) for name in NAMED_IDEALS]
+                  + [random_borel_ideal(rng6) for _ in range(50)]):
+            dual = gamma(kind, J).dual()
+            for x, y in dual.covers:
+                assert el_label_edge(x, y, J) == set_label(x, y, J), (x, y)
+
+
+def set_label(lower, upper, ideal):
+    """The label of a dual cover by the set definition: 0 into the least
+    element, -i when the index set loses i and the generator stays, +i when it
+    loses i and the generator shifts as ``lower.kind`` shifts it."""
+    if upper is BOTTOM:
+        assert lower.F == ()
+        return 0
+    (i,) = set(lower.F) - set(upper.F)
+    assert set(upper.F) < set(lower.F)
+    if upper.m == lower.m:
+        return -i
+    assert upper.m == lower.kind.shift(ideal, lower.m, i)
+    return i
+
 
 class TestELVerification:
     def test_top_interval_label(self, deg2):
@@ -270,7 +320,7 @@ class TestCWFromSweep:
         assert len(p) == 18 and p.is_thin() and p.is_pure()
         failed = shelling.ELReport(bottom="1", top="0", max_chains=0, increasing_chains=0,
                                    lex_least=False, passed=False)
-        monkeypatch.setattr(shelling, "verify_el_all", lambda *args: [failed])
+        monkeypatch.setattr(shelling, "verify_el_all", lambda *args: shelling.ELSweep([failed]))
         ok, witness = is_cw_poset(p, deg2)
         assert not ok
         assert witness == {"thin": True, "bounded_below": True, "el_intervals": 1,
@@ -301,6 +351,73 @@ class TestCWFromSweep:
         for J in non_borel:
             ok, witness = is_cw_poset(gamma("ek", J), J)
             assert ok and witness["el_failures"] == 0, J
+
+
+def verdict_from_reports(poset, J):
+    """is_cw_poset's verdict and witness on a thin poset with a least
+    element, read off the built reports of the sweep of its dual."""
+    reports = list(verify_el_all(poset.dual(), J))
+    failures = [(r.bottom, r.top) for r in reports if not r.passed]
+    witness = {"thin": True, "bounded_below": True, "el_intervals": len(reports),
+               "el_failures": len(failures)}
+    if failures:
+        witness["el_first_failure"] = failures[0]
+    return not failures, witness
+
+
+class TestCWVerdictOracle:
+    """is_cw_poset reads its verdict off the sweep's records; the reports,
+    built, must give the same one."""
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_verdict_equals_the_reports(self, kind):
+        rng7 = random.Random(20260811)
+        for J in ([named_ideal(name) for name in NAMED_IDEALS]
+                  + [power_ideal(3, d) for d in (2, 3, 4)] + [power_ideal(4, 2)]
+                  + [random_borel_ideal(rng7, cm=True) for _ in range(50)]):
+            poset = gamma(kind, J)
+            assert is_cw_poset(poset, J) == verdict_from_reports(poset, J), J
+
+    @pytest.mark.parametrize("labelling", ["pseudo-random", "constant", "unsigned"])
+    def test_verdict_equals_the_reports_under_other_labels(self, labelling, monkeypatch):
+        original = shelling.el_label_edge
+        relabel = {
+            "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
+            "constant": lambda *args: 0,
+            "unsigned": lambda *args: -abs(original(*args)),
+        }[labelling]
+        monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        refuted = 0
+        for J in ([named_ideal(name) for name in NAMED_IDEALS]
+                  + [power_ideal(3, d) for d in (2, 3)] + [power_ideal(4, 2)]):
+            for kind in ("ek", "modified"):
+                poset = gamma(kind, J)
+                verdict = is_cw_poset(poset, J)
+                assert verdict == verdict_from_reports(poset, J), (kind, J)
+                refuted += not verdict[0]
+                # every failure, in order, off the records and off the reports
+                dual = poset.dual()
+                assert verify_el_all(dual, J).failures() == [
+                    (r.bottom, r.top) for r in verify_el_all(dual, J) if not r.passed], (kind, J)
+        assert refuted == 2 * (len(NAMED_IDEALS) + 3)  # every poset fails somewhere
+
+    def test_a_passing_verdict_builds_no_report(self, monkeypatch):
+        built = []
+        real = shelling.ELReport
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shelling, "ELReport", counted)
+        J = power_ideal(4, 2)
+        for kind in ("ek", "modified"):
+            ok, witness = is_cw_poset(gamma(kind, J), J)
+            assert ok and witness["el_intervals"] > 0
+        assert built == []
+        reports = verify_el_all(gamma("modified", J).dual(), J)
+        assert len(reports) == witness["el_intervals"] and built == []
+        assert len(list(reports)) == len(built) == witness["el_intervals"]
 
 
 def pairwise_shelling_order(data, order):
