@@ -32,7 +32,8 @@ class MonomialIdeal:
     immutable; all queries are pure and cached where profitable.
     """
 
-    __slots__ = ("n", "gens", "_stable", "_borel", "_sqfree_ss", "_g_cache")
+    __slots__ = ("n", "gens", "_exps", "_ascending", "_stable", "_borel", "_sqfree_ss",
+                 "_g_cache")
 
     def __init__(self, n: int, gens):
         gens = list(gens)
@@ -47,6 +48,9 @@ class MonomialIdeal:
                 raise ValueError("the unit ideal is not supported")
         self.n = n
         self.gens = tuple(sorted(_minimal_subset(gens), reverse=True))
+        # for membership: the generators' exponents, and by ascending degree
+        self._exps = frozenset(m.exps for m in self.gens)
+        self._ascending = sorted((m.degree(), m.exps) for m in self.gens)
         self._stable = None
         self._borel = None
         self._sqfree_ss = None
@@ -55,7 +59,20 @@ class MonomialIdeal:
     # -- membership and basic data ------------------------------------------
 
     def __contains__(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        """Whether a generator divides m.  One of m's degree divides it only
+        if it is m, and none of greater degree does, so m is looked up among
+        the generators before those of lower degree are scanned."""
+        self.gens[0]._check_ring(m)
+        exps = m.exps
+        if exps in self._exps:
+            return True
+        degree = sum(exps)
+        for d, e in self._ascending:
+            if d >= degree:
+                return False
+            if all(map(le, e, exps)):
+                return True
+        return False
 
     def __eq__(self, other):
         return (

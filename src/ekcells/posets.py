@@ -103,17 +103,21 @@ class FinitePoset:
                 mask |= below[j]
             below[i] = mask
         self._below = below
-        self._rank_pass()
+        self._rank = None
         self._check_reduced()
 
-    def _rank_pass(self):
-        # _rank[i]: the length of the longest chain from a minimal element up
-        # to i, computed bottom-up; graded when every cover raises it by one
-        rank = [0] * len(self.elements)
-        for i in self._order:
-            rank[i] = max([rank[j] + 1 for j in self._down[i]], default=0)
-        self._rank = rank
-        self._graded = all(rank[b] == rank[a] + 1 for a, ups in enumerate(self._up) for b in ups)
+    def _grading(self) -> tuple:
+        """(rank, graded), computed on first use: rank[i] is the length of
+        the longest chain from a minimal element up to i, computed bottom-up,
+        and the poset is graded when every cover raises it by one."""
+        if self._rank is None:
+            rank = [0] * len(self.elements)
+            for i in self._order:
+                rank[i] = max([rank[j] + 1 for j in self._down[i]], default=0)
+            self._rank = rank
+            self._graded = all(rank[b] == rank[a] + 1
+                               for a, ups in enumerate(self._up) for b in ups)
+        return self._rank, self._graded
 
     def _toposort(self):
         n = len(self.elements)
@@ -176,7 +180,7 @@ class FinitePoset:
         d._order = self._order[::-1]
         d.covers = tuple((self.elements[a], self.elements[b])
                          for a, ups in enumerate(d._up) for b in ups)
-        d._rank_pass()
+        d._rank = None
         return d
 
     def interval_set(self, a, b) -> tuple:
@@ -210,14 +214,16 @@ class FinitePoset:
 
     def ranks(self):
         """Longest-path rank per element if the poset is graded, else None."""
-        return dict(zip(self.elements, self._rank)) if self._graded else None
+        rank, graded = self._grading()
+        return dict(zip(self.elements, rank)) if graded else None
 
     def is_pure(self) -> bool:
         """Whether every maximal chain has the same length: the poset is
         graded (a cover that skips a rank puts two maximal chains of unequal
         length through it) and its maximal elements share one rank."""
-        tops = {r for r, ups in zip(self._rank, self._up) if not ups}
-        return self._graded and len(tops) <= 1
+        rank, graded = self._grading()
+        tops = {r for r, ups in zip(rank, self._up) if not ups}
+        return graded and len(tops) <= 1
 
     def is_thin(self) -> bool:
         """Whether every interval of length 2 has cardinality 4.
@@ -341,7 +347,8 @@ def poset_isomorphic(p1: FinitePoset, p2: FinitePoset) -> bool:
     down = p1._down + [[n + j for j in js] for js in p2._down]
     colour = []
     for p in (p1, p2):
-        colour += p._rank if p._graded else [-1] * n
+        rank, graded = p._grading()
+        colour += rank if graded else [-1] * n
     classes = 0
     while len(set(colour)) > classes:
         classes = len(set(colour))

@@ -14,14 +14,16 @@ run over the covers of x below b, and l(y) be the label of x <* y:
 * rising[x, b][l] = the sum, over the y with l(y) = l, of the weakly
   increasing chains of [y, b] whose first label is >= l (the one chain of
   [b, b] counts): the weakly increasing chains of [x, b], by first label;
-* lex[x, b] = (word, chain, ok): word is the least of the words l(y)
-  followed by the word of [y, b], chain carries it, and ok says that word is
-  weakly increasing: ok holds for [y, b] and l(y) is at most the first label
-  of its word.  Every chain that carries an increasing word increases, so
-  where [x, b] has one increasing chain, an increasing least word is unique.
+* lex[x, b] = (word, ok): word is the least of the words l(y) followed by
+  the word of [y, b], and ok says that word is weakly increasing: ok holds
+  for [y, b] and l(y) is at most the first label of its word.  Every chain
+  that carries an increasing word increases, so where [x, b] has one
+  increasing chain, an increasing least word is unique and that chain
+  carries it.
 
 Each x merges these records of its covers, so the sweep is one pass over the
-pairs x <= b, in reverse topological order, and lists no chain.
+pairs x <= b, in reverse topological order, and lists no chain: a report's
+increasing chain is walked from the records when the report is built.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ class ELSweep(Sequence):
     A sweep keeps the per-pair records of ``verify_el_all`` and builds every
     report from them at the first access to one.  Until then ``len()`` and
     ``failures()`` read the records, so a verdict builds no report; after,
-    they read the reports, edits included.  ``ELSweep(reports)`` holds the
-    given reports.
+    they read the reports, edits included.  ``intervals()`` reads the records
+    only while no report is built and no pair fails.  ``ELSweep(reports)``
+    holds the given reports.
     """
 
     __slots__ = ("cover_labels", "_reports", "_dual", "_records", "_count")
@@ -118,27 +121,42 @@ class ELSweep(Sequence):
         els = self._dual.elements
         return [(els[a], els[b]) for a, b in sorted(self._records[3])]
 
+    def intervals(self):
+        """(bottom, top, word) of each interval, in report order: word is the
+        label word of its one increasing chain where that chain is lex-least,
+        else None.  Off the records while no report is built and no pair
+        fails; else off the reports' counts and flags, edits included."""
+        if self._reports is not None or self._records[3]:
+            for r in self._built():
+                ok = r.increasing_chains == 1 and r.lex_least
+                yield r.bottom, r.top, r.increasing_label if ok else None
+            return
+        els, (chains, _, lex, _) = self._dual.elements, self._records
+        for a, (ca, oa) in enumerate(zip(chains, lex)):
+            ea = els[a]
+            for b in sorted(ca):
+                if b != a:
+                    yield ea, els[b], oa[b][0]
+
     def _built(self) -> list:
         """The reports, built from the records at the first call, which then
         drops them."""
         if self._reports is None:
             els, up, label = self._dual.elements, self._dual._up, self.cover_labels
-            chains, rising, lex, failing = self._records
+            chains, rising, _, failing = self._records
             failing = set(failing)
             self._reports = out = []
             for a, ca in enumerate(chains):
-                ea, ra, oa = els[a], rising[a], lex[a]
+                ea, ra = els[a], rising[a]
                 for b in sorted(ca):
                     if b == a:
                         continue
                     r = ra.get(b)
-                    if (a, b) not in failing:  # the increasing chain carries the least word
-                        word, chain, _ = oa[b]
-                        out.append(ELReport(ea, els[b], ca[b], 1, True, True, chain, word))
-                    elif r.__class__ is int:  # one increasing chain, not lex-least
+                    if r.__class__ is int:  # one increasing chain, lex-least where [a, b] passes
                         path, word = _rising_chain(a, b, up, label, chains, rising)
                         chain = tuple(els[k] for k in path)
-                        out.append(ELReport(ea, els[b], ca[b], 1, False, False, chain, word))
+                        passed = (a, b) not in failing
+                        out.append(ELReport(ea, els[b], ca[b], 1, passed, passed, chain, word))
                     else:  # no increasing chain, or several
                         rises = 0 if r is None else sum(r.values())
                         out.append(ELReport(ea, els[b], ca[b], rises, False, False))
@@ -201,11 +219,11 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     order, so that a cover of greater label than the kept word's first is
     passed over and only covers of a tied label compare their words.  [a, b]
     passes when it has exactly one increasing chain and its lex-least word is
-    increasing: that chain then carries the word, which no other chain does,
-    and the records keep it.  Where the one increasing chain is not
-    lex-least, it is read off by following the covers that keep the chain
-    increasing.  The result keeps the records and builds the reports from
-    them when they are first read (``ELSweep``).
+    increasing: that chain then carries the word, which no other chain does.
+    A report's one increasing chain is read off, when the report is built,
+    by following the covers that keep the chain increasing.  The result
+    keeps the records and builds the reports from them when they are first
+    read (``ELSweep``).
     """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
     label = [[el_label_edge(els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
@@ -214,14 +232,13 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     # rising[x][b] is the first label of its one increasing chain, or
     # {first label: count} when it has more, and missing when it has none
     # (a dict for every pair costs 40-80% more sweep time); lex[x][b] is
-    # (word, chain, ok): its lex-least word, a chain that carries it, and
-    # whether that word is weakly increasing.  [x, x] has one chain, whose
+    # (word, ok): its lex-least word and whether that word is weakly
+    # increasing.  [x, x] has one chain, whose
     # empty word counts as starting with _TOP.  failing lists the (x, b) whose
     # [x, b] fails, once its records are complete.
     chains, rising, lex, failing = [None] * n, [None] * n, [None] * n, []
     for x in reversed(dual._order):
-        ex = els[x]
-        cx, rx, ox = {x: 1}, {x: _TOP}, {x: ((), (ex,), True)}
+        cx, rx, ox = {x: 1}, {x: _TOP}, {x: ((), True)}
         for lab, y in sorted(zip(label[x], up[x])):
             ry, oy = rising[y], lex[y]
             for b, c in chains[y].items():
@@ -235,14 +252,14 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
                 o = ox.get(b)
                 if o is not None and o[0][0] < lab:
                     continue  # an earlier cover of lesser label starts the least word
-                word, chain, ok = oy[b]
+                word, ok = oy[b]
                 word = (lab,) + word
                 if o is None or word < o[0]:
-                    ox[b] = (word, (ex,) + chain, ok and (len(word) == 1 or lab <= word[1]))
+                    ox[b] = (word, ok and (len(word) == 1 or lab <= word[1]))
         chains[x], rising[x], lex[x] = cx, rx, ox
         # the pass rule above: one increasing chain (a bare first label) and
         # an increasing lex-least word
-        failing += [(x, b) for b, o in ox.items() if not (o[2] and rx.get(b).__class__ is int)]
+        failing += [(x, b) for b, o in ox.items() if not (o[1] and rx.get(b).__class__ is int)]
     return ELSweep._of(dual, label, (chains, rising, lex, failing))
 
 

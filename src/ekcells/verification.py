@@ -152,20 +152,28 @@ def check_g_properties(ideal: MonomialIdeal):
                 raise VerificationError(f"g(x{i}*{m}) = {gi} is below {m}")
             if (gi == m) != (i >= m.max_var()):
                 raise VerificationError(f"g(x{i}*{m}) = {m} fixpoint condition fails at i={i}")
-    # g(m * g(n)) = g(m * n): the products are tuple sums, each distinct
-    # product looked up in g once
+    # g(m * g(n)) = g(m * n), each distinct product looked up in g once.  The
+    # products are keyed by packed ints, one field per variable: a field
+    # holds deg_bound + 2, the largest exponent of m * n, so packed sums
+    # carry nothing and add as the exponent tuples do
+    width = (deg_bound + 2).bit_length()
+
+    def pack(exps):
+        return sum(e << width * k for k, e in enumerate(exps))
+
     products = {}
 
-    def g_of(exps):  # a product not looked up yet (a Monomial is never falsy)
-        found = products[exps] = ideal.g(Monomial._of(exps))
+    def g_of(key, me, exps):  # a product not looked up yet (a Monomial is never falsy)
+        found = products[key] = ideal.g(Monomial._of(tuple(map(add, me, exps))))
         return found
 
-    pairs = [(ne, gn.exps) for (ne, _), gn in zip(members, g_members)]
+    pairs = [(pack(ne), pack(gn.exps), ne, gn.exps) for (ne, _), gn in zip(members, g_members)]
     for me in _exponents_up_to(ideal.n, 2):
-        for ne, ge in pairs:
-            lk, rk = tuple(map(add, me, ge)), tuple(map(add, me, ne))
-            lhs = products.get(lk) or g_of(lk)
-            rhs = products.get(rk) or g_of(rk)
+        mp = pack(me)
+        for np_, gp, ne, ge in pairs:
+            lk, rk = mp + gp, mp + np_
+            lhs = products.get(lk) or g_of(lk, me, ge)
+            rhs = products.get(rk) or g_of(rk, me, ne)
             if lhs.exps != rhs.exps:
                 m, nmem = Monomial._of(me), Monomial._of(ne)
                 raise VerificationError(f"g({m}*g({nmem})) = {lhs} != g({m}*{nmem}) = {rhs}")
@@ -241,6 +249,13 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
     the first failure is the same as checking every interval: the lcm
     identity on (a.m, b.m, the increasing chain's positive labels), which fix
     both of its sides; and g(x_G a.m), for the minimal supports, on (a.m, G).
+
+    The intervals and their increasing words are read off the sweep's
+    records (``ELSweep.intervals``), so a passing sweep builds no report.
+    The lcm identity is compared on exponent tuples: lift(a.m) plus one in
+    the slot of each positive label's attached variable against the
+    elementwise max of the two lifts.  Only a mismatch walks the increasing
+    chain, to name it.
     """
     # Called through the module, so that a wrapper installed on
     # shelling.verify_el_all (bench/tracer.py) also sees this sweep.
@@ -250,28 +265,40 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
     squares = cplx.squares  # the ring and the generators' lifts, as built
     lifts = dict(zip((pair.m for pair in cplx.basis[0]), cplx.mdegs[0]))
     variables = _attached(kind_of(cplx.kind), ideal, squares)
+    # the slot of each attached variable in the lifts' exponent tuples
+    slots = {m: [None] + [x.exps.index(1) for x in xs[1:]] for m, xs in variables.items()}
     holds = set()  # the (a.m, b.m, positive labels) whose lcm identity holds
     shifted = {}   # (a.m, G) -> the exponents of g(x_G a.m), for the minimal supports
-    for rep in reports:
-        a, b = rep.bottom, rep.top
-        if rep.increasing_chains != 1:
-            raise VerificationError(
-                f"{rep.increasing_chains} increasing maximal chains on [{a!r}, {b!r}]"
-            )
-        if not rep.lex_least:
+    for k, (a, b, word) in enumerate(reports.intervals()):
+        if word is None:  # [a, b] fails EL; its report, built, says how
+            rep = reports[k]
+            if rep.increasing_chains != 1:
+                raise VerificationError(
+                    f"{rep.increasing_chains} increasing maximal chains on [{a!r}, {b!r}]"
+                )
             raise VerificationError(f"increasing chain not lex-least on [{a!r}, {b!r}]")
-        if b is not BOTTOM:
-            key = (a.m.exps, b.m.exps, tuple(x for x in rep.increasing_label if x > 0))
-            if key not in holds:
+        if b is BOTTOM:
+            continue
+        am, bm = a.m, b.m
+        positive = tuple(x for x in word if x > 0)
+        key = (am.exps, bm.exps, positive)
+        if key not in holds:
+            at, lift = slots[am], lifts[am].exps
+            u = None  # stays None where a label names no index of a
+            if max(word) < len(at):
+                u = list(lift)
+                for i in positive:
+                    u[at[i]] += 1
+            if u != list(map(max, lift, lifts[bm].exps)):
                 try:
-                    shelling._positive_part(variables[a.m], squares, rep.increasing_chain,
-                                            rep.increasing_label, lifts[a.m], lifts[b.m])
+                    shelling._positive_part(variables[am], squares, reports[k].increasing_chain,
+                                            word, lifts[am], lifts[bm])
                 except RuntimeError as exc:  # the lcm identity fails
                     raise VerificationError(
                         f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
-                holds.add(key)
-            if cplx.kind == "ek":
-                _check_minimal_support(ideal, a, b, rep.increasing_label, shifted)
+            holds.add(key)
+        if cplx.kind == "ek":
+            _check_minimal_support(ideal, a, b, word, shifted)
     return len(reports)
 
 
@@ -338,7 +365,8 @@ def _check_minimal_support(ideal, a, b, lab0, shifted):
     contains an earlier hit is skipped, so the hits are the minimal ones.
     ``shifted`` keeps the exponents of g(x_G a.m) by (a.m, G) across the
     intervals of a sweep."""
-    diff = sorted(set(a.F) - set(b.F))
+    bF = b.F
+    diff = [i for i in a.F if i not in bF]  # a.F increases, so diff does
     m, hits = a.m.exps, []
     for size in range(len(diff) + 1):
         for G in combinations(diff, size):

@@ -1,9 +1,9 @@
-"""The benchmark tracer's counters on the CW path.
+"""The benchmark tracer's counters on the CW and battery paths.
 
-``bench/tracer.py`` wraps ``shelling.verify_el_all`` and ``build_gamma`` by
-name and counts what they return, so a verdict that stops calling them
-through those names, or a sweep whose ``len()`` stops counting intervals,
-reads as zero in every trace.  These tests run the tracer as the benchmark
+``bench/tracer.py`` wraps ``shelling.verify_el_all``, ``build_gamma`` and
+``verification.check_intervals`` by name and counts what they return, so a
+verdict that stops calling them through those names, or a sweep whose
+``len()`` stops counting intervals, reads as zero in every trace.  These tests run the tracer as the benchmark
 does and check its counts against the numbers the run itself reports.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 from ekcells import build_gamma, cli, ek_complex, modified_complex, random_borel_ideal
 from ekcells.ek import kind_of
 from ekcells.shelling import verify_el_all
-from ekcells.verification import cm_battery
+from ekcells.verification import cm_battery, full_battery
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -50,3 +50,13 @@ def test_cm_battery_counts_the_intervals_of_its_posets():
     assert intervals > 0
     assert tracer.counts["shelling.el_intervals"] == intervals
     assert tracer.counts["posets.elements"] == elements
+
+
+def test_full_battery_counts_the_intervals_it_checks():
+    J = random_borel_ideal(random.Random(20260810))
+    with Tracer() as tracer:
+        stats = full_battery(J)
+    intervals = stats["intervals_ek"] + stats["intervals_modified"]
+    assert intervals > 0
+    assert tracer.counts["verification.intervals"] == intervals
+    assert tracer.counts["shelling.el_intervals"] == intervals

@@ -12,7 +12,9 @@ from ekcells import (
     parse_ideal,
     random_borel_ideal,
 )
-from ekcells.verification import check_g_properties
+from ekcells.polarization import sigma_ideal
+from ekcells.suite import NAMED_IDEALS, named_ideal
+from ekcells.verification import _exponents_up_to, check_g_properties
 from conftest import ideal, mono, stable_closures
 
 
@@ -123,6 +125,37 @@ class TestStabilityOracle:
             assert {v[k] for v in verdicts} == {True, False}
         assert sum(not stable and not borel for stable, borel, _ in verdicts) > 150
         assert any(stable and not borel for stable, borel, _ in verdicts)
+
+
+def _membership_ideals():
+    """The named ideals, 30 criterion-6 draws and their shifts sigma(I), and
+    the stable closures that are not Borel fixed."""
+    rng6 = random.Random(20260810)
+    draws = [random_borel_ideal(rng6) for _ in range(30)]
+    return ([named_ideal(name) for name in NAMED_IDEALS] + draws + [sigma_ideal(J) for J in draws]
+            + sorted((J for J in stable_closures() if not J.is_borel_fixed()), key=repr))
+
+
+class TestMembershipOracle:
+    """``in`` looks m up among the generators before it scans those of lower
+    degree; the definition scans every generator with ``Monomial.divides``."""
+
+    def test_in_agrees_with_the_divides_scan(self):
+        members = outsiders = 0
+        for J in _membership_ideals():
+            for e in _exponents_up_to(J.n, J.max_deg() + 1):
+                m = Monomial._of(e)
+                expected = any(g.divides(m) for g in J.gens)
+                assert (m in J) == expected, (J, m)
+                members += expected
+                outsiders += not expected
+        assert members and outsiders
+
+    def test_another_ring_raises(self, deg2):
+        message = "variable count mismatch: 3 != 4"
+        for m in (mono("x1^2", 4), mono("x4", 4), mono("x1^2*x2", 4)):
+            with pytest.raises(ValueError, match=message):
+                m in deg2  # noqa: B015
 
 
 class TestDecompositionFunction:

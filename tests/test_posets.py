@@ -14,6 +14,7 @@ from ekcells import (
     build_gamma,
     ek_complex,
     modified_complex,
+    is_cw_poset,
     poset_isomorphic,
     poset_to_dot,
     random_borel_ideal,
@@ -550,6 +551,17 @@ class TestOrderOracle:
             assert (d.is_pure(), d.is_thin()) == (ref.is_pure(), ref.is_thin())
             assert d.order_complex().facets == ref.order_complex().facets
             assert all(d.leq(x, y) == ref.leq(x, y) for x in p.elements for y in p.elements)
+
+    def test_ranks_are_computed_on_first_use(self, deg2, monkeypatch):
+        # a CW verdict reads no rank, of the poset or its dual
+        graded, real = [], FinitePoset._grading
+        monkeypatch.setattr(FinitePoset, "_grading", lambda p: graded.append(p) or real(p))
+        poset = gamma("modified", deg2)
+        assert is_cw_poset(poset, deg2)[0]
+        assert graded == []
+        dual, reference = poset.dual(), FinitePoset(poset.elements,
+                                                    [(b, a) for a, b in poset.covers])
+        assert dual.ranks() == reference.ranks() and dual.is_pure()
 
     @pytest.mark.parametrize("build", [boolean_lattice_with_long_cover, diamond_with_second_bottom])
     def test_ungraded_but_thin(self, build):

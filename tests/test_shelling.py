@@ -214,6 +214,52 @@ class TestSweepOracle:
         assert cases[2], cases
 
 
+class TestIntervalRecords:
+    """``ELSweep.intervals`` reads a passing sweep's records; the reports,
+    built, must give the same (bottom, top, word), in the same order."""
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_intervals_equal_the_reports(self, kind, monkeypatch):
+        built, real = [], shelling.ELReport
+        monkeypatch.setattr(shelling, "ELReport",
+                            lambda *args: built.append(args) or real(*args))
+        rng6 = random.Random(20260810)
+        for J in ([named_ideal(name) for name in NAMED_IDEALS]
+                  + [random_borel_ideal(rng6) for _ in range(50)] + [power_ideal(4, 2)]):
+            sweep = verify_el_all(gamma(kind, J).dual(), J)
+            words = list(sweep.intervals())
+            assert built == [], J  # off the records
+            assert words == [(r.bottom, r.top, r.increasing_label) for r in sweep], J
+            assert list(sweep.intervals()) == words  # off the reports, now built
+            built.clear()
+
+    @pytest.mark.parametrize("labelling", ["pseudo-random", "unsigned"])
+    def test_a_failing_sweep_reads_its_reports(self, labelling, monkeypatch):
+        # no word where a report fails, the increasing word where it passes
+        original = shelling.el_label_edge
+        relabel = {
+            "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
+            "unsigned": lambda *args: -abs(original(*args)),
+        }[labelling]
+        monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        for J in [named_ideal(name) for name in NAMED_IDEALS] + [power_ideal(3, 2)]:
+            for kind in ("ek", "modified"):
+                dual = gamma(kind, J).dual()
+                words = list(verify_el_all(dual, J).intervals())
+                reports = verify_el_all(dual, J)
+                assert words == [(r.bottom, r.top, r.increasing_label if r.passed else None)
+                                 for r in reports], (kind, J)
+                assert None in [word for _, _, word in words]
+
+    def test_edited_reports_are_read(self, deg2):
+        sweep = verify_el_all(gamma("ek", deg2).dual(), deg2)
+        first = sweep[0]
+        sweep[0] = replace(first, lex_least=False)
+        sweep[1] = replace(sweep[1], increasing_label=(7,))
+        assert list(sweep.intervals())[:2] == [(first.bottom, first.top, None),
+                                               (sweep[1].bottom, sweep[1].top, (7,))]
+
+
 class TestSweepScale:
     @pytest.mark.parametrize("kind", ["ek", "modified"])
     def test_complete_intersection_of_eight_variables(self, kind):

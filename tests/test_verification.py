@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 import sys
+from operator import add
 
 import pytest
 
@@ -12,6 +13,7 @@ from ekcells import (
 from ekcells.monomials import from_squares, square_str
 from ekcells.verification import (
     VerificationError,
+    _exponents_up_to,
     check_cover_support,
     check_d2,
     check_g_properties,
@@ -24,7 +26,28 @@ from ekcells.verification import (
     full_battery,
 )
 from ekcells.posets import BOTTOM, FinitePoset, build_gamma
-from conftest import gamma, ideal, mono, resolution
+from conftest import gamma, ideal, mono, power_ideal, resolution
+
+
+def product_lookups(J):
+    """The distinct products m * g(n) and m * n that ``check_g_properties``
+    looks up in g, keyed by exponent tuple, in the order of their first
+    lookup: m of degree <= 2, n a member of degree <= max_deg + 1."""
+    members = [e for e in _exponents_up_to(J.n, J.max_deg() + 1) if Monomial._of(e) in J]
+    seen = {}
+    for me in _exponents_up_to(J.n, 2):
+        for ne in members:
+            ge = J.g(Monomial._of(ne)).exps
+            seen.setdefault(tuple(map(add, me, ge)), None)
+            seen.setdefault(tuple(map(add, me, ne)), None)
+    return members, list(seen)
+
+
+def wide_field_ideals():
+    """Ideals whose products fill the packed fields: (x1, x2)^6, and x1 with
+    (x2, x3)^6, where x1 * x3 and x1 * x2^8 part only in a carry."""
+    return [power_ideal(2, 6),
+            MonomialIdeal(3, [mono("x1", 3)] + [Monomial((0, a, 6 - a)) for a in range(7)])]
 
 
 class TestBatteries:
@@ -110,6 +133,16 @@ class TestBatteries:
                 monkeypatch.setattr(module, "square_str", recorded)
         full_battery(deg2)
         assert calls == []
+
+    def test_a_passing_battery_builds_no_report(self, monkeypatch):
+        built, real = [], shelling.ELReport
+        monkeypatch.setattr(shelling, "ELReport",
+                            lambda *args: built.append(args) or real(*args))
+        rng6 = random.Random(20260810)
+        for _ in range(20):
+            stats = full_battery(random_borel_ideal(rng6))
+            assert stats["intervals_ek"] and stats["intervals_modified"]
+        assert built == []
 
     def test_one_el_sweep_per_kind(self, deg2, el_sweeps):
         stats = full_battery(deg2)
@@ -274,6 +307,27 @@ class TestMutationDetection:
             "(~e({(1,2),(2,2)};x1*x3), ~e({(1,2)};x1*x3), ~e({};x1^2))"
         )
 
+    def test_label_naming_no_index_is_reported_before_the_lcm_identity(self, deg2,
+                                                                       monkeypatch):
+        # the first interval above the least element relabelled (7,): no
+        # generator of deg2 has an index 7, which _positive_part names
+        real, edited = shelling.verify_el_all, []
+
+        def relabelled(dual, ideal):
+            reports = real(dual, ideal)
+            k = next(k for k, rep in enumerate(reports) if rep.top is not BOTTOM)
+            reports[k] = dataclasses.replace(reports[k], increasing_label=(7,))
+            edited.append(reports[k])
+            return reports
+
+        monkeypatch.setattr(shelling, "verify_el_all", relabelled)
+        cplx = resolution("ek", deg2)
+        with pytest.raises(VerificationError) as info:
+            check_intervals(cplx, build_gamma(cplx).dual(), deg2)
+        a, b = edited[0].bottom, edited[0].top
+        assert str(info.value) == (
+            f"lcm identity fails on [{a!r}, {b!r}]: label 7 names no index of {a!r}")
+
     def test_minimal_support_failure_names_the_interval(self, deg2, monkeypatch):
         # a support search that never tries a single shift finds no minimal
         # support where the increasing chain's positive label is 1
@@ -391,6 +445,25 @@ class TestPropertyChecks:
         with pytest.raises(VerificationError, match=re.escape(
                 "g(x3^2*g(x3^3)) = x3^2 != g(x3^2*x3^3) = x1^2")):
             check_g_properties(deg2)
+
+    @pytest.mark.parametrize("draws, wide", [(30, False), (0, True)],
+                             ids=["criterion-6", "wide-fields"])
+    def test_packed_products_equal_the_tuple_keyed_ones(self, draws, wide, monkeypatch):
+        # each distinct product goes through g once, as with tuple keys:
+        # g is called on the members, the x_i * m, then the products
+        rng6 = random.Random(20260810)
+        ideals = [random_borel_ideal(rng6) for _ in range(draws)]
+        ideals += wide_field_ideals() if wide else []
+        calls, real = [], MonomialIdeal.g
+        monkeypatch.setattr(MonomialIdeal, "g",
+                            lambda ideal, m: calls.append(m.exps) or real(ideal, m))
+        for J in ideals:
+            members, products = product_lookups(J)
+            calls.clear()
+            check_g_properties(J)
+            head = len(members) + len(J.gens) * J.n
+            assert calls[:len(members)] == members, J
+            assert calls[head:] == products, J
 
     def test_g_off_the_max_min_witness_raises(self, deg2, monkeypatch):
         # x1*x3 divides the member x1*x2*x3, but its witness is x1*x2:
