@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
             checks["el"] = {"intervals": intervals, "failures": failures}
             failed = failed or failures > 0
         if args.check in ("ball", "all"):
-            verdict = ball_check(poset, cplx, cw)
+            verdict = ball_check(poset, cplx, cw, strands)
             checks["ball"] = {
                 "verdict": verdict.verdict,
                 "cond2": verdict.cond2,
@@ -173,9 +173,12 @@ def cmd_verify(args) -> int:
                 "refuted": "refuted",
             }[args.expect_ball]:
                 failed = True
-        checks["reduced_homology_trivial"] = (  # a ball check read it off the same frame
+        # the ball check's verdict where it ran, else the strand certificate's
+        # proof; the Smith invariants of the frame only where both are missing
+        checks["reduced_homology_trivial"] = (
             verdict.homology_trivial if args.check in ("ball", "all")
-            else all(b == 0 and not t for b, t in homology_ranks(frame_complex(cplx))))
+            else strands.frame_acyclic
+            or all(b == 0 and not t for b, t in homology_ranks(frame_complex(cplx))))
         bundle["kinds"][kind] = checks
     if args.compare_posets:
         g_ek, g_mod = (

@@ -10,7 +10,6 @@ one weakly increasing maximal chain and that chain is strictly lex-least
 ``verify_el_all`` counts chains instead of listing them.  For x < b, let y
 run over the covers of x below b, and l(y) be the label of x <* y:
 
-* chains[x, b] = sum_y chains[y, b], with chains[b, b] = 1;
 * rising[x, b][l] = the sum, over the y with l(y) = l, of the weakly
   increasing chains of [y, b] whose first label is >= l (the one chain of
   [b, b] counts): the weakly increasing chains of [x, b], by first label;
@@ -23,7 +22,9 @@ run over the covers of x below b, and l(y) be the label of x <* y:
 
 Each x merges these records of its covers, so the sweep is one pass over the
 pairs x <= b, in reverse topological order, and lists no chain: a report's
-increasing chain is walked from the records when the report is built.
+increasing chain is walked from the records when the report is built.  No
+verdict reads the number of maximal chains, so only building the reports
+counts them: chains[x, b] = sum_y chains[y, b], with chains[b, b] = 1.
 """
 
 from __future__ import annotations
@@ -90,13 +91,13 @@ class ELSweep(Sequence):
 
     @classmethod
     def _of(cls, dual: FinitePoset, labels: list, records: tuple) -> "ELSweep":
-        """The sweep of ``dual`` with these cover labels and records (chains,
-        rising, lex by element index, and the failing pairs), as
+        """The sweep of ``dual`` with these cover labels and records (rising
+        and lex by element index, and the failing pairs), as
         ``verify_el_all`` leaves them."""
         sweep = object.__new__(cls)
         sweep.cover_labels, sweep._reports = labels, None
         sweep._dual, sweep._records = dual, records
-        sweep._count = sum(map(len, records[0])) - len(dual)  # less the pairs [a, a]
+        sweep._count = sum(map(len, records[1])) - len(dual)  # less the pairs [a, a]
         return sweep
 
     def __len__(self):
@@ -119,32 +120,40 @@ class ELSweep(Sequence):
         if self._reports is not None:
             return [(r.bottom, r.top) for r in self._reports if not r.passed]
         els = self._dual.elements
-        return [(els[a], els[b]) for a, b in sorted(self._records[3])]
+        return [(els[a], els[b]) for a, b in sorted(self._records[2])]
 
     def intervals(self):
         """(bottom, top, word) of each interval, in report order: word is the
         label word of its one increasing chain where that chain is lex-least,
         else None.  Off the records while no report is built and no pair
         fails; else off the reports' counts and flags, edits included."""
-        if self._reports is not None or self._records[3]:
+        if self._reports is not None or self._records[2]:
             for r in self._built():
                 ok = r.increasing_chains == 1 and r.lex_least
                 yield r.bottom, r.top, r.increasing_label if ok else None
             return
-        els, (chains, _, lex, _) = self._dual.elements, self._records
-        for a, (ca, oa) in enumerate(zip(chains, lex)):
+        els, lex = self._dual.elements, self._records[1]
+        for a, oa in enumerate(lex):
             ea = els[a]
-            for b in sorted(ca):
+            for b in sorted(oa):
                 if b != a:
                     yield ea, els[b], oa[b][0]
 
     def _built(self) -> list:
         """The reports, built from the records at the first call, which then
-        drops them."""
+        drops them.  The call counts the maximal chains of every pair, in one
+        pass in reverse topological order."""
         if self._reports is None:
             els, up, label = self._dual.elements, self._dual._up, self.cover_labels
-            chains, rising, _, failing = self._records
+            rising, lex, failing = self._records
             failing = set(failing)
+            chains = [None] * len(els)
+            for x in reversed(self._dual._order):
+                cx = {x: 1}
+                for y in up[x]:
+                    for b, c in chains[y].items():
+                        cx[b] = cx.get(b, 0) + c
+                chains[x] = cx
             self._reports = out = []
             for a, ca in enumerate(chains):
                 ea, ra = els[a], rising[a]
@@ -153,7 +162,7 @@ class ELSweep(Sequence):
                         continue
                     r = ra.get(b)
                     if r.__class__ is int:  # one increasing chain, lex-least where [a, b] passes
-                        path, word = _rising_chain(a, b, up, label, chains, rising)
+                        path, word = _rising_chain(a, b, up, label, lex, rising)
                         chain = tuple(els[k] for k in path)
                         passed = (a, b) not in failing
                         out.append(ELReport(ea, els[b], ca[b], 1, passed, passed, chain, word))
@@ -223,26 +232,24 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     A report's one increasing chain is read off, when the report is built,
     by following the covers that keep the chain increasing.  The result
     keeps the records and builds the reports from them when they are first
-    read (``ELSweep``).
+    read (``ELSweep``); only then are the maximal chains counted.
     """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
     label = [[el_label_edge(els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
     n = len(els)
-    # per x and b >= x: chains[x][b] counts the maximal chains of [x, b];
-    # rising[x][b] is the first label of its one increasing chain, or
-    # {first label: count} when it has more, and missing when it has none
-    # (a dict for every pair costs 40-80% more sweep time); lex[x][b] is
-    # (word, ok): its lex-least word and whether that word is weakly
-    # increasing.  [x, x] has one chain, whose
-    # empty word counts as starting with _TOP.  failing lists the (x, b) whose
-    # [x, b] fails, once its records are complete.
-    chains, rising, lex, failing = [None] * n, [None] * n, [None] * n, []
+    # per x and b >= x: rising[x][b] is the first label of the one increasing
+    # chain of [x, b], or {first label: count} when it has more, and missing
+    # when it has none (a dict for every pair costs 40-80% more sweep time);
+    # lex[x][b] is (word, ok): its lex-least word and whether that word is
+    # weakly increasing.  lex[x] has a key for every b >= x.  [x, x] has one
+    # chain, whose empty word counts as starting with _TOP.  failing lists
+    # the (x, b) whose [x, b] fails, once its records are complete.
+    rising, lex, failing = [None] * n, [None] * n, []
     for x in reversed(dual._order):
-        cx, rx, ox = {x: 1}, {x: _TOP}, {x: ((), True)}
+        rx, ox = {x: _TOP}, {x: ((), True)}
         for lab, y in sorted(zip(label[x], up[x])):
-            ry, oy = rising[y], lex[y]
-            for b, c in chains[y].items():
-                cx[b] = cx.get(b, 0) + c
+            ry = rising[y]
+            for b, (word, ok) in lex[y].items():
                 r = ry.get(b)
                 if r is not None:
                     k = lab <= r if r.__class__ is int else _rising_from(r, lab)
@@ -252,15 +259,14 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
                 o = ox.get(b)
                 if o is not None and o[0][0] < lab:
                     continue  # an earlier cover of lesser label starts the least word
-                word, ok = oy[b]
                 word = (lab,) + word
                 if o is None or word < o[0]:
                     ox[b] = (word, ok and (len(word) == 1 or lab <= word[1]))
-        chains[x], rising[x], lex[x] = cx, rx, ox
+        rising[x], lex[x] = rx, ox
         # the pass rule above: one increasing chain (a bare first label) and
         # an increasing lex-least word
         failing += [(x, b) for b, o in ox.items() if not (o[1] and rx.get(b).__class__ is int)]
-    return ELSweep._of(dual, label, (chains, rising, lex, failing))
+    return ELSweep._of(dual, label, (rising, lex, failing))
 
 
 def _rising_from(r, lab) -> int:
@@ -281,14 +287,14 @@ def _merge(old, lab, k) -> dict:
     return out
 
 
-def _rising_chain(a, b, up, label, chains, rising):
+def _rising_chain(a, b, up, label, lex, rising):
     """The one increasing chain of [a, b], by index, and its word: from each u
     on it, the cover z below b whose label continues the chain and that
     starts an increasing chain of [z, b]."""
     path, word, u, low = [a], [], a, -_TOP
     while u != b:
         for z, lab in zip(up[u], label[u]):
-            if lab >= low and b in chains[z] and _rising_from(rising[z].get(b), lab):
+            if lab >= low and b in lex[z] and _rising_from(rising[z].get(b), lab):
                 break
         path.append(z)
         word.append(lab)
@@ -457,10 +463,11 @@ def _can_follow(f, placed, used) -> bool:
     return restricted and not common
 
 
-def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result) -> BallVerdict:
+def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result, strands=None) -> BallVerdict:
     """Evaluate the closed-ball criteria on the cell poset of the resolution
     ``cplx`` (of kind ``cplx.kind``) minus its least element, given the
-    poset's ``is_cw_poset`` result ``cw_result``.
+    poset's ``is_cw_poset`` result ``cw_result`` and, if the caller has it,
+    the ``strand_exactness`` report ``strands`` of ``cplx``.
 
     Certification requires a verified shelling order of the order complex
     (constructibility witness) plus the two ridge-incidence conditions.
@@ -482,6 +489,15 @@ def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result) -> BallVerdict:
     Weingram, *The Topology of CW Complexes*, 1969, Ch. V).  So the frame is
     isomorphic to X's reduced cellular chain complex, whose homology is the
     order complex's.
+
+    That homology is proved zero, not computed, where ``strands`` sets
+    ``frame_acyclic``: its mapping-cone certificate (Herzog-Takayama) gives
+    each cell of generator u_j the degree u_j * prod(S), S a set of
+    variables x for which some earlier generator has exactly one more x than
+    u_j.  So every cell degree divides the lcm L of the generators, the
+    strand at L is the whole augmented frame, exact over Q and every F_p,
+    and its homology over Z is 0 by the universal coefficient theorem.
+    Without such a report it is computed from Smith invariants.
     """
     cw_ok, _ = cw_result
     frame = topology.frame_complex(cplx)
@@ -492,7 +508,7 @@ def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result) -> BallVerdict:
     cond2 = countable and all(c <= 2 for c in incidences)
     cond3 = countable and any(c == 1 for c in incidences)
     # through the module, so that a wrapper on topology.homology_ranks sees it
-    hom_trivial = all(
+    hom_trivial = (strands is not None and strands.frame_acyclic) or all(
         betti == 0 and not torsion for betti, torsion in topology.homology_ranks(frame)
     )
     if not cw_ok:

@@ -11,7 +11,8 @@ Betti numbers, torsion, and ranks over Q and each F_p are read off them.  The
 strand oracle first reads exactness off the mapping-cone filtration of the
 complex: the cells grouped by generator, each group a Koszul complex on the
 variables of the linear quotient of its generator, which takes time linear
-in the differential and ranks no strand.  Where that certificate does not
+in the differential and ranks no strand, and also proves the augmented frame
+acyclic over Z.  Where that certificate does not
 apply, it walks the lcm lattice of the generators and ranks each strand on
 its Smith invariants, which name the failing field.  The walk's verdict
 covers every multidegree where each cell degree is an lcm of the generators.
@@ -85,12 +86,18 @@ def frame_complex(cplx: FreeComplex) -> IntegerChainComplex:
     """The augmented frame complex: every coefficient monomial replaced by 1,
     keeping the signs, above a rank-1 degree (-1), the empty cell, that
     receives 1 from every basis element of degree 0."""
-    ranks = cplx.ranks
-    cols = [[{0: 1} for _ in range(ranks[0])]] + [[{} for _ in range(r)] for r in ranks[1:]]
-    for q in range(1, cplx.top + 1):
-        for (i, j), (sign, _) in cplx.boundary(q).items():
-            cols[q][j][i] = sign
-    return IntegerChainComplex(-1, [1, *ranks], cols)
+    return IntegerChainComplex(-1, [1, *cplx.ranks], _frame_cols(cplx))
+
+
+def _frame_cols(cplx: FreeComplex) -> list:
+    """The ``cols`` of ``frame_complex(cplx)``, read off ``cplx.diffs`` with
+    no ``IntegerChainComplex`` and so no validation: a ``FreeComplex`` keeps
+    its entries inside its ranks."""
+    cols = [[{0: 1} for _ in cplx.basis[0]]] + [[{} for _ in layer] for layer in cplx.basis[1:]]
+    for layer, mat in zip(cols[1:], cplx.diffs):
+        for (i, j), (sign, _) in mat.items():
+            layer[j][i] = sign
+    return cols
 
 
 def _nonzero_composite(cols):
@@ -270,10 +277,17 @@ def simplicial_chain_complex(data: SimplicialComplexData) -> IntegerChainComplex
 
 @dataclass
 class StrandReport:
+    """The verdict of ``strand_exactness``.  ``frame_acyclic`` is set where
+    the mapping-cone certificate proved the augmented frame's homology over
+    Z zero (``_mapping_cone``); the walk, which ranks over Q and the
+    requested primes only, never sets it.  It takes no part in ``==``, so
+    the two routes' reports compare equal."""
+
     ok: bool
     strands_checked: int
     primes: tuple
     failures: list = field(default_factory=list)
+    frame_acyclic: bool = field(default=False, compare=False)
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
@@ -329,7 +343,9 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     The mapping-cone certificate (``_mapping_cone``) is tried first: it reads
     exactness off the differential in linear time and ranks no strand.
     Where one of its conditions fails, the strands are walked
-    (``_strand_walk``), and only the walk names failures.
+    (``_strand_walk``), and only the walk names failures.  A cone report
+    also proves the augmented frame acyclic over Z (``frame_acyclic``, by
+    the lemma at ``_mapping_cone``), and ``verify`` reads it off the proof.
     """
     gens, primes = list(gens), tuple(primes)
     report = _mapping_cone(cplx, gens, primes)
@@ -351,7 +367,7 @@ def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
     fails with field "Z", defect None.
     """
     packing = _PackedDegrees(gens, cplx.mdegs)
-    guard, frame = packing.guard, frame_complex(cplx).cols
+    guard, frame = packing.guard, _frame_cols(cplx)
     degrees = [[0], *packing.layers]  # the augmentation's degree divides every b
     z_complex = all(
         ((c | guard) - rows[i]) & guard == guard
@@ -422,6 +438,15 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
     exact over Q and each F_p, and only the lattice closure is walked, for
     the count.
 
+    Every cell degree then divides L = lcm(u_1..u_m), so the strand at L is
+    the whole augmented frame, and the report sets ``frame_acyclic``.  By
+    (b) a cell of group j has degree u_j * prod(S) with S a subset of V_j.
+    By (c) no u_i, i < j, divides u_j, or (u_<j) : u_j would be the unit
+    ideal; yet for each x in V_j some u_i, i < j, divides x * u_j, so that
+    u_i has exactly one more x than u_j, and L does too.  The frame is thus
+    exact over Q and over every F_p, and its reduced homology over Z, being
+    finitely generated, is 0 by the universal coefficient theorem.
+
     Degrees are packed once (``_PackedDegrees``); a field is a coefficient's
     variable only if it holds one variable.
     """
@@ -430,7 +455,7 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
         return None
     packing = _PackedDegrees(gens, cplx.mdegs)
     guard, width, single, layers = packing.guard, packing.width, packing.single, packing.layers
-    frame, units = frame_complex(cplx).cols, layers[0]
+    frame, units = _frame_cols(cplx), layers[0]
     # (a), (b): each element's (group, set), the set a mask of field low bits
     placed, seen, spans = [(j, 0) for j in range(len(units))], set(), [0] * len(units)
     for q in range(1, len(layers)):
@@ -458,7 +483,7 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
             return None
     if _nonzero_composite(frame) is not None:  # (d)
         return None
-    return StrandReport(True, len(_lcm_closure(units, guard, width)), primes, [])
+    return StrandReport(True, len(_lcm_closure(units, guard, width)), primes, [], True)
 
 
 def _lcm_closure(gens, guard: int, width: int) -> set:

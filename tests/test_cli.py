@@ -179,9 +179,18 @@ class TestVerify:
         kinds = json.loads(capsys.readouterr().out)["kinds"]
         assert el_sweeps == [(kind, k["el"]["intervals"]) for kind, k in kinds.items()]
 
-    @pytest.mark.parametrize("check, calls", [("all", 2), ("cw", 2)])
-    def test_one_frame_homology_per_kind(self, check, calls, monkeypatch, capsys):
-        # with a ball check, its homology verdict is the reduced homology's
+    @pytest.mark.parametrize("check, cone, calls", [
+        ("all", "certifies", 0), ("cw", "certifies", 0),
+        ("all", "declines", 2), ("cw", "declines", 2),
+    ])
+    def test_one_frame_homology_per_kind(self, check, cone, calls, monkeypatch, capsys):
+        # deg4 is cone-certified in both kinds, and the cone proves the
+        # frame's reduced homology zero, so no frame is ranked; where the cone
+        # declines, one frame per kind is (with a ball check, its homology
+        # verdict is the reduced homology's), and the bytes stay the same
+        argv = ["verify", "--named", "deg4", "--check", check]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
         seen = []
         original = topology.homology_ranks
 
@@ -191,10 +200,13 @@ class TestVerify:
 
         monkeypatch.setattr(topology, "homology_ranks", counted)
         monkeypatch.setattr(cli, "homology_ranks", counted)
-        assert main(["verify", "--named", "deg4", "--check", check]) == 0
-        kinds = json.loads(capsys.readouterr().out)["kinds"]
+        if cone == "declines":
+            monkeypatch.setattr(topology, "_mapping_cone", lambda *args: None)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
         assert len(seen) == calls
-        assert all(k["reduced_homology_trivial"] for k in kinds.values())
+        assert out == want
+        assert all(k["reduced_homology_trivial"] for k in json.loads(out)["kinds"].values())
 
     def test_el_counts_without_cw_sweep(self, monkeypatch, capsys):
         # a poset that is not thin stops the CW check before its EL sweep;

@@ -273,6 +273,20 @@ class TestSweepScale:
         assert max(r.max_chains for r in reports) == 40320
 
 
+class TestChainCounts:
+    """The sweep counts no chains; building the reports does, in one pass,
+    and each count must be the number of chains ``chains_between`` lists."""
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_max_chains_equal_the_listed_chains(self, kind):
+        rng7 = random.Random(20260811)
+        for J in ([named_ideal(name) for name in NAMED_IDEALS] + [power_ideal(4, 2)]
+                  + [random_borel_ideal(rng7, cm=True) for _ in range(50)]):
+            dual = gamma(kind, J).dual()
+            for r in verify_el_all(dual, J):
+                assert r.max_chains == len(dual.chains_between(r.bottom, r.top)), (J, r)
+
+
 class TestChainMonomial:
     def test_lcm_identity_on_increasing_chains(self, deg2):
         for kind in ("ek", "modified"):

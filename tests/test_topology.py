@@ -980,6 +980,61 @@ class TestMappingCone:
                 # but its maps do not compose
                 assert got.first_failure()["field"] == "Z"
 
+    @staticmethod
+    def lemma_cases():
+        """Both kinds of the named ideals, (x1..x3)^2..4, (x1..x4)^2..4,
+        (x1..x5)^2 and the criterion-7 draws, and the four battery complexes
+        of 30 criterion-6 draws, with their generators."""
+        ideals = [make() for make in NAMED_IDEALS.values()]
+        ideals += [power_ideal(n, d) for n, ds in ((3, (2, 3, 4)), (4, (2, 3, 4)), (5, (2,)))
+                   for d in ds]
+        rng7 = random.Random(20260811)
+        ideals += [random_borel_ideal(rng7, cm=True) for _ in range(50)]
+        for J in ideals:
+            yield ek_complex(J), list(J.gens)
+            yield modified_complex(J), list(bpol_lifts(J)[1].values())
+        rng6 = random.Random(20260810)
+        for _ in range(30):
+            yield from battery_complexes(random_borel_ideal(rng6))
+
+    def test_cone_proves_the_frame_acyclic(self):
+        # every cell degree divides the lcm of the generators, so the cone's
+        # exact strands include the whole frame: its Smith invariants, the
+        # independent check, show no homology and no torsion
+        certified = 0
+        for cplx, gens in self.lemma_cases():
+            report = _mapping_cone(cplx, gens, ())
+            assert report is not None and report.frame_acyclic, (cplx.kind, gens)
+            assert all(betti == 0 and not torsion
+                       for betti, torsion in homology_ranks(frame_complex(cplx)))
+            certified += 1
+        assert certified == 2 * (len(NAMED_IDEALS) + 7 + 50) + 4 * 30
+
+    @pytest.mark.parametrize("mutation", ["top cell removed", "sign flipped", "3-torsion"])
+    def test_walk_reports_leave_the_frame_unproved(self, mutation):
+        # the walk ranks over Q and the requested primes only: on the
+        # 3-torsion frame it passes over Q and F_2, yet the frame has homology
+        if mutation == "3-torsion":
+            cases = [torsion_complex(THREE_TORSION)]
+        else:
+            cases = battery_complexes(power_ideal(3, 2))
+        for cplx, gens in cases:
+            if mutation == "top cell removed":
+                cplx = without_last_top_cell(cplx)
+            elif mutation == "sign flipped":
+                diffs = [dict(mat) for mat in cplx.diffs]
+                pos = min(diffs[-1])
+                sign, coeff = diffs[-1][pos]
+                diffs[-1][pos] = (-sign, coeff)
+                cplx = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs, diffs)
+            for primes in ((), (2,), (2, 3)):
+                report = strand_exactness(cplx, gens, primes)
+                assert report == _strand_walk(cplx, gens, primes)
+                assert not report.frame_acyclic
+                assert report.ok == (mutation == "3-torsion" and 3 not in primes)
+        if mutation == "3-torsion":
+            assert homology_ranks(frame_complex(cplx))[1] == (0, (3,))
+
     def test_battery_walks_no_lattice(self, monkeypatch):
         # full_battery sends all four complexes through check_strands and
         # verification.strand_exactness, and the cone certifies each

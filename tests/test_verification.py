@@ -7,15 +7,17 @@ from operator import add
 import pytest
 
 from ekcells import (
-    AdmissiblePair, Monomial, MonomialIdeal, ek_complex, modified_complex, random_borel_ideal, shelling,
-    verification,
+    AdmissiblePair, FreeComplex, Monomial, MonomialIdeal, ek_complex, frame_complex,
+    modified_complex, random_borel_ideal, shelling, verification,
 )
 from ekcells.monomials import from_squares, square_str
+from ekcells.polarization import specialize_theta, specialize_theta_prime
 from ekcells.verification import (
     VerificationError,
     _exponents_up_to,
     check_cover_support,
     check_d2,
+    check_frame_invariance,
     check_g_properties,
     check_interval_decomposition,
     check_intervals,
@@ -179,6 +181,43 @@ class TestMutationDetection:
         with pytest.raises(VerificationError) as err:
             check_d2(cplx)
         assert str(err.value) == message
+
+    def test_frame_invariance_equals_the_frame_objects(self):
+        # ranks and signs against the frame complexes they stand for: the
+        # theta specializations pass, and a flipped sign, a moved entry or a
+        # dropped top cell fails, with the message
+        rng = random.Random(6)
+        for _ in range(10):
+            cmod = modified_complex(random_borel_ideal(rng))
+            diffs = [dict(mat) for mat in cmod.diffs]
+            (i, j), (sign, coeff) = min(diffs[-1].items())
+            flipped = [*diffs[:-1], {**diffs[-1], (i, j): (-sign, coeff)}]
+            last = len(cmod.basis[-1]) - 1
+            dropped = {(r, c): entry for (r, c), entry in diffs[-1].items() if c != last}
+            variants = [
+                FreeComplex(cmod.kind, cmod.ring, cmod.basis, cmod.mdegs, flipped),
+                FreeComplex(cmod.kind, cmod.ring, [*cmod.basis[:-1], cmod.basis[-1][:-1]],
+                            [*cmod.mdegs[:-1], cmod.mdegs[-1][:-1]], [*diffs[:-1], dropped]),
+            ]
+            # the first entry whose column misses a row, moved to that row
+            for q, mat in enumerate(diffs):
+                free = [(pos, f) for pos in sorted(mat)
+                        for f in range(len(cmod.basis[q])) if (f, pos[1]) not in mat]
+                if free:
+                    (pos, f), moved = free[0], [dict(layer) for layer in diffs]
+                    moved[q][f, pos[1]] = moved[q].pop(pos)
+                    variants.append(FreeComplex(cmod.kind, cmod.ring, cmod.basis, cmod.mdegs, moved))
+                    break
+            for other in (specialize_theta(cmod), specialize_theta_prime(cmod), *variants):
+                base, frame = frame_complex(cmod), frame_complex(other)
+                same = frame.ranks == base.ranks and frame.cols == base.cols
+                assert same == (other not in variants)
+                if same:
+                    check_frame_invariance(cmod, other)
+                else:
+                    with pytest.raises(VerificationError) as err:
+                        check_frame_invariance(cmod, specialize_theta(cmod), other)
+                    assert str(err.value) == f"frame of {other.kind} differs from frame of modified"
 
     def test_unit_coefficient_detected(self, intro):
         cplx = modified_complex(intro)
