@@ -155,8 +155,8 @@ def cmd_verify(args) -> int:
             # the counts of the EL sweep behind the CW verdict, if it got that far
             intervals, failures = witness.get("el_intervals"), witness.get("el_failures")
             if intervals is None:
-                reports = verify_el_all(poset.dual(), ideal)
-                intervals, failures = len(reports), len(reports.failures())
+                sweep = verify_el_all(poset.dual(), ideal)
+                intervals, failures = len(sweep), len(sweep.failures())
             checks["el"] = {"intervals": intervals, "failures": failures}
             failed = failed or failures > 0
         if args.check in ("ball", "all"):

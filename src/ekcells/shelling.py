@@ -21,16 +21,15 @@ run over the covers of x below b, and l(y) be the label of x <* y:
   carries it.
 
 Each x merges these records of its covers, so the sweep is one pass over the
-pairs x <= b, in reverse topological order, and lists no chain: a report's
-increasing chain is walked from the records when the report is built.  No
-verdict reads the number of maximal chains, so only building the reports
-counts them: chains[x, b] = sum_y chains[y, b], with chains[b, b] = 1.
+pairs x <= b, in reverse topological order, and lists no chain.  Verdicts read
+the records; ``ELSweep.reports`` builds reports from them, walking each
+increasing chain, and counts the maximal chains, which no verdict reads:
+chains[x, b] = sum_y chains[y, b], with chains[b, b] = 1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 
@@ -71,106 +70,72 @@ class ELReport:
     increasing_label: object = None
 
 
-class ELSweep(Sequence):
-    """The reports of ``verify_el_all``, a and then b in element order, with
-    the cover labels they came from: ``cover_labels[i][k]`` labels the cover
-    from element i to ``dual._up[i][k]``.
+@dataclass(slots=True, eq=False)
+class ELSweep:
+    """What ``verify_el_all`` computes on ``dual``: ``cover_labels[i][k]``
+    labels the cover from element i to ``dual._up[i][k]``, ``rising`` and
+    ``lex`` are the per-pair records by element index, and ``failing`` lists
+    the index pairs (a, b) whose [a, b] fails.
 
-    A sweep keeps the per-pair records of ``verify_el_all`` and builds every
-    report from them at the first access to one.  Until then ``len()`` and
-    ``failures()`` read the records, so a verdict builds no report; after,
-    they read the reports, edits included.  ``intervals()`` reads the records
-    only while no report is built and no pair fails.  ``ELSweep(reports)``
-    holds the given reports.
+    ``len()``, ``failures()`` and ``intervals()`` read the records, in report
+    order: a and then b in element order.  ``reports()`` builds the reports
+    from them, a new list at each call.
     """
 
-    __slots__ = ("cover_labels", "_reports", "_dual", "_records", "_count")
-
-    def __init__(self, reports=()):
-        self.cover_labels, self._reports = None, list(reports)
-
-    @classmethod
-    def _of(cls, dual: FinitePoset, labels: list, records: tuple) -> "ELSweep":
-        """The sweep of ``dual`` with these cover labels and records (rising
-        and lex by element index, and the failing pairs), as
-        ``verify_el_all`` leaves them."""
-        sweep = object.__new__(cls)
-        sweep.cover_labels, sweep._reports = labels, None
-        sweep._dual, sweep._records = dual, records
-        sweep._count = sum(map(len, records[1])) - len(dual)  # less the pairs [a, a]
-        return sweep
+    dual: FinitePoset
+    cover_labels: list
+    rising: list
+    lex: list
+    failing: list
 
     def __len__(self):
-        return self._count if self._reports is None else len(self._reports)
-
-    def __getitem__(self, k):
-        return self._built()[k]
-
-    def __setitem__(self, k, report):
-        self._built()[k] = report
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __eq__(self, other):
-        return self._built() == other
+        return sum(map(len, self.lex)) - len(self.lex)  # less the pairs [a, a]
 
     def failures(self) -> list:
         """The (bottom, top) of each failing interval, in report order."""
-        if self._reports is not None:
-            return [(r.bottom, r.top) for r in self._reports if not r.passed]
-        els = self._dual.elements
-        return [(els[a], els[b]) for a, b in sorted(self._records[2])]
+        els = self.dual.elements
+        return [(els[a], els[b]) for a, b in sorted(self.failing)]
 
     def intervals(self):
         """(bottom, top, word) of each interval, in report order: word is the
-        label word of its one increasing chain where that chain is lex-least,
-        else None.  Off the records while no report is built and no pair
-        fails; else off the reports' counts and flags, edits included."""
-        if self._reports is not None or self._records[2]:
-            for r in self._built():
-                ok = r.increasing_chains == 1 and r.lex_least
-                yield r.bottom, r.top, r.increasing_label if ok else None
-            return
-        els, lex = self._dual.elements, self._records[1]
-        for a, oa in enumerate(lex):
+        label word of its one increasing chain, which is lex-least, where the
+        interval passes, else None."""
+        els, failing = self.dual.elements, set(self.failing)
+        for a, oa in enumerate(self.lex):
             ea = els[a]
             for b in sorted(oa):
                 if b != a:
-                    yield ea, els[b], oa[b][0]
+                    yield ea, els[b], None if (a, b) in failing else oa[b][0]
 
-    def _built(self) -> list:
-        """The reports, built from the records at the first call, which then
-        drops them.  The call counts the maximal chains of every pair, in one
-        pass in reverse topological order."""
-        if self._reports is None:
-            els, up, label = self._dual.elements, self._dual._up, self.cover_labels
-            rising, lex, failing = self._records
-            failing = set(failing)
-            chains = [None] * len(els)
-            for x in reversed(self._dual._order):
-                cx = {x: 1}
-                for y in up[x]:
-                    for b, c in chains[y].items():
-                        cx[b] = cx.get(b, 0) + c
-                chains[x] = cx
-            self._reports = out = []
-            for a, ca in enumerate(chains):
-                ea, ra = els[a], rising[a]
-                for b in sorted(ca):
-                    if b == a:
-                        continue
-                    r = ra.get(b)
-                    if r.__class__ is int:  # one increasing chain, lex-least where [a, b] passes
-                        path, word = _rising_chain(a, b, up, label, lex, rising)
-                        chain = tuple(els[k] for k in path)
-                        passed = (a, b) not in failing
-                        out.append(ELReport(ea, els[b], ca[b], 1, passed, passed, chain, word))
-                    else:  # no increasing chain, or several
-                        rises = 0 if r is None else sum(r.values())
-                        out.append(ELReport(ea, els[b], ca[b], rises, False, False))
-            self._dual = self._records = None
-        return self._reports
+    def reports(self) -> list:
+        """The reports, built from the records.  The maximal chains of every
+        pair are counted in one pass in reverse topological order, and each
+        one increasing chain is walked from the records."""
+        els, up, label = self.dual.elements, self.dual._up, self.cover_labels
+        rising, lex, failing = self.rising, self.lex, set(self.failing)
+        chains = [None] * len(els)
+        for x in reversed(self.dual._order):
+            cx = {x: 1}
+            for y in up[x]:
+                for b, c in chains[y].items():
+                    cx[b] = cx.get(b, 0) + c
+            chains[x] = cx
+        out = []
+        for a, ca in enumerate(chains):
+            ea, ra = els[a], rising[a]
+            for b in sorted(ca):
+                if b == a:
+                    continue
+                r = ra.get(b)
+                if r.__class__ is int:  # one increasing chain, lex-least where [a, b] passes
+                    path, word = _rising_chain(a, b, up, label, lex, rising)
+                    chain = tuple(els[k] for k in path)
+                    passed = (a, b) not in failing
+                    out.append(ELReport(ea, els[b], ca[b], 1, passed, passed, chain, word))
+                else:  # no increasing chain, or several
+                    rises = 0 if r is None else sum(r.values())
+                    out.append(ELReport(ea, els[b], ca[b], rises, False, False))
+        return out
 
 
 @dataclass
@@ -229,10 +194,10 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     passed over and only covers of a tied label compare their words.  [a, b]
     passes when it has exactly one increasing chain and its lex-least word is
     increasing: that chain then carries the word, which no other chain does.
-    A report's one increasing chain is read off, when the report is built,
-    by following the covers that keep the chain increasing.  The result
-    keeps the records and builds the reports from them when they are first
-    read (``ELSweep``); only then are the maximal chains counted.
+    The result holds the labels and records (``ELSweep``); its
+    ``reports()`` reads each report's one increasing chain off them by
+    following the covers that keep the chain increasing, and only it counts
+    the maximal chains.
     """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
     label = [[el_label_edge(els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
@@ -266,7 +231,7 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
         # the pass rule above: one increasing chain (a bare first label) and
         # an increasing lex-least word
         failing += [(x, b) for b, o in ox.items() if not (o[1] and rx.get(b).__class__ is int)]
-    return ELSweep._of(dual, label, (rising, lex, failing))
+    return ELSweep(dual, label, rising, lex, failing)
 
 
 def _rising_from(r, lab) -> int:
@@ -333,7 +298,7 @@ def is_cw_poset(poset: FinitePoset, ideal):
     5, 1984).  No shelling search runs, so an EL failure reads as not CW.
     Returns (bool, witness dict); when the sweep fails, ``el_first_failure``
     names the first failing dual interval (a, b).  The counts and that
-    interval are read off the sweep's records, so a pass builds no report.
+    interval are read off the sweep's records, so no verdict builds a report.
     """
     witness = {"thin": poset.is_thin()}
     witness["bounded_below"] = len(poset.minimal_elements()) == 1

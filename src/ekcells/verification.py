@@ -257,17 +257,17 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
     both of its sides; and g(x_G a.m), for the minimal supports, on (a.m, G).
 
     The intervals and their increasing words are read off the sweep's
-    records (``ELSweep.intervals``), so a passing sweep builds no report.
-    The lcm identity is compared on exponent tuples: lift(a.m) plus one in
-    the slot of each positive label's attached variable against the
-    elementwise max of the two lifts.  Only a mismatch walks the increasing
-    chain, to name it.
+    records (``ELSweep.intervals``).  Reports are built (``ELSweep.reports``)
+    only on a failure: to say how an interval fails EL, or to name the
+    increasing chain of a failed lcm identity.  The lcm identity is compared
+    on exponent tuples: lift(a.m) plus one in the slot of each positive
+    label's attached variable against the elementwise max of the two lifts.
     """
     # Called through the module, so that a wrapper installed on
     # shelling.verify_el_all (bench/tracer.py) also sees this sweep.
-    reports = shelling.verify_el_all(dual, ideal)
-    _check_injective(dual, reports.cover_labels)
-    _check_label_rewrites(cplx.kind, dual, reports.cover_labels)
+    sweep = shelling.verify_el_all(dual, ideal)
+    _check_injective(dual, sweep.cover_labels)
+    _check_label_rewrites(cplx.kind, dual, sweep.cover_labels)
     squares = cplx.squares  # the ring and the generators' lifts, as built
     lifts = dict(zip((pair.m for pair in cplx.basis[0]), cplx.mdegs[0]))
     variables = _attached(kind_of(cplx.kind), ideal, squares)
@@ -275,9 +275,9 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
     slots = {m: [None] + [x.exps.index(1) for x in xs[1:]] for m, xs in variables.items()}
     holds = set()  # the (a.m, b.m, positive labels) whose lcm identity holds
     shifted = {}   # (a.m, G) -> the exponents of g(x_G a.m), for the minimal supports
-    for k, (a, b, word) in enumerate(reports.intervals()):
-        if word is None:  # [a, b] fails EL; its report, built, says how
-            rep = reports[k]
+    for k, (a, b, word) in enumerate(sweep.intervals()):
+        if word is None:  # [a, b] fails EL; its report says how
+            rep = sweep.reports()[k]
             if rep.increasing_chains != 1:
                 raise VerificationError(
                     f"{rep.increasing_chains} increasing maximal chains on [{a!r}, {b!r}]"
@@ -297,7 +297,8 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
                     u[at[i]] += 1
             if u != list(map(max, lift, lifts[bm].exps)):
                 try:
-                    shelling._positive_part(variables[am], squares, reports[k].increasing_chain,
+                    shelling._positive_part(variables[am], squares,
+                                            sweep.reports()[k].increasing_chain,
                                             word, lifts[am], lifts[bm])
                 except RuntimeError as exc:  # the lcm identity fails
                     raise VerificationError(
@@ -305,7 +306,7 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
             holds.add(key)
         if cplx.kind == "ek":
             _check_minimal_support(ideal, a, b, word, shifted)
-    return len(reports)
+    return len(sweep)
 
 
 # chains listed from an element whose out-labels tie, before injectivity is

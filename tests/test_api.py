@@ -51,7 +51,7 @@ def test_every_imported_name_is_used(name):
 
 # The benchmark tracer patches ``chains_between`` by name and reads ``mats``
 # for its homology counters, though no code in the package calls either
-# (ROADMAP item 7).
+# (ROADMAP item 8).
 UNREFERENCED = {"FinitePoset.chains_between", "IntegerChainComplex.mats"}
 
 

@@ -128,7 +128,7 @@ class TestELVerification:
     def test_all_intervals_pass(self, tri_tri):
         for kind in ("ek", "modified"):
             dual = gamma(kind, tri_tri).dual()
-            reports = verify_el_all(dual, tri_tri)
+            reports = verify_el_all(dual, tri_tri).reports()
             assert reports and all(r.passed for r in reports)
 
 
@@ -160,6 +160,17 @@ def reference_el_reports(dual, ideal):
             for a in dual.elements for b in dual.elements if a != b and dual.leq(a, b)]
 
 
+def relabelling(name):
+    """Cover labels that break EL, to stand in for ``shelling.el_label_edge``:
+    pseudo-random in {-1, 0, 1}, all 0, or the true labels made nonpositive."""
+    original = shelling.el_label_edge
+    return {
+        "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
+        "constant": lambda *args: 0,
+        "unsigned": lambda *args: -abs(original(*args)),
+    }[name]
+
+
 class TestSweepOracle:
     @pytest.fixture(scope="class")
     def sweep_ideals(self):
@@ -176,7 +187,7 @@ class TestSweepOracle:
         rules = kind_of(kind)
         for J in sweep_ideals:
             dual = gamma(kind, J).dual()
-            reports = verify_el_all(dual, J)
+            reports = verify_el_all(dual, J).reports()
             assert reports == reference_el_reports(dual, J), J
             squares = rules.lifts(J)[0]
             variables = _attached(rules, J, squares)
@@ -192,19 +203,13 @@ class TestSweepOracle:
         # labels that break EL: ties out of an element (words then compared
         # past the first label, and repeated), intervals with no, several, or
         # one increasing chain that is not lex-least
-        original = shelling.el_label_edge
-        relabel = {
-            "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
-            "constant": lambda *args: 0,
-            "unsigned": lambda *args: -abs(original(*args)),
-        }[labelling]
-        monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        monkeypatch.setattr(shelling, "el_label_edge", relabelling(labelling))
         cases = Counter()
         for J in ([named_ideal(name) for name in NAMED_IDEALS]
                   + [power_ideal(3, d) for d in (2, 3)] + [power_ideal(4, 2)]):
             for kind in ("ek", "modified"):
                 dual = gamma(kind, J).dual()
-                reports = verify_el_all(dual, J)
+                reports = verify_el_all(dual, J).reports()
                 assert reports == reference_el_reports(dual, J), (kind, J)
                 cases.update("passed" if r.passed else min(r.increasing_chains, 2)
                              for r in reports)
@@ -215,8 +220,8 @@ class TestSweepOracle:
 
 
 class TestIntervalRecords:
-    """``ELSweep.intervals`` reads a passing sweep's records; the reports,
-    built, must give the same (bottom, top, word), in the same order."""
+    """``ELSweep.intervals`` reads the sweep's records; the reports, built,
+    must give the same (bottom, top, word), in the same order."""
 
     @pytest.mark.parametrize("kind", ["ek", "modified"])
     def test_intervals_equal_the_reports(self, kind, monkeypatch):
@@ -229,35 +234,59 @@ class TestIntervalRecords:
             sweep = verify_el_all(gamma(kind, J).dual(), J)
             words = list(sweep.intervals())
             assert built == [], J  # off the records
-            assert words == [(r.bottom, r.top, r.increasing_label) for r in sweep], J
-            assert list(sweep.intervals()) == words  # off the reports, now built
+            assert words == [(r.bottom, r.top, r.increasing_label) for r in sweep.reports()], J
+            assert list(sweep.intervals()) == words  # still off the records
             built.clear()
 
     @pytest.mark.parametrize("labelling", ["pseudo-random", "unsigned"])
     def test_a_failing_sweep_reads_its_reports(self, labelling, monkeypatch):
         # no word where a report fails, the increasing word where it passes
-        original = shelling.el_label_edge
-        relabel = {
-            "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
-            "unsigned": lambda *args: -abs(original(*args)),
-        }[labelling]
-        monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        monkeypatch.setattr(shelling, "el_label_edge", relabelling(labelling))
         for J in [named_ideal(name) for name in NAMED_IDEALS] + [power_ideal(3, 2)]:
             for kind in ("ek", "modified"):
                 dual = gamma(kind, J).dual()
-                words = list(verify_el_all(dual, J).intervals())
-                reports = verify_el_all(dual, J)
+                sweep = verify_el_all(dual, J)
+                words = list(sweep.intervals())
                 assert words == [(r.bottom, r.top, r.increasing_label if r.passed else None)
-                                 for r in reports], (kind, J)
+                                 for r in sweep.reports()], (kind, J)
                 assert None in [word for _, _, word in words]
 
-    def test_edited_reports_are_read(self, deg2):
-        sweep = verify_el_all(gamma("ek", deg2).dual(), deg2)
-        first = sweep[0]
-        sweep[0] = replace(first, lex_least=False)
-        sweep[1] = replace(sweep[1], increasing_label=(7,))
-        assert list(sweep.intervals())[:2] == [(first.bottom, first.top, None),
-                                               (sweep[1].bottom, sweep[1].top, (7,))]
+    @pytest.mark.parametrize("labelling", ["pseudo-random", "constant", "unsigned"])
+    def test_a_failing_sweep_matches_the_reference(self, labelling, monkeypatch):
+        # the records against the reports by definition, not the sweep's own
+        monkeypatch.setattr(shelling, "el_label_edge", relabelling(labelling))
+        for J in [named_ideal(name) for name in NAMED_IDEALS] + [power_ideal(3, 2)]:
+            for kind in ("ek", "modified"):
+                dual = gamma(kind, J).dual()
+                sweep = verify_el_all(dual, J)
+                reference = reference_el_reports(dual, J)
+                assert list(sweep.intervals()) == [
+                    (r.bottom, r.top, r.increasing_label if r.passed else None)
+                    for r in reference], (kind, J)
+                assert sweep.failures() == [
+                    (r.bottom, r.top) for r in reference if not r.passed], (kind, J)
+                assert sweep.failures(), (kind, J)
+
+    @pytest.mark.parametrize("case", ["deg2", "pow4-2", "relabelled"])
+    def test_reports_are_repeatable_and_keep_the_records(self, case, monkeypatch):
+        if case == "relabelled":
+            monkeypatch.setattr(shelling, "el_label_edge", relabelling("pseudo-random"))
+        J = named_ideal("deg2") if case != "pow4-2" else power_ideal(4, 2)
+        sweep = verify_el_all(gamma("modified", J).dual(), J)
+
+        def read():
+            return len(sweep), sweep.failures(), list(sweep.intervals())
+
+        before = read()
+        first, second = sweep.reports(), sweep.reports()
+        assert read() == before
+        assert first == second and first is not second
+        assert all(r is not s for r, s in zip(first, second))
+        first[0].passed = not first[0].passed
+        first[0] = replace(first[1], increasing_label=(7,))
+        first.clear()
+        assert read() == before and sweep.reports() == second
+        assert bool(before[1]) == (case == "relabelled")
 
 
 class TestSweepScale:
@@ -267,7 +296,7 @@ class TestSweepScale:
         # interval of rank k has k! maximal chains, up to 8! = 40,320, and
         # listing them all takes about half a second per kind
         J = ideal(8, *(f"x{i}" for i in range(1, 8)), "x8^2")
-        reports = verify_el_all(gamma(kind, J).dual(), J)
+        reports = verify_el_all(gamma(kind, J).dual(), J).reports()
         assert len(reports) == 6305
         assert all(r.passed for r in reports)
         assert max(r.max_chains for r in reports) == 40320
@@ -283,7 +312,7 @@ class TestChainCounts:
         for J in ([named_ideal(name) for name in NAMED_IDEALS] + [power_ideal(4, 2)]
                   + [random_borel_ideal(rng7, cm=True) for _ in range(50)]):
             dual = gamma(kind, J).dual()
-            for r in verify_el_all(dual, J):
+            for r in verify_el_all(dual, J).reports():
                 assert r.max_chains == len(dual.chains_between(r.bottom, r.top)), (J, r)
 
 
@@ -338,17 +367,20 @@ def two_squares_under_one_top():
 
 @pytest.fixture
 def first_report_fails(monkeypatch):
-    """Every EL sweep reports its first interval failed; the failed reports
-    are recorded in ``.failed``, and any shelling search or order complex is
-    recorded in ``.searches`` and raises."""
+    """Every EL sweep records its first interval as failing; the (bottom,
+    top) of each such interval is recorded in ``.failed``, and any shelling
+    search or order complex is recorded in ``.searches`` and raises."""
     state = SimpleNamespace(failed=[], searches=[])
     real = shelling.verify_el_all
 
     def sweep(*args):
-        reports = real(*args)
-        reports[0] = replace(reports[0], passed=False)
-        state.failed.append(reports[0])
-        return reports
+        result = real(*args)
+        a = next(a for a, oa in enumerate(result.lex) if len(oa) > 1)
+        b = min(b for b in result.lex[a] if b != a)
+        result.failing.append((a, b))
+        els = result.dual.elements
+        state.failed.append((els[a], els[b]))
+        return result
 
     def search(*args, **kwargs):
         state.searches.append(args)
@@ -372,15 +404,21 @@ class TestCWFromSweep:
         (failed,) = first_report_fails.failed
         assert not ok
         assert witness["el_failures"] == 1
-        assert witness["el_first_failure"] == (failed.bottom, failed.top)
+        assert witness["el_first_failure"] == failed
         assert not first_report_fails.searches
 
     def test_unshellable_poset_is_refuted_by_its_report(self, deg2, monkeypatch):
         p = two_squares_under_one_top()
         assert len(p) == 18 and p.is_thin() and p.is_pure()
-        failed = shelling.ELReport(bottom="1", top="0", max_chains=0, increasing_chains=0,
-                                   lex_least=False, passed=False)
-        monkeypatch.setattr(shelling, "verify_el_all", lambda *args: shelling.ELSweep([failed]))
+
+        class OneFailure:  # the sweep's result as is_cw_poset reads it
+            def __len__(self):
+                return 1
+
+            def failures(self):
+                return [("1", "0")]
+
+        monkeypatch.setattr(shelling, "verify_el_all", lambda *args: OneFailure())
         ok, witness = is_cw_poset(p, deg2)
         assert not ok
         assert witness == {"thin": True, "bounded_below": True, "el_intervals": 1,
@@ -398,7 +436,7 @@ class TestCWFromSweep:
         with pytest.raises(VerificationError, match="ek poset not certified CW") as exc:
             cm_battery(deg2)
         (failed,) = first_report_fails.failed
-        assert repr((failed.bottom, failed.top)) in str(exc.value)
+        assert repr(failed) in str(exc.value)
         assert not first_report_fails.searches
 
     def test_stable_non_borel_ideals_pass_el(self):
@@ -416,7 +454,7 @@ class TestCWFromSweep:
 def verdict_from_reports(poset, J):
     """is_cw_poset's verdict and witness on a thin poset with a least
     element, read off the built reports of the sweep of its dual."""
-    reports = list(verify_el_all(poset.dual(), J))
+    reports = verify_el_all(poset.dual(), J).reports()
     failures = [(r.bottom, r.top) for r in reports if not r.passed]
     witness = {"thin": True, "bounded_below": True, "el_intervals": len(reports),
                "el_failures": len(failures)}
@@ -440,13 +478,7 @@ class TestCWVerdictOracle:
 
     @pytest.mark.parametrize("labelling", ["pseudo-random", "constant", "unsigned"])
     def test_verdict_equals_the_reports_under_other_labels(self, labelling, monkeypatch):
-        original = shelling.el_label_edge
-        relabel = {
-            "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
-            "constant": lambda *args: 0,
-            "unsigned": lambda *args: -abs(original(*args)),
-        }[labelling]
-        monkeypatch.setattr(shelling, "el_label_edge", relabel)
+        monkeypatch.setattr(shelling, "el_label_edge", relabelling(labelling))
         refuted = 0
         for J in ([named_ideal(name) for name in NAMED_IDEALS]
                   + [power_ideal(3, d) for d in (2, 3)] + [power_ideal(4, 2)]):
@@ -457,8 +489,9 @@ class TestCWVerdictOracle:
                 refuted += not verdict[0]
                 # every failure, in order, off the records and off the reports
                 dual = poset.dual()
-                assert verify_el_all(dual, J).failures() == [
-                    (r.bottom, r.top) for r in verify_el_all(dual, J) if not r.passed], (kind, J)
+                sweep = verify_el_all(dual, J)
+                assert sweep.failures() == [
+                    (r.bottom, r.top) for r in sweep.reports() if not r.passed], (kind, J)
         assert refuted == 2 * (len(NAMED_IDEALS) + 3)  # every poset fails somewhere
 
     def test_a_passing_verdict_builds_no_report(self, monkeypatch):
@@ -477,7 +510,7 @@ class TestCWVerdictOracle:
         assert built == []
         reports = verify_el_all(gamma("modified", J).dual(), J)
         assert len(reports) == witness["el_intervals"] and built == []
-        assert len(list(reports)) == len(built) == witness["el_intervals"]
+        assert len(reports.reports()) == len(built) == witness["el_intervals"]
 
 
 def pairwise_shelling_order(data, order):

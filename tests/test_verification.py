@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import sys
@@ -325,18 +324,17 @@ class TestMutationDetection:
 
     def test_lcm_identity_is_checked_per_positive_labels(self, deg2, monkeypatch):
         # [~e({(1,2),(2,2)};x1*x3), ~e({};x1^2)] is the second interval with
-        # ends x1*x3, x1^2; its report relabelled (-2, 2) reads x[2,2] where
+        # ends x1*x3, x1^2; its word relabelled (-2, 2) reads x[2,2] where
         # the first one's positive label 1 read the lcm quotient x[1,2]
-        real = shelling.verify_el_all
+        real = shelling.ELSweep.intervals
 
-        def relabelled(dual, ideal):
-            reports = real(dual, ideal)
-            for k, rep in enumerate(reports):
-                if repr((rep.bottom, rep.top)) == "(~e({(1,2),(2,2)};x1*x3), ~e({};x1^2))":
-                    reports[k] = dataclasses.replace(rep, increasing_label=(-2, 2))
-            return reports
+        def relabelled(sweep):
+            for a, b, word in real(sweep):
+                if repr((a, b)) == "(~e({(1,2),(2,2)};x1*x3), ~e({};x1^2))":
+                    word = (-2, 2)
+                yield a, b, word
 
-        monkeypatch.setattr(shelling, "verify_el_all", relabelled)
+        monkeypatch.setattr(shelling.ELSweep, "intervals", relabelled)
         cplx = resolution("modified", deg2)
         with pytest.raises(VerificationError) as info:
             check_intervals(cplx, build_gamma(cplx).dual(), deg2)
@@ -350,20 +348,20 @@ class TestMutationDetection:
                                                                        monkeypatch):
         # the first interval above the least element relabelled (7,): no
         # generator of deg2 has an index 7, which _positive_part names
-        real, edited = shelling.verify_el_all, []
+        real, edited = shelling.ELSweep.intervals, []
 
-        def relabelled(dual, ideal):
-            reports = real(dual, ideal)
-            k = next(k for k, rep in enumerate(reports) if rep.top is not BOTTOM)
-            reports[k] = dataclasses.replace(reports[k], increasing_label=(7,))
-            edited.append(reports[k])
-            return reports
+        def relabelled(sweep):
+            for a, b, word in real(sweep):
+                if b is not BOTTOM and not edited:
+                    edited.append((a, b))
+                    word = (7,)
+                yield a, b, word
 
-        monkeypatch.setattr(shelling, "verify_el_all", relabelled)
+        monkeypatch.setattr(shelling.ELSweep, "intervals", relabelled)
         cplx = resolution("ek", deg2)
         with pytest.raises(VerificationError) as info:
             check_intervals(cplx, build_gamma(cplx).dual(), deg2)
-        a, b = edited[0].bottom, edited[0].top
+        a, b = edited[0]
         assert str(info.value) == (
             f"lcm identity fails on [{a!r}, {b!r}]: label 7 names no index of {a!r}")
 
