@@ -1,5 +1,7 @@
-"""EL-labelings on dual cell posets, shelling search, CW certification, and
-the three-condition closed-ball check.
+"""EL-labelings on dual cell posets, shelling search, recursive coatom
+orderings, CW certification, and the three-condition closed-ball check, which
+certifies with a coatom ordering of the cells before it builds an order
+complex to search.
 
 The edge labeling on the dual poset assigns 0 to the top covers into the
 least element, -i to a plain index removal, and +i to a removal that also
@@ -42,10 +44,12 @@ __all__ = [
     "ELReport",
     "ELSweep",
     "BallVerdict",
+    "CoatomOrdering",
     "ShellingResult",
     "el_label_edge",
     "verify_el_all",
     "is_cw_poset",
+    "coatom_ordering",
     "find_shelling",
     "verify_shelling_order",
     "ball_check",
@@ -146,7 +150,9 @@ class ShellingResult:
 
 @dataclass
 class BallVerdict:
-    constructible_certificate: object  # shelling order or None
+    # the ball check's CoatomOrdering where it found one, else the shelling
+    # search's facet order, or None
+    constructible_certificate: object
     cond2: bool                        # every ridge in at most two facets
     cond3: bool                        # some ridge in exactly one facet
     homology_trivial: bool
@@ -428,21 +434,146 @@ def _can_follow(f, placed, used) -> bool:
     return restricted and not common
 
 
+@dataclass(slots=True)
+class CoatomOrdering:
+    """A recursive coatom ordering of a cell poset with a top added, by
+    element index: ``tops`` lists its top cells in order, and
+    ``facets[c, first]`` the facets of the cell c in the order found for
+    [0hat, c] when the facets in the bitmask ``first`` must come first."""
+
+    tops: tuple
+    facets: dict
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def coatom_ordering(poset: FinitePoset):
+    """A recursive coatom ordering of the poset with a top 1hat added, or None
+    if none is found (Bjorner-Wachs, Trans. AMS 277, 1983, Def. 3.1, dual).
+
+    The top cells c_1, ..., c_t are ordered so that, for j >= 2, with Z_j the
+    facets of c_j that lie in an earlier c_i: (ii) every face of c_j in an
+    earlier c_i, 0hat included (so Z_j is not empty), lies below some z in
+    Z_j; and (i) [0hat, c_j] has such an ordering of its facets, recursively,
+    that lists Z_j first.  An interval of length <= 2 takes any order.
+
+    Each level is a depth-first walk on an explicit stack over the sets of
+    placed cells, as ``find_shelling`` walks facet sets: both conditions
+    depend only on the placed set, so a set from which no order completes is
+    kept as dead.  Candidates after the first are the cells with a facet
+    below a placed one (Z_j is not empty), in index order, and (ii) is a
+    test of bitmasks on ``_below``.  Results are kept per (cell, first
+    facets) for this call.  Each candidate tried counts against
+    ``NODE_BUDGET``; a walk that runs out returns None, as one that finds
+    nothing does.
+    """
+    below, down, up = poset._below, poset._down, poset._up
+    rank, _ = poset._grading()
+    tops = [k for k, ups in enumerate(up) if not ups]
+    memo, tried = {}, 0
+
+    def ordered(cell, first):
+        """The facets of cell (the top 1hat when None) in an order that lists
+        the bitmask first first and satisfies (i) and (ii), or None."""
+        nonlocal tried
+        key = (cell, first)
+        if key in memo:
+            return memo[key]
+        facets = tops if cell is None else down[cell]
+        if (max(rank[t] for t in tops) + 1 if cell is None else rank[cell]) <= 2:
+            memo[key] = tuple(sorted(facets, key=lambda z: not first >> z & 1))
+            return memo[key]
+        level, below_level = 0, 0  # the cells to order, and their facets
+        for z in facets:
+            level |= 1 << z
+            for w in down[z]:
+                below_level |= 1 << w
+        order, used, dead = [], 0, set()
+        # one frame per placed prefix, the root first: [candidates left,
+        # frontier, the elements below a placed cell]
+        stack = [[first or level, 0, 0]]
+        while stack:
+            frame = stack[-1]
+            if not frame[0]:
+                dead.add(used)
+                stack.pop()
+                if order:
+                    used ^= 1 << order.pop()
+                continue
+            bit = frame[0] & -frame[0]
+            frame[0] ^= bit
+            z = bit.bit_length() - 1
+            tried += 1
+            if tried > NODE_BUDGET:
+                raise _OutOfBudget
+            if used | bit in dead:
+                continue
+            reach, zs, cover = frame[2], 0, 0
+            for w in down[z]:
+                if reach >> w & 1:
+                    zs |= 1 << w
+                    cover |= below[w]
+            if below[z] & reach & ~cover or ordered(z, zs) is None:
+                continue
+            order.append(z)
+            used |= bit
+            if used == level:
+                break
+            frontier, fresh = frame[1], below[z] & below_level & ~reach
+            while fresh:  # the cells over each facet of the level z reaches first
+                w = fresh & -fresh
+                fresh ^= w
+                for y in up[w.bit_length() - 1]:
+                    frontier |= 1 << y
+            frontier &= level & ~used
+            rest = first & ~used
+            stack.append([frontier & rest if rest else frontier, frontier, reach | below[z]])
+        memo[key] = tuple(order) if stack else None
+        return memo[key]
+
+    try:
+        found = ordered(None, 0) if tops else None
+    except _OutOfBudget:
+        return None
+    if found is None:
+        return None
+    return CoatomOrdering(found, {k: v for k, v in memo.items() if v is not None})
+
+
 def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result, strands=None) -> BallVerdict:
     """Evaluate the closed-ball criteria on the cell poset of the resolution
     ``cplx`` (of kind ``cplx.kind``) minus its least element, given the
     poset's ``is_cw_poset`` result ``cw_result`` and, if the caller has it,
     the ``strand_exactness`` report ``strands`` of ``cplx``.
 
-    Certification requires a verified shelling order of the order complex
-    (constructibility witness) plus the two ridge-incidence conditions.
+    Certification requires a shelling (constructibility witness) plus the two
+    ridge-incidence conditions, cond2 (every ridge in at most two top cells)
+    and cond3 (some ridge in exactly one).  The witness is sought on the cells
+    first: a recursive coatom ordering (``coatom_ordering``) of the pure
+    poset with a top 1hat added makes it CL-shellable (Bjorner-Wachs, "On
+    lexicographically shellable posets", Trans. AMS 277, 1983, Thm 3.2, in
+    dual form), so the lexicographic order of its maximal chains shells the
+    order complex of the poset minus 0hat, the barycentric subdivision of
+    the regular CW complex (Bjorner, "Posets, regular CW complexes and Bruhat
+    order", Europ. J. Combin. 5, 1984, Sec. 4).  A ridge of that subdivision
+    is a maximal chain less one cell: less a cell below the top one, it lies
+    in two facets (the poset is thin), and less the top cell, so ending at a
+    ridge r of the cells, in as many as r has top cells.  So cond2 and cond3
+    carry over, and a shellable complex whose ridges lie in at most two
+    facets, some in one, is a ball (Danaraj-Klee, "Shellings of spheres and
+    polytopes", Duke Math. J. 41, 1974).  Purity is a precondition, since a non-pure poset may have
+    an ordering too.  Where none is found the order complex is built and
+    searched (``find_shelling``), and every other verdict is read as before.
     Refutation requires a definite obstruction: a ridge in more than two top
     cells, nontrivial reduced homology, a non-pure complex, or an exhaustive
     shelling search that proves unshellability in dimension <= 2, where every
     triangulated ball is shellable (unshellable 3-balls exist: Rudin, 1958).
-    Any other failed search is inconclusive, as is everything else.
-    Certified CW means EL-certified: a poset whose EL sweep fails is not CW
-    (``"cw": false`` in ``verify``), and its verdict is inconclusive.
+    Refutations still come from that search alone.  Any other failed search
+    is inconclusive, as is everything else.  Certified CW means EL-certified:
+    a poset whose EL sweep fails is not CW (``"cw": false`` in ``verify``),
+    and its verdict is inconclusive.
 
     The ridge counts and the reduced homology are read off the augmented
     frame of ``cplx``, whose entries are the poset's covers.  The poset is
@@ -462,32 +593,35 @@ def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result, strands=None) -
     u_j.  So every cell degree divides the lcm L of the generators, the
     strand at L is the whole augmented frame, exact over Q and every F_p,
     and its homology over Z is 0 by the universal coefficient theorem.
-    Without such a report it is computed from Smith invariants.
+    Without such a report it is computed from Smith invariants, and only then
+    is the frame built as an ``IntegerChainComplex``.
     """
     cw_ok, _ = cw_result
-    frame = topology.frame_complex(cplx)
+    cols = topology._frame_cols(cplx)
     # a cell of degree >= 1 without a facet leaves no ridge count, and then
     # neither ridge condition holds
-    countable = all(col for layer in frame.cols for col in layer)
-    incidences = Counter(row for col in frame.cols[-1] for row in col).values()
+    countable = all(col for layer in cols for col in layer)
+    incidences = Counter(row for col in cols[-1] for row in col).values()
     cond2 = countable and all(c <= 2 for c in incidences)
     cond3 = countable and any(c == 1 for c in incidences)
     # through the module, so that a wrapper on topology.homology_ranks sees it
     hom_trivial = (strands is not None and strands.frame_acyclic) or all(
-        betti == 0 and not torsion for betti, torsion in topology.homology_ranks(frame)
+        betti == 0 and not torsion
+        for betti, torsion in topology.homology_ranks(topology.frame_complex(cplx))
     )
     if not cw_ok:
         return BallVerdict(None, cond2, cond3, hom_trivial, "inconclusive",
                            "poset not certified as CW")
     pure = poset.is_pure()
-    if pure:
+    shell = ShellingResult(None, True)
+    certificate = coatom_ordering(poset) if pure and cond2 and cond3 else None
+    if certificate is None and pure:
         data = poset.order_complex(drop_bottom=True)
         dimension = max(map(len, data.facets)) - 1
         shell = find_shelling(data)
-    else:
-        shell = ShellingResult(None, True)
+        certificate = shell.order
 
-    if shell.order is not None and cond2 and cond3:
+    if certificate is not None and cond2 and cond3:
         if not hom_trivial:
             raise RuntimeError(
                 "shelling + incidence conditions certified a ball, yet reduced "
@@ -508,4 +642,4 @@ def ball_check(poset: FinitePoset, cplx: FreeComplex, cw_result, strands=None) -
         verdict = "inconclusive"
         detail = (f"no shelling, which refutes no ball in dimension {dimension}"
                   if shell.exhaustive else "shelling search exceeded its budget")
-    return BallVerdict(shell.order, cond2, cond3, hom_trivial, verdict, detail)
+    return BallVerdict(certificate, cond2, cond3, hom_trivial, verdict, detail)

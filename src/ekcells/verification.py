@@ -607,8 +607,11 @@ def cm_battery(ideal: MonomialIdeal) -> dict:
     of each kind the ideal admits: the classical one always, the modified one
     when the ideal is Borel fixed.
 
-    Each shelling search runs under ``shelling.NODE_BUDGET``; a verdict
-    other than "ball-certified" raises.
+    Each ball check's search runs under ``shelling.NODE_BUDGET``; a verdict
+    other than "ball-certified" raises.  ``facets_{kind}`` counts the maximal
+    chains of the poset less its least element, the facets of its order
+    complex, in one pass over the covers: the chains from the least element
+    up to each cell, summed over the top cells.
     """
     is_cm, h, l_power = ideal.is_cm_stable()
     if not is_cm:
@@ -633,6 +636,8 @@ def cm_battery(ideal: MonomialIdeal) -> dict:
             raise VerificationError(
                 f"{kind} ball check returned {verdict.verdict}: {verdict.detail}"
             )
-        # the shelling order of a certified ball lists each facet once
-        stats[f"facets_{kind}"] = len(verdict.constructible_certificate)
+        chains = [0] * len(poset)
+        for x in poset._order:
+            chains[x] = sum(chains[y] for y in poset._down[x]) or 1
+        stats[f"facets_{kind}"] = sum(c for c, ups in zip(chains, poset._up) if not ups)
     return stats

@@ -208,6 +208,24 @@ class TestVerify:
         assert out == want
         assert all(k["reduced_homology_trivial"] for k in json.loads(out)["kinds"].values())
 
+    @pytest.mark.parametrize("cone, built", [("certifies", 0), ("declines", 2)])
+    def test_ball_check_builds_a_chain_complex_only_to_rank(self, cone, built, monkeypatch,
+                                                            capsys):
+        # the ball check counts ridges on the frame's columns; where the cone
+        # proves its homology zero, no IntegerChainComplex is built at all,
+        # and where it declines, one per kind, to rank; the bytes stay the same
+        argv = ["verify", "--named", "deg4", "--check", "all"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        seen, original = [], topology.IntegerChainComplex
+        monkeypatch.setattr(topology, "IntegerChainComplex",
+                            lambda *args: seen.append(args) or original(*args))
+        if cone == "declines":
+            monkeypatch.setattr(topology, "_mapping_cone", lambda *args: None)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert len(seen) == built
+
     def test_el_counts_without_cw_sweep(self, monkeypatch, capsys):
         # a poset that is not thin stops the CW check before its EL sweep;
         # the EL counts still come from a sweep of their own

@@ -15,6 +15,7 @@ from ekcells import (
     BOTTOM,
     AdmissiblePair,
     FinitePoset,
+    FreeComplex,
     SimplicialComplexData,
     ball_check,
     build_gamma,
@@ -28,7 +29,9 @@ from ekcells import (
 )
 from ekcells.cli import main
 from ekcells.ek import _attached, kind_of
-from ekcells.shelling import ELReport, ShellingResult, verify_shelling_order
+from ekcells.shelling import (
+    CoatomOrdering, ELReport, ShellingResult, coatom_ordering, verify_shelling_order,
+)
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import VerificationError, check_intervals, cm_battery
 from conftest import ball, gamma, ideal, mono, power_ideal, resolution, stable_closures
@@ -704,6 +707,8 @@ class TestFindShelling:
     def test_order_failing_its_check_exits_3(self, monkeypatch, capsys):
         from ekcells.cli import main
 
+        # with no coatom ordering found, the ball check searches
+        monkeypatch.setattr(shelling, "coatom_ordering", lambda poset: None)
         monkeypatch.setattr(shelling, "verify_shelling_order", lambda data, order: False)
         assert main(["verify", "--named", "deg2", "--check", "ball"]) == 3
         assert capsys.readouterr().err.startswith("internal error: shelling search returned")
@@ -781,6 +786,7 @@ class TestBallCheck:
     def test_unshellable_refutes_only_up_to_dimension_2(self, monkeypatch, J, verdict):
         # a search that proves a 3-dimensional order complex unshellable
         # refutes no ball, as unshellable 3-balls exist
+        monkeypatch.setattr(shelling, "coatom_ordering", lambda poset: None)
         monkeypatch.setattr(shelling, "find_shelling", lambda data: ShellingResult(None, True))
         v = ball("ek", J)
         assert v.cond2 and v.cond3 and v.homology_trivial
@@ -796,3 +802,130 @@ class TestBallCheck:
             J = random_borel_ideal(rng, cm=True, max_gens=8)
             v = ball("modified", J)
             assert v.verdict == "ball-certified"
+
+
+def induced_chain_order(poset, data, ordering):
+    """The facets of ``data``, the order complex of the poset less its least
+    element, as positions in its sorted facet list, in the lexicographic
+    order of the recursive coatom ordering: by top cell, then by the facets
+    of each cell in the order kept for it, with first the facets that lie
+    below an earlier facet of the cell above, read off the poset here."""
+    below, down = poset._below, poset._down
+    skip = poset.index(poset.minimal_elements()[0])
+    position = {f: i for i, f in enumerate(sorted(tuple(sorted(f)) for f in data.facets))}
+    order = []
+
+    def walk(cell, first, chain):
+        if cell is not None and not down[down[cell][0]]:  # a vertex ends the chain
+            order.append(position.get(tuple(sorted(k - (k > skip) for k in chain)), -1))
+            return
+        reach = 0
+        for z in ordering.facets[cell, first]:
+            walk(z, sum(1 << w for w in down[z] if reach >> w & 1), chain + (z,))
+            reach |= below[z]
+
+    walk(None, 0, ())
+    return order
+
+
+def oracle_ideals(group):
+    if group == "named and powers":
+        return ([named_ideal(name) for name in NAMED_IDEALS]
+                + [power_ideal(n, d) for n, ds in ((3, (2, 3, 4)), (4, (2, 3, 4)), (5, (2,)))
+                   for d in ds])
+    if group == "criterion 7":
+        rng = random.Random(20260811)
+        return [random_borel_ideal(rng, cm=True) for _ in range(50)]
+    # a seeded 20 of criterion 6's 200 draws, none of them among the ten
+    # whose order complex search takes seconds
+    rng = random.Random(20260810)
+    draws = [random_borel_ideal(rng) for _ in range(200)]
+    return [draws[k] for k in sorted(random.Random(2).sample(range(200), 20))]
+
+
+def dangling_edge():
+    """A hand-built complex: a triangle abc with an edge cd hung off its
+    vertex c.  Its top cells are a 2-cell and an edge, so its poset is not
+    pure."""
+    basis = [["a", "b", "c", "d"], ["ab", "bc", "ac", "cd"], ["abc"]]
+    ends = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    d1 = {}
+    for j, (x, y) in enumerate(ends):
+        d1[x, j], d1[y, j] = (-1, None), (1, None)
+    d2 = {(0, 0): (1, None), (1, 0): (1, None), (2, 0): (-1, None)}
+    return FreeComplex("ek", ("S", 4), basis, [[None] * len(layer) for layer in basis], [d1, d2])
+
+
+def face_poset(facets):
+    """The face poset of the simplicial complex with these facets (strings of
+    vertex names), its empty face the least element."""
+    faces = {frozenset(c) for f in facets for k in range(len(f) + 1)
+             for c in combinations(f, k)}
+    return FinitePoset(sorted(faces, key=lambda c: (len(c), sorted(c))),
+                       [(c - {v}, c) for c in faces for v in c])
+
+
+class TestCoatomOrdering:
+    @pytest.mark.parametrize("group", ["named and powers", "criterion 7", "criterion 6 sample"])
+    def test_found_exactly_where_a_shelling_is(self, group):
+        # where found, its lexicographic chain order lists each facet of the
+        # order complex once and passes the independent shelling check
+        found = Counter()
+        for J in oracle_ideals(group):
+            for kind in ("ek", "modified"):
+                poset = gamma(kind, J)
+                if not poset.is_pure():
+                    continue
+                data = poset.order_complex(drop_bottom=True)
+                ordering = coatom_ordering(poset)
+                assert (ordering is None) == (find_shelling(data).order is None)
+                found[ordering is not None] += 1
+                if ordering is not None:
+                    order = induced_chain_order(poset, data, ordering)
+                    assert sorted(order) == list(range(len(data.facets)))
+                    assert verify_shelling_order(data, order)
+        assert found[True] > 0
+        assert found[False] == {"named and powers": 3, "criterion 7": 0,
+                                "criterion 6 sample": 3}[group]
+
+    @pytest.mark.parametrize("facets, shellable", [
+        (["abc", "bcd", "cde"], True),
+        # ade meets the strip before it in the edge de and the vertex a: no
+        # order places it, as the complex has the homotopy type of a circle
+        (["abc", "bcd", "cde", "ade"], False),
+    ])
+    def test_faces_off_the_shared_facets_block_a_cell(self, facets, shellable):
+        poset = face_poset(facets)
+        search = find_shelling(poset.order_complex(drop_bottom=True))
+        assert search.exhaustive and (search.order is not None) == shellable
+        assert (coatom_ordering(poset) is not None) == shellable
+
+    def test_a_non_pure_poset_with_an_ordering_is_not_certified(self):
+        cplx = dangling_edge()
+        poset = build_gamma(cplx)
+        ordering = coatom_ordering(poset)
+        assert not poset.is_pure() and ordering is not None
+        v = ball_check(poset, cplx, (True, {}))
+        assert v.cond2 and v.cond3 and v.homology_trivial
+        assert (v.verdict, v.detail) == ("refuted", "order complex is not pure")
+        assert v.constructible_certificate is None
+
+    def test_budget_of_one_finds_none_and_searches(self, deg2, monkeypatch):
+        poset = gamma("ek", deg2)
+        assert coatom_ordering(poset) is not None
+        searched = []
+        original = shelling.find_shelling
+        monkeypatch.setattr(shelling, "find_shelling",
+                            lambda data: searched.append(data) or original(data))
+        monkeypatch.setattr(shelling, "NODE_BUDGET", 1)
+        assert coatom_ordering(poset) is None
+        v = ball("ek", deg2)
+        assert len(searched) == 1
+        assert (v.verdict, v.detail) == ("inconclusive", "shelling search exceeded its budget")
+
+    def test_certificate_is_the_ordering(self, deg2):
+        v = ball("ek", deg2)
+        assert v.verdict == "ball-certified"
+        assert v.detail == "shelling found; ridge conditions hold"
+        assert isinstance(v.constructible_certificate, CoatomOrdering)
+        assert v.constructible_certificate.tops == coatom_ordering(gamma("ek", deg2)).tops

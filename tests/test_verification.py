@@ -107,7 +107,9 @@ class TestBatteries:
         for _ in range(5):
             full_battery(random_borel_ideal(rng, max_gens=8))
 
-    def test_cm_battery_builds_one_order_complex_per_kind(self, deg2, monkeypatch):
+    def test_cm_battery_builds_no_order_complex(self, deg2, monkeypatch):
+        # the ball check certifies on the cells and the facets are counted as
+        # maximal chains, which the order complexes built here list
         built = []
         original = FinitePoset.order_complex
         monkeypatch.setattr(
@@ -115,8 +117,28 @@ class TestBatteries:
             lambda self, **kw: built.append(original(self, **kw)) or built[-1],
         )
         stats = cm_battery(deg2)
-        assert len(built) == 2
-        assert [stats["facets_ek"], stats["facets_modified"]] == [len(d.facets) for d in built]
+        assert built == []
+        assert [stats["facets_ek"], stats["facets_modified"]] == [
+            len(original(gamma(kind, deg2), drop_bottom=True).facets)
+            for kind in ("ek", "modified")
+        ]
+
+    def test_cm_battery_on_criterion_7_runs_no_search(self, monkeypatch):
+        rng = random.Random(20260811)  # the 50 draws of the cm-ball suite
+        draws = [random_borel_ideal(rng, cm=True) for _ in range(50)]
+        calls = []
+        original = FinitePoset.order_complex
+        monkeypatch.setattr(FinitePoset, "order_complex",
+                            lambda self, **kw: calls.append("complex") or original(self, **kw))
+        monkeypatch.setattr(shelling, "find_shelling", lambda data: calls.append("search"))
+        stats = [cm_battery(J) for J in draws]
+        assert calls == []
+        # the chain counts are the facet counts of the order complexes
+        assert [[s["facets_ek"], s["facets_modified"]] for s in stats] == [
+            [len(original(gamma(kind, J), drop_bottom=True).facets)
+             for kind in ("ek", "modified")]
+            for J in draws
+        ]
 
     def test_messages_built_only_on_failure(self, deg2, monkeypatch):
         # messages print through Monomial.__str__ and, on the squares of the
