@@ -12,10 +12,12 @@ strand oracle first reads exactness off the mapping-cone filtration of the
 complex: the cells grouped by generator, each group a Koszul complex on the
 variables of the linear quotient of its generator, which takes time linear
 in the differential and ranks no strand, and also proves the augmented frame
-acyclic over Z.  Where that certificate does not
-apply, it walks the lcm lattice of the generators and ranks each strand on
-its Smith invariants, which name the failing field.  The walk's verdict
-covers every multidegree where each cell degree is an lcm of the generators.
+acyclic over Z.  It reads degrees packed a byte per variable by
+``int.from_bytes`` and counts the lattice on a compact code of the
+generators alone.  Where that certificate does not apply, it walks the lcm
+lattice of the generators and ranks each strand on its Smith invariants,
+which name the failing field.  The walk's verdict covers every multidegree
+where each cell degree is an lcm of the generators.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 
 from .complexes import FreeComplex
@@ -106,10 +108,10 @@ def _nonzero_composite(cols):
     for k in range(len(cols) - 1):
         lower = cols[k]
         for col in cols[k + 1]:
-            image = defaultdict(int)
+            image = {}
             for t, x in col.items():
                 for i, y in lower[t].items():
-                    image[i] += x * y
+                    image[i] = image.get(i, 0) + x * y
             if any(image.values()):
                 return k
     return None
@@ -294,7 +296,8 @@ class StrandReport:
 
 
 class _PackedDegrees:
-    """The degrees of generators and cells packed into ints (Monagan-Pearce).
+    """The degrees of generators and cells packed into ints (Monagan-Pearce),
+    as the lattice walk reads them and the mapping cone counts its lattice.
 
     Variables whose exponents agree on every generator and cell share one
     field, so each exponent vector is read once.  Fields follow their first
@@ -303,7 +306,6 @@ class _PackedDegrees:
     largest exponent needs: that top bit, the guard, is clear in every packed
     degree and every lcm of them, and ``guard`` masks the guard bits, so a
     divides b exactly when ``((b | guard) - a) & guard == guard``.
-    ``single`` masks the low bits of the fields that hold one variable.
     ``gens`` are the generators packed and ``layers`` the cells, per degree.
     """
 
@@ -314,7 +316,6 @@ class _PackedDegrees:
         self.width = width = max(map(max, columns), default=0).bit_length() + 1
         self.shifts = [width * f for f in range(len(columns))][::-1]
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-        self.single = sum(1 << s for s, count in zip(self.shifts, columns.values()) if count == 1)
         index = {col: f for f, col in enumerate(columns)}
         self.fields = [index[col] for col in by_variable]  # each variable's field
         packed = iter([sum(e << s for e, s in zip(degree, self.shifts)) for degree in zip(*columns)])
@@ -374,7 +375,7 @@ def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
         for rows, cols, layer in zip(degrees, degrees[1:], frame)
         for c, col in zip(cols, layer) for i in col
     ) and _nonzero_composite(frame) is None
-    lattice = sorted(_lcm_closure(packing.gens, guard, packing.width))
+    lattice = sorted(_lcm_closure(packing.gens, guard))
     failures = []
     for b in lattice:
         bg = b | guard
@@ -447,60 +448,126 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
     exact over Q and over every F_p, and its reduced homology over Z, being
     finitely generated, is 0 by the universal coefficient theorem.
 
-    Degrees are packed once (``_PackedDegrees``); a field is a coefficient's
-    variable only if it holds one variable.
+    Degrees are packed once per call (``_byte_packed``), one whole-byte
+    field per variable, so a quotient is one variable to the first power
+    exactly when it is a single bit and that bit is a field's low bit.  The
+    lattice is counted on a compact code of the units alone (``_unit_code``).
     """
-    degree0 = cplx.mdegs[0]
-    if not degree0 or len(set(degree0)) != len(degree0) or set(degree0) != set(gens):
+    mdegs = cplx.mdegs
+    units = [m.exps for m in mdegs[0]]
+    if not units or len(set(units)) != len(units) or set(units) != {m.exps for m in gens}:
         return None
-    packing = _PackedDegrees(gens, cplx.mdegs)
-    guard, width, single, layers = packing.guard, packing.width, packing.single, packing.layers
-    frame, units = _frame_cols(cplx), layers[0]
-    # (a), (b): each element's (group, set), the set a mask of field low bits
-    placed, seen, spans = [(j, 0) for j in range(len(units))], set(), [0] * len(units)
+    layers, guard, low = _byte_packed(mdegs)
+    frame, packed_units = _frame_cols(cplx), layers[0]
+    # (a), (b): each element's (group, set), the set a mask of field low bits;
+    # each group's size, its unit included, and its span V_j
+    m = len(units)
+    placed, seen, sizes, spans = [(j, 0) for j in range(m)], set(), [1] * m, [0] * m
     for q in range(1, len(layers)):
         below, placed_below, placed = layers[q - 1], placed, []
         for c, col in zip(layers[q], frame[q]):
-            if not col or any(((c | guard) - below[i]) & guard != guard for i in col):
+            cg, j, steps = c | guard, -1, []
+            for i in col:
+                x = cg - below[i]
+                if x & guard != guard:  # the row's degree does not divide c
+                    return None
+                group, rest = placed_below[i]
+                if group > j:
+                    j, steps = group, [(x ^ guard, rest)]
+                elif group == j:
+                    steps.append((x ^ guard, rest))
+            if len(steps) != q:  # also an empty column, whose j stays -1
                 return None
-            j = max(placed_below[i][0] for i in col)
-            steps = [(c - below[i], placed_below[i][1]) for i in col if placed_below[i][0] == j]
-            s = reduce(or_, (x for x, _ in steps), 0)
-            if len(steps) != q or s.bit_count() != q or (j, s) in seen or not all(
-                    x & single and not x & (x - 1) and rest == s ^ x for x, rest in steps):
+            # the column's set S as its first step gives it: the rows' sets
+            # are distinct, of q - 1 variables each, so q one-variable steps
+            # x with x | rest == S leave S q variables and rest == S - x
+            s = steps[0][0] | steps[0][1]
+            for x, rest in steps:
+                if not x & low or x & (x - 1) or x | rest != s:
+                    return None
+            if s.bit_count() != q or (j, s) in seen:
                 return None
             seen.add((j, s))
             placed.append((j, s))
+            sizes[j] += 1
             spans[j] |= s
-    sizes = Counter(j for j, _ in seen)
-    if any(sizes[j] + 1 != 1 << span.bit_count() for j, span in enumerate(spans)):
-        return None
-    for j, (u, span) in enumerate(zip(units, spans)):  # (c), both inclusions
-        reach = span << (width - 1)
-        if any(((u | guard) - v) & reach == reach for v in units[:j]) or not all(
-                any((((u + (1 << b)) | guard) - v) & guard == guard for v in units[:j])
-                for b in range(0, span.bit_length(), width) if span >> b & 1):
+    lift = guard.bit_length() - low.bit_length()  # from a field's low bit to its guard
+    for j, (u, span) in enumerate(zip(packed_units, spans)):  # (b) every subset, (c)
+        if sizes[j] != 1 << span.bit_count():
             return None
+        reach, earlier = span << lift, packed_units[:j]
+        for v in earlier:
+            if ((u | guard) - v) & reach == reach:
+                return None
+        rest = span
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            w = (u + x) | guard
+            for v in earlier:
+                if (w - v) & guard == guard:
+                    break
+            else:
+                return None
     if _nonzero_composite(frame) is not None:  # (d)
         return None
-    return StrandReport(True, len(_lcm_closure(units, guard, width)), primes, [], True)
+    return StrandReport(True, len(_lcm_closure(*_unit_code(mdegs[0]))), primes, [], True)
 
 
-def _lcm_closure(gens, guard: int, width: int) -> set:
-    """The lcm lattice of packed degrees ``gens``, on fields of ``width`` bits
-    whose top bits make ``guard``.
+def _byte_packed(mdegs):
+    """The degrees ``mdegs`` packed by ``int.from_bytes``, with their guard
+    and field low-bit masks.
+
+    Each variable takes one field of whole bytes, the first variable the most
+    significant, and as many bytes as keep every exponent below the field's
+    top bit, the guard: one while every exponent is below 128.  So a divides
+    b exactly when ``((b | guard) - a) & guard == guard``.
+    """
+    n, from_bytes, size = len(mdegs[0][0].exps), int.from_bytes, 1
+    try:
+        layers = [[from_bytes(bytes(m.exps), "big") for m in layer] for layer in mdegs]
+        wide = reduce(or_, chain.from_iterable(layers)) & from_bytes(b"\x80" * n, "big")
+    except ValueError:  # bytes() takes no exponent above 255
+        wide = True
+    if wide:
+        size = max(e for layer in mdegs for m in layer for e in m.exps).bit_length() // 8 + 1
+        layers = [[from_bytes(b"".join(e.to_bytes(size, "big") for e in m.exps), "big")
+                   for m in layer] for layer in mdegs]
+    guard = from_bytes((b"\x80" + bytes(size - 1)) * n, "big")
+    return layers, guard, guard >> (8 * size - 1)
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")  # exponents 0 and 1 as binary digits
+
+
+def _unit_code(units) -> tuple:
+    """The degrees ``units`` coded for ``_lcm_closure``, with their guard:
+    one bit per variable and guard 0 where every exponent is 0 or 1, else
+    the walk's packing of the units alone, its fields one bit wider than the
+    largest exponent (``_PackedDegrees``)."""
+    exps = [m.exps for m in units]
+    if max(map(max, exps)) <= 1:
+        return [int(bytes(e).translate(_BITS), 2) for e in exps], 0
+    packing = _PackedDegrees(units, ())
+    return packing.gens, packing.guard
+
+
+def _lcm_closure(gens, guard: int) -> set:
+    """The lcm lattice of packed degrees ``gens``, on fields whose top bits
+    make ``guard`` (0 for fields of one bit, with no guard).
 
     Adds the generators one at a time, repeats dropped: g and its join with
-    each element so far.  On fields of width 2 every exponent is 0 or 1, so
-    a join is an OR.  Otherwise it is SWAR: the guard of a field survives
-    ``(a | guard) - g`` where a's exponent is at least g's, and subtracting
-    the guards shifted to the fields' low bits widens them into field masks.
+    each element so far.  On fields of at most 2 bits every exponent is 0 or
+    1, so a join is an OR.  Otherwise it is SWAR: the guard of a field
+    survives ``(a | guard) - g`` where a's exponent is at least g's, and
+    subtracting the guards shifted to the fields' low bits widens them into
+    field masks.
     """
-    shift = width - 1
+    shift = (guard & -guard).bit_length() - 1  # a field's width less its guard
     elements = set()
     for g in dict.fromkeys(gens):
-        if width == 2:
-            joins = {a | g for a in elements}
+        if shift < 2:
+            joins = set(map(g.__or__, elements))
         else:
             joins = set()
             for a in elements:

@@ -28,11 +28,13 @@ from ekcells.polarization import bpol_lifts, sigma_ideal, specialize_theta, spec
 from ekcells.suite import NAMED_IDEALS
 from ekcells.topology import (
     StrandReport,
+    _byte_packed,
     _exactness_defect,
     _lcm_closure,
     _mapping_cone,
     _PackedDegrees,
     _strand_walk,
+    _unit_code,
     invariant_factors,
     rank_int,
     rank_mod_p,
@@ -185,7 +187,7 @@ def closure_lattice(cplx, gens):
     """The strand walk's lattice, ``_lcm_closure`` on the packed degrees,
     unpacked to monomials."""
     packing = _PackedDegrees(gens, cplx.mdegs)
-    return {packing.unpack(b) for b in _lcm_closure(packing.gens, packing.guard, packing.width)}
+    return {packing.unpack(b) for b in _lcm_closure(packing.gens, packing.guard)}
 
 
 def battery_complexes(J):
@@ -615,15 +617,15 @@ class TestStrands:
         cplx, gens = widened(modified_complex(deg2), list(bpol_lifts(deg2)[1].values()))
         packing = _PackedDegrees(gens, cplx.mdegs)
         md, G = packing.layers[-1][0], packing.guard
-        lattice = _lcm_closure(packing.gens, G, packing.width)
+        lattice = _lcm_closure(packing.gens, G)
         assert lattice and all(((b | G) - md) & G != G for b in lattice)
         got = strand_exactness(cplx, gens, primes=(2, 3))
         assert not got.ok and got == reference_strand_exactness(cplx, gens, primes=(2, 3))
 
     def test_packing_unpacks_divides_and_keeps_monomial_order(self, deg2):
-        # the one packing of the cone and the walk: each degree unpacks to
-        # itself, the guard test is divisibility, packed ints order as
-        # monomials do, and there is one field per distinct exponent column
+        # the walk's packing: each degree unpacks to itself, the guard test is
+        # divisibility, packed ints order as monomials do, and there is one
+        # field per distinct exponent column
         rng = random.Random(3131)
         cases = [case for _ in range(5)
                  for case in battery_complexes(random_borel_ideal(rng, max_gens=8))]
@@ -639,12 +641,42 @@ class TestStrands:
             assert not any(x & G for x in packed)
             columns = list(zip(*(m.exps for m in monos)))
             assert len(packing.shifts) == len(set(columns))
-            assert [packing.fields.count(f) == 1 for f in range(len(packing.shifts))] == [
-                bool(packing.single >> s & 1) for s in packing.shifts]
             pairs = [rng.sample(range(len(monos)), 2) for _ in range(200)]
             for i, j in pairs:
                 assert (packed[i] < packed[j]) == (monos[i] < monos[j])
                 assert (((packed[j] | G) - packed[i]) & G == G) == monos[i].divides(monos[j])
+
+    def test_cone_packing_is_byte_wide_and_divides(self, deg2):
+        # the cone's packing: one field of whole bytes per variable, one byte
+        # below exponent 128; the guard test is divisibility, and a quotient
+        # is one variable to the first power exactly when it is a single bit
+        # that is a field's low bit.  The units' compact code closes to the
+        # lcm lattice of the units
+        rng = random.Random(3232)
+        cases = [case for _ in range(5)
+                 for case in battery_complexes(random_borel_ideal(rng, max_gens=8))]
+        cases.append(widened(modified_complex(deg2), list(bpol_lifts(deg2)[1].values())))
+        for power in (127, 128, 10**20):
+            J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, power))])
+            cases.append((ek_complex(J), list(J.gens)))
+        for cplx, _ in cases:
+            units = cplx.mdegs[0]
+            assert len(_lcm_closure(*_unit_code(units))) == len(reference_lcm_lattice(units))
+            layers, G, low = _byte_packed(cplx.mdegs)
+            monos = [md for layer in cplx.mdegs for md in layer]
+            packed = [x for layer in layers for x in layer]
+            n, top = len(monos[0].exps), max(e for m in monos for e in m.exps)
+            width = 8 * (1 if top < 128 else 2 if top < 2**15 else 9)
+            assert low.bit_count() == n and G == low << (width - 1)
+            assert (G & -G).bit_length() == width
+            assert not any(x & G for x in packed)
+            for _ in range(200):
+                i, j = rng.sample(range(len(monos)), 2)
+                divides = ((packed[j] | G) - packed[i]) & G == G
+                assert divides == monos[i].divides(monos[j])
+                x = packed[j] - packed[i]
+                step = divides and sum(monos[j].exps) == sum(monos[i].exps) + 1
+                assert (divides and x & low and not x & (x - 1)) == step
 
     def test_row_degree_that_does_not_divide(self, deg2):
         # off a Z-complex, a strand need not be a subcomplex
@@ -707,23 +739,26 @@ class TestLatticeWalk:
         return _strand_walk(cplx, gens, (2, 3))
 
     def test_squarefree_or_join_equals_swar_and_every_subset_lcm(self):
-        # exponents 0 and 1 packed 2 bits wide join by OR; packed 3 bits wide,
-        # the same exponents take the SWAR join
+        # exponents 0 and 1 coded 1 bit wide with no guard, as the cone codes
+        # its units, or packed 2 bits wide join by OR; packed 3 bits wide, the
+        # same exponents take the SWAR join
         rng = random.Random(67)
         for _ in range(60):
             n = rng.randint(1, 8)
             gens = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 7))]
-            closures = []
-            for width in (2, 3):
+            closures, codes = [], []
+            for width in (1, 2, 3):
                 shifts = [width * f for f in range(n)][::-1]
-                guard = sum(1 << (s + width - 1) for s in shifts)
+                guard = sum(1 << (s + width - 1) for s in shifts) if width > 1 else 0
                 packed = [sum(e << s for e, s in zip(exps, shifts)) for exps in gens]
-                closure = _lcm_closure(packed, guard, width)
+                closure = _lcm_closure(packed, guard)
                 assert not any(x & guard for x in closure)
                 closures.append({tuple(x >> s & 1 for s in shifts) for x in closure})
+                codes.append(packed)
             subsets = {tuple(map(max, zip(*combo)))
                        for k in range(1, len(gens) + 1) for combo in combinations(gens, k)}
-            assert closures[0] == closures[1] == subsets, gens
+            assert closures[0] == closures[1] == closures[2] == subsets, gens
+            assert _unit_code([Monomial(g) for g in gens]) == (codes[0], 0)
 
     def test_resolutions_pass_and_copies_without_a_top_cell_fail(self):
         # each resolution, and a copy without one top cell that stays a
@@ -1049,15 +1084,48 @@ class TestMappingCone:
         assert not walked
         assert checked == ["ek", "modified", "modified|theta", "modified|theta-prime"]
 
-    def test_lattice_counted_on_distinct_exponent_columns(self):
-        # bpol(x2^300) takes 300 squares whose exponents agree on every cell:
-        # the cone reads them as one field and counts the lattice on it
+    def test_lattice_counted_on_one_bit_per_square(self):
+        # bpol(x2^300) takes 301 squares: the cone packs a byte per square and
+        # counts the lattice on the units' squarefree code, a bit per square
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 300))])
         cplx, gens = modified_complex(J), list(bpol_lifts(J)[1].values())
         assert len(cplx.squares) == 301
         cone = _mapping_cone(cplx, gens, (2, 3))
+        assert cone is not None and cone.frame_acyclic
         assert cone == _strand_walk(cplx, gens, (2, 3))
         assert cone.strands_checked == 3
+
+    @pytest.mark.parametrize("power", [127, 128])
+    def test_exponents_at_the_byte_boundary(self, power):
+        # x2^127 fills a byte below its guard bit; x2^128 takes a field of two
+        J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, power))])
+        cplx, gens = ek_complex(J), list(J.gens)
+        cone = _mapping_cone(cplx, gens, (2, 3))
+        assert cone is not None and cone.frame_acyclic
+        report = strand_exactness(cplx, gens, primes=(2, 3))
+        assert report.ok and report.strands_checked == 3
+        assert report == cone == reference_strand_exactness(cplx, gens, primes=(2, 3))
+        broken = without_last_top_cell(cplx)
+        assert _mapping_cone(broken, gens, (2, 3)) is None
+        assert strand_exactness(broken, gens, primes=(2, 3)).failures == [
+            {"degree": f"x1*x2^{power}", "field": "Q", "position": 0, "defect": 1}]
+
+    def test_step_of_a_squared_variable_is_no_cube_edge(self):
+        # units x1 and x2 and one cell of degree x1^2*x2 with entries
+        # (+1, x1*x2) to x1 and (-1, x1^2) to x2: it composes with the
+        # augmentation and its group-1 step is one variable, but squared, so
+        # the cone does not apply, and the strand at x1*x2 has no cell to kill
+        # the cycle x1 - x2
+        x1, x2 = Monomial((1, 0)), Monomial((0, 1))
+        cplx = FreeComplex("ek", ("S", 2), [["u1", "u2"], ["c"]], [[x1, x2], [x1 * x1 * x2]],
+                           [{(0, 0): (1, x1 * x2), (1, 0): (-1, x1 * x1)}])
+        gens = [x1, x2]
+        for primes in ((), (2, 3)):
+            assert _mapping_cone(cplx, gens, primes) is None
+            report = strand_exactness(cplx, gens, primes)
+            assert report.failures == [
+                {"degree": "x1*x2", "field": "Q", "position": 0, "defect": 1}]
+            assert report == reference_strand_exactness(cplx, gens, primes)
 
 
 def poset_face_counts(poset):
