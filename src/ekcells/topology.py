@@ -12,18 +12,19 @@ strand oracle first reads exactness off the mapping-cone filtration of the
 complex: the cells grouped by generator, each group a Koszul complex on the
 variables of the linear quotient of its generator, which takes time linear
 in the differential and ranks no strand, and also proves the augmented frame
-acyclic over Z.  It reads degrees packed a byte per variable by
-``int.from_bytes`` and counts the lattice on a compact code of the
-generators alone.  Where that certificate does not apply, it walks the lcm
-lattice of the generators and ranks each strand on its Smith invariants,
-which name the failing field.  The walk's verdict covers every multidegree
-where each cell degree is an lcm of the generators.
+acyclic over Z, and counts the lattice on a compact code of the generators
+alone.  Where that certificate does not apply, it walks the lcm lattice of
+the generators and ranks each strand on its Smith invariants, which name
+the failing field.  Both routes read one packing of the degrees, a byte per
+variable by ``int.from_bytes``, and one frame, each made once per call.
+The walk's verdict covers every multidegree where each cell degree is an
+lcm of the generators.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress
@@ -295,39 +296,6 @@ class StrandReport:
         return self.failures[0] if self.failures else None
 
 
-class _PackedDegrees:
-    """The degrees of generators and cells packed into ints (Monagan-Pearce),
-    as the lattice walk reads them and the mapping cone counts its lattice.
-
-    Variables whose exponents agree on every generator and cell share one
-    field, so each exponent vector is read once.  Fields follow their first
-    variable, the first most significant, so packed ints order as
-    ``Monomial`` does.  Each field is ``width`` bits, one more than the
-    largest exponent needs: that top bit, the guard, is clear in every packed
-    degree and every lcm of them, and ``guard`` masks the guard bits, so a
-    divides b exactly when ``((b | guard) - a) & guard == guard``.
-    ``gens`` are the generators packed and ``layers`` the cells, per degree.
-    """
-
-    def __init__(self, gens, mdegs):
-        exps = [m.exps for m in gens] + [md.exps for layer in mdegs for md in layer]
-        by_variable = list(zip(*exps))  # each variable's exponents
-        columns = Counter(by_variable)
-        self.width = width = max(map(max, columns), default=0).bit_length() + 1
-        self.shifts = [width * f for f in range(len(columns))][::-1]
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-        index = {col: f for f, col in enumerate(columns)}
-        self.fields = [index[col] for col in by_variable]  # each variable's field
-        packed = iter([sum(e << s for e, s in zip(degree, self.shifts)) for degree in zip(*columns)])
-        self.gens = [next(packed) for _ in gens]
-        self.layers = [[next(packed) for _ in layer] for layer in mdegs]
-
-    def unpack(self, x) -> Monomial:
-        mask = (1 << (self.width - 1)) - 1
-        fields = [x >> s & mask for s in self.shifts]
-        return Monomial(tuple(fields[f] for f in self.fields))
-
-
 def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     """Check that the complex resolves the ideal generated by ``gens``.
 
@@ -348,15 +316,16 @@ def strand_exactness(cplx: FreeComplex, gens, primes=()) -> StrandReport:
     also proves the augmented frame acyclic over Z (``frame_acyclic``, by
     the lemma at ``_mapping_cone``), and ``verify`` reads it off the proof.
     """
-    gens, primes = list(gens), tuple(primes)
-    report = _mapping_cone(cplx, gens, primes)
-    return report if report is not None else _strand_walk(cplx, gens, primes)
+    primes = tuple(primes)
+    packed, frame = _byte_packed([list(gens), *cplx.mdegs]), _frame_cols(cplx)
+    report = _mapping_cone(cplx, packed, frame, primes)
+    return report if report is not None else _strand_walk(cplx, packed, frame, primes)
 
 
-def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
-    """``strand_exactness`` strand by strand, on the lcm lattice of ``gens``
-    (``_lcm_closure``) in ascending order, so failures come in the order of
-    their degrees.
+def _strand_walk(cplx: FreeComplex, packed, frame, primes) -> StrandReport:
+    """``strand_exactness`` strand by strand, on its ``packed`` degrees and
+    ``frame``: the lcm lattice of the generators (``_lcm_closure``) in
+    ascending order, so failures come in the order of their degrees.
 
     A strand is the frame restricted to the cells whose degree divides b.
     Its maps are ranked once, on their Smith invariants (``invariant_factors``),
@@ -367,15 +336,14 @@ def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
     whose ranks pass need not be a complex, and one whose maps do not compose
     fails with field "Z", defect None.
     """
-    packing = _PackedDegrees(gens, cplx.mdegs)
-    guard, frame = packing.guard, _frame_cols(cplx)
-    degrees = [[0], *packing.layers]  # the augmentation's degree divides every b
+    (gens, *layers), guard, low = packed
+    degrees = [[0], *layers]  # the augmentation's degree divides every b
     z_complex = all(
         ((c | guard) - rows[i]) & guard == guard
         for rows, cols, layer in zip(degrees, degrees[1:], frame)
         for c, col in zip(cols, layer) for i in col
     ) and _nonzero_composite(frame) is None
-    lattice = sorted(_lcm_closure(packing.gens, guard))
+    lattice = sorted(_lcm_closure(gens, guard))
     failures = []
     for b in lattice:
         bg = b | guard
@@ -396,14 +364,14 @@ def _strand_walk(cplx: FreeComplex, gens, primes) -> StrandReport:
             k = None if z_complex else _nonzero_composite(cols)
             failure = None if k is None else {"field": "Z", "position": k, "defect": None}
         if failure is not None:
-            failures.append({"degree": square_str(packing.unpack(b), cplx.squares), **failure})
+            failures.append({"degree": square_str(_unpack(b, guard, low), cplx.squares), **failure})
     return StrandReport(not failures, len(lattice), primes, failures)
 
 
-def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
-    """The report of ``strand_exactness(cplx, gens, primes)`` read off the
-    mapping-cone filtration of ``cplx``, or None where the lemma's
-    conditions fail.
+def _mapping_cone(cplx: FreeComplex, packed, frame, primes: tuple):
+    """The report of ``strand_exactness`` read off the mapping-cone
+    filtration of ``cplx``, given its ``packed`` degrees and ``frame``, or
+    None where the lemma's conditions fail.
 
     Lemma (Eliahou-Kervaire 1990; Herzog-Takayama, HHA 4, 2002).  Let F be a
     complex of free multigraded modules over S = k[x], k any field, with the
@@ -448,17 +416,15 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
     exact over Q and over every F_p, and its reduced homology over Z, being
     finitely generated, is 0 by the universal coefficient theorem.
 
-    Degrees are packed once per call (``_byte_packed``), one whole-byte
-    field per variable, so a quotient is one variable to the first power
-    exactly when it is a single bit and that bit is a field's low bit.  The
-    lattice is counted on a compact code of the units alone (``_unit_code``).
+    Degrees come packed (``_byte_packed``), one whole-byte field per
+    variable, so a quotient is one variable to the first power exactly when
+    it is a single bit and that bit is a field's low bit.  The lattice is
+    counted on a compact code of the units alone (``_unit_code``).
     """
-    mdegs = cplx.mdegs
-    units = [m.exps for m in mdegs[0]]
-    if not units or len(set(units)) != len(units) or set(units) != {m.exps for m in gens}:
+    (gens, *layers), guard, low = packed
+    units = layers[0]
+    if not units or len(set(units)) != len(units) or set(units) != set(gens):
         return None
-    layers, guard, low = _byte_packed(mdegs)
-    frame, packed_units = _frame_cols(cplx), layers[0]
     # (a), (b): each element's (group, set), the set a mask of field low bits;
     # each group's size, its unit included, and its span V_j
     m = len(units)
@@ -492,10 +458,10 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
             sizes[j] += 1
             spans[j] |= s
     lift = guard.bit_length() - low.bit_length()  # from a field's low bit to its guard
-    for j, (u, span) in enumerate(zip(packed_units, spans)):  # (b) every subset, (c)
+    for j, (u, span) in enumerate(zip(units, spans)):  # (b) every subset, (c)
         if sizes[j] != 1 << span.bit_count():
             return None
-        reach, earlier = span << lift, packed_units[:j]
+        reach, earlier = span << lift, units[:j]
         for v in earlier:
             if ((u | guard) - v) & reach == reach:
                 return None
@@ -511,30 +477,41 @@ def _mapping_cone(cplx: FreeComplex, gens: list, primes: tuple):
                 return None
     if _nonzero_composite(frame) is not None:  # (d)
         return None
-    return StrandReport(True, len(_lcm_closure(*_unit_code(mdegs[0]))), primes, [], True)
+    return StrandReport(True, len(_lcm_closure(*_unit_code(cplx.mdegs[0]))), primes, [], True)
 
 
-def _byte_packed(mdegs):
-    """The degrees ``mdegs`` packed by ``int.from_bytes``, with their guard
-    and field low-bit masks.
+def _byte_packed(degrees):
+    """The layers of monomials ``degrees`` packed by ``int.from_bytes``, with
+    their guard and field low-bit masks: the one packing of both strand
+    routes, which ``_unpack`` reads back.
 
     Each variable takes one field of whole bytes, the first variable the most
-    significant, and as many bytes as keep every exponent below the field's
-    top bit, the guard: one while every exponent is below 128.  So a divides
-    b exactly when ``((b | guard) - a) & guard == guard``.
+    significant, so packed ints order as ``Monomial`` does, and as many bytes
+    as keep every exponent below the field's top bit, the guard: one while
+    every exponent is below 128.  So a divides b exactly when
+    ``((b | guard) - a) & guard == guard``.
     """
-    n, from_bytes, size = len(mdegs[0][0].exps), int.from_bytes, 1
+    first = next(chain.from_iterable(degrees), None)
+    n, from_bytes, size = len(first.exps) if first else 0, int.from_bytes, 1
     try:
-        layers = [[from_bytes(bytes(m.exps), "big") for m in layer] for layer in mdegs]
-        wide = reduce(or_, chain.from_iterable(layers)) & from_bytes(b"\x80" * n, "big")
+        layers = [[from_bytes(bytes(m.exps), "big") for m in layer] for layer in degrees]
+        wide = reduce(or_, chain.from_iterable(layers), 0) & from_bytes(b"\x80" * n, "big")
     except ValueError:  # bytes() takes no exponent above 255
         wide = True
     if wide:
-        size = max(e for layer in mdegs for m in layer for e in m.exps).bit_length() // 8 + 1
+        size = max(e for layer in degrees for m in layer for e in m.exps).bit_length() // 8 + 1
         layers = [[from_bytes(b"".join(e.to_bytes(size, "big") for e in m.exps), "big")
-                   for m in layer] for layer in mdegs]
+                   for m in layer] for layer in degrees]
     guard = from_bytes((b"\x80" + bytes(size - 1)) * n, "big")
     return layers, guard, guard >> (8 * size - 1)
+
+
+def _unpack(x: int, guard: int, low: int) -> Monomial:
+    """The monomial packed into ``x`` by ``_byte_packed`` with ``guard`` and
+    ``low``: its fields read back by ``int.to_bytes``."""
+    size = (guard.bit_length() - low.bit_length() + 1) // 8  # bytes per field
+    raw = x.to_bytes(size * low.bit_count(), "big")
+    return Monomial(tuple(int.from_bytes(raw[k:k + size], "big") for k in range(0, len(raw), size)))
 
 
 _BITS = bytes.maketrans(b"\0\1", b"01")  # exponents 0 and 1 as binary digits
@@ -542,19 +519,22 @@ _BITS = bytes.maketrans(b"\0\1", b"01")  # exponents 0 and 1 as binary digits
 
 def _unit_code(units) -> tuple:
     """The degrees ``units`` coded for ``_lcm_closure``, with their guard:
-    one bit per variable and guard 0 where every exponent is 0 or 1, else
-    the walk's packing of the units alone, its fields one bit wider than the
-    largest exponent (``_PackedDegrees``)."""
+    one bit per variable and guard 0 where every exponent is 0 or 1, else a
+    field per variable one bit wider than the largest exponent needs, which
+    is narrower than ``_byte_packed``'s and so makes the count's joins cheaper."""
     exps = [m.exps for m in units]
-    if max(map(max, exps)) <= 1:
+    width = max(map(max, exps)).bit_length() + 1  # with the guard bit
+    if width <= 2:
         return [int(bytes(e).translate(_BITS), 2) for e in exps], 0
-    packing = _PackedDegrees(units, ())
-    return packing.gens, packing.guard
+    shifts = range(width * (len(exps[0]) - 1), -1, -width)
+    guard = sum(1 << s + width - 1 for s in shifts)
+    return [sum(e << s for e, s in zip(x, shifts)) for x in exps], guard
 
 
 def _lcm_closure(gens, guard: int) -> set:
     """The lcm lattice of packed degrees ``gens``, on fields whose top bits
-    make ``guard`` (0 for fields of one bit, with no guard).
+    make ``guard``: ``_byte_packed``'s for the walk, ``_unit_code``'s for
+    the cone's count (guard 0 for its fields of one bit, with no guard).
 
     Adds the generators one at a time, repeats dropped: g and its join with
     each element so far.  On fields of at most 2 bits every exponent is 0 or

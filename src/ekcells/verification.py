@@ -539,19 +539,17 @@ def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FiniteP
             for s in m.support()
             if s != h
         }
-        if kind == "ek":
-            expected = set()
-            for p in expected_tops:
-                expected |= set(poset.interval_set(BOTTOM, p))
-            if inter != expected:
-                raise VerificationError(
-                    f"intersection with interval {jj} differs from predicted union ({kind})"
-                )
         maximal = {
             x for x in inter if not any(y != x and poset.lt(x, y) for y in inter)
         }
+        # inter, an intersection of down-sets, is the union of the lower
+        # intervals of its maximal elements; the predicted tops, distinct cells
+        # of one rank, are an antichain.  So inter is the predicted union
+        # exactly when its maximal elements are the predicted tops.
         if maximal != expected_tops:
             raise VerificationError(
+                f"intersection with interval {jj} differs from predicted union ({kind})"
+                if kind == "ek" else
                 f"maximal elements of intersection {jj} are {maximal}, "
                 f"expected {expected_tops} ({kind})"
             )

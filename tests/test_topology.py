@@ -30,11 +30,12 @@ from ekcells.topology import (
     StrandReport,
     _byte_packed,
     _exactness_defect,
+    _frame_cols,
     _lcm_closure,
     _mapping_cone,
-    _PackedDegrees,
     _strand_walk,
     _unit_code,
+    _unpack,
     invariant_factors,
     rank_int,
     rank_mod_p,
@@ -183,11 +184,27 @@ def reference_strand_exactness(cplx, gens, primes=()):
     return report
 
 
+def packed_degrees(cplx, gens):
+    """The generators and cell degrees byte-packed as ``strand_exactness``
+    packs them: the layers, the guard and the field low bits."""
+    return _byte_packed([list(gens), *cplx.mdegs])
+
+
+def mapping_cone(cplx, gens, primes):
+    """``_mapping_cone`` on the packing and frame ``strand_exactness`` reads."""
+    return _mapping_cone(cplx, packed_degrees(cplx, gens), _frame_cols(cplx), tuple(primes))
+
+
+def strand_walk(cplx, gens, primes):
+    """``_strand_walk`` on the packing and frame ``strand_exactness`` reads."""
+    return _strand_walk(cplx, packed_degrees(cplx, gens), _frame_cols(cplx), tuple(primes))
+
+
 def closure_lattice(cplx, gens):
-    """The strand walk's lattice, ``_lcm_closure`` on the packed degrees,
-    unpacked to monomials."""
-    packing = _PackedDegrees(gens, cplx.mdegs)
-    return {packing.unpack(b) for b in _lcm_closure(packing.gens, packing.guard)}
+    """The strand walk's lattice, ``_lcm_closure`` on the byte-packed
+    generators, unpacked to monomials."""
+    (packed, *_), guard, low = packed_degrees(cplx, gens)
+    return {_unpack(b, guard, low) for b in _lcm_closure(packed, guard)}
 
 
 def battery_complexes(J):
@@ -584,11 +601,12 @@ class TestStrands:
 
     @pytest.mark.parametrize("d, width", [(7, 4), (8, 5)])
     def test_field_width_steps_with_the_exponent(self, d, width):
-        # (x1, x2)^7 takes exponents up to 7, which fit three bits plus the
-        # guard; (x1, x2)^8 takes 8 and needs four
+        # the cone's unit code: (x1, x2)^7 takes exponents up to 7, which fit
+        # three bits plus the guard; (x1, x2)^8 takes 8 and needs four
         J = power_ideal(2, d)
         cek = ek_complex(J)
-        assert _PackedDegrees(list(J.gens), cek.mdegs).width == width
+        _, G = _unit_code(cek.mdegs[0])
+        assert (G & -G).bit_length() == width and G.bit_count() == 2
         for cplx, gens in battery_complexes(J)[:2]:
             got = strand_exactness(cplx, gens, primes=(2, 3))
             want = reference_strand_exactness(cplx, gens, primes=(2, 3))
@@ -597,16 +615,17 @@ class TestStrands:
         # lcm(x1^(d-i) x2^i, x1^(d-j) x2^j) = x1^(d-i) x2^j for i <= j
         assert strand_exactness(cek, list(J.gens)).strands_checked == (d + 1) * (d + 2) // 2
 
-    @pytest.mark.parametrize("power", [10**9, 10**20])
+    @pytest.mark.parametrize("power", [127, 128, 10**9, 10**20])
     def test_exponents_wider_than_a_machine_word(self, power):
-        # (x1, x2^power): x2's field is as wide as power, past 64 bits at 10^20
+        # (x1, x2^power): x2's field takes whole bytes, one at 127, two at 128
+        # and nine at 10^20, past 64 bits
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, power))])
         cplx, gens = ek_complex(J), list(J.gens)
         assert closure_lattice(cplx, gens) == reference_lcm_lattice(gens)
         got = strand_exactness(cplx, gens, primes=(2, 3))
         assert got.ok and got.strands_checked == 3
         assert got == reference_strand_exactness(cplx, gens, primes=(2, 3))
-        # a failure is named by its exponents
+        # the walk names a failure by its exponents
         broken = strand_exactness(without_last_top_cell(cplx), gens, primes=(2, 3))
         assert broken.failures == [
             {"degree": f"x1*x2^{power}", "field": "Q", "position": 0, "defect": 1}]
@@ -615,17 +634,17 @@ class TestStrands:
         # the modified complex in a ring with one more square, (9, 9), that no
         # generator uses, and one multidegree times x[9,9]
         cplx, gens = widened(modified_complex(deg2), list(bpol_lifts(deg2)[1].values()))
-        packing = _PackedDegrees(gens, cplx.mdegs)
-        md, G = packing.layers[-1][0], packing.guard
-        lattice = _lcm_closure(packing.gens, G)
+        (packed, *layers), G, _ = packed_degrees(cplx, gens)
+        md = layers[-1][0]
+        lattice = _lcm_closure(packed, G)
         assert lattice and all(((b | G) - md) & G != G for b in lattice)
         got = strand_exactness(cplx, gens, primes=(2, 3))
         assert not got.ok and got == reference_strand_exactness(cplx, gens, primes=(2, 3))
 
     def test_packing_unpacks_divides_and_keeps_monomial_order(self, deg2):
-        # the walk's packing: each degree unpacks to itself, the guard test is
-        # divisibility, packed ints order as monomials do, and there is one
-        # field per distinct exponent column
+        # the packing both routes read: each degree unpacks to itself, sets
+        # no guard bit, packed ints order as monomials do, and the guard test
+        # is divisibility
         rng = random.Random(3131)
         cases = [case for _ in range(5)
                  for case in battery_complexes(random_borel_ideal(rng, max_gens=8))]
@@ -633,14 +652,11 @@ class TestStrands:
         cases += [(ek_complex(J), list(J.gens)),
                   widened(modified_complex(deg2), list(bpol_lifts(deg2)[1].values()))]
         for cplx, gens in cases:
-            packing = _PackedDegrees(gens, cplx.mdegs)
+            layers, G, low = packed_degrees(cplx, gens)
             monos = list(gens) + [md for layer in cplx.mdegs for md in layer]
-            packed = packing.gens + [x for layer in packing.layers for x in layer]
-            G = packing.guard
-            assert [packing.unpack(x) for x in packed] == monos
+            packed = [x for layer in layers for x in layer]
+            assert [_unpack(x, G, low) for x in packed] == monos
             assert not any(x & G for x in packed)
-            columns = list(zip(*(m.exps for m in monos)))
-            assert len(packing.shifts) == len(set(columns))
             pairs = [rng.sample(range(len(monos)), 2) for _ in range(200)]
             for i, j in pairs:
                 assert (packed[i] < packed[j]) == (monos[i] < monos[j])
@@ -736,7 +752,7 @@ class TestLatticeWalk:
     def check_walk(cplx, gens):
         """Checks the walk's lattice; returns its report over Q, F_2 and F_3."""
         assert closure_lattice(cplx, gens) == reference_lcm_lattice(list(gens))
-        return _strand_walk(cplx, gens, (2, 3))
+        return strand_walk(cplx, gens, (2, 3))
 
     def test_squarefree_or_join_equals_swar_and_every_subset_lcm(self):
         # exponents 0 and 1 coded 1 bit wide with no guard, as the cone codes
@@ -798,7 +814,7 @@ class TestLatticeWalk:
         # the lattice is x3 < x1*x2 < x1*x2*x3: the 3-torsion at x1*x2 stays
         # in the top strand, which adds h and t
         cplx, gens = torsion_tower()
-        report = _strand_walk(cplx, gens, (2, 3))
+        report = strand_walk(cplx, gens, (2, 3))
         assert report == reference_strand_exactness(cplx, gens, primes=(2, 3))
         assert report.failures == [
             {"degree": "x1*x2", "field": "F3", "position": 0, "defect": 1},
@@ -827,7 +843,7 @@ class TestLatticeWalk:
                             lambda cols: calls.append(1) or kernel(cols))
         for primes in ((), (5,), (prime,), (5, prime), (prime, 5), (2, 3), (3, 2)):
             calls.clear()
-            got = _strand_walk(cplx, gens, primes)
+            got = strand_walk(cplx, gens, primes)
             assert len(calls) == len(frame) and got.strands_checked == 1
             assert got.failures == ([{"degree": "x1*x2", "field": f"F{prime}", "position": 0,
                                       "defect": 1}] if prime in primes else [])
@@ -914,12 +930,12 @@ class TestLatticeWalk:
         # of two of them, which is no minimal generator
         rng = random.Random(2020)
         for cplx, gens in self.resolution_cases():
-            want = _strand_walk(cplx, gens, (2, 3))
+            want = strand_walk(cplx, gens, (2, 3))
             lattice = closure_lattice(cplx, gens)
             shuffled = rng.sample(gens, len(gens))
             for variant in (shuffled, gens + gens[::2], gens + [gens[0].lcm(gens[-1])]):
                 assert closure_lattice(cplx, variant) == lattice
-                assert _strand_walk(cplx, variant, (2, 3)) == want
+                assert strand_walk(cplx, variant, (2, 3)) == want
 
 
 class TestMappingCone:
@@ -946,15 +962,15 @@ class TestMappingCone:
     def test_routes_match_the_object_oracle(self):
         for cplx, gens in self.certified_cases():
             for primes in ((), (2, 3)):
-                cone = _mapping_cone(cplx, gens, primes)
+                cone = mapping_cone(cplx, gens, primes)
                 assert cone is not None, (cplx.kind, gens)
                 assert cone == strand_exactness(cplx, gens, primes)
-                assert cone == _strand_walk(cplx, gens, primes)
+                assert cone == strand_walk(cplx, gens, primes)
                 assert cone == reference_strand_exactness(cplx, gens, primes)
         # (x1..x4)^4 against the walk alone: its object oracle takes seconds
         for cplx, gens in battery_complexes(power_ideal(4, 4)):
             for primes in ((), (2, 3)):
-                assert _mapping_cone(cplx, gens, primes) == _strand_walk(cplx, gens, primes)
+                assert mapping_cone(cplx, gens, primes) == strand_walk(cplx, gens, primes)
 
     @pytest.mark.parametrize("mutation, ok", [
         # (a) holds by construction, as a group is read off the rows: with
@@ -1004,10 +1020,10 @@ class TestMappingCone:
                             lambda cols: composites.append(composite(cols)) or composites[-1])
         for primes in ((), (2, 3)):
             composites.clear()
-            assert _mapping_cone(cplx, gens, primes) is None
+            assert mapping_cone(cplx, gens, primes) is None
             assert (composites != []) == mutation.startswith("(d)")
             got = strand_exactness(cplx, gens, primes)
-            assert got == _strand_walk(cplx, gens, primes)
+            assert got == strand_walk(cplx, gens, primes)
             assert got == reference_strand_exactness(cplx, gens, primes)
             assert got.ok == ok
             if mutation.startswith("(d)"):
@@ -1038,7 +1054,7 @@ class TestMappingCone:
         # independent check, show no homology and no torsion
         certified = 0
         for cplx, gens in self.lemma_cases():
-            report = _mapping_cone(cplx, gens, ())
+            report = mapping_cone(cplx, gens, ())
             assert report is not None and report.frame_acyclic, (cplx.kind, gens)
             assert all(betti == 0 and not torsion
                        for betti, torsion in homology_ranks(frame_complex(cplx)))
@@ -1064,7 +1080,7 @@ class TestMappingCone:
                 cplx = FreeComplex(cplx.kind, cplx.ring, cplx.basis, cplx.mdegs, diffs)
             for primes in ((), (2,), (2, 3)):
                 report = strand_exactness(cplx, gens, primes)
-                assert report == _strand_walk(cplx, gens, primes)
+                assert report == strand_walk(cplx, gens, primes)
                 assert not report.frame_acyclic
                 assert report.ok == (mutation == "3-torsion" and 3 not in primes)
         if mutation == "3-torsion":
@@ -1090,9 +1106,9 @@ class TestMappingCone:
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 300))])
         cplx, gens = modified_complex(J), list(bpol_lifts(J)[1].values())
         assert len(cplx.squares) == 301
-        cone = _mapping_cone(cplx, gens, (2, 3))
+        cone = mapping_cone(cplx, gens, (2, 3))
         assert cone is not None and cone.frame_acyclic
-        assert cone == _strand_walk(cplx, gens, (2, 3))
+        assert cone == strand_walk(cplx, gens, (2, 3))
         assert cone.strands_checked == 3
 
     @pytest.mark.parametrize("power", [127, 128])
@@ -1100,13 +1116,13 @@ class TestMappingCone:
         # x2^127 fills a byte below its guard bit; x2^128 takes a field of two
         J = MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, power))])
         cplx, gens = ek_complex(J), list(J.gens)
-        cone = _mapping_cone(cplx, gens, (2, 3))
+        cone = mapping_cone(cplx, gens, (2, 3))
         assert cone is not None and cone.frame_acyclic
         report = strand_exactness(cplx, gens, primes=(2, 3))
         assert report.ok and report.strands_checked == 3
         assert report == cone == reference_strand_exactness(cplx, gens, primes=(2, 3))
         broken = without_last_top_cell(cplx)
-        assert _mapping_cone(broken, gens, (2, 3)) is None
+        assert mapping_cone(broken, gens, (2, 3)) is None
         assert strand_exactness(broken, gens, primes=(2, 3)).failures == [
             {"degree": f"x1*x2^{power}", "field": "Q", "position": 0, "defect": 1}]
 
@@ -1121,7 +1137,7 @@ class TestMappingCone:
                            [{(0, 0): (1, x1 * x2), (1, 0): (-1, x1 * x1)}])
         gens = [x1, x2]
         for primes in ((), (2, 3)):
-            assert _mapping_cone(cplx, gens, primes) is None
+            assert mapping_cone(cplx, gens, primes) is None
             report = strand_exactness(cplx, gens, primes)
             assert report.failures == [
                 {"degree": "x1*x2", "field": "Q", "position": 0, "defect": 1}]
