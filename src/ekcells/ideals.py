@@ -8,8 +8,9 @@ constructions).
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from operator import le
+from operator import le, or_
 
 from .monomials import Monomial
 
@@ -156,13 +157,16 @@ class MonomialIdeal:
     # -- height and Cohen-Macaulayness ----------------------------------------
 
     def height(self) -> int:
-        """Minimum size of a variable set meeting every generator's support."""
-        supports = [frozenset(m.support()) for m in self.gens]
-        universe = sorted(frozenset().union(*supports))
-        for size in range(1, len(universe) + 1):
-            for cover in combinations(universe, size):
-                cset = set(cover)
-                if all(s & cset for s in supports):
+        """Minimum size of a variable set meeting every generator's support,
+        searched over the sets of each size in turn.  Variable i is bit i - 1
+        of a mask, so a set meets a support when their masks share a bit."""
+        supports = {sum(1 << i for i, e in enumerate(m.exps) if e) for m in self.gens}
+        universe = reduce(or_, supports, 0)
+        variables = [1 << i for i in range(universe.bit_length()) if universe >> i & 1]
+        for size in range(1, len(variables) + 1):
+            for cover in combinations(variables, size):
+                mask = sum(cover)
+                if all(s & mask for s in supports):
                     return size
         raise AssertionError("unreachable: full support set is always a cover")
 

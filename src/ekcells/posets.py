@@ -160,9 +160,6 @@ class FinitePoset:
     def leq(self, a, b) -> bool:
         return self._above[self._idx[a]] >> self._idx[b] & 1 == 1
 
-    def lt(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
-
     def down_covers(self, x) -> list:
         return [self.elements[j] for j in self._down[self._idx[x]]]
 
@@ -182,11 +179,6 @@ class FinitePoset:
                          for a, ups in enumerate(d._up) for b in ups)
         d._rank = None
         return d
-
-    def interval_set(self, a, b) -> tuple:
-        """The elements of the closed interval [a, b]; empty unless a <= b."""
-        mask = self._above[self._idx[a]] & self._below[self._idx[b]]
-        return tuple(e for k, e in enumerate(self.elements) if mask >> k & 1)
 
     # -- chains ---------------------------------------------------------------
 

@@ -8,9 +8,10 @@ assert per ideal.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import add, le
+from operator import add, le, or_
 
 from . import shelling
 from .complexes import FreeComplex
@@ -490,31 +491,40 @@ def _check_bset_relations(table, pair, bset):
 # -- Cohen-Macaulay structure -------------------------------------------------------
 
 
-def _find_power_completion(ideal, base, h, min_l):
-    cap = ideal.max_deg() + 1
-    xh = Monomial.variable(ideal.n, h)
-    gens = set(ideal.gens)
-    for l in range(min_l, cap + 1):
-        if base * (xh ** l) in gens:
-            return l
-    return None
-
-
 def check_cm_generator_exchanges(ideal: MonomialIdeal, h: int):
     """For CM ideals: dropping any support variable of a generator can be
     completed back into a generator with a power of x_h (stable form), resp.
-    with x_{k+1} and a power of x_h (Borel form)."""
+    with x_{k+1} and a power of x_h (Borel form).
+
+    base * x_h^l, l >= 1, is a generator exactly when some generator agrees
+    with base off slot h and has a larger x_h exponent, so one table of the
+    largest x_h exponent per generator, keyed by its exponents with slot h
+    zeroed, answers every completion."""
+    slot = h - 1
+    top = {}
     for m in ideal.gens:
+        e = m.exps
+        key = e[:slot] + (0,) + e[h:]
+        if top.get(key, -1) < e[slot]:
+            top[key] = e[slot]
+
+    def completes(base):
+        return top.get(base[:slot] + (0,) + base[h:], -1) > base[slot]
+
+    for m in ideal.gens:
+        e = m.exps
         for k in m.support():
-            if _find_power_completion(ideal, m.div_var(k), h, 1) is None:
+            if not completes(e[:k - 1] + (e[k - 1] - 1,) + e[k:]):
                 raise VerificationError(f"no power of x{h} completes {m}/x{k} into a generator")
     if ideal.is_borel_fixed():
+        gens = {m.exps for m in ideal.gens}
         for m in ideal.gens:
+            e = m.exps
             for k in m.support():
                 if k >= h:
                     continue
-                base = m.div_var(k).times_var(k + 1)
-                if base not in ideal.gens and _find_power_completion(ideal, base, h, 1) is None:
+                base = e[:k - 1] + (e[k - 1] - 1, e[k] + 1) + e[k + 1:]
+                if base not in gens and not completes(base):
                     raise VerificationError(
                         f"no power of x{h} completes ({m}/x{k})*x{k + 1} into a generator"
                     )
@@ -524,34 +534,47 @@ def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FiniteP
     """The poset is the union of the lower intervals of the full pairs over
     the top-variable generators, and consecutive intersections are the
     predicted interval unions (classical) / have the predicted maximal
-    elements (modified)."""
+    elements (modified).
+
+    Each interval is the bitmask above(0hat) & below(full pair) of cell
+    indices, and cell k is maximal in an intersection exactly when
+    above(k) & intersection is k alone: one mask test per cell."""
+    rules = kind_of(kind)
     tops = ideal.top_generators()
     full = tuple(range(1, h))
-    full_pairs = [AdmissiblePair(full, m, kind) for m in tops]
-    intervals = [set(poset.interval_set(BOTTOM, p)) for p in full_pairs]
-    if set().union(*intervals) != set(poset.elements):
+    above, below, elements = poset._above, poset._below, poset.elements
+    floor = above[poset.index(BOTTOM)]
+    intervals = [floor & below[poset.index(AdmissiblePair(full, m, rules))] for m in tops]
+    if reduce(or_, intervals, 0) != (1 << len(elements)) - 1:
         raise VerificationError(f"{kind} poset is not covered by the full-pair intervals")
+    union = intervals[0]
     for jj in range(1, len(tops)):
-        inter = set().union(*intervals[:jj]) & intervals[jj]
+        inter, union = union & intervals[jj], union | intervals[jj]
         m = tops[jj]
-        expected_tops = {
-            AdmissiblePair(tuple(x for x in full if x != s), m, kind)
-            for s in m.support()
-            if s != h
-        }
-        maximal = {
-            x for x in inter if not any(y != x and poset.lt(x, y) for y in inter)
-        }
+        expected = [tuple(x for x in full if x != s) for s in m.support() if s != h]
+        maximal, rest = [], inter
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            k = bit.bit_length() - 1
+            if above[k] & inter == bit:
+                maximal.append(elements[k])
         # inter, an intersection of down-sets, is the union of the lower
         # intervals of its maximal elements; the predicted tops, distinct cells
         # of one rank, are an antichain.  So inter is the predicted union
-        # exactly when its maximal elements are the predicted tops.
-        if maximal != expected_tops:
+        # exactly when its maximal elements are the predicted tops: distinct
+        # cells, so equal in number and each a predicted top.
+        if len(maximal) != len(expected) or not all(
+                isinstance(x, AdmissiblePair) and x.kind is rules and x.m == m
+                and x.F in expected for x in maximal):
+            # cells as sets built from the intervals' cell sets, which fixes their print order
+            cells = [{e for k, e in enumerate(elements) if mask >> k & 1} for mask in intervals]
+            found = {x for x in set().union(*cells[:jj]) & cells[jj] if x in maximal}
             raise VerificationError(
                 f"intersection with interval {jj} differs from predicted union ({kind})"
                 if kind == "ek" else
-                f"maximal elements of intersection {jj} are {maximal}, "
-                f"expected {expected_tops} ({kind})"
+                f"maximal elements of intersection {jj} are {found}, "
+                f"expected {({AdmissiblePair(F, m, kind) for F in expected})} ({kind})"
             )
 
 

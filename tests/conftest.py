@@ -1,10 +1,11 @@
+import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from ekcells import (
     BOTTOM, Monomial, MonomialIdeal, ball_check, build_gamma, cli, ek_complex, is_cw_poset,
-    modified_complex, shelling,
+    modified_complex, random_borel_ideal, shelling,
 )
 from ekcells.ek import _b_indices, _shift_entry, kind_of
 from ekcells.suite import named_ideal
@@ -64,6 +65,23 @@ def resolution(kind, J):
 def gamma(kind, J):
     """The cell poset of the kind's resolution of J."""
     return build_gamma(resolution(kind, J))
+
+
+def interval(p, a, b):
+    """The elements of the closed interval [a, b] of the poset p, in the
+    order of its elements; empty unless a <= b."""
+    mask = p._above[p.index(a)] & p._below[p.index(b)]
+    return tuple(e for k, e in enumerate(p.elements) if mask >> k & 1)
+
+
+def criterion_draws(number):
+    """The random ideals of acceptance criterion 6 (200 Borel fixed ideals)
+    or 7 (50 Cohen-Macaulay Borel fixed ideals), in the order drawn."""
+    if number == 6:
+        rng = random.Random(20260810)
+        return [random_borel_ideal(rng) for _ in range(200)]
+    rng = random.Random(20260811)
+    return [random_borel_ideal(rng, cm=True) for _ in range(50)]
 
 
 def ball(kind, J):

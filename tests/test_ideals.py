@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,7 @@ from ekcells import (
 from ekcells.polarization import sigma_ideal
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import _exponents_up_to, check_g_properties
-from conftest import ideal, mono, stable_closures
+from conftest import criterion_draws, ideal, mono, stable_closures
 
 
 class TestMinimalize:
@@ -250,6 +250,22 @@ class TestHeightAndCM:
 
     def test_principal_cm(self):
         assert ideal(1, "x1").is_cm_stable() == (True, 1, 1)
+
+    def test_height_agrees_with_the_set_search(self):
+        # the least size of a set of variables meeting every support, searched
+        # on frozensets of variable indices
+        def reference(J):
+            supports = [frozenset(m.support()) for m in J.gens]
+            universe = sorted(frozenset().union(*supports))
+            return next(size for size in range(1, len(universe) + 1)
+                        for cover in combinations(universe, size)
+                        if all(s & set(cover) for s in supports))
+
+        ideals = (criterion_draws(6) + criterion_draws(7)
+                  + [named_ideal(name) for name in NAMED_IDEALS])
+        heights = [J.height() for J in ideals]
+        assert heights == [reference(J) for J in ideals]
+        assert len(set(heights)) > 2
 
 
 class TestBorelClosure:

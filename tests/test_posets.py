@@ -22,7 +22,7 @@ from ekcells import (
 from ekcells.ek import admissible_layers, kind_of
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import check_cover_support
-from conftest import b_set, gamma, ideal, mono, power_ideal
+from conftest import b_set, gamma, ideal, interval, mono, power_ideal
 
 
 def chain_poset(k):
@@ -59,18 +59,18 @@ class TestFinitePoset:
     def test_leq_and_intervals(self):
         p = chain_poset(4)
         assert p.leq(0, 3) and not p.leq(3, 0)
-        assert p.interval_set(1, 3) == (1, 2, 3)
-        assert p.interval_set(3, 1) == ()
+        assert interval(p, 1, 3) == (1, 2, 3)
+        assert interval(p, 3, 1) == ()
 
     def test_interval_of_length_two_in_gamma(self, deg2):
         g = gamma("ek", deg2)
         pair = AdmissiblePair((1, 2), mono("x3^2", 3))
         ranks = g.ranks()
         length2 = [
-            e for e in g.interval_set(BOTTOM, pair) if ranks[pair] - ranks[e] == 2
+            e for e in interval(g, BOTTOM, pair) if ranks[pair] - ranks[e] == 2
         ]
         for e in length2:
-            assert len(g.interval_set(e, pair)) == 4
+            assert len(interval(g, e, pair)) == 4
 
     def test_dual_involution(self, deg2):
         g = gamma("ek", deg2)

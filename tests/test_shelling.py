@@ -34,7 +34,7 @@ from ekcells.shelling import (
 )
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import VerificationError, check_intervals, cm_battery
-from conftest import ball, gamma, ideal, mono, power_ideal, resolution, stable_closures
+from conftest import ball, gamma, ideal, interval, mono, power_ideal, resolution, stable_closures
 
 
 class TestEdgeLabels:
@@ -729,7 +729,7 @@ class TestFindShelling:
                     continue
                 rep = reference_el_report(dual, e, bottom, tri_sq)
                 assert rep.passed
-                members = poset.interval_set(bottom, e)
+                members = interval(poset, bottom, e)
                 covers = [(a, b) for a, b in poset.covers if a in members and b in members]
                 data = FinitePoset(members, covers).order_complex()
                 assert find_shelling(data).order is not None

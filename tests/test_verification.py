@@ -14,6 +14,7 @@ from ekcells.polarization import specialize_theta, specialize_theta_prime
 from ekcells.verification import (
     VerificationError,
     _exponents_up_to,
+    check_cm_generator_exchanges,
     check_cover_support,
     check_d2,
     check_frame_invariance,
@@ -27,7 +28,8 @@ from ekcells.verification import (
     full_battery,
 )
 from ekcells.posets import BOTTOM, FinitePoset, build_gamma
-from conftest import gamma, ideal, mono, power_ideal, resolution
+from ekcells.suite import NAMED_IDEALS, named_ideal
+from conftest import criterion_draws, gamma, ideal, interval, mono, power_ideal, resolution
 
 
 def product_lookups(J):
@@ -595,3 +597,129 @@ class TestPropertyChecks:
     def test_interval_sweep_counts(self, intro):
         cplx = resolution("ek", intro)
         assert check_intervals(cplx, build_gamma(cplx).dual(), intro) == 9
+
+
+def raised(check, *args):
+    """The message of the VerificationError that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except VerificationError as err:
+        return str(err)
+    return None
+
+
+def reference_exchanges(J, h):
+    """The message ``check_cm_generator_exchanges`` raises on (J, h), or None,
+    by the definition: a completion of base is looked up among the
+    base * x_h^l, 1 <= l <= max_deg + 1."""
+    xh = Monomial.variable(J.n, h)
+    gens = set(J.gens)
+
+    def completes(base):
+        return any(base * xh ** l in gens for l in range(1, J.max_deg() + 2))
+
+    for m in J.gens:
+        for k in m.support():
+            if not completes(m.div_var(k)):
+                return f"no power of x{h} completes {m}/x{k} into a generator"
+    if J.is_borel_fixed():
+        for m in J.gens:
+            for k in m.support():
+                if k < h:
+                    base = m.div_var(k).times_var(k + 1)
+                    if base not in gens and not completes(base):
+                        return f"no power of x{h} completes ({m}/x{k})*x{k + 1} into a generator"
+    return None
+
+
+def reference_decomposition(kind, J, poset, h):
+    """The message ``check_interval_decomposition`` raises, or None, by the
+    definition: each full-pair interval as a set of cells, and the maximal
+    cells of each intersection by a scan of all its pairs."""
+    tops = J.top_generators()
+    full = tuple(range(1, h))
+    intervals = [set(interval(poset, BOTTOM, AdmissiblePair(full, m, kind))) for m in tops]
+    if set().union(*intervals) != set(poset.elements):
+        return f"{kind} poset is not covered by the full-pair intervals"
+    for jj in range(1, len(tops)):
+        inter = set().union(*intervals[:jj]) & intervals[jj]
+        m = tops[jj]
+        expected = {AdmissiblePair(tuple(x for x in full if x != s), m, kind)
+                    for s in m.support() if s != h}
+        maximal = {x for x in inter if not any(y != x and poset.leq(x, y) for y in inter)}
+        if maximal != expected:
+            return (f"intersection with interval {jj} differs from predicted union ({kind})"
+                    if kind == "ek" else
+                    f"maximal elements of intersection {jj} are {maximal}, "
+                    f"expected {expected} ({kind})")
+    return None
+
+
+def decomposition_ideals():
+    """Criterion 7's draws, (x1..x3)^2..4, (x1..x4)^2..3 and the named ideals."""
+    return (criterion_draws(7) + [power_ideal(3, d) for d in (2, 3, 4)]
+            + [power_ideal(4, d) for d in (2, 3)] + [named_ideal(name) for name in NAMED_IDEALS])
+
+
+class TestCMStructureOracles:
+    def test_missing_power_completion_names_the_quotient(self):
+        J = ideal(2, "x1^2", "x1*x2")
+        with pytest.raises(VerificationError, match=re.escape(
+                "no power of x2 completes x1*x2/x1 into a generator")):
+            check_cm_generator_exchanges(J, 2)
+
+    def test_missing_borel_completion_names_the_moved_quotient(self):
+        # found by a search of the Borel closures of up to three seeds of
+        # degree <= 3 in up to four variables, the only one failing the Borel
+        # form alone, with h = 3 below max_max = 4: every generator completes
+        # in the stable form, but (x1*x4/x1)*x2 = x2*x4 is no generator and
+        # x2*x3 divides every x2*x4*x3^l
+        J = ideal(4, "x1^2", "x1*x2", "x1*x3", "x1*x4", "x2^2", "x2*x3", "x3^3", "x3^2*x4")
+        assert J.is_borel_fixed()
+        with pytest.raises(VerificationError, match=re.escape(
+                "no power of x3 completes (x1*x4/x1)*x2 into a generator")):
+            check_cm_generator_exchanges(J, 3)
+
+    def test_exchanges_agree_with_the_power_scan(self):
+        # criterion 6's draws are mostly not Cohen-Macaulay, so many raise
+        draws = criterion_draws(6) + criterion_draws(7)
+        outcomes = [raised(check_cm_generator_exchanges, J, J.max_max()) for J in draws]
+        assert outcomes == [reference_exchanges(J, J.max_max()) for J in draws]
+        assert outcomes.count(None) not in (0, len(draws))
+
+    def test_decomposition_agrees_with_the_set_definition(self, monkeypatch):
+        outcomes = []
+
+        def compare(kind, J, poset):
+            h = J.max_max()
+            got = raised(check_interval_decomposition, kind, J, poset, h)
+            assert got == reference_decomposition(kind, J, poset, h), (kind, J)
+            outcomes.append(got)
+
+        cases = [(kind, J, gamma(kind, J))
+                 for J in decomposition_ideals() for kind in ("ek", "modified")]
+        for kind, J, g in cases:
+            compare(kind, J, g)
+            # one cover removed, at eight places, and an extra minimal cell
+            # under the last cell
+            for drop in range(0, len(g.covers), -(-len(g.covers) // 8)):
+                compare(kind, J, FinitePoset(g.elements, g.covers[:drop] + g.covers[drop + 1:]))
+            compare(kind, J, FinitePoset(g.elements + ("extra",),
+                                         g.covers + (("extra", g.elements[-1]),)))
+        original = MonomialIdeal.top_generators
+        monkeypatch.setattr(MonomialIdeal, "top_generators", lambda J: original(J)[::-1])
+        for kind, J, g in cases:
+            compare(kind, J, g)
+        assert None in outcomes
+        assert {message.split(" ")[0] for message in outcomes if message} == {
+            "ek", "modified", "intersection", "maximal"}
+        # some failures name several maximal cells, whose print order is pinned
+        assert any(message and message.split(" expected ")[0].count("~e(") > 1
+                   for message in outcomes)
+
+    @pytest.mark.parametrize("kind", ["ek", "modified"])
+    def test_full_pair_outside_the_poset_raises(self, kind, deg2):
+        # the full pairs of the other kind are not cells of this poset
+        other = "modified" if kind == "ek" else "ek"
+        with pytest.raises(KeyError):
+            check_interval_decomposition(other, deg2, gamma(kind, deg2), 3)
