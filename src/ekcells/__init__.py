@@ -34,7 +34,6 @@ from .posets import (
 )
 from .shelling import (
     BallVerdict,
-    ELReport,
     ball_check,
     el_label_edge,
     find_shelling,

@@ -3,7 +3,9 @@
 Subcommands: resolve, verify, polarize, poset, compare, paper-suite.  All but
 paper-suite read an ideal from ``--ideal``, ``--named`` or ``--random-borel``;
 each declares only the other flags it reads (``--kind``, ``--d``, ``--out``,
-``resolve --export``), so an unread flag is an argparse error.  ``resolve``
+``resolve --export``), so an unread flag is an argparse error.  ``--seed``,
+``--max-n``, ``--max-deg`` and ``--max-gens`` bound the draw, and without
+``--random-borel`` exit 2 before any output.  ``resolve``
 without ``--export`` and ``polarize`` without ``--diagram`` write no file, so
 there ``--out`` exits 2, as ``--expect-ball`` does without a ball check.
 Exit codes: 0 success, 1 check failure, 2 input error, 3 internal error.
@@ -43,10 +45,13 @@ def _add_input_flags(p):
         action="store_true",
         help="generate a random Borel fixed ideal instead of reading a file",
     )
-    p.add_argument("--seed", type=int, default=0, help="random generator seed")
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-deg", type=int, default=4)
-    p.add_argument("--max-gens", type=int, default=12)
+    # read only by --random-borel, so left unset unless given, for
+    # _load_ideal to reject without it; unset, each takes the draw's default
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="random generator seed (default 0)")
+    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-deg", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-gens", type=int, default=argparse.SUPPRESS)
 
 
 # the flags more than one subcommand reads
@@ -63,14 +68,13 @@ def _add_shared_flags(p, *flags):
 
 
 def _load_ideal(args):
-    if args.ideal:
-        return read_ideal(args.ideal)
-    if getattr(args, "named", None):
-        return named_ideal(args.named)
-    rng = random.Random(args.seed)
-    return random_borel_ideal(
-        rng, max_n=args.max_n, max_deg=args.max_deg, max_gens=args.max_gens
-    )
+    # the --random-borel flags given, in command-line order
+    drawn = {k: v for k, v in vars(args).items() if k in ("seed", "max_n", "max_deg", "max_gens")}
+    if not args.random_borel:
+        if drawn:
+            raise ValueError(f"--{next(iter(drawn)).replace('_', '-')} needs --random-borel")
+        return read_ideal(args.ideal) if args.ideal else named_ideal(args.named)
+    return random_borel_ideal(random.Random(drawn.pop("seed", 0)), **drawn)
 
 
 def _kinds(args, ideal):

@@ -123,12 +123,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exps)
 
-    def deg(self, i: int) -> int:
-        """The exponent of x_i, i.e. the largest k with x_i^k dividing self."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range 1..{self.n}")
-        return self.exps[i - 1]
-
     def support(self) -> tuple:
         return tuple(i for i, e in enumerate(self.exps, 1) if e)
 

@@ -23,25 +23,20 @@ run over the covers of x below b, and l(y) be the label of x <* y:
   carries it.
 
 Each x merges these records of its covers, so the sweep is one pass over the
-pairs x <= b, in reverse topological order, and lists no chain.  Verdicts read
-the records; ``ELSweep.reports`` builds reports from them, walking each
-increasing chain, and counts the maximal chains, which no verdict reads:
-chains[x, b] = sum_y chains[y, b], with chains[b, b] = 1.
+pairs x <= b, in reverse topological order, and lists no chain and counts no
+maximal chain.  Verdicts and their failure messages read the records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
 
 from . import topology
 from .complexes import FreeComplex
-from .monomials import square_str
 from .posets import BOTTOM, FinitePoset, SimplicialComplexData
 
 __all__ = [
-    "ELReport",
     "ELSweep",
     "BallVerdict",
     "CoatomOrdering",
@@ -62,18 +57,6 @@ _TOP = 1 << 60
 NODE_BUDGET = 500_000
 
 
-@dataclass(slots=True)
-class ELReport:
-    bottom: object
-    top: object
-    max_chains: int
-    increasing_chains: int
-    lex_least: bool
-    passed: bool
-    increasing_chain: object = None
-    increasing_label: object = None
-
-
 @dataclass(slots=True, eq=False)
 class ELSweep:
     """What ``verify_el_all`` computes on ``dual``: ``cover_labels[i][k]``
@@ -81,9 +64,8 @@ class ELSweep:
     ``lex`` are the per-pair records by element index, and ``failing`` lists
     the index pairs (a, b) whose [a, b] fails.
 
-    ``len()``, ``failures()`` and ``intervals()`` read the records, in report
-    order: a and then b in element order.  ``reports()`` builds the reports
-    from them, a new list at each call.
+    ``len()``, ``failures()`` and ``intervals()`` read the records, in
+    interval order: a and then b in element order.
     """
 
     dual: FinitePoset
@@ -96,12 +78,12 @@ class ELSweep:
         return sum(map(len, self.lex)) - len(self.lex)  # less the pairs [a, a]
 
     def failures(self) -> list:
-        """The (bottom, top) of each failing interval, in report order."""
+        """The (bottom, top) of each failing interval, in interval order."""
         els = self.dual.elements
         return [(els[a], els[b]) for a, b in sorted(self.failing)]
 
     def intervals(self):
-        """(bottom, top, word) of each interval, in report order: word is the
+        """(bottom, top, word) of each interval, in interval order: word is the
         label word of its one increasing chain, which is lex-least, where the
         interval passes, else None."""
         els, failing = self.dual.elements, set(self.failing)
@@ -110,36 +92,6 @@ class ELSweep:
             for b in sorted(oa):
                 if b != a:
                     yield ea, els[b], None if (a, b) in failing else oa[b][0]
-
-    def reports(self) -> list:
-        """The reports, built from the records.  The maximal chains of every
-        pair are counted in one pass in reverse topological order, and each
-        one increasing chain is walked from the records."""
-        els, up, label = self.dual.elements, self.dual._up, self.cover_labels
-        rising, lex, failing = self.rising, self.lex, set(self.failing)
-        chains = [None] * len(els)
-        for x in reversed(self.dual._order):
-            cx = {x: 1}
-            for y in up[x]:
-                for b, c in chains[y].items():
-                    cx[b] = cx.get(b, 0) + c
-            chains[x] = cx
-        out = []
-        for a, ca in enumerate(chains):
-            ea, ra = els[a], rising[a]
-            for b in sorted(ca):
-                if b == a:
-                    continue
-                r = ra.get(b)
-                if r.__class__ is int:  # one increasing chain, lex-least where [a, b] passes
-                    path, word = _rising_chain(a, b, up, label, lex, rising)
-                    chain = tuple(els[k] for k in path)
-                    passed = (a, b) not in failing
-                    out.append(ELReport(ea, els[b], ca[b], 1, passed, passed, chain, word))
-                else:  # no increasing chain, or several
-                    rises = 0 if r is None else sum(r.values())
-                    out.append(ELReport(ea, els[b], ca[b], rises, False, False))
-        return out
 
 
 @dataclass
@@ -190,8 +142,8 @@ def el_label_edge(lower, upper, ideal) -> int:
 
 
 def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
-    """EL reports for every nontrivial interval [a, b] of the dual poset, a and
-    then b in element order.
+    """The EL sweep over every nontrivial interval [a, b] of the dual poset, a
+    and then b in element order.
 
     Each cover is labelled once.  Then each x, in reverse topological order,
     merges the records of [y, b] of its covers y into those of [x, b], by the
@@ -200,10 +152,7 @@ def verify_el_all(dual: FinitePoset, ideal) -> ELSweep:
     passed over and only covers of a tied label compare their words.  [a, b]
     passes when it has exactly one increasing chain and its lex-least word is
     increasing: that chain then carries the word, which no other chain does.
-    The result holds the labels and records (``ELSweep``); its
-    ``reports()`` reads each report's one increasing chain off them by
-    following the covers that keep the chain increasing, and only it counts
-    the maximal chains.
+    The result holds the labels and records (``ELSweep``).
     """
     els, up = dual.elements, dual._up  # by index, so that no element is hashed
     label = [[el_label_edge(els[i], els[j], ideal) for j in ups] for i, ups in enumerate(up)]
@@ -273,27 +222,6 @@ def _rising_chain(a, b, up, label, lex, rising):
     return path, tuple(word)
 
 
-def _positive_part(variables, squares, chain, labels, lift, end_lift):
-    """The monomial of the positive labels along an increasing chain: the
-    product of the variables its start attaches to them (``variables``, its
-    generator's list from ``ek._attached``), from the kind's ring, the
-    chain's labels and the lifts of its ends.
-
-    The result is checked against lcm(lift(start), lift(end)) / lift(start)
-    and a mismatch raises, as does a label that names no index of the start.
-    """
-    if max(labels) >= len(variables):
-        raise RuntimeError(f"label {max(labels)} names no index of {chain[0]!r}")
-    lcm = lift.lcm(end_lift)
-    u = prod((variables[i] for i in labels if i > 0), start=lift)
-    if u != lcm:
-        raise RuntimeError(
-            f"positive-label monomial {square_str(u.div(lift), squares)} differs from "
-            f"lcm quotient {square_str(lcm.div(lift), squares)} on chain {chain!r}"
-        )
-    return u.div(lift)
-
-
 def is_cw_poset(poset: FinitePoset, ideal):
     """Certify that a poset is the face poset of a regular CW complex.
 
@@ -304,16 +232,16 @@ def is_cw_poset(poset: FinitePoset, ideal):
     5, 1984).  No shelling search runs, so an EL failure reads as not CW.
     Returns (bool, witness dict); when the sweep fails, ``el_first_failure``
     names the first failing dual interval (a, b).  The counts and that
-    interval are read off the sweep's records, so no verdict builds a report.
+    interval are read off the sweep's records.
     """
     witness = {"thin": poset.is_thin()}
     witness["bounded_below"] = len(poset.minimal_elements()) == 1
     if not (witness["thin"] and witness["bounded_below"] and len(poset) >= 2):
         witness["el_intervals"] = None
         return False, witness
-    reports = verify_el_all(poset.dual(), ideal)
-    failures = reports.failures()
-    witness["el_intervals"] = len(reports)
+    sweep = verify_el_all(poset.dual(), ideal)
+    failures = sweep.failures()
+    witness["el_intervals"] = len(sweep)
     witness["el_failures"] = len(failures)
     if failures:
         witness["el_first_failure"] = failures[0]

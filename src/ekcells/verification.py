@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import add, le, or_
+from operator import add, le, or_, sub
 
 from . import shelling
 from .complexes import FreeComplex
@@ -36,7 +36,7 @@ from .polarization import (
 )
 from .posets import BOTTOM, FinitePoset, build_gamma
 from .shelling import ball_check, is_cw_poset
-from .topology import strand_exactness
+from .topology import _frame_cols, strand_exactness
 
 __all__ = ["VerificationError", "full_battery", "cm_battery"]
 
@@ -101,17 +101,12 @@ def check_pair_counts(ideal: MonomialIdeal, cplx: FreeComplex):
             )
 
 
-def _frame_signs(cplx: FreeComplex) -> list:
-    """Each differential of ``cplx`` as its {position: sign} map: with the
-    ranks, all that its frame complex reads."""
-    return [{pos: sign for pos, (sign, _) in mat.items()} for mat in cplx.diffs]
-
-
 def check_frame_invariance(cplx: FreeComplex, *specialized: FreeComplex):
-    """The complexes share ranks and signs, so one frame complex."""
-    base = _frame_signs(cplx)
+    """The complexes have one frame complex: the same columns of signs, whose
+    shape fixes the ranks."""
+    base = _frame_cols(cplx)
     for other in specialized:
-        if other.ranks != cplx.ranks or _frame_signs(other) != base:
+        if _frame_cols(other) != base:
             raise VerificationError(f"frame of {other.kind} differs from frame of {cplx.kind}")
 
 
@@ -221,7 +216,7 @@ def check_thin(poset: FinitePoset, kind: str, ideal: MonomialIdeal):
 
 def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) -> int:
     """The EL sweep over all intervals of the dual of ``cplx``'s cell poset,
-    with more checks on its labels and on each interval's report.
+    with more checks on its labels and on each interval.
 
     Verifies: injectivity of the labeling on the maximal chains of each
     interval, realizability of the label swap, negation and rotation
@@ -258,11 +253,12 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
     both of its sides; and g(x_G a.m), for the minimal supports, on (a.m, G).
 
     The intervals and their increasing words are read off the sweep's
-    records (``ELSweep.intervals``).  Reports are built (``ELSweep.reports``)
-    only on a failure: to say how an interval fails EL, or to name the
-    increasing chain of a failed lcm identity.  The lcm identity is compared
-    on exponent tuples: lift(a.m) plus one in the slot of each positive
-    label's attached variable against the elementwise max of the two lifts.
+    records (``ELSweep.intervals``), and so is each failure's wording: how
+    many increasing chains a failing interval has, and the increasing chain
+    (``shelling._rising_chain``) of a failed lcm identity.  The lcm identity
+    is compared on exponent tuples: lift(a.m) plus one in the slot of each
+    positive label's attached variable against the elementwise max of the
+    two lifts.
     """
     # Called through the module, so that a wrapper installed on
     # shelling.verify_el_all (bench/tracer.py) also sees this sweep.
@@ -271,18 +267,17 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
     _check_label_rewrites(cplx.kind, dual, sweep.cover_labels)
     squares = cplx.squares  # the ring and the generators' lifts, as built
     lifts = dict(zip((pair.m for pair in cplx.basis[0]), cplx.mdegs[0]))
-    variables = _attached(kind_of(cplx.kind), ideal, squares)
     # the slot of each attached variable in the lifts' exponent tuples
-    slots = {m: [None] + [x.exps.index(1) for x in xs[1:]] for m, xs in variables.items()}
+    slots = {m: [None] + [x.exps.index(1) for x in xs[1:]]
+             for m, xs in _attached(kind_of(cplx.kind), ideal, squares).items()}
     holds = set()  # the (a.m, b.m, positive labels) whose lcm identity holds
     shifted = {}   # (a.m, G) -> the exponents of g(x_G a.m), for the minimal supports
-    for k, (a, b, word) in enumerate(sweep.intervals()):
-        if word is None:  # [a, b] fails EL; its report says how
-            rep = sweep.reports()[k]
-            if rep.increasing_chains != 1:
-                raise VerificationError(
-                    f"{rep.increasing_chains} increasing maximal chains on [{a!r}, {b!r}]"
-                )
+    for a, b, word in sweep.intervals():
+        if word is None:  # [a, b] fails EL
+            r = sweep.rising[dual.index(a)].get(dual.index(b))
+            rises = 0 if r is None else 1 if r.__class__ is int else sum(r.values())
+            if rises != 1:
+                raise VerificationError(f"{rises} increasing maximal chains on [{a!r}, {b!r}]")
             raise VerificationError(f"increasing chain not lex-least on [{a!r}, {b!r}]")
         if b is BOTTOM:
             continue
@@ -291,19 +286,22 @@ def check_intervals(cplx: FreeComplex, dual: FinitePoset, ideal: MonomialIdeal) 
         key = (am.exps, bm.exps, positive)
         if key not in holds:
             at, lift = slots[am], lifts[am].exps
-            u = None  # stays None where a label names no index of a
-            if max(word) < len(at):
-                u = list(lift)
-                for i in positive:
-                    u[at[i]] += 1
-            if u != list(map(max, lift, lifts[bm].exps)):
-                try:
-                    shelling._positive_part(variables[am], squares,
-                                            sweep.reports()[k].increasing_chain,
-                                            word, lifts[am], lifts[bm])
-                except RuntimeError as exc:  # the lcm identity fails
-                    raise VerificationError(
-                        f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
+            if max(word) >= len(at):
+                raise VerificationError(f"lcm identity fails on [{a!r}, {b!r}]: "
+                                        f"label {max(word)} names no index of {a!r}")
+            u = list(lift)
+            for i in positive:
+                u[at[i]] += 1
+            lcm = list(map(max, lift, lifts[bm].exps))
+            if u != lcm:
+                path, _ = shelling._rising_chain(dual.index(a), dual.index(b), dual._up,
+                                                 sweep.cover_labels, sweep.lex, sweep.rising)
+                u, lcm = (square_str(Monomial._of(tuple(map(sub, e, lift))), squares)
+                          for e in (u, lcm))
+                raise VerificationError(
+                    f"lcm identity fails on [{a!r}, {b!r}]: positive-label monomial {u} "
+                    f"differs from lcm quotient {lcm} on chain "
+                    f"{tuple(dual.elements[k] for k in path)!r}")
             holds.add(key)
         if cplx.kind == "ek":
             _check_minimal_support(ideal, a, b, word, shifted)
@@ -567,15 +565,20 @@ def check_interval_decomposition(kind: str, ideal: MonomialIdeal, poset: FiniteP
         if len(maximal) != len(expected) or not all(
                 isinstance(x, AdmissiblePair) and x.kind is rules and x.m == m
                 and x.F in expected for x in maximal):
-            # cells as sets built from the intervals' cell sets, which fixes their print order
-            cells = [{e for k, e in enumerate(elements) if mask >> k & 1} for mask in intervals]
-            found = {x for x in set().union(*cells[:jj]) & cells[jj] if x in maximal}
+            # printed in a fixed order, as a set of pairs, which hash with their
+            # kind's id, iterates in one that varies between processes
+            expected = [AdmissiblePair(F, m, kind) for F in sorted(expected)]
             raise VerificationError(
                 f"intersection with interval {jj} differs from predicted union ({kind})"
                 if kind == "ek" else
-                f"maximal elements of intersection {jj} are {found}, "
-                f"expected {({AdmissiblePair(F, m, kind) for F in expected})} ({kind})"
+                f"maximal elements of intersection {jj} are {_braced(maximal)}, "
+                f"expected {_braced(expected)} ({kind})"
             )
+
+
+def _braced(items) -> str:
+    """The items' reprs in braces, in their order, as a set of them prints."""
+    return "{" + ", ".join(map(repr, items)) + "}" if items else "set()"
 
 
 # -- batteries ---------------------------------------------------------------------
@@ -600,9 +603,7 @@ def full_battery(ideal: MonomialIdeal) -> dict:
         check_minimality(c)
         check_multidegrees(c)
     check_pair_counts(ideal, cek)
-    check_pair_counts(ideal, cmod)
-    if cek.ranks != cmod.ranks:
-        raise VerificationError(f"classical ranks {cek.ranks} != modified ranks {cmod.ranks}")
+    check_pair_counts(ideal, cmod)  # so both have the ranks the binomial counts give
     check_frame_invariance(cmod, ctheta, cthetap)
     check_strands(cek, list(ideal.gens))
     # lifted apart from the build's slot map, as verify lifts them

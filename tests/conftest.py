@@ -1,5 +1,8 @@
 import random
+import zlib
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -8,6 +11,7 @@ from ekcells import (
     modified_complex, random_borel_ideal, shelling,
 )
 from ekcells.ek import _b_indices, _shift_entry, kind_of
+from ekcells.monomials import square_str
 from ekcells.suite import named_ideal
 
 
@@ -89,6 +93,86 @@ def ball(kind, J):
     cplx = resolution(kind, J)
     poset = build_gamma(cplx)
     return ball_check(poset, cplx, is_cw_poset(poset, J))
+
+
+@dataclass(slots=True)
+class ELReport:
+    """What an EL sweep says of one interval [bottom, top] of a dual poset."""
+
+    bottom: object
+    top: object
+    max_chains: int
+    increasing_chains: int
+    lex_least: bool
+    passed: bool
+    increasing_chain: object = None
+    increasing_label: object = None
+
+
+def el_reports(sweep):
+    """The report of every interval of ``shelling.verify_el_all``'s result
+    ``sweep``, built from its records, a and then b in element order.  The
+    maximal chains of every pair are counted in one pass in reverse
+    topological order, and each one increasing chain is walked from the
+    records (``shelling._rising_chain``)."""
+    dual = sweep.dual
+    els, up, label = dual.elements, dual._up, sweep.cover_labels
+    rising, lex, failing = sweep.rising, sweep.lex, set(sweep.failing)
+    chains = [None] * len(els)
+    for x in reversed(dual._order):
+        cx = {x: 1}
+        for y in up[x]:
+            for b, c in chains[y].items():
+                cx[b] = cx.get(b, 0) + c
+        chains[x] = cx
+    out = []
+    for a, ca in enumerate(chains):
+        ea, ra = els[a], rising[a]
+        for b in sorted(ca):
+            if b == a:
+                continue
+            r = ra.get(b)
+            if r.__class__ is int:  # one increasing chain, lex-least where [a, b] passes
+                path, word = shelling._rising_chain(a, b, up, label, lex, rising)
+                chain = tuple(els[k] for k in path)
+                passed = (a, b) not in failing
+                out.append(ELReport(ea, els[b], ca[b], 1, passed, passed, chain, word))
+            else:  # no increasing chain, or several
+                rises = 0 if r is None else sum(r.values())
+                out.append(ELReport(ea, els[b], ca[b], rises, False, False))
+    return out
+
+
+def positive_part(variables, squares, chain, labels, lift, end_lift):
+    """The monomial of the positive labels along an increasing chain, by
+    ``Monomial`` arithmetic: the product of the variables its start attaches
+    to them (``variables``, its generator's list from ``ek._attached``), the
+    chain's labels and the lifts of its ends.
+
+    The result is checked against lcm(lift(start), lift(end)) / lift(start)
+    and a mismatch raises, as does a label that names no index of the start.
+    """
+    if max(labels) >= len(variables):
+        raise RuntimeError(f"label {max(labels)} names no index of {chain[0]!r}")
+    lcm = lift.lcm(end_lift)
+    u = prod((variables[i] for i in labels if i > 0), start=lift)
+    if u != lcm:
+        raise RuntimeError(
+            f"positive-label monomial {square_str(u.div(lift), squares)} differs from "
+            f"lcm quotient {square_str(lcm.div(lift), squares)} on chain {chain!r}"
+        )
+    return u.div(lift)
+
+
+def relabelling(name):
+    """Cover labels that break EL, to stand in for ``shelling.el_label_edge``:
+    pseudo-random in {-1, 0, 1}, all 0, or the true labels made nonpositive."""
+    original = shelling.el_label_edge
+    return {
+        "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
+        "constant": lambda *args: 0,
+        "unsigned": lambda *args: -abs(original(*args)),
+    }[name]
 
 
 @pytest.fixture

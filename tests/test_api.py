@@ -69,23 +69,28 @@ def _definitions(tree):
 
 def test_every_definition_is_referenced():
     # a dead-code lint: each definition is named somewhere in the package
-    # outside its own body, or exported through a module's ``__all__``
+    # outside its own body, or exported through a module's ``__all__``.  A
+    # method counts as named only by an attribute access (``x.name``), so
+    # that a local variable of the same name does not hide it; a function or
+    # class by a name or an attribute
     trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"ekcells.{name}")))
              for name in [*LIBRARY, "cli"]}
     exported = {name for module in trees
                 for name in getattr(importlib.import_module(f"ekcells.{module}"), "__all__", ())}
-    references = {}  # name -> [(module, line)]
+    names, attributes = {}, {}  # name -> [(module, line)]
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                references.setdefault(name, []).append((module, node.lineno))
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((module, node.lineno))
     unreferenced = [
         f"{module}.{qualname}"
         for module, tree in trees.items()
         for qualname, node in _definitions(tree)
         if qualname not in exported and qualname not in UNREFERENCED and not any(
             where != module or not node.lineno <= line <= node.end_lineno
-            for where, line in references.get(node.name, ()))
+            for where, line in attributes.get(node.name, [])
+            + ([] if "." in qualname else names.get(node.name, [])))
     ]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"

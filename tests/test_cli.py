@@ -362,6 +362,13 @@ class TestBoundChecks:
         assert main(["verify", "--random-borel", "--max-n", "2", "--max-deg", "1",
                      "--max-gens", "1", "--check", "ball"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--seed", "--max-n", "--max-deg", "--max-gens"])
+    @pytest.mark.parametrize("command", ["resolve", "verify", "polarize", "poset", "compare"])
+    def test_draw_flag_without_random_borel_exits_2_before_output(self, command, flag, capsys):
+        # each was once ignored on a named or read ideal, with exit 0
+        assert main([command, "--named", "deg2", flag, "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} needs --random-borel\n")
+
     @pytest.mark.parametrize("flag", ["--random-count", "--cm-count"])
     def test_negative_suite_count_exits_2(self, flag, capsys):
         # a negative count once passed as "-3 random Borel ideals" with exit 0

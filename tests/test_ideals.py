@@ -86,7 +86,7 @@ def predicates_by_definition(J):
     sqfree = all(m.is_squarefree() for m in J.gens) and all(
         exchange(u, i, j) in J
         for u in members if u.is_squarefree()
-        for j in u.support() for i in range(1, j) if u.deg(i) == 0
+        for j in u.support() for i in range(1, j) if u.exps[i - 1] == 0
     )
     return stable, borel, sqfree
 

@@ -127,7 +127,7 @@ class TestGShift:
                 for s in range(1, m.max_var()):
                     ms = g_shift(J, m, s)
                     fb = b_shift(m, s)
-                    assert all(ms.deg(l) == fb.deg(l) for l in range(1, s + 1))
+                    assert ms.exps[:s] == fb.exps[:s]
                     assert ms.max_var() >= s
                     assert ms > m
 

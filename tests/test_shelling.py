@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import zlib
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -30,11 +29,14 @@ from ekcells import (
 from ekcells.cli import main
 from ekcells.ek import _attached, kind_of
 from ekcells.shelling import (
-    CoatomOrdering, ELReport, ShellingResult, coatom_ordering, verify_shelling_order,
+    CoatomOrdering, ShellingResult, coatom_ordering, verify_shelling_order,
 )
 from ekcells.suite import NAMED_IDEALS, named_ideal
 from ekcells.verification import VerificationError, check_intervals, cm_battery
-from conftest import ball, gamma, ideal, interval, mono, power_ideal, resolution, stable_closures
+from conftest import (
+    ELReport, ball, el_reports, gamma, ideal, interval, mono, positive_part, power_ideal,
+    relabelling, resolution, stable_closures,
+)
 
 
 class TestEdgeLabels:
@@ -131,7 +133,7 @@ class TestELVerification:
     def test_all_intervals_pass(self, tri_tri):
         for kind in ("ek", "modified"):
             dual = gamma(kind, tri_tri).dual()
-            reports = verify_el_all(dual, tri_tri).reports()
+            reports = el_reports(verify_el_all(dual, tri_tri))
             assert reports and all(r.passed for r in reports)
 
 
@@ -163,17 +165,6 @@ def reference_el_reports(dual, ideal):
             for a in dual.elements for b in dual.elements if a != b and dual.leq(a, b)]
 
 
-def relabelling(name):
-    """Cover labels that break EL, to stand in for ``shelling.el_label_edge``:
-    pseudo-random in {-1, 0, 1}, all 0, or the true labels made nonpositive."""
-    original = shelling.el_label_edge
-    return {
-        "pseudo-random": lambda x, y, J: zlib.crc32(repr((x, y)).encode()) % 3 - 1,
-        "constant": lambda *args: 0,
-        "unsigned": lambda *args: -abs(original(*args)),
-    }[name]
-
-
 class TestSweepOracle:
     @pytest.fixture(scope="class")
     def sweep_ideals(self):
@@ -190,14 +181,14 @@ class TestSweepOracle:
         rules = kind_of(kind)
         for J in sweep_ideals:
             dual = gamma(kind, J).dual()
-            reports = verify_el_all(dual, J).reports()
+            reports = el_reports(verify_el_all(dual, J))
             assert reports == reference_el_reports(dual, J), J
             squares = rules.lifts(J)[0]
             variables = _attached(rules, J, squares)
             for rep in reports:
                 if rep.top is not BOTTOM:
                     chain, lab = rep.increasing_chain, rep.increasing_label
-                    shelling._positive_part(  # raises on a mismatch
+                    positive_part(  # raises on a mismatch
                         variables[rep.bottom.m], squares, chain, lab,
                         rules.lift(rep.bottom.m, squares), rules.lift(rep.top.m, squares))
 
@@ -212,7 +203,7 @@ class TestSweepOracle:
                   + [power_ideal(3, d) for d in (2, 3)] + [power_ideal(4, 2)]):
             for kind in ("ek", "modified"):
                 dual = gamma(kind, J).dual()
-                reports = verify_el_all(dual, J).reports()
+                reports = el_reports(verify_el_all(dual, J))
                 assert reports == reference_el_reports(dual, J), (kind, J)
                 cases.update("passed" if r.passed else min(r.increasing_chains, 2)
                              for r in reports)
@@ -227,19 +218,14 @@ class TestIntervalRecords:
     must give the same (bottom, top, word), in the same order."""
 
     @pytest.mark.parametrize("kind", ["ek", "modified"])
-    def test_intervals_equal_the_reports(self, kind, monkeypatch):
-        built, real = [], shelling.ELReport
-        monkeypatch.setattr(shelling, "ELReport",
-                            lambda *args: built.append(args) or real(*args))
+    def test_intervals_equal_the_reports(self, kind):
         rng6 = random.Random(20260810)
         for J in ([named_ideal(name) for name in NAMED_IDEALS]
                   + [random_borel_ideal(rng6) for _ in range(50)] + [power_ideal(4, 2)]):
             sweep = verify_el_all(gamma(kind, J).dual(), J)
             words = list(sweep.intervals())
-            assert built == [], J  # off the records
-            assert words == [(r.bottom, r.top, r.increasing_label) for r in sweep.reports()], J
-            assert list(sweep.intervals()) == words  # still off the records
-            built.clear()
+            assert words == [(r.bottom, r.top, r.increasing_label) for r in el_reports(sweep)], J
+            assert list(sweep.intervals()) == words  # the records are kept
 
     @pytest.mark.parametrize("labelling", ["pseudo-random", "unsigned"])
     def test_a_failing_sweep_reads_its_reports(self, labelling, monkeypatch):
@@ -251,7 +237,7 @@ class TestIntervalRecords:
                 sweep = verify_el_all(dual, J)
                 words = list(sweep.intervals())
                 assert words == [(r.bottom, r.top, r.increasing_label if r.passed else None)
-                                 for r in sweep.reports()], (kind, J)
+                                 for r in el_reports(sweep)], (kind, J)
                 assert None in [word for _, _, word in words]
 
     @pytest.mark.parametrize("labelling", ["pseudo-random", "constant", "unsigned"])
@@ -281,14 +267,14 @@ class TestIntervalRecords:
             return len(sweep), sweep.failures(), list(sweep.intervals())
 
         before = read()
-        first, second = sweep.reports(), sweep.reports()
+        first, second = el_reports(sweep), el_reports(sweep)
         assert read() == before
         assert first == second and first is not second
         assert all(r is not s for r, s in zip(first, second))
         first[0].passed = not first[0].passed
         first[0] = replace(first[1], increasing_label=(7,))
         first.clear()
-        assert read() == before and sweep.reports() == second
+        assert read() == before and el_reports(sweep) == second
         assert bool(before[1]) == (case == "relabelled")
 
 
@@ -299,7 +285,7 @@ class TestSweepScale:
         # interval of rank k has k! maximal chains, up to 8! = 40,320, and
         # listing them all takes about half a second per kind
         J = ideal(8, *(f"x{i}" for i in range(1, 8)), "x8^2")
-        reports = verify_el_all(gamma(kind, J).dual(), J).reports()
+        reports = el_reports(verify_el_all(gamma(kind, J).dual(), J))
         assert len(reports) == 6305
         assert all(r.passed for r in reports)
         assert max(r.max_chains for r in reports) == 40320
@@ -315,7 +301,7 @@ class TestChainCounts:
         for J in ([named_ideal(name) for name in NAMED_IDEALS] + [power_ideal(4, 2)]
                   + [random_borel_ideal(rng7, cm=True) for _ in range(50)]):
             dual = gamma(kind, J).dual()
-            for r in verify_el_all(dual, J).reports():
+            for r in el_reports(verify_el_all(dual, J)):
                 assert r.max_chains == len(dual.chains_between(r.bottom, r.top)), (J, r)
 
 
@@ -457,7 +443,7 @@ class TestCWFromSweep:
 def verdict_from_reports(poset, J):
     """is_cw_poset's verdict and witness on a thin poset with a least
     element, read off the built reports of the sweep of its dual."""
-    reports = verify_el_all(poset.dual(), J).reports()
+    reports = el_reports(verify_el_all(poset.dual(), J))
     failures = [(r.bottom, r.top) for r in reports if not r.passed]
     witness = {"thin": True, "bounded_below": True, "el_intervals": len(reports),
                "el_failures": len(failures)}
@@ -494,26 +480,8 @@ class TestCWVerdictOracle:
                 dual = poset.dual()
                 sweep = verify_el_all(dual, J)
                 assert sweep.failures() == [
-                    (r.bottom, r.top) for r in sweep.reports() if not r.passed], (kind, J)
+                    (r.bottom, r.top) for r in el_reports(sweep) if not r.passed], (kind, J)
         assert refuted == 2 * (len(NAMED_IDEALS) + 3)  # every poset fails somewhere
-
-    def test_a_passing_verdict_builds_no_report(self, monkeypatch):
-        built = []
-        real = shelling.ELReport
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(shelling, "ELReport", counted)
-        J = power_ideal(4, 2)
-        for kind in ("ek", "modified"):
-            ok, witness = is_cw_poset(gamma(kind, J), J)
-            assert ok and witness["el_intervals"] > 0
-        assert built == []
-        reports = verify_el_all(gamma("modified", J).dual(), J)
-        assert len(reports) == witness["el_intervals"] and built == []
-        assert len(reports.reports()) == len(built) == witness["el_intervals"]
 
 
 def pairwise_shelling_order(data, order):

@@ -9,6 +9,7 @@ from ekcells import (
     AdmissiblePair, FreeComplex, Monomial, MonomialIdeal, ek_complex, frame_complex,
     modified_complex, random_borel_ideal, shelling, verification,
 )
+from ekcells.ek import Kind, _attached, kind_of
 from ekcells.monomials import from_squares, square_str
 from ekcells.polarization import specialize_theta, specialize_theta_prime
 from ekcells.verification import (
@@ -29,7 +30,10 @@ from ekcells.verification import (
 )
 from ekcells.posets import BOTTOM, FinitePoset, build_gamma
 from ekcells.suite import NAMED_IDEALS, named_ideal
-from conftest import criterion_draws, gamma, ideal, interval, mono, power_ideal, resolution
+from conftest import (
+    criterion_draws, el_reports, gamma, ideal, interval, mono, positive_part, power_ideal,
+    relabelling, resolution,
+)
 
 
 def product_lookups(J):
@@ -159,16 +163,6 @@ class TestBatteries:
         full_battery(deg2)
         assert calls == []
 
-    def test_a_passing_battery_builds_no_report(self, monkeypatch):
-        built, real = [], shelling.ELReport
-        monkeypatch.setattr(shelling, "ELReport",
-                            lambda *args: built.append(args) or real(*args))
-        rng6 = random.Random(20260810)
-        for _ in range(20):
-            stats = full_battery(random_borel_ideal(rng6))
-            assert stats["intervals_ek"] and stats["intervals_modified"]
-        assert built == []
-
     def test_one_el_sweep_per_kind(self, deg2, el_sweeps):
         stats = full_battery(deg2)
         assert el_sweeps == [("ek", stats["intervals_ek"]), ("modified", stats["intervals_modified"])]
@@ -292,6 +286,22 @@ class TestMutationDetection:
         monkeypatch.setattr(MonomialIdeal, "top_generators", lambda J: original(J)[::-1])
         with pytest.raises(VerificationError, match=re.escape(message)):
             check_interval_decomposition(kind, deg2, gamma(kind, deg2), deg2.is_cm_stable()[1])
+
+    def test_wrong_intersection_message_is_independent_of_hashing(self, monkeypatch):
+        # a pair hashes with its kind, which hashes by id, so a set of pairs
+        # iterates in an order that varies between processes: under any kind
+        # hash the message lists the expected pairs by index tuple and the
+        # found ones in poset order
+        original = MonomialIdeal.top_generators
+        monkeypatch.setattr(MonomialIdeal, "top_generators", lambda J: original(J)[::-1])
+        J, messages = power_ideal(3, 3), set()
+        for c in range(8):
+            monkeypatch.setattr(Kind, "__hash__", lambda self, c=c: c)
+            messages.add(raised(check_interval_decomposition, "modified", J,
+                                gamma("modified", J), 3))
+        assert messages == {
+            "maximal elements of intersection 1 are {~e({(2,3)};x1^2*x3)}, expected "
+            "{~e({(1,2)};x1*x2*x3), ~e({(2,3)};x1*x2*x3)} (modified)"}
 
     def test_tied_labels_with_distinct_words_pass(self):
         # 0 < 1, 2 < 3: the two labels out of 0 tie, the words (5, 1) and
@@ -644,15 +654,21 @@ def reference_decomposition(kind, J, poset, h):
     for jj in range(1, len(tops)):
         inter = set().union(*intervals[:jj]) & intervals[jj]
         m = tops[jj]
-        expected = {AdmissiblePair(tuple(x for x in full if x != s), m, kind)
-                    for s in m.support() if s != h}
-        maximal = {x for x in inter if not any(y != x and poset.leq(x, y) for y in inter)}
-        if maximal != expected:
+        expected = sorted(tuple(x for x in full if x != s) for s in m.support() if s != h)
+        expected = [AdmissiblePair(F, m, kind) for F in expected]
+        maximal = [x for x in poset.elements
+                   if x in inter and not any(y != x and poset.leq(x, y) for y in inter)]
+        if set(maximal) != set(expected):
             return (f"intersection with interval {jj} differs from predicted union ({kind})"
                     if kind == "ek" else
-                    f"maximal elements of intersection {jj} are {maximal}, "
-                    f"expected {expected} ({kind})")
+                    f"maximal elements of intersection {jj} are {braced(maximal)}, "
+                    f"expected {braced(expected)} ({kind})")
     return None
+
+
+def braced(items):
+    """The items as a set of them prints, in the given order."""
+    return "{" + ", ".join(map(repr, items)) + "}" if items else "set()"
 
 
 def decomposition_ideals():
@@ -723,3 +739,124 @@ class TestCMStructureOracles:
         other = "modified" if kind == "ek" else "ek"
         with pytest.raises(KeyError):
             check_interval_decomposition(other, deg2, gamma(kind, deg2), 3)
+
+
+def reference_intervals(cplx, dual, J):
+    """``check_intervals`` with each EL failure worded off the built reports
+    (``conftest.el_reports``) and the lcm identity decided and worded by
+    ``Monomial`` arithmetic (``conftest.positive_part``): the count of
+    intervals, or the VerificationError it raises.  The local label checks
+    and the minimal supports are the module's own, so that a test can stub
+    them on both sides."""
+    sweep = shelling.verify_el_all(dual, J)
+    verification._check_injective(dual, sweep.cover_labels)
+    verification._check_label_rewrites(cplx.kind, dual, sweep.cover_labels)
+    squares = cplx.squares
+    lifts = dict(zip((pair.m for pair in cplx.basis[0]), cplx.mdegs[0]))
+    variables = _attached(kind_of(cplx.kind), J, squares)
+    holds, shifted = set(), {}
+    for rep, (a, b, word) in zip(el_reports(sweep), sweep.intervals()):
+        if word is None:
+            if rep.increasing_chains != 1:
+                raise VerificationError(
+                    f"{rep.increasing_chains} increasing maximal chains on [{a!r}, {b!r}]")
+            raise VerificationError(f"increasing chain not lex-least on [{a!r}, {b!r}]")
+        if b is BOTTOM:
+            continue
+        key = (a.m, b.m, tuple(x for x in word if x > 0))
+        if key not in holds:
+            try:
+                positive_part(variables[a.m], squares, rep.increasing_chain, word,
+                              lifts[a.m], lifts[b.m])
+            except RuntimeError as exc:
+                raise VerificationError(f"lcm identity fails on [{a!r}, {b!r}]: {exc}") from exc
+            holds.add(key)
+        if cplx.kind == "ek":
+            verification._check_minimal_support(J, a, b, word, shifted)
+    return len(sweep)
+
+
+# interval words rewritten, each with a piece of the message it must raise: a
+# label past every index, the positive labels negated, and each positive
+# label moved to a neighbouring index
+WORD_EDITS = {
+    "no index": (lambda word: (*word, 99), "label 99 names no index of "),
+    "negated": (lambda word: tuple(-abs(x) for x in word), "positive-label monomial 1 differs"),
+    "moved": (lambda word: tuple(x - 1 if x > 1 else x + (x == 1) for x in word),
+              "lcm identity fails on "),
+}
+
+
+class TestIntervalWordingOracle:
+    """``check_intervals`` words each failure as the reference does, which
+    reads built reports and the ``Monomial`` lcm route, and passes where it
+    passes: under labelings that break EL, with the local label checks kept
+    and stubbed (so that the EL wording is reached), and with one interval
+    word rewritten."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        ideals = ([named_ideal(name) for name in NAMED_IDEALS]
+                  + [power_ideal(3, d) for d in (2, 3)] + [power_ideal(4, 2)])
+        return [(resolution(kind, J), J) for J in ideals for kind in ("ek", "modified")]
+
+    @staticmethod
+    def outcome(check, cplx, J):
+        try:
+            return check(cplx, build_gamma(cplx).dual(), J)
+        except VerificationError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("local", ["kept", "stubbed"])
+    @pytest.mark.parametrize("labelling", ["pseudo-random", "constant", "unsigned"])
+    def test_relabelled_sweeps(self, labelling, local, cases, monkeypatch):
+        monkeypatch.setattr(shelling, "el_label_edge", relabelling(labelling))
+        if local == "stubbed":
+            monkeypatch.setattr(verification, "_check_injective", lambda *args: None)
+            monkeypatch.setattr(verification, "_check_label_rewrites", lambda *args: None)
+        seen = set()
+        for cplx, J in cases:
+            got = self.outcome(check_intervals, cplx, J)
+            assert got == self.outcome(reference_intervals, cplx, J), (cplx.kind, J)
+            seen.add(got if isinstance(got, int) else re.sub(r"^\d+ |\[.*", "", got))
+        if local == "stubbed":
+            assert "increasing maximal chains on " in seen
+
+    def test_one_chain_marked_failing(self, cases, monkeypatch):
+        # the sweep records an interval that has one increasing chain as
+        # failing, the first such above the least element
+        real = shelling.verify_el_all
+
+        def marked(dual, J):
+            sweep = real(dual, J)
+            sweep.failing.append(next(
+                (a, b) for a, ra in enumerate(sweep.rising) for b, r in sorted(ra.items())
+                if b != a and r.__class__ is int and dual.elements[b] is not BOTTOM))
+            return sweep
+
+        monkeypatch.setattr(shelling, "verify_el_all", marked)
+        for cplx, J in cases:
+            got = self.outcome(check_intervals, cplx, J)
+            assert got.startswith("increasing chain not lex-least on "), (cplx.kind, J)
+            assert got == self.outcome(reference_intervals, cplx, J), (cplx.kind, J)
+
+    @pytest.mark.parametrize("edit", list(WORD_EDITS))
+    def test_rewritten_words(self, edit, cases, monkeypatch):
+        # the first, middle or last interval above the least element with a
+        # positive label gets its word rewritten
+        (rewrite, piece), real, target = WORD_EDITS[edit], shelling.ELSweep.intervals, []
+
+        def rewritten(sweep):
+            for k, (a, b, word) in enumerate(real(sweep)):
+                yield a, b, rewrite(word) if k == target[0] else word
+
+        monkeypatch.setattr(shelling.ELSweep, "intervals", rewritten)
+        for cplx, J in cases:
+            sweep = shelling.verify_el_all(build_gamma(cplx).dual(), J)
+            ks = [k for k, (_, b, word) in enumerate(real(sweep))
+                  if b is not BOTTOM and max(word) > 0]
+            for k in {ks[0], ks[len(ks) // 2], ks[-1]}:
+                target[:] = [k]
+                got = self.outcome(check_intervals, cplx, J)
+                assert piece in got, (cplx.kind, J, k)
+                assert got == self.outcome(reference_intervals, cplx, J), (cplx.kind, J, k)
